@@ -237,6 +237,7 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
         let mut i = 0;
         while i < self.pending.len() {
             let id = self.pending[i];
+            self.stats_claim_checks += 1;
             let t = &self.transfers[id];
             let links = self.transfers.links_of(t.links);
             if !self.router.can_claim_atomic(t, links, self.issue_ok(t)) {
@@ -293,6 +294,7 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
                 keep.push(id);
                 continue;
             }
+            self.stats_claim_checks += 1;
             let t = &self.transfers[id];
             let links = self.transfers.links_of(t.links);
             if !self.router.can_claim_atomic(t, links, self.issue_ok(t)) {

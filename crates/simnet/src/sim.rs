@@ -168,6 +168,7 @@ pub(crate) struct Sim<'a, T: ?Sized> {
     pub(crate) stats_blocked_ns: u64,
     pub(crate) stats_blocked_max: u64,
     pub(crate) stats_copies: u64,
+    pub(crate) stats_claim_checks: u64,
     pub(crate) events: u64,
     pub(crate) last_activity_ns: u64,
     pub(crate) trace: Option<Vec<TraceEvent>>,
@@ -247,6 +248,7 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
             stats_blocked_ns: 0,
             stats_blocked_max: 0,
             stats_copies: 0,
+            stats_claim_checks: 0,
             events: 0,
             last_activity_ns: 0,
             trace: traced.then(Vec::new),
@@ -347,6 +349,7 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
             link_busy_ns_max,
             copies: self.stats_copies,
             events: self.events,
+            claim_checks: self.stats_claim_checks,
             peak_transfers_live: self.transfers.peak_live() as u64,
             state_bytes: (self.router.resident_bytes() + self.transfers.resident_bytes()) as u64,
         };

@@ -40,6 +40,10 @@ pub struct SimStats {
     pub copies: u64,
     /// Number of events processed.
     pub events: u64,
+    /// Feasibility examinations of pending transfers under the atomic
+    /// claim policy — host work, not simulated behaviour: the count that
+    /// guards the rescan's complexity.
+    pub claim_checks: u64,
     /// High-water mark of concurrently in-flight transfers (the arena's
     /// peak slot occupancy — what live memory actually tracks).
     pub peak_transfers_live: u64,
