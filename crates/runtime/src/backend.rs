@@ -216,14 +216,14 @@ fn priced_route<T: Topology + ?Sized>(
 /// its default measurements (minus the trace); makespans agree exactly.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DesBackend {
-    /// Engine execution mode: sequential (exact, the default) or the
-    /// parallel conservative-lookahead mode ([`simnet::ExecMode`]).
+    /// How the caller spelled the engine's execution ([`simnet::ExecMode`]);
+    /// both spellings run the one exact event loop.
     pub exec: ExecMode,
 }
 
 impl DesBackend {
-    /// Backend running the engine under `exec` — used by the scale bench
-    /// and by [`SimMode::from_env`]-driven selection.
+    /// Backend running the engine under `exec` — used by
+    /// [`SimMode::from_env`]-driven selection.
     pub fn with_exec(exec: ExecMode) -> Self {
         DesBackend { exec }
     }
@@ -747,7 +747,8 @@ static ANALYTIC: AnalyticBackend = AnalyticBackend {
 pub struct SimMode {
     /// Analytic pool layout (`auto` / `dense` / `sparse`).
     pub pool: PoolMode,
-    /// Event-engine execution (`seq` / `parallel` / `parallel:<n>`).
+    /// Event-engine execution (`seq` / `parallel` / `parallel:<n>`: one
+    /// engine, equal results).
     pub exec: ExecMode,
 }
 

@@ -174,7 +174,6 @@ mod tests {
             links,
             duration: 1,
             request_ns: 0,
-            start_ns: 0,
             state: TState::Pending,
             claim_idx: 0,
             issue_seq: None,

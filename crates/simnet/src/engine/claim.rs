@@ -7,7 +7,7 @@ use hypercube::{NodeId, Path, Topology};
 
 use crate::engine::arena::LinkRange;
 use crate::engine::node::RecvState;
-use crate::engine::parallel::{ScanJob, ScanPool};
+use crate::engine::pending::Blocker;
 use crate::engine::queue::{EvKind, TransferId};
 use crate::engine::router::{TKind, TState, Transfer};
 use crate::program::Tag;
@@ -68,8 +68,9 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
         // queue; exchange parts are gated by their rendezvous instead.
         let issue_seq =
             (!exchange_part && bytes > self.params.protocol_threshold_bytes).then(|| {
-                let seq = self.nodes[src as usize].issue_next;
-                self.nodes[src as usize].issue_next += 1;
+                let next = &mut self.nodes[src as usize].issue_next;
+                let seq = *next;
+                *next = seq.checked_add(1).expect("fewer than 2^32 sends per node");
                 seq
             });
         let links = self.transfers.push_links(path.links());
@@ -83,7 +84,6 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
             links,
             duration,
             request_ns: self.now + initiation,
-            start_ns: 0,
             state: TState::Pending,
             claim_idx: 0,
             issue_seq,
@@ -93,7 +93,8 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
         self.nodes[src as usize].stats.sends += 1;
         self.trace_push(TraceKind::Requested, src, dst, tag, bytes);
         if initiation > 0 {
-            self.push_event(self.now + initiation, EvKind::XferAdvance(id));
+            self.queue
+                .push(self.now + initiation, EvKind::XferAdvance(id));
             return Some(id);
         }
         match self.params.claim {
@@ -139,7 +140,6 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
             links,
             duration,
             request_ns: self.now,
-            start_ns: 0,
             state: TState::Pending,
             claim_idx: 0,
             issue_seq: None,
@@ -163,7 +163,6 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
             links: LinkRange::EMPTY,
             duration: self.params.copy_ns(bytes),
             request_ns: self.now,
-            start_ns: 0,
             state: TState::Pending,
             claim_idx: 0,
             issue_seq: None,
@@ -217,134 +216,68 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
             .is_none_or(|s| s == self.nodes[t.src as usize].issue_cursor)
     }
 
-    /// Ask for a pending-set rescan. Sequential mode scans immediately
-    /// (byte-identical to the historical engine); the parallel
-    /// conservative-lookahead mode defers the scan to the end of the
-    /// current timestamp batch (`Sim::run` drains it before the clock
-    /// advances), collapsing the many same-time rescans of a dense
-    /// completion burst into one batched pass.
-    pub(crate) fn request_retry(&mut self) {
-        if self.batched {
-            self.scan_due = true;
-        } else {
-            self.retry_pending();
+    /// Whether pending transfer `id` can start right now: `Ok(direct)`
+    /// with its delivery mode, or the first busy condition in the way —
+    /// sender-side issue order, then the router's resources, then
+    /// delivery at the destination.
+    fn admission(&mut self, id: TransferId) -> Result<bool, Blocker> {
+        let t = &self.transfers[id];
+        if !self.issue_ok(t) {
+            return Err(Blocker::Issue(t.src));
+        }
+        let links = self.transfers.links_of(t.links);
+        let busy = self.router.first_busy(t, links);
+        debug_assert_eq!(busy.is_none(), self.router.can_claim_atomic(t, links, true));
+        if let Some(on) = busy {
+            return Err(on);
+        }
+        match t.kind {
+            TKind::Data { .. } => {
+                let dst = t.dst;
+                self.delivery_mode(id).map_err(|()| Blocker::Delivery(dst))
+            }
+            _ => Ok(true),
         }
     }
 
-    pub(crate) fn retry_pending(&mut self) {
-        // Oldest-first, first-fit: a transfer starts as soon as every
-        // resource it needs is simultaneously free.
-        let mut i = 0;
-        while i < self.pending.len() {
-            let id = self.pending[i];
+    /// Rescan the pending set: oldest-first, first-fit — a transfer starts
+    /// as soon as every resource it needs is simultaneously free. Only
+    /// candidates are examined (new arrivals and watchers of a released
+    /// condition); everything parked is still infeasible. One age-ordered
+    /// pass reaches the fixed point because activation only *consumes*
+    /// resources, except for the issue cursor it advances — and the
+    /// transfer that wakes joins this same pass at its own age.
+    pub(crate) fn request_retry(&mut self) {
+        while let Some(id) = self.pending.next_candidate() {
             self.stats_claim_checks += 1;
-            let t = &self.transfers[id];
-            let links = self.transfers.links_of(t.links);
-            if !self.router.can_claim_atomic(t, links, self.issue_ok(t)) {
-                i += 1;
-                continue;
+            match self.admission(id) {
+                Ok(direct) => self.activate(id, direct),
+                Err(on) => self.pending.park(id, on),
             }
-            // Delivery feasibility (posted buffer or system-buffer space).
-            let deliverable = match self.transfers[id].kind {
-                TKind::Data { .. } => self.delivery_mode(id).ok(),
-                _ => Some(true),
-            };
             if self.err.is_some() {
                 return;
             }
-            let Some(direct) = deliverable else {
-                i += 1;
-                continue;
-            };
-            self.pending.remove(i);
-            self.activate(id, direct);
-            // Restart the scan: activating may have consumed resources that
-            // earlier-pended transfers were also waiting for, but it cannot
-            // have *freed* anything, so continuing from `i` is also sound;
-            // we restart for strict oldest-first fairness.
-            i = 0;
         }
+        #[cfg(test)]
+        self.assert_parked_infeasible();
     }
 
-    /// The parallel mode's deferred rescan: one age-ordered commit pass
-    /// over a snapshot of the pending set, optionally prefiltered by the
-    /// work-stealing feasibility scan ([`Sim::feasibility_flags`]).
-    ///
-    /// A single pass reaches the fixed point because activation only
-    /// *consumes* resources — a candidate rejected earlier in the pass
-    /// cannot become feasible later in it (the sequential scan's own
-    /// comment makes the same argument for continuing instead of
-    /// restarting). Commit order is the sequential oldest-first order;
-    /// every prefilter flag is re-validated under the exact predicate
-    /// before claiming, so the flags only save work, never change the
-    /// outcome of this pass.
-    pub(crate) fn retry_pending_batched(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let snap = std::mem::take(&mut self.pending);
-        let flags = self.feasibility_flags(&snap);
-        let mut keep = Vec::new();
-        for (i, &id) in snap.iter().enumerate() {
-            if self.err.is_some() {
-                keep.push(id);
-                continue;
-            }
-            if flags.as_ref().is_some_and(|f| !f[i]) {
-                keep.push(id);
-                continue;
-            }
-            self.stats_claim_checks += 1;
+    /// The exact-predicate sweep: after a rescan, no parked transfer may
+    /// pass `can_claim_atomic` + `delivery_mode`.
+    #[cfg(test)]
+    fn assert_parked_infeasible(&mut self) {
+        for id in self.pending.parked() {
             let t = &self.transfers[id];
             let links = self.transfers.links_of(t.links);
             if !self.router.can_claim_atomic(t, links, self.issue_ok(t)) {
-                keep.push(id);
                 continue;
             }
-            let deliverable = match self.transfers[id].kind {
-                TKind::Data { .. } => self.delivery_mode(id).ok(),
-                _ => Some(true),
-            };
-            if self.err.is_some() {
-                keep.push(id);
-                continue;
-            }
-            let Some(direct) = deliverable else {
-                keep.push(id);
-                continue;
-            };
-            self.activate(id, direct);
+            let data = matches!(t.kind, TKind::Data { .. });
+            assert!(
+                data && self.delivery_mode(id).is_err() && self.err.is_none(),
+                "parked transfer {id} is feasible"
+            );
         }
-        self.pending = keep;
-    }
-
-    /// Fan the feasibility scan out over the worker pool. `None` means
-    /// "scan inline" — parallelism only pays for itself on big batches.
-    fn feasibility_flags(&mut self, snap: &[TransferId]) -> Option<Vec<bool>> {
-        /// Below this batch size the sequential scan beats the hand-off.
-        const PAR_SCAN_MIN: usize = 512;
-        if self.par_threads < 2 || snap.len() < PAR_SCAN_MIN {
-            return None;
-        }
-        let pool = self
-            .scan_pool
-            .get_or_insert_with(|| ScanPool::new(self.par_threads));
-        // `forbid(unsafe_code)` rules out scoped borrows across threads:
-        // move the router and arena into the job, reclaim them after.
-        let job = ScanJob::new(
-            std::mem::take(&mut self.router),
-            std::mem::take(&mut self.transfers),
-            snap.to_vec(),
-        );
-        let job = pool.scan(job);
-        self.router = job.router;
-        self.transfers = job.transfers;
-        Some(
-            job.flags
-                .iter()
-                .map(|f| f.load(std::sync::atomic::Ordering::Relaxed))
-                .collect(),
-        )
     }
 
     pub(crate) fn activate(&mut self, id: TransferId, direct: bool) {
@@ -359,16 +292,18 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
         );
         let links = self.transfers.links_of(t.links);
         self.router.claim_atomic(id, t, links);
-        // Receive-side bookkeeping.
+        // Receive-side bookkeeping. The admitted message may have taken
+        // the `(src, tag)` slot a delivery watcher was counting on.
         if matches!(kind, TKind::Data { .. }) {
             self.mark_delivery(id, direct);
+            self.pending.wake(Blocker::Delivery(dst as u32));
         }
         let t = &mut self.transfers[id];
         t.state = TState::Active;
-        t.start_ns = self.now;
         if let Some(s) = t.issue_seq {
             debug_assert_eq!(s, self.nodes[src].issue_cursor);
             self.nodes[src].issue_cursor = s + 1;
+            self.pending.wake(Blocker::Issue(src as u32));
         }
         if self.now > t.request_ns {
             let delay = self.now - t.request_ns;
@@ -376,7 +311,7 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
             self.stats_blocked_ns += delay;
             self.stats_blocked_max = self.stats_blocked_max.max(delay);
         }
-        self.push_event(self.now + duration, EvKind::XferDone(id));
+        self.queue.push(self.now + duration, EvKind::XferDone(id));
         self.trace_push(TraceKind::Started, src as u32, dst as u32, tag, bytes);
     }
 
@@ -417,7 +352,7 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
                     t.src as usize,
                     t.dst as usize,
                     t.links.len(),
-                    t.claim_idx,
+                    t.claim_idx as usize,
                 )
             };
             if kind == TKind::Copy {
@@ -445,10 +380,11 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
                 if !self.router.hw_claim_link(link, id) {
                     return;
                 }
-                self.transfers[id].claim_idx = idx + 1;
+                self.transfers[id].claim_idx += 1;
                 // The circuit probe takes hop_ns to cross this link.
                 if self.params.hop_ns > 0 {
-                    self.push_event(self.now + self.params.hop_ns, EvKind::XferAdvance(id));
+                    self.queue
+                        .push(self.now + self.params.hop_ns, EvKind::XferAdvance(id));
                     return;
                 }
                 continue;
@@ -458,7 +394,7 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
                 if !self.router.hw_claim_recv_port(dst, id) {
                     return;
                 }
-                self.transfers[id].claim_idx = idx + 1;
+                self.transfers[id].claim_idx += 1;
                 continue;
             }
             // Delivery condition: the circuit is fully established and holds
@@ -482,7 +418,6 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
     pub(crate) fn hw_activate(&mut self, id: TransferId) {
         let t = &mut self.transfers[id];
         t.state = TState::Active;
-        t.start_ns = self.now;
         let duration = t.duration;
         if self.now > t.request_ns {
             let delay = self.now - t.request_ns;
@@ -491,7 +426,7 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
             self.stats_blocked_max = self.stats_blocked_max.max(delay);
         }
         let (src, dst, tag, bytes) = (t.src, t.dst, t.tag, t.bytes);
-        self.push_event(self.now + duration, EvKind::XferDone(id));
+        self.queue.push(self.now + duration, EvKind::XferDone(id));
         self.trace_push(TraceKind::Started, src, dst, tag, bytes);
     }
 
@@ -581,6 +516,7 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
                 // Freed buffer space may unblock parked circuits or pending
                 // transfers.
                 self.check_delivery_waiters(dst);
+                self.pending.wake(Blocker::Delivery(dst as u32));
                 if self.params.claim == ClaimPolicy::Atomic {
                     self.request_retry();
                 }
@@ -650,14 +586,16 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
     }
 
     pub(crate) fn release_engine(&mut self, node: usize, id: TransferId) {
+        self.pending.wake(Blocker::Engine(node as u32));
         if let Some(next) = self.router.release_engine(node, id) {
-            self.push_event(self.now, EvKind::XferAdvance(next));
+            self.queue.push(self.now, EvKind::XferAdvance(next));
         }
     }
 
     pub(crate) fn release_recv_port(&mut self, node: usize, id: TransferId) {
+        self.pending.wake(Blocker::RecvPort(node as u32));
         if let Some(next) = self.router.release_recv_port(node, id) {
-            self.push_event(self.now, EvKind::XferAdvance(next));
+            self.queue.push(self.now, EvKind::XferAdvance(next));
         }
     }
 
@@ -665,10 +603,13 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
         let range = self.transfers[id].links;
         let mut woken = Vec::new();
         let links = self.transfers.links_of(range);
+        for l in links {
+            self.pending.wake(Blocker::Link(l.index()));
+        }
         self.router
             .release_links(id, links, duration, |next| woken.push(next));
         for next in woken {
-            self.push_event(self.now, EvKind::XferAdvance(next));
+            self.queue.push(self.now, EvKind::XferAdvance(next));
         }
     }
 
@@ -676,5 +617,140 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
         if self.nodes[node].finish_exchange_part() {
             self.schedule_resume(node);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Under `cfg(test)` every rescan ends with the exact-predicate sweep
+    //! (`assert_parked_infeasible`), so these runs check the parking
+    //! invariant at every step of dense, contended traffic.
+
+    use hypercube::{Hypercube, NodeId};
+
+    use crate::{simulate, MachineParams, PortModel, Program, SimError, Tag};
+
+    const N: u32 = 16;
+
+    /// Every node sends to its 12 successors, short and long protocol
+    /// interleaved. `posts_first` is the S2 shape; otherwise receives are
+    /// posted late, so arrivals fill the system buffers and queue on
+    /// delivery until posts and copies drain them.
+    fn dense_programs(posts_first: bool) -> Vec<Program> {
+        (0..N)
+            .map(|me| {
+                let mut b = Program::builder();
+                let posts = |b: &mut crate::ProgramBuilder| {
+                    for k in 1..=12 {
+                        b.post_recv(NodeId((me + N - k) % N), Tag(0));
+                    }
+                };
+                if posts_first {
+                    posts(&mut b);
+                }
+                for k in 1..=12 {
+                    let bytes = if (me + k) % 3 == 0 { 64 } else { 4096 };
+                    b.send_async(NodeId((me + k) % N), bytes, Tag(0));
+                }
+                if !posts_first {
+                    b.compute(3_000_000);
+                    posts(&mut b);
+                }
+                b.wait_all_sends();
+                b.wait_all_recvs();
+                b.build()
+            })
+            .collect()
+    }
+
+    /// Pairwise exchanges along every cube dimension, then a dense blast:
+    /// fused (unified ports) or split exchange parts contend with data.
+    fn exchange_programs() -> Vec<Program> {
+        (0..N)
+            .map(|me| {
+                let mut b = Program::builder();
+                for k in 1..=6 {
+                    b.post_recv(NodeId((me + N - k) % N), Tag(9));
+                }
+                for dim in 0..4 {
+                    b.exchange(NodeId(me ^ (1 << dim)), 2048, 2048, Tag(dim));
+                    b.send_async(NodeId((me + dim + 1) % N), 1024, Tag(9));
+                }
+                b.send_async(NodeId((me + 5) % N), 64, Tag(9));
+                b.send_async(NodeId((me + 6) % N), 64, Tag(9));
+                b.wait_all_sends();
+                b.wait_all_recvs();
+                b.build()
+            })
+            .collect()
+    }
+
+    fn machines() -> Vec<MachineParams> {
+        let base = MachineParams::ipsc860();
+        let mut out = Vec::new();
+        for ports in [PortModel::Unified, PortModel::Split] {
+            for buffer_bytes in [None, Some(64 * 1024), Some(8 * 1024)] {
+                out.push(MachineParams {
+                    ports,
+                    buffer_bytes,
+                    ..base.clone()
+                });
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn no_parked_transfer_is_ever_feasible() {
+        let cube = Hypercube::new(4);
+        let mut contended = 0;
+        for params in machines() {
+            for programs in [
+                dense_programs(true),
+                dense_programs(false),
+                exchange_programs(),
+            ] {
+                match simulate(&cube, &params, programs) {
+                    Ok(report) => {
+                        let stats = report.stats;
+                        assert!(stats.claim_checks >= stats.transfers);
+                        contended += stats.transfers_blocked;
+                    }
+                    // Tight buffers may deadlock the unposted variant; the
+                    // sweep ran on every rescan up to that point.
+                    Err(SimError::Deadlock { .. }) => {}
+                    Err(e) => panic!("{e}"),
+                }
+            }
+        }
+        assert!(contended > 1000, "the battery is meant to contend");
+    }
+
+    #[test]
+    fn delivery_watchers_wake_on_a_post_and_on_a_drained_buffer() {
+        let cube = Hypercube::new(1);
+        let params = MachineParams {
+            buffer_bytes: Some(100),
+            ..MachineParams::ipsc860()
+        };
+        // Tag 0 fits the buffer; tag 1 (160 > 100) waits on delivery until
+        // tag 0's copy drains it; tag 2 still does not fit behind tag 1
+        // and goes direct once its receive is posted.
+        let mut sender = Program::builder();
+        for tag in 0..3 {
+            sender.send_async(NodeId(1), 80, Tag(tag));
+        }
+        sender.wait_all_sends();
+        let mut receiver = Program::builder();
+        receiver.compute(1_000_000);
+        receiver.post_recv(NodeId(0), Tag(0));
+        receiver.compute(1_000_000);
+        receiver.post_recv(NodeId(0), Tag(2));
+        receiver.compute(1_000_000);
+        receiver.post_recv(NodeId(0), Tag(1));
+        receiver.wait_all_recvs();
+        let report = simulate(&cube, &params, vec![sender.build(), receiver.build()]).unwrap();
+        assert_eq!(report.stats.copies, 2);
+        assert_eq!(report.stats.nodes[1].direct_bytes, 80);
     }
 }

@@ -11,8 +11,8 @@
 //!   hold-and-wait claim policies, delivery, and completion.
 //! * [`arena`] — slab storage for transfers and their routed circuits:
 //!   slot reuse keeps live memory proportional to *concurrent* traffic.
-//! * [`parallel`] — the work-stealing feasibility scanner behind the
-//!   parallel conservative-lookahead execution mode.
+//! * [`pending`] — the atomic policy's pending set, indexed by blocking
+//!   resource: parked transfers wake on release instead of being rescanned.
 //!
 //! The driver that ties them together — the event loop and per-node
 //! program execution, plus deadlock detection — is `crate::sim`.
@@ -20,6 +20,6 @@
 pub(crate) mod arena;
 pub(crate) mod claim;
 pub(crate) mod node;
-pub(crate) mod parallel;
+pub(crate) mod pending;
 pub(crate) mod queue;
 pub(crate) mod router;

@@ -51,8 +51,8 @@ pub(crate) struct NodeState {
     /// Issue sequencing of outgoing data transfers (head-of-line at the
     /// sender): `issue_next` numbers new transfers, `issue_cursor` is the
     /// oldest not-yet-started one — only it may claim resources.
-    pub issue_next: u64,
-    pub issue_cursor: u64,
+    pub issue_next: u32,
+    pub issue_cursor: u32,
     pub stats: NodeStats,
 }
 

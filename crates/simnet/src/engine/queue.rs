@@ -46,14 +46,7 @@ impl EventQueue {
     /// fire in push order.
     pub(crate) fn push(&mut self, time: u64, kind: EvKind) {
         self.seq += 1;
-        self.push_seq(time, self.seq, kind);
-    }
-
-    /// Enqueue with an externally assigned sequence number (the
-    /// partitioned queue hands out *global* sequence numbers so that the
-    /// merged pop order equals the single-queue order exactly).
-    pub(crate) fn push_seq(&mut self, time: u64, seq: u64, kind: EvKind) {
-        let entry = (time, seq, kind);
+        let entry = (time, self.seq, kind);
         // Sift up with a hole: parents move down until the insert slot is
         // found, and the entry is written exactly once.
         let mut hole = self.heap.len();
@@ -104,11 +97,6 @@ impl EventQueue {
         Some((top.0, top.2))
     }
 
-    /// Key of the earliest event without removing it.
-    pub(crate) fn peek_key(&self) -> Option<(u64, u64)> {
-        self.heap.first().map(|e| (e.0, e.1))
-    }
-
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
@@ -117,97 +105,6 @@ impl EventQueue {
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.heap.len()
-    }
-}
-
-/// Per-partition event queues for the parallel conservative-lookahead
-/// mode: nodes are split into `P` contiguous ranges, each with its own
-/// heap, and every event is routed to its *home* partition (a `Resume`'s
-/// node; a transfer event's sender).
-///
-/// Sequence numbers are handed out globally, so merging the partition
-/// heads by `(time, seq)` reproduces the single-queue pop order *exactly*
-/// — partitioning changes the storage layout and enables per-partition
-/// batch draining, never the event order. The conservative
-/// synchronization window is the set of events at the minimum timestamp
-/// across all partitions ([`PartitionedQueue::next_key`] finds it in
-/// O(P)); see `docs/ARCHITECTURE.md` for the lookahead derivation.
-#[derive(Debug)]
-pub(crate) struct PartitionedQueue {
-    parts: Vec<EventQueue>,
-    seq: u64,
-    nodes: usize,
-}
-
-impl PartitionedQueue {
-    pub(crate) fn new(partitions: usize, nodes: usize) -> Self {
-        let partitions = partitions.max(1).min(nodes.max(1));
-        PartitionedQueue {
-            parts: (0..partitions).map(|_| EventQueue::new()).collect(),
-            seq: 0,
-            nodes: nodes.max(1),
-        }
-    }
-
-    /// Partition that owns `home` (contiguous node ranges).
-    fn part_of(&self, home: usize) -> usize {
-        debug_assert!(home < self.nodes);
-        home * self.parts.len() / self.nodes
-    }
-
-    pub(crate) fn push(&mut self, time: u64, kind: EvKind, home: usize) {
-        self.seq += 1;
-        let p = self.part_of(home);
-        self.parts[p].push_seq(time, self.seq, kind);
-    }
-
-    /// Key of the globally earliest event across partitions.
-    pub(crate) fn next_key(&self) -> Option<(u64, u64)> {
-        self.parts.iter().filter_map(|q| q.peek_key()).min()
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<(u64, EvKind)> {
-        let key = self.next_key()?;
-        let p = self
-            .parts
-            .iter()
-            .position(|q| q.peek_key() == Some(key))
-            .expect("a partition holds the minimum");
-        self.parts[p].pop()
-    }
-}
-
-/// The driver's clock: one global heap in sequential mode, per-partition
-/// heaps in the parallel conservative-lookahead mode. Both produce the
-/// identical `(time, seq)` pop order.
-pub(crate) enum Clock {
-    Single(EventQueue),
-    Partitioned(PartitionedQueue),
-}
-
-impl Clock {
-    /// Enqueue `kind` at `time`; `home` is the owning node (ignored by
-    /// the single queue).
-    pub(crate) fn push(&mut self, time: u64, kind: EvKind, home: usize) {
-        match self {
-            Clock::Single(q) => q.push(time, kind),
-            Clock::Partitioned(q) => q.push(time, kind, home),
-        }
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<(u64, EvKind)> {
-        match self {
-            Clock::Single(q) => q.pop(),
-            Clock::Partitioned(q) => q.pop(),
-        }
-    }
-
-    /// Timestamp of the earliest queued event.
-    pub(crate) fn next_time(&self) -> Option<u64> {
-        match self {
-            Clock::Single(q) => q.peek_key().map(|k| k.0),
-            Clock::Partitioned(q) => q.next_key().map(|k| k.0),
-        }
     }
 }
 
@@ -246,47 +143,6 @@ mod tests {
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn partitioned_queue_reproduces_single_queue_order_exactly() {
-        // Same pseudo-random traffic into one queue and a 4-partition
-        // queue: pop sequences must be identical, including ties.
-        let nodes = 64;
-        let mut single = EventQueue::new();
-        let mut parted = PartitionedQueue::new(4, nodes);
-        let mut state = 0xdead_beef_cafe_f00du64;
-        let mut rand = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _ in 0..5_000 {
-            let t = rand() % 32;
-            let home = (rand() as usize) % nodes;
-            single.push(t, EvKind::Resume(home));
-            parted.push(t, EvKind::Resume(home), home);
-        }
-        loop {
-            let a = single.pop();
-            let b = parted.pop();
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn partition_count_is_clamped_to_nodes() {
-        let mut q = PartitionedQueue::new(16, 2);
-        q.push(5, EvKind::Resume(1), 1);
-        q.push(3, EvKind::Resume(0), 0);
-        assert_eq!(q.next_key(), Some((3, 2)));
-        assert_eq!(q.pop(), Some((3, EvKind::Resume(0))));
-        assert_eq!(q.pop(), Some((5, EvKind::Resume(1))));
-        assert_eq!(q.pop(), None);
     }
 
     #[test]

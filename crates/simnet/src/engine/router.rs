@@ -16,6 +16,7 @@ use std::collections::{HashMap, VecDeque};
 
 use hypercube::LinkId;
 
+use crate::engine::pending::Blocker;
 use crate::engine::queue::TransferId;
 use crate::program::Tag;
 use crate::sparse::{MapMode, SparseMap};
@@ -57,14 +58,13 @@ pub(crate) struct Transfer {
     pub links: LinkRange,
     pub duration: u64,
     pub request_ns: u64,
-    pub start_ns: u64,
     pub state: TState,
     /// Hold-and-wait claim progress: number of resources already held
     /// (0 = nothing, 1 = send port, 1+k = first k links, ...).
-    pub claim_idx: usize,
+    pub claim_idx: u32,
     /// In-order issue position at the sender (None = exempt: exchange
     /// parts, copies, and 0-byte control signals bypass the data queue).
-    pub issue_seq: Option<u64>,
+    pub issue_seq: Option<u32>,
 }
 
 /// Occupancy slot value for a free resource.
@@ -144,6 +144,30 @@ impl Router {
                     && self.engines.get(dst) == FREE
                     && links.iter().all(|l| self.links.get(l.index()) == FREE)
             }
+        }
+    }
+
+    /// Atomic policy: the first resource of `t` that is busy, in the order
+    /// [`Router::can_claim_atomic`] checks them (`None` = all free). This
+    /// is what a pending transfer parks on; `can_claim_atomic` stays the
+    /// oracle it is checked against.
+    pub(crate) fn first_busy(&self, t: &Transfer, links: &[LinkId]) -> Option<Blocker> {
+        let engine =
+            |node: u32| (self.engines.get(node as usize) != FREE).then_some(Blocker::Engine(node));
+        let recv = |node: u32| match self.ports {
+            PortModel::Unified => engine(node),
+            PortModel::Split => {
+                (self.recv_ports.get(node as usize) != FREE).then_some(Blocker::RecvPort(node))
+            }
+        };
+        let link = || {
+            let busy = links.iter().find(|l| self.links.get(l.index()) != FREE)?;
+            Some(Blocker::Link(busy.index()))
+        };
+        match t.kind {
+            TKind::Copy => recv(t.dst),
+            TKind::Data { .. } => engine(t.src).or_else(|| recv(t.dst)).or_else(link),
+            TKind::Fused => engine(t.src).or_else(|| engine(t.dst)).or_else(link),
         }
     }
 
@@ -292,11 +316,14 @@ impl Router {
     /// Approximate heap footprint in bytes (the scale bench's RSS proxy).
     pub(crate) fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
+        // Entries, not `capacity()`: a std map's capacity after removals
+        // depends on its per-process hash keys, and `state_bytes` must be
+        // a function of the run.
         let q_bytes = |q: &HashMap<usize, VecDeque<TransferId>>| {
             q.values()
                 .map(|v| v.capacity() * size_of::<TransferId>())
                 .sum::<usize>()
-                + q.capacity() * size_of::<(usize, VecDeque<TransferId>)>()
+                + q.len() * size_of::<(usize, VecDeque<TransferId>)>()
         };
         self.engines.resident_bytes()
             + self.recv_ports.resident_bytes()
@@ -333,7 +360,6 @@ mod tests {
             links: LinkRange::EMPTY,
             duration: 10,
             request_ns: 0,
-            start_ns: 0,
             state: TState::Pending,
             claim_idx: 0,
             issue_seq: None,

@@ -42,6 +42,9 @@
 //!   with FIFO wait queues for the hold-and-wait policy.
 //! * `engine/claim.rs` — the transfer lifecycle: creation, the atomic
 //!   and hold-and-wait claim policies, delivery, and completion.
+//! * `engine/pending.rs` — the atomic policy's pending set, indexed by
+//!   blocking resource (park on the first busy condition, wake on its
+//!   release).
 //! * `sim.rs` — the event loop, per-node program execution, statistics,
 //!   and deadlock detection.
 //!

@@ -11,7 +11,7 @@ pub struct Tag(pub u32);
 /// Programs are the interface between the scheduling/runtime layer and the
 /// simulator: the runtime compiles a communication schedule plus a protocol
 /// (S1 or S2) into one `Program` per node; the simulator executes them.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Op {
     /// Post an application receive buffer for the message `(src, tag)`.
     /// Arrivals with a posted buffer are delivered directly (no copy).

@@ -11,8 +11,8 @@ use hypercube::{NodeId, Topology};
 use crate::cost::LinkCostModel;
 use crate::engine::arena::TransferArena;
 use crate::engine::node::{Block, NodeState, RecvState};
-use crate::engine::parallel::ScanPool;
-use crate::engine::queue::{Clock, EvKind, EventQueue, PartitionedQueue, TransferId};
+use crate::engine::pending::{Blocker, PendingIndex};
+use crate::engine::queue::{EvKind, EventQueue};
 use crate::engine::router::{Router, TState};
 use crate::program::{Op, Program, Tag};
 use crate::stats::{SimError, SimReport, SimStats};
@@ -26,27 +26,18 @@ const UNIFORM: &LinkCostModel = &LinkCostModel::Uniform;
 /// anywhere near this many events.
 const EVENT_BUDGET: u64 = 100_000_000;
 
-/// How the engine executes: the sequential reference loop, or the
-/// parallel conservative-lookahead mode.
-///
-/// Parallel mode keeps the event order bit-identical to sequential (the
-/// partitioned clock merges on globally sequenced `(time, seq)` keys) but
-/// changes *when* the atomic claim policy rescans its pending set: instead
-/// of rescanning after every completion, rescans are deferred to the end
-/// of each timestamp batch and executed as one pass, prefiltered by a
-/// work-stealing feasibility scan across `threads` workers. Makespans can
-/// therefore differ from sequential only through same-timestamp
-/// arbitration; see the "parallel arbitration contract" in
-/// `docs/ARCHITECTURE.md` for the exact bounds.
+/// How a caller asked the engine to execute. There is one event loop and
+/// it is exact, so both spellings run it and return identical results;
+/// `Parallel` remains an accepted spelling for the callers (and the
+/// `IPSC_SIM_MODE=parallel[:n]` environment syntax) that name it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecMode {
-    /// The historical single-threaded loop (the conformance reference).
+    /// The single-threaded event loop.
     #[default]
     Sequential,
-    /// Timestamp-batched claims with a parallel feasibility scan.
+    /// Accepted for compatibility; runs the same loop.
     Parallel {
-        /// Worker threads for the feasibility scan (< 2 degrades to
-        /// batched-but-inline scanning).
+        /// Ignored.
         threads: usize,
     },
 }
@@ -95,9 +86,9 @@ pub fn simulate_costed_with<T: Topology + ?Sized>(
     params: &MachineParams,
     cost: &LinkCostModel,
     programs: Vec<Program>,
-    mode: ExecMode,
+    _mode: ExecMode,
 ) -> Result<SimReport, SimError> {
-    Sim::new(topo, params, cost, programs, false, mode)?
+    Sim::new(topo, params, cost, programs, false)?
         .run()
         .map(|(r, _)| r)
 }
@@ -127,9 +118,9 @@ pub fn simulate_traced_costed_with<T: Topology + ?Sized>(
     params: &MachineParams,
     cost: &LinkCostModel,
     programs: Vec<Program>,
-    mode: ExecMode,
+    _mode: ExecMode,
 ) -> Result<(SimReport, Vec<TraceEvent>), SimError> {
-    let (r, t) = Sim::new(topo, params, cost, programs, true, mode)?.run()?;
+    let (r, t) = Sim::new(topo, params, cost, programs, true)?.run()?;
     Ok((r, t.expect("trace was requested")))
 }
 
@@ -146,23 +137,14 @@ pub(crate) struct Sim<'a, T: ?Sized> {
     pub(crate) cost: &'a LinkCostModel,
     pub(crate) programs: Vec<Program>,
     pub(crate) n: usize,
-    pub(crate) queue: Clock,
+    pub(crate) queue: EventQueue,
     pub(crate) now: u64,
     pub(crate) nodes: Vec<NodeState>,
     pub(crate) transfers: TransferArena,
-    /// Atomic-policy pending transfers, oldest first.
-    pub(crate) pending: Vec<TransferId>,
+    /// Atomic-policy pending transfers, indexed by what blocks them.
+    pub(crate) pending: PendingIndex,
     pub(crate) router: Router,
     pub(crate) rendezvous: HashMap<(u32, u32, u32), ExchangeHalf>,
-    /// Parallel mode: defer pending rescans to the end of the timestamp
-    /// batch instead of running them inline.
-    pub(crate) batched: bool,
-    /// A deferred rescan is owed before the clock may advance.
-    pub(crate) scan_due: bool,
-    /// Worker count for the parallel feasibility scan.
-    pub(crate) par_threads: usize,
-    /// Lazily spawned scan workers (parallel mode, large batches only).
-    pub(crate) scan_pool: Option<ScanPool>,
     pub(crate) stats_transfers: u64,
     pub(crate) stats_blocked: u64,
     pub(crate) stats_blocked_ns: u64,
@@ -182,7 +164,6 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
         cost: &'a LinkCostModel,
         programs: Vec<Program>,
         traced: bool,
-        mode: ExecMode,
     ) -> Result<Self, SimError> {
         params.validate().map_err(SimError::BadParams)?;
         let n = topo.num_nodes();
@@ -218,31 +199,19 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
                 }
             }
         }
-        let (queue, batched, par_threads) = match mode {
-            ExecMode::Sequential => (Clock::Single(EventQueue::new()), false, 0),
-            ExecMode::Parallel { threads } => (
-                Clock::Partitioned(PartitionedQueue::new(threads.max(1), n)),
-                true,
-                threads,
-            ),
-        };
         Ok(Sim {
             topo,
             params,
             cost,
             programs,
             n,
-            queue,
+            queue: EventQueue::new(),
             now: 0,
             nodes: (0..n).map(|_| NodeState::new()).collect(),
             transfers: TransferArena::new(),
-            pending: Vec::new(),
+            pending: PendingIndex::default(),
             router: Router::new(n, topo.link_count(), params.ports),
             rendezvous: HashMap::new(),
-            batched,
-            scan_due: false,
-            par_threads,
-            scan_pool: None,
             stats_transfers: 0,
             stats_blocked: 0,
             stats_blocked_ns: 0,
@@ -262,29 +231,7 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
         for i in 0..self.n {
             self.schedule_resume(i);
         }
-        loop {
-            // Parallel mode: a deferred pending-set rescan runs once per
-            // timestamp batch, after every event at `now` has fired and
-            // before the clock advances (or the queue drains — deadlock
-            // detection must not see a scan still owed). The rescan may
-            // spawn new same-time events, so loop back rather than pop.
-            if self.batched && self.scan_due {
-                let batch_done = match self.queue.next_time() {
-                    None => true,
-                    Some(t) => t > self.now,
-                };
-                if batch_done {
-                    self.scan_due = false;
-                    self.retry_pending_batched();
-                    if let Some(err) = self.err.take() {
-                        return Err(err);
-                    }
-                    continue;
-                }
-            }
-            let Some((t, kind)) = self.queue.pop() else {
-                break;
-            };
+        while let Some((t, kind)) = self.queue.pop() {
             self.now = t;
             self.last_activity_ns = self.last_activity_ns.max(t);
             self.events += 1;
@@ -351,7 +298,9 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
             events: self.events,
             claim_checks: self.stats_claim_checks,
             peak_transfers_live: self.transfers.peak_live() as u64,
-            state_bytes: (self.router.resident_bytes() + self.transfers.resident_bytes()) as u64,
+            state_bytes: (self.router.resident_bytes()
+                + self.transfers.resident_bytes()
+                + self.pending.resident_bytes()) as u64,
         };
         Ok((
             SimReport {
@@ -381,28 +330,17 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
         }
     }
 
-    /// Enqueue an event, routing it to its home partition (the node whose
-    /// program it belongs to: a resume's node, a transfer event's sender).
-    /// The single-queue clock ignores the home.
-    pub(crate) fn push_event(&mut self, time: u64, kind: EvKind) {
-        let home = match kind {
-            EvKind::Resume(node) => node,
-            EvKind::XferDone(id) | EvKind::XferAdvance(id) => self.transfers[id].src as usize,
-        };
-        self.queue.push(time, kind, home);
-    }
-
     pub(crate) fn schedule_resume(&mut self, node: usize) {
         if !self.nodes[node].resume_scheduled {
             self.nodes[node].resume_scheduled = true;
-            self.push_event(self.now, EvKind::Resume(node));
+            self.queue.push(self.now, EvKind::Resume(node));
         }
     }
 
     pub(crate) fn schedule_resume_at(&mut self, node: usize, at: u64) {
         // Timed resumes (compute/overhead) bypass the dedup flag on purpose:
         // the node is mid-instruction and cannot be woken by anything else.
-        self.push_event(at, EvKind::Resume(node));
+        self.queue.push(at, EvKind::Resume(node));
     }
 
     pub(crate) fn error(&mut self, node: usize, msg: String) {
@@ -442,7 +380,7 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
                 self.trace_push(TraceKind::NodeDone, node as u32, node as u32, Tag(0), 0);
                 return;
             }
-            let op = self.programs[node].ops()[self.nodes[node].pc].clone();
+            let op = self.programs[node].ops()[self.nodes[node].pc];
             self.nodes[node].pc += 1;
             match op {
                 Op::Compute { ns } => {
@@ -523,6 +461,7 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
                 self.nodes[node].unfinished_recvs += 1;
                 // A hold-and-wait transfer may be parked waiting for this post.
                 self.check_delivery_waiters(node);
+                self.pending.wake(Blocker::Delivery(node as u32));
                 if self.params.claim == ClaimPolicy::Atomic {
                     self.request_retry();
                 }
@@ -593,10 +532,6 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
                 PortModel::Split => {
                     self.nodes[node].exchange_parts_left = 2;
                     self.nodes[partner as usize].exchange_parts_left = 2;
-                    if self.params.exchange_sync_ns > 0 {
-                        // Both directions pay the synchronization round once;
-                        // it is folded into each transfer's duration.
-                    }
                     self.create_data_transfer(me, partner, send_bytes, tag, true);
                     self.create_data_transfer(partner, me, recv_bytes, tag, true);
                 }

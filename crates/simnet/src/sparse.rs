@@ -136,6 +136,19 @@ impl<V: Clone> SparseMap<V> {
         }
     }
 
+    /// Values of every resident key (tests).
+    #[cfg(test)]
+    pub(crate) fn resident_values(&self) -> Vec<&V> {
+        match &self.repr {
+            Repr::Dense(v) => v.iter().collect(),
+            Repr::Sparse { keys, vals, .. } => keys
+                .iter()
+                .zip(vals)
+                .filter_map(|(&k, v)| (k != EMPTY_KEY).then_some(v))
+                .collect(),
+        }
+    }
+
     /// Approximate heap footprint in bytes (the scale bench's RSS proxy).
     pub(crate) fn resident_bytes(&self) -> usize {
         use std::mem::size_of;

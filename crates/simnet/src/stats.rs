@@ -1,7 +1,7 @@
 use std::fmt;
 
 /// Per-node accounting.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// Time the node's engine(s) spent moving data (ns).
     pub engine_busy_ns: u64,
@@ -20,7 +20,7 @@ pub struct NodeStats {
 }
 
 /// Whole-run accounting.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Per-node breakdown.
     pub nodes: Vec<NodeStats>,
@@ -48,12 +48,13 @@ pub struct SimStats {
     /// peak slot occupancy — what live memory actually tracks).
     pub peak_transfers_live: u64,
     /// Approximate resident engine-state bytes at completion (transfer
-    /// arena + router occupancy tables) — the scale bench's RSS proxy.
+    /// arena + router occupancy tables + pending index) — the scale
+    /// bench's RSS proxy.
     pub state_bytes: u64,
 }
 
 /// Result of a successful simulation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimReport {
     /// Completion time of the slowest node (ns) — the quantity the paper
     /// reports ("the maximum time spent by any processor").

@@ -229,3 +229,52 @@ fn faulty_cost_model_runs_are_pinned() {
         ],
     );
 }
+
+/// Feasibility examinations per unit of simulated work: the rescan must
+/// cost O(resources freed), so `claim_checks` stays within a small
+/// constant of `transfers + events` however deep the pending set gets.
+/// (The whole-set rescan read ~10^7 checks for ~3 k transfers here.)
+fn assert_linear_claim_checks(what: &str, report: &SimReport) {
+    let stats = &report.stats;
+    let work = stats.transfers + stats.events;
+    assert!(
+        stats.transfers_blocked > stats.transfers / 2,
+        "{what}: the case is meant to contend ({} of {} blocked)",
+        stats.transfers_blocked,
+        stats.transfers
+    );
+    assert!(
+        stats.claim_checks <= 2 * work,
+        "{what}: {} claim checks for {} transfers + {} events",
+        stats.claim_checks,
+        stats.transfers,
+        stats.events
+    );
+}
+
+#[test]
+fn claim_checks_stay_linear_on_the_densest_s2_cells() {
+    let topo = TopologyKind::parse("cube:d=6").expect("kind").build();
+    let com = workloads::random_dregular(topo.num_nodes(), 48, 128 * 1024, 48);
+    for name in ["AC", "RS_N", "GREEDY"] {
+        let entry = registry::find(name).expect("registered");
+        let schedule = entry.schedule(&com, &*topo, 7);
+        let programs = compile(&com, &schedule, Scheme::S2);
+        let report = simnet::simulate(&*topo, &MachineParams::ipsc860(), programs)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_linear_claim_checks(name, &report);
+    }
+}
+
+#[test]
+fn claim_checks_stay_linear_on_the_scale_bench_case() {
+    // `--bench scale`'s des-seq/d10: AC on dregular(d=16, M=4096), 1024 nodes.
+    let topo = TopologyKind::parse("cube:d=10").expect("kind").build();
+    let com = workloads::random_dregular(topo.num_nodes(), 16, 4096, 7);
+    let entry = registry::find("AC").expect("registered");
+    let schedule = entry.schedule(&com, &*topo, 7);
+    let programs = compile(&com, &schedule, Scheme::S2);
+    let report = simnet::simulate(&*topo, &MachineParams::ipsc860(), programs)
+        .unwrap_or_else(|e| panic!("AC d=10: {e}"));
+    assert_linear_claim_checks("AC on cube:d=10", &report);
+}

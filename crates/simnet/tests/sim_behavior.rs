@@ -507,3 +507,30 @@ fn makespan_includes_unawaited_sends() {
     let report = simulate(&cube, &p, vec![s.build(), r.build()]).unwrap();
     assert!(report.makespan_ns >= p.wire_ns(100_000));
 }
+
+#[test]
+fn duplicate_message_conflict_surfaces_when_its_circuit_first_frees() {
+    // Two in-flight messages under one (src, tag) is a program error. The
+    // 100 B message cannot enter the 90 B system buffer and waits on
+    // delivery; the 64 B one overtakes it into the same slot. The waiting
+    // message must then be re-examined the moment its circuit frees (and
+    // report the conflict against the *buffered* first message), not only
+    // when buffer space is next released.
+    let cube = Hypercube::new(1);
+    let mut p = params();
+    p.buffer_bytes = Some(90);
+    let mut sender = Program::builder();
+    sender.send_async(NodeId(1), 100, Tag(0));
+    sender.send_async(NodeId(1), 64, Tag(0));
+    sender.wait_all_sends();
+    let mut receiver = Program::builder();
+    receiver.compute(1_000_000);
+    receiver.post_recv(NodeId(0), Tag(0));
+    receiver.wait_all_recvs();
+    match simulate(&cube, &p, vec![sender.build(), receiver.build()]) {
+        Err(SimError::ProgramError { node: 1, msg }) => {
+            assert!(msg.contains("while first is Buffered(64)"), "{msg}");
+        }
+        other => panic!("expected the duplicate-message error, got {other:?}"),
+    }
+}

@@ -1,77 +1,73 @@
-//! Differential conformance between the sequential and parallel
-//! executions of the exact event engine, pinning the "parallel
-//! arbitration contract" of `docs/ARCHITECTURE.md`.
+//! Conformance of the two `ExecMode` spellings of the exact event engine.
 //!
-//! [`ExecMode::Parallel`] keeps the event order bit-identical to the
-//! sequential engine (globally sequenced partitioned clock) but defers
-//! the atomic policy's pending-set rescans to one pass per timestamp
-//! batch. When several transfers finish at the same instant, the
-//! sequential engine rescans between the completions — so a younger
-//! pending transfer can grab resources freed by the first completion
-//! before an older one (still missing a link the *second* completion
-//! will free) gets a look. The batched pass sees all of the instant's
-//! releases at once and commits strictly oldest-first. Both are valid
-//! conservative arbitrations of a simultaneous-release tie; they can
-//! pick different winners, and the difference cascades into makespans.
-//!
-//! What that divergence can and cannot touch is pinned here, mirroring
-//! how `simcheck::tolerance` pins the analytic bands:
-//!
-//! 1. **Byte-identical** whenever arbitration never fires: contention-
-//!    free traffic (the `run_exact` matrices) and the hold-and-wait
-//!    policy (incremental claims have no pending-set scan to batch).
-//! 2. **Work conservation, exactly**: per-node and per-link busy time
-//!    sums fixed transfer durations, so the contention maxima must be
-//!    equal bit-for-bit no matter who wins a tie.
-//! 3. **Determinism**: worker threads only prefilter (flags are
-//!    re-validated under the exact predicate before commit), so the
-//!    parallel result must be identical for every thread count.
-//! 4. **Bounded drift**: same-timestamp arbitration is a bounded
-//!    perturbation, not a different cost model. Observed maxima over
-//!    the full pin set (dims 2–6 × all registry entries × the simcheck
-//!    workload families) are 19.2% on makespans and 63.4% on single
-//!    phase ends (short phases amplify one flipped tie); the bands
-//!    below add margin the same way the analytic tolerances do. Large
-//!    dense fabrics — where batching exists to begin with — sit far
-//!    inside these bounds (see `benches/scale.rs`).
+//! `ExecMode::Parallel { threads }` used to be a second engine — rescans
+//! deferred to one pass per timestamp, prefiltered by worker threads —
+//! held to sequential only within tolerance bands (makespan 25 %, single
+//! phase ends 75 %). The pending index made the sequential rescan cheap
+//! enough that the second engine was deleted; `Parallel` is now an
+//! accepted spelling of the one event loop (`docs/ARCHITECTURE.md`, "The
+//! pending index"), so the contract collapses to equality: same
+//! makespan, same per-phase ends, same contention summary and the same
+//! whole `SimStats`, for every thread count, on contention-free traffic,
+//! under hold-and-wait, and on the full conformance pin set alike.
 
-use commrt::{DesBackend, Scheme, SimBackend};
+use commrt::{compile, DesBackend, Scheme, SimBackend};
 use commsched::registry;
 use hypercube::{Hypercube, Topology};
 use repro_bench::simcheck;
 use simnet::ExecMode;
 
-/// Makespan band for atomic-policy arbitration drift (observed 0.192).
-const MAKESPAN_BAND: f64 = 0.25;
-/// Per-phase band; single short phases can flip a whole tie (observed 0.634).
-const PHASE_BAND: f64 = 0.75;
+const THREAD_COUNTS: [usize; 5] = [1, 2, 3, 4, 8];
 
-fn estimate(
-    exec: Option<ExecMode>,
+/// Everything the engine reports for one run: the backend's view
+/// (makespan, per-phase ends, contention summary) and the whole
+/// `SimStats` of the same programs.
+fn observe(
+    exec: ExecMode,
     params: &simnet::MachineParams,
     cube: &Hypercube,
     com: &commsched::CommMatrix,
     entry: &dyn commsched::Scheduler,
     seed: u64,
-) -> commrt::BackendReport {
+) -> (commrt::BackendReport, simnet::SimStats) {
     let scheme = Scheme::for_scheduler(entry);
     let schedule = entry.schedule(com, cube, seed);
-    let backend = match exec {
-        None => DesBackend::default(),
-        Some(mode) => DesBackend::with_exec(mode),
-    };
-    backend
+    let report = DesBackend::with_exec(exec)
         .estimate(params, cube, com, &schedule, scheme)
+        .unwrap_or_else(|e| panic!("{} DES failed under {exec:?}: {e}", entry.name()));
+    let programs = compile(com, &schedule, scheme);
+    let stats = simnet::simulate_with(cube, params, programs, exec)
         .unwrap_or_else(|e| panic!("{} DES failed under {exec:?}: {e}", entry.name()))
+        .stats;
+    (report, stats)
 }
 
-fn rel(a: u64, b: u64) -> f64 {
-    (b as f64 - a as f64).abs() / (a.max(1)) as f64
+/// `Parallel { threads }` must equal `Sequential` in every observable,
+/// for every thread count.
+fn assert_spellings_agree(
+    params: &simnet::MachineParams,
+    cube: &Hypercube,
+    com: &commsched::CommMatrix,
+    entry: &dyn commsched::Scheduler,
+    seed: u64,
+    what: &str,
+) {
+    let seq = observe(ExecMode::Sequential, params, cube, com, entry, seed);
+    for threads in THREAD_COUNTS {
+        let par = observe(
+            ExecMode::Parallel { threads },
+            params,
+            cube,
+            com,
+            entry,
+            seed,
+        );
+        assert_eq!(seq, par, "{} on {what}: {threads} threads", entry.name());
+    }
 }
 
 /// The contention-free `run_exact` matrices: lone message, half-shift
-/// permutation, neighbor pairs. No tie ever forms, so the batched scan
-/// must be invisible.
+/// permutation, neighbor pairs.
 fn exact_matrices(n: usize) -> Vec<(&'static str, commsched::CommMatrix)> {
     let mut lone = commsched::CommMatrix::new(n);
     lone.set(0, n - 1, 32768);
@@ -87,37 +83,21 @@ fn exact_matrices(n: usize) -> Vec<(&'static str, commsched::CommMatrix)> {
 }
 
 #[test]
-fn parallel_des_is_byte_identical_on_contention_free_traffic() {
+fn parallel_spelling_is_identical_on_contention_free_traffic() {
     let params = simnet::MachineParams::ipsc860();
     for dim in 2..=6u32 {
         let cube = Hypercube::new(dim);
         for (name, com) in exact_matrices(cube.num_nodes()) {
             for &entry in registry::all() {
-                let seq = estimate(None, &params, &cube, &com, entry, 5);
-                let par = estimate(
-                    Some(ExecMode::Parallel { threads: 4 }),
-                    &params,
-                    &cube,
-                    &com,
-                    entry,
-                    5,
-                );
-                assert_eq!(
-                    seq,
-                    par,
-                    "{} on {name} (dim {dim}) must not be touched by batching",
-                    entry.name()
-                );
+                let what = format!("{name} (dim {dim})");
+                assert_spellings_agree(&params, &cube, &com, entry, 5, &what);
             }
         }
     }
 }
 
 #[test]
-fn parallel_des_is_byte_identical_under_hold_and_wait() {
-    // Hold-and-wait claims incrementally and wakes waiters per-resource
-    // in FIFO order — there is no pending-set scan to defer, so the
-    // parallel mode must be invisible under this policy.
+fn parallel_spelling_is_identical_under_hold_and_wait() {
     let mut params = simnet::MachineParams::ipsc860();
     params.claim = simnet::ClaimPolicy::HoldAndWait;
     params.ports = simnet::PortModel::Split;
@@ -127,73 +107,18 @@ fn parallel_des_is_byte_identical_under_hold_and_wait() {
             let seed = dim as u64 * 7919;
             let com = generator.generate(seed);
             for &entry in registry::all() {
-                let seq = estimate(None, &params, &cube, &com, entry, seed);
-                let par = estimate(
-                    Some(ExecMode::Parallel { threads: 4 }),
-                    &params,
-                    &cube,
-                    &com,
-                    entry,
-                    seed,
-                );
-                assert_eq!(
-                    seq,
-                    par,
-                    "{} on {workload} (dim {dim}) under hold-and-wait",
-                    entry.name()
-                );
+                let what = format!("{workload} (dim {dim}) under hold-and-wait");
+                assert_spellings_agree(&params, &cube, &com, entry, seed, &what);
             }
         }
     }
 }
 
 #[test]
-fn parallel_des_is_deterministic_across_thread_counts() {
-    // Worker timing influences only when prefilter flags are written,
-    // never their effect: every flag is re-validated at commit and the
-    // commit order is fixed. Any thread-count sensitivity here is a
-    // data race, not an arbitration difference.
-    let params = simnet::MachineParams::ipsc860();
-    for dim in [3u32, 5] {
-        let cube = Hypercube::new(dim);
-        for (workload, generator) in simcheck::workload_families(dim) {
-            let seed = dim as u64 * 7919;
-            let com = generator.generate(seed);
-            for &entry in registry::all() {
-                let base = estimate(
-                    Some(ExecMode::Parallel { threads: 1 }),
-                    &params,
-                    &cube,
-                    &com,
-                    entry,
-                    seed,
-                );
-                for threads in [2, 3, 4, 8] {
-                    let other = estimate(
-                        Some(ExecMode::Parallel { threads }),
-                        &params,
-                        &cube,
-                        &com,
-                        entry,
-                        seed,
-                    );
-                    assert_eq!(
-                        base,
-                        other,
-                        "{} on {workload} (dim {dim}): {threads} threads diverged from 1",
-                        entry.name()
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn parallel_des_conserves_busy_time_and_bounds_makespan_drift() {
-    // The full conformance pin set under the atomic policy: arbitration
-    // may shuffle who waits, but never how much total work flows through
-    // any engine or link, and the makespan drift stays inside the bands.
+fn parallel_spelling_is_identical_on_the_full_pin_set() {
+    // The full conformance pin set under the atomic policy — where the
+    // old batched engine drifted up to 19.2 % in makespan and 63.4 % in
+    // single phase ends.
     let params = simnet::MachineParams::ipsc860();
     let mut checked = 0;
     for dim in 2..=6u32 {
@@ -202,43 +127,8 @@ fn parallel_des_conserves_busy_time_and_bounds_makespan_drift() {
             let seed = dim as u64 * 7919;
             let com = generator.generate(seed);
             for &entry in registry::all() {
-                let seq = estimate(None, &params, &cube, &com, entry, seed);
-                let par = estimate(
-                    Some(ExecMode::Parallel { threads: 4 }),
-                    &params,
-                    &cube,
-                    &com,
-                    entry,
-                    seed,
-                );
-                let tag = format!("{} on {workload} (dim {dim})", entry.name());
-                assert_eq!(
-                    seq.contention.max_engine_busy_ns, par.contention.max_engine_busy_ns,
-                    "engine busy time must be conserved: {tag}"
-                );
-                assert_eq!(
-                    seq.contention.max_link_busy_ns, par.contention.max_link_busy_ns,
-                    "link busy time must be conserved: {tag}"
-                );
-                assert_eq!(
-                    seq.phase_end_ns.len(),
-                    par.phase_end_ns.len(),
-                    "phase structure must be preserved: {tag}"
-                );
-                assert!(
-                    rel(seq.makespan_ns, par.makespan_ns) <= MAKESPAN_BAND,
-                    "makespan drift {:.4} above band: {tag} (seq {} par {})",
-                    rel(seq.makespan_ns, par.makespan_ns),
-                    seq.makespan_ns,
-                    par.makespan_ns
-                );
-                for (i, (&s, &p)) in seq.phase_end_ns.iter().zip(&par.phase_end_ns).enumerate() {
-                    assert!(
-                        rel(s, p) <= PHASE_BAND,
-                        "phase {i} drift {:.4} above band: {tag} (seq {s} par {p})",
-                        rel(s, p)
-                    );
-                }
+                let what = format!("{workload} (dim {dim})");
+                assert_spellings_agree(&params, &cube, &com, entry, seed, &what);
                 checked += 1;
             }
         }

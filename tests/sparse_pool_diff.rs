@@ -9,7 +9,7 @@
 
 use hypercube::{Hypercube, Mesh2d, NodeId, Topology};
 use proptest::prelude::*;
-use simnet::{LoadModel, PoolMode, PortModel, TransferSpec};
+use simnet::{LoadModel, MachineParams, PoolMode, PortModel, Program, Tag, TransferSpec};
 
 /// Raw proptest tuple → a valid spec on an `n`-node machine.
 fn spec_on(n: usize, raw: ((usize, usize), (u64, u64, u8))) -> Option<TransferSpec> {
@@ -171,5 +171,64 @@ fn million_node_pool_costs_traffic_not_topology() {
         pool.resident_bytes() < 8 << 20,
         "resident {} bytes on a d=20 fabric",
         pool.resident_bytes()
+    );
+}
+
+#[test]
+fn million_node_des_state_tracks_live_transfers() {
+    // The event engine's counterpart: 512 long messages from random
+    // senders on a d=20 cube converge on 8 hot receivers, so most of them
+    // wait — on an engine, on a shared link near a receiver, or behind
+    // their sender's issue cursor. `state_bytes` (transfer arena + router
+    // occupancy + pending index) must follow the transfers in flight; one
+    // dense 8-byte table over the ~20M directed links would be 160 MB.
+    let cube = Hypercube::new(20);
+    let n = cube.num_nodes();
+    let mut state = 0x0fed_cba9_8765_4321u64;
+    let mut rand = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let hot: Vec<usize> = (0..8).map(|_| rand() as usize % n).collect();
+    let mut builders: std::collections::HashMap<usize, simnet::ProgramBuilder> = Default::default();
+    let mut messages = 0u32;
+    while messages < 512 {
+        let (src, dst) = (rand() as usize % n, hot[messages as usize % hot.len()]);
+        if src == dst {
+            continue;
+        }
+        let tag = Tag(messages);
+        builders
+            .entry(dst)
+            .or_insert_with(Program::builder)
+            .post_recv(NodeId(src as u32), tag);
+        builders
+            .entry(src)
+            .or_insert_with(Program::builder)
+            .send_async(NodeId(dst as u32), 4096, tag);
+        messages += 1;
+    }
+    let mut programs = vec![Program::empty(); n];
+    for (node, mut b) in builders {
+        b.wait_all_sends();
+        b.wait_all_recvs();
+        programs[node] = b.build();
+    }
+    let report = simnet::simulate(&cube, &MachineParams::ipsc860(), programs).unwrap();
+    let stats = &report.stats;
+    assert_eq!(stats.transfers, 512);
+    assert!(stats.transfers_blocked > 400, "{}", stats.transfers_blocked);
+    assert!(
+        stats.peak_transfers_live >= 256,
+        "{}",
+        stats.peak_transfers_live
+    );
+    assert!(
+        stats.state_bytes < 2048 * stats.peak_transfers_live,
+        "{} state bytes for {} live transfers on a d=20 fabric",
+        stats.state_bytes,
+        stats.peak_transfers_live
     );
 }
