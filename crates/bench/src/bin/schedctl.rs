@@ -327,8 +327,8 @@ fn warm(opts: &[String]) -> Result<ExitCode, String> {
 /// skip/error tallies.
 struct Scan {
     /// `(fingerprint, file bytes, schedule, fabric)` of each trusted
-    /// artifact; the fabric is `None` for version-1 files and artifacts
-    /// written without topology metadata.
+    /// artifact; the fabric is `None` for artifacts written without
+    /// topology metadata.
     decoded: Vec<(Fingerprint, u64, commsched::Schedule, Option<TopologyMeta>)>,
     version_skips: usize,
     errors: Vec<(Fingerprint, StoreError)>,

@@ -53,17 +53,19 @@ use commsched::{CommMatrix, Schedule, Scheduler};
 use hypercube::Topology;
 
 mod cache;
+mod checksum;
 mod fingerprint;
 mod incremental;
 mod store;
 
 pub use cache::{schedule_weight_bytes, ShardedCache};
+pub use checksum::checksum64;
 pub use fingerprint::{canonical_bytes, Fingerprint, InstanceKey, LAYOUT_VERSION};
 pub use incremental::{IncrementalCache, IncrementalConfig, IncrementalStats};
 pub use store::{
     decode_artifact, decode_artifact_full, decode_artifact_meta, encode_artifact,
     encode_artifact_meta, encode_artifact_with, ArtifactStore, StoreError, TopologyMeta, EXTENSION,
-    FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION,
+    FORMAT_VERSION, MAGIC,
 };
 
 /// Configuration of a [`SchedCache`].

@@ -9,18 +9,18 @@
 //! files written by an unknown format version are **skipped, not
 //! trusted**.
 //!
-//! # On-disk format (version 3)
+//! # On-disk format (version 4)
 //!
 //! All integers little-endian.
 //!
 //! | offset | size | field |
 //! |--------|------|-------|
 //! | 0 | 8 | magic `b"CCSCHED\0"` |
-//! | 8 | 4 | format version `u32` = 3 |
+//! | 8 | 4 | format version `u32` = 4 |
 //! | 12 | 16 | fingerprint (`u128`, LE) |
 //! | 28 | 8 | payload length `u64` |
 //! | 36 | len | payload (below) |
-//! | 36+len | 8 | FNV-1a-64 checksum of the payload |
+//! | 36+len | 8 | [`checksum64`] of the payload |
 //!
 //! Payload: `u8` schedule kind (0 async, 1 phased), `u8` algorithm family
 //! (0 AC, 1 LP, 2 RS_N, 3 RS_NL), `u64` node count `n`, `u64` scheduling
@@ -28,15 +28,11 @@
 //! destination words (`u32`; `0xffff_ffff` encodes "silent"), then a
 //! topology section: `u8` presence flag — when 1, the topology kind
 //! string (`u32` length + bytes), `u64` node count, and `u64` link count
-//! of the fabric the schedule was compiled for — then (version 3) a
-//! link-cost section: `u8` presence flag — when 1, the canonical
-//! cost-model string (`u32` length + bytes) the request carried. The
-//! uniform model is always encoded as *absent* (flag 0), so uniform
-//! artifacts are byte-identical to a version bump of their v2 selves.
-//!
-//! Older artifacts still decode: version-1 files (no topology, no cost
-//! section) read back `None` for both, version-2 files (no cost section)
-//! read back `None` for the cost model.
+//! of the fabric the schedule was compiled for — then a link-cost
+//! section: `u8` presence flag — when 1, the canonical cost-model string
+//! (`u32` length + bytes) the request carried. The uniform model is
+//! always encoded as *absent* (flag 0). Versions 1–3 summed the payload
+//! differently and are foreign versions like any other.
 //!
 //! Writes go through a same-directory temp file plus rename, so a crashed
 //! writer leaves no half-written `.sched` file behind.
@@ -47,18 +43,13 @@ use std::path::{Path, PathBuf};
 use commsched::{PartialPermutation, Schedule, ScheduleKind, SchedulerKind};
 use hypercube::{NodeId, Topology};
 
-use crate::Fingerprint;
+use crate::{checksum64, Fingerprint};
 
 /// Leading magic of every artifact file.
 pub const MAGIC: [u8; 8] = *b"CCSCHED\0";
 
 /// Current on-disk format version.
-pub const FORMAT_VERSION: u32 = 3;
-
-/// The oldest format version [`decode_artifact`] still reads (version 1
-/// lacks the topology section, version 2 the link-cost section; the rest
-/// is identical).
-pub const MIN_FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// The topology section of an artifact: which fabric a schedule was
 /// compiled for, at-a-glance (`schedctl inspect`) without rebuilding the
@@ -149,16 +140,6 @@ impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
         StoreError::Io(e)
     }
-}
-
-/// FNV-1a 64-bit over the payload — corruption detection, not security.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn kind_code(kind: ScheduleKind) -> u8 {
@@ -260,7 +241,7 @@ pub fn encode_artifact_meta(
     out.extend_from_slice(&fp.to_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&payload);
-    out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+    out.extend_from_slice(&checksum64(&payload).to_le_bytes());
     out
 }
 
@@ -296,6 +277,21 @@ impl<'a> Cursor<'a> {
             self.take(8)?.try_into().expect("8 bytes"),
         ))
     }
+
+    /// An optional section: a presence flag, then — when 1 — the string
+    /// (`u32` length + UTF-8 bytes) the section opens with.
+    fn section(&mut self, what: &str) -> Result<Option<String>, StoreError> {
+        match self.u8()? {
+            0 => Ok(None),
+            1 => {
+                let len = self.u32()? as usize;
+                let s = std::str::from_utf8(self.take(len)?)
+                    .map_err(|_| StoreError::Corrupt(format!("{what} not UTF-8")))?;
+                Ok(Some(s.to_string()))
+            }
+            flag => Err(StoreError::Corrupt(format!("{what} presence flag {flag}"))),
+        }
+    }
 }
 
 /// Parse a complete artifact back into its fingerprint and schedule,
@@ -310,7 +306,7 @@ pub fn decode_artifact(bytes: &[u8]) -> Result<(Fingerprint, Schedule), StoreErr
 }
 
 /// Parse a complete artifact, including its topology section (`None` for
-/// version-1 files and wire artifacts, which carry none).
+/// wire artifacts, which carry none).
 ///
 /// # Errors
 ///
@@ -323,8 +319,7 @@ pub fn decode_artifact_full(
 }
 
 /// Parse a complete artifact, including its topology and link-cost
-/// sections (`None` where a section is absent or predates the format
-/// version that introduced it).
+/// sections (`None` where a section is absent).
 ///
 /// # Errors
 ///
@@ -344,14 +339,14 @@ pub fn decode_artifact_meta(
         at: MAGIC.len(),
     };
     let version = header.u32()?;
-    if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+    if version != FORMAT_VERSION {
         return Err(StoreError::UnsupportedVersion(version));
     }
     let fp = Fingerprint::from_bytes(header.take(16)?.try_into().expect("16 bytes"));
     let payload_len = header.u64()? as usize;
     let payload = header.take(payload_len)?;
     let checksum = u64::from_le_bytes(header.take(8)?.try_into().expect("8 bytes"));
-    if fnv1a64(payload) != checksum {
+    if checksum64(payload) != checksum {
         return Err(StoreError::Corrupt("payload checksum mismatch".into()));
     }
 
@@ -395,49 +390,15 @@ pub fn decode_artifact_meta(
         }
         phases.push(PartialPermutation::from_dests(dests));
     }
-    let topology = if version >= 2 {
-        match p.u8()? {
-            0 => None,
-            1 => {
-                let name_len = p.u32()? as usize;
-                let name = std::str::from_utf8(p.take(name_len)?)
-                    .map_err(|_| StoreError::Corrupt("topology kind not UTF-8".into()))?
-                    .to_string();
-                Some(TopologyMeta {
-                    kind: name,
-                    nodes: p.u64()?,
-                    links: p.u64()?,
-                })
-            }
-            other => {
-                return Err(StoreError::Corrupt(format!(
-                    "topology presence flag {other}"
-                )))
-            }
-        }
-    } else {
-        None
+    let topology = match p.section("topology kind")? {
+        Some(kind) => Some(TopologyMeta {
+            kind,
+            nodes: p.u64()?,
+            links: p.u64()?,
+        }),
+        None => None,
     };
-    let cost_model = if version >= 3 {
-        match p.u8()? {
-            0 => None,
-            1 => {
-                let len = p.u32()? as usize;
-                Some(
-                    std::str::from_utf8(p.take(len)?)
-                        .map_err(|_| StoreError::Corrupt("cost model not UTF-8".into()))?
-                        .to_string(),
-                )
-            }
-            other => {
-                return Err(StoreError::Corrupt(format!(
-                    "cost-model presence flag {other}"
-                )))
-            }
-        }
-    } else {
-        None
-    };
+    let cost_model = p.section("cost model")?;
     if p.at != payload.len() {
         return Err(StoreError::Corrupt("trailing payload bytes".into()));
     }
@@ -610,6 +571,46 @@ mod tests {
     }
 
     #[test]
+    fn the_format_is_pinned_byte_for_byte() {
+        // One phase on two nodes — 0 sends to 1, 1 is silent — for RS_NL,
+        // 3 scheduling ops, compiled for `ring(2)` under a faulty model.
+        let s = Schedule::from_parts(
+            ScheduleKind::Phased,
+            SchedulerKind::RsNl,
+            2,
+            vec![PartialPermutation::from_dests(vec![Some(NodeId(1)), None])],
+            3,
+            0,
+        );
+        let meta = TopologyMeta {
+            kind: "ring(2)".into(),
+            nodes: 2,
+            links: 4,
+        };
+        let fp = Fingerprint(0x0f0e_0d0c_0b0a_0908_0706_0504_0302_0100);
+        let mut want = b"CCSCHED\0\x04\0\0\0".to_vec();
+        want.extend(0u8..16); // fingerprint, LE
+        want.extend_from_slice(&[85, 0, 0, 0, 0, 0, 0, 0]); // payload length
+        want.extend_from_slice(&[1, 3]); // phased, RS_NL
+        want.extend_from_slice(&[2, 0, 0, 0, 0, 0, 0, 0]); // n
+        want.extend_from_slice(&[3, 0, 0, 0, 0, 0, 0, 0]); // scheduling ops
+        want.extend_from_slice(&[0; 8]); // compression ops
+        want.extend_from_slice(&[1, 0, 0, 0, 0, 0, 0, 0]); // phases
+        want.extend_from_slice(&[1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff]); // 0 -> 1, silent
+        want.extend_from_slice(b"\x01\x07\0\0\0ring(2)"); // topology present
+        want.extend_from_slice(&[2, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0]);
+        want.extend_from_slice(b"\x01\x0a\0\0\0faulty:p=1"); // cost model present
+        want.extend_from_slice(&0x29b6_315b_e04d_be01u64.to_le_bytes()); // checksum64(payload)
+        assert_eq!(
+            encode_artifact_meta(fp, &s, Some(&meta), Some("faulty:p=1")),
+            want
+        );
+        let (got_fp, got, topo, cost) = decode_artifact_meta(&want).unwrap();
+        assert_eq!((got_fp, got, topo), (fp, s, Some(meta)));
+        assert_eq!(cost.as_deref(), Some("faulty:p=1"));
+    }
+
+    #[test]
     fn store_load_roundtrip_and_missing_is_none() {
         let store = tmp_store("roundtrip");
         let s = sample_schedule();
@@ -678,49 +679,39 @@ mod tests {
         assert_eq!(none, None);
     }
 
-    fn reversioned(version: u32, fp: Fingerprint, payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&version.to_le_bytes());
-        out.extend_from_slice(&fp.to_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(payload);
-        out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        out
-    }
-
     #[test]
-    fn version_1_artifacts_still_decode_without_topology() {
-        // Hand-build a v1 file: current wire bytes minus the trailing
-        // topology and cost presence bytes, with version, length, and
-        // checksum rewritten to match.
+    fn old_format_versions_are_skipped_recompiled_and_overwritten() {
+        // A version-3 file: the current bytes with the version word
+        // rewritten. Versions 1-3 summed the payload differently, so the
+        // decoder refuses them before it looks at the checksum.
         let s = sample_schedule();
-        let v3 = encode_artifact(Fingerprint(5), &s);
-        let payload = &v3[HEADER_LEN..v3.len() - 8];
-        let v1 = reversioned(1, Fingerprint(5), &payload[..payload.len() - 2]);
-        let (fp, got, topo, cost) = decode_artifact_meta(&v1).unwrap();
-        assert_eq!(fp, Fingerprint(5));
-        assert_eq!(got, s);
-        assert_eq!(topo, None);
-        assert_eq!(cost, None);
-    }
+        let fp = Fingerprint(5);
+        let mut v3 = encode_artifact(fp, &s);
+        v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+        assert!(matches!(
+            decode_artifact_meta(&v3),
+            Err(StoreError::UnsupportedVersion(3))
+        ));
 
-    #[test]
-    fn version_2_artifacts_still_decode_without_cost_model() {
-        // A v2 file is the current payload minus the trailing cost
-        // presence byte. Its topology section survives; the cost model
-        // reads back as None.
-        let s = sample_schedule();
-        let cube = Hypercube::new(3);
-        let meta = TopologyMeta::of(&cube);
-        let v3 = encode_artifact_with(Fingerprint(6), &s, Some(&meta));
-        let payload = &v3[HEADER_LEN..v3.len() - 8];
-        let v2 = reversioned(2, Fingerprint(6), &payload[..payload.len() - 1]);
-        let (fp, got, topo, cost) = decode_artifact_meta(&v2).unwrap();
-        assert_eq!(fp, Fingerprint(6));
-        assert_eq!(got, s);
-        assert_eq!(topo, Some(meta));
-        assert_eq!(cost, None);
+        // Through a persistent cache the file is a miss, not an error:
+        // one skip, one compile, and a current-version file left behind.
+        let store = tmp_store("oldversion");
+        std::fs::create_dir_all(store.dir()).unwrap();
+        std::fs::write(store.path_for(fp), &v3).unwrap();
+        let cache = crate::SchedCache::new(crate::CacheConfig::persistent(store.dir()));
+        assert_eq!(*cache.get_or_compute(fp, || s.clone()), s);
+        let stats = cache.stats();
+        assert_eq!((stats.store_skips, stats.store_errors), (1, 0));
+        assert_eq!((stats.misses, stats.store_writes), (1, 1));
+        let healed = std::fs::read(store.path_for(fp)).unwrap();
+        assert_eq!(healed[8..12], FORMAT_VERSION.to_le_bytes());
+
+        // The next process loads it as a store hit and compiles nothing.
+        let next = crate::SchedCache::new(crate::CacheConfig::persistent(store.dir()));
+        let loaded = next.get_or_compute(fp, || panic!("the healed artifact must load"));
+        assert_eq!(*loaded, s);
+        assert_eq!((next.stats().store_hits, next.stats().misses), (1, 0));
+        std::fs::remove_dir_all(store.dir()).ok();
     }
 
     #[test]
@@ -742,7 +733,7 @@ mod tests {
         let payload_start = HEADER_LEN;
         let payload_end = bad.len() - 8;
         bad[payload_end - 1] = 9;
-        let sum = fnv1a64(&bad[payload_start..payload_end]);
+        let sum = checksum64(&bad[payload_start..payload_end]);
         let at = bad.len() - 8;
         bad[at..].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(
@@ -768,7 +759,7 @@ mod tests {
         // cost presence byte.
         let flag_at = payload_end - 1 - (4 + meta.kind.len() + 8 + 8) - 1;
         bytes[flag_at] = 7;
-        let sum = fnv1a64(&bytes[payload_start..payload_end]);
+        let sum = checksum64(&bytes[payload_start..payload_end]);
         let at = bytes.len() - 8;
         bytes[at..].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(

@@ -489,8 +489,10 @@ impl Scheduler for AdHoc {
     }
 }
 
-/// FNV-1a over the name bytes, folded to 32 bits: a stable,
-/// dependency-free default ordinal for ad-hoc entries. Kept small so
+/// FNV-1a-shaped hash of the name bytes, folded to 32 bits: a stable,
+/// dependency-free default ordinal for ad-hoc entries. The multiplier
+/// is non-standard (2⁴⁸ + 0x1b3, not the FNV prime 2⁴⁰ + 0x1b3) and
+/// frozen, because ordinals seed `paper_base_seed`. Kept small so
 /// downstream seed mixes (`base * 1_000_003`-style) stay well inside
 /// `u64` headroom.
 fn fnv1a(s: &str) -> u64 {

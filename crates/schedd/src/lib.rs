@@ -51,7 +51,7 @@ pub use net::{Endpoint, Stream};
 pub use protocol::{
     read_frame, write_frame, DaemonStats, DecodeError, ErrorCode, ErrorReply, FrameError,
     ProtocolLimits, Request, Response, SchemeChoice, SubmitDeltaRequest, SubmitReply,
-    SubmitRequest, TopologySpec,
+    SubmitRequest, TopologySpec, FRAME_MAGIC,
 };
 pub use queue::{BoundedQueue, PushError};
 pub use server::{Server, ServerHandle};

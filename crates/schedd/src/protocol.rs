@@ -5,10 +5,10 @@
 //!
 //! | offset | size | field |
 //! |--------|------|-------|
-//! | 0 | 4 | magic [`FRAME_MAGIC`] (`b"SDF1"`, version baked into the tag) |
+//! | 0 | 4 | magic [`FRAME_MAGIC`] (`b"SDF2"`, version baked into the tag) |
 //! | 4 | 4 | body length `u32` LE (≤ [`MAX_BODY_LEN`]) |
 //! | 8 | len | body |
-//! | 8+len | 8 | FNV-1a-64 checksum of the body, LE |
+//! | 8+len | 8 | [`commcache::checksum64`] of the body, LE |
 //!
 //! The first body byte is the frame kind; the rest is kind-specific, all
 //! integers little-endian, strings UTF-8 with a `u32` length prefix.
@@ -33,15 +33,15 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-use commcache::{Fingerprint, InstanceKey};
+use commcache::{checksum64, Fingerprint, InstanceKey};
 use commrt::{BackendKind, BackendReport, ContentionStats, Scheme};
 use commsched::{CommMatrix, MatrixDelta, Schedule, Scheduler};
 use hypercube::{Hypercube, Mesh2d, NodeId, Topology};
 use simnet::LinkCostModel;
 
-/// Leading magic of every frame; the trailing `1` is the protocol
+/// Leading magic of every frame; the trailing `2` is the protocol
 /// version, so a future layout change is a new magic, not an ambiguity.
-pub const FRAME_MAGIC: [u8; 4] = *b"SDF1";
+pub const FRAME_MAGIC: [u8; 4] = *b"SDF2";
 
 /// Hard upper bound on a frame body. Large enough for the biggest legal
 /// response (a dense 1024-node LP schedule is ~4 MiB as an artifact),
@@ -126,17 +126,6 @@ const K_STATS: u8 = 0x82;
 const K_ERROR: u8 = 0x83;
 const K_SHUTDOWN_ACK: u8 = 0x84;
 
-/// FNV-1a 64-bit (the artifact store's checksum, reused at the frame
-/// layer — corruption detection, not security).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 // ---------------------------------------------------------------------------
 // Frame I/O
 // ---------------------------------------------------------------------------
@@ -206,7 +195,7 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
     frame.extend_from_slice(&FRAME_MAGIC);
     frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
     frame.extend_from_slice(body);
-    frame.extend_from_slice(&fnv1a64(body).to_le_bytes());
+    frame.extend_from_slice(&checksum64(body).to_le_bytes());
     w.write_all(&frame)
 }
 
@@ -263,7 +252,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
     if !read_exact_or_eof(r, &mut sum)? {
         return Err(FrameError::Truncated);
     }
-    if u64::from_le_bytes(sum) != fnv1a64(&body) {
+    if u64::from_le_bytes(sum) != checksum64(&body) {
         return Err(FrameError::Checksum);
     }
     Ok(Some(body))
@@ -737,11 +726,10 @@ pub struct SubmitRequest {
     /// Per-link cost model pricing the estimate.
     ///
     /// Travels as a **trailing optional field**: uniform requests encode
-    /// nothing (byte-identical to the pre-cost-model wire format, so old
-    /// daemons still serve them), non-uniform models append their
-    /// canonical string, which old daemons reject as
-    /// [`DecodeError::TrailingBytes`] — a typed error, not a silent
-    /// mis-price.
+    /// nothing, so a uniform body is byte-identical whether or not the
+    /// sender knows about cost models — body-level tests and everything
+    /// keyed on the encoded request stay put — and non-uniform models
+    /// append their canonical string.
     pub cost_model: LinkCostModel,
 }
 
@@ -1983,8 +1971,8 @@ mod tests {
 
     #[test]
     fn cost_model_rides_the_wire_and_uniform_stays_byte_identical() {
-        // Uniform encodes nothing: the frame is byte-for-byte the
-        // pre-cost-model format, so old daemons keep serving it.
+        // Uniform encodes nothing: the body is byte-for-byte the
+        // pre-cost-model body.
         let uniform = sample_request();
         let mut legacy = uniform.clone();
         legacy.cost_model = LinkCostModel::Uniform;

@@ -50,7 +50,7 @@ fn disconnect_mid_frame_is_counted_and_survived() {
     // Write half a frame, then vanish.
     {
         let mut stream = endpoint.connect().unwrap();
-        stream.write_all(b"SDF1").unwrap();
+        stream.write_all(&schedd::FRAME_MAGIC).unwrap();
         stream.write_all(&100u32.to_le_bytes()).unwrap();
         stream.write_all(&[0u8; 10]).unwrap(); // 90 bytes short
     }
@@ -91,7 +91,7 @@ fn hostile_headers_get_typed_errors_and_do_not_kill_the_daemon() {
     // Oversized length header: same typed rejection.
     {
         let mut stream = endpoint.connect().unwrap();
-        stream.write_all(b"SDF1").unwrap();
+        stream.write_all(&schedd::FRAME_MAGIC).unwrap();
         stream.write_all(&u32::MAX.to_le_bytes()).unwrap();
         stream.flush().unwrap();
         let resp = schedd::read_frame(&mut stream)
@@ -145,6 +145,40 @@ fn hostile_headers_get_typed_errors_and_do_not_kill_the_daemon() {
 
     assert!(handle.stats().errors_malformed >= 4);
     assert_serving(&endpoint, 3);
+    handle.shutdown();
+}
+
+#[test]
+fn an_old_protocol_peer_gets_one_malformed_frame_and_a_closed_connection() {
+    let (handle, endpoint) = start("oldpeer", ServiceConfig::default());
+    // A well-formed SDF1 frame: `Stats { request_id: 1 }` under the old
+    // magic, trailed by the FNV-1a-64 of the body that protocol summed.
+    let body = Request::Stats { request_id: 1 }.encode();
+    let mut wire = b"SDF1".to_vec();
+    wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    wire.extend_from_slice(&body);
+    wire.extend_from_slice(&0xedde_65ec_42d6_cbc4u64.to_le_bytes());
+    let mut stream = endpoint.connect().unwrap();
+    stream.write_all(&wire).unwrap();
+    stream.flush().unwrap();
+    let reply = schedd::read_frame(&mut stream)
+        .expect("error frame arrives")
+        .expect("before the close");
+    match Response::decode(&reply).expect("decodes") {
+        Response::Error(err) => {
+            assert_eq!(err.code, ErrorCode::Malformed);
+            assert!(err.detail.contains("magic"), "{}", err.detail);
+        }
+        other => panic!("expected Malformed error frame, got {other:?}"),
+    }
+    // No negotiation and no second frame: the daemon hangs up (a reset
+    // rather than a clean EOF when it closed with our bytes unread).
+    match schedd::read_frame(&mut stream) {
+        Ok(None) | Err(schedd::FrameError::Io(_)) => {}
+        other => panic!("expected a closed connection, got {other:?}"),
+    }
+    assert_eq!(handle.stats().errors_malformed, 1);
+    assert_serving(&endpoint, 4);
     handle.shutdown();
 }
 

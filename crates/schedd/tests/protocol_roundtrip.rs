@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use schedd::{
     read_frame, write_frame, DaemonStats, DecodeError, ErrorCode, ErrorReply, FrameError,
     LinkCostModel, ProtocolLimits, Request, Response, SchemeChoice, SubmitDeltaRequest,
-    SubmitReply, SubmitRequest, TopologySpec,
+    SubmitReply, SubmitRequest, TopologySpec, FRAME_MAGIC,
 };
 
 /// The four cost-model kinds, cycled through the property tests.
@@ -369,13 +369,48 @@ proptest! {
         wire[at] ^= flip;
         // Any single flipped byte must yield a typed frame error: a
         // magic/length/checksum flip fails framing, and a body flip
-        // fails the FNV-1a-64 body checksum. A silently different
-        // request must never come back.
+        // fails the body checksum. A silently different request must
+        // never come back.
         match read_frame(&mut wire.as_slice()) {
             Err(_) => {}
             Ok(body) => prop_assert!(false, "byte {} flipped undetected: {:?}", at, body),
         }
     }
+}
+
+#[test]
+fn the_frame_layout_is_pinned_byte_for_byte() {
+    // A real `serve_hot` request (64-node 8-regular 1 KiB pattern on
+    // cube:d=6 for RS_NL, schedule wanted): its trailer is the sum that
+    // `commcache`'s known-answer test pins on the same bytes assembled by
+    // hand, so neither the encoder nor the checksum can move unseen.
+    let body = Request::Submit(SubmitRequest {
+        request_id: 0,
+        want_schedule: true,
+        topology: TopologySpec::Hypercube { dims: 6 },
+        scheduler: "RS_NL".into(),
+        scheme: SchemeChoice::Default,
+        backend: BackendKind::Analytic,
+        seed: 0,
+        matrix: workloads::Generator::dregular(64, 8, 1024).generate(1),
+        cost_model: LinkCostModel::Uniform,
+    })
+    .encode();
+    let wire = frame(&body);
+    assert_eq!(wire[..4], *b"SDF2");
+    assert_eq!(wire[4..8], 6194u32.to_le_bytes());
+    assert_eq!(wire[8..8 + 6194], body[..]);
+    assert_eq!(wire[8 + 6194..], 0xb354_61c2_70f2_5801u64.to_le_bytes());
+
+    // And a small frame in full.
+    assert_eq!(
+        frame(&Request::Stats { request_id: 1 }.encode()),
+        [
+            b'S', b'D', b'F', b'2', 9, 0, 0, 0, // magic, body length
+            2, 1, 0, 0, 0, 0, 0, 0, 0, // Stats, request_id = 1
+            0x0e, 0x2c, 0x7d, 0x7b, 0xa9, 0x94, 0xc3, 0xb1, // checksum64(body), LE
+        ]
+    );
 }
 
 #[test]
@@ -387,7 +422,7 @@ fn hostile_and_oversized_headers_are_typed_errors() {
     ));
     // Correct magic, absurd length claim: rejected before allocation.
     let mut wire = Vec::new();
-    wire.extend_from_slice(b"SDF1");
+    wire.extend_from_slice(&FRAME_MAGIC);
     wire.extend_from_slice(&u32::MAX.to_le_bytes());
     wire.extend_from_slice(&[0u8; 64]);
     assert!(matches!(
