@@ -37,10 +37,14 @@ fn bench_routing(c: &mut Criterion) {
     c.bench_function("paths_table_claim_cycle", |b| {
         let mut table = PathsTable::new(&cube6);
         let mut ops = 0u64;
+        // Routed once, like RS_NL does: the table only sees links.
+        let circuits: Vec<_> = (0..32u32)
+            .map(|i| cube6.route(NodeId(i), NodeId(63 - i)))
+            .collect();
         b.iter(|| {
             table.clear();
-            for i in 0..32u32 {
-                black_box(table.try_claim(&cube6, NodeId(i), NodeId(63 - i), &mut ops));
+            for circuit in &circuits {
+                black_box(table.try_claim(circuit.links(), &mut ops));
             }
         })
     });

@@ -1,4 +1,4 @@
-use hypercube::{NodeId, Topology};
+use hypercube::{LinkId, Topology};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -25,9 +25,13 @@ use crate::{
 /// in the same phase so the runtime can fuse them into one concurrent
 /// pairwise exchange — the iPSC/860's cheap bidirectional mode.
 ///
-/// Costs roughly 3x the scheduling operations of RS_N (path checks walk up
-/// to `log n` links per candidate), the trade-off quantified by the paper's
-/// Figures 10 and 11.
+/// Costs roughly 3x the scheduling operations of RS_N on the paper's cube
+/// (every path check is charged the candidate circuit's length, at most
+/// the fabric's diameter: `log n` on the cube, more on a torus or mesh),
+/// the trade-off quantified by the paper's Figures 10 and 11. The circuits
+/// themselves are routed once per compile, before the phase loop: a
+/// deterministic route is a pure function of its endpoints, so every probe
+/// of a candidate reads the same links.
 pub fn rs_nl<T: Topology + ?Sized>(com: &CommMatrix, topo: &T, seed: u64) -> Schedule {
     rs_nl_with(com, topo, seed, RsOptions::default())
 }
@@ -54,9 +58,30 @@ pub fn rs_nl_with<T: Topology + ?Sized>(
     // scan (each node can maintain this bitmap of its own column for free
     // while building CCOM, so one op per probe is the honest cost).
     let mut pending = vec![false; n * n];
-    for (s, d, _) in com.messages() {
-        pending[s.index() * n + d.index()] = true;
+    // Every message's circuit, routed here and nowhere else: row k of the
+    // CSR table (`offsets[k]..offsets[k + 1]` into `links`) is the circuit
+    // of the k-th message, found through `circuit_row` under the same
+    // s*n + d addressing as `pending`. Check_Path and Mark_Path read these
+    // slices and charge `ops` the circuit's length, the paper's cost of
+    // walking it.
+    let mut circuit_row = vec![0u32; n * n];
+    let mut offsets: Vec<u32> = vec![0];
+    let mut links: Vec<LinkId> = Vec::new();
+    let mut scratch = Vec::new();
+    for (k, (s, d, _)) in com.messages().enumerate() {
+        let at = s.index() * n + d.index();
+        pending[at] = true;
+        // Fits: every message crosses at least one link, so k stays below
+        // `links.len()`, which is checked against u32 below.
+        circuit_row[at] = k as u32;
+        topo.route_into(s, d, &mut scratch);
+        links.extend_from_slice(&scratch);
+        offsets.push(u32::try_from(links.len()).expect("circuit table outgrew u32 offsets"));
     }
+    let circuit = |s: usize, d: usize| -> &[LinkId] {
+        let k = circuit_row[s * n + d] as usize;
+        &links[offsets[k] as usize..offsets[k + 1] as usize]
+    };
     let mut ops: u64 = 0;
     let mut phases: Vec<PartialPermutation> = Vec::new();
     let mut tsend: Vec<i32> = vec![-1; n];
@@ -98,8 +123,8 @@ pub fn rs_nl_with<T: Topology + ?Sized>(
                     if !pending[yu * n + x] {
                         continue;
                     }
-                    if paths.check(topo, NodeId(x as u32), NodeId(y as u32), &mut ops)
-                        && paths.check(topo, NodeId(y as u32), NodeId(x as u32), &mut ops)
+                    if paths.check(circuit(x, yu), &mut ops)
+                        && paths.check(circuit(yu, x), &mut ops)
                     {
                         candidate = Some((z, y));
                         break;
@@ -111,8 +136,8 @@ pub fn rs_nl_with<T: Topology + ?Sized>(
                     trecv[yu] = x as i32;
                     tsend[yu] = x as i32;
                     trecv[x] = y;
-                    paths.mark(topo, NodeId(x as u32), NodeId(y as u32));
-                    paths.mark(topo, NodeId(y as u32), NodeId(x as u32));
+                    paths.mark(circuit(x, yu));
+                    paths.mark(circuit(yu, x));
                     ccom.remove(x, z);
                     let z2 = ccom
                         .live_row(yu)
@@ -134,7 +159,7 @@ pub fn rs_nl_with<T: Topology + ?Sized>(
                     if trecv[y as usize] != -1 {
                         continue;
                     }
-                    if paths.check(topo, NodeId(x as u32), NodeId(y as u32), &mut ops) {
+                    if paths.check(circuit(x, y as usize), &mut ops) {
                         candidate = Some((z, y));
                         break;
                     }
@@ -142,7 +167,7 @@ pub fn rs_nl_with<T: Topology + ?Sized>(
                 if let Some((z, y)) = candidate {
                     tsend[x] = y;
                     trecv[y as usize] = x as i32;
-                    paths.mark(topo, NodeId(x as u32), NodeId(y as u32));
+                    paths.mark(circuit(x, y as usize));
                     ccom.remove(x, z);
                     pending[x * n + y as usize] = false;
                     remaining -= 1;

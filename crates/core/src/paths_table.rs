@@ -1,17 +1,21 @@
-use hypercube::{LinkId, NodeId, Topology};
+use hypercube::{LinkId, Topology};
 
 /// The paper's `PATHS` array (Section 5): a shadow occupancy table over the
 /// network's directed channels, used by RS_NL to reserve circuits during
 /// scheduling so that no two transfers of one phase share a link.
 ///
+/// The table knows links, not endpoints: callers hand it a circuit they
+/// already routed (a deterministic route is a pure function of its
+/// endpoints, so RS_NL routes each message once per compile and probes
+/// the same slice as often as the scan revisits it).
+///
 /// Clearing between phases is O(1) via a generation stamp instead of
-/// rewriting the table (the table has one slot per directed channel; on a
-/// 64-node cube that is 384 slots cleared up to ~50 times per schedule).
+/// rewriting the table, which has one slot per directed channel of the
+/// fabric (`Topology::link_count`) and is cleared once per phase.
 #[derive(Clone, Debug)]
 pub struct PathsTable {
     gen: u32,
     stamps: Vec<u32>,
-    scratch: Vec<LinkId>,
 }
 
 impl PathsTable {
@@ -20,7 +24,6 @@ impl PathsTable {
         PathsTable {
             gen: 1,
             stamps: vec![0; topo.link_count()],
-            scratch: Vec::with_capacity(topo.diameter()),
         }
     }
 
@@ -34,59 +37,45 @@ impl PathsTable {
         }
     }
 
-    /// The paper's `Check_Path(x, y)`: is the deterministic circuit from
-    /// `src` to `dst` entirely unreserved in the current phase?
+    /// The paper's `Check_Path(x, y)`: is the circuit `links` (the
+    /// deterministic route from `x` to `y`) entirely unreserved in the
+    /// current phase?
     ///
-    /// Also adds the number of links inspected to `ops` (the scheduling
-    /// cost model counts path checks as inner-loop work).
-    pub fn check<T: Topology + ?Sized>(
-        &mut self,
-        topo: &T,
-        src: NodeId,
-        dst: NodeId,
-        ops: &mut u64,
-    ) -> bool {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        topo.route_into(src, dst, &mut scratch);
-        *ops += scratch.len() as u64;
-        let free = scratch.iter().all(|l| self.stamps[l.index()] != self.gen);
-        self.scratch = scratch;
-        free
+    /// Also adds the circuit's length to `ops` (the scheduling cost model
+    /// counts a path check as walking the whole circuit, wherever the
+    /// first reserved link sits).
+    pub fn check(&self, links: &[LinkId], ops: &mut u64) -> bool {
+        *ops += links.len() as u64;
+        links.iter().all(|l| self.stamps[l.index()] != self.gen)
     }
 
     /// The paper's `Mark_Path(x, y)`: reserve every link of the circuit.
-    pub fn mark<T: Topology + ?Sized>(&mut self, topo: &T, src: NodeId, dst: NodeId) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        topo.route_into(src, dst, &mut scratch);
-        for l in &scratch {
+    pub fn mark(&mut self, links: &[LinkId]) {
+        for l in links {
             debug_assert_ne!(self.stamps[l.index()], self.gen, "marking a claimed link");
             self.stamps[l.index()] = self.gen;
         }
-        self.scratch = scratch;
     }
 
     /// Check and, if free, atomically mark. Returns whether the circuit was
     /// reserved.
-    pub fn try_claim<T: Topology + ?Sized>(
-        &mut self,
-        topo: &T,
-        src: NodeId,
-        dst: NodeId,
-        ops: &mut u64,
-    ) -> bool {
-        if self.check(topo, src, dst, ops) {
-            self.mark(topo, src, dst);
-            true
-        } else {
-            false
+    pub fn try_claim(&mut self, links: &[LinkId], ops: &mut u64) -> bool {
+        let free = self.check(links, ops);
+        if free {
+            self.mark(links);
         }
+        free
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypercube::Hypercube;
+    use hypercube::{Hypercube, NodeId};
+
+    fn route(cube: &Hypercube, src: u32, dst: u32) -> Vec<LinkId> {
+        cube.route(NodeId(src), NodeId(dst)).links().to_vec()
+    }
 
     #[test]
     fn check_mark_conflict() {
@@ -94,11 +83,11 @@ mod tests {
         let mut t = PathsTable::new(&cube);
         let mut ops = 0;
         // 0->3 uses (0,d0),(1,d1); 1->7 uses (1,d1),(3,d2): conflict.
-        assert!(t.check(&cube, NodeId(0), NodeId(3), &mut ops));
-        t.mark(&cube, NodeId(0), NodeId(3));
-        assert!(!t.check(&cube, NodeId(1), NodeId(7), &mut ops));
+        assert!(t.check(&route(&cube, 0, 3), &mut ops));
+        t.mark(&route(&cube, 0, 3));
+        assert!(!t.check(&route(&cube, 1, 7), &mut ops));
         // 4->6 uses (4,d1): free.
-        assert!(t.check(&cube, NodeId(4), NodeId(6), &mut ops));
+        assert!(t.check(&route(&cube, 4, 6), &mut ops));
         assert!(ops > 0);
     }
 
@@ -107,10 +96,10 @@ mod tests {
         let cube = Hypercube::new(3);
         let mut t = PathsTable::new(&cube);
         let mut ops = 0;
-        t.mark(&cube, NodeId(0), NodeId(7));
-        assert!(!t.check(&cube, NodeId(0), NodeId(7), &mut ops));
+        t.mark(&route(&cube, 0, 7));
+        assert!(!t.check(&route(&cube, 0, 7), &mut ops));
         t.clear();
-        assert!(t.check(&cube, NodeId(0), NodeId(7), &mut ops));
+        assert!(t.check(&route(&cube, 0, 7), &mut ops));
     }
 
     #[test]
@@ -118,18 +107,18 @@ mod tests {
         let cube = Hypercube::new(3);
         let mut t = PathsTable::new(&cube);
         let mut ops = 0;
-        assert!(t.try_claim(&cube, NodeId(0), NodeId(3), &mut ops));
-        assert!(!t.try_claim(&cube, NodeId(1), NodeId(7), &mut ops));
+        assert!(t.try_claim(&route(&cube, 0, 3), &mut ops));
+        assert!(!t.try_claim(&route(&cube, 1, 7), &mut ops));
         // Reverse circuits never collide with forward ones (directed links).
-        assert!(t.try_claim(&cube, NodeId(3), NodeId(0), &mut ops));
+        assert!(t.try_claim(&route(&cube, 3, 0), &mut ops));
     }
 
     #[test]
     fn ops_count_links_inspected() {
         let cube = Hypercube::new(6);
-        let mut t = PathsTable::new(&cube);
+        let t = PathsTable::new(&cube);
         let mut ops = 0;
-        t.check(&cube, NodeId(0), NodeId(63), &mut ops);
+        t.check(&route(&cube, 0, 63), &mut ops);
         assert_eq!(ops, 6); // diameter-length path
     }
 }

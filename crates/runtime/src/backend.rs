@@ -31,7 +31,7 @@
 use std::fmt;
 
 use commsched::{CommMatrix, Schedule, ScheduleKind};
-use hypercube::{NodeId, Path, Topology};
+use hypercube::{LinkId, NodeId, Topology};
 use simnet::cost::resolve_route;
 use simnet::{
     ExecMode, LinkCostModel, LoadModel, MachineParams, PoolMode, SimError, TraceKind, TransferSpec,
@@ -66,9 +66,17 @@ pub struct BackendReport {
     /// Completion time of the slowest node (ns) — the paper's metric.
     pub makespan_ns: u64,
     /// Cumulative completion estimate after each phase (ns). One entry
-    /// per schedule phase; a single entry for async (AC) schedules.
-    /// Monotone non-decreasing; the last entry never exceeds
-    /// [`BackendReport::makespan_ns`].
+    /// per schedule phase; a single entry for async (AC) schedules. The
+    /// last entry never exceeds [`BackendReport::makespan_ns`].
+    ///
+    /// Non-decreasing from the event engine and from the analytic S1
+    /// recurrence. The analytic S2 entries are prefix estimates of one
+    /// growing pool, and [`simnet::LoadModel`] is not monotone in the
+    /// transfers added: under hot-spot in-degrees with small messages an
+    /// entry can read below its predecessor ([`BackendReport::phase_ns`]
+    /// then reports a zero-length phase). Balanced (d-regular, random)
+    /// and power-law traffic never dips;
+    /// `crates/runtime/tests/phase_profile_monotone.rs` hunts both sides.
     pub phase_end_ns: Vec<u64>,
     /// Contention indicators.
     pub contention: ContentionStats,
@@ -81,7 +89,7 @@ impl BackendReport {
     }
 
     /// Per-phase durations (ns): first differences of
-    /// [`BackendReport::phase_end_ns`].
+    /// [`BackendReport::phase_end_ns`], zero where the profile dips.
     pub fn phase_ns(&self) -> Vec<u64> {
         let mut prev = 0;
         self.phase_end_ns
@@ -179,30 +187,32 @@ fn check_shapes<T: Topology + ?Sized>(
     Ok(())
 }
 
-/// Price one message under `cost`: the uniform fast path is *exactly*
-/// the legacy `transfer_ns(bytes, hops)` arithmetic (no route
-/// materialized, `None`), the costed path resolves the route (detouring
-/// around down links where the fabric permits) and returns it so the
-/// caller can claim the actual links travelled.
+/// Write the circuit a `src -> dst` transfer travels under `cost` into
+/// `out` (cleared first): the topology's route on the uniform machine —
+/// no allocation, and [`LinkCostModel::transfer_ns`] over it is *exactly*
+/// the legacy `transfer_ns(bytes, hops)` — otherwise the resolved route,
+/// detouring around down links where the fabric permits. Either way the
+/// caller prices and claims the links actually travelled, from this one
+/// routing pass.
 ///
 /// # Errors
 ///
 /// [`SimError::LinkDown`] when the route crosses a down link with no
 /// detour.
-fn priced_route<T: Topology + ?Sized>(
-    params: &MachineParams,
-    cost: &LinkCostModel,
+fn circuit_into<T: Topology + ?Sized>(
     topo: &T,
+    cost: &LinkCostModel,
     src: NodeId,
     dst: NodeId,
-    bytes: u32,
-) -> Result<(u64, Option<Path>), SimError> {
+    out: &mut Vec<LinkId>,
+) -> Result<(), SimError> {
     if cost.is_uniform() {
-        return Ok((params.transfer_ns(bytes, topo.hops(src, dst)), None));
+        topo.route_into(src, dst, out);
+    } else {
+        out.clear();
+        out.extend_from_slice(resolve_route(topo, cost, src, dst)?.links());
     }
-    let path = resolve_route(topo, cost, src, dst)?;
-    let busy = cost.transfer_ns(params, bytes, path.links());
-    Ok((busy, Some(path)))
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -328,6 +338,8 @@ impl SimBackend for DesBackend {
 /// * Every message is priced like the event engine prices its circuit:
 ///   `busy = transfer_ns(bytes, hops)`; a fused S1 exchange costs
 ///   `exchange_sync_ns + max(both directions)` and claims both circuits.
+///   Each circuit is routed once per estimate: the route's length is the
+///   hop count it is priced at, and the same links are what it claims.
 /// * **Async (AC) and phased-S2** schedules issue all sends up front, so
 ///   the whole run is one resource pool: the makespan is the slowest
 ///   critical transfer or the most-occupied engine/port/link, whichever
@@ -386,13 +398,13 @@ impl AnalyticBackend {
     /// first-send lead instead, keeping the estimate invariant under
     /// topology automorphisms (the metamorphic suite pins that) at the
     /// cost of a small, degree-bounded undershoot.
-    fn estimate_pool<T: Topology + ?Sized>(
+    fn estimate_pool<T: Topology + ?Sized, P: Iterator<Item = (NodeId, NodeId)>>(
         &self,
         params: &MachineParams,
         cost: &LinkCostModel,
         topo: &T,
         com: &CommMatrix,
-        phases: &[Vec<(NodeId, NodeId)>],
+        phases: impl Iterator<Item = P>,
         ramped: bool,
     ) -> Result<BackendReport, SimError> {
         let n = com.n();
@@ -405,31 +417,26 @@ impl AnalyticBackend {
         }
         let mut sends_before = vec![0u64; n];
         let mut pool = LoadModel::with_mode(topo, params.ports, self.pool);
-        let mut phase_end_ns = Vec::with_capacity(phases.len());
+        let mut claims = Vec::new();
+        let mut phase_end_ns = Vec::with_capacity(phases.size_hint().0);
         let mut contended_transfers = 0u64;
         let mut contended_phases = 0usize;
         for phase in phases {
             let mut phase_contended = false;
-            for &(src, dst) in phase {
+            for (src, dst) in phase {
                 let bytes = com.get(src.index(), dst.index());
-                let (busy_ns, path) = priced_route(params, cost, topo, src, dst, bytes)?;
+                circuit_into(topo, cost, src, dst, &mut claims)?;
                 let j = if ramped { sends_before[src.index()] } else { 0 };
                 sends_before[src.index()] += 1;
                 let spec = TransferSpec {
                     src,
                     dst,
-                    busy_ns,
+                    busy_ns: cost.transfer_ns(params, bytes, &claims),
                     lead_ns: in_degree[src.index()] * params.recv_post_ns
                         + (j + 1) * params.send_overhead_ns,
                     fused: false,
                 };
-                // Costed transfers claim the links they actually travel
-                // (a detour is longer than the nominal route).
-                let shared = match &path {
-                    None => pool.add(topo, spec),
-                    Some(p) => pool.add_with_route(spec, p.links()),
-                };
-                if shared {
+                if pool.add_with_route(spec, &claims) {
                     contended_transfers += 1;
                     phase_contended = true;
                 }
@@ -465,7 +472,10 @@ impl AnalyticBackend {
     /// t[src] = t[dst] = link_free[route...] = start + busy
     /// ```
     ///
-    /// — still pure arithmetic over occupancy times, no events.
+    /// — still pure arithmetic over occupancy times, no events. The
+    /// availability times live beside the cross-phase busy totals in one
+    /// `(free_at, busy_total)` table per resource class (nodes, links),
+    /// so a transfer's claim set is read once and written once.
     ///
     /// The recurrence serializes pessimistically on *chained* phases
     /// (0→1, 1→2, … builds an O(n) dependency chain the engine's
@@ -486,15 +496,17 @@ impl AnalyticBackend {
         schedule: &Schedule,
     ) -> Result<BackendReport, SimError> {
         let first_active = schedule.phases().iter().position(|pm| !pm.is_empty());
-        let n = com.n();
-        let mut node_free = vec![0u64; n];
-        let mut link_free = vec![0u64; topo.link_count()];
-        // Cross-phase busy totals, for the contention indicators (the
-        // event engine's per-node `engine_busy_ns` analogue).
-        let mut engine_busy = vec![0u64; n];
-        let mut link_busy = vec![0u64; topo.link_count()];
+        // One table per resource class, `(free_at, busy_total)` per
+        // resource: when the max-plus recurrence next finds it free, and
+        // the cross-phase busy total behind the contention indicators
+        // (the event engine's per-node `engine_busy_ns` analogue). A
+        // transfer reads its claim set once (the start time) and writes
+        // it once (both fields).
+        let mut nodes = vec![(0u64, 0u64); com.n()];
+        let mut links = vec![(0u64, 0u64); topo.link_count()];
+        let (mut max_engine_busy_ns, mut max_link_busy_ns) = (0u64, 0u64);
         let mut claims = Vec::new();
-        let mut rev_scratch = Vec::new();
+        let mut rev = Vec::new();
         let mut phase_model = LoadModel::with_mode(topo, params.ports, self.pool);
         let mut phase_end_ns = Vec::with_capacity(schedule.num_phases());
         let mut chain_ns = 0u64; // max-plus running makespan
@@ -505,31 +517,20 @@ impl AnalyticBackend {
             phase_model.reset();
             let mut phase_contended = false;
             for (src, dst) in pm.pairs() {
-                claims.clear();
+                // One routing pass per direction covers the price, the
+                // max-plus step, the busy totals and the phase pool.
                 let spec = if pm.is_exchange_pair(src) {
                     // Each reciprocal pair fuses into one rendezvous
                     // transfer; account it once, from its lower endpoint.
                     if src.0 > dst.0 {
                         continue;
                     }
-                    let ab = com.get(src.index(), dst.index());
-                    let ba = com.get(dst.index(), src.index());
-                    let busy_ns = if cost.is_uniform() {
-                        let fwd = params.transfer_ns(ab, topo.hops(src, dst));
-                        let rev = params.transfer_ns(ba, topo.hops(dst, src));
-                        params.exchange_sync_ns + fwd.max(rev)
-                    } else {
-                        // Costed routes may detour around dead links, so
-                        // both directions resolve explicitly and their
-                        // actual circuits become the claims.
-                        let fwd_path = resolve_route(topo, cost, src, dst)?;
-                        let rev_path = resolve_route(topo, cost, dst, src)?;
-                        claims.extend_from_slice(fwd_path.links());
-                        claims.extend_from_slice(rev_path.links());
-                        let fwd = cost.transfer_ns(params, ab, fwd_path.links());
-                        let rev = cost.transfer_ns(params, ba, rev_path.links());
-                        params.exchange_sync_ns + fwd.max(rev)
-                    };
+                    circuit_into(topo, cost, src, dst, &mut claims)?;
+                    circuit_into(topo, cost, dst, src, &mut rev)?;
+                    let fwd_ns =
+                        cost.transfer_ns(params, com.get(src.index(), dst.index()), &claims);
+                    let rev_ns = cost.transfer_ns(params, com.get(dst.index(), src.index()), &rev);
+                    claims.extend_from_slice(&rev);
                     // One fused spec covers both port models: the engine
                     // fuses the pair into a single rendezvous transfer
                     // under unified ports, and runs the directions as two
@@ -541,7 +542,7 @@ impl AnalyticBackend {
                     TransferSpec {
                         src,
                         dst,
-                        busy_ns,
+                        busy_ns: params.exchange_sync_ns + fwd_ns.max(rev_ns),
                         lead_ns: 0,
                         fused: true,
                     }
@@ -551,65 +552,50 @@ impl AnalyticBackend {
                     // signal. The handshake of phase k+1 is prepared
                     // during phase k (double buffering), so only the
                     // first active phase pays it in full.
-                    let bytes = com.get(src.index(), dst.index());
-                    let (busy_ns, lead_ns) = if cost.is_uniform() {
-                        let lead = if Some(k) == first_active {
-                            params.recv_post_ns
-                                + 2 * params.send_overhead_ns
-                                + params.transfer_ns(0, topo.hops(dst, src))
-                        } else {
-                            params.send_overhead_ns
-                        };
-                        (params.transfer_ns(bytes, topo.hops(src, dst)), lead)
+                    circuit_into(topo, cost, src, dst, &mut claims)?;
+                    let lead_ns = if Some(k) == first_active {
+                        // The zero-byte ready signal travels the reverse
+                        // circuit (at its costed price).
+                        circuit_into(topo, cost, dst, src, &mut rev)?;
+                        params.recv_post_ns
+                            + 2 * params.send_overhead_ns
+                            + cost.transfer_ns(params, 0, &rev)
                     } else {
-                        let path = resolve_route(topo, cost, src, dst)?;
-                        claims.extend_from_slice(path.links());
-                        let lead = if Some(k) == first_active {
-                            // The zero-byte ready signal travels the
-                            // reverse circuit at its costed price.
-                            let rev_path = resolve_route(topo, cost, dst, src)?;
-                            params.recv_post_ns
-                                + 2 * params.send_overhead_ns
-                                + cost.transfer_ns(params, 0, rev_path.links())
-                        } else {
-                            params.send_overhead_ns
-                        };
-                        (cost.transfer_ns(params, bytes, path.links()), lead)
+                        params.send_overhead_ns
                     };
                     TransferSpec {
                         src,
                         dst,
-                        busy_ns,
+                        busy_ns: cost.transfer_ns(
+                            params,
+                            com.get(src.index(), dst.index()),
+                            &claims,
+                        ),
                         lead_ns,
                         fused: false,
                     }
                 };
 
-                // One routing pass covers the max-plus step, the phase
-                // pool, and the busy totals. (Costed specs filled their
-                // claims while resolving routes above.)
-                if cost.is_uniform() {
-                    simnet::analytic::route_claims(topo, &spec, &mut claims, &mut rev_scratch);
-                }
-
-                // The max-plus step.
-                let mut start = node_free[spec.src.index()].max(node_free[spec.dst.index()]);
+                // The max-plus step: read every claimed resource...
+                let ends = [spec.src.index(), spec.dst.index()];
+                let mut start = nodes[ends[0]].0.max(nodes[ends[1]].0);
                 for l in &claims {
-                    start = start.max(link_free[l.index()]);
+                    start = start.max(links[l.index()].0);
                 }
                 let end = start + spec.lead_ns + spec.busy_ns;
-                node_free[spec.src.index()] = end;
-                node_free[spec.dst.index()] = end;
-                for l in &claims {
-                    link_free[l.index()] = end;
-                }
                 chain_ns = chain_ns.max(end);
-
-                // Busy totals (contention indicators).
-                engine_busy[spec.src.index()] += spec.busy_ns;
-                engine_busy[spec.dst.index()] += spec.busy_ns;
+                // ...and write it: free again at `end`, busier by `busy`.
+                for i in ends {
+                    let (free_at, busy) = &mut nodes[i];
+                    *free_at = end;
+                    *busy += spec.busy_ns;
+                    max_engine_busy_ns = max_engine_busy_ns.max(*busy);
+                }
                 for l in &claims {
-                    link_busy[l.index()] += spec.busy_ns;
+                    let (free_at, busy) = &mut links[l.index()];
+                    *free_at = end;
+                    *busy += spec.busy_ns;
+                    max_link_busy_ns = max_link_busy_ns.max(*busy);
                 }
 
                 if phase_model.add_with_route(spec, &claims) {
@@ -621,13 +607,12 @@ impl AnalyticBackend {
             sum_ns += phase_model.makespan_ns();
             phase_end_ns.push(chain_ns.min(sum_ns));
         }
-        let makespan_ns = chain_ns.min(sum_ns);
         Ok(BackendReport {
-            makespan_ns,
+            makespan_ns: chain_ns.min(sum_ns),
             phase_end_ns,
             contention: ContentionStats {
-                max_engine_busy_ns: engine_busy.iter().copied().max().unwrap_or(0),
-                max_link_busy_ns: link_busy.iter().copied().max().unwrap_or(0),
+                max_engine_busy_ns,
+                max_link_busy_ns,
                 contended_transfers,
                 contended_phases,
             },
@@ -681,17 +666,13 @@ impl AnalyticBackend {
             ScheduleKind::Async => {
                 // All messages form one pool (the AC program blasts them
                 // without ordering constraints).
-                let all: Vec<(NodeId, NodeId)> = com.messages().map(|(s, d, _)| (s, d)).collect();
-                self.estimate_pool(params, cost, topo, com, &[all], false)
+                let all = com.messages().map(|(s, d, _)| (s, d));
+                self.estimate_pool(params, cost, topo, com, std::iter::once(all), false)
             }
             ScheduleKind::Phased => match scheme {
                 Scheme::S2 => {
-                    let phases: Vec<Vec<(NodeId, NodeId)>> = schedule
-                        .phases()
-                        .iter()
-                        .map(|pm| pm.pairs().collect())
-                        .collect();
-                    self.estimate_pool(params, cost, topo, com, &phases, true)
+                    let phases = schedule.phases().iter().map(|pm| pm.pairs());
+                    self.estimate_pool(params, cost, topo, com, phases, true)
                 }
                 Scheme::S1 => self.estimate_s1(params, cost, topo, com, schedule),
             },

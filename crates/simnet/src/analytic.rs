@@ -28,9 +28,11 @@
 //! (`tests/backend_conformance.rs` at the workspace root).
 //!
 //! The model is hot-path code (one pool per schedule phase across whole
-//! experiment grids), so occupancy is tracked with dirty-index lists:
-//! [`LoadModel::reset`] and every scan touch only the resources the
-//! current pool actually claimed, not the whole machine.
+//! experiment grids), so every resource a transfer claims is touched
+//! once: the pool's maxima are kept up to date as claims arrive,
+//! [`LoadModel::reset`] starts a new generation instead of clearing
+//! slots, and the rare rescan walks a dirty-index list of the resources
+//! the current pool actually claimed, not the whole machine.
 //!
 //! What the model deliberately ignores (tolerance, not bug): idle gaps a
 //! resource spends waiting on another resource's hand-off, claim-policy
@@ -97,61 +99,125 @@ pub struct TransferSpec {
 }
 
 /// Occupancy of one resource: summed busy time, earliest lead among its
-/// users, and the user count.
+/// users, the user count, and the generation of its class the three were
+/// written in — a slot from an earlier generation reads as unclaimed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Occ {
     busy_ns: u64,
     min_lead: u64,
     users: u32,
+    gen: u32,
 }
 
-/// An unclaimed resource (the sparse map's empty value).
+/// An unclaimed resource (the sparse map's empty value; generation 0 is
+/// never current).
 const FREE: Occ = Occ {
     busy_ns: 0,
     min_lead: u64::MAX,
     users: 0,
+    gen: 0,
 };
 
 /// One class of identical resources (engines, receive ports, links) with
-/// dirty-index bookkeeping: only entries touched since the last reset are
-/// ever scanned or cleared. The occupancy table is a [`SparseMap`], so on
-/// million-node fabrics memory follows the traffic, not the machine.
+/// dirty-index bookkeeping: only entries claimed since the last reset are
+/// ever scanned, and a reset touches none of them — it starts a new
+/// generation, which every slot written before it no longer belongs to.
+/// The occupancy table is a [`SparseMap`], so on million-node fabrics
+/// memory follows the traffic, not the machine.
+///
+/// The three aggregates the pool reports — span maximum, busiest
+/// occupancy, shared flag — are maintained as resources are claimed, so
+/// reading them does not rescan the class. Occupancy and user counts only
+/// grow, so their aggregates are exact running maxima. A span can
+/// *shrink*: a claim that lowers a resource's `min_lead` by more than the
+/// `busy` it adds lowers `min_lead + busy`. If that resource held the
+/// maximum, `span_max` is only an upper bound from then on (`stale`) and
+/// [`ResourceClass::span`] rescans the dirty list until a claim reaches
+/// the bound again and becomes the exact maximum.
 #[derive(Clone, Debug)]
 struct ResourceClass {
     occ: SparseMap<Occ>,
+    gen: u32,
     dirty: Vec<usize>,
+    span_max: u64,
+    stale: bool,
+    busy_max: u64,
+    shared: bool,
 }
 
 impl ResourceClass {
     fn new(len: usize, mode: MapMode) -> Self {
         ResourceClass {
             occ: SparseMap::new(len, FREE, mode),
+            gen: 1,
             dirty: Vec::new(),
+            span_max: 0,
+            stale: false,
+            busy_max: 0,
+            shared: false,
         }
     }
 
     fn reset(&mut self) {
-        for &i in &self.dirty {
-            *self.occ.slot(i) = FREE;
+        self.gen = self.gen.wrapping_add(1);
+        if self.gen == 0 {
+            // Generation wrap-around (one reset per phase: practically
+            // unreachable): hard reset.
+            self.occ.fill(FREE);
+            self.gen = 1;
         }
         self.dirty.clear();
+        self.span_max = 0;
+        self.stale = false;
+        self.busy_max = 0;
+        self.shared = false;
     }
 
     /// Claim resource `i`; returns whether it was already claimed.
     fn claim(&mut self, i: usize, spec: &TransferSpec) -> bool {
-        let o = self.occ.slot(i);
-        let shared = o.users > 0;
-        o.busy_ns += spec.busy_ns;
-        o.min_lead = o.min_lead.min(spec.lead_ns);
-        o.users += 1;
+        let gen = self.gen;
+        let slot = self.occ.slot(i);
+        let old = if slot.gen == gen { *slot } else { FREE };
+        let new = Occ {
+            busy_ns: old.busy_ns + spec.busy_ns,
+            min_lead: old.min_lead.min(spec.lead_ns),
+            users: old.users + 1,
+            gen,
+        };
+        *slot = new;
+        let shared = old.users > 0;
+        let old_span = if shared {
+            old.min_lead + old.busy_ns
+        } else {
+            0
+        };
+        let (span, busy) = (new.min_lead + new.busy_ns, new.busy_ns);
         if !shared {
             self.dirty.push(i);
+        }
+        self.shared |= shared;
+        self.busy_max = self.busy_max.max(busy);
+        if span >= self.span_max {
+            // Every other resource is at or below the old bound.
+            self.span_max = span;
+            self.stale = false;
+        } else if span < old_span && old_span == self.span_max {
+            self.stale = true;
         }
         shared
     }
 
     /// `max_i (min_lead_i + busy_i)` over claimed entries.
     fn span(&self) -> u64 {
+        if self.stale {
+            self.rescan_span()
+        } else {
+            self.span_max
+        }
+    }
+
+    /// [`ResourceClass::span`] from the occupancy table alone.
+    fn rescan_span(&self) -> u64 {
         self.dirty
             .iter()
             .map(|&i| {
@@ -160,19 +226,6 @@ impl ResourceClass {
             })
             .max()
             .unwrap_or(0)
-    }
-
-    /// Largest single occupancy.
-    fn max_busy(&self) -> u64 {
-        self.dirty
-            .iter()
-            .map(|&i| self.occ.get(i).busy_ns)
-            .max()
-            .unwrap_or(0)
-    }
-
-    fn contended(&self) -> bool {
-        self.dirty.iter().any(|&i| self.occ.get(i).users > 1)
     }
 
     fn resident_bytes(&self) -> usize {
@@ -184,8 +237,11 @@ impl ResourceClass {
 ///
 /// Feed transfers with [`LoadModel::add`] (or, on hot paths that already
 /// hold the circuit, [`LoadModel::add_with_route`]); read the running
-/// estimate with [`LoadModel::makespan_ns`]. Adding is monotone, so one
-/// model can emit cumulative prefix estimates (the phased backends do).
+/// estimate with [`LoadModel::makespan_ns`] after any prefix of the pool
+/// (the phased backends read it after every phase). The estimate is *not*
+/// monotone in the transfers added: a resource's span starts at the
+/// earliest lead among its users, so a late transfer with an early lead
+/// can pull a shared resource's span — and with it the makespan — down.
 #[derive(Clone, Debug)]
 pub struct LoadModel {
     ports: PortModel,
@@ -240,8 +296,8 @@ impl LoadModel {
         self.engine.resident_bytes() + self.recv.resident_bytes() + self.link.resident_bytes()
     }
 
-    /// Clear all occupancy (reuse across phases without reallocating);
-    /// O(resources touched since the last reset).
+    /// Clear all occupancy (reuse across phases without reallocating) in
+    /// constant time.
     pub fn reset(&mut self) {
         self.engine.reset();
         self.recv.reset();
@@ -301,12 +357,12 @@ impl LoadModel {
 
     /// Busiest engine/port occupancy (ns) — contention pressure at nodes.
     pub fn max_engine_ns(&self) -> u64 {
-        self.engine.max_busy().max(self.recv.max_busy())
+        self.engine.busy_max.max(self.recv.busy_max)
     }
 
     /// Busiest directed-link occupancy (ns) — contention pressure on wires.
     pub fn max_link_ns(&self) -> u64 {
-        self.link.max_busy()
+        self.link.busy_max
     }
 
     /// Transfers added so far.
@@ -316,7 +372,7 @@ impl LoadModel {
 
     /// Whether any resource is claimed by two or more transfers.
     pub fn contended(&self) -> bool {
-        self.engine.contended() || self.recv.contended() || self.link.contended()
+        self.engine.shared || self.recv.shared || self.link.shared
     }
 }
 
@@ -453,6 +509,108 @@ mod tests {
         // Reuse after reset behaves like a fresh model.
         assert!(!m.add(&cube, spec(0, 1, 7, 3)));
         assert_eq!(m.makespan_ns(), 10);
+    }
+
+    #[test]
+    fn an_early_lead_can_lower_the_makespan() {
+        let cube = Hypercube::new(3);
+        let mut m = LoadModel::new(&cube, PortModel::Split);
+        // Two sends out of node 0: its send port spans 100 + (10 + 10).
+        m.add(&cube, spec(0, 1, 10, 100));
+        m.add(&cube, spec(0, 2, 10, 100));
+        assert_eq!(m.makespan_ns(), 120);
+        // A third with no lead drags the port's start to 0: 0 + 25. The
+        // port held the maximum, so the pool falls back to its slowest
+        // single transfer.
+        m.add(&cube, spec(0, 4, 5, 0));
+        assert_eq!(m.makespan_ns(), 110);
+        assert_eq!(m.max_engine_ns(), 25);
+        assert!(m.contended());
+    }
+
+    #[test]
+    fn generation_wrap_does_not_resurrect_old_claims() {
+        let cube = Hypercube::new(3);
+        let mut m = LoadModel::new(&cube, PortModel::Unified);
+        // Claimed in generation 1...
+        m.add(&cube, spec(0, 3, 100, 0));
+        // ...and never touched again for 2^32 - 2 resets.
+        for class in [&mut m.engine, &mut m.recv, &mut m.link] {
+            class.gen = u32::MAX;
+        }
+        m.reset();
+        assert_eq!(m.engine.gen, 1, "wrapped past the never-current 0");
+        assert!(
+            !m.add(&cube, spec(0, 3, 7, 0)),
+            "generation 1 again, but a fresh pool"
+        );
+        assert_eq!(m.makespan_ns(), 7);
+    }
+
+    /// What the three aggregates of `c` must read, from its occupancy
+    /// table alone: (span maximum, busiest occupancy, any resource shared).
+    fn rescan(c: &ResourceClass) -> (u64, u64, bool) {
+        let occs = c.dirty.iter().map(|&i| c.occ.get(i));
+        (
+            occs.clone()
+                .map(|o| o.min_lead + o.busy_ns)
+                .max()
+                .unwrap_or(0),
+            occs.clone().map(|o| o.busy_ns).max().unwrap_or(0),
+            occs.clone().any(|o| o.users > 1),
+        )
+    }
+
+    #[test]
+    fn claim_time_aggregates_equal_a_rescan() {
+        let cube = Hypercube::new(4);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rand = move |below: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % below
+        };
+        let (mut links, mut tmp) = (Vec::new(), Vec::new());
+        let mut went_stale = 0;
+        for ports in [PortModel::Unified, PortModel::Split] {
+            for mode in [PoolMode::Dense, PoolMode::Sparse] {
+                let mut m = LoadModel::with_mode(&cube, ports, mode);
+                for step in 0..20_000 {
+                    if rand(97) == 0 {
+                        m.reset();
+                    }
+                    let src = rand(16) as u32;
+                    let t = TransferSpec {
+                        src: NodeId(src),
+                        dst: NodeId((src + 1 + rand(15) as u32) % 16),
+                        busy_ns: rand(1000),
+                        // Leads both far below and far above a busy time,
+                        // so spans shrink as well as grow.
+                        lead_ns: if rand(3) == 0 { rand(50) } else { rand(20_000) },
+                        fused: rand(4) == 0,
+                    };
+                    route_claims(&cube, &t, &mut links, &mut tmp);
+                    m.add_with_route(t, &links);
+                    let classes = [&m.engine, &m.recv, &m.link];
+                    went_stale += classes.iter().filter(|c| c.stale).count();
+                    let [e, r, l] = classes.map(rescan);
+                    let at = format!("{ports:?}/{mode:?} step {step}");
+                    assert_eq!(
+                        m.makespan_ns(),
+                        m.path_max_ns.max(e.0).max(r.0).max(l.0),
+                        "{at}"
+                    );
+                    assert_eq!(m.max_engine_ns(), e.1.max(r.1), "{at}");
+                    assert_eq!(m.max_link_ns(), l.1, "{at}");
+                    assert_eq!(m.contended(), e.2 || r.2 || l.2, "{at}");
+                }
+            }
+        }
+        assert!(
+            went_stale > 0,
+            "the shrinking-maximum rule was never exercised"
+        );
     }
 
     #[test]

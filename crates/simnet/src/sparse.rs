@@ -136,6 +136,14 @@ impl<V: Clone> SparseMap<V> {
         }
     }
 
+    /// Overwrite the value of every resident key.
+    pub(crate) fn fill(&mut self, value: V) {
+        match &mut self.repr {
+            Repr::Dense(v) => v.fill(value),
+            Repr::Sparse { vals, .. } => vals.fill(value),
+        }
+    }
+
     /// Values of every resident key (tests).
     #[cfg(test)]
     pub(crate) fn resident_values(&self) -> Vec<&V> {

@@ -150,6 +150,59 @@ impl Torus {
         })
     }
 
+    /// Walk `steps` hops around ring `dim` in `dir` from `start` (whose
+    /// coordinate along `dim` is `coord`), handing each channel to
+    /// `visit`; stops early with `None` when `visit` refuses one,
+    /// otherwise returns the node the walk ends on.
+    ///
+    /// The one stepping routine of the torus. It carries the coordinate
+    /// beside the node id, so a hop is `± stride` and a compare for the
+    /// wraparound — [`Torus::neighbor`] re-derives the coordinate with a
+    /// division and a remainder on every call.
+    fn ring_walk(
+        &self,
+        start: NodeId,
+        coord: u32,
+        dim: usize,
+        dir: u32,
+        steps: u32,
+        mut visit: impl FnMut(LinkId) -> bool,
+    ) -> Option<NodeId> {
+        let k = self.extents[dim];
+        let stride = self.strides[dim];
+        let wrap = (k - 1) * stride;
+        let (mut node, mut c) = (start.0, coord);
+        for _ in 0..steps {
+            if !visit(self.channel(node, dim, dir)) {
+                return None;
+            }
+            if dir == PLUS {
+                if c + 1 < k {
+                    (node, c) = (node + stride, c + 1);
+                } else {
+                    (node, c) = (node - wrap, 0);
+                }
+            } else if c > 0 {
+                (node, c) = (node - stride, c - 1);
+            } else {
+                (node, c) = (node + wrap, k - 1);
+            }
+        }
+        Some(NodeId(node))
+    }
+
+    /// Hops and direction of the shorter arc from coordinate `s` to `d`
+    /// on a `k`-ring (ties go the positive way), `None` when `s == d`.
+    #[inline]
+    fn shorter_arc(k: u32, s: u32, d: u32) -> Option<(u32, u32)> {
+        let fwd = if d >= s { d - s } else { d + k - s };
+        match fwd {
+            0 => None,
+            _ if fwd <= k - fwd => Some((fwd, PLUS)),
+            _ => Some((k - fwd, MINUS)),
+        }
+    }
+
     /// Append the dimension-ordered route to `out` without intermediate
     /// allocation — shared by `route` and the `route_into` override.
     fn route_into_vec(&self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>) {
@@ -158,31 +211,27 @@ impl Torus {
             "nodes outside torus"
         );
         let mut cur = src;
-        for dim in 0..self.ndims() {
-            let k = self.extents[dim];
-            let s = self.coord(cur, dim);
-            let d = self.coord(dst, dim);
-            let fwd = (d + k - s) % k;
-            if fwd == 0 {
-                continue;
-            }
-            let bwd = k - fwd;
-            let (steps, dir) = if fwd <= bwd {
-                (fwd, PLUS)
-            } else {
-                (bwd, MINUS)
-            };
-            for _ in 0..steps {
-                out.push(self.channel(cur.0, dim, dir));
-                cur = self.neighbor(cur, dim, dir);
+        // Peel both endpoints' coordinates off dimension by dimension
+        // (mixed radix, dimension 0 fastest); earlier dimensions' walks
+        // never change a later coordinate.
+        let (mut src_rest, mut dst_rest) = (src.0, dst.0);
+        for (dim, &k) in self.extents.iter().enumerate() {
+            let (s, d) = (src_rest % k, dst_rest % k);
+            (src_rest, dst_rest) = (src_rest / k, dst_rest / k);
+            if let Some((steps, dir)) = Self::shorter_arc(k, s, d) {
+                cur = self
+                    .ring_walk(cur, s, dim, dir, steps, |l| {
+                        out.push(l);
+                        true
+                    })
+                    .expect("an unconditional walk never stops early");
             }
         }
         debug_assert_eq!(cur, dst);
     }
 
-    /// Walk `steps` hops along `dim` in `dir` from `start`, appending
-    /// links to `out`; rolls `out` back and returns `None` if any link
-    /// on the arc is down.
+    /// [`Torus::ring_walk`] appending links to `out`; rolls `out` back
+    /// and returns `None` if any link on the arc is down.
     fn walk_clear(
         &self,
         start: NodeId,
@@ -193,17 +242,17 @@ impl Torus {
         out: &mut Vec<LinkId>,
     ) -> Option<NodeId> {
         let mark = out.len();
-        let mut cur = start;
-        for _ in 0..steps {
-            let l = self.channel(cur.0, dim, dir);
-            if down(l) {
-                out.truncate(mark);
-                return None;
+        let end = self.ring_walk(start, self.coord(start, dim), dim, dir, steps, |l| {
+            let up = !down(l);
+            if up {
+                out.push(l);
             }
-            out.push(l);
-            cur = self.neighbor(cur, dim, dir);
+            up
+        });
+        if end.is_none() {
+            out.truncate(mark);
         }
-        Some(cur)
+        end
     }
 }
 
@@ -252,28 +301,15 @@ impl Topology for Torus {
     ) -> Option<Path> {
         let mut links = Vec::new();
         let mut cur = src;
-        for dim in 0..self.ndims() {
-            let k = self.extents[dim];
-            let s = self.coord(cur, dim);
-            let d = self.coord(dst, dim);
-            let fwd = (d + k - s) % k;
-            if fwd == 0 {
+        for (dim, &k) in self.extents.iter().enumerate() {
+            let (s, d) = (self.coord(cur, dim), self.coord(dst, dim));
+            let Some((steps, dir)) = Self::shorter_arc(k, s, d) else {
                 continue;
-            }
-            let bwd = k - fwd;
-            let (steps, dir) = if fwd <= bwd {
-                (fwd, PLUS)
-            } else {
-                (bwd, MINUS)
             };
             let (alt_steps, alt_dir) = (k - steps, if dir == PLUS { MINUS } else { PLUS });
-            match self.walk_clear(cur, dim, dir, steps, down, &mut links) {
-                Some(end) => cur = end,
-                None => match self.walk_clear(cur, dim, alt_dir, alt_steps, down, &mut links) {
-                    Some(end) => cur = end,
-                    None => return None,
-                },
-            }
+            cur = self
+                .walk_clear(cur, dim, dir, steps, down, &mut links)
+                .or_else(|| self.walk_clear(cur, dim, alt_dir, alt_steps, down, &mut links))?;
         }
         debug_assert_eq!(cur, dst);
         Some(Path::new(src, dst, links))

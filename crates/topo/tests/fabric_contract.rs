@@ -1,0 +1,191 @@
+//! The routing contract every consumer leans on, checked in whatever
+//! profile the test is built in — CI runs it under `--release`, where the
+//! fabrics' own `debug_assert`s are compiled out:
+//!
+//! * `hops(s, d) == route_into(s, d).len() == route(s, d).links().len()`
+//!   on every family. The analytic backend prices a transfer at the
+//!   length of the circuit it routed, and RS_NL charges `ops` the same
+//!   length, so a closed-form `hops` that drifted from the router would
+//!   silently misprice both.
+//! * The torus' ring stepper (coordinate carried beside the node id)
+//!   produces, link for link, the route and the fault detours of a walk
+//!   that re-derives every hop from [`Torus::neighbor`].
+
+use hypercube::{Hypercube, LinkId, Mesh2d, NodeId, Topology};
+use topo::{FatTree, Torus};
+
+/// xorshift64: seeded, dependency-free, the same on every host.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0 % n
+    }
+}
+
+/// Every ordered pair for fabrics up to 256 nodes, 4096 sampled pairs
+/// above.
+fn pairs(n: usize) -> Vec<(NodeId, NodeId)> {
+    if n <= 256 {
+        (0..n as u32)
+            .flat_map(|s| (0..n as u32).map(move |d| (NodeId(s), NodeId(d))))
+            .collect()
+    } else {
+        let mut rng = Rng(0x5eed_0000 + n as u64);
+        (0..4096)
+            .map(|_| {
+                (
+                    NodeId(rng.below(n as u64) as u32),
+                    NodeId(rng.below(n as u64) as u32),
+                )
+            })
+            .collect()
+    }
+}
+
+fn assert_contract(topo: &dyn Topology) {
+    let mut buf = vec![LinkId(u32::MAX)]; // route_into must clear it
+    for (s, d) in pairs(topo.num_nodes()) {
+        let path = topo.route(s, d);
+        topo.route_into(s, d, &mut buf);
+        let at = format!("{} {s:?} -> {d:?}", topo.name());
+        assert_eq!(buf, path.links(), "{at}: route_into != route");
+        assert_eq!(topo.hops(s, d), buf.len(), "{at}: hops != route length");
+        assert!(buf.iter().all(|l| l.index() < topo.link_count()), "{at}");
+        assert_eq!(s == d, buf.is_empty(), "{at}");
+    }
+}
+
+#[test]
+fn hops_equals_route_length_on_every_family() {
+    for dims in [1, 2, 3, 6, 8, 10] {
+        assert_contract(&Hypercube::new(dims));
+    }
+    for (rows, cols) in [(1, 2), (3, 5), (8, 8), (16, 16), (24, 32)] {
+        assert_contract(&Mesh2d::new(rows, cols));
+    }
+    for extents in [
+        &[2][..],
+        &[3, 5],
+        &[8, 8],
+        &[4, 4, 4],
+        &[4, 4, 2],
+        &[2, 2, 2, 2],
+        &[7, 9, 5],
+        &[32, 32],
+    ] {
+        assert_contract(&Torus::new(extents));
+    }
+    for k in [2, 4, 8, 16] {
+        assert_contract(&FatTree::new(k));
+    }
+}
+
+/// The torus router as it was before the ring stepper: every hop's
+/// channel from the documented `LinkId` layout, every next node from
+/// [`Torus::neighbor`]; a ring whose shorter arc crosses a down link is
+/// walked the long way, and a ring cut both ways strands the route.
+fn neighbor_walk(
+    t: &Torus,
+    src: NodeId,
+    dst: NodeId,
+    down: &dyn Fn(LinkId) -> bool,
+) -> Option<Vec<LinkId>> {
+    let channel = |node: NodeId, dim: usize, dir: u32| {
+        LinkId(node.0 * 2 * t.ndims() as u32 + 2 * dim as u32 + dir)
+    };
+    let walk = |start: NodeId, dim: usize, dir: u32, steps: u32| {
+        let mut cur = start;
+        let mut arc = Vec::new();
+        for _ in 0..steps {
+            let l = channel(cur, dim, dir);
+            if down(l) {
+                return None;
+            }
+            arc.push(l);
+            cur = t.neighbor(cur, dim, dir);
+        }
+        Some((cur, arc))
+    };
+    let mut links = Vec::new();
+    let mut cur = src;
+    for dim in 0..t.ndims() {
+        let k = t.extents()[dim];
+        let fwd = (t.coord(dst, dim) + k - t.coord(cur, dim)) % k;
+        if fwd == 0 {
+            continue;
+        }
+        let (steps, dir) = if fwd <= k - fwd {
+            (fwd, 0)
+        } else {
+            (k - fwd, 1)
+        };
+        let (end, arc) =
+            walk(cur, dim, dir, steps).or_else(|| walk(cur, dim, 1 - dir, k - steps))?;
+        links.extend(arc);
+        cur = end;
+    }
+    assert_eq!(cur, dst);
+    Some(links)
+}
+
+const SHAPES: [&[usize]; 5] = [&[2], &[3, 5], &[8, 8], &[4, 4, 2], &[2, 2, 2, 2]];
+
+#[test]
+fn torus_stepper_equals_the_neighbor_walk_link_for_link() {
+    let up = |_: LinkId| false;
+    let mut buf = Vec::new();
+    for extents in SHAPES {
+        let t = Torus::new(extents);
+        for (s, d) in pairs(t.num_nodes()) {
+            let want = neighbor_walk(&t, s, d, &up).unwrap();
+            t.route_into(s, d, &mut buf);
+            assert_eq!(buf, want, "{} {s:?} -> {d:?}", t.name());
+            // The channel layout the reference assumes is the real one.
+            for &l in &want {
+                let (from, dim, dir) = t.link_endpoints(l);
+                assert_eq!(
+                    l.0,
+                    from.0 * 2 * t.ndims() as u32 + 2 * dim as u32 + dir,
+                    "{}",
+                    t.name()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn torus_detours_equal_the_neighbor_walk_under_random_faults() {
+    let mut rng = Rng(0xfa17_5eed);
+    for extents in SHAPES {
+        let t = Torus::new(extents);
+        let (mut detoured, mut stranded) = (0, 0);
+        for _ in 0..200 {
+            // Between 1 % and 30 % of the links down.
+            let p = 1 + rng.below(30);
+            let dead: Vec<bool> = (0..t.link_count()).map(|_| rng.below(100) < p).collect();
+            let down = |l: LinkId| dead[l.index()];
+            for (s, d) in pairs(t.num_nodes()) {
+                let want = neighbor_walk(&t, s, d, &down);
+                let got = t.route_avoiding(s, d, &down);
+                assert_eq!(
+                    got.as_ref().map(|p| p.links()),
+                    want.as_deref(),
+                    "{} {s:?} -> {d:?}",
+                    t.name()
+                );
+                match got {
+                    Some(p) if p.links() != t.route(s, d).links() => detoured += 1,
+                    None => stranded += 1,
+                    Some(_) => {}
+                }
+            }
+        }
+        assert!(detoured > 0, "{}: no down-set forced a detour", t.name());
+        assert!(stranded > 0, "{}: no down-set cut a ring", t.name());
+    }
+}

@@ -17,7 +17,6 @@
 use commcache::checksum64;
 use commrt::{AnalyticBackend, Scheme};
 use commsched::{registry, CommMatrix, Schedule};
-use hypercube::Topology;
 use simnet::{LinkCostModel, MachineParams, PortModel};
 use topo::TopologyKind;
 
