@@ -21,13 +21,14 @@
 use commrt::grid::{ExecOptions, GridColumn, SchedulerHandle};
 use commrt::{run_schedule, ExperimentGrid, ExperimentRunner, Scheme, WorkloadPoint};
 use commsched::{registry, Scheduler};
-use repro_bench::{paper_cube, sample_count, time_case, CubeExt};
+use hypercube::Topology;
+use repro_bench::{paper_cube, sample_count, time_case};
 use simnet::MachineParams;
 use workloads::Generator;
 
 fn main() {
     let cube = paper_cube();
-    let n = cube.num_nodes_();
+    let n = cube.num_nodes();
     let samples = sample_count().min(20);
 
     println!("=== Ablation 1: registry variants vs their canonical configuration ===");
@@ -271,8 +272,8 @@ fn main() {
 
     // Measure what matrix reuse buys on the ablation-1 grid (every base
     // and variant column of a row consumes the same samples) and record
-    // it next to the criterion outputs. Stderr only: stdout above is the
-    // reproduced artifact.
+    // it in `BENCH_grid_matrix_reuse.json`. Stderr only: stdout above is
+    // the reproduced artifact.
     let reuse = time_case("ablation1_grid_reuse", 3, || {
         variant_grid.execute().expect("grid runs");
     });

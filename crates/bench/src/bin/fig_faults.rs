@@ -20,7 +20,7 @@
 
 use commrt::{LinkCostModel, Scheme};
 use commsched::registry;
-use repro_bench::{backend_from_env, sample_count_or, write_bench_json};
+use repro_bench::{backend_from_env, sample_count_or, write_bench_json, BenchCase};
 use simnet::{MachineParams, SimError};
 use topo::TopologyKind;
 use workloads::{Generator, SampleSet};
@@ -140,7 +140,7 @@ fn main() {
                     |metric: &str| format!("faults/{spec}/{}/p{label}/{metric}", entry.name());
                 if let Some(m) = mean_ms {
                     let (lo, hi) = min_max(&done_ms);
-                    cases.push(criterion::CaseResult {
+                    cases.push(BenchCase {
                         name: name("makespan"),
                         mean_ns: m * 1e6,
                         min_ns: lo * 1e6,
@@ -150,14 +150,14 @@ fn main() {
                 // Rates and ratios are dimensionless; the report's ns
                 // fields carry them verbatim (a completion case of 0.8
                 // means 80% of samples completed).
-                cases.push(criterion::CaseResult {
+                cases.push(BenchCase {
                     name: name("completion"),
                     mean_ns: rate,
                     min_ns: rate,
                     max_ns: rate,
                 });
                 if let Some(d) = degradation {
-                    cases.push(criterion::CaseResult {
+                    cases.push(BenchCase {
                         name: name("degradation"),
                         mean_ns: d,
                         min_ns: d,

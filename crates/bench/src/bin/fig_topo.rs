@@ -14,7 +14,9 @@
 use commrt::grid::{CellId, ExperimentGrid, WorkloadPoint};
 use commrt::write_csv;
 use commsched::registry;
-use repro_bench::{backend_from_env, cache_config_from_env, sample_count_or, write_bench_json};
+use repro_bench::{
+    backend_from_env, cache_config_from_env, sample_count_or, write_bench_json, BenchCase,
+};
 use topo::TopologyKind;
 use workloads::Generator;
 
@@ -76,7 +78,7 @@ fn main() {
                 match result.cell(id) {
                     Some(cell) => {
                         records.push(cell.record(&format!("fig_topo/{spec}")));
-                        cases.push(criterion::CaseResult {
+                        cases.push(BenchCase {
                             name: format!("topo_compare/{spec}/{}/d{d}", entry.name()),
                             mean_ns: cell.result.comm_ms * 1e6,
                             min_ns: cell.result.comm_ms_min * 1e6,

@@ -52,6 +52,7 @@ use commrt::grid::paper_base_seed;
 use commrt::BackendKind;
 use commsched::{registry, Scheduler};
 use hypercube::Hypercube;
+use repro_bench::{write_bench_json, BenchCase};
 use schedd::{Client, Endpoint, SchemeChoice, SubmitRequest, TopologySpec};
 use workloads::{Generator, SampleSet};
 
@@ -101,9 +102,9 @@ OPTIONS:
   --want-schedule      (submit) stream the compiled schedule summary too
   --requests <k>       (bench) how many requests to replay   [default: 200]
   --dims <lo>..<hi>    (bench) sweep hypercube dimensions instead of one
-                       --n, appending daemon/d{dim} latency rows to
-                       BENCH_scale_sim.json (daemon needs --max-nodes
-                       covering 2^hi)
+                       --n, writing daemon/d{dim} latency rows to
+                       BENCH_daemon_scale.json (daemon needs
+                       --max-nodes covering 2^hi)
 ";
 
 fn main() -> ExitCode {
@@ -636,11 +637,10 @@ fn bench(opts: &[String]) -> Result<ExitCode, String> {
 }
 
 /// `bench --dims <lo>..<hi>`: replay `requests` requests per hypercube
-/// dimension against the live daemon and append one `daemon/d{dim}` row
-/// per dimension (mean/min/max ns per request) to `BENCH_scale_sim.json`
-/// — the daemon-side leg of the scale curve `benches/scale.rs` starts.
-/// The daemon must have been started with a `--max-nodes` admitting the
-/// largest dimension.
+/// dimension against the live daemon and write one `daemon/d{dim}` row
+/// per dimension (mean/min/max ns per request) to
+/// `BENCH_daemon_scale.json`. The daemon must have been started with a
+/// `--max-nodes` admitting the largest dimension.
 fn bench_dims(opts: &[String], spec: &str, requests: usize) -> Result<ExitCode, String> {
     if opt_value(opts, "--topo")?.is_some() {
         return Err("--dims sweeps hypercubes; it cannot be combined with --topo".into());
@@ -664,7 +664,7 @@ fn bench_dims(opts: &[String], spec: &str, requests: usize) -> Result<ExitCode, 
         }
         let wall = t0.elapsed().as_secs_f64();
         let mean = latencies_ns.iter().sum::<u64>() as f64 / latencies_ns.len().max(1) as f64;
-        let case = criterion::CaseResult {
+        let case = BenchCase {
             name: format!("daemon/d{dim}"),
             mean_ns: mean,
             min_ns: latencies_ns.iter().min().copied().unwrap_or(0) as f64,
@@ -678,8 +678,8 @@ fn bench_dims(opts: &[String], spec: &str, requests: usize) -> Result<ExitCode, 
         );
         cases.push(case);
     }
-    let path = repro_bench::append_bench_json("scale_sim", &cases).map_err(|e| e.to_string())?;
-    println!("appended {} row(s) to {}", cases.len(), path.display());
+    let path = write_bench_json("daemon_scale", &cases).map_err(|e| e.to_string())?;
+    println!("wrote {} row(s) to {}", cases.len(), path.display());
     Ok(ExitCode::SUCCESS)
 }
 

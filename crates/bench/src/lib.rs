@@ -17,10 +17,13 @@
 
 pub mod simcheck;
 
+use std::fmt::Write as _;
+use std::path::PathBuf;
+
 use commrt::grid::{paper_base_seed, WorkloadPoint};
 use commrt::{CellRecord, CellResult, ExperimentGrid, ExperimentRunner, Scheme};
-use commsched::{CommMatrix, Schedule, Scheduler, SchedulerKind};
-use hypercube::Hypercube;
+use commsched::Scheduler;
+use hypercube::{Hypercube, Topology};
 use workloads::{Generator, SampleSet};
 
 /// The paper's machine: a 64-node hypercube.
@@ -47,25 +50,14 @@ pub fn sample_count() -> usize {
 
 /// [`sample_count`] with a caller-chosen default — the one parse of the
 /// `REPRO_SAMPLES` contract (positive integers only; anything else falls
-/// back), shared by the repro binaries, the `simcheck` harness, the
-/// benches, and the conformance suite.
+/// back), shared by the repro binaries, the `simcheck` harness, and the
+/// conformance suite.
 pub fn sample_count_or(default: usize) -> usize {
     std::env::var("REPRO_SAMPLES")
         .ok()
         .and_then(|v| v.parse().ok())
         .filter(|&v| v > 0)
         .unwrap_or(default)
-}
-
-/// Produce the schedule of `kind` for `com` (seeded where randomized) —
-/// compat shim over the registry for enum-keyed call sites.
-pub fn schedule_for(
-    kind: SchedulerKind,
-    com: &CommMatrix,
-    cube: &Hypercube,
-    seed: u64,
-) -> Schedule {
-    kind.scheduler().schedule(com, cube, seed)
 }
 
 /// The repro binaries' opt-in schedule cache, from the `IPSC_CACHE`
@@ -86,7 +78,7 @@ pub fn cache_config_from_env() -> Option<commrt::CacheConfig> {
 /// `IPSC_BACKEND` environment variable: unset/empty/`des` = the exact
 /// discrete-event engine, `analytic` = the occupancy model (estimates
 /// within the conformance suite's documented tolerances, orders of
-/// magnitude faster — `BENCH_backend_throughput.json`).
+/// magnitude faster — `commrt.estimate.{des,analytic}_us` in the benchmark).
 ///
 /// # Panics
 ///
@@ -124,7 +116,7 @@ pub fn paper_grid(
     sizes: &[u32],
     samples: usize,
 ) -> ExperimentGrid {
-    let n = paper_cube().num_nodes_();
+    let n = paper_cube().num_nodes();
     let mut grid = ExperimentGrid::new()
         .topology("hypercube(6)", paper_cube())
         .schedulers(entries)
@@ -169,7 +161,7 @@ pub fn measure_cell(
     msg_bytes: u32,
     samples: usize,
 ) -> Result<CellResult, simnet::SimError> {
-    let n = cube.num_nodes_();
+    let n = cube.num_nodes();
     // Base seed mixes the cell coordinates so no two cells share samples
     // (`Scheduler::ordinal` pins the historical per-algorithm streams).
     let base = paper_base_seed(d, msg_bytes, entry.ordinal());
@@ -206,35 +198,30 @@ pub fn record_cell(
     ))
 }
 
-/// Extension trait covering the `num_nodes` call without importing
-/// `Topology` everywhere in the binaries.
-pub trait CubeExt {
-    /// Number of nodes.
-    fn num_nodes_(&self) -> usize;
+/// One row of a `BENCH_<group>.json` report. The three fields are
+/// nanoseconds for timed cases; dimensionless cases (`fig_faults`'
+/// completion rates and degradation ratios) carry their value verbatim.
+#[derive(Clone, Debug)]
+pub struct BenchCase {
+    /// Full case name (`group/…`).
+    pub name: String,
+    /// Mean over the samples.
+    pub mean_ns: f64,
+    /// Smallest sample.
+    pub min_ns: f64,
+    /// Largest sample.
+    pub max_ns: f64,
 }
 
-impl CubeExt for Hypercube {
-    fn num_nodes_(&self) -> usize {
-        use hypercube::Topology;
-        self.num_nodes()
-    }
-}
-
-/// Wall-clock-time `f` over `reps` repetitions into a
-/// [`criterion::CaseResult`] (ns), for recording hand-timed measurements
-/// next to the bench outputs.
-pub fn time_case(
-    name: impl Into<String>,
-    reps: usize,
-    mut f: impl FnMut(),
-) -> criterion::CaseResult {
+/// Wall-clock-time `f` over `reps` repetitions into a [`BenchCase`] (ns).
+pub fn time_case(name: impl Into<String>, reps: usize, mut f: impl FnMut()) -> BenchCase {
     let mut samples = Vec::with_capacity(reps.max(1));
     for _ in 0..reps.max(1) {
         let t0 = std::time::Instant::now();
         f();
         samples.push(t0.elapsed().as_nanos() as f64);
     }
-    criterion::CaseResult {
+    BenchCase {
         name: name.into(),
         mean_ns: samples.iter().sum::<f64>() / samples.len() as f64,
         min_ns: samples.iter().copied().fold(f64::INFINITY, f64::min),
@@ -242,46 +229,44 @@ pub fn time_case(
     }
 }
 
-/// Write `BENCH_<group>.json` in the one shared measurement format —
-/// delegated to the vendored criterion shim's quiet writer (same path
-/// resolution, sanitization, merge, and JSON shape as the bench targets;
-/// no stdout, because the repro binaries pin theirs byte-for-byte).
+/// Write `BENCH_<group>.json` — a flat JSON array, one case per line,
+/// rendered by hand because the offline workspace has no serde — at the
+/// workspace root: the nearest ancestor of `CARGO_MANIFEST_DIR` (or of
+/// the current directory) holding a `Cargo.lock`, else that starting
+/// directory itself. Replaces whatever an earlier run left there and
+/// prints nothing, because the repro binaries pin their stdout.
 ///
 /// # Errors
 ///
 /// I/O errors from the filesystem.
-pub fn write_bench_json(
-    group: &str,
-    cases: &[criterion::CaseResult],
-) -> std::io::Result<std::path::PathBuf> {
-    criterion::write_report_quiet(group, cases)
-}
-
-/// Append `cases` to `BENCH_<group>.json` across *processes*: existing
-/// cases survive, except that a new case replaces any old one with the
-/// same name (re-running a sweep must update its rows, not duplicate
-/// them). This is how `schedctl bench --dims` adds its `daemon/d{dim}`
-/// rows to the `BENCH_scale_sim.json` the scale bench wrote earlier —
-/// the shim's own writer truncates on a process's first write.
-///
-/// # Errors
-///
-/// I/O errors from the filesystem.
-pub fn append_bench_json(
-    group: &str,
-    cases: &[criterion::CaseResult],
-) -> std::io::Result<std::path::PathBuf> {
-    let mut merged = criterion::read_report(group);
-    merged.retain(|old| !cases.iter().any(|new| new.name == old.name));
-    merged.extend(cases.iter().cloned());
-    criterion::rewrite_report(group, &merged)
+pub fn write_bench_json(group: &str, cases: &[BenchCase]) -> std::io::Result<PathBuf> {
+    let start = std::env::var_os("CARGO_MANIFEST_DIR")
+        .map(PathBuf::from)
+        .or_else(|| std::env::current_dir().ok())
+        .unwrap_or_else(|| PathBuf::from("."));
+    let root = start
+        .ancestors()
+        .find(|dir| dir.join("Cargo.lock").exists())
+        .unwrap_or(&start);
+    let path = root.join(format!("BENCH_{group}.json"));
+    let mut out = String::from("[\n");
+    for (i, c) in cases.iter().enumerate() {
+        let comma = if i + 1 < cases.len() { "," } else { "" };
+        let _ = writeln!(
+            out,
+            "  {{\"name\": {:?}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"max_ns\": {:.1}}}{comma}",
+            c.name, c.mean_ns, c.min_ns, c.max_ns
+        );
+    }
+    out.push_str("]\n");
+    std::fs::write(&path, out)?;
+    Ok(path)
 }
 
 /// Render a Table-1-style block for one density. The column set is taken
 /// from the records themselves (first-row order), so the table grows with
 /// the registry instead of hardcoding algorithm names.
 pub fn format_density_block(d: usize, rows: &[(u32, Vec<CellRecord>)]) -> String {
-    use std::fmt::Write;
     let mut out = String::new();
     let _ = writeln!(out, "d = {d}");
     let labels: Vec<&str> = rows
@@ -402,35 +387,27 @@ mod tests {
 
     #[test]
     fn bench_json_has_the_shim_shape() {
-        let case = time_case("noop", 2, || {});
-        assert!(case.min_ns <= case.mean_ns && case.mean_ns <= case.max_ns);
-        let path = write_bench_json("libtest_selftest", &[case]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.trim_start().starts_with('['));
-        assert!(text.contains("\"name\": \"noop\""));
-        assert!(text.contains("\"mean_ns\""));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn append_bench_json_replaces_by_name_and_keeps_the_rest() {
-        let case = |name: &str, mean: f64| criterion::CaseResult {
+        let timed = time_case("noop", 2, || {});
+        assert!(timed.min_ns <= timed.mean_ns && timed.mean_ns <= timed.max_ns);
+        let case = |name: &str, v: f64| BenchCase {
             name: name.to_string(),
-            mean_ns: mean,
-            min_ns: mean,
-            max_ns: mean,
+            mean_ns: v,
+            min_ns: v - 0.25,
+            max_ns: v * 2.0,
         };
-        let group = "libtest_append_selftest";
-        let path = write_bench_json(group, &[case("scale/a", 1.0)]).unwrap();
-        // Cross-process-style append: keeps scale/a, adds daemon rows.
-        append_bench_json(group, &[case("daemon/d4", 2.0)]).unwrap();
-        // Re-running a sweep replaces its rows instead of duplicating.
-        append_bench_json(group, &[case("daemon/d4", 3.0), case("daemon/d5", 4.0)]).unwrap();
-        let back = criterion::read_report(group);
-        let names: Vec<&str> = back.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, ["scale/a", "daemon/d4", "daemon/d5"]);
-        assert_eq!(back[1].mean_ns, 3.0);
-        std::fs::remove_file(path).ok();
+        // The line format is what CI greps and downstream tooling read,
+        // and a second write replaces the first instead of merging.
+        write_bench_json("libtest_selftest", &[timed]).unwrap();
+        let path =
+            write_bench_json("libtest_selftest", &[case("g/a", 1.5), case("g/b", 10.0)]).unwrap();
+        assert!(path.ends_with("BENCH_libtest_selftest.json"));
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            text,
+            "[\n  {\"name\": \"g/a\", \"mean_ns\": 1.5, \"min_ns\": 1.2, \"max_ns\": 3.0},\n  \
+             {\"name\": \"g/b\", \"mean_ns\": 10.0, \"min_ns\": 9.8, \"max_ns\": 20.0}\n]\n"
+        );
     }
 
     #[test]
@@ -467,14 +444,5 @@ mod tests {
         }
         assert!(block.contains("# iters"));
         assert!(block.contains(" - "), "AC must show '-' footer entries");
-    }
-
-    #[test]
-    fn schedule_for_is_a_registry_shim() {
-        let cube = Hypercube::new(4);
-        let com = workloads::random_dregular(16, 3, 512, 1);
-        let via_shim = schedule_for(SchedulerKind::RsNl, &com, &cube, 5);
-        let via_registry = registry::find("RS_NL").unwrap().schedule(&com, &cube, 5);
-        assert_eq!(via_shim.phases(), via_registry.phases());
     }
 }

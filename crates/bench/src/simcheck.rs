@@ -227,7 +227,7 @@ fn differential(
     let des = DesBackend::default()
         .estimate(&params, cube, com, &schedule, scheme)
         .unwrap_or_else(|e| panic!("{} DES failed: {e}", entry.name()));
-    let ana = AnalyticBackend::default()
+    let ana = AnalyticBackend
         .estimate(&params, cube, com, &schedule, scheme)
         .unwrap_or_else(|e| panic!("{} analytic failed: {e}", entry.name()));
     (des, ana, scheme)

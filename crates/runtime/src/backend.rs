@@ -13,9 +13,9 @@
 //! * [`AnalyticBackend`] — a contention-aware LogP/LogGP-style model
 //!   built on [`simnet::LoadModel`]: no programs, no events — phase
 //!   makespans follow from link/port occupancy sums and the machine's
-//!   latency/bandwidth parameters. Orders of magnitude faster
-//!   (`BENCH_backend_throughput.json`), which buys grid sweeps far beyond
-//!   what event simulation can reach.
+//!   latency/bandwidth parameters. Orders of magnitude faster (the
+//!   benchmark's `commrt.estimate.{des,analytic}_us`), which buys grid
+//!   sweeps far beyond what event simulation can reach.
 //!
 //! The two backends are each other's oracle: the differential conformance
 //! suite (`tests/backend_conformance.rs`, `simcheck` binary) pins exact
@@ -34,7 +34,7 @@ use commsched::{CommMatrix, Schedule, ScheduleKind};
 use hypercube::{LinkId, NodeId, Topology};
 use simnet::cost::resolve_route;
 use simnet::{
-    ExecMode, LinkCostModel, LoadModel, MachineParams, PoolMode, SimError, TraceKind, TransferSpec,
+    ExecMode, LinkCostModel, LoadModel, MachineParams, SimError, TraceKind, TransferSpec,
 };
 
 use crate::compile::compile;
@@ -232,8 +232,7 @@ pub struct DesBackend {
 }
 
 impl DesBackend {
-    /// Backend running the engine under `exec` — used by
-    /// [`SimMode::from_env`]-driven selection.
+    /// Backend running the engine under `exec`.
     pub fn with_exec(exec: ExecMode) -> Self {
         DesBackend { exec }
     }
@@ -266,8 +265,7 @@ impl SimBackend for DesBackend {
     ) -> Result<BackendReport, SimError> {
         check_shapes(topo, com, schedule)?;
         let programs = compile(com, schedule, scheme);
-        let (report, trace) =
-            simnet::simulate_traced_costed_with(topo, params, cost, programs, self.exec)?;
+        let (report, trace) = simnet::simulate_traced(topo, params, cost, programs)?;
         let phases = schedule.num_phases().max(1);
         let mut phase_end_ns = vec![0u64; phases];
         // Requested/Started per (src, dst, tag): blocked-start detection.
@@ -356,21 +354,9 @@ impl SimBackend for DesBackend {
 /// maxima collapse to the exact event-engine answer — the conformance
 /// suite pins that class bit-for-bit.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct AnalyticBackend {
-    /// Resource-pool layout ([`simnet::PoolMode`]): dense vectors,
-    /// traffic-sized sparse tables, or the size-based automatic pick.
-    /// The layout never changes estimates — the differential suite pins
-    /// dense = sparse bit-for-bit — only memory and topology-size cost.
-    pub pool: PoolMode,
-}
+pub struct AnalyticBackend;
 
 impl AnalyticBackend {
-    /// Backend pricing pools under `pool` — used by the scale bench and
-    /// by [`SimMode::from_env`]-driven selection.
-    pub fn with_pool(pool: PoolMode) -> Self {
-        AnalyticBackend { pool }
-    }
-
     /// Reject self-pairs a hand-assembled schedule could smuggle past the
     /// matrix (which forbids diagonal entries).
     fn check_phases(schedule: &Schedule) -> Result<(), SimError> {
@@ -416,7 +402,7 @@ impl AnalyticBackend {
             in_degree[dst.index()] += 1;
         }
         let mut sends_before = vec![0u64; n];
-        let mut pool = LoadModel::with_mode(topo, params.ports, self.pool);
+        let mut pool = LoadModel::new(topo, params.ports);
         let mut claims = Vec::new();
         let mut phase_end_ns = Vec::with_capacity(phases.size_hint().0);
         let mut contended_transfers = 0u64;
@@ -507,7 +493,7 @@ impl AnalyticBackend {
         let (mut max_engine_busy_ns, mut max_link_busy_ns) = (0u64, 0u64);
         let mut claims = Vec::new();
         let mut rev = Vec::new();
-        let mut phase_model = LoadModel::with_mode(topo, params.ports, self.pool);
+        let mut phase_model = LoadModel::new(topo, params.ports);
         let mut phase_end_ns = Vec::with_capacity(schedule.num_phases());
         let mut chain_ns = 0u64; // max-plus running makespan
         let mut sum_ns = 0u64; // per-phase pool running sum
@@ -716,89 +702,7 @@ impl SimBackend for AnalyticBackend {
 static DES: DesBackend = DesBackend {
     exec: ExecMode::Sequential,
 };
-static ANALYTIC: AnalyticBackend = AnalyticBackend {
-    pool: PoolMode::Auto,
-};
-
-/// Engine tuning knobs orthogonal to [`BackendKind`]: how the analytic
-/// model lays out its pools and how the event engine executes. Parsed
-/// from the `IPSC_SIM_MODE` environment variable and applied via
-/// [`SimMode::des`] / [`SimMode::analytic`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SimMode {
-    /// Analytic pool layout (`auto` / `dense` / `sparse`).
-    pub pool: PoolMode,
-    /// Event-engine execution (`seq` / `parallel` / `parallel:<n>`: one
-    /// engine, equal results).
-    pub exec: ExecMode,
-}
-
-impl SimMode {
-    /// Parse a comma-separated mode list: any of `auto`, `dense`,
-    /// `sparse` (pool layout) and `seq`, `parallel`, `parallel:<n>`
-    /// (engine execution). Later tokens win within each axis.
-    /// Case-sensitive, by design — env typos should fail loudly.
-    ///
-    /// `parallel` without a thread count uses the `IPSC_THREADS`
-    /// convention (falling back to the host's available parallelism).
-    ///
-    /// # Errors
-    ///
-    /// An unrecognized token, echoed back with the accepted set.
-    pub fn parse(s: &str) -> Result<SimMode, String> {
-        let mut mode = SimMode::default();
-        for tok in s.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-            match tok {
-                "auto" => mode.pool = PoolMode::Auto,
-                "dense" => mode.pool = PoolMode::Dense,
-                "sparse" => mode.pool = PoolMode::Sparse,
-                "seq" => mode.exec = ExecMode::Sequential,
-                "parallel" => {
-                    mode.exec = ExecMode::Parallel {
-                        threads: crate::experiment::default_threads(),
-                    }
-                }
-                _ => match tok.strip_prefix("parallel:").map(str::parse) {
-                    Some(Ok(threads)) if threads > 0 => mode.exec = ExecMode::Parallel { threads },
-                    _ => {
-                        return Err(format!(
-                            "IPSC_SIM_MODE token {tok:?} is not a mode; use \
-                             \"auto\"/\"dense\"/\"sparse\" and/or \
-                             \"seq\"/\"parallel\"/\"parallel:<n>\""
-                        ))
-                    }
-                },
-            }
-        }
-        Ok(mode)
-    }
-
-    /// Mode from the `IPSC_SIM_MODE` environment variable; unset or
-    /// empty means the defaults (auto pools, sequential engine).
-    ///
-    /// # Errors
-    ///
-    /// An unrecognized or non-UTF-8 value, echoed back.
-    pub fn from_env() -> Result<SimMode, String> {
-        match std::env::var("IPSC_SIM_MODE") {
-            Err(std::env::VarError::NotPresent) => Ok(SimMode::default()),
-            Err(std::env::VarError::NotUnicode(v)) => Err(format!(
-                "IPSC_SIM_MODE={v:?} is not valid UTF-8; use e.g. \"sparse,parallel:8\""
-            )),
-            Ok(v) => SimMode::parse(&v),
-        }
-    }
-
-    /// The event-engine backend under this mode's execution setting.
-    pub fn des(self) -> DesBackend {
-        DesBackend::with_exec(self.exec)
-    }
-
-    /// The analytic backend under this mode's pool layout.
-    pub fn analytic(self) -> AnalyticBackend {
-        AnalyticBackend::with_pool(self.pool)
-    }
-}
+static ANALYTIC: AnalyticBackend = AnalyticBackend;
 
 /// Which backend prices a measurement. `Copy`-cheap so runners, grid
 /// columns, and records can carry it by value.
@@ -934,7 +838,7 @@ mod tests {
             long_per_byte_ns: -1.0,
             ..MachineParams::ipsc860()
         };
-        let err = AnalyticBackend::default()
+        let err = AnalyticBackend
             .estimate(&params, &cube, &com, &ac(&com), Scheme::S2)
             .unwrap_err();
         assert!(matches!(err, SimError::BadParams(_)), "{err}");
@@ -949,7 +853,7 @@ mod tests {
         pm.assign(NodeId(2), NodeId(2));
         let hostile =
             Schedule::from_parts(ScheduleKind::Phased, SchedulerKind::RsN, 8, vec![pm], 0, 0);
-        let err = AnalyticBackend::default()
+        let err = AnalyticBackend
             .estimate(&MachineParams::ipsc860(), &cube, &com, &hostile, Scheme::S2)
             .unwrap_err();
         assert!(
@@ -989,7 +893,7 @@ mod tests {
             let des = DesBackend::default()
                 .estimate(&params, &cube, &com, &schedule, scheme)
                 .unwrap();
-            let ana = AnalyticBackend::default()
+            let ana = AnalyticBackend
                 .estimate(&params, &cube, &com, &schedule, scheme)
                 .unwrap();
             assert_eq!(
@@ -1005,7 +909,7 @@ mod tests {
         }
         // And the value itself is the closed form.
         let schedule = ac(&com);
-        let r = AnalyticBackend::default()
+        let r = AnalyticBackend
             .estimate(&params, &cube, &com, &schedule, Scheme::S2)
             .unwrap();
         assert_eq!(
@@ -1043,7 +947,7 @@ mod tests {
         let params = MachineParams::ipsc860();
         // Bit-reverse-style collisions: AC over a dense matrix contends.
         let com = workloads::random_dense(8, 4, 8192, 3);
-        let contended = AnalyticBackend::default()
+        let contended = AnalyticBackend
             .estimate(&params, &cube, &com, &ac(&com), Scheme::S2)
             .unwrap();
         assert!(contended.contention.contended_transfers > 0);
@@ -1051,7 +955,7 @@ mod tests {
         // A single-message matrix does not.
         let mut lone = CommMatrix::new(8);
         lone.set(0, 5, 512);
-        let free = AnalyticBackend::default()
+        let free = AnalyticBackend
             .estimate(&params, &cube, &lone, &ac(&lone), Scheme::S2)
             .unwrap();
         assert_eq!(free.contention.contended_transfers, 0);

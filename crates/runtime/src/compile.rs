@@ -1,8 +1,8 @@
 use commsched::{CommMatrix, Schedule, ScheduleKind};
 use hypercube::{NodeId, Topology};
 use simnet::{
-    simulate, simulate_traced, MachineParams, Program, ProgramBuilder, SimError, SimReport, Tag,
-    TraceEvent,
+    simulate, simulate_traced, LinkCostModel, MachineParams, Program, ProgramBuilder, SimError,
+    SimReport, Tag, TraceEvent,
 };
 
 /// Tag of the data message scheduled in phase `k` (AC uses phase 0).
@@ -222,7 +222,12 @@ pub fn run_schedule_traced<T: Topology + ?Sized>(
     schedule: &Schedule,
     scheme: crate::Scheme,
 ) -> Result<(SimReport, Vec<TraceEvent>), SimError> {
-    simulate_traced(topo, params, compile(com, schedule, scheme))
+    simulate_traced(
+        topo,
+        params,
+        &LinkCostModel::Uniform,
+        compile(com, schedule, scheme),
+    )
 }
 
 #[cfg(test)]

@@ -356,7 +356,7 @@ pub(crate) fn measure_sample<T: Topology + ?Sized>(
                 simnet::simulate_costed(topo, params, link_costs, programs)?.makespan_ms()
             }
         }
-        BackendKind::Analytic => AnalyticBackend::default()
+        BackendKind::Analytic => AnalyticBackend
             .estimate_on_costed(params, link_costs, topo, com, schedule, scheme)?
             .makespan_ms(),
     };

@@ -62,7 +62,7 @@ mod report;
 mod scheme;
 
 pub use backend::{
-    AnalyticBackend, BackendKind, BackendReport, ContentionStats, DesBackend, SimBackend, SimMode,
+    AnalyticBackend, BackendKind, BackendReport, ContentionStats, DesBackend, SimBackend,
 };
 pub use commcache::{CacheConfig, CacheStats, SchedCache};
 pub use compile::{compile, compile_ac_send_detect, run_schedule, run_schedule_traced};

@@ -36,7 +36,7 @@ fn s2_reports(com: &CommMatrix, seed: u64) -> Vec<(String, BackendReport)> {
                 ports,
                 ..MachineParams::ipsc860()
             };
-            let report = AnalyticBackend::default()
+            let report = AnalyticBackend
                 .estimate_on(&params, &cube, com, &schedule, Scheme::S2)
                 .unwrap();
             assert_eq!(

@@ -29,9 +29,10 @@
 //! * [`net`] / [`server`] / [`client`] — sockets, the threaded daemon
 //!   shell, and the blocking (pipelining-capable) client.
 //!
-//! Binaries: `schedd` (the daemon), `schedload` (duplicate-heavy load
-//! generator writing `BENCH_schedd_load.json`); `schedctl` (in
-//! `repro_bench`) gains `submit`/`bench`/`stats`/`shutdown` verbs.
+//! Binaries: `schedd` (the daemon); `schedctl` (in `repro_bench`) is
+//! its command-line client (`submit`/`bench`/`stats`/`shutdown`). Load
+//! is measured by the `serve_*` workloads of `benchmark/` (see
+//! `benchmark/README.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

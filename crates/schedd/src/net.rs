@@ -2,8 +2,7 @@
 //!
 //! Everything above this module speaks [`Stream`] (a `Read + Write`
 //! enum over the two socket kinds) and [`Endpoint`] (the parsed address
-//! form shared by the daemon, `schedctl`, and `schedload`). Address
-//! syntax:
+//! form shared by the daemon and `schedctl`). Address syntax:
 //!
 //! * `unix:/path/to.sock` — Unix domain socket (also any bare string
 //!   containing `/`, for CLI convenience);

@@ -15,8 +15,7 @@
 //! Responses can arrive **out of order** relative to their submissions
 //! (the daemon's worker pool races), so every request carries a
 //! `request_id` that the matching response echoes — that is what makes
-//! pipelined submission (the `schedload` hot path) possible over one
-//! connection.
+//! pipelined submission possible over one connection.
 //!
 //! Decoding is hardened the way the artifact store is hardened: hostile
 //! headers, truncation at any byte offset, and single-byte corruption all
@@ -1464,7 +1463,7 @@ impl DaemonStats {
     }
 
     /// Fraction of completed schedule responses that did **not** run a
-    /// compile — the service-level dedup metric `schedload` gates on.
+    /// compile — the service-level dedup metric.
     pub fn dedup_hit_rate(&self) -> f64 {
         if self.completed == 0 {
             0.0

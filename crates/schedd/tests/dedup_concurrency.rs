@@ -212,8 +212,7 @@ fn failing_compile_propagates_the_same_error_to_every_waiter() {
 #[test]
 fn interleaved_duplicate_mix_compiles_each_unique_once() {
     // A duplicate-heavy mix from many threads: every unique fingerprint
-    // compiles exactly once regardless of interleaving — the service
-    // invariant the schedload benchmark measures at scale.
+    // compiles exactly once regardless of interleaving.
     const THREADS: usize = 4;
     const PER_THREAD: usize = 40;
     const UNIQUE: u64 = 5;

@@ -19,17 +19,14 @@ use crate::stats::{SimError, SimReport, SimStats};
 use crate::trace::{TraceEvent, TraceKind};
 use crate::{ClaimPolicy, MachineParams, PortModel};
 
-/// The paper's machine: what every legacy entry point prices under.
-const UNIFORM: &LinkCostModel = &LinkCostModel::Uniform;
-
 /// Safety valve: no legitimate schedule on machines this crate targets comes
 /// anywhere near this many events.
 const EVENT_BUDGET: u64 = 100_000_000;
 
-/// How a caller asked the engine to execute. There is one event loop and
-/// it is exact, so both spellings run it and return identical results;
-/// `Parallel` remains an accepted spelling for the callers (and the
-/// `IPSC_SIM_MODE=parallel[:n]` environment syntax) that name it.
+/// How a caller asks `commrt::DesBackend::with_exec` to execute. There
+/// is one event loop and it is exact, so both spellings run it and return
+/// identical results; `Parallel` remains an accepted spelling for the
+/// callers that name it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecMode {
     /// The single-threaded event loop.
@@ -42,7 +39,8 @@ pub enum ExecMode {
     },
 }
 
-/// Run `programs` (one per node of `topo`) to completion.
+/// Run `programs` (one per node of `topo`) to completion on the paper's
+/// uniform machine.
 ///
 /// # Errors
 ///
@@ -53,17 +51,7 @@ pub fn simulate<T: Topology + ?Sized>(
     params: &MachineParams,
     programs: Vec<Program>,
 ) -> Result<SimReport, SimError> {
-    simulate_with(topo, params, programs, ExecMode::Sequential)
-}
-
-/// Like [`simulate`], under an explicit [`ExecMode`].
-pub fn simulate_with<T: Topology + ?Sized>(
-    topo: &T,
-    params: &MachineParams,
-    programs: Vec<Program>,
-    mode: ExecMode,
-) -> Result<SimReport, SimError> {
-    simulate_costed_with(topo, params, UNIFORM, programs, mode)
+    simulate_costed(topo, params, &LinkCostModel::Uniform, programs)
 }
 
 /// Like [`simulate`], pricing transfers under a [`LinkCostModel`]: routes
@@ -77,48 +65,18 @@ pub fn simulate_costed<T: Topology + ?Sized>(
     cost: &LinkCostModel,
     programs: Vec<Program>,
 ) -> Result<SimReport, SimError> {
-    simulate_costed_with(topo, params, cost, programs, ExecMode::Sequential)
-}
-
-/// Like [`simulate_costed`], under an explicit [`ExecMode`].
-pub fn simulate_costed_with<T: Topology + ?Sized>(
-    topo: &T,
-    params: &MachineParams,
-    cost: &LinkCostModel,
-    programs: Vec<Program>,
-    _mode: ExecMode,
-) -> Result<SimReport, SimError> {
     Sim::new(topo, params, cost, programs, false)?
         .run()
         .map(|(r, _)| r)
 }
 
-/// Like [`simulate`], additionally returning the full execution trace.
+/// Like [`simulate_costed`], additionally returning the full execution
+/// trace.
 pub fn simulate_traced<T: Topology + ?Sized>(
-    topo: &T,
-    params: &MachineParams,
-    programs: Vec<Program>,
-) -> Result<(SimReport, Vec<TraceEvent>), SimError> {
-    simulate_traced_with(topo, params, programs, ExecMode::Sequential)
-}
-
-/// Like [`simulate_traced`], under an explicit [`ExecMode`].
-pub fn simulate_traced_with<T: Topology + ?Sized>(
-    topo: &T,
-    params: &MachineParams,
-    programs: Vec<Program>,
-    mode: ExecMode,
-) -> Result<(SimReport, Vec<TraceEvent>), SimError> {
-    simulate_traced_costed_with(topo, params, UNIFORM, programs, mode)
-}
-
-/// Like [`simulate_traced_with`], pricing under a [`LinkCostModel`].
-pub fn simulate_traced_costed_with<T: Topology + ?Sized>(
     topo: &T,
     params: &MachineParams,
     cost: &LinkCostModel,
     programs: Vec<Program>,
-    _mode: ExecMode,
 ) -> Result<(SimReport, Vec<TraceEvent>), SimError> {
     let (r, t) = Sim::new(topo, params, cost, programs, true)?.run()?;
     Ok((r, t.expect("trace was requested")))

@@ -22,10 +22,9 @@
 
 use commrt::{compile, compile_ac_send_detect, Scheme};
 use commsched::{registry, ScheduleKind};
-use hypercube::Topology;
+use hypercube::Hypercube;
 use simnet::{
-    simulate_traced_costed_with, ExecMode, LinkCostModel, MachineParams, PortModel, Program,
-    SimError, SimReport, TraceEvent,
+    simulate_traced, LinkCostModel, MachineParams, PortModel, SimError, SimReport, TraceEvent,
 };
 use topo::TopologyKind;
 
@@ -93,15 +92,6 @@ fn digest_run(h: &mut Fnv, outcome: Result<(SimReport, Vec<TraceEvent>), SimErro
     }
 }
 
-fn run(
-    topo: &dyn Topology,
-    params: &MachineParams,
-    cost: &LinkCostModel,
-    programs: Vec<Program>,
-) -> Result<(SimReport, Vec<TraceEvent>), SimError> {
-    simulate_traced_costed_with(topo, params, cost, programs, ExecMode::Sequential)
-}
-
 /// One digest per machine for the full battery on `kind`.
 fn fabric_digests(kind: &str) -> Vec<(&'static str, u64)> {
     let topo = TopologyKind::parse(kind).expect("fixture kind").build();
@@ -129,7 +119,7 @@ fn fabric_digests(kind: &str) -> Vec<(&'static str, u64)> {
                 for ((_, params), h) in machines.iter().zip(&mut digests) {
                     digest_run(
                         h,
-                        run(&*topo, params, &LinkCostModel::Uniform, programs.clone()),
+                        simulate_traced(&*topo, params, &LinkCostModel::Uniform, programs.clone()),
                     );
                 }
             }
@@ -216,7 +206,7 @@ fn faulty_cost_model_runs_are_pinned() {
             }
             let schedule = entry.schedule(&com, &*topo, 7);
             let programs = compile(&com, &schedule, Scheme::for_scheduler(entry));
-            digest_run(&mut h, run(&*topo, &params, &cost, programs));
+            digest_run(&mut h, simulate_traced(&*topo, &params, &cost, programs));
         }
         actual.push((kind, h.0));
     }
@@ -268,13 +258,26 @@ fn claim_checks_stay_linear_on_the_densest_s2_cells() {
 
 #[test]
 fn claim_checks_stay_linear_on_the_scale_bench_case() {
-    // `--bench scale`'s des-seq/d10: AC on dregular(d=16, M=4096), 1024 nodes.
-    let topo = TopologyKind::parse("cube:d=10").expect("kind").build();
-    let com = workloads::random_dregular(topo.num_nodes(), 16, 4096, 7);
+    // AC on dregular(d=16, M=4096) as the fabric grows 64 → 1024 nodes:
+    // the deep-pending-set regime. The count is a function of the run,
+    // not of the host, so the bound on the rescan's cost per transfer is
+    // deterministic.
     let entry = registry::find("AC").expect("registered");
-    let schedule = entry.schedule(&com, &*topo, 7);
-    let programs = compile(&com, &schedule, Scheme::S2);
-    let report = simnet::simulate(&*topo, &MachineParams::ipsc860(), programs)
-        .unwrap_or_else(|e| panic!("AC d=10: {e}"));
-    assert_linear_claim_checks("AC on cube:d=10", &report);
+    for dim in [6, 8, 10] {
+        let what = format!("AC on cube:d={dim}");
+        let cube = Hypercube::new(dim);
+        let com = workloads::random_dregular(1 << dim, 16, 4096, 7);
+        let schedule = entry.schedule(&com, &cube, 7);
+        let programs = compile(&com, &schedule, Scheme::S2);
+        let report = simnet::simulate(&cube, &MachineParams::ipsc860(), programs)
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_linear_claim_checks(&what, &report);
+        let stats = &report.stats;
+        assert!(
+            stats.claim_checks <= 12 * stats.transfers,
+            "{what}: {} claim checks for {} transfers",
+            stats.claim_checks,
+            stats.transfers
+        );
+    }
 }

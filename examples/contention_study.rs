@@ -84,10 +84,7 @@ fn main() {
             b.estimate(&params, &cube, &com, &schedule, scheme)
                 .expect("estimates run")
         };
-        let (des, ana) = (
-            report(&DesBackend::default()),
-            report(&AnalyticBackend::default()),
-        );
+        let (des, ana) = (report(&DesBackend::default()), report(&AnalyticBackend));
         println!(
             "{:<6} {:>12.2} {:>12.2} {:>10} {:>14.2}",
             name,

@@ -63,7 +63,7 @@ pub mod prelude {
     pub use commcache::{ArtifactStore, CacheConfig, CacheStats, Fingerprint, SchedCache};
     pub use commrt::{
         run_schedule, AnalyticBackend, BackendKind, BackendReport, DesBackend, ExperimentGrid,
-        ExperimentRunner, GridResult, Scheme, SimBackend, SimMode, WorkloadPoint,
+        ExperimentRunner, GridResult, Scheme, SimBackend, WorkloadPoint,
     };
     pub use commsched::{
         ac, greedy, lp, rs_n, rs_nl, validate_schedule, CommMatrix, Schedule, ScheduleQuality,

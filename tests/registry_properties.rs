@@ -182,10 +182,10 @@ proptest! {
             let scheme = commrt::Scheme::for_scheduler(entry);
             let s = entry.schedule(&com, &cube, seed);
             let s2 = s.relabeled(&perm);
-            let a = commrt::AnalyticBackend::default()
+            let a = commrt::AnalyticBackend
                 .estimate_on(&params, &cube, &com, &s, scheme)
                 .unwrap();
-            let b = commrt::AnalyticBackend::default()
+            let b = commrt::AnalyticBackend
                 .estimate_on(&params, &cube, &com2, &s2, scheme)
                 .unwrap();
             if scheme == commrt::Scheme::S2 {

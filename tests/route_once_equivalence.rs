@@ -108,7 +108,7 @@ fn analytic_digest(fabric: &str) -> u64 {
                             ports,
                             ..MachineParams::ipsc860()
                         };
-                        match AnalyticBackend::default()
+                        match AnalyticBackend
                             .estimate_on_costed(&params, &cost, &*topo, com, &schedule, scheme)
                         {
                             Ok(r) => {
