@@ -211,6 +211,87 @@ mod tests {
         assert!(msgs.contains(&(NodeId(1), NodeId(0), 50)));
     }
 
+    /// What `messages()` promises, spelled as the double loop it replaces.
+    fn naive_messages(m: &CommMatrix) -> Vec<(NodeId, NodeId, u32)> {
+        let mut out = Vec::new();
+        for i in 0..m.n() {
+            for j in 0..m.n() {
+                if m.get(i, j) > 0 {
+                    out.push((NodeId(i as u32), NodeId(j as u32), m.get(i, j)));
+                }
+            }
+        }
+        out
+    }
+
+    fn assert_walk_matches(m: &CommMatrix, what: &str) {
+        let walked: Vec<_> = m.messages().collect();
+        assert_eq!(walked, naive_messages(m), "{what}, n = {}", m.n());
+        assert_eq!(walked.len(), m.message_count(), "{what}, n = {}", m.n());
+    }
+
+    #[test]
+    fn messages_equal_a_naive_double_loop_on_every_shape() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        // The sizes straddle the 64-cell chunk a row is scanned in; 100 is
+        // `mesh:10x10`. Weights include 1 and `u32::MAX`.
+        for n in [1usize, 8, 63, 64, 65, 100, 256] {
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            assert_walk_matches(&CommMatrix::new(n), "empty");
+            let mut full = CommMatrix::new(n);
+            let mut regular = CommMatrix::new(n);
+            let mut dense = CommMatrix::new(n);
+            let mut hot = CommMatrix::new(n);
+            for i in 0..n {
+                for j in (0..n).filter(|&j| j != i) {
+                    full.set(i, j, if (i + j) % 2 == 0 { 1 } else { u32::MAX });
+                    // Circulant: each node sends to its next 8 neighbours.
+                    if (j + n - i) % n <= 8 {
+                        regular.set(i, j, 1024);
+                    }
+                    if rng.random_bool(0.5) {
+                        dense.set(i, j, rng.random_range(1..=u32::MAX));
+                    }
+                    // Two popular receivers and one node that sends to all.
+                    if j < 2 || i == n / 2 {
+                        hot.set(i, j, 256);
+                    }
+                }
+            }
+            assert_walk_matches(&full, "full off-diagonal");
+            assert_walk_matches(&regular, "d-regular");
+            assert_walk_matches(&dense, "dense");
+            assert_walk_matches(&hot, "hot-spot");
+        }
+
+        // 2 000 random matrices at sizes that are not a multiple of 64,
+        // with some rows entirely set and the last settable cell — the
+        // last row's last off-diagonal one — always set.
+        let mut rng = StdRng::seed_from_u64(2000);
+        for case in 0..2000 {
+            let n = loop {
+                let n = rng.random_range(2..200usize);
+                if n % 64 != 0 {
+                    break n;
+                }
+            };
+            let mut m = CommMatrix::new(n);
+            let fill = [0.01, 0.1, 0.5, 0.9][case % 4];
+            for i in 0..n {
+                let whole_row = rng.random_bool(0.05);
+                for j in (0..n).filter(|&j| j != i) {
+                    if whole_row || rng.random_bool(fill) {
+                        m.set(i, j, rng.random_range(1..=u32::MAX));
+                    }
+                }
+            }
+            m.set(n - 1, n - 2, u32::MAX);
+            assert_walk_matches(&m, "random");
+        }
+    }
+
     #[test]
     fn uniformity() {
         let mut m = CommMatrix::new(3);
