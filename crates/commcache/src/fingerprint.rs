@@ -7,55 +7,53 @@ use std::fmt;
 use commsched::CommMatrix;
 use hypercube::Topology;
 
-/// FNV-1a 128-bit offset basis.
-const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-/// FNV-1a 128-bit prime.
-const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
+use crate::checksum::hash128;
 
-/// Streaming FNV-1a over 128 bits. The running state *is* the digest, so
-/// a hash can be resumed from a previously finished value — that is what
-/// makes the instance/request split of the canonical layout exact.
-#[derive(Clone, Copy, Debug)]
-struct Fnv128(u128);
+/// Append a `u32` length and the UTF-8 bytes.
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
+}
 
-impl Fnv128 {
-    fn new() -> Self {
-        Fnv128(FNV128_OFFSET)
-    }
+/// The instance section of the canonical layout, materialized. The
+/// message count is written after the one walk over the matrix that
+/// also emits the records.
+fn instance_section(com: &CommMatrix, topo: &dyn Topology) -> Vec<u8> {
+    // Room for the header and a message per node; the walk finds the
+    // real count, and a denser matrix grows the buffer from here.
+    let mut out = Vec::with_capacity(64 + 12 * com.n());
+    out.extend_from_slice(b"CCFP");
+    out.push(LAYOUT_VERSION);
+    put_str(&mut out, topo.name());
+    out.extend_from_slice(&(topo.num_nodes() as u64).to_le_bytes());
+    out.extend_from_slice(&(topo.link_count() as u64).to_le_bytes());
+    out.extend_from_slice(&(com.n() as u64).to_le_bytes());
+    let count_at = out.len();
+    out.extend_from_slice(&[0; 8]);
+    let mut count = 0u64;
+    com.messages().for_each(|(src, dst, bytes)| {
+        let mut record = [0u8; 12];
+        record[..4].copy_from_slice(&src.0.to_le_bytes());
+        record[4..8].copy_from_slice(&dst.0.to_le_bytes());
+        record[8..].copy_from_slice(&bytes.to_le_bytes());
+        out.extend_from_slice(&record);
+        count += 1;
+    });
+    out[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
+    out
+}
 
-    fn resume(state: u128) -> Self {
-        Fnv128(state)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u128::from(b);
-            self.0 = self.0.wrapping_mul(FNV128_PRIME);
-        }
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn write_str(&mut self, s: &str) {
-        self.write_u32(s.len() as u32);
-        self.write(s.as_bytes());
-    }
-
-    fn finish(self) -> u128 {
-        self.0
-    }
+/// Append the request section of the canonical layout.
+fn request_section(out: &mut Vec<u8>, scheduler_name: &str, seed: u64) {
+    put_str(out, scheduler_name);
+    out.extend_from_slice(&seed.to_le_bytes());
 }
 
 /// The canonical 128-bit key of one scheduling request.
 ///
 /// A schedule is a pure function of *(communication matrix, topology,
-/// scheduler, seed)*. The fingerprint is a 128-bit FNV-1a hash over a
+/// scheduler, seed)*. The fingerprint is a 128-bit hash
+/// ([`hash128`](crate::hash128)) over a
 /// **documented, stable byte serialization** of exactly those inputs, so
 /// a key computed today equals the key computed by another process,
 /// another build, or another machine tomorrow — the property the
@@ -69,7 +67,7 @@ impl Fnv128 {
 /// | field | encoding |
 /// |-------|----------|
 /// | tag | the 4 bytes `b"CCFP"` |
-/// | layout version | `u8` = 1 |
+/// | layout version | `u8` = 2 |
 /// | topology name | `u32` length + bytes ([`Topology::name`]) |
 /// | topology nodes | `u64` ([`Topology::num_nodes`]) |
 /// | topology links | `u64` ([`Topology::link_count`]) |
@@ -81,13 +79,27 @@ impl Fnv128 {
 /// | cost section | *only for non-uniform link costs*: the 4 bytes `b"COST"`, then `u32` length + canonical cost string |
 ///
 /// Everything up to and including the messages is the **instance
-/// section** — hashed alone it yields an [`InstanceKey`]. The scheduler
-/// name and seed form the **request section**; because FNV-1a is a
-/// streaming hash, [`InstanceKey::schedule_key`] continues the hash over
-/// the request section and produces *exactly* the fingerprint of the
-/// full concatenated stream, so the one-shot and two-step derivations
-/// can never disagree. [`canonical_bytes`](crate::canonical_bytes)
-/// materializes the layout for tests and tooling.
+/// section**, the scheduler name and seed form the **request section**,
+/// and the keys are a chain of three hashes, each over the 16
+/// little-endian bytes of the one before followed by the next section:
+///
+/// | key | value |
+/// |-----|-------|
+/// | [`InstanceKey`] | `hash128(instance section)` |
+/// | [`Fingerprint`] | `hash128(instance key ‖ request section)` |
+/// | [`with_cost_model`](Fingerprint::with_cost_model) | `hash128(fingerprint ‖ cost section)`, the identity for `"uniform"` |
+///
+/// [`Fingerprint::compute`] *is* [`InstanceKey::compute`] followed by
+/// [`InstanceKey::schedule_key`], so the one-shot and two-step
+/// derivations can never disagree, and a grid hashes the long instance
+/// section once per matrix however many schedulers and seeds it asks
+/// for. [`canonical_bytes`](crate::canonical_bytes) returns the
+/// instance and request sections, which are built by the same code the
+/// keys hash.
+///
+/// Keys are scoped to a [`LAYOUT_VERSION`]: an artifact stored, or a
+/// delta `base` computed, under another layout is never asked for again —
+/// a miss or an `UnknownBase` and a full resubmit, never a wrong answer.
 ///
 /// The scheduler **name stands in for the scheduler's options**:
 /// registry entries bake their [`commsched::RsOptions`] configuration
@@ -122,14 +134,14 @@ impl Fingerprint {
         u128::from_str_radix(s, 16).ok().map(Fingerprint)
     }
 
-    /// Extend this fingerprint with a link-cost-model section: the bytes
-    /// `b"COST"` followed by the canonical cost string (length-prefixed),
-    /// continued through the same streaming FNV-1a-128.
+    /// Extend this fingerprint with a link-cost-model section: the hash
+    /// of this fingerprint's bytes, `b"COST"` and the canonical cost
+    /// string (length-prefixed).
     ///
-    /// The `"uniform"` model returns the fingerprint **unchanged** — by
-    /// construction, every key (and thus every persisted artifact and
-    /// daemon cache entry) computed before cost models existed stays
-    /// valid, and only non-uniform requests branch into fresh keys.
+    /// The `"uniform"` model returns the fingerprint **unchanged**: a
+    /// uniform request's estimate key is its schedule key (the one
+    /// persisted artifacts and daemon cache entries are stored under),
+    /// and only non-uniform requests branch into fresh keys.
     ///
     /// `canonical` must be the model's canonical rendering (its `Display`
     /// output, which its parser round-trips), never raw user input — two
@@ -138,10 +150,10 @@ impl Fingerprint {
         if canonical == "uniform" {
             return self;
         }
-        let mut h = Fnv128::resume(self.0);
-        h.write(b"COST");
-        h.write_str(canonical);
-        Fingerprint(h.finish())
+        let mut bytes = self.to_bytes().to_vec();
+        bytes.extend_from_slice(b"COST");
+        put_str(&mut bytes, canonical);
+        Fingerprint(hash128(&bytes))
     }
 
     /// The 16 little-endian bytes (artifact header field).
@@ -179,30 +191,15 @@ pub struct InstanceKey(u128);
 impl InstanceKey {
     /// Hash the instance section of the canonical layout.
     pub fn compute(com: &CommMatrix, topo: &dyn Topology) -> InstanceKey {
-        let mut h = Fnv128::new();
-        h.write(b"CCFP");
-        h.write(&[LAYOUT_VERSION]);
-        h.write_str(topo.name());
-        h.write_u64(topo.num_nodes() as u64);
-        h.write_u64(topo.link_count() as u64);
-        h.write_u64(com.n() as u64);
-        h.write_u64(com.message_count() as u64);
-        for (src, dst, bytes) in com.messages() {
-            h.write_u32(src.0);
-            h.write_u32(dst.0);
-            h.write_u32(bytes);
-        }
-        InstanceKey(h.finish())
+        InstanceKey(hash128(&instance_section(com, topo)))
     }
 
-    /// Continue the hash over the request section, producing the full
-    /// [`Fingerprint`] — identical to [`Fingerprint::compute`] by
-    /// construction (streaming hash over the concatenated layout).
+    /// Hash this key's bytes followed by the request section, producing
+    /// the full [`Fingerprint`] — [`Fingerprint::compute`] is this call.
     pub fn schedule_key(self, scheduler_name: &str, seed: u64) -> Fingerprint {
-        let mut h = Fnv128::resume(self.0);
-        h.write_str(scheduler_name);
-        h.write_u64(seed);
-        Fingerprint(h.finish())
+        let mut bytes = self.to_bytes().to_vec();
+        request_section(&mut bytes, scheduler_name, seed);
+        Fingerprint(hash128(&bytes))
     }
 
     /// The 16 little-endian bytes (the daemon's `SubmitDelta` frame names
@@ -228,37 +225,22 @@ impl InstanceKey {
 }
 
 /// Version byte of the canonical layout. Bump it when the serialization
-/// changes shape — every key (and thus every persisted artifact) is
-/// invalidated at once, which is the correct failure mode.
-pub const LAYOUT_VERSION: u8 = 1;
+/// or the hash over it changes — every key (and thus every persisted
+/// artifact) is invalidated at once, which is the correct failure mode.
+pub const LAYOUT_VERSION: u8 = 2;
 
-/// The canonical byte serialization of a full request, materialized. The
-/// hashing path streams and never builds this buffer; it exists so tests
-/// (and tooling) can assert the documented layout byte for byte.
+/// The canonical byte serialization of a full request: the instance
+/// section followed by the request section, from the same two builders
+/// the keys hash, so tests (and tooling) can assert the documented layout
+/// byte for byte.
 pub fn canonical_bytes(
     com: &CommMatrix,
     topo: &dyn Topology,
     scheduler_name: &str,
     seed: u64,
 ) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(b"CCFP");
-    out.push(LAYOUT_VERSION);
-    let name = topo.name();
-    out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-    out.extend_from_slice(name.as_bytes());
-    out.extend_from_slice(&(topo.num_nodes() as u64).to_le_bytes());
-    out.extend_from_slice(&(topo.link_count() as u64).to_le_bytes());
-    out.extend_from_slice(&(com.n() as u64).to_le_bytes());
-    out.extend_from_slice(&(com.message_count() as u64).to_le_bytes());
-    for (src, dst, bytes) in com.messages() {
-        out.extend_from_slice(&src.0.to_le_bytes());
-        out.extend_from_slice(&dst.0.to_le_bytes());
-        out.extend_from_slice(&bytes.to_le_bytes());
-    }
-    out.extend_from_slice(&(scheduler_name.len() as u32).to_le_bytes());
-    out.extend_from_slice(scheduler_name.as_bytes());
-    out.extend_from_slice(&seed.to_le_bytes());
+    let mut out = instance_section(com, topo);
+    request_section(&mut out, scheduler_name, seed);
     out
 }
 
@@ -276,15 +258,21 @@ mod tests {
     }
 
     #[test]
-    fn streaming_hash_matches_the_materialized_layout() {
-        // Fingerprint::compute must equal FNV-1a-128 over canonical_bytes:
-        // the streaming path and the documented layout are one thing.
+    fn keys_are_hash128_of_the_documented_bytes() {
+        // The instance key is the hash of the instance section exactly as
+        // `canonical_bytes` returns it, and the fingerprint is the hash of
+        // that key's bytes followed by the request section.
         let com = sample_com();
         let cube = Hypercube::new(4);
-        let via_stream = Fingerprint::compute(&com, &cube, "RS_NL", 9);
-        let mut h = Fnv128::new();
-        h.write(&canonical_bytes(&com, &cube, "RS_NL", 9));
-        assert_eq!(via_stream.0, h.finish());
+        let bytes = canonical_bytes(&com, &cube, "RS_NL", 9);
+        let (instance, request) = bytes.split_at(bytes.len() - (4 + "RS_NL".len() + 8));
+        let key = InstanceKey::compute(&com, &cube);
+        assert_eq!(key.raw(), hash128(instance));
+        let chained = [&key.to_bytes()[..], request].concat();
+        assert_eq!(
+            Fingerprint::compute(&com, &cube, "RS_NL", 9).0,
+            hash128(&chained)
+        );
     }
 
     #[test]
@@ -336,8 +324,8 @@ mod tests {
 
     #[test]
     fn uniform_cost_section_is_the_identity() {
-        // Keys computed before cost models existed must stay valid: the
-        // uniform model adds nothing to the stream.
+        // A uniform request's estimate key is its schedule key: the
+        // uniform model adds nothing to hash.
         let com = sample_com();
         let cube = Hypercube::new(4);
         let base = Fingerprint::compute(&com, &cube, "RS_NL", 9);
@@ -357,10 +345,11 @@ mod tests {
         // Different parameters of one preset also diverge.
         assert_ne!(faulty, base.with_cost_model("faulty:p=0.05,seed=8"));
         // And the extension matches the documented byte stream.
-        let mut h = Fnv128::resume(base.0);
-        h.write(b"COST");
-        h.write_str("faulty:p=0.05,seed=7");
-        assert_eq!(faulty.0, h.finish());
+        let mut bytes = base.to_bytes().to_vec();
+        bytes.extend_from_slice(b"COST");
+        bytes.extend_from_slice(&20u32.to_le_bytes());
+        bytes.extend_from_slice(b"faulty:p=0.05,seed=7");
+        assert_eq!(faulty.0, hash128(&bytes));
     }
 
     #[test]

@@ -59,7 +59,7 @@ mod incremental;
 mod store;
 
 pub use cache::{schedule_weight_bytes, ShardedCache};
-pub use checksum::checksum64;
+pub use checksum::{checksum64, hash128};
 pub use fingerprint::{canonical_bytes, Fingerprint, InstanceKey, LAYOUT_VERSION};
 pub use incremental::{IncrementalCache, IncrementalConfig, IncrementalStats};
 pub use store::{

@@ -86,6 +86,101 @@ proptest! {
     }
 }
 
+/// Keys of `serve_drift`-shaped neighbours: one 64-node 8-regular base on
+/// `cube:d=6` and chains that drift away from it, each step 1–4 edits — a
+/// message retargeted to an empty cell of its row, or resized to a
+/// neighbouring or a random size. Every 16 steps a chain starts over from
+/// the base. Node 0's first message is never edited and carries the step
+/// number as its size, so no two inputs are equal however the edits fall,
+/// while any two share all but a handful of their 512 records.
+fn drift_keys(count: usize, seed: u64) -> Vec<u128> {
+    // SplitMix64: a few million reproducible draws need no crate.
+    let mut state = seed;
+    let mut below = move |bound: usize| {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % bound as u64) as usize
+    };
+    let n = 64;
+    let cube = Hypercube::new(6);
+    let base = workloads::random_dregular(n, 8, 1024, seed);
+    let (_, counter, _) = base.messages().next().expect("the base has messages");
+    let mut keys = Vec::with_capacity(count);
+    let mut com = base.clone();
+    for step in 0..count {
+        if step % 16 == 0 {
+            com = base.clone();
+        }
+        com.set(0, counter.index(), 1 + step as u32);
+        for _ in 0..1 + below(4) {
+            let src = 1 + below(n - 1);
+            let sent: Vec<usize> = (0..n).filter(|&j| com.get(src, j) > 0).collect();
+            let dst = sent[below(sent.len())];
+            let bytes = com.get(src, dst);
+            match below(4) {
+                0 => com.set(src, dst, bytes.saturating_add(1)),
+                1 => com.set(src, dst, bytes.saturating_sub(1).max(1)),
+                2 => com.set(src, dst, 1 + below(u32::MAX as usize) as u32),
+                _ => {
+                    let to = loop {
+                        let to = below(n);
+                        if to != src && com.get(src, to) == 0 {
+                            break to;
+                        }
+                    };
+                    com.set(src, dst, 0);
+                    com.set(src, to, bytes);
+                }
+            }
+        }
+        let key = InstanceKey::compute(&com, &cube);
+        keys.push(u128::from_le_bytes(key.to_bytes()));
+    }
+    keys
+}
+
+/// Distinct values among `keys` after `part` is applied.
+fn distinct<T: Ord>(keys: &[u128], part: fn(u128) -> T) -> usize {
+    let mut parts: Vec<T> = keys.iter().map(|&k| part(k)).collect();
+    parts.sort_unstable();
+    parts.dedup();
+    parts.len()
+}
+
+#[test]
+fn a_million_drifting_neighbours_never_collide_in_either_half() {
+    // A million keys in an optimised build (CI runs this file with
+    // `--release`); an unoptimised one walks matrices a hundred times
+    // slower, so it hunts through the first 50 000 of the same sequence.
+    let count = if cfg!(debug_assertions) {
+        50_000
+    } else {
+        1_000_000
+    };
+    let keys = drift_keys(count, 18);
+    assert_eq!(distinct(&keys, |k| k), keys.len(), "full keys collide");
+    assert_eq!(distinct(&keys, |k| k as u64), keys.len(), "low halves");
+    assert_eq!(distinct(&keys, |k| (k >> 64) as u64), keys.len(), "high");
+}
+
+#[test]
+fn drifting_neighbours_spread_evenly_over_the_lru_shards() {
+    // The sharded cache takes the low bits of the key (`key % shards`);
+    // 10 000 neighbouring keys must fill 8 shards within 10 % of even.
+    let mut shards = [0usize; 8];
+    for key in drift_keys(10_000, 19) {
+        shards[(key % 8) as usize] += 1;
+    }
+    for (shard, &held) in shards.iter().enumerate() {
+        assert!(
+            (1125..=1375).contains(&held),
+            "shard {shard} holds {held} of 10 000 keys: {shards:?}"
+        );
+    }
+}
+
 /// The cross-process stability contract, pinned: this exact digest was
 /// computed once and hardcoded; any process, platform, or refactor that
 /// produces a different value has silently invalidated every persisted
@@ -100,8 +195,8 @@ fn golden_fingerprint_never_drifts() {
     let fp = Fingerprint::compute(&com, &cube, "RS_NL", 12345);
     assert_eq!(
         fp.to_hex(),
-        "cce9de5dc5df34710e6a70e1bda79edf",
-        "canonical layout drifted — bump LAYOUT_VERSION if intentional"
+        "14ffc61efc583544cdf99e7da0cc7489",
+        "layout 2: hash128 — the key drifted; bump LAYOUT_VERSION if intentional"
     );
     // And the canonical byte stream itself is pinned at the field level.
     let bytes = canonical_bytes(&com, &cube, "RS_NL", 12345);
@@ -130,11 +225,11 @@ fn golden_fingerprints_per_topology_kind() {
     com.set(3, 12, 4096);
     com.set(9, 2, 1);
     let golden = [
-        ("cube:d=4", "318239ece48ae8c4310714ec7b09d00b"),
-        ("mesh:4x4", "ec285f1949d726484e7aca8cb9dc4340"),
-        ("torus:4x4", "ffcb0d17dcf156e246fbf36a8b606427"),
-        ("torus:2x2x2x2", "3ee92d496a09e387632728755bd1e31b"),
-        ("fattree:k=4", "06264410a45349579b2a2cd2fb018ef4"),
+        ("cube:d=4", "04595adf52a82eeaeee8bb6334ff7489"),
+        ("mesh:4x4", "52f5e15845be1730ddba0752dfcaf416"),
+        ("torus:4x4", "f54fca60f41728ce61edfb4b2ed47917"),
+        ("torus:2x2x2x2", "21687512de5f2a3079dacd8f9672e2c4"),
+        ("fattree:k=4", "f610081ee045bbe0da6846316039a7fa"),
     ];
     for (spec, hex) in golden {
         let kind: topo::TopologyKind = spec.parse().unwrap();
@@ -143,7 +238,7 @@ fn golden_fingerprints_per_topology_kind() {
         assert_eq!(
             fp.to_hex(),
             hex,
-            "fingerprint for {spec} drifted — bump LAYOUT_VERSION if intentional"
+            "layout 2: hash128 — the key for {spec} drifted; bump LAYOUT_VERSION if intentional"
         );
     }
     // All five are distinct: same matrix, five incompatible machines.

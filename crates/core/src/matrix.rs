@@ -69,15 +69,28 @@ impl CommMatrix {
         &self.data[i * self.n..(i + 1) * self.n]
     }
 
-    /// Iterate all messages as `(src, dst, bytes)`.
+    /// Iterate all messages as `(src, dst, bytes)`, row-major.
+    ///
+    /// Each row is scanned in 64-cell chunks: `occupancy` turns a chunk
+    /// into a bit mask without a branch per cell, and the set bits are
+    /// popped lowest first, so the cost follows the message count rather
+    /// than one unpredictable branch for each of the `n²` cells.
     pub fn messages(&self) -> impl Iterator<Item = (NodeId, NodeId, u32)> + '_ {
-        (0..self.n).flat_map(move |i| {
-            self.row(i)
-                .iter()
-                .enumerate()
-                .filter(|&(_, &b)| b > 0)
-                .map(move |(j, &b)| (NodeId(i as u32), NodeId(j as u32), b))
-        })
+        self.data
+            .chunks_exact(self.n)
+            .enumerate()
+            .flat_map(|(i, row)| {
+                row.chunks(64).enumerate().flat_map(move |(c, cells)| {
+                    let mut mask = occupancy(cells);
+                    std::iter::from_fn(move || {
+                        (mask != 0).then(|| {
+                            let k = mask.trailing_zeros() as usize;
+                            mask &= mask - 1;
+                            (NodeId(i as u32), NodeId((c * 64 + k) as u32), cells[k])
+                        })
+                    })
+                })
+            })
     }
 
     /// Total number of messages.
@@ -150,6 +163,34 @@ impl CommMatrix {
     pub fn is_symmetric_pattern(&self) -> bool {
         (0..self.n).all(|i| (0..self.n).all(|j| (self.get(i, j) > 0) == (self.get(j, i) > 0)))
     }
+}
+
+/// Bit `k` of the result is set iff `cells[k] != 0` (`cells.len() ≤ 64`).
+///
+/// No branch per cell: a whole chunk goes through [`occupancy64`] as it
+/// is, and a row's shorter tail is zero-padded to one first.
+fn occupancy(cells: &[u32]) -> u64 {
+    match <&[u32; 64]>::try_from(cells) {
+        Ok(whole) => occupancy64(whole),
+        Err(_) => {
+            let mut padded = [0u32; 64];
+            padded[..cells.len()].copy_from_slice(cells);
+            occupancy64(&padded)
+        }
+    }
+}
+
+/// [`occupancy`] of exactly 64 cells, as two 32-bit halves so that each
+/// is an or-reduction over 32-bit lanes with a constant bit per position —
+/// a form the compiler turns into vector compares and masks.
+fn occupancy64(cells: &[u32; 64]) -> u64 {
+    let mut halves = [0u32; 2];
+    for (half, cells) in halves.iter_mut().zip(cells.chunks_exact(32)) {
+        for (k, &bytes) in cells.iter().enumerate() {
+            *half |= u32::from(bytes != 0) << k;
+        }
+    }
+    u64::from(halves[0]) | u64::from(halves[1]) << 32
 }
 
 #[cfg(test)]

@@ -735,7 +735,9 @@ pub struct SubmitRequest {
 impl SubmitRequest {
     /// Encode into a frame body.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.matrix.message_count() * 12);
+        // Room for the envelope and a message per node; the walk finds
+        // the real count, and a denser matrix grows the buffer from here.
+        let mut out = Vec::with_capacity(64 + 12 * self.matrix.n());
         out.push(K_SUBMIT);
         out.extend_from_slice(&self.request_id.to_le_bytes());
         out.push(u8::from(self.want_schedule));
@@ -745,12 +747,19 @@ impl SubmitRequest {
         out.push(backend_code(self.backend));
         out.extend_from_slice(&self.seed.to_le_bytes());
         out.extend_from_slice(&(self.matrix.n() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.matrix.message_count() as u64).to_le_bytes());
-        for (src, dst, bytes) in self.matrix.messages() {
-            out.extend_from_slice(&src.0.to_le_bytes());
-            out.extend_from_slice(&dst.0.to_le_bytes());
-            out.extend_from_slice(&bytes.to_le_bytes());
-        }
+        // The count is known once the one walk over the matrix is done.
+        let count_at = out.len();
+        out.extend_from_slice(&[0; 8]);
+        let mut count = 0u64;
+        self.matrix.messages().for_each(|(src, dst, bytes)| {
+            let mut record = [0u8; 12];
+            record[..4].copy_from_slice(&src.0.to_le_bytes());
+            record[4..8].copy_from_slice(&dst.0.to_le_bytes());
+            record[8..].copy_from_slice(&bytes.to_le_bytes());
+            out.extend_from_slice(&record);
+            count += 1;
+        });
+        out[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
         if !self.cost_model.is_uniform() {
             put_str(&mut out, &self.cost_model.to_string());
         }
@@ -835,6 +844,12 @@ impl SubmitRequest {
             if bytes == 0 {
                 return Err(DecodeError::Invalid(format!(
                     "zero-byte message {src} -> {dst}"
+                )));
+            }
+            // Sizes are non-zero, so a cell already set was listed before.
+            if matrix.get(src, dst) != 0 {
+                return Err(DecodeError::Invalid(format!(
+                    "duplicate message {src} -> {dst}"
                 )));
             }
             matrix.set(src, dst, bytes);
@@ -1734,6 +1749,19 @@ mod tests {
             Request::decode(&[0x7f]),
             Err(DecodeError::BadKind(0x7f))
         ));
+        // A cell listed twice, with two sizes: the daemon must not pick one.
+        let mut twice = CommMatrix::new(16);
+        twice.set(3, 7, 64);
+        twice.set(3, 8, 128);
+        let mut req = sample_request();
+        req.matrix = twice;
+        let mut body = req.encode();
+        let at = body.len() - 8; // the second record's `dst`
+        body[at..at + 4].copy_from_slice(&7u32.to_le_bytes());
+        match Request::decode(&body) {
+            Err(DecodeError::Invalid(what)) => assert_eq!(what, "duplicate message 3 -> 7"),
+            other => panic!("a repeated cell decoded as {other:?}"),
+        }
     }
 
     #[test]

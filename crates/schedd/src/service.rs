@@ -27,7 +27,8 @@ use std::sync::{Arc, Mutex};
 
 use commcache::{CacheConfig, CacheStats, InstanceKey, SchedCache};
 use commrt::BackendReport;
-use commsched::{registry, Schedule};
+use commsched::{registry, Schedule, Scheduler};
+use hypercube::Topology;
 use simnet::MachineParams;
 
 use crate::dedup::{FlightStats, SingleFlight};
@@ -262,15 +263,12 @@ impl ServiceState {
         })
     }
 
-    /// Cheap pre-queue validation: the failures worth rejecting before
-    /// spending a queue slot. Returns the entry's registry name on
-    /// success (needed for nothing else; admission is pure).
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownScheduler`], [`ServiceError::UnsupportedTopology`],
-    /// or [`ServiceError::BadRequest`] on a size mismatch.
-    pub fn admit(&self, req: &SubmitRequest) -> Result<(), ServiceError> {
+    /// The one copy of admission: find the registry entry, check the
+    /// matrix against the topology's size, build the topology and ask the
+    /// entry whether it schedules on it.
+    fn admitted(
+        req: &SubmitRequest,
+    ) -> Result<(&'static dyn Scheduler, Box<dyn Topology>), ServiceError> {
         let entry = registry::find(&req.scheduler)
             .ok_or_else(|| ServiceError::UnknownScheduler(req.scheduler.clone()))?;
         if req.matrix.n() != req.topology.num_nodes() {
@@ -288,7 +286,18 @@ impl ServiceState {
                 topology: req.topology.to_string(),
             });
         }
-        Ok(())
+        Ok((entry, topo))
+    }
+
+    /// Cheap pre-queue validation: the failures worth rejecting before
+    /// spending a queue slot.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::UnknownScheduler`], [`ServiceError::UnsupportedTopology`],
+    /// or [`ServiceError::BadRequest`] on a size mismatch.
+    pub fn admit(&self, req: &SubmitRequest) -> Result<(), ServiceError> {
+        Self::admitted(req).map(|_| ())
     }
 
     /// The full pipeline for one admitted request.
@@ -298,23 +307,7 @@ impl ServiceState {
     /// Everything [`admit`](Self::admit) can raise (so unadmitted
     /// callers still get typed errors), plus [`ServiceError::Sim`].
     pub fn process(&self, req: &SubmitRequest) -> Result<SubmitReply, ServiceError> {
-        let entry = registry::find(&req.scheduler)
-            .ok_or_else(|| ServiceError::UnknownScheduler(req.scheduler.clone()))?;
-        if req.matrix.n() != req.topology.num_nodes() {
-            return Err(ServiceError::BadRequest(format!(
-                "matrix spans {} nodes but topology {} has {}",
-                req.matrix.n(),
-                req.topology,
-                req.topology.num_nodes()
-            )));
-        }
-        let topo = req.topology.build();
-        if !entry.supports_topology(topo.as_ref()) {
-            return Err(ServiceError::UnsupportedTopology {
-                scheduler: entry.name().to_string(),
-                topology: req.topology.to_string(),
-            });
-        }
+        let (entry, topo) = Self::admitted(req)?;
         let key = InstanceKey::compute(&req.matrix, topo.as_ref());
         let fp = key.schedule_key(entry.name(), req.seed);
 
@@ -364,8 +357,12 @@ impl ServiceState {
         // link prices), so `fp` stays the cache/dedup key above. The
         // *estimate* is not: fold the canonical cost string into the
         // memo key via the fingerprint extension — the identity for
-        // uniform, so pre-cost-model keys are unchanged.
-        let est_fp = fp.with_cost_model(&req.cost_model.to_string());
+        // uniform, whose string is therefore never formatted.
+        let est_fp = if req.cost_model.is_uniform() {
+            fp
+        } else {
+            fp.with_cost_model(&req.cost_model.to_string())
+        };
         let estimate_key = (est_fp.0, scheme as u8, req.backend as u8);
         let estimate = match self.estimates.get(estimate_key) {
             Some(report) => report,

@@ -152,7 +152,9 @@ fn hostile_headers_get_typed_errors_and_do_not_kill_the_daemon() {
 fn an_old_protocol_peer_gets_one_malformed_frame_and_a_closed_connection() {
     let (handle, endpoint) = start("oldpeer", ServiceConfig::default());
     // A well-formed SDF1 frame: `Stats { request_id: 1 }` under the old
-    // magic, trailed by the FNV-1a-64 of the body that protocol summed.
+    // magic with SDF1's trailer, the FNV-1a-64 of the body — a literal,
+    // since nothing in the tree computes that sum any more (SDF2 frames
+    // end in `checksum64`).
     let body = Request::Stats { request_id: 1 }.encode();
     let mut wire = b"SDF1".to_vec();
     wire.extend_from_slice(&(body.len() as u32).to_le_bytes());

@@ -596,4 +596,15 @@ fn semantic_garbage_is_invalid_not_panic() {
         Err(DecodeError::Truncated)
     ));
     assert!(matches!(Request::decode(&[]), Err(DecodeError::Truncated)));
+    // A cell listed twice with two sizes is not last-write-wins: the
+    // daemon would schedule a matrix the client never described.
+    let mut two = base.clone();
+    two.matrix.set(0, 2, 32);
+    let mut repeated = two.encode();
+    let at = repeated.len() - 8; // the second record's `dst`
+    repeated[at..at + 4].copy_from_slice(&1u32.to_le_bytes());
+    match Request::decode(&repeated) {
+        Err(DecodeError::Invalid(what)) => assert_eq!(what, "duplicate message 0 -> 1"),
+        other => panic!("a repeated cell decoded as {other:?}"),
+    }
 }
