@@ -8,6 +8,10 @@
 //! addition — whichever the shape leaves room for). The delta's `base`
 //! key is a fixed byte string, not a computed [`InstanceKey`], so the
 //! digests depend on the wire layout alone and not on the key layout.
+//!
+//! The size table only names cubes and meshes; a second table pins the
+//! same two digests on two tori, a fat-tree and the 1×1 mesh, so each of
+//! the four topology kind bytes sits in front of a pinned body.
 
 use commcache::{checksum64, InstanceKey};
 use commrt::BackendKind;
@@ -96,14 +100,14 @@ fn costs() -> [LinkCostModel; 2] {
     ]
 }
 
-fn submit_digest(n: usize, matrix: &CommMatrix) -> u64 {
+fn submit_digest(topology: &TopologySpec, matrix: &CommMatrix) -> u64 {
     let mut bodies = Vec::new();
     for cost_model in costs() {
         bodies.extend(
             Request::Submit(SubmitRequest {
                 request_id: 0x0102_0304_0506_0708,
                 want_schedule: true,
-                topology: topology(n),
+                topology: topology.clone(),
                 scheduler: "RS_NL".into(),
                 scheme: SchemeChoice::Default,
                 backend: BackendKind::Analytic,
@@ -117,7 +121,7 @@ fn submit_digest(n: usize, matrix: &CommMatrix) -> u64 {
     checksum64(&bodies)
 }
 
-fn delta_digest(n: usize, matrix: &CommMatrix) -> u64 {
+fn delta_digest(topology: &TopologySpec, matrix: &CommMatrix) -> u64 {
     let delta = MatrixDelta::diff(matrix, &drifted(matrix)).unwrap();
     let mut bodies = Vec::new();
     for cost_model in costs() {
@@ -125,7 +129,7 @@ fn delta_digest(n: usize, matrix: &CommMatrix) -> u64 {
             Request::SubmitDelta(SubmitDeltaRequest {
                 request_id: 0x1112_1314_1516_1718,
                 want_schedule: false,
-                topology: topology(n),
+                topology: topology.clone(),
                 scheduler: "GREEDY".into(),
                 scheme: SchemeChoice::S2,
                 backend: BackendKind::Des,
@@ -193,7 +197,13 @@ fn submit_and_delta_bodies_are_pinned_byte_for_byte() {
         let shapes = if n == 1 { &SHAPES[3..4] } else { &SHAPES[..] };
         for &shape in shapes {
             let com = matrix(shape, n);
-            actual.push((n, shape, submit_digest(n, &com), delta_digest(n, &com)));
+            let topology = topology(n);
+            actual.push((
+                n,
+                shape,
+                submit_digest(&topology, &com),
+                delta_digest(&topology, &com),
+            ));
         }
     }
     let rendered: String = actual
@@ -204,6 +214,81 @@ fn submit_and_delta_bodies_are_pinned_byte_for_byte() {
         actual.as_slice() == PINNED,
         "the wire bytes moved; the encoder now produces\n{rendered}"
     );
+}
+
+/// The fabrics the size table leaves out, so that every topology kind
+/// byte (0 cube, 1 mesh, 2 torus, 3 fat-tree) has a pinned body.
+fn fabrics() -> [(&'static str, TopologySpec); 4] {
+    [
+        (
+            "torus:4x4",
+            TopologySpec::Torus {
+                extents: vec![4, 4],
+            },
+        ),
+        (
+            "torus:4x4x2",
+            TopologySpec::Torus {
+                extents: vec![4, 4, 2],
+            },
+        ),
+        ("fattree:k=4", TopologySpec::FatTree { k: 4 }),
+        ("mesh:1x1", TopologySpec::Mesh2d { rows: 1, cols: 1 }),
+    ]
+}
+
+/// `(fabric, submit digest, delta digest)` over the d-regular matrix of
+/// the fabric's size (the empty one on a single node), uniform body then
+/// `loggp` body as above.
+const PINNED_FABRICS: &[(&str, u64, u64)] = &[
+    ("torus:4x4", 0xb155_9a68_3c97_1b78, 0x62bb_11a4_2262_58f8),
+    ("torus:4x4x2", 0x799d_c77c_ef61_bff4, 0x0ce6_3341_8e17_c09d),
+    ("fattree:k=4", 0x17aa_5985_cb38_5500, 0xe1c7_6aed_471c_92c2),
+    ("mesh:1x1", 0xc832_77a6_ddcf_8d1b, 0xbba2_4e24_3554_eee9),
+];
+
+#[test]
+fn every_topology_kind_is_pinned_byte_for_byte() {
+    let actual: Vec<(&str, u64, u64)> = fabrics()
+        .into_iter()
+        .map(|(name, topology)| {
+            let n = topology.num_nodes();
+            let com = matrix(if n == 1 { "empty" } else { "dregular" }, n);
+            (
+                name,
+                submit_digest(&topology, &com),
+                delta_digest(&topology, &com),
+            )
+        })
+        .collect();
+    let rendered: String = actual
+        .iter()
+        .map(|(name, s, d)| format!("    ({name:?}, {s:#018x}, {d:#018x}),\n"))
+        .collect();
+    assert!(
+        actual.as_slice() == PINNED_FABRICS,
+        "the wire bytes moved; the encoder now produces\n{rendered}"
+    );
+    // The kind byte sits behind the frame kind, the id and the flag.
+    let kinds: Vec<u8> = fabrics()
+        .into_iter()
+        .map(|(_, topology)| {
+            let n = topology.num_nodes();
+            Request::Submit(SubmitRequest {
+                request_id: 0,
+                want_schedule: false,
+                topology,
+                scheduler: "AC".into(),
+                scheme: SchemeChoice::Default,
+                backend: BackendKind::Analytic,
+                seed: 0,
+                matrix: CommMatrix::new(n),
+                cost_model: LinkCostModel::Uniform,
+            })
+            .encode()[10]
+        })
+        .collect();
+    assert_eq!(kinds, [2, 2, 3, 1]);
 }
 
 #[test]
