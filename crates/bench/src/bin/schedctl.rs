@@ -53,7 +53,8 @@ use commrt::BackendKind;
 use commsched::{registry, Scheduler};
 use hypercube::Hypercube;
 use repro_bench::{write_bench_json, BenchCase};
-use schedd::{Client, Endpoint, SchemeChoice, SubmitRequest, TopologySpec};
+use schedd::{Client, Endpoint, SchemeChoice, SubmitRequest};
+use topo::TopologyKind;
 use workloads::{Generator, SampleSet};
 
 const USAGE: &str = "\
@@ -466,19 +467,8 @@ fn connect(opts: &[String]) -> Result<Client, String> {
 /// Build one request from the shared submit/bench flags.
 fn request_from(opts: &[String]) -> Result<SubmitRequest, String> {
     if let Some(spec) = opt_value(opts, "--topo")? {
-        let kind = topo::TopologyKind::parse(spec).map_err(|e| format!("--topo: {e}"))?;
-        let topology = match &kind {
-            topo::TopologyKind::Cube { dims } => TopologySpec::Hypercube { dims: *dims },
-            topo::TopologyKind::Mesh { rows, cols } => TopologySpec::Mesh2d {
-                rows: *rows,
-                cols: *cols,
-            },
-            topo::TopologyKind::Torus { extents } => TopologySpec::Torus {
-                extents: extents.clone(),
-            },
-            topo::TopologyKind::FatTree { k } => TopologySpec::FatTree { k: *k },
-        };
-        return request_on(opts, topology, kind.num_nodes());
+        let kind = TopologyKind::parse(spec).map_err(|e| format!("--topo: {e}"))?;
+        return request_on(opts, kind);
     }
     let n: usize = opt_parsed(opts, "--n", 16)?;
     if !n.is_power_of_two() {
@@ -492,14 +482,14 @@ fn request_from(opts: &[String]) -> Result<SubmitRequest, String> {
 fn request_with_n(opts: &[String], n: usize) -> Result<SubmitRequest, String> {
     request_on(
         opts,
-        TopologySpec::Hypercube {
+        TopologyKind::Hypercube {
             dims: n.trailing_zeros(),
         },
-        n,
     )
 }
 
-fn request_on(opts: &[String], topology: TopologySpec, n: usize) -> Result<SubmitRequest, String> {
+fn request_on(opts: &[String], topology: TopologyKind) -> Result<SubmitRequest, String> {
+    let n = topology.num_nodes();
     let d: usize = opt_parsed(opts, "--d", 4.min(n - 1))?;
     let bytes: u32 = opt_parsed(opts, "--bytes", 1024)?;
     let seed: u64 = opt_parsed(opts, "--seed", 0)?;

@@ -114,17 +114,6 @@ impl CacheConfig {
         }
     }
 
-    /// Persistent cache at the conventional `results/cache/` location.
-    pub fn persistent_default_dir() -> Self {
-        CacheConfig::persistent(ArtifactStore::default_dir())
-    }
-
-    /// Override the shard count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Override the in-memory byte budget.
     pub fn with_byte_budget(mut self, bytes: usize) -> Self {
         self.byte_budget = bytes;

@@ -457,12 +457,6 @@ impl AdHoc {
         self.ordinal = ordinal;
         self
     }
-
-    /// Override the descriptive section string.
-    pub fn with_section(mut self, section: impl Into<String>) -> Self {
-        self.section = section.into();
-        self
-    }
 }
 
 impl Scheduler for AdHoc {

@@ -165,8 +165,8 @@ pub trait SimBackend: Send + Sync {
 
 /// Shared input validation: the schedule must belong to the matrix and
 /// the matrix must fit the machine.
-fn check_shapes<T: Topology + ?Sized>(
-    topo: &T,
+fn check_shapes(
+    topo: &dyn Topology,
     com: &CommMatrix,
     schedule: &Schedule,
 ) -> Result<(), SimError> {
@@ -199,8 +199,8 @@ fn check_shapes<T: Topology + ?Sized>(
 ///
 /// [`SimError::LinkDown`] when the route crosses a down link with no
 /// detour.
-fn circuit_into<T: Topology + ?Sized>(
-    topo: &T,
+fn circuit_into(
+    topo: &dyn Topology,
     cost: &LinkCostModel,
     src: NodeId,
     dst: NodeId,
@@ -384,11 +384,11 @@ impl AnalyticBackend {
     /// first-send lead instead, keeping the estimate invariant under
     /// topology automorphisms (the metamorphic suite pins that) at the
     /// cost of a small, degree-bounded undershoot.
-    fn estimate_pool<T: Topology + ?Sized, P: Iterator<Item = (NodeId, NodeId)>>(
+    fn estimate_pool<P: Iterator<Item = (NodeId, NodeId)>>(
         &self,
         params: &MachineParams,
         cost: &LinkCostModel,
-        topo: &T,
+        topo: &dyn Topology,
         com: &CommMatrix,
         phases: impl Iterator<Item = P>,
         ramped: bool,
@@ -473,11 +473,11 @@ impl AnalyticBackend {
     /// *both* of, so the estimate takes the phase-wise minimum of the
     /// two. For a single contention-free phase both collapse to
     /// `lead + busy`, the event engine's exact answer.
-    fn estimate_s1<T: Topology + ?Sized>(
+    fn estimate_s1(
         &self,
         params: &MachineParams,
         cost: &LinkCostModel,
-        topo: &T,
+        topo: &dyn Topology,
         com: &CommMatrix,
         schedule: &Schedule,
     ) -> Result<BackendReport, SimError> {
@@ -606,41 +606,27 @@ impl AnalyticBackend {
     }
 }
 
-impl AnalyticBackend {
-    /// [`SimBackend::estimate`] for any (possibly unsized) topology type —
-    /// the generic entry point the experiment runner's hot path uses; the
-    /// trait method delegates here.
-    ///
-    /// # Errors
-    ///
-    /// See [`SimBackend::estimate`].
-    pub fn estimate_on<T: Topology + ?Sized>(
+impl SimBackend for AnalyticBackend {
+    fn name(&self) -> &'static str {
+        "analytic"
+    }
+
+    fn estimate(
         &self,
         params: &MachineParams,
-        topo: &T,
+        topo: &dyn Topology,
         com: &CommMatrix,
         schedule: &Schedule,
         scheme: Scheme,
     ) -> Result<BackendReport, SimError> {
-        self.estimate_on_costed(params, &LinkCostModel::Uniform, topo, com, schedule, scheme)
+        self.estimate_costed(params, &LinkCostModel::Uniform, topo, com, schedule, scheme)
     }
 
-    /// [`AnalyticBackend::estimate_on`] under a [`LinkCostModel`]: the
-    /// analytic model prices every pool occupancy per-link, routing
-    /// around dead links where the topology offers a detour.
-    ///
-    /// The `uniform` model takes the exact legacy arithmetic path, so
-    /// its estimates are byte-identical to [`AnalyticBackend::estimate_on`].
-    ///
-    /// # Errors
-    ///
-    /// See [`SimBackend::estimate`]; additionally [`SimError::LinkDown`]
-    /// when a transfer's route crosses a dead link and no detour exists.
-    pub fn estimate_on_costed<T: Topology + ?Sized>(
+    fn estimate_costed(
         &self,
         params: &MachineParams,
         cost: &LinkCostModel,
-        topo: &T,
+        topo: &dyn Topology,
         com: &CommMatrix,
         schedule: &Schedule,
         scheme: Scheme,
@@ -663,35 +649,6 @@ impl AnalyticBackend {
                 Scheme::S1 => self.estimate_s1(params, cost, topo, com, schedule),
             },
         }
-    }
-}
-
-impl SimBackend for AnalyticBackend {
-    fn name(&self) -> &'static str {
-        "analytic"
-    }
-
-    fn estimate(
-        &self,
-        params: &MachineParams,
-        topo: &dyn Topology,
-        com: &CommMatrix,
-        schedule: &Schedule,
-        scheme: Scheme,
-    ) -> Result<BackendReport, SimError> {
-        self.estimate_on(params, topo, com, schedule, scheme)
-    }
-
-    fn estimate_costed(
-        &self,
-        params: &MachineParams,
-        cost: &LinkCostModel,
-        topo: &dyn Topology,
-        com: &CommMatrix,
-        schedule: &Schedule,
-        scheme: Scheme,
-    ) -> Result<BackendReport, SimError> {
-        self.estimate_on_costed(params, cost, topo, com, schedule, scheme)
     }
 }
 

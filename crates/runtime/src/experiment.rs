@@ -5,7 +5,7 @@ use simnet::{LinkCostModel, MachineParams, SimError};
 use std::sync::{Arc, Mutex};
 use workloads::SampleSet;
 
-use crate::backend::{AnalyticBackend, BackendKind};
+use crate::backend::{AnalyticBackend, BackendKind, SimBackend};
 use crate::{compile, Scheme};
 
 /// Aggregated measurements of one experiment cell (one algorithm at one
@@ -193,9 +193,9 @@ impl ExperimentRunner {
     ///
     /// [`SimError::BadParams`] for an empty sample set, otherwise the
     /// first [`SimError`] of any sample (by sample index).
-    pub fn run_cell<T: Topology + ?Sized>(
+    pub fn run_cell(
         &self,
-        topo: &T,
+        topo: &dyn Topology,
         set: &SampleSet,
         gen: &(dyn Fn(u64) -> CommMatrix + Sync),
         sched: &(dyn Fn(&CommMatrix, u64) -> Schedule + Sync),
@@ -213,9 +213,9 @@ impl ExperimentRunner {
     /// [`ExperimentRunner::run_cell`] with an `Arc`-returning schedule
     /// closure — the internal spine, so cache-served schedules are shared
     /// by pointer instead of deep-cloned per sample.
-    fn run_cell_arc<T: Topology + ?Sized>(
+    fn run_cell_arc(
         &self,
-        topo: &T,
+        topo: &dyn Topology,
         set: &SampleSet,
         gen: &(dyn Fn(u64) -> CommMatrix + Sync),
         sched: &(dyn Fn(&CommMatrix, u64) -> Arc<Schedule> + Sync),
@@ -289,9 +289,9 @@ impl ExperimentRunner {
         }
     }
 
-    fn run_sample<T: Topology + ?Sized>(
+    fn run_sample(
         &self,
-        topo: &T,
+        topo: &dyn Topology,
         seed: u64,
         gen: &dyn Fn(u64) -> CommMatrix,
         sched: &dyn Fn(&CommMatrix, u64) -> Arc<Schedule>,
@@ -334,9 +334,9 @@ pub(crate) struct Pricing<'a> {
 /// `scheme` and run the untraced event engine — so default measurements
 /// are bit-identical to every release before backends existed.
 /// [`BackendKind::Analytic`] skips program compilation entirely.
-pub(crate) fn measure_sample<T: Topology + ?Sized>(
+pub(crate) fn measure_sample(
     pricing: &Pricing<'_>,
-    topo: &T,
+    topo: &dyn Topology,
     com: &CommMatrix,
     schedule: &Schedule,
     scheme: Scheme,
@@ -350,14 +350,10 @@ pub(crate) fn measure_sample<T: Topology + ?Sized>(
     let comm_ms = match backend {
         BackendKind::Des => {
             let programs = compile(com, schedule, scheme);
-            if link_costs.is_uniform() {
-                simnet::simulate(topo, params, programs)?.makespan_ms()
-            } else {
-                simnet::simulate_costed(topo, params, link_costs, programs)?.makespan_ms()
-            }
+            simnet::simulate_costed(topo, params, link_costs, programs)?.makespan_ms()
         }
         BackendKind::Analytic => AnalyticBackend
-            .estimate_on_costed(params, link_costs, topo, com, schedule, scheme)?
+            .estimate_costed(params, link_costs, topo, com, schedule, scheme)?
             .makespan_ms(),
     };
     Ok(SampleOutcome {

@@ -911,12 +911,6 @@ impl GridResult {
         (0..self.columns.len()).filter_map(move |col| self.at(col, point))
     }
 
-    /// All cells of one scheduler column (first topology), in point
-    /// order — the shape of one figure curve.
-    pub fn column_cells(&self, col: usize) -> impl Iterator<Item = &GridCell> + '_ {
-        (0..self.points.len()).filter_map(move |point| self.at(col, point))
-    }
-
     /// Index of the column whose scheduler has `name` (first match).
     pub fn find_column(&self, name: &str) -> Option<usize> {
         self.columns

@@ -15,7 +15,7 @@
 //! paper's grid, the benchmark and the daemon's workloads are made of —
 //! never dips; hot-spot traffic does, and `phase_ns` absorbs it.
 
-use commrt::{AnalyticBackend, BackendReport, Scheme};
+use commrt::{AnalyticBackend, BackendReport, Scheme, SimBackend};
 use commsched::CommMatrix;
 use hypercube::Hypercube;
 use simnet::{MachineParams, PortModel};
@@ -37,7 +37,7 @@ fn s2_reports(com: &CommMatrix, seed: u64) -> Vec<(String, BackendReport)> {
                 ..MachineParams::ipsc860()
             };
             let report = AnalyticBackend
-                .estimate_on(&params, &cube, com, &schedule, Scheme::S2)
+                .estimate(&params, &cube, com, &schedule, Scheme::S2)
                 .unwrap();
             assert_eq!(
                 report.phase_end_ns.last().copied().unwrap_or(0),

@@ -52,9 +52,13 @@ pub use net::{Endpoint, Stream};
 pub use protocol::{
     read_frame, write_frame, DaemonStats, DecodeError, ErrorCode, ErrorReply, FrameError,
     ProtocolLimits, Request, Response, SchemeChoice, SubmitDeltaRequest, SubmitReply,
-    SubmitRequest, TopologySpec, FRAME_MAGIC,
+    SubmitRequest, FRAME_MAGIC,
 };
 pub use queue::{BoundedQueue, PushError};
 pub use server::{Server, ServerHandle};
 pub use service::{ServiceConfig, ServiceError, ServiceState};
 pub use simnet::{CostModelError, LinkCostModel};
+/// The fabric a request names is a [`topo::TopologyKind`]; `protocol`
+/// holds only its wire codec. The alias survives because `benchmark/`
+/// spells it.
+pub use topo::TopologyKind as TopologySpec;

@@ -24,10 +24,15 @@
 //! length-prefixed stream format cannot otherwise see). The property
 //! suite in `tests/protocol_roundtrip.rs` pins exactly that.
 //!
-//! Schedules inside [`SubmitReply`] frames reuse the commcache artifact
-//! serialization ([`commcache::encode_artifact`]): one payload format on
-//! disk and on the wire, one corruption suite hardening both.
+//! Two payloads are other crates' types that this module only carries.
+//! The fabric a request names is a [`topo::TopologyKind`]: the codec here
+//! writes its kind byte and fields, its structural bounds are
+//! [`TopologyKind::validate`]'s, and errors print it as the kind string
+//! `schedctl --topo` parses. Schedules inside [`SubmitReply`] frames are
+//! commcache artifacts ([`commcache::encode_artifact`]): one payload
+//! format on disk and on the wire, one corruption suite hardening both.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
@@ -35,8 +40,9 @@ use std::sync::Arc;
 use commcache::{checksum64, Fingerprint, InstanceKey};
 use commrt::{BackendKind, BackendReport, ContentionStats, Scheme};
 use commsched::{CommMatrix, MatrixDelta, Schedule, Scheduler};
-use hypercube::{Hypercube, Mesh2d, NodeId, Topology};
+use hypercube::NodeId;
 use simnet::LinkCostModel;
+use topo::TopologyKind;
 
 /// Leading magic of every frame; the trailing `2` is the protocol
 /// version, so a future layout change is a new magic, not an ambiguity.
@@ -58,9 +64,6 @@ pub const MAX_COSTMODEL_LEN: usize = 128;
 /// force a large allocation on an unconfigured daemon.
 pub const MAX_REQUEST_NODES: u64 = 1024;
 
-/// Default for [`ProtocolLimits::max_dims`] (`2^10` nodes).
-pub const MAX_DIMS: u32 = 10;
-
 /// Default for [`ProtocolLimits::max_matrix_cells`]: 2^26 dense cells
 /// (a 256 MiB `u32` matrix) — the allocation bomb guard that stays in
 /// force however high `--max-nodes` is raised.
@@ -74,8 +77,9 @@ pub const MAX_MATRIX_CELLS: u64 = 1 << 26;
 /// caps the protocol shipped with); a daemon serving bigger fabrics
 /// passes its own limits via [`Request::decode_with`].
 ///
-/// [`max_matrix_cells`](Self::max_matrix_cells) is deliberately
-/// independent of the node cap: a dense [`CommMatrix`] costs `n²`
+/// The node cap bounds [`TopologyKind::num_nodes`] of every decoded
+/// fabric, whatever its kind. [`max_matrix_cells`](Self::max_matrix_cells)
+/// is deliberately independent of it: a dense [`CommMatrix`] costs `n²`
 /// cells, so raising `--max-nodes` alone must not let a single frame
 /// demand a 16 GiB matrix — topology-sized requests above the cell
 /// budget are rejected with [`DecodeError::LimitExceeded`] before the
@@ -84,8 +88,6 @@ pub const MAX_MATRIX_CELLS: u64 = 1 << 26;
 pub struct ProtocolLimits {
     /// Largest node count a request may carry.
     pub max_request_nodes: u64,
-    /// Largest hypercube dimension a request may name.
-    pub max_dims: u32,
     /// Largest dense matrix (`n²` cells) a decode may allocate.
     pub max_matrix_cells: u64,
 }
@@ -94,22 +96,19 @@ impl Default for ProtocolLimits {
     fn default() -> Self {
         ProtocolLimits {
             max_request_nodes: MAX_REQUEST_NODES,
-            max_dims: MAX_DIMS,
             max_matrix_cells: MAX_MATRIX_CELLS,
         }
     }
 }
 
 impl ProtocolLimits {
-    /// Limits for a daemon admitting up to `nodes` nodes: the dimension
-    /// cap follows as `ceil(log2(nodes))`, and the matrix-cell bomb
-    /// guard keeps its default — node count bounds what a request may
-    /// *name*, the cell budget bounds what a decode may *allocate*.
+    /// Limits for a daemon admitting up to `nodes` nodes. The
+    /// matrix-cell bomb guard keeps its default — node count bounds what
+    /// a request may *name*, the cell budget bounds what a decode may
+    /// *allocate*.
     pub fn with_max_nodes(nodes: u64) -> Self {
-        let nodes = nodes.max(2);
         ProtocolLimits {
             max_request_nodes: nodes,
-            max_dims: (u64::BITS - (nodes - 1).leading_zeros()).max(1),
             ..ProtocolLimits::default()
         }
     }
@@ -372,6 +371,48 @@ impl<'a> Rd<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadString(field))
     }
 
+    /// One byte naming a value of `T`; an unassigned code is a typed
+    /// error carrying `field`.
+    fn coded<T>(
+        &mut self,
+        field: &'static str,
+        from_code: impl FnOnce(u8) -> Option<T>,
+    ) -> Result<T, DecodeError> {
+        let code = self.u8()?;
+        from_code(code).ok_or(DecodeError::BadValue {
+            field,
+            value: code.into(),
+        })
+    }
+
+    fn flag(&mut self, field: &'static str) -> Result<bool, DecodeError> {
+        self.coded(field, |code| (code <= 1).then_some(code == 1))
+    }
+
+    /// A `u64` count of `record`-byte entries, bounded by the bytes
+    /// actually present so nothing is allocated for a claim the body
+    /// cannot back.
+    fn count(&mut self, record: usize) -> Result<usize, DecodeError> {
+        match usize::try_from(self.u64()?) {
+            Ok(count) if count <= self.remaining() / record => Ok(count),
+            _ => Err(DecodeError::Truncated),
+        }
+    }
+
+    /// A [`count`](Self::count)-prefixed list of `record`-byte entries.
+    fn list<T>(
+        &mut self,
+        record: usize,
+        mut entry: impl FnMut(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        let count = self.count(record)?;
+        let mut entries = Vec::with_capacity(count);
+        for _ in 0..count {
+            entries.push(entry(self)?);
+        }
+        Ok(entries)
+    }
+
     fn remaining(&self) -> usize {
         self.bytes.len() - self.at
     }
@@ -390,259 +431,91 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// The 12-byte `(src, dst, bytes)` record of a matrix cell, assembled
+/// first so the body grows once per message.
+fn put_message(out: &mut Vec<u8>, (src, dst, bytes): (NodeId, NodeId, u32)) {
+    let mut record = [0u8; 12];
+    record[..4].copy_from_slice(&src.0.to_le_bytes());
+    record[4..8].copy_from_slice(&dst.0.to_le_bytes());
+    record[8..].copy_from_slice(&bytes.to_le_bytes());
+    out.extend_from_slice(&record);
+}
+
 // ---------------------------------------------------------------------------
 // Request model
 // ---------------------------------------------------------------------------
 
-/// The topology a request schedules on, as named on the wire.
-///
-/// Wire kind bytes: 0 hypercube, 1 mesh, 2 torus, 3 fat-tree. Old peers
-/// reject the new kinds with `topology.kind` — a typed decode error, not
-/// a protocol break.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub enum TopologySpec {
-    /// `dims`-dimensional hypercube under e-cube routing.
-    Hypercube {
-        /// Cube dimension (1 ≤ dims ≤ [`MAX_DIMS`]).
-        dims: u32,
-    },
-    /// `rows × cols` 2-D mesh under XY routing.
-    Mesh2d {
-        /// Mesh rows (≥ 1).
-        rows: u32,
-        /// Mesh columns (≥ 1).
-        cols: u32,
-    },
-    /// k-ary n-cube torus under dimension-ordered shortest-direction
-    /// routing.
-    Torus {
-        /// Per-dimension ring extents (1–8 dims, each ≥ 2).
-        extents: Vec<u32>,
-    },
-    /// k-ary fat-tree under deterministic up-down routing.
-    FatTree {
-        /// Switch arity (even, 2 ≤ k ≤ 64); hosts = k³/4.
-        k: u32,
-    },
-}
-
-impl TopologySpec {
-    /// Number of nodes the spec describes, saturating at `usize::MAX`.
-    ///
-    /// Hand-built specs are not bounded by [`ProtocolLimits`], so the
-    /// arithmetic here must never overflow: a hostile
-    /// `torus(4294967295x4294967295x…)` saturates instead of panicking,
-    /// and the decode-side comparison against the matrix node count then
-    /// rejects it as a typed mismatch.
-    pub fn num_nodes(&self) -> usize {
-        match self {
-            TopologySpec::Hypercube { dims } => 1usize.checked_shl(*dims).unwrap_or(usize::MAX),
-            TopologySpec::Mesh2d { rows, cols } => (*rows as usize).saturating_mul(*cols as usize),
-            TopologySpec::Torus { extents } => extents
-                .iter()
-                .try_fold(1usize, |acc, &k| acc.checked_mul(k as usize))
-                .unwrap_or(usize::MAX),
-            TopologySpec::FatTree { k } => {
-                let k = *k as usize;
-                k.saturating_mul(k).saturating_mul(k) / 4
-            }
+/// Write a fabric as its wire kind byte (0 hypercube, 1 mesh, 2 torus,
+/// 3 fat-tree) and the kind's `u32` fields; a torus carries its
+/// dimension count first.
+fn encode_topology(kind: &TopologyKind, out: &mut Vec<u8>) {
+    match kind {
+        TopologyKind::Hypercube { dims } => {
+            out.push(0);
+            out.extend_from_slice(&dims.to_le_bytes());
         }
-    }
-
-    /// Materialize the topology, surfacing impossible specs as typed
-    /// errors instead of panicking in the builders.
-    ///
-    /// Specs that came through [`Request::decode`] have already passed
-    /// the [`ProtocolLimits`] bounds and cannot fail here; hand-built
-    /// specs (tests, embedding code) get the same hardening the decoder
-    /// provides.
-    pub fn try_build(&self) -> Result<Box<dyn Topology>, DecodeError> {
-        match self {
-            TopologySpec::Hypercube { dims } => {
-                // Mirror `Hypercube::new`'s own bound so its assert can
-                // never fire on a hand-built spec.
-                if !(1..=20).contains(dims) {
-                    return Err(DecodeError::BadValue {
-                        field: "topology.dims",
-                        value: (*dims).into(),
-                    });
-                }
-                Ok(Box::new(Hypercube::new(*dims)))
-            }
-            TopologySpec::Mesh2d { rows, cols } => {
-                let nodes = u64::from(*rows) * u64::from(*cols);
-                // Mirror `Mesh2d::new`'s bounds: positive extents, node
-                // count within u32.
-                if *rows == 0 || *cols == 0 || nodes > u64::from(u32::MAX) {
-                    return Err(DecodeError::BadValue {
-                        field: "topology.mesh",
-                        value: nodes,
-                    });
-                }
-                Ok(Box::new(Mesh2d::new(*rows as usize, *cols as usize)))
-            }
-            TopologySpec::Torus { extents } => {
-                let extents: Vec<usize> = extents.iter().map(|&k| k as usize).collect();
-                topo::Torus::try_new(&extents)
-                    .map(|t| Box::new(t) as Box<dyn Topology>)
-                    .map_err(|e| DecodeError::Invalid(format!("{self}: {e}")))
-            }
-            TopologySpec::FatTree { k } => topo::FatTree::try_new(*k as usize)
-                .map(|t| Box::new(t) as Box<dyn Topology>)
-                .map_err(|e| DecodeError::Invalid(format!("{self}: {e}"))),
+        TopologyKind::Mesh2d { rows, cols } => {
+            out.push(1);
+            out.extend_from_slice(&rows.to_le_bytes());
+            out.extend_from_slice(&cols.to_le_bytes());
         }
-    }
-
-    /// Materialize the topology.
-    ///
-    /// # Panics
-    ///
-    /// On specs no builder can realize (see [`try_build`](Self::try_build)
-    /// for the fallible form). Decoded specs never panic here.
-    pub fn build(&self) -> Box<dyn Topology> {
-        self.try_build()
-            .unwrap_or_else(|e| panic!("unbuildable topology spec {self}: {e}"))
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            TopologySpec::Hypercube { dims } => {
-                out.push(0);
-                out.extend_from_slice(&dims.to_le_bytes());
-            }
-            TopologySpec::Mesh2d { rows, cols } => {
-                out.push(1);
-                out.extend_from_slice(&rows.to_le_bytes());
-                out.extend_from_slice(&cols.to_le_bytes());
-            }
-            TopologySpec::Torus { extents } => {
-                out.push(2);
-                out.extend_from_slice(&(extents.len() as u32).to_le_bytes());
-                for &k in extents {
-                    out.extend_from_slice(&k.to_le_bytes());
-                }
-            }
-            TopologySpec::FatTree { k } => {
-                out.push(3);
+        TopologyKind::Torus { extents } => {
+            out.push(2);
+            out.extend_from_slice(&(extents.len() as u32).to_le_bytes());
+            for &k in extents {
                 out.extend_from_slice(&k.to_le_bytes());
             }
         }
-    }
-
-    fn decode(rd: &mut Rd<'_>, limits: &ProtocolLimits) -> Result<TopologySpec, DecodeError> {
-        match rd.u8()? {
-            0 => {
-                let dims = rd.u32()?;
-                if dims == 0 {
-                    return Err(DecodeError::BadValue {
-                        field: "topology.dims",
-                        value: dims.into(),
-                    });
-                }
-                if dims > limits.max_dims {
-                    return Err(DecodeError::LimitExceeded {
-                        field: "topology.dims",
-                        value: dims.into(),
-                        limit: limits.max_dims.into(),
-                    });
-                }
-                Ok(TopologySpec::Hypercube { dims })
-            }
-            1 => {
-                let rows = rd.u32()?;
-                let cols = rd.u32()?;
-                let nodes = u64::from(rows) * u64::from(cols);
-                if rows == 0 || cols == 0 {
-                    return Err(DecodeError::BadValue {
-                        field: "topology.mesh",
-                        value: nodes,
-                    });
-                }
-                if nodes > limits.max_request_nodes {
-                    return Err(DecodeError::LimitExceeded {
-                        field: "topology.mesh",
-                        value: nodes,
-                        limit: limits.max_request_nodes,
-                    });
-                }
-                Ok(TopologySpec::Mesh2d { rows, cols })
-            }
-            2 => {
-                let ndims = rd.u32()?;
-                // The torus builder caps at 8 dimensions; reject before
-                // allocating anything proportional to the claimed count.
-                if ndims == 0 || ndims > 8 {
-                    return Err(DecodeError::BadValue {
-                        field: "topology.torus.ndims",
-                        value: ndims.into(),
-                    });
-                }
-                let mut extents = Vec::with_capacity(ndims as usize);
-                let mut nodes: u64 = 1;
-                for _ in 0..ndims {
-                    let k = rd.u32()?;
-                    if k < 2 {
-                        return Err(DecodeError::BadValue {
-                            field: "topology.torus.extent",
-                            value: k.into(),
-                        });
-                    }
-                    nodes = nodes.saturating_mul(u64::from(k));
-                    extents.push(k);
-                }
-                if nodes > limits.max_request_nodes {
-                    return Err(DecodeError::LimitExceeded {
-                        field: "topology.torus",
-                        value: nodes,
-                        limit: limits.max_request_nodes,
-                    });
-                }
-                Ok(TopologySpec::Torus { extents })
-            }
-            3 => {
-                let k = rd.u32()?;
-                if !(2..=64).contains(&k) || !k.is_multiple_of(2) {
-                    return Err(DecodeError::BadValue {
-                        field: "topology.fattree.k",
-                        value: k.into(),
-                    });
-                }
-                let hosts = u64::from(k) * u64::from(k) * u64::from(k) / 4;
-                if hosts > limits.max_request_nodes {
-                    return Err(DecodeError::LimitExceeded {
-                        field: "topology.fattree",
-                        value: hosts,
-                        limit: limits.max_request_nodes,
-                    });
-                }
-                Ok(TopologySpec::FatTree { k })
-            }
-            other => Err(DecodeError::BadValue {
-                field: "topology.kind",
-                value: other.into(),
-            }),
+        TopologyKind::FatTree { k } => {
+            out.push(3);
+            out.extend_from_slice(&k.to_le_bytes());
         }
     }
 }
 
-impl fmt::Display for TopologySpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TopologySpec::Hypercube { dims } => write!(f, "hypercube(d={dims})"),
-            TopologySpec::Mesh2d { rows, cols } => write!(f, "mesh({rows}x{cols})"),
-            TopologySpec::Torus { extents } => {
-                write!(f, "torus(")?;
-                for (i, k) in extents.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, "x")?;
-                    }
-                    write!(f, "{k}")?;
-                }
-                write!(f, ")")
+/// Read a fabric back: whether the fields describe one is
+/// [`TopologyKind::validate`]'s call, whether this daemon serves one
+/// that large is the node cap's — the same two checks for every kind.
+fn decode_topology(rd: &mut Rd<'_>, limits: &ProtocolLimits) -> Result<TopologyKind, DecodeError> {
+    let kind = match rd.u8()? {
+        0 => TopologyKind::Hypercube { dims: rd.u32()? },
+        1 => TopologyKind::Mesh2d {
+            rows: rd.u32()?,
+            cols: rd.u32()?,
+        },
+        2 => {
+            let ndims = rd.u32()?;
+            // No torus has more than 8 dimensions: refuse before
+            // allocating anything proportional to the claimed count.
+            if ndims > 8 {
+                return Err(DecodeError::BadValue {
+                    field: "topology.torus.ndims",
+                    value: ndims.into(),
+                });
             }
-            TopologySpec::FatTree { k } => write!(f, "fattree(k={k})"),
+            TopologyKind::Torus {
+                extents: (0..ndims).map(|_| rd.u32()).collect::<Result<_, _>>()?,
+            }
         }
+        3 => TopologyKind::FatTree { k: rd.u32()? },
+        other => {
+            return Err(DecodeError::BadValue {
+                field: "topology.kind",
+                value: other.into(),
+            })
+        }
+    };
+    kind.validate()
+        .map_err(|e| DecodeError::Invalid(e.to_string()))?;
+    let nodes = kind.num_nodes() as u64;
+    if nodes > limits.max_request_nodes {
+        return Err(DecodeError::LimitExceeded {
+            field: "topology.nodes",
+            value: nodes,
+            limit: limits.max_request_nodes,
+        });
     }
+    Ok(kind)
 }
 
 /// The communication scheme a request asks for: explicit, or the paper
@@ -677,12 +550,9 @@ impl SchemeChoice {
     }
 
     fn from_code(code: u8) -> Option<SchemeChoice> {
-        match code {
-            0 => Some(SchemeChoice::S1),
-            1 => Some(SchemeChoice::S2),
-            2 => Some(SchemeChoice::Default),
-            _ => None,
-        }
+        [SchemeChoice::S1, SchemeChoice::S2, SchemeChoice::Default]
+            .into_iter()
+            .find(|choice| choice.code() == code)
     }
 }
 
@@ -694,10 +564,91 @@ fn backend_code(kind: BackendKind) -> u8 {
 }
 
 fn backend_from_code(code: u8) -> Option<BackendKind> {
-    match code {
-        0 => Some(BackendKind::Des),
-        1 => Some(BackendKind::Analytic),
-        _ => None,
+    [BackendKind::Des, BackendKind::Analytic]
+        .into_iter()
+        .find(|&kind| backend_code(kind) == code)
+}
+
+/// What `Submit` and `SubmitDelta` share, in wire order: the frame kind
+/// byte, these seven fields, the frame's own payload, then the trailing
+/// optional cost model ([`put_cost_model`] / [`decode_cost_model`]).
+struct Envelope<'a> {
+    request_id: u64,
+    want_schedule: bool,
+    topology: Cow<'a, TopologyKind>,
+    scheduler: Cow<'a, str>,
+    scheme: SchemeChoice,
+    backend: BackendKind,
+    seed: u64,
+}
+
+impl Envelope<'_> {
+    fn encode(&self, frame_kind: u8, out: &mut Vec<u8>) {
+        out.push(frame_kind);
+        out.extend_from_slice(&self.request_id.to_le_bytes());
+        out.push(u8::from(self.want_schedule));
+        encode_topology(&self.topology, out);
+        put_str(out, &self.scheduler);
+        out.push(self.scheme.code());
+        out.push(backend_code(self.backend));
+        out.extend_from_slice(&self.seed.to_le_bytes());
+    }
+
+    fn decode(rd: &mut Rd<'_>, limits: &ProtocolLimits) -> Result<Envelope<'static>, DecodeError> {
+        // Field initialisers run top to bottom: this is the wire order.
+        Ok(Envelope {
+            request_id: rd.u64()?,
+            want_schedule: rd.flag("flags")?,
+            topology: Cow::Owned(decode_topology(rd, limits)?),
+            scheduler: Cow::Owned(rd.str("scheduler", MAX_NAME_LEN)?),
+            scheme: rd.coded("scheme", SchemeChoice::from_code)?,
+            backend: rd.coded("backend", backend_from_code)?,
+            seed: rd.u64()?,
+        })
+    }
+
+    /// The full submit these fields head.
+    fn into_submit(self, matrix: CommMatrix, cost_model: LinkCostModel) -> SubmitRequest {
+        SubmitRequest {
+            request_id: self.request_id,
+            want_schedule: self.want_schedule,
+            topology: self.topology.into_owned(),
+            scheduler: self.scheduler.into_owned(),
+            scheme: self.scheme,
+            backend: self.backend,
+            seed: self.seed,
+            matrix,
+            cost_model,
+        }
+    }
+
+    /// The payload's node count: positive, within the node cap, and the
+    /// size of the fabric the envelope names.
+    fn node_count(
+        &self,
+        rd: &mut Rd<'_>,
+        limits: &ProtocolLimits,
+        field: &'static str,
+    ) -> Result<usize, DecodeError> {
+        let n = rd.u64()?;
+        if n == 0 {
+            return Err(DecodeError::BadValue { field, value: n });
+        }
+        if n > limits.max_request_nodes {
+            return Err(DecodeError::LimitExceeded {
+                field,
+                value: n,
+                limit: limits.max_request_nodes,
+            });
+        }
+        if n != self.topology.num_nodes() as u64 {
+            return Err(DecodeError::Invalid(format!(
+                "{field} is {n} but the topology {} has {} nodes",
+                self.topology,
+                self.topology.num_nodes()
+            )));
+        }
+        Ok(n as usize)
     }
 }
 
@@ -711,7 +662,7 @@ pub struct SubmitRequest {
     /// Stream the compiled schedule back (estimates always come back).
     pub want_schedule: bool,
     /// Where the communication happens.
-    pub topology: TopologySpec,
+    pub topology: TopologyKind,
     /// Registry name of the scheduler ([`commsched::registry::find`]).
     pub scheduler: String,
     /// Communication scheme for the estimate.
@@ -733,102 +684,53 @@ pub struct SubmitRequest {
 }
 
 impl SubmitRequest {
+    fn envelope(&self) -> Envelope<'_> {
+        Envelope {
+            request_id: self.request_id,
+            want_schedule: self.want_schedule,
+            topology: Cow::Borrowed(&self.topology),
+            scheduler: Cow::Borrowed(&self.scheduler),
+            scheme: self.scheme,
+            backend: self.backend,
+            seed: self.seed,
+        }
+    }
+
     /// Encode into a frame body.
     pub fn encode(&self) -> Vec<u8> {
         // Room for the envelope and a message per node; the walk finds
         // the real count, and a denser matrix grows the buffer from here.
         let mut out = Vec::with_capacity(64 + 12 * self.matrix.n());
-        out.push(K_SUBMIT);
-        out.extend_from_slice(&self.request_id.to_le_bytes());
-        out.push(u8::from(self.want_schedule));
-        self.topology.encode(&mut out);
-        put_str(&mut out, &self.scheduler);
-        out.push(self.scheme.code());
-        out.push(backend_code(self.backend));
-        out.extend_from_slice(&self.seed.to_le_bytes());
+        self.envelope().encode(K_SUBMIT, &mut out);
         out.extend_from_slice(&(self.matrix.n() as u64).to_le_bytes());
         // The count is known once the one walk over the matrix is done.
         let count_at = out.len();
         out.extend_from_slice(&[0; 8]);
         let mut count = 0u64;
-        self.matrix.messages().for_each(|(src, dst, bytes)| {
-            let mut record = [0u8; 12];
-            record[..4].copy_from_slice(&src.0.to_le_bytes());
-            record[4..8].copy_from_slice(&dst.0.to_le_bytes());
-            record[8..].copy_from_slice(&bytes.to_le_bytes());
-            out.extend_from_slice(&record);
+        self.matrix.messages().for_each(|message| {
+            put_message(&mut out, message);
             count += 1;
         });
         out[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
-        if !self.cost_model.is_uniform() {
-            put_str(&mut out, &self.cost_model.to_string());
-        }
+        put_cost_model(&mut out, &self.cost_model);
         out
     }
 
     fn decode(rd: &mut Rd<'_>, limits: &ProtocolLimits) -> Result<SubmitRequest, DecodeError> {
-        let request_id = rd.u64()?;
-        let want_schedule = match rd.u8()? {
-            0 => false,
-            1 => true,
-            other => {
-                return Err(DecodeError::BadValue {
-                    field: "flags",
-                    value: other.into(),
-                })
-            }
-        };
-        let topology = TopologySpec::decode(rd, limits)?;
-        let scheduler = rd.str("scheduler", MAX_NAME_LEN)?;
-        let scheme = rd.u8()?;
-        let scheme = SchemeChoice::from_code(scheme).ok_or(DecodeError::BadValue {
-            field: "scheme",
-            value: scheme.into(),
-        })?;
-        let backend = rd.u8()?;
-        let backend = backend_from_code(backend).ok_or(DecodeError::BadValue {
-            field: "backend",
-            value: backend.into(),
-        })?;
-        let seed = rd.u64()?;
-        let n = rd.u64()?;
-        if n == 0 {
-            return Err(DecodeError::BadValue {
-                field: "matrix.n",
-                value: n,
-            });
-        }
-        if n > limits.max_request_nodes {
-            return Err(DecodeError::LimitExceeded {
-                field: "matrix.n",
-                value: n,
-                limit: limits.max_request_nodes,
-            });
-        }
+        let head = Envelope::decode(rd, limits)?;
+        let n = head.node_count(rd, limits, "matrix.n")?;
         // The dense matrix below costs n² cells; the cell budget guards
         // that allocation independently of how high the node cap is set.
-        if n.saturating_mul(n) > limits.max_matrix_cells {
+        let cells = (n as u64).saturating_mul(n as u64);
+        if cells > limits.max_matrix_cells {
             return Err(DecodeError::LimitExceeded {
                 field: "matrix.cells",
-                value: n.saturating_mul(n),
+                value: cells,
                 limit: limits.max_matrix_cells,
             });
         }
-        let n = n as usize;
-        if n != topology.num_nodes() {
-            return Err(DecodeError::Invalid(format!(
-                "matrix spans {n} nodes but the topology {topology} has {}",
-                topology.num_nodes()
-            )));
-        }
-        let count = rd.u64()? as usize;
-        // Bound the claimed count by the bytes actually present before
-        // allocating anything proportional to it.
-        if count > rd.remaining() / 12 {
-            return Err(DecodeError::Truncated);
-        }
         let mut matrix = CommMatrix::new(n);
-        for _ in 0..count {
+        for _ in 0..rd.count(12)? {
             let src = rd.u32()? as usize;
             let dst = rd.u32()? as usize;
             let bytes = rd.u32()?;
@@ -854,18 +756,15 @@ impl SubmitRequest {
             }
             matrix.set(src, dst, bytes);
         }
-        let cost_model = decode_cost_model(rd)?;
-        Ok(SubmitRequest {
-            request_id,
-            want_schedule,
-            topology,
-            scheduler,
-            scheme,
-            backend,
-            seed,
-            matrix,
-            cost_model,
-        })
+        Ok(head.into_submit(matrix, decode_cost_model(rd)?))
+    }
+}
+
+/// Encode the trailing optional cost-model field: nothing for uniform,
+/// the canonical string otherwise.
+fn put_cost_model(out: &mut Vec<u8>, cost_model: &LinkCostModel) {
+    if !cost_model.is_uniform() {
+        put_str(out, &cost_model.to_string());
     }
 }
 
@@ -899,7 +798,7 @@ pub struct SubmitDeltaRequest {
     /// Stream the compiled schedule back (estimates always come back).
     pub want_schedule: bool,
     /// Where the communication happens.
-    pub topology: TopologySpec,
+    pub topology: TopologyKind,
     /// Registry name of the scheduler ([`commsched::registry::find`]).
     pub scheduler: String,
     /// Communication scheme for the estimate.
@@ -918,144 +817,77 @@ pub struct SubmitDeltaRequest {
     pub cost_model: LinkCostModel,
 }
 
+fn put_messages(out: &mut Vec<u8>, messages: &[(NodeId, NodeId, u32)]) {
+    out.extend_from_slice(&(messages.len() as u64).to_le_bytes());
+    for &message in messages {
+        put_message(out, message);
+    }
+}
+
+fn message(rd: &mut Rd<'_>) -> Result<(NodeId, NodeId, u32), DecodeError> {
+    Ok((NodeId(rd.u32()?), NodeId(rd.u32()?), rd.u32()?))
+}
+
 impl SubmitDeltaRequest {
+    fn envelope(&self) -> Envelope<'_> {
+        Envelope {
+            request_id: self.request_id,
+            want_schedule: self.want_schedule,
+            topology: Cow::Borrowed(&self.topology),
+            scheduler: Cow::Borrowed(&self.scheduler),
+            scheme: self.scheme,
+            backend: self.backend,
+            seed: self.seed,
+        }
+    }
+
+    /// The full submit this delta denotes, given `matrix` — its base
+    /// with the edits applied.
+    pub fn to_submit(&self, matrix: CommMatrix) -> SubmitRequest {
+        self.envelope().into_submit(matrix, self.cost_model)
+    }
+
     /// Encode into a frame body.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(96 + self.delta.change_count() * 12);
-        out.push(K_SUBMIT_DELTA);
-        out.extend_from_slice(&self.request_id.to_le_bytes());
-        out.push(u8::from(self.want_schedule));
-        self.topology.encode(&mut out);
-        put_str(&mut out, &self.scheduler);
-        out.push(self.scheme.code());
-        out.push(backend_code(self.backend));
-        out.extend_from_slice(&self.seed.to_le_bytes());
+        self.envelope().encode(K_SUBMIT_DELTA, &mut out);
         out.extend_from_slice(&self.base.to_bytes());
         out.extend_from_slice(&(self.delta.n() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.delta.added().len() as u64).to_le_bytes());
-        for &(src, dst, bytes) in self.delta.added() {
-            out.extend_from_slice(&src.0.to_le_bytes());
-            out.extend_from_slice(&dst.0.to_le_bytes());
-            out.extend_from_slice(&bytes.to_le_bytes());
-        }
+        put_messages(&mut out, self.delta.added());
         out.extend_from_slice(&(self.delta.removed().len() as u64).to_le_bytes());
         for &(src, dst) in self.delta.removed() {
             out.extend_from_slice(&src.0.to_le_bytes());
             out.extend_from_slice(&dst.0.to_le_bytes());
         }
-        out.extend_from_slice(&(self.delta.resized().len() as u64).to_le_bytes());
-        for &(src, dst, bytes) in self.delta.resized() {
-            out.extend_from_slice(&src.0.to_le_bytes());
-            out.extend_from_slice(&dst.0.to_le_bytes());
-            out.extend_from_slice(&bytes.to_le_bytes());
-        }
-        if !self.cost_model.is_uniform() {
-            put_str(&mut out, &self.cost_model.to_string());
-        }
+        put_messages(&mut out, self.delta.resized());
+        put_cost_model(&mut out, &self.cost_model);
         out
     }
 
     fn decode(rd: &mut Rd<'_>, limits: &ProtocolLimits) -> Result<SubmitDeltaRequest, DecodeError> {
-        let request_id = rd.u64()?;
-        let want_schedule = match rd.u8()? {
-            0 => false,
-            1 => true,
-            other => {
-                return Err(DecodeError::BadValue {
-                    field: "flags",
-                    value: other.into(),
-                })
-            }
-        };
-        let topology = TopologySpec::decode(rd, limits)?;
-        let scheduler = rd.str("scheduler", MAX_NAME_LEN)?;
-        let scheme = rd.u8()?;
-        let scheme = SchemeChoice::from_code(scheme).ok_or(DecodeError::BadValue {
-            field: "scheme",
-            value: scheme.into(),
-        })?;
-        let backend = rd.u8()?;
-        let backend = backend_from_code(backend).ok_or(DecodeError::BadValue {
-            field: "backend",
-            value: backend.into(),
-        })?;
-        let seed = rd.u64()?;
-        let mut key = [0u8; 16];
-        key.copy_from_slice(rd.take(16)?);
-        let base = InstanceKey::from_bytes(key);
-        let n = rd.u64()?;
-        if n == 0 {
-            return Err(DecodeError::BadValue {
-                field: "delta.n",
-                value: n,
-            });
-        }
-        if n > limits.max_request_nodes {
-            return Err(DecodeError::LimitExceeded {
-                field: "delta.n",
-                value: n,
-                limit: limits.max_request_nodes,
-            });
-        }
-        let n = n as usize;
-        if n != topology.num_nodes() {
-            return Err(DecodeError::Invalid(format!(
-                "delta spans {n} nodes but the topology {topology} has {}",
-                topology.num_nodes()
-            )));
-        }
-        // Each list bounds its claimed count by the bytes actually
-        // present before allocating anything proportional to it.
-        let added_count = rd.u64()? as usize;
-        if added_count > rd.remaining() / 12 {
-            return Err(DecodeError::Truncated);
-        }
-        let mut added = Vec::with_capacity(added_count);
-        for _ in 0..added_count {
-            let src = rd.u32()?;
-            let dst = rd.u32()?;
-            let bytes = rd.u32()?;
-            added.push((NodeId(src), NodeId(dst), bytes));
-        }
-        let removed_count = rd.u64()? as usize;
-        if removed_count > rd.remaining() / 8 {
-            return Err(DecodeError::Truncated);
-        }
-        let mut removed = Vec::with_capacity(removed_count);
-        for _ in 0..removed_count {
-            let src = rd.u32()?;
-            let dst = rd.u32()?;
-            removed.push((NodeId(src), NodeId(dst)));
-        }
-        let resized_count = rd.u64()? as usize;
-        if resized_count > rd.remaining() / 12 {
-            return Err(DecodeError::Truncated);
-        }
-        let mut resized = Vec::with_capacity(resized_count);
-        for _ in 0..resized_count {
-            let src = rd.u32()?;
-            let dst = rd.u32()?;
-            let bytes = rd.u32()?;
-            resized.push((NodeId(src), NodeId(dst), bytes));
-        }
+        let head = Envelope::decode(rd, limits)?;
+        let base = InstanceKey::from_bytes(rd.take(16)?.try_into().expect("16 bytes"));
+        let n = head.node_count(rd, limits, "delta.n")?;
+        let added = rd.list(12, message)?;
+        let removed = rd.list(8, |rd| Ok((NodeId(rd.u32()?), NodeId(rd.u32()?))))?;
+        let resized = rd.list(12, message)?;
         // `from_parts` re-runs the matrix-level semantic checks
         // (ranges, self-messages, zero bytes, duplicate cells), so a
         // hostile delta surfaces as a typed error here, not a panic in
         // the daemon's apply path.
         let delta = MatrixDelta::from_parts(n, added, removed, resized)
             .map_err(|e| DecodeError::Invalid(e.to_string()))?;
-        let cost_model = decode_cost_model(rd)?;
         Ok(SubmitDeltaRequest {
-            request_id,
-            want_schedule,
-            topology,
-            scheduler,
-            scheme,
-            backend,
-            seed,
+            request_id: head.request_id,
+            want_schedule: head.want_schedule,
+            topology: head.topology.into_owned(),
+            scheduler: head.scheduler.into_owned(),
+            scheme: head.scheme,
+            backend: head.backend,
+            seed: head.seed,
             base,
             delta,
-            cost_model,
+            cost_model: decode_cost_model(rd)?,
         })
     }
 }
@@ -1273,51 +1105,28 @@ impl SubmitReply {
     fn decode(rd: &mut Rd<'_>) -> Result<SubmitReply, DecodeError> {
         let request_id = rd.u64()?;
         let fingerprint = Fingerprint::from_bytes(rd.take(16)?.try_into().expect("16 bytes"));
-        let freshly_compiled = match rd.u8()? {
-            0 => false,
-            1 => true,
-            other => {
-                return Err(DecodeError::BadValue {
-                    field: "freshly_compiled",
-                    value: other.into(),
-                })
-            }
-        };
+        let freshly_compiled = rd.flag("freshly_compiled")?;
         let makespan_ns = rd.u64()?;
-        let phase_count = rd.u64()? as usize;
-        if phase_count > rd.remaining() / 8 {
-            return Err(DecodeError::Truncated);
-        }
-        let mut phase_end_ns = Vec::with_capacity(phase_count);
-        for _ in 0..phase_count {
-            phase_end_ns.push(rd.u64()?);
-        }
+        let phase_end_ns = rd.list(8, Rd::u64)?;
         let contention = ContentionStats {
             max_engine_busy_ns: rd.u64()?,
             max_link_busy_ns: rd.u64()?,
             contended_transfers: rd.u64()?,
             contended_phases: rd.u64()? as usize,
         };
-        let schedule = match rd.u8()? {
-            0 => None,
-            1 => {
-                let len = rd.u64()? as usize;
-                let bytes = rd.take(len)?;
-                let (fp, schedule) = commcache::decode_artifact(bytes)
-                    .map_err(|e| DecodeError::Artifact(e.to_string()))?;
-                if fp != fingerprint {
-                    return Err(DecodeError::Invalid(format!(
-                        "artifact keyed {fp} inside a reply keyed {fingerprint}"
-                    )));
-                }
-                Some(Arc::new(schedule))
+        let schedule = if rd.flag("schedule_present")? {
+            let len = rd.u64()? as usize;
+            let bytes = rd.take(len)?;
+            let (fp, schedule) = commcache::decode_artifact(bytes)
+                .map_err(|e| DecodeError::Artifact(e.to_string()))?;
+            if fp != fingerprint {
+                return Err(DecodeError::Invalid(format!(
+                    "artifact keyed {fp} inside a reply keyed {fingerprint}"
+                )));
             }
-            other => {
-                return Err(DecodeError::BadValue {
-                    field: "schedule_present",
-                    value: other.into(),
-                })
-            }
+            Some(Arc::new(schedule))
+        } else {
+            None
         };
         Ok(SubmitReply {
             request_id,
@@ -1571,11 +1380,7 @@ impl Response {
             }
             K_ERROR => {
                 let request_id = rd.u64()?;
-                let code = rd.u8()?;
-                let code = ErrorCode::from_code(code).ok_or(DecodeError::BadValue {
-                    field: "error.code",
-                    value: code.into(),
-                })?;
+                let code = rd.coded("error.code", ErrorCode::from_code)?;
                 let detail = rd.str("error.detail", 4096)?;
                 Response::Error(ErrorReply {
                     request_id,
@@ -1606,7 +1411,7 @@ mod tests {
         SubmitRequest {
             request_id: 77,
             want_schedule: true,
-            topology: TopologySpec::Hypercube { dims: 4 },
+            topology: TopologyKind::Hypercube { dims: 4 },
             scheduler: "RS_NL".into(),
             scheme: SchemeChoice::Default,
             backend: BackendKind::Des,
@@ -1722,7 +1527,7 @@ mod tests {
         let good = req.encode();
         // Topology/matrix size mismatch.
         let mut mismatched = sample_request();
-        mismatched.topology = TopologySpec::Hypercube { dims: 5 };
+        mismatched.topology = TopologyKind::Hypercube { dims: 5 };
         assert!(matches!(
             Request::decode(&mismatched.encode()),
             Err(DecodeError::Invalid(_))
@@ -1764,35 +1569,61 @@ mod tests {
         }
     }
 
-    #[test]
-    fn raised_limits_roundtrip_large_fabrics() {
-        // A d=12 cube (4096 nodes) is over the default node cap but
-        // legal under a daemon started with --max-nodes 4096.
-        let limits = ProtocolLimits::with_max_nodes(4096);
-        assert_eq!(limits.max_dims, 12);
-        let mut matrix = CommMatrix::new(4096);
-        matrix.set(0, 4095, 8);
-        matrix.set(1000, 3000, 64);
-        let req = Request::Submit(SubmitRequest {
+    fn two_cell_request(topology: TopologyKind) -> Request {
+        let n = topology.num_nodes();
+        let mut matrix = CommMatrix::new(n);
+        matrix.set(0, n - 1, 8);
+        matrix.set(n / 4, n / 2, 64);
+        Request::Submit(SubmitRequest {
             request_id: 5,
             want_schedule: false,
-            topology: TopologySpec::Hypercube { dims: 12 },
+            topology,
             scheduler: "AC".into(),
             scheme: SchemeChoice::Default,
             backend: BackendKind::Analytic,
             seed: 1,
             matrix,
             cost_model: LinkCostModel::Uniform,
-        });
+        })
+    }
+
+    #[test]
+    fn raised_limits_roundtrip_large_fabrics() {
+        // A d=12 cube (4096 nodes) is over the default node cap but
+        // legal under a daemon started with --max-nodes 4096.
+        let limits = ProtocolLimits::with_max_nodes(4096);
+        let req = two_cell_request(TopologyKind::Hypercube { dims: 12 });
         let body = req.encode();
         assert!(matches!(
             Request::decode(&body),
             Err(DecodeError::LimitExceeded {
-                field: "topology.dims",
-                ..
+                field: "topology.nodes",
+                value: 4096,
+                limit: MAX_REQUEST_NODES,
             })
         ));
         assert_eq!(Request::decode_with(&body, &limits).unwrap(), req);
+
+        // --max-nodes 1000: every 1024-node fabric is refused at the
+        // topology, whatever its kind — the cube used to slip through to
+        // `matrix.n` because its dimension cap was rounded up to 10.
+        let limits = ProtocolLimits::with_max_nodes(1000);
+        for kind in ["cube:d=10", "mesh:32x32", "torus:32x32", "fattree:k=16"] {
+            let req = two_cell_request(kind.parse().unwrap());
+            let body = req.encode();
+            assert!(
+                matches!(
+                    Request::decode_with(&body, &limits),
+                    Err(DecodeError::LimitExceeded {
+                        field: "topology.nodes",
+                        value: 1024,
+                        limit: 1000,
+                    })
+                ),
+                "{kind}"
+            );
+            assert_eq!(Request::decode(&body).unwrap(), req, "{kind}");
+        }
     }
 
     #[test]
@@ -1801,7 +1632,6 @@ mod tests {
         // matrix is 2^32 cells (16 GiB): the cell budget must reject it
         // before the allocation, however high the node cap goes.
         let limits = ProtocolLimits::with_max_nodes(1 << 20);
-        assert_eq!(limits.max_dims, 20);
         let mut body = vec![0x01u8]; // Submit
         body.extend_from_slice(&1u64.to_le_bytes()); // request_id
         body.push(0); // want_schedule
@@ -1835,36 +1665,36 @@ mod tests {
 
     #[test]
     fn topology_specs_build_what_they_name() {
-        let cube = TopologySpec::Hypercube { dims: 3 };
+        let cube = TopologyKind::Hypercube { dims: 3 };
         assert_eq!(cube.num_nodes(), 8);
         assert_eq!(cube.build().num_nodes(), 8);
-        let mesh = TopologySpec::Mesh2d { rows: 3, cols: 4 };
+        let mesh = TopologyKind::Mesh2d { rows: 3, cols: 4 };
         assert_eq!(mesh.num_nodes(), 12);
         assert_eq!(mesh.build().num_nodes(), 12);
-        assert_eq!(format!("{mesh}"), "mesh(3x4)");
-        let torus = TopologySpec::Torus {
+        assert_eq!(format!("{mesh}"), "mesh:3x4");
+        let torus = TopologyKind::Torus {
             extents: vec![4, 4, 2],
         };
         assert_eq!(torus.num_nodes(), 32);
         assert_eq!(torus.build().num_nodes(), 32);
-        assert_eq!(format!("{torus}"), "torus(4x4x2)");
-        let ft = TopologySpec::FatTree { k: 4 };
+        assert_eq!(format!("{torus}"), "torus:4x4x2");
+        let ft = TopologyKind::FatTree { k: 4 };
         assert_eq!(ft.num_nodes(), 16);
         assert_eq!(ft.build().num_nodes(), 16);
-        assert_eq!(format!("{ft}"), "fattree(k=4)");
+        assert_eq!(format!("{ft}"), "fattree:k=4");
     }
 
     #[test]
     fn torus_and_fattree_specs_roundtrip_on_the_wire() {
         let limits = ProtocolLimits::default();
         for topology in [
-            TopologySpec::Torus {
+            TopologyKind::Torus {
                 extents: vec![4, 4],
             },
-            TopologySpec::Torus {
+            TopologyKind::Torus {
                 extents: vec![2, 2, 2, 2],
             },
-            TopologySpec::FatTree { k: 4 },
+            TopologyKind::FatTree { k: 4 },
         ] {
             let mut com = CommMatrix::new(topology.num_nodes());
             com.set(0, 1, 64);
@@ -1887,8 +1717,10 @@ mod tests {
     #[test]
     fn hostile_topology_specs_are_typed_decode_errors() {
         let limits = ProtocolLimits::default();
-        // (kind bytes, expected field) — each is the topology prefix of a
-        // Submit body; decode must fail before reading further fields.
+        // (kind bytes, expected field — or, for a bound stated by
+        // `TopologyKind::validate`, the text its error carries) — each is
+        // the topology prefix of a Submit body; decode must fail before
+        // reading further fields.
         let cases: Vec<(Vec<u8>, &str)> = vec![
             // Torus claiming 2^32-ish dims: bounded before allocation.
             {
@@ -1902,33 +1734,64 @@ mod tests {
                 b.extend_from_slice(&2u32.to_le_bytes());
                 b.extend_from_slice(&4u32.to_le_bytes());
                 b.extend_from_slice(&1u32.to_le_bytes());
-                (b, "topology.torus.extent")
+                (b, "bad torus spec: every extent must be >= 2")
             },
-            // Torus over the node budget.
+            // Torus no builder accepts (2^30 nodes).
             {
                 let mut b = vec![2u8];
                 b.extend_from_slice(&3u32.to_le_bytes());
                 for _ in 0..3 {
                     b.extend_from_slice(&1024u32.to_le_bytes());
                 }
-                (b, "topology.torus")
+                (
+                    b,
+                    "bad torus spec: larger than 2^20 nodes: torus:1024x1024x1024",
+                )
+            },
+            // Torus over the node budget (2048 nodes).
+            {
+                let mut b = vec![2u8];
+                b.extend_from_slice(&2u32.to_le_bytes());
+                b.extend_from_slice(&64u32.to_le_bytes());
+                b.extend_from_slice(&32u32.to_le_bytes());
+                (b, "topology.nodes")
             },
             // Odd fat-tree arity.
             {
                 let mut b = vec![3u8];
                 b.extend_from_slice(&5u32.to_le_bytes());
-                (b, "topology.fattree.k")
+                (
+                    b,
+                    "bad fattree spec: arity must be even and in 2..=64, got 5",
+                )
             },
             // Fat-tree over the node budget (k=34 → 9826 hosts).
             {
                 let mut b = vec![3u8];
                 b.extend_from_slice(&34u32.to_le_bytes());
-                (b, "topology.fattree")
+                (b, "topology.nodes")
+            },
+            // Zero-dimensional cube, empty mesh, dimensionless torus.
+            {
+                let mut b = vec![0u8];
+                b.extend_from_slice(&0u32.to_le_bytes());
+                (b, "bad cube spec: dimension must be in 1..=20, got 0")
+            },
+            {
+                let mut b = vec![1u8];
+                b.extend_from_slice(&0u32.to_le_bytes());
+                b.extend_from_slice(&4u32.to_le_bytes());
+                (b, "bad mesh spec: extents must be positive")
+            },
+            {
+                let mut b = vec![2u8];
+                b.extend_from_slice(&0u32.to_le_bytes());
+                (b, "bad torus spec: must have 1..=8 dimensions, got 0")
             },
             // Unknown kind byte.
             (vec![9u8], "topology.kind"),
         ];
-        for (topo_bytes, want_field) in cases {
+        for (topo_bytes, want) in cases {
             let mut body = vec![0x01u8]; // Submit
             body.extend_from_slice(&1u64.to_le_bytes()); // request_id
             body.push(0); // want_schedule
@@ -1936,9 +1799,10 @@ mod tests {
             match Request::decode_with(&body, &limits) {
                 Err(DecodeError::BadValue { field, .. })
                 | Err(DecodeError::LimitExceeded { field, .. }) => {
-                    assert_eq!(field, want_field);
+                    assert_eq!(field, want);
                 }
-                other => panic!("expected typed error for {want_field}, got {other:?}"),
+                Err(DecodeError::Invalid(what)) => assert_eq!(what, want),
+                other => panic!("expected typed error for {want}, got {other:?}"),
             }
         }
     }
@@ -1949,12 +1813,12 @@ mod tests {
         // arithmetic itself must be total. Each of these used to
         // overflow (debug panic / silent wrap in release).
         let overflowing = [
-            TopologySpec::Hypercube { dims: u32::MAX },
-            TopologySpec::Hypercube { dims: 64 },
-            TopologySpec::Torus {
+            TopologyKind::Hypercube { dims: u32::MAX },
+            TopologyKind::Hypercube { dims: 64 },
+            TopologyKind::Torus {
                 extents: vec![u32::MAX; 8],
             },
-            TopologySpec::Torus {
+            TopologyKind::Torus {
                 extents: vec![1 << 22, 1 << 22, 1 << 22],
             },
         ];
@@ -1963,7 +1827,7 @@ mod tests {
         }
         // The worst mesh still fits 64-bit usize exactly (the overflow
         // was a 32-bit hazard); saturating_mul computes it precisely.
-        let mesh = TopologySpec::Mesh2d {
+        let mesh = TopologyKind::Mesh2d {
             rows: u32::MAX,
             cols: u32::MAX,
         };
@@ -1972,24 +1836,24 @@ mod tests {
             (u32::MAX as usize).saturating_mul(u32::MAX as usize)
         );
         // FatTree k is capped at u32, k³/4 saturates rather than wraps.
-        let ft = TopologySpec::FatTree { k: u32::MAX };
+        let ft = TopologyKind::FatTree { k: u32::MAX };
         assert!(ft.num_nodes() >= usize::MAX / 4);
         // Sane specs are untouched by the checked arithmetic.
-        assert_eq!(TopologySpec::Hypercube { dims: 10 }.num_nodes(), 1024);
+        assert_eq!(TopologyKind::Hypercube { dims: 10 }.num_nodes(), 1024);
     }
 
     #[test]
     fn unbuildable_specs_are_typed_errors_not_panics() {
         let cases = [
-            TopologySpec::Hypercube { dims: 0 },
-            TopologySpec::Hypercube { dims: u32::MAX },
-            TopologySpec::Mesh2d { rows: 0, cols: 4 },
-            TopologySpec::Torus {
+            TopologyKind::Hypercube { dims: 0 },
+            TopologyKind::Hypercube { dims: u32::MAX },
+            TopologyKind::Mesh2d { rows: 0, cols: 4 },
+            TopologyKind::Torus {
                 extents: vec![u32::MAX; 8],
             },
-            TopologySpec::Torus { extents: vec![] },
-            TopologySpec::FatTree { k: 7 },
-            TopologySpec::FatTree { k: u32::MAX },
+            TopologyKind::Torus { extents: vec![] },
+            TopologyKind::FatTree { k: 7 },
+            TopologyKind::FatTree { k: u32::MAX },
         ];
         for spec in cases {
             assert!(spec.try_build().is_err(), "{spec} should not build");

@@ -250,21 +250,12 @@ impl ServiceState {
             .delta
             .apply(&base)
             .map_err(|e| ServiceError::BadRequest(format!("delta does not apply to base: {e}")))?;
-        Ok(SubmitRequest {
-            request_id: req.request_id,
-            want_schedule: req.want_schedule,
-            topology: req.topology.clone(),
-            scheduler: req.scheduler.clone(),
-            scheme: req.scheme,
-            backend: req.backend,
-            seed: req.seed,
-            matrix,
-            cost_model: req.cost_model,
-        })
+        Ok(req.to_submit(matrix))
     }
 
     /// The one copy of admission: find the registry entry, check the
-    /// matrix against the topology's size, build the topology and ask the
+    /// matrix against the topology's size, build the topology (a
+    /// hand-built request can name one no builder accepts) and ask the
     /// entry whether it schedules on it.
     fn admitted(
         req: &SubmitRequest,
@@ -279,7 +270,10 @@ impl ServiceState {
                 req.topology.num_nodes()
             )));
         }
-        let topo = req.topology.build();
+        let topo = req
+            .topology
+            .try_build()
+            .map_err(|e| ServiceError::BadRequest(format!("topology {}: {e}", req.topology)))?;
         if !entry.supports_topology(topo.as_ref()) {
             return Err(ServiceError::UnsupportedTopology {
                 scheduler: entry.name().to_string(),
@@ -398,7 +392,8 @@ impl ServiceState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{SchemeChoice, TopologySpec};
+    use crate::protocol::SchemeChoice;
+    use crate::TopologySpec;
     use commrt::{BackendKind, Scheme};
     use commsched::CommMatrix;
     use simnet::LinkCostModel;
@@ -515,6 +510,30 @@ mod tests {
             state.admit(&mismatched),
             Err(ServiceError::BadRequest(_))
         ));
+        // A hand-built request can name a fabric no builder accepts and
+        // still pass the size check (27 / 4 = 6 hosts; the empty product
+        // is 1): a typed rejection naming the bound, not a panic.
+        for (topology, n, bound) in [
+            (TopologySpec::FatTree { k: 3 }, 6, "arity must be even"),
+            (
+                TopologySpec::Torus { extents: vec![] },
+                1,
+                "1..=8 dimensions",
+            ),
+        ] {
+            let mut unbuildable = request(1, BackendKind::Des);
+            unbuildable.topology = topology;
+            unbuildable.matrix = CommMatrix::new(n);
+            for outcome in [
+                state.admit(&unbuildable),
+                state.process(&unbuildable).map(|_| ()),
+            ] {
+                match outcome {
+                    Err(ServiceError::BadRequest(what)) => assert!(what.contains(bound), "{what}"),
+                    other => panic!("{} was answered {other:?}", unbuildable.topology),
+                }
+            }
+        }
         // Errors map to distinct wire codes.
         assert_eq!(
             state.admit(&unknown).unwrap_err().code(),

@@ -13,8 +13,8 @@ use commsched::{registry, CommMatrix, MatrixDelta};
 use proptest::prelude::*;
 use schedd::{
     read_frame, write_frame, DaemonStats, DecodeError, ErrorCode, ErrorReply, FrameError,
-    LinkCostModel, ProtocolLimits, Request, Response, SchemeChoice, SubmitDeltaRequest,
-    SubmitReply, SubmitRequest, TopologySpec, FRAME_MAGIC,
+    LinkCostModel, ProtocolLimits, Request, Response, SchemeChoice, ServiceConfig, ServiceError,
+    ServiceState, SubmitDeltaRequest, SubmitReply, SubmitRequest, TopologySpec, FRAME_MAGIC,
 };
 
 /// The four cost-model kinds, cycled through the property tests.
@@ -208,7 +208,7 @@ proptest! {
         prop_assert_eq!(Request::decode_with(&body, &limits).expect("decode"), req);
         prop_assert!(matches!(
             Request::decode(&body),
-            Err(DecodeError::LimitExceeded { field: "topology.dims", .. })
+            Err(DecodeError::LimitExceeded { field: "topology.nodes", .. })
         ));
     }
 
@@ -310,8 +310,8 @@ proptest! {
     ) {
         // Hand-built specs bypass decode limits entirely: the node
         // arithmetic and the builders must be total. `num_nodes` used to
-        // overflow on u32::MAX-extent tori (the protocol.rs:442 panic);
-        // now it saturates and `try_build` types the rejection.
+        // overflow on u32::MAX-extent tori; now it saturates and
+        // `try_build` types the rejection.
         let specs = [
             TopologySpec::Torus { extents: extents.clone() },
             TopologySpec::Mesh2d { rows, cols },
@@ -344,6 +344,79 @@ proptest! {
             // Truncated after the topology: any outcome but a panic.
             let _ = Request::decode(&body);
             let _ = Request::decode_with(&body, &raised);
+        }
+    }
+
+    #[test]
+    fn a_fabric_has_one_description(
+        extents in proptest::collection::vec(1u32..6, 0..10),
+        rows in 0u32..40,
+        cols in 0u32..40,
+        dims in 0u32..24,
+        k in 0u32..70,
+    ) {
+        // One bounds function, one grammar: on arbitrary hand-built kinds
+        // `validate`, `try_build`, the kind-string parser and the wire
+        // decoder all draw the same line, and whatever the daemon prints
+        // about a fabric reads back as that fabric.
+        let state = ServiceState::new(&ServiceConfig::default());
+        for kind in [
+            TopologySpec::Torus { extents: extents.clone() },
+            TopologySpec::Mesh2d { rows, cols },
+            TopologySpec::Hypercube { dims },
+            TopologySpec::FatTree { k },
+        ] {
+            let valid = kind.validate().is_ok();
+            prop_assert!(valid == kind.try_build().is_ok(), "{:?}", &kind);
+            let reparsed = TopologySpec::parse(&kind.to_string());
+            prop_assert!(reparsed.ok() == valid.then(|| kind.clone()), "{:?}", &kind);
+
+            let n = kind.num_nodes();
+            let req = SubmitRequest {
+                request_id: 1,
+                want_schedule: false,
+                topology: kind.clone(),
+                scheduler: "LP".into(),
+                scheme: SchemeChoice::Default,
+                backend: BackendKind::Analytic,
+                seed: 0,
+                // Only a servable fabric gets a matrix of its own size;
+                // the others must be refused before the matrix is read.
+                matrix: CommMatrix::new(if valid && n <= 1024 { n } else { 1 }),
+                cost_model: LinkCostModel::Uniform,
+            };
+            match Request::decode(&Request::Submit(req.clone()).encode()) {
+                Ok(decoded) => {
+                    prop_assert!(valid && n <= 1024, "{:?} decoded", &kind);
+                    prop_assert_eq!(decoded, Request::Submit(req.clone()));
+                }
+                Err(DecodeError::LimitExceeded { field, value, .. }) => {
+                    prop_assert!(valid && n > 1024, "{:?} hit the node cap", &kind);
+                    prop_assert_eq!((field, value), ("topology.nodes", n as u64));
+                }
+                Err(DecodeError::Invalid(what)) => {
+                    prop_assert!(!valid, "{:?}: {}", &kind, what);
+                    prop_assert_eq!(what, kind.validate().unwrap_err().to_string());
+                }
+                // The one bound the decoder restates, ahead of allocating.
+                Err(DecodeError::BadValue { field: "topology.torus.ndims", .. }) => {
+                    prop_assert!(!valid && extents.len() > 8, "{:?}", &kind);
+                }
+                Err(other) => prop_assert!(false, "{:?}: {:?}", &kind, other),
+            }
+
+            // LP serves e-cube hypercubes only; its refusal names the
+            // fabric in the grammar `schedctl --topo` parses.
+            if valid && n <= 1024 && !matches!(kind, TopologySpec::Hypercube { .. }) {
+                match state.admit(&req) {
+                    Err(e @ ServiceError::UnsupportedTopology { .. }) => {
+                        let detail = e.to_string();
+                        let named = detail.rsplit(' ').next().unwrap();
+                        prop_assert_eq!(TopologySpec::parse(named).ok(), Some(kind.clone()));
+                    }
+                    other => prop_assert!(false, "{:?}: {:?}", &kind, other),
+                }
+            }
         }
     }
 
@@ -435,11 +508,15 @@ fn hostile_and_oversized_headers_are_typed_errors() {
     body.extend_from_slice(&1u64.to_le_bytes()); // request_id
     body.push(0); // want_schedule
     body.push(0); // hypercube
-    body.extend_from_slice(&20u32.to_le_bytes()); // dims = 20 > default max_dims
+    body.extend_from_slice(&20u32.to_le_bytes()); // dims = 20: 2^20 nodes
     match Request::decode(&body) {
-        Err(DecodeError::LimitExceeded { field, limit, .. }) => {
-            assert_eq!(field, "topology.dims");
-            assert_eq!(limit, 10);
+        Err(DecodeError::LimitExceeded {
+            field,
+            value,
+            limit,
+        }) => {
+            assert_eq!(field, "topology.nodes");
+            assert_eq!((value, limit), (1 << 20, 1024));
         }
         other => panic!("expected LimitExceeded, got {other:?}"),
     }

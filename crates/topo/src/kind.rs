@@ -18,19 +18,20 @@ use crate::{FatTree, Torus};
 /// | `torus:4x4x4x4` | [`Torus::new`]`(&[4, 4, 4, 4])` — 256 nodes |
 /// | `fattree:k=8` | [`FatTree::new`]`(8)` — 128 hosts |
 ///
-/// [`TopologyKind::parse`] validates eagerly (the same bounds the
-/// constructors enforce), so a parsed kind always builds without
-/// panicking. [`fmt::Display`] renders the canonical string back, and
+/// Every structural bound lives in [`TopologyKind::validate`]; `parse`,
+/// [`TopologyKind::try_build`] and the `schedd` wire decoder all call
+/// it, so a kind that passed any of them builds without panicking.
+/// [`fmt::Display`] renders the canonical string back, and
 /// parse ∘ display is the identity.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum TopologyKind {
-    /// Binary hypercube of `dims` dimensions.
-    Cube {
+    /// Binary hypercube of `dims` dimensions under e-cube routing.
+    Hypercube {
         /// Number of dimensions (`2^dims` nodes), 1..=20.
         dims: u32,
     },
     /// 2-D mesh, XY-routed.
-    Mesh {
+    Mesh2d {
         /// Rows.
         rows: u32,
         /// Columns.
@@ -102,103 +103,89 @@ impl TopologyKind {
         let (kind, spec) = s
             .split_once(':')
             .ok_or_else(|| KindError::UnknownKind(s.to_string()))?;
-        match kind {
+        let shape = |kind, want: &str| KindError::BadSpec {
+            kind,
+            detail: format!("expected {want}, got {spec:?}"),
+        };
+        let parsed = match kind {
             "cube" => {
                 let dims = spec
                     .strip_prefix("d=")
-                    .ok_or_else(|| KindError::BadSpec {
-                        kind: "cube",
-                        detail: format!("expected d=N, got {spec:?}"),
-                    })
-                    .and_then(|d| parse_u32("cube", d))?;
-                if !(1..=20).contains(&dims) {
-                    return Err(KindError::BadSpec {
-                        kind: "cube",
-                        detail: format!("dimension must be in 1..=20, got {dims}"),
-                    });
+                    .ok_or_else(|| shape("cube", "d=N"))?;
+                TopologyKind::Hypercube {
+                    dims: parse_u32("cube", dims)?,
                 }
-                Ok(TopologyKind::Cube { dims })
             }
             "mesh" => {
-                let (rows, cols) = spec.split_once('x').ok_or_else(|| KindError::BadSpec {
-                    kind: "mesh",
-                    detail: format!("expected RxC, got {spec:?}"),
-                })?;
-                let (rows, cols) = (parse_u32("mesh", rows)?, parse_u32("mesh", cols)?);
-                if rows == 0 || cols == 0 {
-                    return Err(KindError::BadSpec {
-                        kind: "mesh",
-                        detail: "extents must be positive".to_string(),
-                    });
+                let (rows, cols) = spec.split_once('x').ok_or_else(|| shape("mesh", "RxC"))?;
+                TopologyKind::Mesh2d {
+                    rows: parse_u32("mesh", rows)?,
+                    cols: parse_u32("mesh", cols)?,
                 }
-                if rows.checked_mul(cols).is_none_or(|n| n > 1 << 20) {
-                    return Err(KindError::BadSpec {
-                        kind: "mesh",
-                        detail: format!("mesh larger than 2^20 nodes: {rows}x{cols}"),
-                    });
-                }
-                Ok(TopologyKind::Mesh { rows, cols })
             }
-            "torus" => {
-                let extents = spec
+            "torus" => TopologyKind::Torus {
+                extents: spec
                     .split('x')
                     .map(|e| parse_u32("torus", e))
-                    .collect::<Result<Vec<u32>, _>>()?;
-                if !(1..=8).contains(&extents.len()) {
-                    return Err(KindError::BadSpec {
-                        kind: "torus",
-                        detail: format!("must have 1..=8 dimensions, got {}", extents.len()),
-                    });
-                }
-                if extents.iter().any(|&k| k < 2) {
-                    return Err(KindError::BadSpec {
-                        kind: "torus",
-                        detail: "every extent must be >= 2".to_string(),
-                    });
-                }
-                let nodes = extents
-                    .iter()
-                    .try_fold(1u64, |n, &k| {
-                        n.checked_mul(u64::from(k)).filter(|&n| n <= 1 << 20)
-                    })
-                    .ok_or_else(|| KindError::BadSpec {
-                        kind: "torus",
-                        detail: format!("torus larger than 2^20 nodes: {spec}"),
-                    })?;
-                debug_assert!(nodes >= 2);
-                Ok(TopologyKind::Torus { extents })
-            }
+                    .collect::<Result<_, _>>()?,
+            },
             "fattree" => {
                 let k = spec
                     .strip_prefix("k=")
-                    .ok_or_else(|| KindError::BadSpec {
-                        kind: "fattree",
-                        detail: format!("expected k=N, got {spec:?}"),
-                    })
-                    .and_then(|k| parse_u32("fattree", k))?;
-                if !(2..=64).contains(&k) || k % 2 != 0 {
-                    return Err(KindError::BadSpec {
-                        kind: "fattree",
-                        detail: format!("arity must be even and in 2..=64, got {k}"),
-                    });
+                    .ok_or_else(|| shape("fattree", "k=N"))?;
+                TopologyKind::FatTree {
+                    k: parse_u32("fattree", k)?,
                 }
-                Ok(TopologyKind::FatTree { k })
             }
-            other => Err(KindError::UnknownKind(other.to_string())),
-        }
+            other => return Err(KindError::UnknownKind(other.to_string())),
+        };
+        parsed.validate()?;
+        Ok(parsed)
+    }
+
+    /// The one statement of every structural bound on a kind: exactly
+    /// what the constructors accept, with every family capped at `2^20`
+    /// nodes. The variant fields are public, so a kind can reach here
+    /// hand-built or decoded from a hostile wire frame; nothing on this
+    /// path wraps, allocates or panics.
+    ///
+    /// # Errors
+    ///
+    /// [`KindError::BadSpec`] naming the violated bound.
+    pub fn validate(&self) -> Result<(), KindError> {
+        let too_large = || format!("larger than 2^20 nodes: {self}");
+        let (kind, detail) = match self {
+            TopologyKind::Hypercube { dims } if !(1..=20).contains(dims) => {
+                ("cube", format!("dimension must be in 1..=20, got {dims}"))
+            }
+            TopologyKind::Mesh2d { rows, cols } if *rows == 0 || *cols == 0 => {
+                ("mesh", "extents must be positive".to_string())
+            }
+            TopologyKind::Mesh2d { .. } if self.num_nodes() > 1 << 20 => ("mesh", too_large()),
+            TopologyKind::Torus { extents } if !(1..=8).contains(&extents.len()) => (
+                "torus",
+                format!("must have 1..=8 dimensions, got {}", extents.len()),
+            ),
+            TopologyKind::Torus { extents } if extents.iter().any(|&k| k < 2) => {
+                ("torus", "every extent must be >= 2".to_string())
+            }
+            TopologyKind::Torus { .. } if self.num_nodes() > 1 << 20 => ("torus", too_large()),
+            TopologyKind::FatTree { k } if !(2..=64).contains(k) || k % 2 != 0 => (
+                "fattree",
+                format!("arity must be even and in 2..=64, got {k}"),
+            ),
+            _ => return Ok(()),
+        };
+        Err(KindError::BadSpec { kind, detail })
     }
 
     /// Node count without building the topology, saturating at
-    /// `usize::MAX` on overflow.
-    ///
-    /// A *parsed* kind never overflows — `parse` bounds every family at
-    /// `2^20` nodes — but the variant fields are public, so a
-    /// hand-constructed hostile kind must saturate (and then fail
-    /// [`TopologyKind::try_build`]'s bounds), never wrap or panic.
+    /// `usize::MAX` on overflow (a hostile hand-built kind then fails
+    /// [`TopologyKind::validate`]; it never wraps or panics here).
     pub fn num_nodes(&self) -> usize {
         match self {
-            TopologyKind::Cube { dims } => 1usize.checked_shl(*dims).unwrap_or(usize::MAX),
-            TopologyKind::Mesh { rows, cols } => (*rows as usize).saturating_mul(*cols as usize),
+            TopologyKind::Hypercube { dims } => 1usize.checked_shl(*dims).unwrap_or(usize::MAX),
+            TopologyKind::Mesh2d { rows, cols } => (*rows as usize).saturating_mul(*cols as usize),
             TopologyKind::Torus { extents } => extents
                 .iter()
                 .try_fold(1usize, |n, &k| n.checked_mul(k as usize))
@@ -210,8 +197,12 @@ impl TopologyKind {
         }
     }
 
-    /// Build the live topology this kind describes. A parsed kind never
-    /// panics here — `parse` enforces the constructors' bounds.
+    /// Build the live topology this kind describes.
+    ///
+    /// # Panics
+    ///
+    /// On a kind [`TopologyKind::validate`] rejects; parsed and decoded
+    /// kinds never do.
     pub fn build(&self) -> Box<dyn Topology> {
         match self.try_build() {
             Ok(t) => t,
@@ -219,50 +210,25 @@ impl TopologyKind {
         }
     }
 
-    /// Fallible [`TopologyKind::build`] for kinds that did not come from
-    /// [`TopologyKind::parse`] (hand-constructed, e.g. decoded from a
-    /// hostile wire frame): constructor bounds surface as typed
-    /// [`KindError::BadSpec`] errors instead of panics.
+    /// Fallible [`TopologyKind::build`] for kinds that may not have been
+    /// validated yet (hand-built ones).
     ///
     /// # Errors
     ///
-    /// [`KindError::BadSpec`] naming the violated constructor bound.
+    /// Whatever [`TopologyKind::validate`] returns.
     pub fn try_build(&self) -> Result<Box<dyn Topology>, KindError> {
-        match self {
-            TopologyKind::Cube { dims } => {
-                if !(1..=20).contains(dims) {
-                    return Err(KindError::BadSpec {
-                        kind: "cube",
-                        detail: format!("dimension must be in 1..=20, got {dims}"),
-                    });
-                }
-                Ok(Box::new(Hypercube::new(*dims)))
-            }
-            TopologyKind::Mesh { rows, cols } => {
-                if *rows == 0 || *cols == 0 || self.num_nodes() > 1 << 20 {
-                    return Err(KindError::BadSpec {
-                        kind: "mesh",
-                        detail: format!("mesh bounds violated: {rows}x{cols}"),
-                    });
-                }
-                Ok(Box::new(Mesh2d::new(*rows as usize, *cols as usize)))
+        self.validate()?;
+        Ok(match self {
+            TopologyKind::Hypercube { dims } => Box::new(Hypercube::new(*dims)),
+            TopologyKind::Mesh2d { rows, cols } => {
+                Box::new(Mesh2d::new(*rows as usize, *cols as usize))
             }
             TopologyKind::Torus { extents } => {
                 let extents: Vec<usize> = extents.iter().map(|&k| k as usize).collect();
-                Torus::try_new(&extents)
-                    .map(|t| Box::new(t) as Box<dyn Topology>)
-                    .map_err(|e| KindError::BadSpec {
-                        kind: "torus",
-                        detail: e.to_string(),
-                    })
+                Box::new(Torus::new(&extents))
             }
-            TopologyKind::FatTree { k } => FatTree::try_new(*k as usize)
-                .map(|t| Box::new(t) as Box<dyn Topology>)
-                .map_err(|e| KindError::BadSpec {
-                    kind: "fattree",
-                    detail: e.to_string(),
-                }),
-        }
+            TopologyKind::FatTree { k } => Box::new(FatTree::new(*k as usize)),
+        })
     }
 
     /// [`TopologyKind::build`], shared — the shape grid axes want.
@@ -274,8 +240,8 @@ impl TopologyKind {
 impl fmt::Display for TopologyKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TopologyKind::Cube { dims } => write!(f, "cube:d={dims}"),
-            TopologyKind::Mesh { rows, cols } => write!(f, "mesh:{rows}x{cols}"),
+            TopologyKind::Hypercube { dims } => write!(f, "cube:d={dims}"),
+            TopologyKind::Mesh2d { rows, cols } => write!(f, "mesh:{rows}x{cols}"),
             TopologyKind::Torus { extents } => {
                 write!(f, "torus:")?;
                 for (i, k) in extents.iter().enumerate() {
@@ -369,7 +335,7 @@ mod tests {
             k.try_build(),
             Err(KindError::BadSpec { kind: "torus", .. })
         ));
-        let k = TopologyKind::Mesh {
+        let k = TopologyKind::Mesh2d {
             rows: u32::MAX,
             cols: u32::MAX,
         };
@@ -378,7 +344,7 @@ mod tests {
             k.try_build(),
             Err(KindError::BadSpec { kind: "mesh", .. })
         ));
-        let k = TopologyKind::Cube { dims: 64 };
+        let k = TopologyKind::Hypercube { dims: 64 };
         assert_eq!(k.num_nodes(), usize::MAX);
         assert!(matches!(
             k.try_build(),

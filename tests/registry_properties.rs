@@ -183,10 +183,10 @@ proptest! {
             let s = entry.schedule(&com, &cube, seed);
             let s2 = s.relabeled(&perm);
             let a = commrt::AnalyticBackend
-                .estimate_on(&params, &cube, &com, &s, scheme)
+                .estimate(&params, &cube, &com, &s, scheme)
                 .unwrap();
             let b = commrt::AnalyticBackend
-                .estimate_on(&params, &cube, &com2, &s2, scheme)
+                .estimate(&params, &cube, &com2, &s2, scheme)
                 .unwrap();
             if scheme == commrt::Scheme::S2 {
                 prop_assert!(

@@ -15,7 +15,7 @@
 //! `DefaultHasher` (not one).
 
 use commcache::checksum64;
-use commrt::{AnalyticBackend, Scheme};
+use commrt::{AnalyticBackend, Scheme, SimBackend};
 use commsched::{registry, CommMatrix, Schedule};
 use simnet::{LinkCostModel, MachineParams, PortModel};
 use topo::TopologyKind;
@@ -109,7 +109,7 @@ fn analytic_digest(fabric: &str) -> u64 {
                             ..MachineParams::ipsc860()
                         };
                         match AnalyticBackend
-                            .estimate_on_costed(&params, &cost, &*topo, com, &schedule, scheme)
+                            .estimate_costed(&params, &cost, &*topo, com, &schedule, scheme)
                         {
                             Ok(r) => {
                                 put(&mut buf, r.makespan_ns);
