@@ -10,6 +10,9 @@
 //! * The torus' ring stepper (coordinate carried beside the node id)
 //!   produces, link for link, the route and the fault detours of a walk
 //!   that re-derives every hop from [`Torus::neighbor`].
+//! * Every `route_into` equals, link for link, a reference router written
+//!   here from the documented channel layouts alone: the bit-test loop on
+//!   cubes, the remainder-and-division peel on tori.
 
 use hypercube::{Hypercube, LinkId, Mesh2d, NodeId, Topology};
 use topo::{FatTree, Torus};
@@ -187,5 +190,83 @@ fn torus_detours_equal_the_neighbor_walk_under_random_faults() {
         }
         assert!(detoured > 0, "{}: no down-set forced a detour", t.name());
         assert!(stranded > 0, "{}: no down-set cut a ring", t.name());
+    }
+}
+
+/// The e-cube router as a bit-test loop: one hop per differing address
+/// bit, least significant first, over channel `node · dims + dim`.
+fn ecube_reference(dims: u32, src: NodeId, dst: NodeId) -> Vec<LinkId> {
+    let mut links = Vec::new();
+    let mut cur = src.0;
+    for dim in 0..dims {
+        if (src.0 ^ dst.0) & (1 << dim) != 0 {
+            links.push(LinkId(cur * dims + dim));
+            cur ^= 1 << dim;
+        }
+    }
+    assert_eq!(cur, dst.0);
+    links
+}
+
+/// The dimension-ordered torus router with nothing precomputed: both
+/// endpoints' coordinates peeled off by remainder and division, every
+/// ring walked the shorter way (ties positive) one [`Torus::neighbor`]
+/// at a time, over channel `node · 2n + 2 · dim + dir`.
+fn peel_reference(t: &Torus, src: NodeId, dst: NodeId) -> Vec<LinkId> {
+    let mut links = Vec::new();
+    let mut cur = src;
+    let (mut src_rest, mut dst_rest, mut stride) = (src.0, dst.0, 1);
+    for (dim, &k) in t.extents().iter().enumerate() {
+        let (s, d) = (src_rest % k, dst_rest % k);
+        (src_rest, dst_rest) = (src_rest / k, dst_rest / k);
+        let fwd = (d + k - s) % k;
+        let (steps, dir) = if fwd <= k - fwd {
+            (fwd, 0)
+        } else {
+            (k - fwd, 1)
+        };
+        let mut c = s;
+        for _ in 0..steps {
+            links.push(LinkId(cur.0 * 2 * t.ndims() as u32 + 2 * dim as u32 + dir));
+            let next = if dir == 0 {
+                (c + 1) % k
+            } else {
+                (c + k - 1) % k
+            };
+            // The neighbour is the node whose `dim` coordinate moved.
+            let moved = NodeId(cur.0 - c * stride + next * stride);
+            assert_eq!(t.neighbor(cur, dim, dir), moved, "{}", t.name());
+            (cur, c) = (moved, next);
+        }
+        stride *= k;
+    }
+    assert_eq!(cur, dst);
+    links
+}
+
+#[test]
+fn every_router_equals_its_reference_link_for_link() {
+    let mut buf = Vec::new();
+    for dims in [1, 6, 20] {
+        let cube = Hypercube::new(dims);
+        for (s, d) in pairs(cube.num_nodes()) {
+            cube.route_into(s, d, &mut buf);
+            assert_eq!(
+                buf,
+                ecube_reference(dims, s, d),
+                "{} {s:?} -> {d:?}",
+                cube.name()
+            );
+            let mut hops = Vec::new();
+            cube.for_each_hop(s, d, |_, _, l| hops.push(l));
+            assert_eq!(hops, buf, "{} {s:?} -> {d:?}", cube.name());
+        }
+    }
+    for extents in [&[8, 8][..], &[5, 3, 2], &[32, 32, 32]] {
+        let t = Torus::new(extents);
+        for (s, d) in pairs(t.num_nodes()) {
+            t.route_into(s, d, &mut buf);
+            assert_eq!(buf, peel_reference(&t, s, d), "{} {s:?} -> {d:?}", t.name());
+        }
     }
 }
