@@ -220,7 +220,7 @@ impl IncrementalCache {
         let sched_key = (entry.name().to_string(), seed);
 
         // Snapshot the most recent compatible candidates under the lock;
-        // diff outside it (diffing is the O(n²) part).
+        // diff outside it (diffing is the expensive part).
         let candidates: Vec<(u128, Arc<CommMatrix>, Option<Arc<Schedule>>)> = {
             let inner = self.inner.lock().expect("no panics hold the base map");
             inner
@@ -247,15 +247,12 @@ impl IncrementalCache {
         let mut hit_without_schedule = false;
         let mut chosen = None;
         for (raw, base_com, base_schedule) in candidates {
-            let delta = match MatrixDelta::diff(&base_com, com) {
-                Ok(d) => d,
-                Err(_) => continue,
-            };
+            // Bounded: another chain's base is rejected after a few rows.
             let base_msgs = base_com.message_count().max(1);
-            if delta.structural_count() * 1000 > self.config.max_delta_permille as usize * base_msgs
-            {
+            let max_structural = self.config.max_delta_permille as usize * base_msgs / 1000;
+            let Ok(Some(delta)) = MatrixDelta::diff_within(&base_com, com, max_structural) else {
                 continue;
-            }
+            };
             match base_schedule {
                 Some(s) => {
                     chosen = Some((raw, s, delta));

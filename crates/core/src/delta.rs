@@ -159,6 +159,24 @@ impl MatrixDelta {
     /// [`DeltaError::WrongSize`] when the matrices span different node
     /// counts — deltas only relate same-sized instances.
     pub fn diff(base: &CommMatrix, target: &CommMatrix) -> Result<MatrixDelta, DeltaError> {
+        let unbounded = Self::diff_within(base, target, usize::MAX)?;
+        Ok(unbounded.expect("no delta exceeds an unbounded walk"))
+    }
+
+    /// [`MatrixDelta::diff`], given up (`None`) once a row leaves more
+    /// than `max_structural` messages added or removed: a caller with a
+    /// [`MatrixDelta::structural_count`] threshold rejects an unrelated
+    /// base after a few rows, not `n²` cells and every edit pushed. An
+    /// unchanged row costs one slice compare.
+    ///
+    /// # Errors
+    ///
+    /// [`DeltaError::WrongSize`], as [`MatrixDelta::diff`].
+    pub fn diff_within(
+        base: &CommMatrix,
+        target: &CommMatrix,
+        max_structural: usize,
+    ) -> Result<Option<MatrixDelta>, DeltaError> {
         if base.n() != target.n() {
             return Err(DeltaError::WrongSize {
                 delta: target.n(),
@@ -173,8 +191,11 @@ impl MatrixDelta {
             resized: Vec::new(),
         };
         for i in 0..n {
-            for j in 0..n {
-                let (old, new) = (base.get(i, j), target.get(i, j));
+            let (old_row, new_row) = (base.row(i), target.row(i));
+            if old_row == new_row {
+                continue;
+            }
+            for (j, (&old, &new)) in old_row.iter().zip(new_row).enumerate() {
                 if old == new {
                     continue;
                 }
@@ -185,8 +206,11 @@ impl MatrixDelta {
                     (_, b) => delta.resized.push((src, dst, b)),
                 }
             }
+            if delta.structural_count() > max_structural {
+                return Ok(None);
+            }
         }
-        Ok(delta)
+        Ok(Some(delta))
     }
 
     /// Reassemble a delta from its edit lists — the decode path of
@@ -569,6 +593,37 @@ mod tests {
         assert_eq!(delta.change_count(), 3);
         assert_eq!(delta.structural_count(), 2);
         assert_eq!(delta.apply(&base).unwrap(), target);
+    }
+
+    #[test]
+    fn a_bounded_diff_is_the_diff_or_nothing() {
+        let base = sample_com(16);
+        let mut target = base.clone();
+        target.set(0, 1, 0); // removed
+        target.set(0, 5, 999); // resized: never counts against the bound
+        target.set(2, 9, 64); // added
+        target.set(15, 3, 64); // added, in the last row
+        let full = MatrixDelta::diff(&base, &target).unwrap();
+        assert_eq!(full.structural_count(), 3);
+        for bound in [3, 4, usize::MAX] {
+            let bounded = MatrixDelta::diff_within(&base, &target, bound).unwrap();
+            assert_eq!(bounded.as_ref(), Some(&full), "bound {bound}");
+        }
+        for bound in [0, 1, 2] {
+            let bounded = MatrixDelta::diff_within(&base, &target, bound).unwrap();
+            assert_eq!(bounded, None, "bound {bound}");
+        }
+        // Another instance altogether is rejected at any sane bound, and
+        // a resize-only delta passes the tightest one.
+        let other = CommMatrix::new(16);
+        assert_eq!(MatrixDelta::diff_within(&base, &other, 31).unwrap(), None);
+        let mut resized = base.clone();
+        resized.set(7, 8, 1);
+        let delta = MatrixDelta::diff_within(&base, &resized, 0)
+            .unwrap()
+            .unwrap();
+        assert_eq!((delta.structural_count(), delta.change_count()), (0, 1));
+        assert!(MatrixDelta::diff_within(&base, &CommMatrix::new(8), 0).is_err());
     }
 
     #[test]

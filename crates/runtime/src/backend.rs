@@ -34,7 +34,7 @@ use commsched::{CommMatrix, Schedule, ScheduleKind};
 use hypercube::{LinkId, NodeId, Topology};
 use simnet::cost::resolve_route;
 use simnet::{
-    ExecMode, LinkCostModel, LoadModel, MachineParams, SimError, TraceKind, TransferSpec,
+    ExecMode, LinkCostModel, LoadModel, MachineParams, PortModel, SimError, TraceKind, TransferSpec,
 };
 
 use crate::compile::compile;
@@ -356,23 +356,15 @@ impl SimBackend for DesBackend {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AnalyticBackend;
 
-impl AnalyticBackend {
-    /// Reject self-pairs a hand-assembled schedule could smuggle past the
-    /// matrix (which forbids diagonal entries).
-    fn check_phases(schedule: &Schedule) -> Result<(), SimError> {
-        for pm in schedule.phases() {
-            for (src, dst) in pm.pairs() {
-                if src == dst {
-                    return Err(SimError::ProgramError {
-                        node: src.index(),
-                        msg: "self-directed message in a schedule phase".into(),
-                    });
-                }
-            }
-        }
-        Ok(())
+/// A self-pair a hand-assembled schedule smuggled past the matrix.
+fn self_directed(node: NodeId) -> SimError {
+    SimError::ProgramError {
+        node: node.index(),
+        msg: "self-directed message in a schedule phase".into(),
     }
+}
 
+impl AnalyticBackend {
     /// AC / phased-S2 pool estimate (see the type-level docs).
     ///
     /// `ramped` controls the send-initiation lead. Under S2 the j-th
@@ -397,19 +389,25 @@ impl AnalyticBackend {
         // Posts precede sends in both the AC and the S2 program shape:
         // the first send is requested at in_degree * recv_post +
         // send_overhead.
-        let mut in_degree = vec![0u64; n];
-        for (_, dst, _) in com.messages() {
-            in_degree[dst.index()] += 1;
+        // Counted cell by cell, branch-free, so the rows vectorize.
+        let mut in_degree = vec![0u32; n];
+        for src in 0..n {
+            for (degree, &bytes) in in_degree.iter_mut().zip(com.row(src)) {
+                *degree += u32::from(bytes != 0);
+            }
         }
         let mut sends_before = vec![0u64; n];
         let mut pool = LoadModel::new(topo, params.ports);
-        let mut claims = Vec::new();
+        let mut claims = Vec::with_capacity(topo.diameter());
         let mut phase_end_ns = Vec::with_capacity(phases.size_hint().0);
         let mut contended_transfers = 0u64;
         let mut contended_phases = 0usize;
         for phase in phases {
             let mut phase_contended = false;
             for (src, dst) in phase {
+                if src == dst {
+                    return Err(self_directed(src));
+                }
                 let bytes = com.get(src.index(), dst.index());
                 circuit_into(topo, cost, src, dst, &mut claims)?;
                 let j = if ramped { sends_before[src.index()] } else { 0 };
@@ -418,7 +416,7 @@ impl AnalyticBackend {
                     src,
                     dst,
                     busy_ns: cost.transfer_ns(params, bytes, &claims),
-                    lead_ns: in_degree[src.index()] * params.recv_post_ns
+                    lead_ns: u64::from(in_degree[src.index()]) * params.recv_post_ns
                         + (j + 1) * params.send_overhead_ns,
                     fused: false,
                 };
@@ -458,10 +456,9 @@ impl AnalyticBackend {
     /// t[src] = t[dst] = link_free[route...] = start + busy
     /// ```
     ///
-    /// — still pure arithmetic over occupancy times, no events. The
-    /// availability times live beside the cross-phase busy totals in one
-    /// `(free_at, busy_total)` table per resource class (nodes, links),
-    /// so a transfer's claim set is read once and written once.
+    /// — still pure arithmetic over occupancy times, no events. Every
+    /// resource has one [`S1Resource`] record, so a transfer's claim set
+    /// is read once (the start time) and written once (everything else).
     ///
     /// The recurrence serializes pessimistically on *chained* phases
     /// (0→1, 1→2, … builds an O(n) dependency chain the engine's
@@ -482,30 +479,31 @@ impl AnalyticBackend {
         schedule: &Schedule,
     ) -> Result<BackendReport, SimError> {
         let first_active = schedule.phases().iter().position(|pm| !pm.is_empty());
-        // One table per resource class, `(free_at, busy_total)` per
-        // resource: when the max-plus recurrence next finds it free, and
-        // the cross-phase busy total behind the contention indicators
-        // (the event engine's per-node `engine_busy_ns` analogue). A
-        // transfer reads its claim set once (the start time) and writes
-        // it once (both fields).
-        let mut nodes = vec![(0u64, 0u64); com.n()];
-        let mut links = vec![(0u64, 0u64); topo.link_count()];
+        // One table: the nodes, then (split ports only) their receive
+        // ports — which only the phase pool claims — then the links.
+        let n = com.n();
+        let split = params.ports == PortModel::Split;
+        let link_base = if split { 2 * n } else { n };
+        let mut table = vec![S1Resource::UNUSED; link_base + topo.link_count()];
+        let mut in_phase = Vec::new(); // records the current phase's pool claimed
         let (mut max_engine_busy_ns, mut max_link_busy_ns) = (0u64, 0u64);
         let mut claims = Vec::new();
         let mut rev = Vec::new();
-        let mut phase_model = LoadModel::new(topo, params.ports);
         let mut phase_end_ns = Vec::with_capacity(schedule.num_phases());
         let mut chain_ns = 0u64; // max-plus running makespan
         let mut sum_ns = 0u64; // per-phase pool running sum
         let mut contended_transfers = 0u64;
         let mut contended_phases = 0usize;
         for (k, pm) in schedule.phases().iter().enumerate() {
-            phase_model.reset();
+            let mut path_ns = 0u64; // the phase pool's `max_t (lead_t + busy_t)`
             let mut phase_contended = false;
             for (src, dst) in pm.pairs() {
+                if src == dst {
+                    return Err(self_directed(src));
+                }
                 // One routing pass per direction covers the price, the
                 // max-plus step, the busy totals and the phase pool.
-                let spec = if pm.is_exchange_pair(src) {
+                let (busy_ns, lead_ns, fused) = if pm.is_exchange_pair(src) {
                     // Each reciprocal pair fuses into one rendezvous
                     // transfer; account it once, from its lower endpoint.
                     if src.0 > dst.0 {
@@ -517,21 +515,14 @@ impl AnalyticBackend {
                         cost.transfer_ns(params, com.get(src.index(), dst.index()), &claims);
                     let rev_ns = cost.transfer_ns(params, com.get(dst.index(), src.index()), &rev);
                     claims.extend_from_slice(&rev);
-                    // One fused spec covers both port models: the engine
-                    // fuses the pair into a single rendezvous transfer
-                    // under unified ports, and runs the directions as two
-                    // concurrent sync-paying transfers under split ports
-                    // — either way the pair occupies both circuits and
-                    // completes at `sync + max(fwd, rev)` after the
-                    // rendezvous, and `LoadModel` claims the endpoints
-                    // per the active port model.
-                    TransferSpec {
-                        src,
-                        dst,
-                        busy_ns: params.exchange_sync_ns + fwd_ns.max(rev_ns),
-                        lead_ns: 0,
-                        fused: true,
-                    }
+                    // One fused transfer covers both port models: the
+                    // engine fuses the pair into a single rendezvous
+                    // transfer under unified ports, and runs the
+                    // directions as two concurrent sync-paying transfers
+                    // under split ports — either way the pair occupies
+                    // both circuits and completes at `sync + max(fwd,
+                    // rev)` after the rendezvous.
+                    (params.exchange_sync_ns + fwd_ns.max(rev_ns), 0, true)
                 } else {
                     // One-way message under loose synchrony: the receiver
                     // posts and signals ready, the sender transmits on the
@@ -549,48 +540,52 @@ impl AnalyticBackend {
                     } else {
                         params.send_overhead_ns
                     };
-                    TransferSpec {
-                        src,
-                        dst,
-                        busy_ns: cost.transfer_ns(
-                            params,
-                            com.get(src.index(), dst.index()),
-                            &claims,
-                        ),
-                        lead_ns,
-                        fused: false,
-                    }
+                    let bytes = com.get(src.index(), dst.index());
+                    (cost.transfer_ns(params, bytes, &claims), lead_ns, false)
                 };
 
                 // The max-plus step: read every claimed resource...
-                let ends = [spec.src.index(), spec.dst.index()];
-                let mut start = nodes[ends[0]].0.max(nodes[ends[1]].0);
+                let (s, d) = (src.index(), dst.index());
+                let mut start = table[s].free_at.max(table[d].free_at);
                 for l in &claims {
-                    start = start.max(links[l.index()].0);
+                    start = start.max(table[link_base + l.index()].free_at);
                 }
-                let end = start + spec.lead_ns + spec.busy_ns;
+                let end = start + lead_ns + busy_ns;
                 chain_ns = chain_ns.max(end);
-                // ...and write it: free again at `end`, busier by `busy`.
-                for i in ends {
-                    let (free_at, busy) = &mut nodes[i];
-                    *free_at = end;
-                    *busy += spec.busy_ns;
-                    max_engine_busy_ns = max_engine_busy_ns.max(*busy);
+                path_ns = path_ns.max(lead_ns + busy_ns);
+                // ...and write it: free again at `end`, busier by `busy`,
+                // and in the phase pool, which claims an endpoint's engine
+                // or port by `LoadModel`'s rules for the port model.
+                let (pool_ends, count) = match (split, fused) {
+                    (false, _) => ([s, d, 0, 0], 2),
+                    (true, false) => ([s, n + d, 0, 0], 2),
+                    (true, true) => ([s, n + d, d, n + s], 4),
+                };
+                for i in [s, d] {
+                    max_engine_busy_ns = max_engine_busy_ns.max(table[i].occupy(end, busy_ns));
+                }
+                let fresh_before = in_phase.len();
+                for &i in &pool_ends[..count] {
+                    table[i].join_pool(i, busy_ns, lead_ns, &mut in_phase);
                 }
                 for l in &claims {
-                    let (free_at, busy) = &mut links[l.index()];
-                    *free_at = end;
-                    *busy += spec.busy_ns;
-                    max_link_busy_ns = max_link_busy_ns.max(*busy);
+                    let i = link_base + l.index();
+                    max_link_busy_ns = max_link_busy_ns.max(table[i].occupy(end, busy_ns));
+                    table[i].join_pool(i, busy_ns, lead_ns, &mut in_phase);
                 }
-
-                if phase_model.add_with_route(spec, &claims) {
-                    contended_transfers += 1;
-                    phase_contended = true;
-                }
+                // A claim that was not its resource's first joined a held one.
+                let joined = in_phase.len() - fresh_before < count + claims.len();
+                contended_transfers += u64::from(joined);
+                phase_contended |= joined;
             }
             contended_phases += usize::from(phase_contended);
-            sum_ns += phase_model.makespan_ns();
+            // The pool's makespan, read off the records the phase
+            // claimed as they leave the pool.
+            let pool_ns = in_phase
+                .drain(..)
+                .map(|i: usize| table[i].leave_pool())
+                .fold(path_ns, u64::max);
+            sum_ns += pool_ns;
             phase_end_ns.push(chain_ns.min(sum_ns));
         }
         Ok(BackendReport {
@@ -603,6 +598,59 @@ impl AnalyticBackend {
                 contended_phases,
             },
         })
+    }
+}
+
+/// One resource (node, receive port or link) of the S1 estimate: what
+/// the max-plus recurrence, the contention indicators and the current
+/// phase's occupancy pool each keep about it, side by side.
+#[derive(Clone, Copy, Debug)]
+struct S1Resource {
+    /// When the recurrence next finds the resource free.
+    free_at: u64,
+    /// Busy time over all phases (the engine's `engine_busy_ns` analogue).
+    busy_total: u64,
+    /// Busy time in the current phase's pool.
+    pool_busy: u64,
+    /// Earliest lead among the pool's users of this resource;
+    /// `u64::MAX` while the pool has not claimed it.
+    pool_min_lead: u64,
+}
+
+impl S1Resource {
+    const UNUSED: S1Resource = S1Resource {
+        free_at: 0,
+        busy_total: 0,
+        pool_busy: 0,
+        pool_min_lead: u64::MAX,
+    };
+
+    /// Held until `end`, for `busy_ns` more; the new busy total.
+    #[inline]
+    fn occupy(&mut self, end: u64, busy_ns: u64) -> u64 {
+        self.free_at = end;
+        self.busy_total += busy_ns;
+        self.busy_total
+    }
+
+    /// Join the current phase's pool as [`simnet::LoadModel`] would claim
+    /// the resource, noting record `i` in `in_phase` on its first claim
+    /// of the phase.
+    #[inline]
+    fn join_pool(&mut self, i: usize, busy_ns: u64, lead_ns: u64, in_phase: &mut Vec<usize>) {
+        if self.pool_min_lead == u64::MAX {
+            in_phase.push(i);
+        }
+        self.pool_busy += busy_ns;
+        self.pool_min_lead = self.pool_min_lead.min(lead_ns);
+    }
+
+    /// Leave the pool; the span `min_lead + busy` the resource had in it.
+    #[inline]
+    fn leave_pool(&mut self) -> u64 {
+        let span = self.pool_min_lead + self.pool_busy;
+        (self.pool_busy, self.pool_min_lead) = (0, u64::MAX);
+        span
     }
 }
 
@@ -633,7 +681,6 @@ impl SimBackend for AnalyticBackend {
     ) -> Result<BackendReport, SimError> {
         params.validate().map_err(SimError::BadParams)?;
         check_shapes(topo, com, schedule)?;
-        Self::check_phases(schedule)?;
         match schedule.kind() {
             ScheduleKind::Async => {
                 // All messages form one pool (the AC program blasts them
@@ -917,6 +964,239 @@ mod tests {
             .unwrap();
         assert_eq!(free.contention.contended_transfers, 0);
         assert_eq!(free.contention.contended_phases, 0);
+    }
+
+    /// The S1 estimate as it was computed before the single-record
+    /// table: availability times and busy totals in one `(free_at,
+    /// busy_total)` vector per class, the phase occupancy in a
+    /// [`LoadModel`] reset per phase — three structures, each transfer's
+    /// claim set walked three times.
+    fn reference_s1(
+        params: &MachineParams,
+        cost: &LinkCostModel,
+        topo: &dyn Topology,
+        com: &CommMatrix,
+        schedule: &Schedule,
+    ) -> Result<BackendReport, SimError> {
+        let first_active = schedule.phases().iter().position(|pm| !pm.is_empty());
+        // One table per resource class, `(free_at, busy_total)` per
+        // resource: when the max-plus recurrence next finds it free, and
+        // the cross-phase busy total behind the contention indicators
+        // (the event engine's per-node `engine_busy_ns` analogue). A
+        // transfer reads its claim set once (the start time) and writes
+        // it once (both fields).
+        let mut nodes = vec![(0u64, 0u64); com.n()];
+        let mut links = vec![(0u64, 0u64); topo.link_count()];
+        let (mut max_engine_busy_ns, mut max_link_busy_ns) = (0u64, 0u64);
+        let mut claims = Vec::new();
+        let mut rev = Vec::new();
+        let mut phase_model = LoadModel::new(topo, params.ports);
+        let mut phase_end_ns = Vec::with_capacity(schedule.num_phases());
+        let mut chain_ns = 0u64; // max-plus running makespan
+        let mut sum_ns = 0u64; // per-phase pool running sum
+        let mut contended_transfers = 0u64;
+        let mut contended_phases = 0usize;
+        for (k, pm) in schedule.phases().iter().enumerate() {
+            phase_model.reset();
+            let mut phase_contended = false;
+            for (src, dst) in pm.pairs() {
+                // One routing pass per direction covers the price, the
+                // max-plus step, the busy totals and the phase pool.
+                let spec = if pm.is_exchange_pair(src) {
+                    // Each reciprocal pair fuses into one rendezvous
+                    // transfer; account it once, from its lower endpoint.
+                    if src.0 > dst.0 {
+                        continue;
+                    }
+                    circuit_into(topo, cost, src, dst, &mut claims)?;
+                    circuit_into(topo, cost, dst, src, &mut rev)?;
+                    let fwd_ns =
+                        cost.transfer_ns(params, com.get(src.index(), dst.index()), &claims);
+                    let rev_ns = cost.transfer_ns(params, com.get(dst.index(), src.index()), &rev);
+                    claims.extend_from_slice(&rev);
+                    // One fused spec covers both port models: the engine
+                    // fuses the pair into a single rendezvous transfer
+                    // under unified ports, and runs the directions as two
+                    // concurrent sync-paying transfers under split ports
+                    // — either way the pair occupies both circuits and
+                    // completes at `sync + max(fwd, rev)` after the
+                    // rendezvous, and `LoadModel` claims the endpoints
+                    // per the active port model.
+                    TransferSpec {
+                        src,
+                        dst,
+                        busy_ns: params.exchange_sync_ns + fwd_ns.max(rev_ns),
+                        lead_ns: 0,
+                        fused: true,
+                    }
+                } else {
+                    // One-way message under loose synchrony: the receiver
+                    // posts and signals ready, the sender transmits on the
+                    // signal. The handshake of phase k+1 is prepared
+                    // during phase k (double buffering), so only the
+                    // first active phase pays it in full.
+                    circuit_into(topo, cost, src, dst, &mut claims)?;
+                    let lead_ns = if Some(k) == first_active {
+                        // The zero-byte ready signal travels the reverse
+                        // circuit (at its costed price).
+                        circuit_into(topo, cost, dst, src, &mut rev)?;
+                        params.recv_post_ns
+                            + 2 * params.send_overhead_ns
+                            + cost.transfer_ns(params, 0, &rev)
+                    } else {
+                        params.send_overhead_ns
+                    };
+                    TransferSpec {
+                        src,
+                        dst,
+                        busy_ns: cost.transfer_ns(
+                            params,
+                            com.get(src.index(), dst.index()),
+                            &claims,
+                        ),
+                        lead_ns,
+                        fused: false,
+                    }
+                };
+
+                // The max-plus step: read every claimed resource...
+                let ends = [spec.src.index(), spec.dst.index()];
+                let mut start = nodes[ends[0]].0.max(nodes[ends[1]].0);
+                for l in &claims {
+                    start = start.max(links[l.index()].0);
+                }
+                let end = start + spec.lead_ns + spec.busy_ns;
+                chain_ns = chain_ns.max(end);
+                // ...and write it: free again at `end`, busier by `busy`.
+                for i in ends {
+                    let (free_at, busy) = &mut nodes[i];
+                    *free_at = end;
+                    *busy += spec.busy_ns;
+                    max_engine_busy_ns = max_engine_busy_ns.max(*busy);
+                }
+                for l in &claims {
+                    let (free_at, busy) = &mut links[l.index()];
+                    *free_at = end;
+                    *busy += spec.busy_ns;
+                    max_link_busy_ns = max_link_busy_ns.max(*busy);
+                }
+
+                if phase_model.add_with_route(spec, &claims) {
+                    contended_transfers += 1;
+                    phase_contended = true;
+                }
+            }
+            contended_phases += usize::from(phase_contended);
+            sum_ns += phase_model.makespan_ns();
+            phase_end_ns.push(chain_ns.min(sum_ns));
+        }
+        Ok(BackendReport {
+            makespan_ns: chain_ns.min(sum_ns),
+            phase_end_ns,
+            contention: ContentionStats {
+                max_engine_busy_ns,
+                max_link_busy_ns,
+                contended_transfers,
+                contended_phases,
+            },
+        })
+    }
+
+    /// Every S1 report of `schedule` equals the reference's, field for
+    /// field and phase for phase, under both port models and a uniform,
+    /// a heterogeneous and a faulty fabric.
+    fn assert_s1_equals_reference(topo: &dyn Topology, com: &CommMatrix, schedule: &Schedule) {
+        for cost in [
+            "uniform",
+            "hetero:factor=4,frac=0.25,lat=1000,seed=7",
+            "faulty:p=0.003,seed=7",
+        ] {
+            let cost = LinkCostModel::parse(cost).unwrap();
+            for ports in [PortModel::Unified, PortModel::Split] {
+                let params = MachineParams {
+                    ports,
+                    ..MachineParams::ipsc860()
+                };
+                let got = AnalyticBackend.estimate_s1(&params, &cost, topo, com, schedule);
+                let want = reference_s1(&params, &cost, topo, com, schedule);
+                let at = format!("{} {cost} {ports:?}", topo.name());
+                match (got, want) {
+                    (Ok(got), Ok(want)) => {
+                        assert_eq!(got.phase_end_ns, want.phase_end_ns, "{at}");
+                        assert_eq!(got, want, "{at}");
+                    }
+                    (got, want) => assert_eq!(
+                        got.map_err(|e| e.to_string()),
+                        want.map_err(|e| e.to_string()),
+                        "{at}"
+                    ),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn s1_single_record_recurrence_equals_the_three_structure_reference() {
+        // RS_NL and LP on traffic with a symmetric part, so phases mix
+        // fused exchange pairs with one-way messages.
+        for fabric in ["cube:d=4", "cube:d=6", "torus:4x4x4", "fattree:k=4"] {
+            let topo = topo::TopologyKind::parse(fabric).unwrap().build();
+            let n = topo.num_nodes();
+            let mut mixed = workloads::random_nonuniform(n, 6, 64, 128 * 1024, 11);
+            for i in 0..n / 2 {
+                mixed.set(i, n - 1 - i, 2048 + i as u32);
+                mixed.set(n - 1 - i, i, 512);
+            }
+            for com in [workloads::random_dregular(n, 5, 1024, 3), mixed] {
+                for name in ["RS_NL", "LP", "RS_N"] {
+                    let entry = registry::find(name).unwrap();
+                    if entry.supports_topology(&*topo) {
+                        let schedule = entry.schedule(&com, &*topo, 9);
+                        assert_s1_equals_reference(&*topo, &com, &schedule);
+                    }
+                }
+            }
+        }
+
+        // A hand-built schedule the recurrence serializes on: an empty
+        // phase, then a first active phase of two exchange pairs beside
+        // one-way chain links, then the chain 0 -> 1 -> ... -> 15 whole,
+        // then the same chain again (links and engines still warm).
+        use commsched::{PartialPermutation, SchedulerKind};
+        let cube = Hypercube::new(4);
+        let mut com = CommMatrix::new(16);
+        let mut first = PartialPermutation::empty(16);
+        for (a, b) in [(2u32, 9u32), (5, 12)] {
+            first.assign(NodeId(a), NodeId(b));
+            first.assign(NodeId(b), NodeId(a));
+            com.set(a as usize, b as usize, 4096 + a);
+            com.set(b as usize, a as usize, 100 * b);
+        }
+        let mut chain = PartialPermutation::empty(16);
+        for i in 0..15u32 {
+            chain.assign(NodeId(i), NodeId(i + 1));
+            com.set(i as usize, i as usize + 1, 300 + 700 * i);
+            let in_a_pair = |v| [2, 9, 5, 12].contains(&v);
+            if !in_a_pair(i) && !in_a_pair(i + 1) {
+                first.assign(NodeId(i), NodeId(i + 1));
+            }
+        }
+        assert!(first.is_exchange_pair(NodeId(9)) && !first.is_exchange_pair(NodeId(0)));
+        let phases = vec![PartialPermutation::empty(16), first, chain.clone(), chain];
+        let schedule =
+            Schedule::from_parts(ScheduleKind::Phased, SchedulerKind::RsNl, 16, phases, 0, 0);
+        assert_s1_equals_reference(&cube, &com, &schedule);
+        let report = AnalyticBackend
+            .estimate(
+                &MachineParams::ipsc860(),
+                &cube,
+                &com,
+                &schedule,
+                Scheme::S1,
+            )
+            .unwrap();
+        assert_eq!(report.phase_end_ns[0], 0, "nothing moves in an empty phase");
+        assert!(report.phase_end_ns.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

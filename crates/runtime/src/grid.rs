@@ -1101,13 +1101,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn scheme_ablation_columns_share_compiled_schedules() {
-        // Two columns = one scheduler under S1 and S2, shared seeds: the
-        // second column's schedules are pure cache hits (the schedule
-        // depends on the scheduler, not the scheme).
+    /// Two columns = one scheduler under S1 and S2, shared seeds, behind
+    /// a fresh schedule cache.
+    fn scheme_ablation_grid() -> ExperimentGrid {
         let entry = registry::find("RS_NL").unwrap();
-        let grid = ExperimentGrid::new()
+        ExperimentGrid::new()
             .topology("hypercube(4)", Hypercube::new(4))
             .column(GridColumn::new(SchedulerHandle::from(entry)).with_scheme(Scheme::S1))
             .column(GridColumn::new(SchedulerHandle::from(entry)).with_scheme(Scheme::S2))
@@ -1118,8 +1116,21 @@ mod tests {
                 7,
             ))
             .samples(3)
-            .with_cache(commcache::CacheConfig::in_memory());
-        let result = grid.execute().unwrap();
+            .with_cache(commcache::CacheConfig::in_memory())
+    }
+
+    #[test]
+    fn scheme_ablation_columns_share_compiled_schedules() {
+        // The second column's schedules are pure cache hits (the schedule
+        // depends on the scheduler, not the scheme). One worker: the claim
+        // is sharing, and with two the columns can both miss a key they
+        // reach at the same moment.
+        let grid = scheme_ablation_grid();
+        let one_thread = ExecOptions {
+            threads: Some(1),
+            ..ExecOptions::default()
+        };
+        let result = grid.execute_opts(one_thread).unwrap();
         let stats = grid.runner().schedule_cache().unwrap().stats();
         assert_eq!(stats.misses, 3, "3 samples compiled once each");
         assert_eq!(stats.hits(), 3, "second column reused all of them");
@@ -1128,6 +1139,37 @@ mod tests {
             result.at(0, 0).unwrap().result.comm_ms,
             result.at(1, 0).unwrap().result.comm_ms
         );
+    }
+
+    #[test]
+    fn scheme_ablation_columns_race_for_schedules_but_agree() {
+        // Under the worker pool only what survives a race holds: six
+        // lookups, each sample compiled at least once and at most once
+        // per column — and the same numbers whoever compiled.
+        let serial = scheme_ablation_grid()
+            .execute_opts(ExecOptions {
+                threads: Some(1),
+                ..ExecOptions::default()
+            })
+            .unwrap();
+        for _ in 0..20 {
+            let grid = scheme_ablation_grid();
+            let threaded = grid
+                .execute_opts(ExecOptions {
+                    threads: Some(4),
+                    ..ExecOptions::default()
+                })
+                .unwrap();
+            let stats = grid.runner().schedule_cache().unwrap().stats();
+            assert_eq!(stats.hits() + stats.misses, 6);
+            assert!((3..=6).contains(&stats.misses), "{} misses", stats.misses);
+            for column in 0..2 {
+                assert_eq!(
+                    threaded.at(column, 0).unwrap().result,
+                    serial.at(column, 0).unwrap().result
+                );
+            }
+        }
     }
 
     #[test]

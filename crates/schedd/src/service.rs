@@ -123,7 +123,8 @@ impl std::error::Error for ServiceError {}
 
 /// Cache of backend estimates keyed (fingerprint, scheme, backend).
 ///
-/// Eviction is wholesale: when the table exceeds its cap it is cleared.
+/// Eviction is wholesale: when the table reaches its cap it is swapped
+/// for an empty one and freed outside the lock.
 /// Crude, but the table is small (a few hundred bytes per entry), the
 /// cap is large, and clearing costs one rebuild of a working set the
 /// schedule cache still remembers — LRU bookkeeping on the daemon's
@@ -161,10 +162,12 @@ impl EstimateCache {
 
     fn insert(&self, key: (u128, u8, u8), report: Arc<BackendReport>) {
         let mut entries = self.entries.lock().expect("estimate lock");
-        if entries.len() >= self.capacity {
-            entries.clear();
-        }
+        // At capacity the whole table goes, but it is freed outside the
+        // lock: other workers' `get`s should not wait for that.
+        let evicted = (entries.len() >= self.capacity).then(|| std::mem::take(&mut *entries));
         entries.insert(key, report);
+        drop(entries);
+        drop(evicted);
     }
 }
 
@@ -414,6 +417,44 @@ mod tests {
             matrix,
             cost_model: LinkCostModel::Uniform,
         }
+    }
+
+    #[test]
+    fn an_insert_at_capacity_leaves_only_the_new_entry() {
+        let cache = EstimateCache::new(4);
+        let report = |makespan_ns| {
+            Arc::new(BackendReport {
+                makespan_ns,
+                ..BackendReport::default()
+            })
+        };
+        for k in 0..4u128 {
+            cache.insert((k, 0, 0), report(k as u64));
+        }
+        assert_eq!(cache.get((2, 0, 0)).unwrap().makespan_ns, 2);
+        assert!(cache.get((9, 0, 0)).is_none());
+        let counters = |c: &EstimateCache| {
+            (
+                c.hits.load(Ordering::Relaxed),
+                c.misses.load(Ordering::Relaxed),
+            )
+        };
+        assert_eq!(counters(&cache), (1, 1));
+        // A report a caller still holds outlives the table it sat in.
+        let held = cache.get((3, 0, 0)).unwrap();
+        cache.insert((4, 0, 0), report(4));
+        assert_eq!(counters(&cache), (2, 1), "inserting moves neither counter");
+        {
+            let entries = cache.entries.lock().unwrap();
+            assert_eq!(entries.len(), 1, "exactly the new entry is resident");
+            assert_eq!(entries[&(4, 0, 0)].makespan_ns, 4);
+        }
+        assert_eq!((Arc::strong_count(&held), held.makespan_ns), (1, 3));
+        // Below capacity again, inserts accumulate as before.
+        cache.insert((5, 0, 0), report(5));
+        assert_eq!(cache.entries.lock().unwrap().len(), 2);
+        assert!(cache.get((0, 0, 0)).is_none() && cache.get((5, 0, 0)).is_some());
+        assert_eq!(counters(&cache), (3, 2));
     }
 
     #[test]

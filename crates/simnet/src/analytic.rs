@@ -27,52 +27,48 @@
 //! the event engine's exact answer — the conformance suite pins that
 //! (`tests/backend_conformance.rs` at the workspace root).
 //!
-//! The model is hot-path code (one pool per schedule phase across whole
-//! experiment grids), so every resource a transfer claims is touched
-//! once: the pool's maxima are kept up to date as claims arrive,
-//! [`LoadModel::reset`] starts a new generation instead of clearing
-//! slots, and the rare rescan walks a dirty-index list of the resources
-//! the current pool actually claimed, not the whole machine.
+//! The model is hot-path code (one pool per request in the daemon), so
+//! what a claim costs is the design: a resource is one 16-byte
+//! `(busy, min_lead)` slot, and claiming it is one indexed
+//! read-modify-write plus the compares that keep the pool's maxima up to
+//! date as claims arrive. The slots of every class small enough to be
+//! dense share one allocation; a class above the crossover hashes its
+//! slots instead, which is decided when the pool is built and matched
+//! once per transfer, outside the claim loop. [`LoadModel::reset`] and
+//! the rare rescan walk a dirty list of the resources the current pool
+//! actually claimed, never the whole machine.
 //!
 //! What the model deliberately ignores (tolerance, not bug): idle gaps a
 //! resource spends waiting on another resource's hand-off, claim-policy
 //! differences ([`crate::ClaimPolicy`] is modeled as atomic), and
 //! system-buffer traffic (arrivals are assumed posted).
 
+use std::ops::Range;
+
 use hypercube::{LinkId, NodeId, Topology};
 
-use crate::sparse::{MapMode, SparseMap};
+use crate::sparse::{MapMode, SparseMap, DENSE_CROSSOVER};
 use crate::PortModel;
 
 /// Resource-pool representation of a [`LoadModel`].
 ///
 /// Dense keeps one slot per machine resource (fastest below
 /// ~64K resources); Sparse keys occupancy by resource id in an
-/// open-addressed table so memory and reset cost scale with the traffic,
-/// admitting million-node fabrics (d=20: ~1M nodes, ~20M directed
-/// links). `Auto` picks per resource class by machine size — the two
-/// representations are bit-identical in output (pinned by proptests in
-/// `tests/sparse_pool_diff.rs`), so the choice is purely a
-/// space/time trade.
+/// open-addressed table so memory scales with the traffic, admitting
+/// million-node fabrics (d=20: ~1M nodes, ~20M directed links). `Auto`
+/// picks per resource class by machine size — the two representations
+/// are bit-identical in output (pinned by proptests in
+/// `tests/sparse_pool_diff.rs`), so the choice is purely a space/time
+/// trade.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PoolMode {
     /// Dense at or below the crossover (65_536 resources), sparse above.
     #[default]
     Auto,
-    /// Force dense vectors (one slot per resource).
+    /// Force dense slots (one per resource).
     Dense,
     /// Force the open-addressed sparse tables.
     Sparse,
-}
-
-impl PoolMode {
-    fn map_mode(self) -> MapMode {
-        match self {
-            PoolMode::Auto => MapMode::Auto,
-            PoolMode::Dense => MapMode::Dense,
-            PoolMode::Sparse => MapMode::Sparse,
-        }
-    }
 }
 
 /// One transfer in an analytic pool: endpoints, circuit-occupancy time,
@@ -90,7 +86,7 @@ pub struct TransferSpec {
     /// Time the transfer holds its circuit (ns).
     pub busy_ns: u64,
     /// Software latency before the circuit is requested (ns): send
-    /// initiation, receive posting, handshake rounds.
+    /// initiation, receive posting, handshake rounds; below `u64::MAX`.
     pub lead_ns: u64,
     /// Fused pairwise exchange: claims both endpoints' engines and the
     /// circuits of *both* directions for `busy_ns` (the event engine's
@@ -98,138 +94,187 @@ pub struct TransferSpec {
     pub fused: bool,
 }
 
-/// Occupancy of one resource: summed busy time, earliest lead among its
-/// users, the user count, and the generation of its class the three were
-/// written in — a slot from an earlier generation reads as unclaimed.
+/// Occupancy of one resource: summed busy time and the earliest lead
+/// among its users (`u64::MAX` while unclaimed) — sixteen bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Occ {
+struct Slot {
     busy_ns: u64,
     min_lead: u64,
-    users: u32,
-    gen: u32,
 }
 
-/// An unclaimed resource (the sparse map's empty value; generation 0 is
-/// never current).
-const FREE: Occ = Occ {
+const FREE: Slot = Slot {
     busy_ns: 0,
     min_lead: u64::MAX,
-    users: 0,
-    gen: 0,
 };
 
-/// One class of identical resources (engines, receive ports, links) with
-/// dirty-index bookkeeping: only entries claimed since the last reset are
-/// ever scanned, and a reset touches none of them — it starts a new
-/// generation, which every slot written before it no longer belongs to.
-/// The occupancy table is a [`SparseMap`], so on million-node fabrics
-/// memory follows the traffic, not the machine.
-///
-/// The three aggregates the pool reports — span maximum, busiest
-/// occupancy, shared flag — are maintained as resources are claimed, so
-/// reading them does not rescan the class. Occupancy and user counts only
-/// grow, so their aggregates are exact running maxima. A span can
-/// *shrink*: a claim that lowers a resource's `min_lead` by more than the
-/// `busy` it adds lowers `min_lead + busy`. If that resource held the
-/// maximum, `span_max` is only an upper bound from then on (`stale`) and
-/// [`ResourceClass::span`] rescans the dirty list until a claim reaches
-/// the bound again and becomes the exact maximum.
+/// Where the slots of a [`ResourceClass`] live — decided once, when the
+/// pool is built, and matched once per transfer, never per claim.
 #[derive(Clone, Debug)]
-struct ResourceClass {
-    occ: SparseMap<Occ>,
-    gen: u32,
-    dirty: Vec<usize>,
+enum Table {
+    /// One slot per resource, at this range of [`LoadModel::flat`].
+    Flat(Range<usize>),
+    /// Open-addressed and traffic-sized, above the crossover.
+    Hashed(SparseMap<Slot>),
+}
+
+/// The three aggregates a class reports — span maximum, busiest
+/// occupancy, shared flag — maintained as resources are claimed, so
+/// reading them does not rescan the class. Occupancy only grows and a
+/// shared resource stays shared, so those two are exact running values.
+/// A span can *shrink*: a claim that lowers a resource's `min_lead` by
+/// more than the `busy` it adds lowers `min_lead + busy`. If that
+/// resource held the maximum, `span_max` is only an upper bound from
+/// then on (`stale`) and [`ResourceClass::span`] rescans the dirty list
+/// until a claim reaches the bound again and becomes the exact maximum.
+#[derive(Clone, Copy, Debug, Default)]
+struct Maxima {
     span_max: u64,
     stale: bool,
     busy_max: u64,
     shared: bool,
 }
 
-impl ResourceClass {
-    fn new(len: usize, mode: MapMode) -> Self {
-        ResourceClass {
-            occ: SparseMap::new(len, FREE, mode),
-            gen: 1,
-            dirty: Vec::new(),
-            span_max: 0,
-            stale: false,
-            busy_max: 0,
-            shared: false,
-        }
-    }
-
-    fn reset(&mut self) {
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            // Generation wrap-around (one reset per phase: practically
-            // unreachable): hard reset.
-            self.occ.fill(FREE);
-            self.gen = 1;
-        }
-        self.dirty.clear();
-        self.span_max = 0;
-        self.stale = false;
-        self.busy_max = 0;
-        self.shared = false;
-    }
-
-    /// Claim resource `i`; returns whether it was already claimed.
-    fn claim(&mut self, i: usize, spec: &TransferSpec) -> bool {
-        let gen = self.gen;
-        let slot = self.occ.slot(i);
-        let old = if slot.gen == gen { *slot } else { FREE };
-        let new = Occ {
+impl Maxima {
+    /// Add `spec` to `slot`; returns whether it was already claimed.
+    #[inline]
+    fn claim(&mut self, slot: &mut Slot, spec: &TransferSpec) -> bool {
+        let old = *slot;
+        let new = Slot {
             busy_ns: old.busy_ns + spec.busy_ns,
             min_lead: old.min_lead.min(spec.lead_ns),
-            users: old.users + 1,
-            gen,
         };
         *slot = new;
-        let shared = old.users > 0;
-        let old_span = if shared {
-            old.min_lead + old.busy_ns
-        } else {
-            0
-        };
-        let (span, busy) = (new.min_lead + new.busy_ns, new.busy_ns);
-        if !shared {
-            self.dirty.push(i);
-        }
-        self.shared |= shared;
-        self.busy_max = self.busy_max.max(busy);
+        let span = new.min_lead + new.busy_ns;
+        self.busy_max = self.busy_max.max(new.busy_ns);
         if span >= self.span_max {
             // Every other resource is at or below the old bound.
             self.span_max = span;
             self.stale = false;
-        } else if span < old_span && old_span == self.span_max {
+        } else if old.min_lead + old.busy_ns == self.span_max {
+            // The resource that held the maximum shrank below it. (An
+            // unclaimed slot's `u64::MAX + 0` never equals a maximum.)
             self.stale = true;
         }
-        shared
+        old.min_lead != u64::MAX
+    }
+}
+
+/// One class of resources (node engines and ports; links): its slots,
+/// its claim-time [`Maxima`], and in `dirty[..claimed]` the resources
+/// claimed since the last reset, each once — the only slots a reset or a
+/// rescan ever visits, so both cost what the pool's traffic cost, never
+/// what the machine would.
+#[derive(Clone, Debug)]
+struct ResourceClass {
+    table: Table,
+    dirty: Vec<usize>,
+    claimed: usize,
+    maxima: Maxima,
+}
+
+impl ResourceClass {
+    /// A class of `len` resources: dense slots appended to `flat` and a
+    /// dirty list to match, or a hashed table and a list that grows.
+    fn new(len: usize, dense: bool, flat: &mut Vec<Slot>) -> Self {
+        let base = flat.len();
+        let (table, room) = if dense {
+            flat.resize(base + len, FREE);
+            (Table::Flat(base..base + len), len + 1)
+        } else {
+            (
+                Table::Hashed(SparseMap::new(len, FREE, MapMode::Sparse)),
+                16,
+            )
+        };
+        ResourceClass {
+            table,
+            dirty: vec![0; room],
+            claimed: 0,
+            maxima: Maxima::default(),
+        }
+    }
+
+    /// Claim every resource of `ids`; returns whether any of them was
+    /// already claimed.
+    #[inline]
+    fn claim_all(
+        &mut self,
+        flat: &mut [Slot],
+        ids: impl ExactSizeIterator<Item = usize>,
+        spec: &TransferSpec,
+    ) -> bool {
+        let (count, before) = (ids.len(), self.claimed);
+        if before + count >= self.dirty.len() {
+            self.dirty.resize(2 * (before + count), 0);
+        }
+        // Whether a claim is the first on its resource is as good as
+        // random, so the list does not branch on it: the id is written
+        // just past its end every time and counted in only when the
+        // claim was fresh.
+        let (maxima, claimed, dirty) = (&mut self.maxima, &mut self.claimed, &mut self.dirty);
+        let mut claim = |slot: &mut Slot, i: usize| {
+            let shared = maxima.claim(slot, spec);
+            dirty[*claimed] = i;
+            *claimed += usize::from(!shared);
+        };
+        match &mut self.table {
+            Table::Flat(range) => {
+                let slots = &mut flat[range.clone()];
+                ids.for_each(|i| claim(&mut slots[i], i));
+            }
+            Table::Hashed(map) => ids.for_each(|i| claim(map.slot(i), i)),
+        }
+        // A claim that did not lengthen the list joined a held resource.
+        let joined = self.claimed - before < count;
+        self.maxima.shared |= joined;
+        joined
+    }
+
+    fn slot(&self, flat: &[Slot], i: usize) -> Slot {
+        match &self.table {
+            Table::Flat(range) => flat[range.clone()][i],
+            Table::Hashed(map) => map.get(i),
+        }
+    }
+
+    /// Free every claimed slot: O(claimed resources) on any machine.
+    fn reset(&mut self, flat: &mut [Slot]) {
+        let dirty = &self.dirty[..self.claimed];
+        match &mut self.table {
+            Table::Flat(range) => {
+                let slots = &mut flat[range.clone()];
+                dirty.iter().for_each(|&i| slots[i] = FREE);
+            }
+            Table::Hashed(map) => dirty.iter().for_each(|&i| *map.slot(i) = FREE),
+        }
+        self.claimed = 0;
+        self.maxima = Maxima::default();
     }
 
     /// `max_i (min_lead_i + busy_i)` over claimed entries.
-    fn span(&self) -> u64 {
-        if self.stale {
-            self.rescan_span()
+    fn span(&self, flat: &[Slot]) -> u64 {
+        if self.maxima.stale {
+            self.rescan_span(flat)
         } else {
-            self.span_max
+            self.maxima.span_max
         }
     }
 
-    /// [`ResourceClass::span`] from the occupancy table alone.
-    fn rescan_span(&self) -> u64 {
-        self.dirty
-            .iter()
-            .map(|&i| {
-                let o = self.occ.get(i);
-                o.min_lead + o.busy_ns
-            })
-            .max()
-            .unwrap_or(0)
+    /// [`ResourceClass::span`] from the slots alone.
+    fn rescan_span(&self, flat: &[Slot]) -> u64 {
+        let spans = self.dirty[..self.claimed].iter().map(|&i| {
+            let s = self.slot(flat, i);
+            s.min_lead + s.busy_ns
+        });
+        spans.max().unwrap_or(0)
     }
 
     fn resident_bytes(&self) -> usize {
-        self.occ.resident_bytes() + self.dirty.capacity() * std::mem::size_of::<usize>()
+        let hashed = match &self.table {
+            Table::Flat(_) => 0,
+            Table::Hashed(map) => map.resident_bytes(),
+        };
+        hashed + self.dirty.capacity() * std::mem::size_of::<usize>()
     }
 }
 
@@ -245,10 +290,14 @@ impl ResourceClass {
 #[derive(Clone, Debug)]
 pub struct LoadModel {
     ports: PortModel,
-    /// Unified engine per node, or the send port under split ports.
-    engine: ResourceClass,
-    /// Split-port receive side (unused under [`PortModel::Unified`]).
-    recv: ResourceClass,
+    /// Node count: under split ports node `i`'s receive port is resource
+    /// `nodes + i` of the node class.
+    nodes: usize,
+    /// The slots of every dense class, in one allocation.
+    flat: Vec<Slot>,
+    /// Per node: the unified engine, or the send port followed (at
+    /// `nodes + i`) by the receive port under [`PortModel::Split`].
+    node: ResourceClass,
     link: ResourceClass,
     /// `max_t (lead_t + busy_t)` over everything added so far.
     path_max_ns: u64,
@@ -269,13 +318,20 @@ impl LoadModel {
     /// bit-identity; callers pricing million-node fabrics below the
     /// crossover threshold can force sparse.
     pub fn with_mode<T: Topology + ?Sized>(topo: &T, ports: PortModel, mode: PoolMode) -> Self {
-        let n = topo.num_nodes();
-        let mode = mode.map_mode();
+        let dense = |len: usize| match mode {
+            PoolMode::Auto => len <= DENSE_CROSSOVER,
+            PoolMode::Dense => true,
+            PoolMode::Sparse => false,
+        };
+        let (nodes, links) = (topo.num_nodes(), topo.link_count());
+        let sides = if ports == PortModel::Split { 2 } else { 1 };
+        let mut flat = Vec::new();
         LoadModel {
             ports,
-            engine: ResourceClass::new(n, mode),
-            recv: ResourceClass::new(n, mode),
-            link: ResourceClass::new(topo.link_count(), mode),
+            nodes,
+            node: ResourceClass::new(sides * nodes, dense(nodes), &mut flat),
+            link: ResourceClass::new(links, dense(links), &mut flat),
+            flat,
             path_max_ns: 0,
             transfers: 0,
             route_scratch: Vec::new(),
@@ -286,22 +342,23 @@ impl LoadModel {
     /// Whether every resource class is on the dense representation
     /// (diagnostics and tests).
     pub fn is_dense(&self) -> bool {
-        self.engine.occ.is_dense() && self.recv.occ.is_dense() && self.link.occ.is_dense()
+        matches!(self.node.table, Table::Flat(_)) && matches!(self.link.table, Table::Flat(_))
     }
 
     /// Approximate heap footprint of the occupancy state in bytes — the
     /// scale bench's peak-RSS proxy. Sparse pools stay traffic-sized on
     /// any fabric; dense pools scale with the machine.
     pub fn resident_bytes(&self) -> usize {
-        self.engine.resident_bytes() + self.recv.resident_bytes() + self.link.resident_bytes()
+        self.flat.capacity() * std::mem::size_of::<Slot>()
+            + self.node.resident_bytes()
+            + self.link.resident_bytes()
     }
 
-    /// Clear all occupancy (reuse across phases without reallocating) in
-    /// constant time.
+    /// Clear all occupancy (reuse across phases without reallocating),
+    /// touching only what the pool claimed.
     pub fn reset(&mut self) {
-        self.engine.reset();
-        self.recv.reset();
-        self.link.reset();
+        self.node.reset(&mut self.flat);
+        self.link.reset(&mut self.flat);
         self.path_max_ns = 0;
         self.transfers = 0;
     }
@@ -314,24 +371,22 @@ impl LoadModel {
     pub fn add_with_route(&mut self, spec: TransferSpec, links: &[LinkId]) -> bool {
         self.transfers += 1;
         self.path_max_ns = self.path_max_ns.max(spec.lead_ns + spec.busy_ns);
-        let (src, dst) = (spec.src.index(), spec.dst.index());
-        let mut shared = self.engine.claim(src, &spec);
-        match self.ports {
+        let (src, dst, recv) = (spec.src.index(), spec.dst.index(), self.nodes);
+        let (flat, node) = (&mut self.flat[..], &mut self.node);
+        // Each arm's claim set has a length the compiler can see, so the
+        // two or four node claims run unrolled.
+        let at_nodes = match (self.ports, spec.fused) {
             // A fused exchange occupies both unified engines symmetrically;
             // so does a plain message (Observation 1: one engine per node).
-            PortModel::Unified => shared |= self.engine.claim(dst, &spec),
-            PortModel::Split => {
-                shared |= self.recv.claim(dst, &spec);
-                if spec.fused {
-                    shared |= self.engine.claim(dst, &spec);
-                    shared |= self.recv.claim(src, &spec);
-                }
+            (PortModel::Unified, _) => node.claim_all(flat, [src, dst].into_iter(), &spec),
+            (PortModel::Split, false) => node.claim_all(flat, [src, recv + dst].into_iter(), &spec),
+            (PortModel::Split, true) => {
+                let ends = [src, recv + dst, dst, recv + src];
+                node.claim_all(flat, ends.into_iter(), &spec)
             }
-        }
-        for l in links {
-            shared |= self.link.claim(l.index(), &spec);
-        }
-        shared
+        };
+        let links = links.iter().map(|l| l.index());
+        at_nodes | self.link.claim_all(flat, links, &spec)
     }
 
     /// [`LoadModel::add_with_route`], routing the circuit(s) on `topo`
@@ -350,19 +405,18 @@ impl LoadModel {
     /// most occupied resource, whichever dominates.
     pub fn makespan_ns(&self) -> u64 {
         self.path_max_ns
-            .max(self.engine.span())
-            .max(self.recv.span())
-            .max(self.link.span())
+            .max(self.node.span(&self.flat))
+            .max(self.link.span(&self.flat))
     }
 
     /// Busiest engine/port occupancy (ns) — contention pressure at nodes.
     pub fn max_engine_ns(&self) -> u64 {
-        self.engine.busy_max.max(self.recv.busy_max)
+        self.node.maxima.busy_max
     }
 
     /// Busiest directed-link occupancy (ns) — contention pressure on wires.
     pub fn max_link_ns(&self) -> u64 {
-        self.link.busy_max
+        self.link.maxima.busy_max
     }
 
     /// Transfers added so far.
@@ -372,7 +426,7 @@ impl LoadModel {
 
     /// Whether any resource is claimed by two or more transfers.
     pub fn contended(&self) -> bool {
-        self.engine.shared || self.recv.shared || self.link.shared
+        self.node.maxima.shared || self.link.maxima.shared
     }
 }
 
@@ -529,36 +583,76 @@ mod tests {
     }
 
     #[test]
-    fn generation_wrap_does_not_resurrect_old_claims() {
+    fn a_reset_does_not_resurrect_old_claims() {
         let cube = Hypercube::new(3);
-        let mut m = LoadModel::new(&cube, PortModel::Unified);
-        // Claimed in generation 1...
-        m.add(&cube, spec(0, 3, 100, 0));
-        // ...and never touched again for 2^32 - 2 resets.
-        for class in [&mut m.engine, &mut m.recv, &mut m.link] {
-            class.gen = u32::MAX;
+        for mode in [PoolMode::Dense, PoolMode::Sparse] {
+            let mut m = LoadModel::with_mode(&cube, PortModel::Split, mode);
+            for round in 0..1000 {
+                // A long fused exchange between 0 and 3, freed again...
+                m.add(
+                    &cube,
+                    TransferSpec {
+                        fused: true,
+                        ..spec(0, 3, 1_000_000, 5)
+                    },
+                );
+                m.reset();
+                // ...leaves the same engines, ports and links unclaimed.
+                let at = format!("{mode:?} round {round}");
+                assert!(!m.add(&cube, spec(0, 3, 7, 0)), "{at}: a fresh pool");
+                assert!(!m.add(&cube, spec(3, 0, 9, 0)), "{at}: a fresh pool");
+                assert_eq!(m.makespan_ns(), 9, "{at}");
+                assert_eq!((m.max_engine_ns(), m.max_link_ns()), (9, 9), "{at}");
+                m.reset();
+            }
+            assert_eq!(m.node.claimed + m.link.claimed, 0);
         }
-        m.reset();
-        assert_eq!(m.engine.gen, 1, "wrapped past the never-current 0");
-        assert!(
-            !m.add(&cube, spec(0, 3, 7, 0)),
-            "generation 1 again, but a fresh pool"
-        );
-        assert_eq!(m.makespan_ns(), 7);
     }
 
-    /// What the three aggregates of `c` must read, from its occupancy
-    /// table alone: (span maximum, busiest occupancy, any resource shared).
-    fn rescan(c: &ResourceClass) -> (u64, u64, bool) {
-        let occs = c.dirty.iter().map(|&i| c.occ.get(i));
-        (
-            occs.clone()
-                .map(|o| o.min_lead + o.busy_ns)
-                .max()
-                .unwrap_or(0),
-            occs.clone().map(|o| o.busy_ns).max().unwrap_or(0),
-            occs.clone().any(|o| o.users > 1),
-        )
+    /// The pool as a plain map from resource to `(busy, min_lead, users)`,
+    /// rebuilt from the claim rules alone: what every aggregate of the
+    /// model must read after the same adds.
+    #[derive(Default)]
+    struct Shadow {
+        /// Keyed `(class, id)`: class 0 engines / send ports, 1 receive
+        /// ports, 2 links.
+        occ: std::collections::BTreeMap<(u8, usize), (u64, u64, u32)>,
+        path_max: u64,
+    }
+
+    impl Shadow {
+        fn add(&mut self, ports: PortModel, t: &TransferSpec, links: &[LinkId]) -> bool {
+            let (src, dst) = (t.src.index(), t.dst.index());
+            let mut claims = match (ports, t.fused) {
+                (PortModel::Unified, _) => vec![(0, src), (0, dst)],
+                (PortModel::Split, false) => vec![(0, src), (1, dst)],
+                (PortModel::Split, true) => vec![(0, src), (1, dst), (0, dst), (1, src)],
+            };
+            claims.extend(links.iter().map(|l| (2, l.index())));
+            self.path_max = self.path_max.max(t.lead_ns + t.busy_ns);
+            let mut joined = false;
+            for key in claims {
+                let o = self.occ.entry(key).or_insert((0, u64::MAX, 0));
+                joined |= o.2 > 0;
+                *o = (o.0 + t.busy_ns, o.1.min(t.lead_ns), o.2 + 1);
+            }
+            joined
+        }
+
+        /// (makespan, busiest engine or port, busiest link, contended).
+        fn read(&self) -> (u64, u64, u64, bool) {
+            let busiest = |link: bool| {
+                let of_class = self.occ.iter().filter(|(k, _)| (k.0 == 2) == link);
+                of_class.map(|(_, o)| o.0).max().unwrap_or(0)
+            };
+            let span = self.occ.values().map(|o| o.1 + o.0).max().unwrap_or(0);
+            (
+                self.path_max.max(span),
+                busiest(false),
+                busiest(true),
+                self.occ.values().any(|o| o.2 > 1),
+            )
+        }
     }
 
     #[test]
@@ -573,37 +667,71 @@ mod tests {
         };
         let (mut links, mut tmp) = (Vec::new(), Vec::new());
         let mut went_stale = 0;
+        // Resets at random, then after every k-th add; fused exchanges one
+        // add in four, then every second add (under split ports a fused
+        // claim is four node-class slots in one transfer).
+        let variants = [
+            (None, 4, 20_000),
+            (Some(7), 2, 5_000),
+            (Some(64), 4, 5_000),
+            (Some(1), 2, 5_000),
+        ];
         for ports in [PortModel::Unified, PortModel::Split] {
             for mode in [PoolMode::Dense, PoolMode::Sparse] {
-                let mut m = LoadModel::with_mode(&cube, ports, mode);
-                for step in 0..20_000 {
-                    if rand(97) == 0 {
-                        m.reset();
+                for (reset_every, fused_one_in, steps) in variants {
+                    let mut m = LoadModel::with_mode(&cube, ports, mode);
+                    let mut shadow = Shadow::default();
+                    for step in 0..steps {
+                        let reset = match reset_every {
+                            None => rand(97) == 0,
+                            Some(k) => step % k == 0,
+                        };
+                        if reset {
+                            m.reset();
+                            shadow = Shadow::default();
+                        }
+                        let src = rand(16) as u32;
+                        let busy_ns = rand(1000);
+                        let t = TransferSpec {
+                            src: NodeId(src),
+                            dst: NodeId((src + 1 + rand(15) as u32) % 16),
+                            busy_ns,
+                            // Leads far below and far above a busy time
+                            // (and, one in eight, above a whole pool's),
+                            // so spans shrink as well as grow.
+                            lead_ns: match rand(8) {
+                                0 => 1_000_000 + rand(1_000_000),
+                                1..=2 => rand(50),
+                                _ => rand(20_000),
+                            },
+                            fused: rand(fused_one_in) == 0,
+                        };
+                        route_claims(&cube, &t, &mut links, &mut tmp);
+                        let at = format!("{ports:?}/{mode:?}/{reset_every:?} step {step}");
+                        assert_eq!(
+                            m.add_with_route(t, &links),
+                            shadow.add(ports, &t, &links),
+                            "{at}"
+                        );
+                        went_stale += usize::from(m.node.maxima.stale);
+                        went_stale += usize::from(m.link.maxima.stale);
+                        let read = (
+                            m.makespan_ns(),
+                            m.max_engine_ns(),
+                            m.max_link_ns(),
+                            m.contended(),
+                        );
+                        assert_eq!(read, shadow.read(), "{at}");
+                        for class in [&m.node, &m.link] {
+                            if !class.maxima.stale {
+                                assert_eq!(
+                                    class.maxima.span_max,
+                                    class.rescan_span(&m.flat),
+                                    "{at}"
+                                );
+                            }
+                        }
                     }
-                    let src = rand(16) as u32;
-                    let t = TransferSpec {
-                        src: NodeId(src),
-                        dst: NodeId((src + 1 + rand(15) as u32) % 16),
-                        busy_ns: rand(1000),
-                        // Leads both far below and far above a busy time,
-                        // so spans shrink as well as grow.
-                        lead_ns: if rand(3) == 0 { rand(50) } else { rand(20_000) },
-                        fused: rand(4) == 0,
-                    };
-                    route_claims(&cube, &t, &mut links, &mut tmp);
-                    m.add_with_route(t, &links);
-                    let classes = [&m.engine, &m.recv, &m.link];
-                    went_stale += classes.iter().filter(|c| c.stale).count();
-                    let [e, r, l] = classes.map(rescan);
-                    let at = format!("{ports:?}/{mode:?} step {step}");
-                    assert_eq!(
-                        m.makespan_ns(),
-                        m.path_max_ns.max(e.0).max(r.0).max(l.0),
-                        "{at}"
-                    );
-                    assert_eq!(m.max_engine_ns(), e.1.max(r.1), "{at}");
-                    assert_eq!(m.max_link_ns(), l.1, "{at}");
-                    assert_eq!(m.contended(), e.2 || r.2 || l.2, "{at}");
                 }
             }
         }

@@ -32,6 +32,7 @@ pub(crate) enum MapMode {
     #[default]
     Auto,
     /// Force the dense (one slot per resource) layout.
+    #[cfg(test)]
     Dense,
     /// Force the open-addressed sparse layout.
     Sparse,
@@ -65,6 +66,7 @@ impl<V: Clone> SparseMap<V> {
     pub(crate) fn new(universe: usize, empty: V, mode: MapMode) -> Self {
         let dense = match mode {
             MapMode::Auto => universe <= DENSE_CROSSOVER,
+            #[cfg(test)]
             MapMode::Dense => true,
             MapMode::Sparse => false,
         };
@@ -80,6 +82,7 @@ impl<V: Clone> SparseMap<V> {
         SparseMap { empty, repr }
     }
 
+    #[cfg(test)]
     pub(crate) fn is_dense(&self) -> bool {
         matches!(self.repr, Repr::Dense(_))
     }
@@ -133,14 +136,6 @@ impl<V: Clone> SparseMap<V> {
         match &mut self.repr {
             Repr::Dense(v) => &mut v[idx],
             Repr::Sparse { vals, .. } => &mut vals[idx],
-        }
-    }
-
-    /// Overwrite the value of every resident key.
-    pub(crate) fn fill(&mut self, value: V) {
-        match &mut self.repr {
-            Repr::Dense(v) => v.fill(value),
-            Repr::Sparse { vals, .. } => vals.fill(value),
         }
     }
 

@@ -26,12 +26,18 @@ const MINUS: u32 = 1;
 ///
 /// Every node owns two directed channels per dimension, one per
 /// direction: `LinkId = node · 2n + 2·dim + dir`.
+///
+/// A route costs its hops plus two multiplies per endpoint and dimension
+/// (a reciprocal precomputed per extent, no run-time divide), and
+/// construction stays O(dimensions): big fabrics still build per request.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Torus {
     extents: Vec<u32>,
     /// Mixed-radix strides; `strides[d]` is the id delta of one positive
     /// step in dimension `d` (before wraparound).
     strides: Vec<u32>,
+    /// `⌈2^64 / extentᵢ⌉`, what [`Torus::peel`] multiplies by.
+    reciprocals: Vec<u64>,
     nodes: u32,
     name: String,
 }
@@ -97,6 +103,7 @@ impl Torus {
         Ok(Torus {
             extents: extents.iter().map(|&k| k as u32).collect(),
             strides,
+            reciprocals: extents.iter().map(|&k| u64::MAX / k as u64 + 1).collect(),
             nodes: nodes as u32,
             name,
         })
@@ -155,10 +162,10 @@ impl Torus {
     /// `visit`; stops early with `None` when `visit` refuses one,
     /// otherwise returns the node the walk ends on.
     ///
-    /// The one stepping routine of the torus. It carries the coordinate
-    /// beside the node id, so a hop is `± stride` and a compare for the
-    /// wraparound — [`Torus::neighbor`] re-derives the coordinate with a
-    /// division and a remainder on every call.
+    /// The one stepping routine of the torus. It carries the coordinate,
+    /// so a hop is an add, a wraparound select and a multiply by the
+    /// stride with no branch on direction or position — [`Torus::neighbor`]
+    /// re-derives the coordinate with a division on every call.
     fn ring_walk(
         &self,
         start: NodeId,
@@ -170,63 +177,72 @@ impl Torus {
     ) -> Option<NodeId> {
         let k = self.extents[dim];
         let stride = self.strides[dim];
-        let wrap = (k - 1) * stride;
-        let (mut node, mut c) = (start.0, coord);
+        // Around a `k`-ring one step back is `k - 1` steps forward.
+        let step = if dir == PLUS { 1 } else { k - 1 };
+        let (origin, mut c) = (start.0 - coord * stride, coord);
         for _ in 0..steps {
-            if !visit(self.channel(node, dim, dir)) {
+            if !visit(self.channel(origin + c * stride, dim, dir)) {
                 return None;
             }
-            if dir == PLUS {
-                if c + 1 < k {
-                    (node, c) = (node + stride, c + 1);
-                } else {
-                    (node, c) = (node - wrap, 0);
-                }
-            } else if c > 0 {
-                (node, c) = (node - stride, c - 1);
-            } else {
-                (node, c) = (node + wrap, k - 1);
-            }
+            c += step;
+            c -= if c >= k { k } else { 0 };
         }
-        Some(NodeId(node))
+        Some(NodeId(origin + c * stride))
     }
 
     /// Hops and direction of the shorter arc from coordinate `s` to `d`
-    /// on a `k`-ring (ties go the positive way), `None` when `s == d`.
+    /// on a `k`-ring (ties go the positive way; no hops when `s == d`).
     #[inline]
-    fn shorter_arc(k: u32, s: u32, d: u32) -> Option<(u32, u32)> {
+    fn shorter_arc(k: u32, s: u32, d: u32) -> (u32, u32) {
         let fwd = if d >= s { d - s } else { d + k - s };
-        match fwd {
-            0 => None,
-            _ if fwd <= k - fwd => Some((fwd, PLUS)),
-            _ => Some((k - fwd, MINUS)),
+        if fwd <= k - fwd {
+            (fwd, PLUS)
+        } else {
+            (k - fwd, MINUS)
+        }
+    }
+
+    /// `(rest / k, rest % k)` for dimension `dim`'s extent `k` by two
+    /// multiplies, exact for every 32-bit `rest` (Lemire, Kaser & Kurz
+    /// 2019): a divide by a run-time `k` costs more than the hops.
+    #[inline]
+    fn peel(&self, dim: usize, rest: u32) -> (u32, u32) {
+        let quotient = ((u128::from(self.reciprocals[dim]) * u128::from(rest)) >> 64) as u32;
+        (quotient, rest - quotient * self.extents[dim])
+    }
+
+    /// Hand `arc(dim, coord, steps, dir)` every ring the route walks, in
+    /// dimension order: from coordinate `coord`, `steps` hops in `dir`.
+    /// Coordinates peel off dimension 0 first (mixed radix); earlier
+    /// dimensions' walks never change a later coordinate.
+    #[inline]
+    fn for_each_arc(&self, src: NodeId, dst: NodeId, mut arc: impl FnMut(usize, u32, u32, u32)) {
+        debug_assert!(
+            src.0 < self.nodes && dst.0 < self.nodes,
+            "nodes outside torus"
+        );
+        let (mut src_rest, mut dst_rest) = (src.0, dst.0);
+        for (dim, &k) in self.extents.iter().enumerate() {
+            let (s, d);
+            (src_rest, s) = self.peel(dim, src_rest);
+            (dst_rest, d) = self.peel(dim, dst_rest);
+            let (steps, dir) = Self::shorter_arc(k, s, d);
+            arc(dim, s, steps, dir);
         }
     }
 
     /// Append the dimension-ordered route to `out` without intermediate
     /// allocation — shared by `route` and the `route_into` override.
     fn route_into_vec(&self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>) {
-        debug_assert!(
-            src.0 < self.nodes && dst.0 < self.nodes,
-            "nodes outside torus"
-        );
         let mut cur = src;
-        // Peel both endpoints' coordinates off dimension by dimension
-        // (mixed radix, dimension 0 fastest); earlier dimensions' walks
-        // never change a later coordinate.
-        let (mut src_rest, mut dst_rest) = (src.0, dst.0);
-        for (dim, &k) in self.extents.iter().enumerate() {
-            let (s, d) = (src_rest % k, dst_rest % k);
-            (src_rest, dst_rest) = (src_rest / k, dst_rest / k);
-            if let Some((steps, dir)) = Self::shorter_arc(k, s, d) {
-                cur = self
-                    .ring_walk(cur, s, dim, dir, steps, |l| {
-                        out.push(l);
-                        true
-                    })
-                    .expect("an unconditional walk never stops early");
-            }
-        }
+        self.for_each_arc(src, dst, |dim, coord, steps, dir| {
+            cur = self
+                .ring_walk(cur, coord, dim, dir, steps, |l| {
+                    out.push(l);
+                    true
+                })
+                .expect("an unconditional walk never stops early");
+        });
         debug_assert_eq!(cur, dst);
     }
 
@@ -272,13 +288,9 @@ impl Topology for Torus {
     }
 
     fn hops(&self, src: NodeId, dst: NodeId) -> usize {
-        (0..self.ndims())
-            .map(|dim| {
-                let k = self.extents[dim];
-                let fwd = (self.coord(dst, dim) + k - self.coord(src, dim)) % k;
-                fwd.min(k - fwd) as usize
-            })
-            .sum()
+        let mut hops = 0;
+        self.for_each_arc(src, dst, |_, _, steps, _| hops += steps as usize);
+        hops
     }
 
     fn route_into(&self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>) {
@@ -303,9 +315,7 @@ impl Topology for Torus {
         let mut cur = src;
         for (dim, &k) in self.extents.iter().enumerate() {
             let (s, d) = (self.coord(cur, dim), self.coord(dst, dim));
-            let Some((steps, dir)) = Self::shorter_arc(k, s, d) else {
-                continue;
-            };
+            let (steps, dir) = Self::shorter_arc(k, s, d);
             let (alt_steps, alt_dir) = (k - steps, if dir == PLUS { MINUS } else { PLUS });
             cur = self
                 .walk_clear(cur, dim, dir, steps, down, &mut links)

@@ -162,15 +162,20 @@ fn analytic_digest(fabric: &str) -> u64 {
 
 /// Compare every fabric before failing, so one run prints every digest
 /// that moved.
-fn assert_pinned(what: &str, digest: fn(&str) -> u64, pinned: [u64; 6]) {
-    let got: Vec<u64> = FABRICS.iter().map(|f| digest(f)).collect();
-    let moved: Vec<String> = FABRICS
+fn assert_digests(what: &str, fabrics: &[&str], got: &[u64], pinned: &[u64]) {
+    assert_eq!(fabrics.len(), pinned.len());
+    let moved: Vec<String> = fabrics
         .iter()
         .zip(got.iter().zip(pinned))
-        .filter(|(_, (&g, p))| g != *p)
+        .filter(|(_, (g, p))| g != p)
         .map(|(f, (g, p))| format!("{f}: {g:#018x} (pinned {p:#018x})"))
         .collect();
     assert!(moved.is_empty(), "{what} moved:\n{}", moved.join("\n"));
+}
+
+fn assert_pinned(what: &str, digest: fn(&str) -> u64, pinned: [u64; 6]) {
+    let got: Vec<u64> = FABRICS.iter().map(|f| digest(f)).collect();
+    assert_digests(what, &FABRICS, &got, &pinned);
 }
 
 #[test]
@@ -213,18 +218,6 @@ fn nodes_of(fabric: &str) -> usize {
 
 fn entries(names: &[&str]) -> Vec<&'static dyn Scheduler> {
     names.iter().map(|n| registry::find(n).unwrap()).collect()
-}
-
-/// [`assert_pinned`] for the sweeps below, which name their own fabrics.
-fn assert_digests(what: &str, fabrics: &[&str], got: &[u64], pinned: &[u64]) {
-    assert_eq!(fabrics.len(), pinned.len());
-    let moved: Vec<String> = fabrics
-        .iter()
-        .zip(got.iter().zip(pinned))
-        .filter(|(_, (g, p))| g != p)
-        .map(|(f, (g, p))| format!("{f}: {g:#018x} (pinned {p:#018x})"))
-        .collect();
-    assert!(moved.is_empty(), "{what} moved:\n{}", moved.join("\n"));
 }
 
 /// Hot-spot and power-law traffic of small messages: in-degrees skewed

@@ -131,6 +131,64 @@ fn auto_goes_sparse_above_the_crossover_and_still_matches_dense() {
     assert_bit_identical(&cube, PortModel::Unified, &specs);
 }
 
+/// Split ports with every second transfer a fused exchange (four
+/// node-class slots per claim set), leads far below and far above any
+/// busy time (spans shrink, maxima go stale), and a reset after every
+/// k-th add — on a dense-only fabric, and on `cube:d=13`, where `Auto`
+/// keeps the engines dense and hashes the links, so three pools must
+/// agree.
+#[test]
+fn split_ports_fused_exchanges_resets_and_extreme_leads_agree() {
+    let mut state = 0x5eed_cafe_f00d_0001u64;
+    let mut rand = move |below: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % below
+    };
+    for (dims, adds) in [(5, 4_000), (13, 1_500)] {
+        let cube = Hypercube::new(dims);
+        let n = cube.num_nodes() as u64;
+        for reset_every in [1, 7, 64, usize::MAX] {
+            let mut pools = [PoolMode::Dense, PoolMode::Sparse, PoolMode::Auto]
+                .map(|mode| LoadModel::with_mode(&cube, PortModel::Split, mode));
+            assert_eq!(pools[2].is_dense(), dims == 5);
+            for add in 0..adds {
+                if add % reset_every == 0 {
+                    pools.iter_mut().for_each(LoadModel::reset);
+                }
+                // A few hot nodes, so resources are shared at any size.
+                let src = if rand(2) == 0 { rand(8) } else { rand(n) };
+                let spec = TransferSpec {
+                    src: NodeId(src as u32),
+                    dst: NodeId(((src + 1 + rand(n - 1)) % n) as u32),
+                    busy_ns: rand(1000),
+                    lead_ns: match rand(3) {
+                        0 => rand(50),
+                        1 => rand(20_000),
+                        _ => 1_000_000 + rand(1_000_000),
+                    },
+                    fused: add % 2 == 0,
+                };
+                let read = pools.each_mut().map(|pool| {
+                    let joined = pool.add(&cube, spec);
+                    (
+                        joined,
+                        pool.makespan_ns(),
+                        pool.max_engine_ns(),
+                        pool.max_link_ns(),
+                        pool.contended(),
+                        pool.transfers(),
+                    )
+                });
+                let at = format!("d={dims} reset every {reset_every}, add {add}");
+                assert_eq!(read[0], read[1], "dense vs sparse, {at}");
+                assert_eq!(read[0], read[2], "dense vs auto, {at}");
+            }
+        }
+    }
+}
+
 #[test]
 fn million_node_pool_costs_traffic_not_topology() {
     // The headline scaling property: pricing ~1K transfers on a d=20
