@@ -14,6 +14,13 @@
 //! buffer, split ports + 8 KiB). One more group prices a torus and the cube
 //! under a faulty link-cost model (detours and typed `LinkDown`).
 //!
+//! The hold-and-wait policy — FIFO wait queues per resource, circuits that
+//! hold everything while they wait on delivery — runs the same battery on
+//! two fabrics (its deadlocks under an 8 KiB buffer are pinned `stuck` text
+//! and all), `cube:d=13` puts both policies on the hashed resource layout,
+//! an error battery pins every runtime `SimError` by its `Debug` text, and
+//! the `hetero:` and `loggp:` cost models sit beside the `faulty:` group.
+//!
 //! The digests were taken on the engine that rescanned its whole pending
 //! vector after every release; any engine that claims to be the same
 //! simulator must reproduce them bit for bit. Two `SimStats` fields are
@@ -23,8 +30,10 @@
 use commrt::{compile, compile_ac_send_detect, Scheme};
 use commsched::{registry, ScheduleKind};
 use hypercube::Hypercube;
+use hypercube::NodeId;
 use simnet::{
-    simulate_traced, LinkCostModel, MachineParams, PortModel, SimError, SimReport, TraceEvent,
+    simulate_traced, LinkCostModel, MachineParams, PortModel, Program, ProgramBuilder, SimError,
+    SimReport, Tag, TraceEvent,
 };
 use topo::TopologyKind;
 
@@ -53,6 +62,20 @@ fn machines() -> [(&'static str, MachineParams); 4] {
             "split+buf8k",
             MachineParams {
                 ports: PortModel::Split,
+                buffer_bytes: Some(8 * 1024),
+                ..base
+            },
+        ),
+    ]
+}
+
+fn hold_and_wait_machines() -> [(&'static str, MachineParams); 2] {
+    let base = MachineParams::ipsc860_hold_and_wait();
+    [
+        ("hold-and-wait", base.clone()),
+        (
+            "hold-and-wait+buf8k",
+            MachineParams {
                 buffer_bytes: Some(8 * 1024),
                 ..base
             },
@@ -93,11 +116,13 @@ fn digest_run(h: &mut Fnv, outcome: Result<(SimReport, Vec<TraceEvent>), SimErro
 }
 
 /// One digest per machine for the full battery on `kind`.
-fn fabric_digests(kind: &str) -> Vec<(&'static str, u64)> {
+fn fabric_digests(
+    kind: &str,
+    machines: &[(&'static str, MachineParams)],
+) -> Vec<(&'static str, u64)> {
     let topo = TopologyKind::parse(kind).expect("fixture kind").build();
     let n = topo.num_nodes();
-    let machines = machines();
-    let mut digests = [Fnv::new(); 4];
+    let mut digests = vec![Fnv::new(); machines.len()];
     for density in DENSITIES.into_iter().filter(|&d| d < n) {
         for bytes in SIZES {
             let seed = 1000 * density as u64 + u64::from(bytes);
@@ -150,7 +175,7 @@ fn assert_pinned(what: &str, actual: &[(&'static str, u64)], pinned: &[(&str, u6
 fn cube_d6_dense_battery_is_pinned() {
     assert_pinned(
         "cube:d=6",
-        &fabric_digests("cube:d=6"),
+        &fabric_digests("cube:d=6", &machines()),
         &[
             ("ipsc860", 0x5361_d2df_b66b_e3dd),
             ("split", 0x7bad_ebbb_1a36_7154),
@@ -164,7 +189,7 @@ fn cube_d6_dense_battery_is_pinned() {
 fn torus_8x8_dense_battery_is_pinned() {
     assert_pinned(
         "torus:8x8",
-        &fabric_digests("torus:8x8"),
+        &fabric_digests("torus:8x8", &machines()),
         &[
             ("ipsc860", 0xe6ed_170c_654c_06ce),
             ("split", 0x637a_fa92_2c93_280d),
@@ -178,7 +203,7 @@ fn torus_8x8_dense_battery_is_pinned() {
 fn cube_d4_dense_battery_is_pinned() {
     assert_pinned(
         "cube:d=4",
-        &fabric_digests("cube:d=4"),
+        &fabric_digests("cube:d=4", &machines()),
         &[
             ("ipsc860", 0x084c_c80b_280c_e862),
             ("split", 0x4583_8441_7813_2453),
@@ -188,15 +213,16 @@ fn cube_d4_dense_battery_is_pinned() {
     );
 }
 
-#[test]
-fn faulty_cost_model_runs_are_pinned() {
-    // Per-link extras ride on every duration; dead links detour the long
-    // way round on the torus and surface a typed `LinkDown` on the cube,
-    // which has no detour.
-    let cost = LinkCostModel::parse("faulty:p=0.05,seed=42").expect("cost model");
-    let params = MachineParams::ipsc860();
+/// One digest per fabric: every registry entry under its own scheme on
+/// `dregular(n, 12, 4 KiB)`, priced under `cost` on `params`.
+fn cost_model_digests(
+    cost: &str,
+    kinds: &[&'static str],
+    params: &MachineParams,
+) -> Vec<(&'static str, u64)> {
+    let cost = LinkCostModel::parse(cost).expect("cost model");
     let mut actual = Vec::new();
-    for kind in ["torus:4x4", "cube:d=6"] {
+    for &kind in kinds {
         let topo = TopologyKind::parse(kind).expect("fixture kind").build();
         let com = workloads::random_dregular(topo.num_nodes(), 12, 4096, 12);
         let mut h = Fnv::new();
@@ -206,16 +232,325 @@ fn faulty_cost_model_runs_are_pinned() {
             }
             let schedule = entry.schedule(&com, &*topo, 7);
             let programs = compile(&com, &schedule, Scheme::for_scheduler(entry));
-            digest_run(&mut h, simulate_traced(&*topo, &params, &cost, programs));
+            digest_run(&mut h, simulate_traced(&*topo, params, &cost, programs));
         }
         actual.push((kind, h.0));
     }
+    actual
+}
+
+#[test]
+fn faulty_cost_model_runs_are_pinned() {
+    // Per-link extras ride on every duration; dead links detour the long
+    // way round on the torus and surface a typed `LinkDown` on the cube,
+    // which has no detour.
     assert_pinned(
         "faulty:p=0.05,seed=42",
-        &actual,
+        &cost_model_digests(
+            "faulty:p=0.05,seed=42",
+            &["torus:4x4", "cube:d=6"],
+            &MachineParams::ipsc860(),
+        ),
         &[
             ("torus:4x4", 0x023a_ae22_d9e4_343a),
             ("cube:d=6", 0x20d6_fbe5_d8f6_914c),
+        ],
+    );
+}
+
+#[test]
+fn hetero_and_loggp_cost_model_runs_are_pinned() {
+    // Costed fabrics keep `resolve_route` and price every duration through
+    // the model; hold-and-wait adds only the model's extras to its wire
+    // time, so it is pinned beside the atomic machine.
+    let mut actual = Vec::new();
+    for cost in [
+        "hetero:factor=4,frac=0.25,lat=1000,seed=7",
+        "loggp:o=500,g=200,G=1.5",
+    ] {
+        for (machine, params) in [
+            ("ipsc860", MachineParams::ipsc860()),
+            ("hold-and-wait", MachineParams::ipsc860_hold_and_wait()),
+        ] {
+            let digest = cost_model_digests(cost, &["torus:4x4"], &params)[0].1;
+            actual.push((machine, digest));
+        }
+    }
+    assert_pinned(
+        "hetero: then loggp: on torus:4x4",
+        &actual,
+        &[
+            ("ipsc860", 0x421d_b729_97a3_a014),
+            ("hold-and-wait", 0x24cc_da4a_9594_f880),
+            ("ipsc860", 0xe91f_883a_1107_a78a),
+            ("hold-and-wait", 0xea53_46d9_4a3a_975d),
+        ],
+    );
+}
+
+#[test]
+fn cube_d6_hold_and_wait_battery_is_pinned() {
+    assert_pinned(
+        "cube:d=6",
+        &fabric_digests("cube:d=6", &hold_and_wait_machines()),
+        &[
+            ("hold-and-wait", 0x5a58_9227_823b_b5f7),
+            ("hold-and-wait+buf8k", 0x9162_dd18_fba5_1a3b),
+        ],
+    );
+}
+
+#[test]
+fn torus_8x8_hold_and_wait_battery_is_pinned() {
+    assert_pinned(
+        "torus:8x8",
+        &fabric_digests("torus:8x8", &hold_and_wait_machines()),
+        &[
+            ("hold-and-wait", 0x2dda_1091_e236_34d3),
+            ("hold-and-wait+buf8k", 0x7943_2b5b_7322_5b4a),
+        ],
+    );
+}
+
+#[test]
+fn cube_d13_hashed_layout_runs_are_pinned() {
+    // 8 192 nodes and 106 496 directed links: the resource tables of a run
+    // on this fabric are hashed, not dense. AC and RS_N under S2, RS_NL
+    // under S1 (handshakes, blocking sends, pairwise exchanges); LP would
+    // schedule 8 191 phases of 8 192 slots each.
+    let topo = TopologyKind::parse("cube:d=13")
+        .expect("fixture kind")
+        .build();
+    assert!(topo.link_count() > 1 << 16);
+    let com = workloads::random_dregular(topo.num_nodes(), 4, 1024, 13);
+    let machines = [
+        ("ipsc860", MachineParams::ipsc860()),
+        ("hold-and-wait", MachineParams::ipsc860_hold_and_wait()),
+    ];
+    let mut digests = [Fnv::new(); 2];
+    for (name, scheme) in [
+        ("AC", Scheme::S2),
+        ("RS_N", Scheme::S2),
+        ("RS_NL", Scheme::S1),
+    ] {
+        let entry = registry::find(name).expect("registered");
+        let schedule = entry.schedule(&com, &*topo, 7);
+        let programs = compile(&com, &schedule, scheme);
+        for ((_, params), h) in machines.iter().zip(&mut digests) {
+            digest_run(
+                h,
+                simulate_traced(&*topo, params, &LinkCostModel::Uniform, programs.clone()),
+            );
+        }
+    }
+    let actual: Vec<_> = machines
+        .iter()
+        .zip(digests)
+        .map(|((name, _), h)| (*name, h.0))
+        .collect();
+    assert_pinned(
+        "cube:d=13",
+        &actual,
+        &[
+            ("ipsc860", 0xe4c4_1f22_c835_e3d9),
+            ("hold-and-wait", 0x4d3b_0df2_fa34_bd24),
+        ],
+    );
+}
+
+/// Two-to-four-node programs that each end in one runtime `SimError`.
+fn error_cases() -> Vec<(&'static str, u32, Vec<Program>)> {
+    let program = |build: &dyn Fn(&mut ProgramBuilder)| {
+        let mut b = Program::builder();
+        build(&mut b);
+        b.build()
+    };
+    let (p0, p1) = (NodeId(0), NodeId(1));
+    vec![
+        (
+            "duplicate PostRecv while posted",
+            1,
+            vec![
+                Program::empty(),
+                program(&|b| {
+                    b.post_recv(p0, Tag(3)).post_recv(p0, Tag(3));
+                }),
+            ],
+        ),
+        (
+            "duplicate PostRecv after delivery",
+            1,
+            vec![
+                program(&|b| {
+                    b.send(p1, 512, Tag(3));
+                }),
+                program(&|b| {
+                    b.post_recv(p0, Tag(3))
+                        .wait_recv(p0, Tag(3))
+                        .post_recv(p0, Tag(3));
+                }),
+            ],
+        ),
+        (
+            "WaitRecv without a post",
+            1,
+            vec![
+                Program::empty(),
+                program(&|b| {
+                    b.wait_recv(p0, Tag(5));
+                }),
+            ],
+        ),
+        (
+            "duplicate PostRecv while in flight",
+            1,
+            vec![
+                program(&|b| {
+                    b.send(p1, 128 * 1024, Tag(3));
+                }),
+                program(&|b| {
+                    b.post_recv(p0, Tag(3))
+                        .compute(2_000_000)
+                        .post_recv(p0, Tag(3));
+                }),
+            ],
+        ),
+        (
+            "second message after the first was delivered",
+            1,
+            vec![
+                program(&|b| {
+                    b.send_async(p1, 64, Tag(1))
+                        .send_async(p1, 64, Tag(1))
+                        .wait_all_sends();
+                }),
+                program(&|b| {
+                    b.post_recv(p0, Tag(1)).wait_all_recvs();
+                }),
+            ],
+        ),
+        (
+            "second message while the first sits in the system buffer",
+            1,
+            vec![
+                program(&|b| {
+                    b.send(p1, 64, Tag(1)).send(p1, 64, Tag(1));
+                }),
+                Program::empty(),
+            ],
+        ),
+        (
+            "exchange size mismatch",
+            1,
+            vec![
+                program(&|b| {
+                    b.exchange(p1, 100, 200, Tag(0));
+                }),
+                program(&|b| {
+                    b.compute(1_000).exchange(p0, 300, 100, Tag(0));
+                }),
+            ],
+        ),
+        (
+            "exchange whose partner never arrives",
+            2,
+            vec![
+                program(&|b| {
+                    b.exchange(p1, 64, 64, Tag(0));
+                }),
+                program(&|b| {
+                    b.exchange(p0, 64, 64, Tag(1));
+                }),
+                program(&|b| {
+                    b.exchange(NodeId(3), 64, 64, Tag(0));
+                }),
+                Program::empty(),
+            ],
+        ),
+        (
+            "blocking send into a full buffer nobody drains",
+            1,
+            vec![
+                program(&|b| {
+                    b.send(p1, 6000, Tag(0)).send(p1, 6000, Tag(1));
+                }),
+                program(&|b| {
+                    b.post_recv(p0, Tag(9)).wait_recv(p0, Tag(9));
+                }),
+            ],
+        ),
+    ]
+}
+
+#[test]
+fn runtime_errors_are_pinned() {
+    // The `Debug` text of each error (node, message, `stuck` diagnoses) on
+    // the atomic machine and on hold-and-wait, both with an 8 KiB buffer.
+    let machines = [
+        MachineParams {
+            buffer_bytes: Some(8 * 1024),
+            ..MachineParams::ipsc860()
+        },
+        MachineParams {
+            buffer_bytes: Some(8 * 1024),
+            ..MachineParams::ipsc860_hold_and_wait()
+        },
+    ];
+    let mut actual = Vec::new();
+    for (what, dims, programs) in error_cases() {
+        let cube = Hypercube::new(dims);
+        let mut h = Fnv::new();
+        for params in &machines {
+            let outcome = simulate_traced(&cube, params, &LinkCostModel::Uniform, programs.clone());
+            assert!(outcome.is_err(), "{what}: expected an error");
+            digest_run(&mut h, outcome);
+        }
+        actual.push((what, h.0));
+    }
+    // A down link with no detour: typed, and raised at creation time under
+    // either policy.
+    let cost = LinkCostModel::parse("faulty:p=0.3,seed=5").expect("cost model");
+    let cube = Hypercube::new(3);
+    let com = workloads::random_dregular(8, 3, 2048, 3);
+    let schedule = registry::find("AC")
+        .expect("registered")
+        .schedule(&com, &cube, 7);
+    let mut h = Fnv::new();
+    for params in &machines {
+        let outcome = simulate_traced(&cube, params, &cost, compile(&com, &schedule, Scheme::S2));
+        assert!(
+            matches!(outcome, Err(SimError::LinkDown { .. })),
+            "{outcome:?}"
+        );
+        digest_run(&mut h, outcome);
+    }
+    actual.push(("LinkDown under faulty:", h.0));
+    assert_pinned(
+        "runtime errors",
+        &actual,
+        &[
+            ("duplicate PostRecv while posted", 0x59ce_14e2_17e8_7a45),
+            ("duplicate PostRecv after delivery", 0xda9c_5cf1_11f4_7909),
+            ("WaitRecv without a post", 0x7271_f2a5_a6db_bc75),
+            ("duplicate PostRecv while in flight", 0x3fef_d8ff_431f_b8ef),
+            (
+                "second message after the first was delivered",
+                0x639d_676f_6c94_43fd,
+            ),
+            (
+                "second message while the first sits in the system buffer",
+                0x8ac0_3910_d1eb_c2bb,
+            ),
+            ("exchange size mismatch", 0x214c_8c08_eaf5_57e5),
+            (
+                "exchange whose partner never arrives",
+                0xfdcc_b63a_d0ba_7337,
+            ),
+            (
+                "blocking send into a full buffer nobody drains",
+                0x66c2_3ecd_0ab3_8537,
+            ),
+            ("LinkDown under faulty:", 0xa219_00ea_8205_d267),
         ],
     );
 }
