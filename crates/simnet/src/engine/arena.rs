@@ -14,8 +14,9 @@
 //!   events have fired, no node blocks on it, and no queue holds it.
 //! * **Shared link storage** — circuits live in one contiguous
 //!   `Vec<LinkId>` arena addressed by [`LinkRange`]; routing a transfer
-//!   appends to it and completion pops it back when the range is still
-//!   the tail (the common LIFO case), so steady-state routing is
+//!   appends to it (the driver routes into a scratch buffer it owns, so
+//!   no `Path` is built) and completion pops it back when the range is
+//!   still the tail (the common LIFO case), so steady-state routing is
 //!   allocation-free.
 //!
 //! `Index`/`IndexMut` keep call sites reading like the old
@@ -40,6 +41,16 @@ impl LinkRange {
 
     pub(crate) fn len(self) -> usize {
         self.len as usize
+    }
+
+    /// This range and `next`, pushed right after it, as one claim set (a
+    /// fused exchange's forward and reverse routes).
+    pub(crate) fn join(self, next: LinkRange) -> LinkRange {
+        debug_assert_eq!(self.start + self.len, next.start);
+        LinkRange {
+            start: self.start,
+            len: self.len + next.len,
+        }
     }
 }
 
@@ -97,18 +108,6 @@ impl TransferArena {
         LinkRange {
             start,
             len: links.len() as u32,
-        }
-    }
-
-    /// Append two circuits back to back (a fused exchange's forward and
-    /// reverse routes) as one range.
-    pub(crate) fn push_links_pair(&mut self, fwd: &[LinkId], rev: &[LinkId]) -> LinkRange {
-        let start = self.links.len() as u32;
-        self.links.extend_from_slice(fwd);
-        self.links.extend_from_slice(rev);
-        LinkRange {
-            start,
-            len: (fwd.len() + rev.len()) as u32,
         }
     }
 
@@ -171,6 +170,7 @@ mod tests {
             bytes: 8,
             rev_bytes: 0,
             tag: Tag(0),
+            slot: 0,
             links,
             duration: 1,
             request_ns: 0,
@@ -208,7 +208,9 @@ mod tests {
     #[test]
     fn paired_circuits_are_contiguous() {
         let mut a = TransferArena::new();
-        let r = a.push_links_pair(&[LinkId(1)], &[LinkId(2), LinkId(3)]);
+        let r = a
+            .push_links(&[LinkId(1)])
+            .join(a.push_links(&[LinkId(2), LinkId(3)]));
         assert_eq!(r.len(), 3);
         assert_eq!(a.links_of(r), &[LinkId(1), LinkId(2), LinkId(3)]);
     }

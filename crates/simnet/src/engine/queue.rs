@@ -1,4 +1,8 @@
-//! The simulation clock: a deterministic time-ordered event queue.
+//! The simulation clock: a deterministic time-ordered event queue. An
+//! event costs one 16-byte key; most are appended to and taken from a FIFO
+//! lane, the rest sift through a heap a few keys deep.
+
+use std::collections::VecDeque;
 
 /// Identifier of an in-flight transfer (index into the simulator's slab).
 pub(crate) type TransferId = usize;
@@ -14,28 +18,43 @@ pub(crate) enum EvKind {
     XferAdvance(TransferId),
 }
 
-/// Deterministic time-ordered event queue: an indexed (slot-addressed,
-/// `Vec`-backed) 4-ary min-heap over `(time, seq)` keys.
+/// Deterministic time-ordered event queue over packed 16-byte keys.
 ///
-/// Ties at equal timestamps break on a monotonically increasing sequence
-/// number, so simulation outcomes are a pure function of the inputs —
-/// `(time, seq)` is a unique total order, which makes the pop sequence
-/// independent of the heap implementation. Compared to wrapping
-/// `std::collections::BinaryHeap` in `Reverse`, the hand-rolled heap keeps
-/// entries inline in one `Vec` (no per-entry comparator indirection), uses
-/// a fan-out of [`ARITY`] to cut tree depth (fewer cache lines touched per
-/// push/pop on the simulator's hot path), and sifts with a single
-/// hole-move pass instead of repeated swaps.
+/// A key is `time << 64 | seq << 34 | kind << 32 | id`: `(time, seq)` major,
+/// so one integer compare orders two events, and the payload rides in the
+/// low bits where it can never decide a comparison (`seq` is unique). Ties
+/// at equal timestamps therefore break on the monotonically increasing
+/// sequence number — events pushed at one simulated time fire in push
+/// order, and the pop sequence is a pure function of the inputs, whatever
+/// the containers' shape.
+///
+/// Most events of a kind are pushed in time order — every resume one
+/// posting overhead ahead of a clock that only advances, every deferred
+/// request one send overhead ahead — so each kind has a FIFO *lane*: a key
+/// no earlier than its lane's tail is appended there, and only the rest
+/// (completions of unequal length, wake-ups behind a future resume) sift
+/// through the 4-ary min-heap, which stays a few dozen keys deep. A pop
+/// takes the least of the three lane fronts and the heap's root.
+///
+/// The field widths are checked, not assumed: a push whose sequence number
+/// or id no longer fits is dropped and [`EventQueue::exhausted`] turns
+/// true, which the driver reports as `EventBudgetExhausted`.
 #[derive(Debug, Default)]
 pub(crate) struct EventQueue {
-    /// `(time, seq, kind)` in d-ary min-heap order over `(time, seq)`.
-    heap: Vec<(u64, u64, EvKind)>,
+    lanes: [VecDeque<u128>; 3],
+    heap: Vec<u128>,
     seq: u64,
+    exhausted: bool,
 }
 
 /// Heap fan-out. Four children per node halves the depth of the binary
-/// heap while keeping each child scan inside one cache line of entries.
+/// heap while keeping each child scan inside one cache line of keys.
 const ARITY: usize = 4;
+
+const ID_BITS: u32 = 32;
+const KIND_BITS: u32 = 2;
+/// Pushes a run may make: ten times the driver's budget of popped events.
+const SEQ_LIMIT: u64 = 1 << (64 - ID_BITS - KIND_BITS);
 
 impl EventQueue {
     pub(crate) fn new() -> Self {
@@ -45,66 +64,117 @@ impl EventQueue {
     /// Enqueue `kind` at `time`. Events pushed at the same simulated time
     /// fire in push order.
     pub(crate) fn push(&mut self, time: u64, kind: EvKind) {
+        let (code, id) = match kind {
+            EvKind::Resume(node) => (0, node),
+            EvKind::XferDone(id) => (1, id),
+            EvKind::XferAdvance(id) => (2, id),
+        };
         self.seq += 1;
-        let entry = (time, self.seq, kind);
+        if self.seq >= SEQ_LIMIT || id >> ID_BITS != 0 {
+            self.exhausted = true;
+            return;
+        }
+        let low = (self.seq << KIND_BITS | code as u64) << ID_BITS | id as u64;
+        let key = u128::from(time) << 64 | u128::from(low);
+        let lane = &mut self.lanes[code];
+        if lane.back().is_none_or(|&tail| tail < key) {
+            lane.push_back(key);
+            return;
+        }
         // Sift up with a hole: parents move down until the insert slot is
-        // found, and the entry is written exactly once.
+        // found, and the key is written exactly once.
         let mut hole = self.heap.len();
-        self.heap.push(entry);
+        self.heap.push(key);
         while hole > 0 {
             let parent = (hole - 1) / ARITY;
             let p = self.heap[parent];
-            if (p.0, p.1) <= (entry.0, entry.1) {
+            if p <= key {
                 break;
             }
             self.heap[hole] = p;
             hole = parent;
         }
-        self.heap[hole] = entry;
+        self.heap[hole] = key;
     }
 
     /// Remove and return the earliest event (ties in push order).
     pub(crate) fn pop(&mut self) -> Option<(u64, EvKind)> {
-        let last = self.heap.pop()?;
-        if self.heap.is_empty() {
-            return Some((last.0, last.2));
+        // No key is all ones: a sequence number stays below `SEQ_LIMIT`.
+        let mut top = self.heap.first().copied().unwrap_or(u128::MAX);
+        let mut from = None;
+        for (lane, keys) in self.lanes.iter().enumerate() {
+            if let Some(&front) = keys.front().filter(|&&front| front < top) {
+                (top, from) = (front, Some(lane));
+            }
         }
-        let top = self.heap[0];
-        // Sift the former tail down from the root with a hole.
-        let mut hole = 0;
+        if let Some(lane) = from {
+            self.lanes[lane].pop_front();
+            return Some(Self::unpack(top));
+        }
+        // Sift the heap's former tail down from the root with a hole.
+        let last = self.heap.pop()?;
         let n = self.heap.len();
+        if n == 0 {
+            return Some(Self::unpack(last));
+        }
+        let mut hole = 0;
         loop {
             let first_child = hole * ARITY + 1;
             if first_child >= n {
                 break;
             }
             let mut min_child = first_child;
-            let mut min_key = (self.heap[first_child].0, self.heap[first_child].1);
             for c in (first_child + 1)..(first_child + ARITY).min(n) {
-                let key = (self.heap[c].0, self.heap[c].1);
-                if key < min_key {
+                if self.heap[c] < self.heap[min_child] {
                     min_child = c;
-                    min_key = key;
                 }
             }
-            if min_key >= (last.0, last.1) {
+            if self.heap[min_child] >= last {
                 break;
             }
             self.heap[hole] = self.heap[min_child];
             hole = min_child;
         }
         self.heap[hole] = last;
-        Some((top.0, top.2))
+        Some(Self::unpack(top))
+    }
+
+    fn unpack(key: u128) -> (u64, EvKind) {
+        let id = (key as u64 & ((1 << ID_BITS) - 1)) as usize;
+        let kind = match key as u64 >> ID_BITS & ((1 << KIND_BITS) - 1) {
+            0 => EvKind::Resume(id),
+            1 => EvKind::XferDone(id),
+            _ => EvKind::XferAdvance(id),
+        };
+        ((key >> 64) as u64, kind)
+    }
+
+    /// Whether a push was dropped because its sequence number or id did
+    /// not fit the key.
+    pub(crate) fn exhausted(&self) -> bool {
+        self.exhausted
+    }
+
+    /// Heap footprint in bytes (part of `SimStats::state_bytes`).
+    pub(crate) fn resident_bytes(&self) -> usize {
+        let keys = self.heap.capacity() + self.lanes.iter().map(VecDeque::capacity).sum::<usize>();
+        keys * std::mem::size_of::<u128>()
+    }
+
+    /// Leave no sequence number for the next push (tests).
+    #[cfg(test)]
+    pub(crate) fn exhaust_sequence_numbers(&mut self) {
+        self.seq = SEQ_LIMIT;
     }
 
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
     }
 }
 
@@ -133,6 +203,58 @@ mod tests {
         for i in 0..100 {
             assert_eq!(q.pop(), Some((42, EvKind::Resume(i))));
         }
+    }
+
+    #[test]
+    fn ties_across_all_three_kinds_fire_in_push_order() {
+        // The kind and the id sit below the sequence number in the key:
+        // neither may reorder events of one timestamp, whether a key went
+        // to its lane or — pushed behind a later one of its kind — to the
+        // heap.
+        let mut q = EventQueue::new();
+        let late = [
+            EvKind::Resume(1),
+            EvKind::XferDone(1),
+            EvKind::XferAdvance(1),
+        ];
+        for kind in late {
+            q.push(9, kind);
+        }
+        let tied = [
+            EvKind::XferAdvance(usize::MAX >> 32),
+            EvKind::Resume(7),
+            EvKind::XferDone(0),
+            EvKind::Resume(0),
+            EvKind::XferAdvance(3),
+            EvKind::XferDone(usize::MAX >> 32),
+        ];
+        for kind in tied {
+            q.push(5, kind);
+        }
+        for kind in tied.into_iter().chain(late) {
+            let time = if late.contains(&kind) { 9 } else { 5 };
+            assert_eq!(q.pop(), Some((time, kind)));
+        }
+        assert_eq!(q.pop(), None);
+        assert!(!q.exhausted());
+    }
+
+    #[test]
+    fn a_key_that_does_not_fit_is_dropped_and_reported() {
+        // An id wider than its field.
+        let mut q = EventQueue::new();
+        q.push(1, EvKind::XferDone(1 << ID_BITS));
+        assert!(q.exhausted() && q.is_empty());
+        // The last sequence number that fits, then one that does not:
+        // nothing wraps into the kind or the time.
+        let mut q = EventQueue::new();
+        q.seq = SEQ_LIMIT - 2;
+        q.push(3, EvKind::Resume(4));
+        assert!(!q.exhausted());
+        q.push(2, EvKind::Resume(5));
+        assert!(q.exhausted());
+        assert_eq!(q.pop(), Some((3, EvKind::Resume(4))));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

@@ -1,25 +1,25 @@
 //! Circuit reservation: transfers, and the shared network resources
 //! (communication engines, receive ports, directed links) they claim.
 //!
-//! The router is policy-mechanism split: it owns the resource occupancy
-//! tables and their FIFO wait queues, while the driver (`crate::sim`)
-//! decides *when* to attempt claims (atomic all-or-nothing vs hold-and-wait
-//! incremental — [`crate::ClaimPolicy`]).
+//! The router is policy-mechanism split: it owns the run's resource table
+//! — one [`crate::engine::pending::Record`] per resource, holder and wait
+//! list together — while the driver (`crate::sim`) decides *when* to
+//! attempt claims (atomic all-or-nothing vs hold-and-wait incremental —
+//! [`crate::ClaimPolicy`]) and what a release does with the waiters
+//! (re-examine them all, or hand the resource to the first).
 //!
-//! Occupancy is held in [`SparseMap`]s (dense below the crossover, hashed
-//! above it), so a d=20 fabric costs memory proportional to the circuits
-//! actually claimed, not to its ~20M directed links. Wait queues are
-//! allocated lazily on first block: the atomic claim policy never
-//! enqueues a waiter, so it never pays for a queue at all.
-
-use std::collections::{HashMap, VecDeque};
+//! A claim check reads one record per resource and a claim writes it; a
+//! three-hop message touches five records to start and the same five to
+//! finish. The table is dense below the crossover and hashed above it, so
+//! a d=20 fabric costs memory proportional to the circuits actually
+//! claimed, not to its ~20M directed links.
 
 use hypercube::LinkId;
 
-use crate::engine::pending::Blocker;
+use crate::engine::pending::{Blocker, PendingIndex, NONE};
 use crate::engine::queue::TransferId;
 use crate::program::Tag;
-use crate::sparse::{MapMode, SparseMap};
+use crate::sparse::MapMode;
 use crate::PortModel;
 
 use crate::engine::arena::LinkRange;
@@ -53,6 +53,9 @@ pub(crate) struct Transfer {
     /// direction, delivered to `src` on completion. 0 otherwise.
     pub rev_bytes: u32,
     pub tag: Tag,
+    /// Message slot of `(dst, src, tag)` in the driver's receive table
+    /// (unused by fused exchanges, which bypass it).
+    pub slot: u32,
     /// Claim set in the shared circuit arena: the route for data, both
     /// routes for a fused exchange, empty for copies.
     pub links: LinkRange,
@@ -67,47 +70,22 @@ pub(crate) struct Transfer {
     pub issue_seq: Option<u32>,
 }
 
-/// Occupancy slot value for a free resource.
-const FREE: usize = usize::MAX;
-
-/// Occupancy of the machine's shared communication resources, with one
-/// FIFO wait queue per *blocked* resource (used by the hold-and-wait
-/// policy; allocated on first block).
+/// Occupancy of the machine's shared communication resources.
 pub(crate) struct Router {
     ports: PortModel,
-    /// Unified engine, or the send port in split mode. `FREE` = free,
-    /// otherwise the holding transfer's id.
-    engines: SparseMap<usize>,
-    recv_ports: SparseMap<usize>,
-    links: SparseMap<usize>,
-    engine_q: HashMap<usize, VecDeque<TransferId>>,
-    recv_q: HashMap<usize, VecDeque<TransferId>>,
-    link_q: HashMap<usize, VecDeque<TransferId>>,
-    /// Accumulated busy time per directed link that ever carried traffic,
-    /// plus running total/max so the driver's statistics never scan the
-    /// link universe.
-    link_busy: SparseMap<u64>,
+    /// The resource table and the wait lists threaded through it.
+    pub(crate) pending: PendingIndex,
+    /// Running total/max of link busy time, so the driver's statistics
+    /// never scan the link universe.
     link_busy_total: u64,
     link_busy_max: u64,
-}
-
-impl Default for Router {
-    fn default() -> Self {
-        Router::new(0, 0, PortModel::Unified)
-    }
 }
 
 impl Router {
     pub(crate) fn new(n: usize, link_count: usize, ports: PortModel) -> Self {
         Router {
             ports,
-            engines: SparseMap::new(n, FREE, MapMode::Auto),
-            recv_ports: SparseMap::new(n, FREE, MapMode::Auto),
-            links: SparseMap::new(link_count, FREE, MapMode::Auto),
-            engine_q: HashMap::new(),
-            recv_q: HashMap::new(),
-            link_q: HashMap::new(),
-            link_busy: SparseMap::new(link_count, 0, MapMode::Auto),
+            pending: PendingIndex::new(n, link_count, MapMode::Auto),
             link_busy_total: 0,
             link_busy_max: 0,
         }
@@ -115,190 +93,103 @@ impl Router {
 
     /// The resource that admits an incoming message at `node`: the unified
     /// engine, or the dedicated receive port in split mode.
-    pub(crate) fn port_free_for_recv(&self, node: usize) -> bool {
+    pub(crate) fn recv_port(&self, node: u32) -> Blocker {
         match self.ports {
-            PortModel::Unified => self.engines.get(node) == FREE,
-            PortModel::Split => self.recv_ports.get(node) == FREE,
+            PortModel::Unified => Blocker::Engine(node),
+            PortModel::Split => Blocker::RecvPort(node),
+        }
+    }
+
+    fn free(&self, on: Blocker) -> bool {
+        self.pending.record(on).holder == NONE
+    }
+
+    /// The node-side resources `t` claims, in claim order: a copy needs
+    /// only the receive side; a fused exchange both engines (it exists
+    /// only in the unified port model).
+    pub(crate) fn ports_of(&self, t: &Transfer) -> (Option<Blocker>, Blocker) {
+        match t.kind {
+            TKind::Copy => (None, self.recv_port(t.dst)),
+            TKind::Data { .. } => (Some(Blocker::Engine(t.src)), self.recv_port(t.dst)),
+            TKind::Fused => (Some(Blocker::Engine(t.src)), Blocker::Engine(t.dst)),
         }
     }
 
     /// Atomic policy: can `t` claim *all* of its resources right now?
     /// `links` is `t`'s claim set (resolved from the circuit arena) and
-    /// `issue_ok` the sender-side head-of-line condition (the driver
-    /// tracks issue cursors in per-node state).
+    /// `issue_ok` the sender-side head-of-line condition of data
+    /// transfers (the driver tracks issue cursors in per-node state).
     pub(crate) fn can_claim_atomic(&self, t: &Transfer, links: &[LinkId], issue_ok: bool) -> bool {
-        let src = t.src as usize;
-        let dst = t.dst as usize;
-        match t.kind {
-            TKind::Copy => self.port_free_for_recv(dst),
-            TKind::Data { .. } => {
-                issue_ok
-                    && self.engines.get(src) == FREE
-                    && self.port_free_for_recv(dst)
-                    && links.iter().all(|l| self.links.get(l.index()) == FREE)
-            }
-            TKind::Fused => {
-                // dst here is the partner; fused exchanges exist only in the
-                // unified port model.
-                self.engines.get(src) == FREE
-                    && self.engines.get(dst) == FREE
-                    && links.iter().all(|l| self.links.get(l.index()) == FREE)
-            }
-        }
+        let (send, recv) = self.ports_of(t);
+        let links = links.iter().map(|l| Blocker::Link(l.index()));
+        (issue_ok || !matches!(t.kind, TKind::Data { .. }))
+            && send
+                .into_iter()
+                .chain([recv])
+                .chain(links)
+                .all(|on| self.free(on))
     }
 
-    /// Atomic policy: the first resource of `t` that is busy, in the order
-    /// [`Router::can_claim_atomic`] checks them (`None` = all free). This
-    /// is what a pending transfer parks on; `can_claim_atomic` stays the
-    /// oracle it is checked against.
+    /// Atomic policy: the first resource of `t` that is busy, in claim
+    /// order — sending side, receiving side, links (`None` = all free).
+    /// This is what a pending transfer parks on; `can_claim_atomic` stays
+    /// the oracle it is checked against.
     pub(crate) fn first_busy(&self, t: &Transfer, links: &[LinkId]) -> Option<Blocker> {
-        let engine =
-            |node: u32| (self.engines.get(node as usize) != FREE).then_some(Blocker::Engine(node));
-        let recv = |node: u32| match self.ports {
-            PortModel::Unified => engine(node),
-            PortModel::Split => {
-                (self.recv_ports.get(node as usize) != FREE).then_some(Blocker::RecvPort(node))
-            }
-        };
-        let link = || {
-            let busy = links.iter().find(|l| self.links.get(l.index()) != FREE)?;
-            Some(Blocker::Link(busy.index()))
-        };
-        match t.kind {
-            TKind::Copy => recv(t.dst),
-            TKind::Data { .. } => engine(t.src).or_else(|| recv(t.dst)).or_else(link),
-            TKind::Fused => engine(t.src).or_else(|| engine(t.dst)).or_else(link),
-        }
+        let (send, recv) = self.ports_of(t);
+        let busy = |on: &Blocker| !self.free(*on);
+        let link = || links.iter().map(|l| Blocker::Link(l.index())).find(busy);
+        send.filter(busy)
+            .or_else(|| Some(recv).filter(busy))
+            .or_else(link)
     }
 
     /// Atomic policy: claim every resource of `t` (the caller verified
-    /// [`Router::can_claim_atomic`]).
+    /// [`Router::first_busy`]).
     pub(crate) fn claim_atomic(&mut self, id: TransferId, t: &Transfer, links: &[LinkId]) {
-        let src = t.src as usize;
-        let dst = t.dst as usize;
-        match t.kind {
-            TKind::Copy => match self.ports {
-                PortModel::Unified => *self.engines.slot(dst) = id,
-                PortModel::Split => *self.recv_ports.slot(dst) = id,
-            },
-            TKind::Data { .. } => {
-                *self.engines.slot(src) = id;
-                match self.ports {
-                    PortModel::Unified => *self.engines.slot(dst) = id,
-                    PortModel::Split => *self.recv_ports.slot(dst) = id,
-                }
-                for l in links {
-                    *self.links.slot(l.index()) = id;
-                }
-            }
-            TKind::Fused => {
-                *self.engines.slot(src) = id;
-                *self.engines.slot(dst) = id;
-                for l in links {
-                    *self.links.slot(l.index()) = id;
-                }
-            }
+        let (send, recv) = self.ports_of(t);
+        for on in send.into_iter().chain([recv]) {
+            self.pending.record_mut(on).holder = id;
         }
-    }
-
-    /// Hold-and-wait: take `node`'s engine or join its queue. True = held.
-    pub(crate) fn hw_claim_engine(&mut self, node: usize, id: TransferId) -> bool {
-        let slot = self.engines.slot(node);
-        match *slot {
-            FREE => {
-                *slot = id;
-                true
-            }
-            holder if holder == id => true,
-            _ => {
-                self.engine_q.entry(node).or_default().push_back(id);
-                false
-            }
-        }
-    }
-
-    /// Hold-and-wait: take `node`'s receive port or join its queue.
-    pub(crate) fn hw_claim_recv_port(&mut self, node: usize, id: TransferId) -> bool {
-        let slot = self.recv_ports.slot(node);
-        match *slot {
-            FREE => {
-                *slot = id;
-                true
-            }
-            holder if holder == id => true,
-            _ => {
-                self.recv_q.entry(node).or_default().push_back(id);
-                false
-            }
-        }
-    }
-
-    /// Hold-and-wait: take one link of the circuit or join its queue.
-    pub(crate) fn hw_claim_link(&mut self, link: LinkId, id: TransferId) -> bool {
-        let slot = self.links.slot(link.index());
-        match *slot {
-            FREE => {
-                *slot = id;
-                true
-            }
-            holder if holder == id => true,
-            _ => {
-                self.link_q.entry(link.index()).or_default().push_back(id);
-                false
-            }
-        }
-    }
-
-    /// Pop the head waiter of `key`'s queue, dropping the queue when it
-    /// drains (lazily allocated queues stay traffic-sized).
-    fn pop_waiter(q: &mut HashMap<usize, VecDeque<TransferId>>, key: usize) -> Option<TransferId> {
-        let queue = q.get_mut(&key)?;
-        let next = queue.pop_front();
-        if queue.is_empty() {
-            q.remove(&key);
-        }
-        next
-    }
-
-    /// Free `node`'s engine; returns the next queued transfer, which now
-    /// holds the engine and must be re-advanced by the driver.
-    pub(crate) fn release_engine(&mut self, node: usize, id: TransferId) -> Option<TransferId> {
-        debug_assert_eq!(self.engines.get(node), id);
-        let next = Self::pop_waiter(&mut self.engine_q, node);
-        *self.engines.slot(node) = next.unwrap_or(FREE);
-        next
-    }
-
-    /// Free `node`'s receive port; returns the next queued transfer.
-    pub(crate) fn release_recv_port(&mut self, node: usize, id: TransferId) -> Option<TransferId> {
-        debug_assert_eq!(self.recv_ports.get(node), id);
-        let next = Self::pop_waiter(&mut self.recv_q, node);
-        *self.recv_ports.slot(node) = next.unwrap_or(FREE);
-        next
-    }
-
-    /// Free every link of a circuit, accounting `duration` of busy time on
-    /// each; `wake` is called for each queued transfer that now holds its
-    /// link (the driver re-advances them).
-    pub(crate) fn release_links(
-        &mut self,
-        id: TransferId,
-        links: &[LinkId],
-        duration: u64,
-        mut wake: impl FnMut(TransferId),
-    ) {
         for l in links {
-            let busy = self.link_busy.slot(l.index());
-            *busy += duration;
-            self.link_busy_max = self.link_busy_max.max(*busy);
-            self.link_busy_total += duration;
-            debug_assert_eq!(self.links.get(l.index()), id);
-            let next = Self::pop_waiter(&mut self.link_q, l.index());
-            *self.links.slot(l.index()) = next.unwrap_or(FREE);
-            if let Some(next) = next {
-                wake(next);
-            }
+            self.pending.record_mut(Blocker::Link(l.index())).holder = id;
         }
+    }
+
+    /// Hold-and-wait: take `on` or join its FIFO queue. True = held
+    /// (already, or from now on).
+    pub(crate) fn hw_claim(&mut self, on: Blocker, id: TransferId) -> bool {
+        let record = self.pending.record_mut(on);
+        if record.holder == NONE {
+            record.holder = id;
+        }
+        let held = record.holder == id;
+        if !held {
+            self.pending.park(id, on);
+        }
+        held
+    }
+
+    /// Free `on`, held by `id`, after `busy_ns` more of accounted use
+    /// (links only: a node's busy time lives in its `NodeStats`). True
+    /// when transfers wait on it — the driver then wakes them (atomic) or
+    /// calls [`Router::hand_off`] (hold-and-wait).
+    pub(crate) fn release(&mut self, on: Blocker, id: TransferId, busy_ns: u64) -> bool {
+        let record = self.pending.record_mut(on);
+        debug_assert_eq!(record.holder, id);
+        record.holder = NONE;
+        record.busy_ns += busy_ns;
+        let (busy, waited) = (record.busy_ns, record.has_waiters());
+        self.link_busy_total += busy_ns;
+        self.link_busy_max = self.link_busy_max.max(busy);
+        waited
+    }
+
+    /// Hold-and-wait: give the just-freed `on` to the head of its queue;
+    /// the driver re-advances the returned transfer.
+    pub(crate) fn hand_off(&mut self, on: Blocker) -> Option<TransferId> {
+        let next = self.pending.pop_waiter(on)?;
+        self.pending.record_mut(on).holder = next;
+        Some(next)
     }
 
     /// `(total, max)` accumulated busy time over all directed links —
@@ -307,38 +198,9 @@ impl Router {
         (self.link_busy_total, self.link_busy_max)
     }
 
-    /// Accumulated busy time of one link (tests and diagnostics).
-    #[cfg(test)]
-    pub(crate) fn link_busy_ns(&self, link: LinkId) -> u64 {
-        self.link_busy.get(link.index())
-    }
-
-    /// Approximate heap footprint in bytes (the scale bench's RSS proxy).
+    /// Heap footprint in bytes (part of `SimStats::state_bytes`).
     pub(crate) fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        // Entries, not `capacity()`: a std map's capacity after removals
-        // depends on its per-process hash keys, and `state_bytes` must be
-        // a function of the run.
-        let q_bytes = |q: &HashMap<usize, VecDeque<TransferId>>| {
-            q.values()
-                .map(|v| v.capacity() * size_of::<TransferId>())
-                .sum::<usize>()
-                + q.len() * size_of::<(usize, VecDeque<TransferId>)>()
-        };
-        self.engines.resident_bytes()
-            + self.recv_ports.resident_bytes()
-            + self.links.resident_bytes()
-            + self.link_busy.resident_bytes()
-            + q_bytes(&self.engine_q)
-            + q_bytes(&self.recv_q)
-            + q_bytes(&self.link_q)
-    }
-
-    /// Whether any wait queue is currently allocated (tests: the atomic
-    /// policy must never allocate one).
-    #[cfg(test)]
-    pub(crate) fn has_wait_queues(&self) -> bool {
-        !self.engine_q.is_empty() || !self.recv_q.is_empty() || !self.link_q.is_empty()
+        self.pending.resident_bytes()
     }
 }
 
@@ -357,6 +219,7 @@ mod tests {
             bytes: 64,
             rev_bytes: 0,
             tag: Tag(0),
+            slot: 0,
             links: LinkRange::EMPTY,
             duration: 10,
             request_ns: 0,
@@ -381,8 +244,8 @@ mod tests {
         assert!(!r.can_claim_atomic(&data(2, 3), &[LinkId(3)], true));
         // Disjoint link and endpoints: admitted concurrently.
         assert!(r.can_claim_atomic(&data(2, 3), &[LinkId(5)], true));
-        // The atomic policy never allocates a wait queue.
-        assert!(!r.has_wait_queues());
+        // A claim never enqueues anybody.
+        assert!(r.pending.parked().is_empty());
     }
 
     #[test]
@@ -391,7 +254,7 @@ mod tests {
         r.claim_atomic(1, &data(0, 1), &[]);
         // Node 1's engine is busy receiving: it can neither send nor recv.
         assert!(!r.can_claim_atomic(&data(1, 0), &[], true));
-        assert!(!r.port_free_for_recv(1));
+        assert!(!r.free(r.recv_port(1)));
 
         let mut split = Router::new(2, 2, PortModel::Split);
         split.claim_atomic(1, &data(0, 1), &[]);
@@ -402,36 +265,41 @@ mod tests {
     #[test]
     fn hold_and_wait_queues_fifo_and_hands_off_on_release() {
         let mut r = Router::new(2, 2, PortModel::Split);
-        assert!(r.hw_claim_engine(0, 1));
-        assert!(r.hw_claim_engine(0, 1), "re-claim by the holder is a no-op");
-        assert!(!r.hw_claim_engine(0, 2));
-        assert!(!r.hw_claim_engine(0, 3));
-        assert!(r.has_wait_queues(), "queue materializes on first block");
-        assert_eq!(r.release_engine(0, 1), Some(2), "FIFO hand-off");
-        assert_eq!(r.release_engine(0, 2), Some(3));
-        assert_eq!(r.release_engine(0, 3), None);
-        assert!(!r.has_wait_queues(), "drained queues are dropped");
+        let engine = Blocker::Engine(0);
+        assert!(r.hw_claim(engine, 1));
+        assert!(r.hw_claim(engine, 1), "re-claim by the holder is a no-op");
+        assert!(!r.hw_claim(engine, 2));
+        assert!(!r.hw_claim(engine, 3));
+        assert_eq!(r.pending.parked(), [2, 3], "queued in arrival order");
+        assert!(r.release(engine, 1, 0));
+        assert_eq!(r.hand_off(engine), Some(2), "FIFO hand-off");
+        assert!(r.hw_claim(engine, 2), "the waiter now holds the engine");
+        assert!(r.release(engine, 2, 0));
+        assert_eq!(r.hand_off(engine), Some(3));
+        assert!(!r.release(engine, 3, 0));
+        assert_eq!(r.hand_off(engine), None);
+        assert!(r.pending.parked().is_empty(), "the queue drained");
     }
 
     #[test]
     fn link_release_accounts_busy_time_and_wakes_waiters() {
         let mut r = Router::new(2, 4, PortModel::Unified);
-        assert!(r.hw_claim_link(LinkId(2), 1));
-        assert!(!r.hw_claim_link(LinkId(2), 5));
-        let mut woken = Vec::new();
-        r.release_links(1, &[LinkId(2)], 100, |id| woken.push(id));
-        assert_eq!(woken, [5]);
-        assert_eq!(r.link_busy_ns(LinkId(2)), 100);
+        let link = Blocker::Link(2);
+        assert!(r.hw_claim(link, 1));
+        assert!(!r.hw_claim(link, 5));
+        assert!(r.release(link, 1, 100));
+        assert_eq!(r.hand_off(link), Some(5));
+        assert_eq!(r.pending.record(link).busy_ns, 100);
         assert_eq!(r.link_busy_totals(), (100, 100));
         // The waiter now holds the link.
-        assert!(r.hw_claim_link(LinkId(2), 5));
+        assert!(r.hw_claim(link, 5));
     }
 
     #[test]
     fn million_node_router_stays_traffic_sized() {
-        // d=20: ~1M nodes, ~20M directed links. Dense tables would be
-        // hundreds of MB; the sparse router stays in the KBs until
-        // circuits are claimed.
+        // d=20: ~1M nodes, ~20M directed links. A dense table would be
+        // hundreds of MB; the hashed one stays in the KBs until circuits
+        // are claimed.
         let n = 1 << 20;
         let links = n * 20;
         let mut r = Router::new(n, links, PortModel::Unified);
@@ -441,10 +309,13 @@ mod tests {
         assert!(r.can_claim_atomic(&t, &circuit, true));
         r.claim_atomic(0, &t, &circuit);
         assert!(!r.can_claim_atomic(&data(2, 17), &[LinkId(12_345_678)], true));
-        r.release_engine(17, 0);
-        r.release_engine(900_000, 0);
-        r.release_links(0, &circuit, 55, |_| {});
+        assert!(!r.release(Blocker::Engine(17), 0, 0));
+        assert!(!r.release(Blocker::Engine(900_000), 0, 0));
+        for l in circuit {
+            assert!(!r.release(Blocker::Link(l.index()), 0, 55));
+        }
         assert_eq!(r.link_busy_totals(), (110, 55));
         assert!(r.can_claim_atomic(&t, &circuit, true));
+        assert!(r.resident_bytes() < 1 << 16, "{}", r.resident_bytes());
     }
 }

@@ -32,21 +32,21 @@
 //! The engine is a module tree under `engine/`, tied together by the thin
 //! driver `sim.rs`:
 //!
-//! * `engine/queue.rs` — the simulation clock: a deterministic indexed
-//!   4-ary min-heap event queue (tie-stable, allocation-light on the
-//!   push/pop hot path).
+//! * `engine/queue.rs` — the simulation clock: a deterministic event
+//!   queue of packed 16-byte keys, `(time, seq)` major (tie-stable,
+//!   allocation-free on the push/pop hot path).
 //! * `engine/node.rs` — per-node protocol state (program progress,
-//!   blocking conditions, receive states, buffer accounting).
-//! * `engine/router.rs` — circuit reservation: transfers and the
-//!   occupancy tables of engines, receive ports, and directed links,
-//!   with FIFO wait queues for the hold-and-wait policy.
+//!   blocking conditions, buffer accounting) and the receive-side state
+//!   machine of a message slot.
+//! * `engine/pending.rs` — the resource table: one record per engine,
+//!   receive port, link and wait condition (holder, busy time, waiting
+//!   list), dense or hashed by the size of the machine.
+//! * `engine/router.rs` — circuit reservation over that table.
 //! * `engine/claim.rs` — the transfer lifecycle: creation, the atomic
 //!   and hold-and-wait claim policies, delivery, and completion.
-//! * `engine/pending.rs` — the atomic policy's pending set, indexed by
-//!   blocking resource (park on the first busy condition, wake on its
-//!   release).
-//! * `sim.rs` — the event loop, per-node program execution, statistics,
-//!   and deadlock detection.
+//! * `sim.rs` — binding (every message a program names gets a dense slot
+//!   before the first event), the event loop, per-node program execution,
+//!   statistics, and deadlock detection.
 //!
 //! # Example
 //!

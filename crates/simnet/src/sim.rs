@@ -3,21 +3,24 @@
 //! [`crate::engine::node`] protocol state, and the
 //! [`crate::engine::router`] circuit reservation — implementing the two
 //! claim policies, message delivery, buffering, and deadlock detection.
+//!
+//! The driver binds before it runs: `Sim::new`'s validation walk also
+//! gives every message `(dst, src, tag)` the programs name — posted,
+//! awaited or sent — a dense *slot*, and every op its slot, so the event
+//! loop reads and writes receive states by index and never looks a message
+//! up by key.
 
-use std::collections::HashMap;
-
-use hypercube::{NodeId, Topology};
+use hypercube::{LinkId, NodeId, Topology};
 
 use crate::cost::LinkCostModel;
 use crate::engine::arena::TransferArena;
-use crate::engine::node::{Block, NodeState, RecvState};
-use crate::engine::pending::{Blocker, PendingIndex};
+use crate::engine::node::{Block, ExchangeOffer, NodeState, RecvState};
 use crate::engine::queue::{EvKind, EventQueue};
 use crate::engine::router::{Router, TState};
 use crate::program::{Op, Program, Tag};
 use crate::stats::{SimError, SimReport, SimStats};
 use crate::trace::{TraceEvent, TraceKind};
-use crate::{ClaimPolicy, MachineParams, PortModel};
+use crate::{MachineParams, PortModel};
 
 /// Safety valve: no legitimate schedule on machines this crate targets comes
 /// anywhere near this many events.
@@ -82,27 +85,25 @@ pub fn simulate_traced<T: Topology + ?Sized>(
     Ok((r, t.expect("trace was requested")))
 }
 
-/// One side of a pairwise-exchange rendezvous waiting for its partner.
-pub(crate) struct ExchangeHalf {
-    pub(crate) send_bytes: u32,
-    pub(crate) recv_bytes: u32,
-    pub(crate) node: u32,
-}
-
 pub(crate) struct Sim<'a, T: ?Sized> {
     pub(crate) topo: &'a T,
     pub(crate) params: &'a MachineParams,
     pub(crate) cost: &'a LinkCostModel,
     pub(crate) programs: Vec<Program>,
+    /// Message slot of every op that names a message, all programs end to
+    /// end (`NodeState::op_base` finds a node's first).
+    pub(crate) op_slot: Vec<u32>,
+    /// Receive-side state per message slot.
+    pub(crate) recv: Vec<RecvState>,
     pub(crate) n: usize,
     pub(crate) queue: EventQueue,
     pub(crate) now: u64,
     pub(crate) nodes: Vec<NodeState>,
     pub(crate) transfers: TransferArena,
-    /// Atomic-policy pending transfers, indexed by what blocks them.
-    pub(crate) pending: PendingIndex,
+    /// The resource table, and the waiting lists of both claim policies.
     pub(crate) router: Router,
-    pub(crate) rendezvous: HashMap<(u32, u32, u32), ExchangeHalf>,
+    /// Scratch for `Topology::route_into`.
+    pub(crate) route: Vec<LinkId>,
     pub(crate) stats_transfers: u64,
     pub(crate) stats_blocked: u64,
     pub(crate) stats_blocked_ns: u64,
@@ -132,44 +133,78 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
                 n
             )));
         }
-        // Static program validation: targets in range, no self-messages.
+        // Static program validation (targets in range, no self-messages),
+        // collecting one `dst | src | tag | op index` reference per op that
+        // names a message: a receive names an inbound one, a send or a
+        // split-port exchange its outbound one (a fused exchange never
+        // touches the receive table).
+        let split = params.ports == PortModel::Split;
+        let mut refs: Vec<u128> = Vec::with_capacity(programs.iter().map(Program::len).sum());
+        let mut nodes = Vec::with_capacity(n);
+        let mut base = 0;
         for (i, prog) in programs.iter().enumerate() {
-            for op in prog.ops() {
-                let peer = match op {
-                    Op::PostRecv { src, .. } | Op::WaitRecv { src, .. } => Some(*src),
-                    Op::Send { dst, .. } | Op::SendAsync { dst, .. } => Some(*dst),
-                    Op::Exchange { partner, .. } => Some(*partner),
-                    _ => None,
+            nodes.push(NodeState::new(base));
+            for (pc, op) in prog.ops().iter().enumerate() {
+                let (peer, tag, inbound, bound) = match *op {
+                    Op::PostRecv { src, tag } | Op::WaitRecv { src, tag } => (src, tag, true, true),
+                    Op::Send { dst, tag, .. } | Op::SendAsync { dst, tag, .. } => {
+                        (dst, tag, false, true)
+                    }
+                    Op::Exchange { partner, tag, .. } => (partner, tag, false, split),
+                    _ => continue,
                 };
-                if let Some(p) = peer {
-                    if p.index() >= n {
-                        return Err(SimError::ProgramError {
-                            node: i,
-                            msg: format!("references {p} outside the {n}-node machine"),
-                        });
-                    }
-                    if p.index() == i && !matches!(op, Op::PostRecv { .. } | Op::WaitRecv { .. }) {
-                        return Err(SimError::ProgramError {
-                            node: i,
-                            msg: "self-directed send or exchange".into(),
-                        });
-                    }
+                if peer.index() >= n {
+                    return Err(SimError::ProgramError {
+                        node: i,
+                        msg: format!("references {peer} outside the {n}-node machine"),
+                    });
+                }
+                if peer.index() == i && !inbound {
+                    return Err(SimError::ProgramError {
+                        node: i,
+                        msg: "self-directed send or exchange".into(),
+                    });
+                }
+                if bound {
+                    let (dst, src) = if inbound {
+                        (i, peer.index())
+                    } else {
+                        (peer.index(), i)
+                    };
+                    let message = (dst as u128) << 64 | (src as u128) << 32 | u128::from(tag.0);
+                    refs.push(message << 32 | (base + pc) as u128);
                 }
             }
+            base += prog.len();
+        }
+        if u32::try_from(base).is_err() {
+            return Err(SimError::BadParams(format!("{base} ops in one run")));
+        }
+        // Sorted, the references to one message are adjacent: number the
+        // messages in that order and hand each op its message's slot.
+        refs.sort_unstable();
+        let mut op_slot = vec![0; base];
+        let mut slots = 0u32;
+        for message in refs.chunk_by(|a, b| a >> 32 == b >> 32) {
+            for &r in message {
+                op_slot[r as u32 as usize] = slots;
+            }
+            slots += 1;
         }
         Ok(Sim {
             topo,
             params,
             cost,
             programs,
+            op_slot,
+            recv: vec![RecvState::Absent; slots as usize],
             n,
             queue: EventQueue::new(),
             now: 0,
-            nodes: (0..n).map(|_| NodeState::new()).collect(),
+            nodes,
             transfers: TransferArena::new(),
-            pending: PendingIndex::default(),
             router: Router::new(n, topo.link_count(), params.ports),
-            rendezvous: HashMap::new(),
+            route: Vec::new(),
             stats_transfers: 0,
             stats_blocked: 0,
             stats_blocked_ns: 0,
@@ -186,44 +221,7 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
     // -- main loop ---------------------------------------------------------
 
     pub(crate) fn run(mut self) -> Result<(SimReport, Option<Vec<TraceEvent>>), SimError> {
-        for i in 0..self.n {
-            self.schedule_resume(i);
-        }
-        while let Some((t, kind)) = self.queue.pop() {
-            self.now = t;
-            self.last_activity_ns = self.last_activity_ns.max(t);
-            self.events += 1;
-            if self.events > EVENT_BUDGET {
-                return Err(SimError::EventBudgetExhausted);
-            }
-            match kind {
-                EvKind::Resume(node) => {
-                    self.nodes[node].resume_scheduled = false;
-                    if !self.nodes[node].done && self.nodes[node].block == Block::None {
-                        self.run_program(node);
-                    }
-                }
-                EvKind::XferDone(id) => self.finish_transfer(id),
-                EvKind::XferAdvance(id) => match self.transfers[id].state {
-                    // A deferred request (send-initiation overhead elapsed):
-                    // enter the claim machinery of the active policy.
-                    TState::Pending => match self.params.claim {
-                        ClaimPolicy::Atomic => {
-                            self.pending.push(id);
-                            self.request_retry();
-                        }
-                        ClaimPolicy::HoldAndWait => {
-                            self.transfers[id].state = TState::Claiming;
-                            self.hw_advance(id);
-                        }
-                    },
-                    _ => self.hw_advance(id),
-                },
-            }
-            if let Some(err) = self.err.take() {
-                return Err(err);
-            }
-        }
+        self.drain()?;
         // Queue drained: every node must have finished, otherwise the run
         // deadlocked (the classic bounded-buffer hazard of Section 3).
         let stuck: Vec<(usize, String)> = self
@@ -244,6 +242,12 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
             .unwrap_or(0)
             .max(self.last_activity_ns);
         let (link_busy_ns_total, link_busy_ns_max) = self.router.link_busy_totals();
+        use std::mem::size_of;
+        let state_bytes = self.recv.capacity() * size_of::<RecvState>()
+            + self.op_slot.capacity() * size_of::<u32>()
+            + self.router.resident_bytes()
+            + self.transfers.resident_bytes()
+            + self.queue.resident_bytes();
         let stats = SimStats {
             nodes: self.nodes.into_iter().map(|s| s.stats).collect(),
             transfers: self.stats_transfers,
@@ -256,9 +260,7 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
             events: self.events,
             claim_checks: self.stats_claim_checks,
             peak_transfers_live: self.transfers.peak_live() as u64,
-            state_bytes: (self.router.resident_bytes()
-                + self.transfers.resident_bytes()
-                + self.pending.resident_bytes()) as u64,
+            state_bytes: state_bytes as u64,
         };
         Ok((
             SimReport {
@@ -267,6 +269,50 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
             },
             self.trace,
         ))
+    }
+
+    /// Fire every event there is.
+    pub(crate) fn drain(&mut self) -> Result<(), SimError> {
+        // Every node's first resume is due at time zero, in node order and
+        // ahead of anything those resumes schedule: they run straight from
+        // this loop, so the queue holds only what the run itself creates.
+        for node in 0..self.n {
+            self.step(0, EvKind::Resume(node))?;
+        }
+        while let Some((t, kind)) = self.queue.pop() {
+            self.step(t, kind)?;
+        }
+        Ok(())
+    }
+
+    /// Fire one event.
+    fn step(&mut self, t: u64, kind: EvKind) -> Result<(), SimError> {
+        self.now = t;
+        self.last_activity_ns = self.last_activity_ns.max(t);
+        self.events += 1;
+        if self.events > EVENT_BUDGET {
+            return Err(SimError::EventBudgetExhausted);
+        }
+        match kind {
+            EvKind::Resume(node) => {
+                self.nodes[node].resume_scheduled = false;
+                if !self.nodes[node].done && self.nodes[node].block == Block::None {
+                    self.run_program(node);
+                }
+            }
+            EvKind::XferDone(id) => self.finish_transfer(id),
+            EvKind::XferAdvance(id) => match self.transfers[id].state {
+                // A deferred request (send-initiation overhead elapsed).
+                TState::Pending => self.enter_claim(id),
+                _ => self.hw_advance(id),
+            },
+        }
+        match self.err.take() {
+            Some(err) => Err(err),
+            // An event that did not fit the queue's key was dropped.
+            None if self.queue.exhausted() => Err(SimError::EventBudgetExhausted),
+            None => Ok(()),
+        }
     }
 
     pub(crate) fn describe_block(&self, i: usize, s: &NodeState) -> String {
@@ -338,7 +384,8 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
                 self.trace_push(TraceKind::NodeDone, node as u32, node as u32, Tag(0), 0);
                 return;
             }
-            let op = self.programs[node].ops()[self.nodes[node].pc];
+            let op = self.programs[node].ops()[st.pc];
+            let slot = self.op_slot[st.op_base + st.pc];
             self.nodes[node].pc += 1;
             match op {
                 Op::Compute { ns } => {
@@ -346,7 +393,7 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
                     return;
                 }
                 Op::PostRecv { src, tag } => {
-                    self.do_post_recv(node, src.0, tag);
+                    self.do_post_recv(node, src.0, tag, slot);
                     let cost = self.params.recv_post_ns;
                     if cost > 0 {
                         self.schedule_resume_at(node, self.now + cost);
@@ -354,7 +401,7 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
                     }
                 }
                 Op::SendAsync { dst, bytes, tag } => {
-                    self.create_data_transfer(node as u32, dst.0, bytes, tag, false);
+                    self.create_data_transfer(node as u32, dst.0, bytes, tag, slot, false);
                     let cost = self.params.send_overhead_ns;
                     if cost > 0 {
                         self.schedule_resume_at(node, self.now + cost);
@@ -362,7 +409,7 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
                     }
                 }
                 Op::Send { dst, bytes, tag } => {
-                    let id = self.create_data_transfer(node as u32, dst.0, bytes, tag, false);
+                    let id = self.create_data_transfer(node as u32, dst.0, bytes, tag, slot, false);
                     if let Some(id) = id {
                         if self.transfers[id].state != TState::Done {
                             self.nodes[node].block = Block::WaitSend(id);
@@ -370,17 +417,17 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
                         }
                     }
                 }
-                Op::WaitRecv { src, tag } => match self.nodes[node].recvs.get(&(src.0, tag.0)) {
-                    Some(RecvState::Delivered) => {}
-                    Some(_) => {
-                        self.nodes[node].block = Block::WaitRecv(src.0, tag);
-                        return;
-                    }
-                    None => {
+                Op::WaitRecv { src, tag } => match self.recv[slot as usize] {
+                    RecvState::Delivered => {}
+                    RecvState::Absent => {
                         self.error(
                             node,
                             format!("WaitRecv({src}, {tag:?}) without a matching PostRecv"),
                         );
+                        return;
+                    }
+                    _ => {
+                        self.nodes[node].block = Block::WaitRecv(src.0, tag);
                         return;
                     }
                 },
@@ -402,50 +449,32 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
                     recv_bytes,
                     tag,
                 } => {
-                    self.do_exchange(node, partner.0, send_bytes, recv_bytes, tag);
+                    self.do_exchange(node, partner.0, send_bytes, recv_bytes, tag, slot);
                     return;
                 }
             }
         }
     }
 
-    pub(crate) fn do_post_recv(&mut self, node: usize, src: u32, tag: Tag) {
-        let entry = self.nodes[node].recvs.get(&(src, tag.0)).copied();
-        match entry {
-            None => {
-                self.nodes[node]
-                    .recvs
-                    .insert((src, tag.0), RecvState::Posted);
+    pub(crate) fn do_post_recv(&mut self, node: usize, src: u32, tag: Tag, slot: u32) {
+        let before = self.recv[slot as usize];
+        match before.post() {
+            Ok(after) => {
+                self.recv[slot as usize] = after;
                 self.nodes[node].unfinished_recvs += 1;
-                // A hold-and-wait transfer may be parked waiting for this post.
-                self.check_delivery_waiters(node);
-                self.pending.wake(Blocker::Delivery(node as u32));
-                if self.params.claim == ClaimPolicy::Atomic {
-                    self.request_retry();
+                match before {
+                    // A transfer may be waiting on delivery for this post.
+                    RecvState::Absent => self.delivery_freed(node),
+                    RecvState::Buffered(bytes) => {
+                        self.create_copy_transfer(node as u32, src, bytes, tag, slot)
+                    }
+                    _ => {}
                 }
             }
-            Some(RecvState::Buffered(bytes)) => {
-                self.nodes[node].unfinished_recvs += 1;
-                self.nodes[node]
-                    .recvs
-                    .insert((src, tag.0), RecvState::Copying);
-                self.create_copy_transfer(node as u32, src, bytes, tag);
-            }
-            Some(RecvState::BufArriving { .. }) => {
-                self.nodes[node].unfinished_recvs += 1;
-                self.nodes[node].recvs.insert(
-                    (src, tag.0),
-                    RecvState::BufArriving {
-                        posted_meanwhile: true,
-                    },
-                );
-            }
-            Some(other) => {
-                self.error(
-                    node,
-                    format!("duplicate PostRecv for ({src},{tag:?}) in state {other:?}"),
-                );
-            }
+            Err(other) => self.error(
+                node,
+                format!("duplicate PostRecv for ({src},{tag:?}) in state {other:?}"),
+            ),
         }
     }
 
@@ -456,54 +485,46 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
         send_bytes: u32,
         recv_bytes: u32,
         tag: Tag,
+        slot: u32,
     ) {
-        let a = (node as u32).min(partner);
-        let b = (node as u32).max(partner);
-        let key = (a, b, tag.0);
-        if let Some(half) = self.rendezvous.remove(&key) {
-            if half.node == node as u32 {
-                self.error(
-                    node,
-                    format!("duplicate Exchange with P{partner} tag {tag:?}"),
-                );
-                return;
-            }
-            if half.send_bytes != recv_bytes || half.recv_bytes != send_bytes {
-                self.error(
-                    node,
-                    format!(
-                        "exchange size mismatch with P{partner}: {}+{} vs {}+{}",
-                        half.send_bytes, half.recv_bytes, send_bytes, recv_bytes
-                    ),
-                );
-                return;
-            }
-            // Both partners are here: block self, fire the transfers.
-            self.nodes[node].block = Block::Exchange;
-            let me = node as u32;
-            match self.params.ports {
-                PortModel::Unified => {
-                    self.nodes[node].exchange_parts_left = 1;
-                    self.nodes[partner as usize].exchange_parts_left = 1;
-                    self.create_fused_exchange(me, partner, send_bytes, recv_bytes, tag);
-                }
-                PortModel::Split => {
-                    self.nodes[node].exchange_parts_left = 2;
-                    self.nodes[partner as usize].exchange_parts_left = 2;
-                    self.create_data_transfer(me, partner, send_bytes, tag, true);
-                    self.create_data_transfer(partner, me, recv_bytes, tag, true);
-                }
-            }
-        } else {
-            self.rendezvous.insert(
-                key,
-                ExchangeHalf {
-                    send_bytes,
-                    recv_bytes,
-                    node: node as u32,
-                },
+        let me = node as u32;
+        self.nodes[node].block = Block::Exchange;
+        // The partner is here already iff its one outstanding offer names
+        // this node and this tag.
+        let offer = &mut self.nodes[partner as usize].exchange_offer;
+        let Some(half) = offer.take_if(|h| h.partner == me && h.tag == tag) else {
+            self.nodes[node].exchange_offer = Some(ExchangeOffer {
+                partner,
+                tag,
+                send_bytes,
+                recv_bytes,
+                slot,
+            });
+            return;
+        };
+        if half.send_bytes != recv_bytes || half.recv_bytes != send_bytes {
+            self.error(
+                node,
+                format!(
+                    "exchange size mismatch with P{partner}: {}+{} vs {}+{}",
+                    half.send_bytes, half.recv_bytes, send_bytes, recv_bytes
+                ),
             );
-            self.nodes[node].block = Block::Exchange;
+            return;
+        }
+        // Both partners are here: fire the transfers.
+        match self.params.ports {
+            PortModel::Unified => {
+                self.nodes[node].exchange_parts_left = 1;
+                self.nodes[partner as usize].exchange_parts_left = 1;
+                self.create_fused_exchange(me, partner, send_bytes, recv_bytes, tag);
+            }
+            PortModel::Split => {
+                self.nodes[node].exchange_parts_left = 2;
+                self.nodes[partner as usize].exchange_parts_left = 2;
+                self.create_data_transfer(me, partner, send_bytes, tag, slot, true);
+                self.create_data_transfer(partner, me, recv_bytes, tag, half.slot, true);
+            }
         }
     }
 }

@@ -89,17 +89,22 @@ impl<V: Clone> SparseMap<V> {
 
     /// Current value for `key` (the empty value when absent).
     pub(crate) fn get(&self, key: usize) -> V {
+        self.peek(key).clone()
+    }
+
+    /// Current value for `key`, by reference.
+    pub(crate) fn peek(&self, key: usize) -> &V {
         match &self.repr {
-            Repr::Dense(v) => v[key].clone(),
+            Repr::Dense(v) => &v[key],
             Repr::Sparse { keys, vals, .. } => {
                 let mask = keys.len() - 1;
                 let mut i = hash(key) & mask;
                 loop {
                     if keys[i] == key {
-                        return vals[i].clone();
+                        return &vals[i];
                     }
                     if keys[i] == EMPTY_KEY {
-                        return self.empty.clone();
+                        return &self.empty;
                     }
                     i = (i + 1) & mask;
                 }

@@ -47,9 +47,10 @@ pub struct SimStats {
     /// High-water mark of concurrently in-flight transfers (the arena's
     /// peak slot occupancy — what live memory actually tracks).
     pub peak_transfers_live: u64,
-    /// Approximate resident engine-state bytes at completion (transfer
-    /// arena + router occupancy tables + pending index) — the scale
-    /// bench's RSS proxy.
+    /// Heap bytes the event engine holds at completion — the scale bench's
+    /// RSS proxy: the message-slot table and the ops' slot numbers, the
+    /// resource table with its waiting lists and candidates, the transfer
+    /// arena, and the event queue's capacity.
     pub state_bytes: u64,
 }
 
