@@ -1,6 +1,8 @@
 use hypercube::NodeId;
 
-use crate::{CommMatrix, PartialPermutation, Schedule, ScheduleKind, SchedulerKind};
+use crate::{
+    CommMatrix, CompressedMatrix, PartialPermutation, Schedule, ScheduleKind, SchedulerKind,
+};
 
 /// Deterministic greedy scheduling avoiding node contention — the
 /// deterministic counterpart of RS_N from the thesis the paper references
@@ -10,63 +12,78 @@ use crate::{CommMatrix, PartialPermutation, Schedule, ScheduleKind, SchedulerKin
 /// of **most remaining messages first** and giving each the destination with
 /// the highest remaining in-degree among its feasible targets. This
 /// critical-path heuristic needs no random bits (reproducible schedules
-/// without a seed) at the cost of `O(n log n)` sorting per phase; on skewed
-/// (power-law, hot-spot) traffic it tracks the `max(in, out)` lower bound
-/// more tightly than RS_N's random sweep.
+/// without a seed); on skewed (power-law, hot-spot) traffic it tracks the
+/// `max(in, out)` lower bound more tightly than RS_N's random sweep.
+///
+/// Set-up is O(messages) (the unshuffled [`CompressedMatrix`]); a phase is
+/// O(n + d + messages left): a counting pass orders the senders (out-degree
+/// descending, index ascending), and each takes the maximum packed key
+/// `(feasible · (in_deg + 1)) << 32 | (u32::MAX − slot)` of its live slots,
+/// so on a tie in in-degree the first slot wins.
 ///
 /// The resulting schedule is node-contention-free like RS_N; it makes no
 /// link-contention guarantee.
 pub fn greedy(com: &CommMatrix) -> Schedule {
     let n = com.n();
-    // Remaining adjacency as mutable degree-tracked lists.
-    let mut out_deg: Vec<usize> = (0..n).map(|i| com.out_degree(i)).collect();
-    let mut in_deg: Vec<usize> = (0..n).map(|j| com.in_degree(j)).collect();
-    let mut remaining: Vec<Vec<u32>> = (0..n)
-        .map(|i| {
-            com.row(i)
-                .iter()
-                .enumerate()
-                .filter_map(|(j, &b)| (b > 0).then_some(j as u32))
-                .collect()
-        })
-        .collect();
-    let mut left: usize = out_deg.iter().sum();
+    let mut rows = CompressedMatrix::in_row_order(com);
+    let mut in_deg = vec![0u32; n];
+    for x in 0..n {
+        for &y in rows.live_row(x) {
+            in_deg[y as usize] += 1;
+        }
+    }
+    let degrees = (0..n).map(|i| rows.remaining(i).max(in_deg[i] as usize));
+    let compress_ops = (n + degrees.max().unwrap_or(0) * n) as u64;
+    // Per phase: `feasible · (in_deg + 1)` per destination, each degree's
+    // next place in `order`, and the senders in visiting order.
+    let mut weight = vec![0u32; n];
+    let mut slot_of_degree = vec![0usize; rows.width() + 1];
+    let mut order = vec![0u32; n];
     let mut ops: u64 = 0;
     let mut phases = Vec::new();
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut trecv: Vec<bool> = vec![false; n];
 
-    while left > 0 {
-        trecv.fill(false);
-        ops += n as u64;
-        // Busiest senders first.
-        order.sort_unstable_by(|&a, &b| out_deg[b].cmp(&out_deg[a]).then(a.cmp(&b)));
-        ops += n as u64; // sorting charged linearly; comparisons dominate elsewhere
+    while rows.total_remaining() > 0 {
+        for (w, &d) in weight.iter_mut().zip(&in_deg) {
+            *w = d + 1;
+        }
+        slot_of_degree.fill(0);
+        for x in 0..n {
+            slot_of_degree[rows.remaining(x)] += 1;
+        }
+        let busy = n - slot_of_degree[0];
+        // The sorting loop's paper-model cost: clear Trecv (n), sort
+        // (charged n), visit each busy sender and the first idle one, scan
+        // every live slot.
+        ops += (2 * n + busy + usize::from(busy < n) + rows.total_remaining()) as u64;
+        let mut at = 0;
+        for slot in slot_of_degree.iter_mut().rev() {
+            at += std::mem::replace(slot, at);
+        }
+        for x in 0..n {
+            let slot = &mut slot_of_degree[rows.remaining(x)];
+            order[*slot] = x as u32;
+            *slot += 1;
+        }
+
         let mut pm = PartialPermutation::empty(n);
-        for &x in &order {
-            ops += 1;
-            if out_deg[x] == 0 {
-                break; // sorted: nobody after x has messages either
+        for &x in &order[..busy] {
+            let x = x as usize;
+            let best = rows
+                .live_row(x)
+                .iter()
+                .enumerate()
+                .map(|(z, &y)| u64::from(weight[y as usize]) << 32 | u64::from(u32::MAX - z as u32))
+                .max()
+                .unwrap_or(0);
+            if best >> 32 == 0 {
+                continue; // every destination already receives
             }
-            // Feasible destination with the highest remaining in-degree.
-            let mut best: Option<(usize, u32)> = None; // (slot, dst)
-            for (z, &y) in remaining[x].iter().enumerate() {
-                ops += 1;
-                if trecv[y as usize] {
-                    continue;
-                }
-                if best.is_none_or(|(_, b)| in_deg[y as usize] > in_deg[b as usize]) {
-                    best = Some((z, y));
-                }
-            }
-            if let Some((z, y)) = best {
-                pm.assign(NodeId(x as u32), NodeId(y));
-                trecv[y as usize] = true;
-                remaining[x].swap_remove(z);
-                out_deg[x] -= 1;
-                in_deg[y as usize] -= 1;
-                left -= 1;
-            }
+            let z = (u32::MAX - best as u32) as usize;
+            let y = rows.live_row(x)[z] as usize;
+            pm.assign(NodeId(x as u32), NodeId(y as u32));
+            weight[y] = 0;
+            in_deg[y] -= 1;
+            rows.remove(x, z);
         }
         phases.push(pm);
     }
@@ -77,7 +94,7 @@ pub fn greedy(com: &CommMatrix) -> Schedule {
         n,
         phases,
         ops,
-        (n + com.density() * n) as u64,
+        compress_ops,
     )
 }
 

@@ -1,5 +1,3 @@
-use hypercube::NodeId;
-
 use crate::{CommMatrix, PartialPermutation, Schedule, ScheduleKind, SchedulerKind};
 
 /// Linear permutation scheduling (Section 4.1, Figure 2).
@@ -17,7 +15,8 @@ use crate::{CommMatrix, PartialPermutation, Schedule, ScheduleKind, SchedulerKin
 ///
 /// The reported op count is the *per-processor* cost of the paper's runtime
 /// model: each node walks its own row once (`n - 1` iterations of constant
-/// work), which is why LP's scheduling cost in Table 1 is negligible.
+/// work), which is why LP's scheduling cost in Table 1 is negligible. Built
+/// here in one [`CommMatrix::messages`] walk, each message into phase `i ^ j`.
 ///
 /// # Panics
 ///
@@ -29,20 +28,13 @@ pub fn lp(com: &CommMatrix) -> Schedule {
         n.is_power_of_two(),
         "LP requires a power-of-two node count, got {n}"
     );
-    let mut phases = Vec::with_capacity(n - 1);
-    let mut ops: u64 = 0;
-    for k in 1..n {
-        let mut pm = PartialPermutation::empty(n);
-        for i in 0..n {
-            let j = i ^ k;
-            if com.get(i, j) > 0 {
-                pm.assign(NodeId(i as u32), NodeId(j as u32));
-            }
-        }
-        // Per-processor cost: one iteration of Figure 2's loop.
-        ops += 1;
-        phases.push(pm);
+    let mut phases = vec![PartialPermutation::empty(n); n - 1];
+    // Message `i -> j` belongs to phase `k = i ^ j`, stored at `k - 1`.
+    for (src, dst, _) in com.messages() {
+        phases[(src.0 ^ dst.0) as usize - 1].assign(src, dst);
     }
+    // Per-processor cost: one iteration of Figure 2's loop per phase.
+    let ops = (n - 1) as u64;
     Schedule::new(ScheduleKind::Phased, SchedulerKind::Lp, n, phases, ops, 0)
 }
 
@@ -50,7 +42,7 @@ pub fn lp(com: &CommMatrix) -> Schedule {
 mod tests {
     use super::*;
     use crate::validate_schedule;
-    use hypercube::Hypercube;
+    use hypercube::{Hypercube, NodeId};
 
     fn dense(n: usize, bytes: u32) -> CommMatrix {
         let mut m = CommMatrix::new(n);

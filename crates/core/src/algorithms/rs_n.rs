@@ -19,7 +19,7 @@ use crate::{
 ///
 /// Expected behaviour proven in the paper (and asserted by this crate's
 /// property tests): ~`d + log d` phases for density-`d` random traffic, and
-/// `O(n ln d + n)` work per phase.
+/// `O(n ln d + n)` work per phase, after an O(messages) compression.
 ///
 /// `seed` drives both the row shuffling of the compression step and the
 /// per-phase starting row; schedules are deterministic given
@@ -35,39 +35,32 @@ pub fn rs_n_with(com: &CommMatrix, seed: u64, opts: RsOptions) -> Schedule {
     let mut ccom = CompressedMatrix::compress_with(com, opts.randomize_rows, &mut rng);
     let mut ops: u64 = 0;
     let mut phases: Vec<PartialPermutation> = Vec::new();
-    let mut tsend: Vec<i32> = vec![-1; n];
-    let mut trecv: Vec<i32> = vec![-1; n];
-    let mut remaining = ccom.total_remaining();
+    // `Trecv` as a free-receiver table; `Tsend` is the phase itself.
+    let mut free: Vec<bool> = vec![true; n];
 
-    while remaining > 0 {
-        tsend.fill(-1);
-        trecv.fill(-1);
+    while ccom.total_remaining() > 0 {
+        free.fill(true);
+        let mut dests = vec![None; n];
         ops += n as u64; // per-phase Tsend/Trecv initialization
         let start = if opts.random_start {
             rng.random_range(0..n)
         } else {
             0
         };
-        let mut x = start;
-        for _ in 0..n {
+        for x in (start..n).chain(0..start) {
             ops += 1; // visiting row x
-            let mut chosen: Option<(usize, i32)> = None;
-            for (z, &y) in ccom.live_row(x).iter().enumerate() {
-                ops += 1; // scanning one CCOM slot
-                if trecv[y as usize] == -1 {
-                    chosen = Some((z, y));
-                    break;
-                }
-            }
-            if let Some((z, y)) = chosen {
-                tsend[x] = y;
-                trecv[y as usize] = x as i32;
+            let row = ccom.live_row(x);
+            let chosen = row.iter().position(|&y| free[y as usize]);
+            // One op per CCOM slot scanned, the chosen one included.
+            ops += chosen.map_or(row.len(), |z| z + 1) as u64;
+            if let Some(z) = chosen {
+                let y = row[z] as usize;
+                dests[x] = Some(NodeId(y as u32));
+                free[y] = false;
                 ccom.remove(x, z);
-                remaining -= 1;
             }
-            x = (x + 1) % n;
         }
-        phases.push(permutation_from(&tsend));
+        phases.push(PartialPermutation::from_dests(dests));
     }
 
     // The compression cost reported to the cost model is the paper's
@@ -82,15 +75,6 @@ pub fn rs_n_with(com: &CommMatrix, seed: u64, opts: RsOptions) -> Schedule {
         phases,
         ops,
         compress_ops,
-    )
-}
-
-pub(crate) fn permutation_from(tsend: &[i32]) -> PartialPermutation {
-    PartialPermutation::from_dests(
-        tsend
-            .iter()
-            .map(|&v| (v >= 0).then_some(NodeId(v as u32)))
-            .collect(),
     )
 }
 

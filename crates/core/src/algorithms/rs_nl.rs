@@ -1,8 +1,7 @@
-use hypercube::{LinkId, Topology};
+use hypercube::{LinkId, NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::algorithms::rs_n::permutation_from;
 use crate::algorithms::RsOptions;
 use crate::{
     CommMatrix, CompressedMatrix, PartialPermutation, PathsTable, Schedule, ScheduleKind,
@@ -84,12 +83,11 @@ pub fn rs_nl_with<T: Topology + ?Sized>(
     };
     let mut ops: u64 = 0;
     let mut phases: Vec<PartialPermutation> = Vec::new();
-    let mut tsend: Vec<i32> = vec![-1; n];
     let mut trecv: Vec<i32> = vec![-1; n];
-    let mut remaining = ccom.total_remaining();
 
-    while remaining > 0 {
-        tsend.fill(-1);
+    while ccom.total_remaining() > 0 {
+        // `Tsend` is the phase itself.
+        let mut dests = vec![None; n];
         trecv.fill(-1);
         paths.clear();
         ops += n as u64;
@@ -103,7 +101,7 @@ pub fn rs_nl_with<T: Topology + ?Sized>(
             ops += 1;
             // A row may already have been scheduled this phase as the far
             // side of a reciprocal pair.
-            if tsend[x] != -1 {
+            if dests[x].is_some() {
                 x = (x + 1) % n;
                 continue;
             }
@@ -115,7 +113,7 @@ pub fn rs_nl_with<T: Topology + ?Sized>(
                 for (z, &y) in ccom.live_row(x).iter().enumerate() {
                     ops += 1;
                     let yu = y as usize;
-                    if trecv[yu] != -1 || tsend[yu] != -1 {
+                    if trecv[yu] != -1 || dests[yu].is_some() {
                         continue;
                     }
                     // Does y still owe a message to x?
@@ -132,9 +130,9 @@ pub fn rs_nl_with<T: Topology + ?Sized>(
                 }
                 if let Some((z, y)) = candidate {
                     let yu = y as usize;
-                    tsend[x] = y;
+                    dests[x] = Some(NodeId(y as u32));
                     trecv[yu] = x as i32;
-                    tsend[yu] = x as i32;
+                    dests[yu] = Some(NodeId(x as u32));
                     trecv[x] = y;
                     paths.mark(circuit(x, yu));
                     paths.mark(circuit(yu, x));
@@ -147,7 +145,6 @@ pub fn rs_nl_with<T: Topology + ?Sized>(
                     ccom.remove(yu, z2);
                     pending[x * n + yu] = false;
                     pending[yu * n + x] = false;
-                    remaining -= 2;
                     placed = true;
                 }
             }
@@ -165,17 +162,16 @@ pub fn rs_nl_with<T: Topology + ?Sized>(
                     }
                 }
                 if let Some((z, y)) = candidate {
-                    tsend[x] = y;
+                    dests[x] = Some(NodeId(y as u32));
                     trecv[y as usize] = x as i32;
                     paths.mark(circuit(x, y as usize));
                     ccom.remove(x, z);
                     pending[x * n + y as usize] = false;
-                    remaining -= 1;
                 }
             }
             x = (x + 1) % n;
         }
-        phases.push(permutation_from(&tsend));
+        phases.push(PartialPermutation::from_dests(dests));
     }
 
     let compress_ops = (n + ccom.width() * n) as u64;

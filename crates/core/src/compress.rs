@@ -8,8 +8,9 @@ use crate::CommMatrix;
 ///
 /// The `n x n` matrix `COM` is sparse (each node sends at most `d << n`
 /// messages), so scanning it per phase would cost `O(n^2)`. Compression
-/// moves the active entries of each row into its first `deg(row)` slots of
-/// an `n x d` table, improving a full scan to `O(dn)`.
+/// packs the active entries of every row into one flat table, row after
+/// row, improving a full scan to `O(messages) ≤ O(dn)`. Set-up is
+/// O(messages) too: one [`CommMatrix::messages`] walk fills the table.
 ///
 /// Each row's entries are **randomly shuffled** — the paper requires this to
 /// keep the expected number of receiver collisions bounded: without it the
@@ -18,12 +19,12 @@ use crate::CommMatrix;
 /// `randomization` ablation bench).
 #[derive(Clone, Debug)]
 pub struct CompressedMatrix {
-    n: usize,
     width: usize,
-    /// Row-major `n x width`; `-1` = empty slot, else a destination node id.
+    /// Destination node ids; row `i` owns `slots[start[i]..start[i + 1]]`.
     slots: Vec<i32>,
+    start: Vec<usize>,
     /// `prt[i]` = number of live entries remaining in row `i` (the paper's
-    /// pointer vector, kept as a count: live entries occupy `0..prt[i]`).
+    /// pointer vector, kept as a count: live entries lead the row).
     prt: Vec<usize>,
     /// Abstract operations spent compressing (for the cost model).
     ops: u64,
@@ -40,42 +41,45 @@ impl CompressedMatrix {
     /// paper explains why the shuffle is necessary; turning it off shows
     /// the node-contention clustering it prevents).
     pub fn compress_with(com: &CommMatrix, randomize: bool, rng: &mut StdRng) -> Self {
-        let n = com.n();
-        let width = (0..n).map(|i| com.out_degree(i)).max().unwrap_or(0).max(1);
-        let mut slots = vec![-1i32; n * width];
-        let mut prt = vec![0usize; n];
-        let mut ops: u64 = 0;
-        let mut row_buf: Vec<i32> = Vec::with_capacity(width);
-        for i in 0..n {
-            row_buf.clear();
-            for (j, &bytes) in com.row(i).iter().enumerate() {
-                ops += 1; // the compression scan touches every entry once
-                if bytes > 0 {
-                    row_buf.push(j as i32);
-                }
+        let mut ccom = Self::in_row_order(com);
+        if randomize {
+            for row in ccom.start.windows(2) {
+                ccom.slots[row[0]..row[1]].shuffle(rng);
             }
-            if randomize {
-                row_buf.shuffle(rng);
-                ops += row_buf.len() as u64;
-            }
-            prt[i] = row_buf.len();
-            slots[i * width..i * width + row_buf.len()].copy_from_slice(&row_buf);
+            ccom.ops += ccom.slots.len() as u64;
         }
+        ccom
+    }
+
+    /// The rows unshuffled, destinations ascending. [`CompressedMatrix::ops`]
+    /// is the paper's sequential figure: the scan touches every entry once.
+    pub(crate) fn in_row_order(com: &CommMatrix) -> Self {
+        let n = com.n();
+        let mut start = vec![0usize; n + 1];
+        let mut slots = Vec::new();
+        com.messages().for_each(|(src, dst, _)| {
+            start[src.index() + 1] += 1;
+            slots.push(dst.0 as i32);
+        });
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let prt: Vec<usize> = start.windows(2).map(|row| row[1] - row[0]).collect();
         CompressedMatrix {
-            n,
-            width,
+            width: prt.iter().copied().max().unwrap_or(0).max(1),
             slots,
+            start,
             prt,
-            ops,
+            ops: (n * n) as u64,
         }
     }
 
     /// Number of nodes (rows).
     pub fn n(&self) -> usize {
-        self.n
+        self.prt.len()
     }
 
-    /// Table width (the maximum row degree, the paper's `d`).
+    /// The largest row degree, at least 1 (the paper's table width `d`).
     pub fn width(&self) -> usize {
         self.width
     }
@@ -91,10 +95,10 @@ impl CompressedMatrix {
         self.prt.iter().sum()
     }
 
-    /// The live destinations of row `i` (slots `0..prt[i]`).
+    /// The live destinations of row `i` (its first `prt[i]` slots).
     #[inline]
     pub fn live_row(&self, i: usize) -> &[i32] {
-        &self.slots[i * self.width..i * self.width + self.prt[i]]
+        &self.slots[self.start[i]..self.start[i] + self.prt[i]]
     }
 
     /// Remove the live entry at slot `z` of row `i` (the paper's
@@ -106,9 +110,8 @@ impl CompressedMatrix {
     pub fn remove(&mut self, i: usize, z: usize) {
         let live = self.prt[i];
         assert!(z < live, "slot {z} of row {i} is not live (live = {live})");
-        let base = i * self.width;
-        self.slots[base + z] = self.slots[base + live - 1];
-        self.slots[base + live - 1] = -1;
+        let base = self.start[i];
+        self.slots.swap(base + z, base + live - 1);
         self.prt[i] = live - 1;
     }
 

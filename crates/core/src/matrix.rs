@@ -115,12 +115,19 @@ impl CommMatrix {
 
     /// The paper's *density* `d`: the maximum number of messages any node
     /// sends or receives. At least `d` permutations are needed to route
-    /// everything (Assumption 3).
+    /// everything (Assumption 3). Counted in one [`CommMatrix::messages`] walk.
     pub fn density(&self) -> usize {
-        (0..self.n)
-            .map(|i| self.out_degree(i).max(self.in_degree(i)))
+        let mut out = vec![0u32; self.n];
+        let mut inn = vec![0u32; self.n];
+        self.messages().for_each(|(src, dst, _)| {
+            out[src.index()] += 1;
+            inn[dst.index()] += 1;
+        });
+        out.iter()
+            .zip(&inn)
+            .map(|(&o, &i)| o.max(i))
             .max()
-            .unwrap_or(0)
+            .unwrap_or(0) as usize
     }
 
     /// The matrix under a node relabeling: `COM'(perm[i], perm[j]) =

@@ -230,20 +230,25 @@ impl ExperimentRunner {
         let results: Mutex<Vec<Option<Result<SampleOutcome, SimError>>>> =
             Mutex::new(vec![None; k]);
         let next = std::sync::atomic::AtomicUsize::new(0);
-        let workers = self.threads.clamp(1, k);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if idx >= k {
-                        return;
-                    }
-                    let seed = set.seed(idx);
-                    let outcome = self.run_sample(topo, seed, gen, sched, scheme);
-                    results.lock().expect("no panics hold the lock")[idx] = Some(outcome);
-                });
+        let work = || loop {
+            let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if idx >= k {
+                return;
             }
-        });
+            let seed = set.seed(idx);
+            let outcome = self.run_sample(topo, seed, gen, sched, scheme);
+            results.lock().expect("no panics hold the lock")[idx] = Some(outcome);
+        };
+        // One worker runs on the calling thread: a spawn and join per cell
+        // would cost more than a small sample set takes to run.
+        match self.threads.clamp(1, k) {
+            1 => work(),
+            workers => std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(work);
+                }
+            }),
+        }
         let slots = results.into_inner().expect("no panics hold the lock");
         let mut outcomes = Vec::with_capacity(k);
         for o in slots {

@@ -152,6 +152,23 @@ fn n256_is_pinned() {
     ]);
 }
 
+/// `density()` is one `messages()` walk; this is the definition it
+/// replaced — a scan of every row and a strided scan of every column.
+#[test]
+fn density_matches_row_and_column_scans() {
+    for n in [1, 2, 8, 63, 64, 65, 100, 256, 1024] {
+        for seed in SEEDS {
+            for com in battery(n, seed) {
+                let scanned = (0..n)
+                    .map(|i| com.out_degree(i).max(com.in_degree(i)))
+                    .max()
+                    .unwrap_or(0);
+                assert_eq!(com.density(), scanned, "n = {n}, seed {seed}");
+            }
+        }
+    }
+}
+
 /// n = 1024, one test per fabric so the three run side by side.
 #[test]
 fn n1024_cube_is_pinned() {
