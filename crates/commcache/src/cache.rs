@@ -15,12 +15,16 @@ use commsched::Schedule;
 
 use crate::Fingerprint;
 
-/// Approximate resident size of a cached schedule in bytes: the struct
-/// header plus one destination word per node per phase. This is the
-/// weight the byte budget meters — a deliberate model of the dominant
-/// allocation, not an exact `size_of` walk.
+/// Approximate resident size of a cached schedule in bytes: a 64-byte
+/// header plus, per phase, 32 bytes and one 4-byte destination word per
+/// node. This is the weight the byte budget meters — a deliberate model,
+/// not an exact `size_of` walk. A schedule holds exactly one word per
+/// node per phase in a single table, so the model bounds the struct plus
+/// [`Schedule::heap_bytes`] from above (tested on every registry entry);
+/// the formula is older than that layout and kept so eviction order does
+/// not move.
 pub fn schedule_weight_bytes(s: &Schedule) -> usize {
-    64 + s.phases().len() * (32 + s.n() * 4)
+    64 + s.num_phases() * (32 + s.n() * 4)
 }
 
 struct Entry {

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use commsched::{
-    validate_schedule, CommMatrix, MatrixDelta, PartialPermutation, Schedule, Scheduler,
+    validate_schedule, CommMatrix, MatrixDelta, PathsTable, Schedule, Scheduler, SILENT,
 };
 use hypercube::Topology;
 
@@ -113,23 +113,20 @@ impl IncrementalStats {
 /// inherits the base's link guarantee — removing circuits from a
 /// link-disjoint phase cannot make two of the survivors share a link,
 /// and every retained base under a link-free entry was itself compiled
-/// or gated under that guarantee. Only phases that gained circuits (or
-/// shifted index when an emptied phase was dropped) pay an
-/// `is_link_free` route sweep.
+/// or gated under that guarantee. The subset test compares the two rows
+/// word by word. Only phases that gained circuits (or shifted index when
+/// an emptied phase was dropped) pay a route sweep, all of them on one
+/// reservation table.
 fn patched_link_free(patched: &Schedule, base: &Schedule, topo: &dyn Topology) -> bool {
     let base_phases = base.phases();
+    let mut paths = PathsTable::new(topo);
+    let mut route = Vec::with_capacity(topo.diameter());
     patched.phases().iter().enumerate().all(|(k, pm)| {
-        base_phases.get(k).is_some_and(|b| phase_is_subset(pm, b)) || pm.is_link_free(topo)
+        base_phases.get(k).is_some_and(|b| {
+            let (sub, sup) = (pm.words(), b.words());
+            sub.len() == sup.len() && sub.iter().zip(sup).all(|(&w, &v)| w == SILENT || w == v)
+        }) || pm.is_link_free_in(topo, &mut paths, &mut route)
     })
-}
-
-/// Whether every circuit of `sub` also appears in `sup`.
-fn phase_is_subset(sub: &PartialPermutation, sup: &PartialPermutation) -> bool {
-    sub.n() == sup.n()
-        && (0..sub.n()).all(|i| match sub.dest(i) {
-            None => true,
-            Some(d) => sup.dest(i) == Some(d),
-        })
 }
 
 /// Approximate resident size of a retained base matrix: struct header

@@ -34,14 +34,19 @@
 //! always encoded as *absent* (flag 0). Versions 1–3 summed the payload
 //! differently and are foreign versions like any other.
 //!
+//! The phase words are the schedule's in-memory phase table verbatim
+//! ([`Schedule::table`]: `phases × n` words, row-major, [`SILENT`] for a
+//! silent node), so encoding writes the table out word by word and
+//! decoding reads it into one allocation, checking each word against `n`.
+//!
 //! Writes go through a same-directory temp file plus rename, so a crashed
 //! writer leaves no half-written `.sched` file behind.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use commsched::{PartialPermutation, Schedule, ScheduleKind, SchedulerKind};
-use hypercube::{NodeId, Topology};
+use commsched::{Schedule, ScheduleKind, SchedulerKind, SILENT};
+use hypercube::Topology;
 
 use crate::{checksum64, Fingerprint};
 
@@ -78,9 +83,6 @@ impl TopologyMeta {
 
 /// Artifact file extension (without the dot).
 pub const EXTENSION: &str = "sched";
-
-/// Destination word encoding "this node is silent in the phase".
-const SILENT: u32 = u32::MAX;
 
 /// Size of the fixed header before the payload.
 const HEADER_LEN: usize = 8 + 4 + 16 + 8;
@@ -204,19 +206,15 @@ pub fn encode_artifact_meta(
     topology: Option<&TopologyMeta>,
     cost_model: Option<&str>,
 ) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(35 + schedule.phases().len() * schedule.n() * 4);
+    let table = schedule.table();
+    let mut payload = Vec::with_capacity(36 + table.len() * 4);
     payload.push(kind_code(schedule.kind()));
     payload.push(family_code(schedule.algorithm()));
     payload.extend_from_slice(&(schedule.n() as u64).to_le_bytes());
     payload.extend_from_slice(&schedule.ops().to_le_bytes());
     payload.extend_from_slice(&schedule.compress_ops().to_le_bytes());
-    payload.extend_from_slice(&(schedule.phases().len() as u64).to_le_bytes());
-    for phase in schedule.phases() {
-        for i in 0..schedule.n() {
-            let word = phase.dest(i).map_or(SILENT, |d| d.0);
-            payload.extend_from_slice(&word.to_le_bytes());
-        }
-    }
+    payload.extend_from_slice(&(schedule.num_phases() as u64).to_le_bytes());
+    payload.extend(table.iter().flat_map(|w| w.to_le_bytes()));
     match topology {
         None => payload.push(0),
         Some(meta) => {
@@ -373,22 +371,22 @@ pub fn decode_artifact_meta(
     if phase_count > remaining / (n * 4).max(1) {
         return Err(StoreError::Truncated);
     }
-    let mut phases = Vec::with_capacity(phase_count);
-    for _ in 0..phase_count {
-        let mut dests = Vec::with_capacity(n);
-        for _ in 0..n {
-            let word = p.u32()?;
-            if word == SILENT {
-                dests.push(None);
-            } else if (word as usize) < n {
-                dests.push(Some(NodeId(word)));
-            } else {
-                return Err(StoreError::Corrupt(format!(
-                    "destination {word} out of {n} nodes"
-                )));
-            }
-        }
-        phases.push(PartialPermutation::from_dests(dests));
+    let words = p.take(phase_count * n * 4)?;
+    let table: Vec<u32> = words
+        .chunks_exact(4)
+        .map(|w| u32::from_le_bytes(w.try_into().expect("4 bytes")))
+        .collect();
+    // A branch-free sweep first; the first bad word is looked for only
+    // once there is one.
+    let out_of_range = |w: u32| w != SILENT && w as usize >= n;
+    if table.iter().fold(false, |bad, &w| bad | out_of_range(w)) {
+        let word = table
+            .iter()
+            .find(|&&w| out_of_range(w))
+            .expect("a word is out of range");
+        return Err(StoreError::Corrupt(format!(
+            "destination {word} out of {n} nodes"
+        )));
     }
     let topology = match p.section("topology kind")? {
         Some(kind) => Some(TopologyMeta {
@@ -404,7 +402,7 @@ pub fn decode_artifact_meta(
     }
     Ok((
         fp,
-        Schedule::from_parts(kind, family, n, phases, ops, compress_ops),
+        Schedule::from_parts(kind, family, n, table, ops, compress_ops),
         topology,
         cost_model,
     ))
@@ -578,7 +576,7 @@ mod tests {
             ScheduleKind::Phased,
             SchedulerKind::RsNl,
             2,
-            vec![PartialPermutation::from_dests(vec![Some(NodeId(1)), None])],
+            vec![1, SILENT],
             3,
             0,
         );

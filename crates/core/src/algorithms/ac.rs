@@ -21,7 +21,7 @@ use crate::{CommMatrix, Schedule, ScheduleKind, SchedulerKind};
 /// assert_eq!(s.ops(), 0);
 /// ```
 pub fn ac(com: &CommMatrix) -> Schedule {
-    Schedule::new(
+    Schedule::from_parts(
         ScheduleKind::Async,
         SchedulerKind::Ac,
         com.n(),

@@ -1,8 +1,4 @@
-use hypercube::NodeId;
-
-use crate::{
-    CommMatrix, CompressedMatrix, PartialPermutation, Schedule, ScheduleKind, SchedulerKind,
-};
+use crate::{CommMatrix, CompressedMatrix, Schedule, ScheduleKind, SchedulerKind, SILENT};
 
 /// Deterministic greedy scheduling avoiding node contention — the
 /// deterministic counterpart of RS_N from the thesis the paper references
@@ -40,7 +36,7 @@ pub fn greedy(com: &CommMatrix) -> Schedule {
     let mut slot_of_degree = vec![0usize; rows.width() + 1];
     let mut order = vec![0u32; n];
     let mut ops: u64 = 0;
-    let mut phases = Vec::new();
+    let mut table = Vec::new();
 
     while rows.total_remaining() > 0 {
         for (w, &d) in weight.iter_mut().zip(&in_deg) {
@@ -65,7 +61,8 @@ pub fn greedy(com: &CommMatrix) -> Schedule {
             *slot += 1;
         }
 
-        let mut pm = PartialPermutation::empty(n);
+        let row = table.len();
+        table.resize(row + n, SILENT);
         for &x in &order[..busy] {
             let x = x as usize;
             let best = rows
@@ -80,19 +77,18 @@ pub fn greedy(com: &CommMatrix) -> Schedule {
             }
             let z = (u32::MAX - best as u32) as usize;
             let y = rows.live_row(x)[z] as usize;
-            pm.assign(NodeId(x as u32), NodeId(y as u32));
+            table[row + x] = y as u32;
             weight[y] = 0;
             in_deg[y] -= 1;
             rows.remove(x, z);
         }
-        phases.push(pm);
     }
 
-    Schedule::new(
+    Schedule::from_parts(
         ScheduleKind::Phased,
         SchedulerKind::RsN, // reported under the RS_N family in records
         n,
-        phases,
+        table,
         ops,
         compress_ops,
     )

@@ -1,4 +1,4 @@
-use crate::{CommMatrix, PartialPermutation, Schedule, ScheduleKind, SchedulerKind};
+use crate::{CommMatrix, Schedule, ScheduleKind, SchedulerKind, SILENT};
 
 /// Linear permutation scheduling (Section 4.1, Figure 2).
 ///
@@ -28,14 +28,14 @@ pub fn lp(com: &CommMatrix) -> Schedule {
         n.is_power_of_two(),
         "LP requires a power-of-two node count, got {n}"
     );
-    let mut phases = vec![PartialPermutation::empty(n); n - 1];
-    // Message `i -> j` belongs to phase `k = i ^ j`, stored at `k - 1`.
+    let mut table = vec![SILENT; (n - 1) * n];
+    // Message `i -> j` belongs to phase `k = i ^ j`, stored at row `k - 1`.
     for (src, dst, _) in com.messages() {
-        phases[(src.0 ^ dst.0) as usize - 1].assign(src, dst);
+        table[((src.0 ^ dst.0) as usize - 1) * n + src.index()] = dst.0;
     }
     // Per-processor cost: one iteration of Figure 2's loop per phase.
     let ops = (n - 1) as u64;
-    Schedule::new(ScheduleKind::Phased, SchedulerKind::Lp, n, phases, ops, 0)
+    Schedule::from_parts(ScheduleKind::Phased, SchedulerKind::Lp, n, table, ops, 0)
 }
 
 #[cfg(test)]
@@ -90,7 +90,7 @@ mod tests {
         assert_eq!(s.message_count(), 3);
         validate_schedule(&com, &s).unwrap();
         // 0->7 goes in phase k=7; 3<->4 in phase k=7 as well (3^4=7).
-        let pm = &s.phases()[6];
+        let pm = s.phases().get(6).unwrap();
         assert_eq!(pm.dest(0), Some(NodeId(7)));
         assert_eq!(pm.exchange_pairs(), 1);
     }

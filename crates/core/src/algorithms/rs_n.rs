@@ -1,11 +1,8 @@
-use hypercube::NodeId;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::algorithms::RsOptions;
-use crate::{
-    CommMatrix, CompressedMatrix, PartialPermutation, Schedule, ScheduleKind, SchedulerKind,
-};
+use crate::{CommMatrix, CompressedMatrix, Schedule, ScheduleKind, SchedulerKind, SILENT};
 
 /// Randomized scheduling avoiding node contention — `RS_N`
 /// (Section 4.2, Figure 3).
@@ -34,13 +31,14 @@ pub fn rs_n_with(com: &CommMatrix, seed: u64, opts: RsOptions) -> Schedule {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut ccom = CompressedMatrix::compress_with(com, opts.randomize_rows, &mut rng);
     let mut ops: u64 = 0;
-    let mut phases: Vec<PartialPermutation> = Vec::new();
-    // `Trecv` as a free-receiver table; `Tsend` is the phase itself.
+    let mut table = Vec::new();
+    // `Trecv` as a free-receiver table; `Tsend` is the phase's row.
     let mut free: Vec<bool> = vec![true; n];
 
     while ccom.total_remaining() > 0 {
         free.fill(true);
-        let mut dests = vec![None; n];
+        let at = table.len();
+        table.resize(at + n, SILENT);
         ops += n as u64; // per-phase Tsend/Trecv initialization
         let start = if opts.random_start {
             rng.random_range(0..n)
@@ -55,12 +53,11 @@ pub fn rs_n_with(com: &CommMatrix, seed: u64, opts: RsOptions) -> Schedule {
             ops += chosen.map_or(row.len(), |z| z + 1) as u64;
             if let Some(z) = chosen {
                 let y = row[z] as usize;
-                dests[x] = Some(NodeId(y as u32));
+                table[at + x] = y as u32;
                 free[y] = false;
                 ccom.remove(x, z);
             }
         }
-        phases.push(PartialPermutation::from_dests(dests));
     }
 
     // The compression cost reported to the cost model is the paper's
@@ -68,11 +65,11 @@ pub fn rs_n_with(com: &CommMatrix, seed: u64, opts: RsOptions) -> Schedule {
     // compacts its own row (n slots) and receives the concatenated n*d
     // table. The sequential count lives on `CompressedMatrix::ops`.
     let compress_ops = (n + ccom.width() * n) as u64;
-    Schedule::new(
+    Schedule::from_parts(
         ScheduleKind::Phased,
         SchedulerKind::RsN,
         n,
-        phases,
+        table,
         ops,
         compress_ops,
     )
@@ -152,7 +149,10 @@ mod tests {
         com.set(3, 5, 42);
         let s = rs_n(&com, 0);
         assert_eq!(s.num_phases(), 1);
-        assert_eq!(s.phases()[0].dest(3), Some(NodeId(5)));
+        assert_eq!(
+            s.phases().get(0).unwrap().dest(3),
+            Some(hypercube::NodeId(5))
+        );
         validate_schedule(&com, &s).unwrap();
     }
 

@@ -1,11 +1,10 @@
-use hypercube::{LinkId, NodeId, Topology};
+use hypercube::{LinkId, Topology};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::algorithms::RsOptions;
 use crate::{
-    CommMatrix, CompressedMatrix, PartialPermutation, PathsTable, Schedule, ScheduleKind,
-    SchedulerKind,
+    CommMatrix, CompressedMatrix, PathsTable, Schedule, ScheduleKind, SchedulerKind, SILENT,
 };
 
 /// Randomized scheduling avoiding node **and link** contention — `RS_NL`
@@ -82,12 +81,14 @@ pub fn rs_nl_with<T: Topology + ?Sized>(
         &links[offsets[k] as usize..offsets[k + 1] as usize]
     };
     let mut ops: u64 = 0;
-    let mut phases: Vec<PartialPermutation> = Vec::new();
+    let mut table = Vec::new();
     let mut trecv: Vec<i32> = vec![-1; n];
 
     while ccom.total_remaining() > 0 {
-        // `Tsend` is the phase itself.
-        let mut dests = vec![None; n];
+        // `Tsend` is the phase's row.
+        let row = table.len();
+        table.resize(row + n, SILENT);
+        let dests = &mut table[row..];
         trecv.fill(-1);
         paths.clear();
         ops += n as u64;
@@ -101,7 +102,7 @@ pub fn rs_nl_with<T: Topology + ?Sized>(
             ops += 1;
             // A row may already have been scheduled this phase as the far
             // side of a reciprocal pair.
-            if dests[x].is_some() {
+            if dests[x] != SILENT {
                 x = (x + 1) % n;
                 continue;
             }
@@ -113,7 +114,7 @@ pub fn rs_nl_with<T: Topology + ?Sized>(
                 for (z, &y) in ccom.live_row(x).iter().enumerate() {
                     ops += 1;
                     let yu = y as usize;
-                    if trecv[yu] != -1 || dests[yu].is_some() {
+                    if trecv[yu] != -1 || dests[yu] != SILENT {
                         continue;
                     }
                     // Does y still owe a message to x?
@@ -130,9 +131,9 @@ pub fn rs_nl_with<T: Topology + ?Sized>(
                 }
                 if let Some((z, y)) = candidate {
                     let yu = y as usize;
-                    dests[x] = Some(NodeId(y as u32));
+                    dests[x] = y as u32;
                     trecv[yu] = x as i32;
-                    dests[yu] = Some(NodeId(x as u32));
+                    dests[yu] = x as u32;
                     trecv[x] = y;
                     paths.mark(circuit(x, yu));
                     paths.mark(circuit(yu, x));
@@ -162,7 +163,7 @@ pub fn rs_nl_with<T: Topology + ?Sized>(
                     }
                 }
                 if let Some((z, y)) = candidate {
-                    dests[x] = Some(NodeId(y as u32));
+                    dests[x] = y as u32;
                     trecv[y as usize] = x as i32;
                     paths.mark(circuit(x, y as usize));
                     ccom.remove(x, z);
@@ -171,15 +172,14 @@ pub fn rs_nl_with<T: Topology + ?Sized>(
             }
             x = (x + 1) % n;
         }
-        phases.push(PartialPermutation::from_dests(dests));
     }
 
     let compress_ops = (n + ccom.width() * n) as u64;
-    Schedule::new(
+    Schedule::from_parts(
         ScheduleKind::Phased,
         SchedulerKind::RsNl,
         n,
-        phases,
+        table,
         ops,
         compress_ops,
     )

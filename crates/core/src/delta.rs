@@ -45,7 +45,7 @@ use std::fmt;
 
 use hypercube::{NodeId, Topology};
 
-use crate::{CommMatrix, PartialPermutation, Schedule, ScheduleKind};
+use crate::{CommMatrix, Schedule, ScheduleKind, SILENT};
 
 /// Why a delta could not be built or applied.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -321,14 +321,9 @@ impl MatrixDelta {
             }
             out.set(s, d, bytes);
         }
-        for &(src, dst) in &self.removed {
-            let (s, d) = (src.index(), dst.index());
-            if out.get(s, d) == 0 {
-                return Err(DeltaError::MissingMessage { src: s, dst: d });
-            }
-            out.set(s, d, 0);
-        }
-        for &(src, dst, bytes) in &self.resized {
+        // A removal is a resize to zero bytes.
+        let removed = self.removed.iter().map(|&(src, dst)| (src, dst, 0));
+        for (src, dst, bytes) in removed.chain(self.resized.iter().copied()) {
             let (s, d) = (src.index(), dst.index());
             if out.get(s, d) == 0 {
                 return Err(DeltaError::MissingMessage { src: s, dst: d });
@@ -356,11 +351,11 @@ impl MatrixDelta {
 /// Newest-first probing is what keeps a patch O(edits), not O(matrix):
 /// dense early phases of a tight base schedule rarely admit a new
 /// message anyway, while the sparse appendix phases earlier patches
-/// created admit cheaply — and their link occupancy, built lazily per
-/// probed phase, costs O(circuits in that phase) instead of a full
-/// O(messages) sweep. The tradeoff is a patched schedule that may carry
-/// a few more phases than a cold compile; the patch contract is
-/// validity, not reproduction.
+/// created admit cheaply. The base table is copied once and edited in
+/// place; a probe past the sender check scans the phase's row for the
+/// receiver, and only a probe past that builds the phase's link map. The
+/// tradeoff is a patched schedule that may carry a few more phases than a
+/// cold compile; the patch contract is validity, not reproduction.
 ///
 /// Op accounting: the base schedule's op count plus one op per slot or
 /// link probed while patching — deterministic, and honest about the
@@ -380,135 +375,90 @@ pub fn patch_phased(
         return None;
     }
     let n = base.n();
-    let mut phases: Vec<Vec<Option<NodeId>>> = base
-        .phases()
-        .iter()
-        .map(|pm| (0..n).map(|i| pm.dest(i)).collect())
-        .collect();
+    let mut table = base.table().to_vec();
     let mut probes: u64 = 0;
 
-    // Per-phase occupancy, maintained across edits — probing a phase per
-    // candidate message must be O(route), not O(n), or a patch costs as
-    // much as the compile it replaces.
-    let mut scratch = Vec::with_capacity(topo.diameter());
-    let mut receiver_busy: Vec<Vec<bool>> = phases
-        .iter()
-        .map(|phase| {
-            let mut busy = vec![false; n];
-            for d in phase.iter().flatten() {
-                busy[d.index()] = true;
-            }
-            busy
-        })
-        .collect();
-    // Link maps are built lazily, only for phases the add loop probes past
-    // the sender/receiver checks. Removals all precede adds, so every map
-    // is built from (and reflects) the post-removal phase — no unclaiming
-    // needed.
-    let mut claimed: Vec<Option<Vec<bool>>> = vec![None; phases.len()];
-
     for &(src, dst) in delta.removed() {
-        let mut found = false;
-        for (k, phase) in phases.iter_mut().enumerate() {
-            probes += 1;
-            if phase[src.index()] == Some(dst) {
-                phase[src.index()] = None;
-                receiver_busy[k][dst.index()] = false;
-                found = true;
-                break;
-            }
-        }
-        if !found {
-            return None;
-        }
+        let k = table
+            .chunks_exact(n)
+            .position(|row| row[src.index()] == dst.0)?;
+        probes += k as u64 + 1;
+        table[k * n + src.index()] = SILENT;
     }
 
+    // Link maps of the phases the adds probe, built lazily (see above).
+    // Removals all precede adds, so no map ever needs unclaiming.
+    let mut links: Vec<Option<Vec<bool>>> = vec![None; base.num_phases()];
+    let mut scratch = Vec::with_capacity(topo.diameter());
     let mut route = Vec::with_capacity(topo.diameter());
     for &(src, dst, _bytes) in delta.added() {
         if require_link_free {
             topo.route_into(src, dst, &mut route);
         }
         let mut placed = None;
-        for k in (0..phases.len()).rev() {
+        for k in (0..table.len() / n).rev() {
             probes += 1;
-            if phases[k][src.index()].is_some() || receiver_busy[k][dst.index()] {
+            let row = &table[k * n..(k + 1) * n];
+            if row[src.index()] != SILENT || row.contains(&dst.0) {
                 continue;
             }
             if require_link_free {
-                let map = claimed[k].get_or_insert_with(|| {
-                    claimed_links(&phases[k], topo, &mut scratch, &mut probes)
-                });
-                let free = route.iter().all(|l| !map[l.index()]);
+                let map = links[k]
+                    .get_or_insert_with(|| claimed_links(row, topo, &mut scratch, &mut probes));
                 probes += route.len() as u64;
-                if !free {
+                if route.iter().any(|l| map[l.index()]) {
                     continue;
                 }
             }
             placed = Some(k);
             break;
         }
-        match placed {
-            Some(k) => {
-                phases[k][src.index()] = Some(dst);
-                receiver_busy[k][dst.index()] = true;
-                if require_link_free {
-                    let map = claimed[k].as_mut().expect("map built during probe");
-                    for l in &route {
-                        probes += 1;
-                        map[l.index()] = true;
-                    }
-                }
-            }
-            None => {
-                let mut fresh = vec![None; n];
-                fresh[src.index()] = Some(dst);
-                let mut busy = vec![false; n];
-                busy[dst.index()] = true;
-                if require_link_free {
-                    let mut c = vec![false; topo.link_count()];
-                    for l in &route {
-                        probes += 1;
-                        c[l.index()] = true;
-                    }
-                    claimed.push(Some(c));
-                } else {
-                    claimed.push(None);
-                }
-                phases.push(fresh);
-                receiver_busy.push(busy);
+        let k = placed.unwrap_or_else(|| {
+            table.resize(table.len() + n, SILENT);
+            links.push(require_link_free.then(|| vec![false; topo.link_count()]));
+            table.len() / n - 1
+        });
+        table[k * n + src.index()] = dst.0;
+        if let Some(map) = &mut links[k] {
+            for l in &route {
+                probes += 1;
+                map[l.index()] = true;
             }
         }
     }
 
-    phases.retain(|phase| phase.iter().any(|d| d.is_some()));
+    // Drop emptied phases, compacting the rows in place.
+    let mut kept = 0;
+    for k in 0..table.len() / n {
+        if table[k * n..(k + 1) * n].iter().any(|&w| w != SILENT) {
+            table.copy_within(k * n..(k + 1) * n, kept * n);
+            kept += 1;
+        }
+    }
+    table.truncate(kept * n);
     Some(Schedule::from_parts(
         ScheduleKind::Phased,
         base.algorithm(),
         n,
-        phases
-            .into_iter()
-            .map(PartialPermutation::from_dests)
-            .collect(),
+        table,
         base.ops() + probes,
         base.compress_ops(),
     ))
 }
 
-/// Links claimed by a phase's circuits, as a dense bitmap.
+/// Links claimed by a phase's circuits, as a dense map.
 fn claimed_links(
-    phase: &[Option<NodeId>],
+    row: &[u32],
     topo: &dyn Topology,
     scratch: &mut Vec<hypercube::LinkId>,
     probes: &mut u64,
 ) -> Vec<bool> {
     let mut claimed = vec![false; topo.link_count()];
-    for (i, d) in phase.iter().enumerate() {
-        if let Some(d) = d {
-            topo.route_into(NodeId(i as u32), *d, scratch);
-            for l in scratch.iter() {
-                *probes += 1;
-                claimed[l.index()] = true;
-            }
+    for (i, &w) in row.iter().enumerate().filter(|(_, &w)| w != SILENT) {
+        topo.route_into(NodeId(i as u32), NodeId(w), scratch);
+        for l in scratch.iter() {
+            *probes += 1;
+            claimed[l.index()] = true;
         }
     }
     claimed
@@ -532,33 +482,28 @@ pub fn patch_lp(base: &Schedule, delta: &MatrixDelta) -> Option<Schedule> {
     {
         return None;
     }
-    let mut phases: Vec<Vec<Option<NodeId>>> = base
-        .phases()
-        .iter()
-        .map(|pm| (0..n).map(|i| pm.dest(i)).collect())
-        .collect();
+    let mut table = base.table().to_vec();
+    // Message `i -> j` sits in row `(i ^ j) - 1`, column `i`.
+    let slot = |src: NodeId, dst: NodeId| ((src.0 ^ dst.0) as usize - 1) * n + src.index();
     for &(src, dst) in delta.removed() {
-        let k = (src.0 ^ dst.0) as usize - 1;
-        if phases[k][src.index()] != Some(dst) {
+        let at = slot(src, dst);
+        if table[at] != dst.0 {
             return None;
         }
-        phases[k][src.index()] = None;
+        table[at] = SILENT;
     }
     for &(src, dst, _bytes) in delta.added() {
-        let k = (src.0 ^ dst.0) as usize - 1;
-        if phases[k][src.index()].is_some() {
+        let at = slot(src, dst);
+        if table[at] != SILENT {
             return None;
         }
-        phases[k][src.index()] = Some(dst);
+        table[at] = dst.0;
     }
     Some(Schedule::from_parts(
         ScheduleKind::Phased,
         base.algorithm(),
         n,
-        phases
-            .into_iter()
-            .map(PartialPermutation::from_dests)
-            .collect(),
+        table,
         base.ops(),
         base.compress_ops(),
     ))
@@ -569,6 +514,8 @@ mod tests {
     use super::*;
     use crate::{lp, registry, rs_nl, validate_schedule};
     use hypercube::Hypercube;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn sample_com(n: usize) -> CommMatrix {
         let mut com = CommMatrix::new(n);
@@ -748,6 +695,216 @@ mod tests {
             }
         }
         assert_eq!(patchable, registry::all().len() - 1);
+    }
+
+    /// The patcher as it was written over one `Vec<Option<NodeId>>` per
+    /// phase: every phase's receiver map built up front, link maps built
+    /// lazily per probed phase. Returns the patched phases and the probes.
+    fn reference_patch_phased(
+        base: &Schedule,
+        delta: &MatrixDelta,
+        topo: &dyn Topology,
+        require_link_free: bool,
+    ) -> Option<(Vec<Vec<Option<NodeId>>>, u64)> {
+        if base.kind() != ScheduleKind::Phased || base.n() != delta.n() {
+            return None;
+        }
+        let n = base.n();
+        let mut phases: Vec<Vec<Option<NodeId>>> = base
+            .phases()
+            .iter()
+            .map(|pm| (0..n).map(|i| pm.dest(i)).collect())
+            .collect();
+        let mut probes: u64 = 0;
+        let mut scratch = Vec::new();
+        let mut receiver_busy: Vec<Vec<bool>> = phases
+            .iter()
+            .map(|phase| {
+                let mut busy = vec![false; n];
+                for d in phase.iter().flatten() {
+                    busy[d.index()] = true;
+                }
+                busy
+            })
+            .collect();
+        let mut claimed: Vec<Option<Vec<bool>>> = vec![None; phases.len()];
+        let claimed_links = |phase: &[Option<NodeId>], scratch: &mut Vec<_>, probes: &mut u64| {
+            let mut claimed = vec![false; topo.link_count()];
+            for (i, d) in phase.iter().enumerate() {
+                if let Some(d) = d {
+                    topo.route_into(NodeId(i as u32), *d, scratch);
+                    for l in scratch.iter() {
+                        *probes += 1;
+                        claimed[hypercube::LinkId::index(*l)] = true;
+                    }
+                }
+            }
+            claimed
+        };
+        for &(src, dst) in delta.removed() {
+            let mut found = false;
+            for (k, phase) in phases.iter_mut().enumerate() {
+                probes += 1;
+                if phase[src.index()] == Some(dst) {
+                    phase[src.index()] = None;
+                    receiver_busy[k][dst.index()] = false;
+                    found = true;
+                    break;
+                }
+            }
+            if !found {
+                return None;
+            }
+        }
+        let mut route = Vec::new();
+        for &(src, dst, _bytes) in delta.added() {
+            if require_link_free {
+                topo.route_into(src, dst, &mut route);
+            }
+            let mut placed = None;
+            for k in (0..phases.len()).rev() {
+                probes += 1;
+                if phases[k][src.index()].is_some() || receiver_busy[k][dst.index()] {
+                    continue;
+                }
+                if require_link_free {
+                    let map = claimed[k].get_or_insert_with(|| {
+                        claimed_links(&phases[k], &mut scratch, &mut probes)
+                    });
+                    let free = route.iter().all(|l| !map[l.index()]);
+                    probes += route.len() as u64;
+                    if !free {
+                        continue;
+                    }
+                }
+                placed = Some(k);
+                break;
+            }
+            match placed {
+                Some(k) => {
+                    phases[k][src.index()] = Some(dst);
+                    receiver_busy[k][dst.index()] = true;
+                    if require_link_free {
+                        let map = claimed[k].as_mut().expect("map built during probe");
+                        for l in &route {
+                            probes += 1;
+                            map[l.index()] = true;
+                        }
+                    }
+                }
+                None => {
+                    let mut fresh = vec![None; n];
+                    fresh[src.index()] = Some(dst);
+                    let mut busy = vec![false; n];
+                    busy[dst.index()] = true;
+                    if require_link_free {
+                        let mut c = vec![false; topo.link_count()];
+                        for l in &route {
+                            probes += 1;
+                            c[l.index()] = true;
+                        }
+                        claimed.push(Some(c));
+                    } else {
+                        claimed.push(None);
+                    }
+                    phases.push(fresh);
+                    receiver_busy.push(busy);
+                }
+            }
+        }
+        phases.retain(|phase| phase.iter().any(|d| d.is_some()));
+        Some((phases, probes))
+    }
+
+    /// A random matrix on `n` nodes, each sender with up to `d` messages.
+    fn random_com(rng: &mut StdRng, n: usize, d: usize) -> CommMatrix {
+        let mut com = CommMatrix::new(n);
+        for i in 0..n {
+            for _ in 0..rng.random_range(0..=d) {
+                let j = rng.random_range(0..n);
+                if j != i {
+                    com.set(i, j, 64);
+                }
+            }
+        }
+        com
+    }
+
+    /// Random bases and deltas on a cube and two meshes: every entry that
+    /// patches through `patch_phased` places every message in the phase
+    /// the nested reference places it in, with the same probe count, and
+    /// declines exactly where the reference declines.
+    #[test]
+    fn differential_patch_phased_matches_the_nested_reference() {
+        let mut rng = StdRng::seed_from_u64(27);
+        let fabrics: [Box<dyn Topology>; 3] = [
+            Box::new(Hypercube::new(4)),
+            Box::new(hypercube::Mesh2d::new(4, 4)),
+            Box::new(hypercube::Mesh2d::new(2, 8)),
+        ];
+        let (mut appended, mut emptied, mut declined) = (0, 0, 0);
+        for case in 0..300 {
+            let topo = &*fabrics[case % 3];
+            let n = topo.num_nodes();
+            let base = random_com(&mut rng, n, 1 + case % 5);
+            let mut target = base.clone();
+            for _ in 0..rng.random_range(0..8usize) {
+                let (s, d) = (rng.random_range(0..n), rng.random_range(0..n));
+                if s != d {
+                    let bytes = if target.get(s, d) == 0 { 32 } else { 0 };
+                    target.set(s, d, bytes);
+                }
+            }
+            let mut delta = MatrixDelta::diff(&base, &target).unwrap();
+            if case % 40 == 39 {
+                // A removal the base never scheduled.
+                let (s, d) = (0..n * n)
+                    .map(|c| (c / n, c % n))
+                    .find(|&(s, d)| s != d && base.get(s, d) == 0)
+                    .unwrap();
+                delta = MatrixDelta::from_parts(
+                    n,
+                    vec![],
+                    vec![(NodeId(s as u32), NodeId(d as u32))],
+                    vec![],
+                )
+                .unwrap();
+            }
+            for name in [
+                "RS_N",
+                "RS_NL",
+                "GREEDY",
+                "RS_N_DET",
+                "RS_NL_NOPAIR",
+                "RS_NL_DET",
+            ] {
+                let entry = registry::find(name).unwrap();
+                let cold = entry.schedule(&base, topo, case as u64);
+                let link_free = entry.link_contention_free();
+                let flat = patch_phased(&cold, &delta, topo, link_free);
+                let want = reference_patch_phased(&cold, &delta, topo, link_free);
+                let Some((phases, probes)) = want else {
+                    assert!(flat.is_none(), "case {case} {name}: the reference declines");
+                    declined += 1;
+                    continue;
+                };
+                let flat = flat.unwrap_or_else(|| panic!("case {case} {name}: declined"));
+                let got: Vec<Vec<Option<NodeId>>> = flat
+                    .phases()
+                    .iter()
+                    .map(|pm| (0..n).map(|i| pm.dest(i)).collect())
+                    .collect();
+                assert_eq!(got, phases, "case {case} {name}");
+                assert_eq!(flat.ops(), cold.ops() + probes, "case {case} {name}");
+                assert_eq!(flat.compress_ops(), cold.compress_ops());
+                appended += usize::from(flat.num_phases() > cold.num_phases());
+                emptied += usize::from(flat.num_phases() < cold.num_phases());
+            }
+        }
+        assert!(
+            appended > 0 && emptied > 0 && declined > 0,
+            "appended {appended}, emptied {emptied}, declined {declined}"
+        );
     }
 
     #[test]

@@ -74,8 +74,8 @@ pub use cost::I860CostModel;
 pub use delta::{DeltaError, MatrixDelta};
 pub use matrix::CommMatrix;
 pub use paths_table::PathsTable;
-pub use phase::PartialPermutation;
+pub use phase::{PartialPermutation, SILENT};
 pub use registry::Scheduler;
-pub use schedule::{Schedule, ScheduleKind, SchedulerKind};
+pub use schedule::{PhaseIter, Phases, Schedule, ScheduleKind, SchedulerKind};
 pub use stats::ScheduleQuality;
 pub use validate::{validate_schedule, ValidationError};

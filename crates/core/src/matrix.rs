@@ -93,9 +93,12 @@ impl CommMatrix {
             })
     }
 
-    /// Total number of messages.
+    /// Total number of messages, counted per row in vectorizable `u32` lanes.
     pub fn message_count(&self) -> usize {
-        self.data.iter().filter(|&&b| b > 0).count()
+        self.data
+            .chunks_exact(self.n)
+            .map(|row| row.iter().map(|&b| u32::from(b > 0)).sum::<u32>() as usize)
+            .sum()
     }
 
     /// Total bytes over all messages.
@@ -140,14 +143,7 @@ impl CommMatrix {
     ///
     /// Panics if `perm` is not a permutation of `0..n`.
     pub fn relabeled(&self, perm: &[NodeId]) -> CommMatrix {
-        assert_eq!(perm.len(), self.n, "relabeling spans a different size");
-        let mut seen = vec![false; self.n];
-        for p in perm {
-            assert!(
-                !std::mem::replace(&mut seen[p.index()], true),
-                "relabeling is not a permutation"
-            );
-        }
+        assert_permutation(perm, self.n);
         let mut out = CommMatrix::new(self.n);
         for (src, dst, bytes) in self.messages() {
             out.set(perm[src.index()].index(), perm[dst.index()].index(), bytes);
@@ -169,6 +165,18 @@ impl CommMatrix {
     /// symmetric patterns let LP pair every message into an exchange.
     pub fn is_symmetric_pattern(&self) -> bool {
         (0..self.n).all(|i| (0..self.n).all(|j| (self.get(i, j) > 0) == (self.get(j, i) > 0)))
+    }
+}
+
+/// Panic unless `perm` is a permutation of `0..n` (a relabeling).
+pub(crate) fn assert_permutation(perm: &[NodeId], n: usize) {
+    assert_eq!(perm.len(), n, "relabeling spans a different size");
+    let mut seen = vec![false; n];
+    for p in perm {
+        assert!(
+            !std::mem::replace(&mut seen[p.index()], true),
+            "relabeling is not a permutation"
+        );
     }
 }
 

@@ -9,11 +9,10 @@
 //! each `CCOM` row for the largest feasible candidate instead of the first
 //! one, shrinking the sum over phases of the per-phase maximum.
 
-use hypercube::NodeId;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::{CommMatrix, PartialPermutation, Schedule, ScheduleKind, SchedulerKind};
+use crate::{CommMatrix, Schedule, ScheduleKind, SchedulerKind, SILENT};
 
 /// RS_N with a largest-first row scan for non-uniform message sizes.
 ///
@@ -26,24 +25,20 @@ pub fn rs_n_largest_first(com: &CommMatrix, seed: u64) -> Schedule {
     let n = com.n();
     let mut rng = StdRng::seed_from_u64(seed);
     // A size-aware compressed matrix: per row, live (dst, bytes) pairs.
-    let mut rows: Vec<Vec<(u32, u32)>> = (0..n)
-        .map(|i| {
-            com.row(i)
-                .iter()
-                .enumerate()
-                .filter_map(|(j, &b)| (b > 0).then_some((j as u32, b)))
-                .collect()
-        })
-        .collect();
+    let mut rows: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
+    for (src, dst, bytes) in com.messages() {
+        rows[src.index()].push((dst.0, bytes));
+    }
     let mut ops: u64 = 0;
     let width = rows.iter().map(Vec::len).max().unwrap_or(0).max(1);
     let mut remaining: usize = rows.iter().map(Vec::len).sum();
-    let mut phases: Vec<PartialPermutation> = Vec::new();
-    let mut tsend: Vec<i32> = vec![-1; n];
+    let mut table = Vec::new();
     let mut trecv: Vec<i32> = vec![-1; n];
 
     while remaining > 0 {
-        tsend.fill(-1);
+        // `Tsend` is the phase's row.
+        let row = table.len();
+        table.resize(row + n, SILENT);
         trecv.fill(-1);
         ops += n as u64;
         let start = rng.random_range(0..n);
@@ -61,27 +56,21 @@ pub fn rs_n_largest_first(com: &CommMatrix, seed: u64) -> Schedule {
                 }
             }
             if let Some((z, dst, _)) = best {
-                tsend[x] = dst as i32;
+                table[row + x] = dst;
                 trecv[dst as usize] = x as i32;
                 rows[x].swap_remove(z);
                 remaining -= 1;
             }
             x = (x + 1) % n;
         }
-        phases.push(PartialPermutation::from_dests(
-            tsend
-                .iter()
-                .map(|&v| (v >= 0).then_some(NodeId(v as u32)))
-                .collect(),
-        ));
     }
 
     let compress_ops = (n + width * n) as u64;
-    Schedule::new(
+    Schedule::from_parts(
         ScheduleKind::Phased,
         SchedulerKind::RsN,
         n,
-        phases,
+        table,
         ops,
         compress_ops,
     )

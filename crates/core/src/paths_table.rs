@@ -57,6 +57,20 @@ impl PathsTable {
         }
     }
 
+    /// Reserve the circuit link by link, up to the first link already held
+    /// this phase: whether there was none. Charges no ops.
+    pub(crate) fn claim_each(&mut self, links: &[LinkId]) -> bool {
+        let gen = self.gen;
+        for l in links {
+            let stamp = &mut self.stamps[l.index()];
+            if *stamp == gen {
+                return false;
+            }
+            *stamp = gen;
+        }
+        true
+    }
+
     /// Check and, if free, atomically mark. Returns whether the circuit was
     /// reserved.
     pub fn try_claim(&mut self, links: &[LinkId], ops: &mut u64) -> bool {

@@ -1,80 +1,66 @@
 use hypercube::{NodeId, Topology};
 
-/// One communication phase: a **partial permutation** `pm` with
-/// `pm[i] = Some(j)` meaning node `i` sends its pending message to node `j`
-/// in this phase, and `None` meaning node `i` stays silent (the paper's
-/// `pm_i = -1`).
+use crate::matrix::assert_permutation;
+use crate::PathsTable;
+
+/// The destination word of a node that is silent in a phase — the paper's
+/// `pm_i = -1`. Every other word is a node index below `n`.
+pub const SILENT: u32 = u32::MAX;
+
+/// One communication phase: a **partial permutation** `pm`, as a borrowed
+/// `Copy` view of one row of a [`crate::Schedule`]'s phase table. Word `i`
+/// is `pm_i`: where node `i` sends its pending message in this phase, or
+/// [`SILENT`] where the paper writes `pm_i = -1`.
 ///
 /// The defining property (Section 2) is injectivity: no two senders target
 /// the same receiver, so every node sends at most one and receives at most
 /// one message — no *node contention*.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PartialPermutation {
-    dests: Vec<Option<NodeId>>,
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PartialPermutation<'a> {
+    words: &'a [u32],
 }
 
-impl PartialPermutation {
-    /// An all-silent phase over `n` nodes.
-    pub fn empty(n: usize) -> Self {
-        PartialPermutation {
-            dests: vec![None; n],
-        }
+impl<'a> PartialPermutation<'a> {
+    /// The phase whose destination words are `words` (one per node).
+    pub fn from_words(words: &'a [u32]) -> Self {
+        PartialPermutation { words }
     }
 
-    /// Build from a destination vector.
-    pub fn from_dests(dests: Vec<Option<NodeId>>) -> Self {
-        PartialPermutation { dests }
-    }
-
-    /// Number of nodes.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.dests.len()
+    /// The destination words, [`SILENT`] for a silent node.
+    pub fn words(self) -> &'a [u32] {
+        self.words
     }
 
     /// Destination of node `i` in this phase.
     #[inline]
-    pub fn dest(&self, i: usize) -> Option<NodeId> {
-        self.dests[i]
-    }
-
-    /// Assign `src -> dst`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` already has a destination in this phase (node
-    /// contention on the send side is a scheduler bug, not a runtime
-    /// condition).
-    pub fn assign(&mut self, src: NodeId, dst: NodeId) {
-        assert!(
-            self.dests[src.index()].is_none(),
-            "{src} already sends in this phase"
-        );
-        self.dests[src.index()] = Some(dst);
+    pub fn dest(self, i: usize) -> Option<NodeId> {
+        let w = self.words[i];
+        (w != SILENT).then_some(NodeId(w))
     }
 
     /// Iterate `(src, dst)` pairs of the phase.
-    pub fn pairs(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.dests
+    pub fn pairs(self) -> impl Iterator<Item = (NodeId, NodeId)> + 'a {
+        self.words
             .iter()
             .enumerate()
-            .filter_map(|(i, d)| d.map(|dst| (NodeId(i as u32), dst)))
+            .filter(|(_, &w)| w != SILENT)
+            .map(|(i, &w)| (NodeId(i as u32), NodeId(w)))
     }
 
     /// Number of messages in the phase.
-    pub fn len(&self) -> usize {
-        self.dests.iter().filter(|d| d.is_some()).count()
+    pub fn len(self) -> usize {
+        self.words.iter().filter(|&&w| w != SILENT).count()
     }
 
     /// Whether the phase carries no messages.
-    pub fn is_empty(&self) -> bool {
-        self.dests.iter().all(|d| d.is_none())
+    pub fn is_empty(self) -> bool {
+        self.words.iter().all(|&w| w == SILENT)
     }
 
     /// Check the partial-permutation property: distinct senders have
     /// distinct receivers, and nobody sends to itself.
-    pub fn is_partial_permutation(&self) -> bool {
-        let mut seen = vec![false; self.n()];
+    pub fn is_partial_permutation(self) -> bool {
+        let mut seen = vec![false; self.words.len()];
         for (src, dst) in self.pairs() {
             if src == dst || seen[dst.index()] {
                 return false;
@@ -87,21 +73,21 @@ impl PartialPermutation {
     /// Whether `i <-> j` form a reciprocal (pairwise-exchange) pair in this
     /// phase: `pm[i] = j` and `pm[j] = i`. The runtime fuses such pairs
     /// into concurrent bidirectional exchanges on the iPSC/860.
-    pub fn is_exchange_pair(&self, i: NodeId) -> bool {
-        match self.dests[i.index()] {
-            Some(j) => self.dests[j.index()] == Some(i),
-            None => false,
+    pub fn is_exchange_pair(self, i: NodeId) -> bool {
+        match self.words[i.index()] {
+            SILENT => false,
+            j => self.words[j as usize] == i.0,
         }
     }
 
     /// Count reciprocal pairs (each pair counted once).
-    pub fn exchange_pairs(&self) -> usize {
+    pub fn exchange_pairs(self) -> usize {
         self.pairs()
-            .filter(|&(src, dst)| src.0 < dst.0 && self.dests[dst.index()] == Some(src))
+            .filter(|&(src, dst)| src.0 < dst.0 && self.words[dst.index()] == src.0)
             .count()
     }
 
-    /// The phase under a node relabeling: message `i -> j` becomes
+    /// The phase's words under a node relabeling: message `i -> j` becomes
     /// `perm[i] -> perm[j]`. With `perm` a topology automorphism (e.g. an
     /// XOR translation of the hypercube) this preserves hop counts,
     /// link-disjointness, and exchange structure — the metamorphic
@@ -110,34 +96,35 @@ impl PartialPermutation {
     /// # Panics
     ///
     /// Panics if `perm` is not a permutation of `0..n`.
-    pub fn relabeled(&self, perm: &[NodeId]) -> PartialPermutation {
-        assert_eq!(perm.len(), self.n(), "relabeling spans a different size");
-        let mut seen = vec![false; self.n()];
-        for p in perm {
-            assert!(
-                !std::mem::replace(&mut seen[p.index()], true),
-                "relabeling is not a permutation"
-            );
-        }
-        let mut dests = vec![None; self.n()];
+    pub fn relabeled(self, perm: &[NodeId]) -> Vec<u32> {
+        assert_permutation(perm, self.words.len());
+        let mut out = vec![SILENT; perm.len()];
         for (src, dst) in self.pairs() {
-            dests[perm[src.index()].index()] = Some(perm[dst.index()]);
+            out[perm[src.index()].index()] = perm[dst.index()].0;
         }
-        PartialPermutation { dests }
+        out
     }
 
     /// Whether all circuits of this phase are pairwise link-disjoint on
     /// `topo` — the *link contention freedom* RS_NL and LP guarantee.
-    pub fn is_link_free<T: Topology + ?Sized>(&self, topo: &T) -> bool {
-        let mut claimed = vec![false; topo.link_count()];
-        let mut route = Vec::with_capacity(topo.diameter());
+    pub fn is_link_free<T: Topology + ?Sized>(self, topo: &T) -> bool {
+        self.is_link_free_in(topo, &mut PathsTable::new(topo), &mut Vec::new())
+    }
+
+    /// [`PartialPermutation::is_link_free`] on a caller's reservation table
+    /// (cleared by its generation stamp) and route buffer, reused across
+    /// phases.
+    pub fn is_link_free_in<T: Topology + ?Sized>(
+        self,
+        topo: &T,
+        paths: &mut PathsTable,
+        route: &mut Vec<hypercube::LinkId>,
+    ) -> bool {
+        paths.clear();
         for (src, dst) in self.pairs() {
-            topo.route_into(src, dst, &mut route);
-            for l in &route {
-                if claimed[l.index()] {
-                    return false;
-                }
-                claimed[l.index()] = true;
+            topo.route_into(src, dst, route);
+            if !paths.claim_each(route) {
+                return false;
             }
         }
         true
@@ -149,45 +136,49 @@ mod tests {
     use super::*;
     use hypercube::Hypercube;
 
+    const S: u32 = SILENT;
+
+    fn row(n: usize, pairs: &[(u32, u32)]) -> Vec<u32> {
+        let mut words = vec![SILENT; n];
+        for &(s, d) in pairs {
+            words[s as usize] = d;
+        }
+        words
+    }
+
     #[test]
     fn assign_and_query() {
-        let mut pm = PartialPermutation::empty(4);
-        assert!(pm.is_empty());
-        pm.assign(NodeId(0), NodeId(2));
-        pm.assign(NodeId(2), NodeId(0));
+        let silent = row(4, &[]);
+        assert!(PartialPermutation::from_words(&silent).is_empty());
+        let words = row(4, &[(0, 2), (2, 0)]);
+        let pm = PartialPermutation::from_words(&words);
         assert_eq!(pm.len(), 2);
         assert_eq!(pm.dest(0), Some(NodeId(2)));
         assert_eq!(pm.dest(1), None);
         assert!(pm.is_partial_permutation());
-    }
-
-    #[test]
-    #[should_panic(expected = "already sends")]
-    fn double_assign_panics() {
-        let mut pm = PartialPermutation::empty(4);
-        pm.assign(NodeId(0), NodeId(1));
-        pm.assign(NodeId(0), NodeId(2));
+        assert_eq!(
+            pm.pairs().collect::<Vec<_>>(),
+            [(NodeId(0), NodeId(2)), (NodeId(2), NodeId(0))]
+        );
     }
 
     #[test]
     fn node_contention_detected() {
         // Two senders, one receiver: NOT a partial permutation.
-        let pm = PartialPermutation::from_dests(vec![Some(NodeId(2)), Some(NodeId(2)), None, None]);
+        let pm = PartialPermutation::from_words(&[2, 2, S, S]);
         assert!(!pm.is_partial_permutation());
     }
 
     #[test]
     fn self_send_detected() {
-        let pm = PartialPermutation::from_dests(vec![Some(NodeId(0)), None]);
+        let pm = PartialPermutation::from_words(&[0, S]);
         assert!(!pm.is_partial_permutation());
     }
 
     #[test]
     fn exchange_pairs_counted_once() {
-        let mut pm = PartialPermutation::empty(6);
-        pm.assign(NodeId(0), NodeId(3));
-        pm.assign(NodeId(3), NodeId(0));
-        pm.assign(NodeId(1), NodeId(2)); // one-way
+        let words = row(6, &[(0, 3), (3, 0), (1, 2)]); // 1 -> 2 is one-way
+        let pm = PartialPermutation::from_words(&words);
         assert_eq!(pm.exchange_pairs(), 1);
         assert!(pm.is_exchange_pair(NodeId(0)));
         assert!(pm.is_exchange_pair(NodeId(3)));
@@ -196,29 +187,38 @@ mod tests {
     }
 
     #[test]
+    fn relabeling_moves_both_endpoints() {
+        let words = row(4, &[(0, 1), (2, 3)]);
+        let perm = [NodeId(3), NodeId(2), NodeId(1), NodeId(0)];
+        let moved = PartialPermutation::from_words(&words).relabeled(&perm);
+        assert_eq!(moved, row(4, &[(3, 2), (1, 0)]));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a permutation")]
+    fn relabeling_needs_a_permutation() {
+        let words = row(2, &[(0, 1)]);
+        PartialPermutation::from_words(&words).relabeled(&[NodeId(1), NodeId(1)]);
+    }
+
+    #[test]
     fn link_freedom_on_cube() {
         let cube = Hypercube::new(3);
         // XOR-by-1 pairs: link free.
-        let mut pm = PartialPermutation::empty(8);
-        for i in 0..8u32 {
-            pm.assign(NodeId(i), NodeId(i ^ 1));
-        }
-        assert!(pm.is_link_free(&cube));
-        // 0->3 (via 1) and 1->... make 1->3's circuit collide: 0->3 uses
-        // links (0,d0),(1,d1); 5->1 uses (5,d2)... pick a known conflict:
-        // 0->3 and 1->2? 1->2 fixes bits 0,1: 1->0 (d0), 0->2 (d1). No
-        // conflict with (0,d0)? (0,d0) is 0->1; (1,d0) is 1->0. Disjoint.
-        // Use 0->3 ((0,d0),(1,d1)) and 5->3 (5^3=6: (5,d1),(7,d2)?
-        // e-cube 5->3: diff=6, fix d1: 5->7 (5,d1), fix d2: 7->3 (7,d2).
-        // Still disjoint. Share (1,d1): sender 1 to dst with bit1 set ->
-        // 1->3 uses (1,d1). So 0->3 and 1->... 1 already sends? Make a
-        // phase with 0->3 and 1->3: that's node contention, not the point.
-        // 1->7: diff 6: (1,d1),(3,d2). Shares (1,d1)? 0->3's second link is
-        // (1,d1). Yes!
-        let mut pm2 = PartialPermutation::empty(8);
-        pm2.assign(NodeId(0), NodeId(3));
-        pm2.assign(NodeId(1), NodeId(7));
-        assert!(pm2.is_partial_permutation());
-        assert!(!pm2.is_link_free(&cube));
+        let xor1: Vec<u32> = (0..8u32).map(|i| i ^ 1).collect();
+        assert!(PartialPermutation::from_words(&xor1).is_link_free(&cube));
+        // e-cube 0 -> 3 claims (0,d0),(1,d1); 1 -> 7 claims (1,d1),(3,d2):
+        // node-disjoint, but both circuits cross (1,d1).
+        let words = row(8, &[(0, 3), (1, 7)]);
+        let pm = PartialPermutation::from_words(&words);
+        assert!(pm.is_partial_permutation());
+        assert!(!pm.is_link_free(&cube));
+        // One table serves many phases: a conflict does not leak into the
+        // next check.
+        let mut paths = PathsTable::new(&cube);
+        let mut route = Vec::new();
+        assert!(!pm.is_link_free_in(&cube, &mut paths, &mut route));
+        let x = PartialPermutation::from_words(&xor1);
+        assert!(x.is_link_free_in(&cube, &mut paths, &mut route));
     }
 }

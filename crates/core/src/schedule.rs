@@ -1,6 +1,8 @@
+use std::{iter::Map, slice::ChunksExact};
+
 use hypercube::Topology;
 
-use crate::PartialPermutation;
+use crate::{PartialPermutation, PathsTable, SILENT};
 
 /// Which algorithm *family* produced a schedule.
 ///
@@ -57,6 +59,11 @@ pub enum ScheduleKind {
 /// A communication schedule: the decomposition of a [`crate::CommMatrix`]
 /// into ordered communication phases, plus cost accounting.
 ///
+/// The phases are one table of `num_phases × n` destination words, row
+/// `k` lent out as a [`PartialPermutation`] view — the `commcache`
+/// artifact's phase payload verbatim, so codecs, clones and patches copy
+/// words and never convert them.
+///
 /// Schedules compare by value (`PartialEq`): two schedules are equal when
 /// every phase, count, and cost field matches — the property the
 /// `commcache` artifact store's round-trip tests rely on.
@@ -65,7 +72,7 @@ pub struct Schedule {
     kind: ScheduleKind,
     algorithm: SchedulerKind,
     n: usize,
-    phases: Vec<PartialPermutation>,
+    table: Vec<u32>,
     /// Abstract operations spent computing the schedule (inner-loop steps);
     /// see [`crate::I860CostModel`].
     ops_schedule: u64,
@@ -74,51 +81,32 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    pub(crate) fn new(
-        kind: ScheduleKind,
-        algorithm: SchedulerKind,
-        n: usize,
-        phases: Vec<PartialPermutation>,
-        ops_schedule: u64,
-        ops_compress: u64,
-    ) -> Self {
-        Schedule {
-            kind,
-            algorithm,
-            n,
-            phases,
-            ops_schedule,
-            ops_compress,
-        }
-    }
-
-    /// Reassemble a schedule from its constituent parts — the decode path
-    /// of external serializers (the `commcache` artifact store). The
-    /// schedulers themselves never use this: they build schedules through
-    /// the crate-internal constructor, so a hand-assembled schedule is
-    /// *not* presumed valid — run [`crate::validate_schedule`] against its
-    /// matrix if validity matters.
+    /// Assemble a schedule around its phase table (spare capacity is
+    /// released). A hand-assembled schedule — the artifact decoder's — is
+    /// *not* presumed valid: run [`crate::validate_schedule`] if validity
+    /// matters. Every word must be [`SILENT`] or below `n`.
     ///
     /// # Panics
     ///
-    /// Panics if any phase spans a different node count than `n`.
+    /// Panics if `table` is not a whole number of `n`-word rows.
     pub fn from_parts(
         kind: ScheduleKind,
         algorithm: SchedulerKind,
         n: usize,
-        phases: Vec<PartialPermutation>,
+        mut table: Vec<u32>,
         ops_schedule: u64,
         ops_compress: u64,
     ) -> Self {
-        for (i, p) in phases.iter().enumerate() {
-            assert_eq!(
-                p.n(),
-                n,
-                "phase {i} spans {} nodes, schedule has {n}",
-                p.n()
-            );
+        assert!(table.len().is_multiple_of(n), "not whole rows of {n} words");
+        table.shrink_to_fit();
+        Schedule {
+            kind,
+            algorithm,
+            n,
+            table,
+            ops_schedule,
+            ops_compress,
         }
-        Schedule::new(kind, algorithm, n, phases, ops_schedule, ops_compress)
     }
 
     /// Async or phased.
@@ -137,13 +125,26 @@ impl Schedule {
     }
 
     /// The communication phases (empty for [`ScheduleKind::Async`]).
-    pub fn phases(&self) -> &[PartialPermutation] {
-        &self.phases
+    pub fn phases(&self) -> Phases<'_> {
+        Phases {
+            table: &self.table,
+            n: self.n,
+        }
+    }
+
+    /// The phase table: `num_phases × n` words, row-major, [`SILENT`] if silent.
+    pub fn table(&self) -> &[u32] {
+        &self.table
+    }
+
+    /// Heap bytes the schedule holds: its phase table.
+    pub fn heap_bytes(&self) -> usize {
+        self.table.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Number of phases — the paper's "# iters" row.
     pub fn num_phases(&self) -> usize {
-        self.phases.len()
+        self.phases().len()
     }
 
     /// Abstract scheduling operations (excluding compression).
@@ -158,12 +159,12 @@ impl Schedule {
 
     /// Total messages across all phases.
     pub fn message_count(&self) -> usize {
-        self.phases.iter().map(|p| p.len()).sum()
+        self.table.iter().filter(|&&w| w != SILENT).count()
     }
 
     /// Total reciprocal (exchange) pairs across phases.
     pub fn exchange_pairs(&self) -> usize {
-        self.phases.iter().map(|p| p.exchange_pairs()).sum()
+        self.phases().iter().map(|p| p.exchange_pairs()).sum()
     }
 
     /// The schedule under a node relabeling
@@ -177,35 +178,79 @@ impl Schedule {
     ///
     /// Panics if `perm` is not a permutation of `0..n`.
     pub fn relabeled(&self, perm: &[hypercube::NodeId]) -> Schedule {
-        Schedule::new(
+        Schedule::from_parts(
             self.kind,
             self.algorithm,
             self.n,
-            self.phases.iter().map(|p| p.relabeled(perm)).collect(),
+            self.phases()
+                .iter()
+                .flat_map(|p| p.relabeled(perm))
+                .collect(),
             self.ops_schedule,
             self.ops_compress,
         )
     }
 
     /// Whether every phase is link-contention-free on `topo` (the RS_NL /
-    /// LP guarantee; generally false for RS_N).
+    /// LP guarantee; generally false for RS_N), on one reservation table.
     pub fn link_contention_free<T: Topology + ?Sized>(&self, topo: &T) -> bool {
-        self.phases.iter().all(|p| p.is_link_free(topo))
+        let mut paths = PathsTable::new(topo);
+        let mut route = Vec::with_capacity(topo.diameter());
+        self.phases()
+            .iter()
+            .all(|p| p.is_link_free_in(topo, &mut paths, &mut route))
+    }
+}
+
+/// The phases of a [`Schedule`]: a `Copy` view of its table, equal to
+/// another when their phases are.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Phases<'a> {
+    table: &'a [u32],
+    n: usize,
+}
+
+/// Iterator over the rows of a [`Phases`] view.
+pub type PhaseIter<'a> = Map<ChunksExact<'a, u32>, fn(&'a [u32]) -> PartialPermutation<'a>>;
+
+impl<'a> Phases<'a> {
+    /// Number of phases.
+    pub fn len(self) -> usize {
+        self.iter().len()
+    }
+
+    /// Whether there are no phases.
+    pub fn is_empty(self) -> bool {
+        self.table.is_empty()
+    }
+
+    /// Phase `k`, if there is one.
+    pub fn get(self, k: usize) -> Option<PartialPermutation<'a>> {
+        self.iter().nth(k)
+    }
+
+    /// The phases in order.
+    pub fn iter(self) -> PhaseIter<'a> {
+        self.table
+            .chunks_exact(self.n.max(1))
+            .map(PartialPermutation::from_words)
+    }
+}
+
+impl<'a> IntoIterator for Phases<'a> {
+    type Item = PartialPermutation<'a>;
+    type IntoIter = PhaseIter<'a>;
+
+    fn into_iter(self) -> PhaseIter<'a> {
+        self.iter()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypercube::NodeId;
 
-    fn phase(n: usize, pairs: &[(u32, u32)]) -> PartialPermutation {
-        let mut pm = PartialPermutation::empty(n);
-        for &(s, d) in pairs {
-            pm.assign(NodeId(s), NodeId(d));
-        }
-        pm
-    }
+    const S: u32 = SILENT;
 
     #[test]
     fn labels() {
@@ -215,13 +260,14 @@ mod tests {
 
     #[test]
     fn from_parts_rebuilds_an_equal_schedule() {
-        let phases = vec![phase(4, &[(0, 1), (1, 0)]), phase(4, &[(2, 3)])];
-        let original = Schedule::new(ScheduleKind::Phased, SchedulerKind::RsNl, 4, phases, 42, 7);
+        let table = vec![1, 0, S, S, S, S, 3, S];
+        let original =
+            Schedule::from_parts(ScheduleKind::Phased, SchedulerKind::RsNl, 4, table, 42, 7);
         let rebuilt = Schedule::from_parts(
             original.kind(),
             original.algorithm(),
             original.n(),
-            original.phases().to_vec(),
+            original.table().to_vec(),
             original.ops(),
             original.compress_ops(),
         );
@@ -231,7 +277,7 @@ mod tests {
             original.kind(),
             original.algorithm(),
             original.n(),
-            original.phases().to_vec(),
+            original.table().to_vec(),
             original.ops() + 1,
             original.compress_ops(),
         );
@@ -239,13 +285,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "spans")]
+    #[should_panic(expected = "whole rows")]
     fn from_parts_rejects_mismatched_phase_widths() {
         Schedule::from_parts(
             ScheduleKind::Phased,
             SchedulerKind::RsN,
             4,
-            vec![phase(8, &[(0, 1)])],
+            vec![1, S, S, S, S],
             0,
             0,
         );
@@ -253,12 +299,38 @@ mod tests {
 
     #[test]
     fn counts() {
-        let phases = vec![phase(4, &[(0, 1), (1, 0), (2, 3)]), phase(4, &[(3, 2)])];
-        let s = Schedule::new(ScheduleKind::Phased, SchedulerKind::RsN, 4, phases, 100, 10);
+        let table = vec![1, 0, 3, S, S, S, S, 2];
+        let s = Schedule::from_parts(ScheduleKind::Phased, SchedulerKind::RsN, 4, table, 100, 10);
         assert_eq!(s.num_phases(), 2);
         assert_eq!(s.message_count(), 4);
         assert_eq!(s.exchange_pairs(), 1);
         assert_eq!(s.ops(), 100);
         assert_eq!(s.compress_ops(), 10);
+        assert_eq!(s.phases().get(1).unwrap().words(), [S, S, S, 2]);
+        assert_eq!(s.phases().get(1), Some(s.phases().get(1).unwrap()));
+        assert_eq!(s.phases().get(2), None);
+        assert_eq!(
+            s.phases().iter().next_back(),
+            Some(s.phases().get(1).unwrap())
+        );
+        assert_eq!(s.heap_bytes(), 8 * 4);
+    }
+
+    #[test]
+    fn relabeling_keeps_structure() {
+        let table = vec![1, 0, 3, S, S, S, S, 2];
+        let s = Schedule::from_parts(ScheduleKind::Phased, SchedulerKind::RsN, 4, table, 5, 1);
+        let perm: Vec<_> = [2u32, 3, 0, 1].map(hypercube::NodeId).to_vec();
+        let r = s.relabeled(&perm);
+        assert_eq!(r.table(), [1, S, 3, 2, S, 0, S, S]);
+        assert_eq!((r.num_phases(), r.exchange_pairs(), r.ops()), (2, 1, 5));
+    }
+
+    #[test]
+    fn a_zero_node_schedule_has_no_phases() {
+        let s = Schedule::from_parts(ScheduleKind::Async, SchedulerKind::Ac, 0, vec![], 0, 0);
+        assert_eq!(s.num_phases(), 0);
+        assert!(s.phases().is_empty());
+        assert_eq!(s.phases().iter().count(), 0);
     }
 }

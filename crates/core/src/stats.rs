@@ -5,7 +5,7 @@
 
 use hypercube::Topology;
 
-use crate::{CommMatrix, Schedule};
+use crate::{CommMatrix, PathsTable, Schedule};
 
 /// Aggregate quality metrics of a phased schedule.
 #[derive(Clone, Debug, PartialEq)]
@@ -41,6 +41,8 @@ impl ScheduleQuality {
         let mut min_fill = f64::INFINITY;
         let mut max_fill: f64 = 0.0;
         let mut link_free = 0usize;
+        let mut paths = PathsTable::new(topo);
+        let mut route = Vec::with_capacity(topo.diameter());
         for pm in phases {
             let len = pm.len();
             messages += len;
@@ -51,7 +53,7 @@ impl ScheduleQuality {
             for (s, d) in pm.pairs() {
                 hops_sum += topo.hops(s, d);
             }
-            if pm.is_link_free(topo) {
+            if pm.is_link_free_in(topo, &mut paths, &mut route) {
                 link_free += 1;
             }
         }
@@ -95,22 +97,9 @@ pub fn analytic_phase_cost(
     tau_ns: u64,
     phi_ns_per_byte: f64,
 ) -> u64 {
-    schedule
-        .phases()
-        .iter()
-        .map(|pm| {
-            let max_bytes = pm
-                .pairs()
-                .map(|(s, d)| com.get(s.index(), d.index()))
-                .max()
-                .unwrap_or(0);
-            if max_bytes == 0 {
-                0
-            } else {
-                tau_ns + (max_bytes as f64 * phi_ns_per_byte) as u64
-            }
-        })
-        .sum()
+    crate::nonuniform::estimate_phased_cost(schedule, com, |max_bytes| {
+        tau_ns + (max_bytes as f64 * phi_ns_per_byte) as u64
+    })
 }
 
 #[cfg(test)]

@@ -50,13 +50,15 @@ pub fn bit_reverse(n: usize) -> Vec<NodeId> {
 /// Check whether a (partial) permutation is link-contention-free on the
 /// given topology: no two circuits of the phase share a directed channel.
 ///
-/// `dests[i] = Some(j)` means node `i` sends to node `j` in this phase.
-pub fn is_link_free<T: Topology + ?Sized>(topo: &T, dests: &[Option<NodeId>]) -> bool {
+/// `pairs` lists the phase's `(src, dst)` circuits.
+pub fn is_link_free<T: Topology + ?Sized>(
+    topo: &T,
+    pairs: impl IntoIterator<Item = (NodeId, NodeId)>,
+) -> bool {
     let mut claimed = vec![false; topo.link_count()];
     let mut route = Vec::with_capacity(topo.diameter());
-    for (i, dst) in dests.iter().enumerate() {
-        let Some(dst) = dst else { continue };
-        topo.route_into(NodeId(i as u32), *dst, &mut route);
+    for (src, dst) in pairs {
+        topo.route_into(src, dst, &mut route);
         for link in &route {
             if claimed[link.index()] {
                 return false;
@@ -70,9 +72,8 @@ pub fn is_link_free<T: Topology + ?Sized>(topo: &T, dests: &[Option<NodeId>]) ->
 /// Check whether every XOR permutation phase on `topo` is link-free.
 /// (True for hypercubes with e-cube routing; false in general for meshes.)
 pub fn xor_permutation_is_link_free<T: Topology>(topo: &T, k: usize) -> bool {
-    let n = topo.num_nodes();
-    let dests: Vec<Option<NodeId>> = (0..n).map(|i| Some(NodeId((i ^ k) as u32))).collect();
-    is_link_free(topo, &dests)
+    let n = topo.num_nodes() as u32;
+    is_link_free(topo, (0..n).map(|i| (NodeId(i), NodeId(i ^ k as u32))))
 }
 
 /// Collect all pairwise path intersections of a phase, for diagnostics:
@@ -155,7 +156,11 @@ mod tests {
         // reversal under e-cube has link conflicts on cubes of dim >= 3.
         let cube = Hypercube::new(6);
         let dests: Vec<_> = bit_reverse(64).into_iter().map(Some).collect();
-        assert!(!is_link_free(&cube, &dests));
+        let pairs = bit_reverse(64).into_iter().enumerate();
+        assert!(!is_link_free(
+            &cube,
+            pairs.map(|(i, d)| (NodeId(i as u32), d))
+        ));
         assert!(!link_conflicts(&cube, &dests).is_empty());
     }
 

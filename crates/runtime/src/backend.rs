@@ -850,13 +850,13 @@ mod tests {
 
     #[test]
     fn analytic_rejects_self_directed_phases() {
-        use commsched::{PartialPermutation, ScheduleKind, SchedulerKind};
+        use commsched::{ScheduleKind, SchedulerKind, SILENT};
         let cube = Hypercube::new(3);
         let com = CommMatrix::new(8);
-        let mut pm = PartialPermutation::empty(8);
-        pm.assign(NodeId(2), NodeId(2));
+        let mut table = vec![SILENT; 8];
+        table[2] = 2;
         let hostile =
-            Schedule::from_parts(ScheduleKind::Phased, SchedulerKind::RsN, 8, vec![pm], 0, 0);
+            Schedule::from_parts(ScheduleKind::Phased, SchedulerKind::RsN, 8, table, 0, 0);
         let err = AnalyticBackend
             .estimate(&MachineParams::ipsc860(), &cube, &com, &hostile, Scheme::S2)
             .unwrap_err();
@@ -1162,29 +1162,30 @@ mod tests {
         // phase, then a first active phase of two exchange pairs beside
         // one-way chain links, then the chain 0 -> 1 -> ... -> 15 whole,
         // then the same chain again (links and engines still warm).
-        use commsched::{PartialPermutation, SchedulerKind};
+        use commsched::{SchedulerKind, SILENT};
         let cube = Hypercube::new(4);
         let mut com = CommMatrix::new(16);
-        let mut first = PartialPermutation::empty(16);
+        let mut first = vec![SILENT; 16];
         for (a, b) in [(2u32, 9u32), (5, 12)] {
-            first.assign(NodeId(a), NodeId(b));
-            first.assign(NodeId(b), NodeId(a));
+            first[a as usize] = b;
+            first[b as usize] = a;
             com.set(a as usize, b as usize, 4096 + a);
             com.set(b as usize, a as usize, 100 * b);
         }
-        let mut chain = PartialPermutation::empty(16);
+        let mut chain = vec![SILENT; 16];
         for i in 0..15u32 {
-            chain.assign(NodeId(i), NodeId(i + 1));
+            chain[i as usize] = i + 1;
             com.set(i as usize, i as usize + 1, 300 + 700 * i);
             let in_a_pair = |v| [2, 9, 5, 12].contains(&v);
             if !in_a_pair(i) && !in_a_pair(i + 1) {
-                first.assign(NodeId(i), NodeId(i + 1));
+                first[i as usize] = i + 1;
             }
         }
-        assert!(first.is_exchange_pair(NodeId(9)) && !first.is_exchange_pair(NodeId(0)));
-        let phases = vec![PartialPermutation::empty(16), first, chain.clone(), chain];
+        let table = [vec![SILENT; 16], first, chain.clone(), chain].concat();
         let schedule =
-            Schedule::from_parts(ScheduleKind::Phased, SchedulerKind::RsNl, 16, phases, 0, 0);
+            Schedule::from_parts(ScheduleKind::Phased, SchedulerKind::RsNl, 16, table, 0, 0);
+        let first = schedule.phases().get(1).unwrap();
+        assert!(first.is_exchange_pair(NodeId(9)) && !first.is_exchange_pair(NodeId(0)));
         assert_s1_equals_reference(&cube, &com, &schedule);
         let report = AnalyticBackend
             .estimate(

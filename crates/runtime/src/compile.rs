@@ -1,4 +1,4 @@
-use commsched::{CommMatrix, Schedule, ScheduleKind};
+use commsched::{CommMatrix, Schedule, ScheduleKind, SILENT};
 use hypercube::{NodeId, Topology};
 use simnet::{
     simulate, simulate_traced, LinkCostModel, MachineParams, Program, ProgramBuilder, SimError,
@@ -131,42 +131,37 @@ fn compile_s1(com: &CommMatrix, schedule: &Schedule) -> Vec<Program> {
             }
         }
     }
-    // For every node and phase, classify its role. `recv_from[k][i]` = who
-    // sends to node i in phase k (None = silent).
+    // For every node and phase, classify its role. `recv_from` is the
+    // phase table inverted row by row: word `k * n + i` is who sends to
+    // node i in phase k (SILENT = nobody).
     let phases = schedule.phases();
-    let recv_from: Vec<Vec<Option<NodeId>>> = phases
-        .iter()
-        .map(|pm| {
-            let mut v = vec![None; n];
-            for (src, dst) in pm.pairs() {
-                v[dst.index()] = Some(src);
-            }
-            v
-        })
-        .collect();
+    let mut recv_from = vec![SILENT; schedule.table().len()];
+    for (k, pm) in phases.iter().enumerate() {
+        for (src, dst) in pm.pairs() {
+            recv_from[k * n + dst.index()] = src.0;
+        }
+    }
     // Receive prep (post buffer + fire the ready signal) for phase k is
     // emitted one phase EARLY, so the handshake latency of phase k+1 hides
     // under the data movement of phase k — the double-buffering that makes
     // S1's loose synchrony cheap.
     let emit_prep = |b: &mut ProgramBuilder, i: usize, k: usize| {
-        let pm = &phases[k];
-        if let Some(s) = recv_from[k][i] {
-            if !pm.is_exchange_pair(NodeId(i as u32)) {
-                b.post_recv(s, data_tag(k));
-                b.send_async(s, 0, ready_tag(k));
-            }
+        let s = recv_from[k * n + i];
+        if s != SILENT
+            && !phases
+                .get(k)
+                .is_some_and(|pm| pm.is_exchange_pair(NodeId(i as u32)))
+        {
+            b.post_recv(NodeId(s), data_tag(k));
+            b.send_async(NodeId(s), 0, ready_tag(k));
         }
     };
-    for i in 0..n {
+    for (i, b) in builders.iter_mut().enumerate() {
         let me = NodeId(i as u32);
         if !phases.is_empty() {
-            // Mutable borrow dance: pull the builder out while prepping.
-            let b = &mut builders[i];
             emit_prep(b, i, 0);
         }
-        for k in 0..phases.len() {
-            let pm = &phases[k];
-            let b = &mut builders[i];
+        for (k, pm) in phases.iter().enumerate() {
             if k + 1 < phases.len() {
                 emit_prep(b, i, k + 1);
             }
@@ -182,8 +177,9 @@ fn compile_s1(com: &CommMatrix, schedule: &Schedule) -> Vec<Program> {
                 b.wait_recv(j, ready_tag(k));
                 b.send(j, com.get(i, j.index()), data_tag(k));
             }
-            if let Some(s) = recv_from[k][i] {
-                b.wait_recv(s, data_tag(k));
+            let s = recv_from[k * n + i];
+            if s != SILENT {
+                b.wait_recv(NodeId(s), data_tag(k));
             }
         }
     }

@@ -189,12 +189,12 @@ fn self_directed_schedules_error_on_both_backends_without_panicking() {
     // The matrix forbids diagonal entries, but a hand-assembled schedule
     // can smuggle a self-pair in; both backends must diagnose it as a
     // SimError, never panic.
-    use commsched::{PartialPermutation, Schedule, ScheduleKind, SchedulerKind};
+    use commsched::{Schedule, ScheduleKind, SchedulerKind, SILENT};
     let cube = Hypercube::new(3);
     let com = commsched::CommMatrix::new(8);
-    let mut pm = PartialPermutation::empty(8);
-    pm.assign(hypercube::NodeId(5), hypercube::NodeId(5));
-    let hostile = Schedule::from_parts(ScheduleKind::Phased, SchedulerKind::RsN, 8, vec![pm], 0, 0);
+    let mut table = vec![SILENT; 8];
+    table[5] = 5;
+    let hostile = Schedule::from_parts(ScheduleKind::Phased, SchedulerKind::RsN, 8, table, 0, 0);
     let params = simnet::MachineParams::ipsc860();
     for kind in BackendKind::all() {
         for scheme in [commrt::Scheme::S1, commrt::Scheme::S2] {

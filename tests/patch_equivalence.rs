@@ -21,8 +21,8 @@
 use std::sync::Arc;
 
 use commcache::{
-    checksum64, decode_artifact, IncrementalCache, IncrementalConfig, IncrementalStats,
-    InstanceKey, FORMAT_VERSION, MAGIC,
+    checksum64, decode_artifact, schedule_weight_bytes, IncrementalCache, IncrementalConfig,
+    IncrementalStats, InstanceKey, FORMAT_VERSION, MAGIC,
 };
 use commsched::{registry, validate_schedule, CommMatrix, MatrixDelta, Schedule};
 use hypercube::NodeId;
@@ -200,6 +200,43 @@ fn the_appending_delta_appends_and_the_emptying_delta_empties() {
             .patch_schedule(&cold, &emptying_delta(&base, &cold), &*topo, 3)
             .unwrap();
         assert_eq!(shrunk.num_phases() + 1, cold.num_phases(), "{name}");
+    }
+}
+
+/// `schedule_weight_bytes` meters at least what a schedule really holds —
+/// the struct and its heap — for every registry entry, cold and patched
+/// under every delta, on every fabric and seed of the pins.
+#[test]
+fn the_metered_weight_covers_the_real_bytes() {
+    for fabric in ["cube:d=4", "cube:d=6", "torus:4x4", "torus:8x8", "mesh:4x8"] {
+        let topo = TopologyKind::parse(fabric).unwrap().build();
+        for seed in SEEDS {
+            let base = workloads::random_dregular(topo.num_nodes(), 4, 1024, seed);
+            let shared = matrix_deltas(&base, seed);
+            for entry in registry::all() {
+                if !entry.supports_topology(&*topo) {
+                    continue;
+                }
+                let cold = entry.schedule(&base, &*topo, seed);
+                let mut deltas = shared.clone();
+                if cold.num_phases() > 0 {
+                    deltas.push(appending_delta(&base, &cold));
+                    deltas.push(emptying_delta(&base, &cold));
+                }
+                let patched = deltas
+                    .iter()
+                    .filter_map(|d| entry.patch_schedule(&cold, d, &*topo, seed));
+                for s in patched.chain([cold.clone()]) {
+                    let real = std::mem::size_of::<Schedule>() + s.heap_bytes();
+                    assert!(
+                        schedule_weight_bytes(&s) >= real,
+                        "{fabric}/{}: metered {} < held {real}",
+                        entry.name(),
+                        schedule_weight_bytes(&s)
+                    );
+                }
+            }
+        }
     }
 }
 
