@@ -89,23 +89,26 @@ impl ShardedCache {
 
     /// Look `key` up, refreshing its recency. Counts a hit or a miss.
     pub fn get(&self, key: Fingerprint) -> Option<Arc<Schedule>> {
+        let found = self.get_resident(key);
+        if found.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        found
+    }
+
+    /// [`get`](Self::get) that counts only a hit: a caller that goes on
+    /// to `get` after a miss has that miss counted once.
+    pub fn get_resident(&self, key: Fingerprint) -> Option<Arc<Schedule>> {
         let mut guard = self.shard(key).lock().expect("no panics hold the shard");
         let shard = &mut *guard;
+        let entry = shard.map.get_mut(&key.0)?;
         shard.clock += 1;
         let clock = shard.clock;
-        match shard.map.get_mut(&key.0) {
-            Some(entry) => {
-                shard.lru.remove(&entry.last_used);
-                shard.lru.insert(clock, key.0);
-                entry.last_used = clock;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.schedule))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        shard.lru.remove(&entry.last_used);
+        shard.lru.insert(clock, key.0);
+        entry.last_used = clock;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(Arc::clone(&entry.schedule))
     }
 
     /// Insert `schedule` under `key`, evicting least-recently-used entries
@@ -222,6 +225,20 @@ mod tests {
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.len(), 1);
         assert!(cache.bytes_in_use() > 0);
+    }
+
+    #[test]
+    fn a_resident_lookup_counts_only_its_hit() {
+        let cache = ShardedCache::new(2, 1 << 20);
+        assert!(cache.get_resident(key(1)).is_none());
+        assert_eq!(
+            (cache.hits(), cache.misses()),
+            (0, 0),
+            "a miss counts nothing"
+        );
+        cache.insert(key(1), schedule(8));
+        assert!(cache.get_resident(key(1)).is_some());
+        assert_eq!((cache.hits(), cache.misses()), (1, 0));
     }
 
     #[test]

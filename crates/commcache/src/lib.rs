@@ -298,6 +298,17 @@ impl SchedCache {
         self.get_or_compute_arc(key, Some(topo), || Arc::new(compile()))
     }
 
+    /// Serve `key` from memory alone. A hit counts one request and one
+    /// memory hit, exactly what [`SchedCache::get_or_compute_on`] counts
+    /// for it; a miss counts nothing and never reads the store, so a
+    /// caller that goes on to `get_or_compute_on` has the request
+    /// counted once.
+    pub fn get_resident(&self, key: Fingerprint) -> Option<Arc<Schedule>> {
+        let schedule = self.mem.get_resident(key)?;
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        Some(schedule)
+    }
+
     fn get_or_compute_arc(
         &self,
         key: Fingerprint,
@@ -456,6 +467,31 @@ mod tests {
         // The store hit was promoted: a third request is a memory hit.
         second.get_or_schedule(entry, &com, &cube, 3);
         assert_eq!(second.stats().mem_hits, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_resident_lookup_never_reads_the_store_and_counts_only_a_hit() {
+        let dir = tmp_dir("resident");
+        let com = sample_com();
+        let cube = Hypercube::new(4);
+        let entry = registry::find("RS_NL").unwrap();
+        let fp = Fingerprint::compute(&com, &cube, entry.name(), 3);
+        SchedCache::new(CacheConfig::persistent(&dir)).get_or_schedule(entry, &com, &cube, 3);
+
+        // Cold memory over a warm store: nothing resident, nothing counted.
+        let cache = SchedCache::new(CacheConfig::persistent(&dir));
+        assert!(cache.get_resident(fp).is_none());
+        assert_eq!(cache.stats(), SchedCache::in_memory().stats());
+        let loaded = cache.get_or_schedule(entry, &com, &cube, 3);
+        let stats = cache.stats();
+        assert_eq!((stats.requests, stats.store_hits), (1, 1));
+
+        // Resident now: a hit counted as `get_or_schedule` counts one.
+        let resident = cache.get_resident(fp).expect("promoted into memory");
+        assert!(Arc::ptr_eq(&resident, &loaded));
+        let stats = cache.stats();
+        assert_eq!((stats.requests, stats.mem_hits, stats.misses), (2, 1, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 

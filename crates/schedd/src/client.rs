@@ -8,7 +8,7 @@
 //! order.
 
 use std::fmt;
-use std::io::{self, Write};
+use std::io::{self, BufReader, Write};
 
 use crate::net::{Endpoint, Stream};
 use crate::protocol::{
@@ -68,7 +68,9 @@ impl From<DecodeError> for ClientError {
 
 /// A connected `schedd` client.
 pub struct Client {
-    stream: Stream,
+    /// Reads go through the buffer, one `read` syscall per frame; writes
+    /// go to the socket underneath it.
+    stream: BufReader<Stream>,
     next_id: u64,
 }
 
@@ -80,7 +82,7 @@ impl Client {
     /// The underlying connect error.
     pub fn connect(endpoint: &Endpoint) -> io::Result<Client> {
         Ok(Client {
-            stream: endpoint.connect()?,
+            stream: BufReader::new(endpoint.connect()?),
             next_id: 1,
         })
     }
@@ -98,8 +100,9 @@ impl Client {
     ///
     /// Transport errors.
     pub fn send(&mut self, req: &Request) -> Result<(), ClientError> {
-        write_frame(&mut self.stream, &req.encode())?;
-        self.stream.flush()?;
+        let stream = self.stream.get_mut();
+        write_frame(stream, &req.encode())?;
+        stream.flush()?;
         Ok(())
     }
 

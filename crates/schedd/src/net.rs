@@ -50,7 +50,8 @@ impl Endpoint {
         ))
     }
 
-    /// Connect a client stream to this endpoint.
+    /// Connect a client stream to this endpoint. A TCP stream comes with
+    /// `TCP_NODELAY` set, as [`Listener::accept`] sets it on the other end.
     ///
     /// # Errors
     ///
@@ -58,7 +59,7 @@ impl Endpoint {
     pub fn connect(&self) -> io::Result<Stream> {
         match self {
             Endpoint::Unix(path) => Ok(Stream::Unix(UnixStream::connect(path)?)),
-            Endpoint::Tcp(addr) => Ok(Stream::Tcp(TcpStream::connect(addr.as_str())?)),
+            Endpoint::Tcp(addr) => Stream::tcp(TcpStream::connect(addr.as_str())?),
         }
     }
 
@@ -100,6 +101,18 @@ pub enum Stream {
 }
 
 impl Stream {
+    /// Wrap a TCP stream with `TCP_NODELAY` set. Every frame is written
+    /// whole by one `write_all`, so Nagle's algorithm could only hold
+    /// back a frame's tail segment until the peer acknowledges its head.
+    ///
+    /// # Errors
+    ///
+    /// The `setsockopt` error.
+    fn tcp(stream: TcpStream) -> io::Result<Stream> {
+        stream.set_nodelay(true)?;
+        Ok(Stream::Tcp(stream))
+    }
+
     /// A second handle on the same socket (reader/writer split).
     ///
     /// # Errors
@@ -156,7 +169,9 @@ pub enum Listener {
 }
 
 impl Listener {
-    /// Block for the next connection.
+    /// Block for the next connection. A TCP stream comes with
+    /// `TCP_NODELAY` set: every frame is written whole, so Nagle's
+    /// algorithm could only hold back its tail.
     ///
     /// # Errors
     ///
@@ -164,7 +179,7 @@ impl Listener {
     pub fn accept(&self) -> io::Result<Stream> {
         match self {
             Listener::Unix(l) => Ok(Stream::Unix(l.accept()?.0)),
-            Listener::Tcp(l) => Ok(Stream::Tcp(l.accept()?.0)),
+            Listener::Tcp(l) => Stream::tcp(l.accept()?.0),
         }
     }
 
@@ -229,6 +244,19 @@ mod tests {
         assert_eq!(&buf, b"ping");
         served.write_all(b"pong").unwrap();
         assert_eq!(&client.join().unwrap(), b"pong");
+    }
+
+    #[test]
+    fn both_ends_of_a_tcp_pair_disable_nagle() {
+        let listener = Endpoint::parse("tcp:127.0.0.1:0").unwrap().bind().unwrap();
+        let client = listener.local_endpoint().unwrap().connect().unwrap();
+        let served = listener.accept().unwrap();
+        for stream in [&client, &served] {
+            match stream {
+                Stream::Tcp(s) => assert!(s.nodelay().unwrap()),
+                Stream::Unix(_) => panic!("a TCP endpoint gave a Unix stream"),
+            }
+        }
     }
 
     #[test]

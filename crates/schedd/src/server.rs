@@ -4,14 +4,27 @@
 //!
 //! * one **acceptor** blocks on the listener and spawns a reader per
 //!   connection;
-//! * one **reader per connection** decodes frames and runs the
-//!   admission stage (drain check → registry/topology validation →
-//!   per-client quota → bounded-queue push). Every rejection is a typed
-//!   error frame; the connection stays healthy;
-//! * a fixed pool of **workers** pops admitted jobs and runs the
-//!   [`ServiceState`] pipeline, writing responses under the
-//!   connection's writer lock — which is why responses can overtake
-//!   each other and every frame echoes its `request_id`.
+//! * one **reader per connection** reads frames through a buffer (one
+//!   `read` syscall per frame), decodes them and runs the admission
+//!   stage: drain check → the service's lookup (registry/topology
+//!   validation, keys, and the memory-resident schedule and estimate) →
+//!   per-client quota → bounded-queue push. A request whose schedule and
+//!   estimate are both resident is answered right there, by the reader:
+//!   it occupies no worker, so it skips the quota and the queue. Every
+//!   rejection is a typed error frame; the connection stays healthy;
+//! * a fixed pool of **workers** pops the jobs memory could not answer —
+//!   what must be read from the store, compiled, patched or priced — and
+//!   finishes the [`ServiceState`] pipeline on them. Readers and workers
+//!   write responses under the connection's writer lock, which is why
+//!   responses can overtake each other and every frame echoes its
+//!   `request_id`.
+//!
+//! A pipelining client must keep reading its replies. A reader whose
+//! answer does not fit the socket's buffers blocks in the write, and
+//! reads no more of that connection's requests until the client reads
+//! its replies. A client that writes more request bytes than the
+//! buffers hold before it reads any reply can therefore stall its own
+//! connection.
 //!
 //! Graceful shutdown (from [`ServerHandle::shutdown`] or a client's
 //! `Shutdown` frame) is an ordering, not a flag: mark draining (new
@@ -21,7 +34,7 @@
 //! admitted is dropped; nothing after the drain mark is accepted.
 
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io::{self, BufReader, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -32,11 +45,13 @@ use crate::protocol::{
     SubmitRequest,
 };
 use crate::queue::{BoundedQueue, PushError};
-use crate::service::{ServiceConfig, ServiceState};
+use crate::service::{Lookup, Pending, ServiceConfig, ServiceState};
 
-/// One admitted request on its way to the worker pool.
+/// One admitted request memory could not answer, on its way to the
+/// worker pool with everything its lookup computed.
 struct Job {
     req: SubmitRequest,
+    pending: Pending,
     writer: Arc<Mutex<Stream>>,
     conn: Arc<ConnState>,
 }
@@ -133,6 +148,21 @@ impl Shared {
         let mut stream = writer.lock().expect("writer lock");
         write_frame(&mut *stream, &body)?;
         stream.flush()
+    }
+
+    /// Write the answer to a submit and count it: `completed` for a
+    /// schedule that reached the socket, `write_failures` for any frame
+    /// that did not.
+    fn answer(&self, writer: &Arc<Mutex<Stream>>, resp: &Response) {
+        match (resp, self.write_response(writer, resp).is_ok()) {
+            (Response::Schedule(_), true) => {
+                self.counters.completed.fetch_add(1, Ordering::Relaxed);
+            }
+            (_, false) => {
+                self.counters.write_failures.fetch_add(1, Ordering::Relaxed);
+            }
+            _ => {}
+        }
     }
 
     /// Best-effort error frame; a dead client is not the daemon's
@@ -342,11 +372,7 @@ fn acceptor_loop(
 }
 
 fn reader_loop(stream: Stream, conn_id: u64, shared: &Arc<Shared>) {
-    let mut reading = match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => stream,
-    };
-    let writer = Arc::new(Mutex::new(match reading.try_clone() {
+    let writer = Arc::new(Mutex::new(match stream.try_clone() {
         Ok(clone) => clone,
         Err(_) => return,
     }));
@@ -354,6 +380,9 @@ fn reader_loop(stream: Stream, conn_id: u64, shared: &Arc<Shared>) {
         id: conn_id,
         inflight: AtomicU64::new(0),
     });
+    // One `read` syscall fetches a whole frame (or several pipelined
+    // ones) instead of one per header field.
+    let mut reading = BufReader::new(stream);
     loop {
         match read_frame(&mut reading) {
             Ok(None) => return, // clean close between frames
@@ -441,8 +470,10 @@ fn handle_request(
     }
 }
 
-/// The admission stage: drain check → semantic validation → quota →
-/// queue. Rejections are typed error frames; the connection survives.
+/// The admission stage: drain check → lookup (semantic validation, and
+/// the answer itself when memory holds it) → quota → queue. Rejections
+/// are typed error frames; the connection survives. A resident answer
+/// occupies no worker, so it skips the quota and the queue.
 fn handle_submit(
     req: SubmitRequest,
     writer: &Arc<Mutex<Stream>>,
@@ -464,11 +495,18 @@ fn handle_submit(
         );
         return;
     }
-    if let Err(e) = shared.state.admit(&req) {
-        shared.counters.errors_other.fetch_add(1, Ordering::Relaxed);
-        shared.write_error(writer, request_id, e.code(), e.to_string());
-        return;
-    }
+    let pending = match shared.state.lookup(&req) {
+        Ok(Lookup::Pending(pending)) => pending,
+        Ok(Lookup::Resident(reply)) => {
+            shared.answer(writer, &Response::Schedule(reply));
+            return;
+        }
+        Err(e) => {
+            shared.counters.errors_other.fetch_add(1, Ordering::Relaxed);
+            shared.write_error(writer, request_id, e.code(), e.to_string());
+            return;
+        }
+    };
     // Quota: optimistic increment, revert on rejection — never exceeds
     // the cap even with a racing pipelined client.
     let quota = shared.config.max_inflight_per_client as u64;
@@ -492,6 +530,7 @@ fn handle_submit(
     shared.counters.inflight.fetch_add(1, Ordering::Relaxed);
     let job = Job {
         req,
+        pending,
         writer: Arc::clone(writer),
         conn: Arc::clone(conn),
     };
@@ -515,10 +554,10 @@ fn handle_submit(
     }
 }
 
-/// Worker: pop, run the pipeline, write the answer.
+/// Worker: pop, finish the pipeline, write the answer.
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.queue.pop() {
-        let resp = match shared.state.process(&job.req) {
+        let resp = match shared.state.finish(&job.req, job.pending) {
             Ok(reply) => Response::Schedule(reply),
             Err(e) => {
                 shared.counters.errors_other.fetch_add(1, Ordering::Relaxed);
@@ -529,19 +568,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 })
             }
         };
-        let wrote = shared.write_response(&job.writer, &resp).is_ok();
-        match (&resp, wrote) {
-            (Response::Schedule(_), true) => {
-                shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-            }
-            (_, false) => {
-                shared
-                    .counters
-                    .write_failures
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {}
-        }
+        shared.answer(&job.writer, &resp);
         job.conn.inflight.fetch_sub(1, Ordering::AcqRel);
         shared.counters.inflight.fetch_sub(1, Ordering::Relaxed);
     }

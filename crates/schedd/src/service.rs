@@ -1,15 +1,30 @@
 //! The daemon's compute pipeline, separated from all transport concerns.
 //!
-//! [`ServiceState::process`] is the whole pipeline after decode and
-//! admission: **resolve → fingerprint → dedup → compile → simulate**.
-//! It takes a decoded [`SubmitRequest`] and produces either a
-//! [`SubmitReply`] or a typed [`ServiceError`]; the server wraps it in
-//! socket plumbing, and the differential-conformance suite calls it (and
-//! the registry directly) *in-process* to pin the daemon byte-identical
-//! to library calls — which is only possible because nothing in here
-//! knows about sockets.
+//! [`ServiceState::process`] is the whole pipeline after decode:
+//! **admit → fingerprint → dedup → compile → simulate**. It takes a
+//! decoded [`SubmitRequest`] and produces either a [`SubmitReply`] or a
+//! typed [`ServiceError`]; the server wraps it in socket plumbing, and
+//! the differential-conformance suite calls it (and the registry
+//! directly) *in-process* to pin the daemon byte-identical to library
+//! calls — which is only possible because nothing in here knows about
+//! sockets.
 //!
-//! Two layers of reuse sit in front of the actual work:
+//! `process` is two halves, and the server runs them on different
+//! threads:
+//!
+//! * `lookup` admits the request, computes its instance key and
+//!   fingerprint, and answers it from memory when both the schedule and
+//!   the estimate are resident. It never compiles, patches, prices or
+//!   reads the artifact store, so the connection's reader runs it and a
+//!   repeat never waits for a worker.
+//! * Otherwise `lookup` hands back a `Pending` carrying the admitted
+//!   entry, the built topology and the keys, and a worker runs `finish`
+//!   on it: single-flight, then store, compile or patch, then register,
+//!   then price.
+//!
+//! A resident answer counts exactly what `finish` counts for a hit; a
+//! `Pending` has counted nothing. Three layers of reuse sit in front of
+//! the actual work:
 //!
 //! 1. [`SingleFlight`] coalesces *concurrent* identical requests onto
 //!    one compile (keyed by the [`commcache::Fingerprint`], so "identical"
@@ -25,8 +40,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use commcache::{CacheConfig, CacheStats, InstanceKey, SchedCache};
-use commrt::BackendReport;
+use commcache::{CacheConfig, CacheStats, Fingerprint, InstanceKey, SchedCache};
+use commrt::{BackendReport, Scheme};
 use commsched::{registry, Schedule, Scheduler};
 use hypercube::Topology;
 use simnet::MachineParams;
@@ -146,13 +161,17 @@ impl EstimateCache {
         }
     }
 
-    fn get(&self, key: (u128, u8, u8)) -> Option<Arc<BackendReport>> {
-        let hit = self
-            .entries
+    /// Look `key` up without counting.
+    fn peek(&self, key: (u128, u8, u8)) -> Option<Arc<BackendReport>> {
+        self.entries
             .lock()
             .expect("estimate lock")
             .get(&key)
-            .cloned();
+            .cloned()
+    }
+
+    fn get(&self, key: (u128, u8, u8)) -> Option<Arc<BackendReport>> {
+        let hit = self.peek(key);
         match &hit {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -297,16 +316,71 @@ impl ServiceState {
         Self::admitted(req).map(|_| ())
     }
 
-    /// The full pipeline for one admitted request.
+    /// The full pipeline for one request: `lookup`, then `finish` when
+    /// memory cannot answer (see the module docs).
     ///
     /// # Errors
     ///
     /// Everything [`admit`](Self::admit) can raise (so unadmitted
     /// callers still get typed errors), plus [`ServiceError::Sim`].
     pub fn process(&self, req: &SubmitRequest) -> Result<SubmitReply, ServiceError> {
-        let (entry, topo) = Self::admitted(req)?;
-        let key = InstanceKey::compute(&req.matrix, topo.as_ref());
-        let fp = key.schedule_key(entry.name(), req.seed);
+        match self.lookup(req)? {
+            Lookup::Resident(reply) => Ok(reply),
+            Lookup::Pending(pending) => self.finish(req, pending),
+        }
+    }
+
+    /// Admit `req`, compute its keys, and answer it from memory when
+    /// both its schedule and its estimate are resident. Never compiles,
+    /// patches, prices or reads the artifact store, so the thread that
+    /// decoded the request can run it.
+    ///
+    /// A resident answer counts one cache request, one memory hit and
+    /// one estimate hit, and (with the incremental layer on) registers
+    /// the schedule as a patch base — all exactly as `finish` would. A
+    /// [`Lookup::Pending`] has counted nothing.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`admit`](Self::admit) can raise.
+    pub(crate) fn lookup(&self, req: &SubmitRequest) -> Result<Lookup, ServiceError> {
+        let pending = Pending::admit(req)?;
+        // The estimate is peeked first, uncounted: only once the schedule
+        // is resident too does either lookup count.
+        let Some(estimate) = self.estimates.peek(pending.estimate_key) else {
+            return Ok(Lookup::Pending(pending));
+        };
+        let Some(schedule) = self.cache.get_resident(pending.fp) else {
+            return Ok(Lookup::Pending(pending));
+        };
+        self.estimates.hits.fetch_add(1, Ordering::Relaxed);
+        self.register(req, &pending, &schedule);
+        Ok(Lookup::Resident(reply(
+            req, pending.fp, false, &estimate, schedule,
+        )))
+    }
+
+    /// The rest of the pipeline for a request [`lookup`](Self::lookup)
+    /// left pending: single-flight, then the cache's store, compile or
+    /// patch, then register, then price (or the estimate memo).
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::Sim`] when the backend cannot price the schedule.
+    pub(crate) fn finish(
+        &self,
+        req: &SubmitRequest,
+        pending: Pending,
+    ) -> Result<SubmitReply, ServiceError> {
+        let Pending {
+            entry,
+            key,
+            fp,
+            scheme,
+            estimate_key,
+            ..
+        } = pending;
+        let topo = pending.topo.as_ref();
 
         // Dedup stage: concurrent identical fingerprints ride one
         // compile; the cache underneath serves repeats. `compiled_here`
@@ -318,49 +392,25 @@ impl ServiceState {
         let incremental = self.cache.incremental();
         let compiled_here = std::cell::Cell::new(false);
         let (schedule, led) = self.flight.run(fp.0, || {
-            Ok(self.cache.get_or_compute_on(fp, topo.as_ref(), || {
+            Ok(self.cache.get_or_compute_on(fp, topo, || {
                 compiled_here.set(true);
-                let patched = incremental.and_then(|inc| {
-                    inc.get_patched(entry, key, &req.matrix, topo.as_ref(), req.seed)
-                });
+                let patched = incremental
+                    .and_then(|inc| inc.get_patched(entry, key, &req.matrix, topo, req.seed));
                 match patched {
                     Some(schedule) => {
                         Arc::try_unwrap(schedule).unwrap_or_else(|arc| (*arc).clone())
                     }
-                    None => entry.schedule(&req.matrix, topo.as_ref(), req.seed),
+                    None => entry.schedule(&req.matrix, topo, req.seed),
                 }
             }))
         });
         let schedule = schedule?;
-        if let Some(inc) = incremental {
-            // Every served request becomes a future patch base, so
-            // drifting patterns chain from iteration to iteration.
-            inc.register(
-                key,
-                &req.matrix,
-                topo.as_ref(),
-                entry.name(),
-                req.seed,
-                Arc::clone(&schedule),
-            );
-        }
+        self.register(req, &pending, &schedule);
         let freshly_compiled = led && compiled_here.get();
         if freshly_compiled {
             self.compiles.fetch_add(1, Ordering::Relaxed);
         }
 
-        let scheme = req.scheme.resolve(entry);
-        // Schedules are cost-model agnostic (the scheduler never sees
-        // link prices), so `fp` stays the cache/dedup key above. The
-        // *estimate* is not: fold the canonical cost string into the
-        // memo key via the fingerprint extension — the identity for
-        // uniform, whose string is therefore never formatted.
-        let est_fp = if req.cost_model.is_uniform() {
-            fp
-        } else {
-            fp.with_cost_model(&req.cost_model.to_string())
-        };
-        let estimate_key = (est_fp.0, scheme as u8, req.backend as u8);
         let estimate = match self.estimates.get(estimate_key) {
             Some(report) => report,
             None => {
@@ -370,7 +420,7 @@ impl ServiceState {
                     .estimate_costed(
                         &self.params,
                         &req.cost_model,
-                        topo.as_ref(),
+                        topo,
                         &req.matrix,
                         &schedule,
                         scheme,
@@ -381,14 +431,89 @@ impl ServiceState {
                 report
             }
         };
+        Ok(reply(req, fp, freshly_compiled, &estimate, schedule))
+    }
 
-        Ok(SubmitReply {
-            request_id: req.request_id,
-            fingerprint: fp,
-            freshly_compiled,
-            estimate: (*estimate).clone(),
-            schedule: req.want_schedule.then(|| Arc::clone(&schedule)),
+    /// With the incremental layer on, every served request becomes a
+    /// future patch base, so drifting patterns chain from iteration to
+    /// iteration.
+    fn register(&self, req: &SubmitRequest, pending: &Pending, schedule: &Arc<Schedule>) {
+        if let Some(inc) = self.cache.incremental() {
+            inc.register(
+                pending.key,
+                &req.matrix,
+                pending.topo.as_ref(),
+                pending.entry.name(),
+                req.seed,
+                Arc::clone(schedule),
+            );
+        }
+    }
+}
+
+/// What [`ServiceState::lookup`] made of a request.
+pub(crate) enum Lookup {
+    /// Schedule and estimate were both resident: the reply.
+    Resident(SubmitReply),
+    /// Something must be compiled, patched, priced or read from the
+    /// store: hand this to [`ServiceState::finish`].
+    Pending(Pending),
+}
+
+/// An admitted request [`ServiceState::lookup`] could not answer, with
+/// everything it computed on the way: the registry entry, the built
+/// topology, the instance key, the schedule fingerprint and the
+/// estimate-memo key.
+pub(crate) struct Pending {
+    entry: &'static dyn Scheduler,
+    topo: Box<dyn Topology>,
+    key: InstanceKey,
+    fp: Fingerprint,
+    scheme: Scheme,
+    estimate_key: (u128, u8, u8),
+}
+
+impl Pending {
+    /// Admit `req` and compute its keys. Counts nothing.
+    fn admit(req: &SubmitRequest) -> Result<Pending, ServiceError> {
+        let (entry, topo) = ServiceState::admitted(req)?;
+        let key = InstanceKey::compute(&req.matrix, topo.as_ref());
+        let fp = key.schedule_key(entry.name(), req.seed);
+        let scheme = req.scheme.resolve(entry);
+        // Schedules are cost-model agnostic (the scheduler never sees
+        // link prices), so `fp` stays the cache/dedup key. The
+        // *estimate* is not: fold the canonical cost string into the
+        // memo key via the fingerprint extension — the identity for
+        // uniform, whose string is therefore never formatted.
+        let est_fp = if req.cost_model.is_uniform() {
+            fp
+        } else {
+            fp.with_cost_model(&req.cost_model.to_string())
+        };
+        Ok(Pending {
+            entry,
+            topo,
+            key,
+            fp,
+            scheme,
+            estimate_key: (est_fp.0, scheme as u8, req.backend as u8),
         })
+    }
+}
+
+fn reply(
+    req: &SubmitRequest,
+    fingerprint: Fingerprint,
+    freshly_compiled: bool,
+    estimate: &BackendReport,
+    schedule: Arc<Schedule>,
+) -> SubmitReply {
+    SubmitReply {
+        request_id: req.request_id,
+        fingerprint,
+        freshly_compiled,
+        estimate: estimate.clone(),
+        schedule: req.want_schedule.then_some(schedule),
     }
 }
 
@@ -455,6 +580,68 @@ mod tests {
         assert_eq!(cache.entries.lock().unwrap().len(), 2);
         assert!(cache.get((0, 0, 0)).is_none() && cache.get((5, 0, 0)).is_some());
         assert_eq!(counters(&cache), (3, 2));
+    }
+
+    #[test]
+    fn a_resident_answer_replies_and_counts_as_the_worker_path_does() {
+        // `process` is `lookup`, then `finish` when memory cannot answer.
+        // The reference sends every request down the worker path alone
+        // (admit, then `finish`), as the daemon did before resident
+        // answers: replies and every daemon-visible counter must agree
+        // after every step.
+        let config = ServiceConfig {
+            cache: CacheConfig::in_memory().incremental_default(),
+            ..ServiceConfig::default()
+        };
+        let split = ServiceState::new(&config);
+        let reference = ServiceState::new(&config);
+        let counters = |s: &ServiceState| {
+            (
+                s.cache_stats(),
+                s.estimate_stats(),
+                s.compiles(),
+                s.incremental_stats(),
+                s.flight_stats().coalesced,
+            )
+        };
+
+        let base = request(5, BackendKind::Analytic);
+        let mut drifted = base.clone();
+        drifted.matrix.set(2, 5, 128);
+        let mut priced = base.clone();
+        priced.cost_model = "loggp:o=5000,g=1000,G=2.0".parse().unwrap();
+        let mut quiet = base.clone();
+        quiet.want_schedule = false;
+        let mut unbuildable = base.clone();
+        unbuildable.topology = TopologySpec::FatTree { k: 3 };
+        unbuildable.matrix = CommMatrix::new(6);
+        let script = [
+            base.clone(),
+            base.clone(),
+            request(5, BackendKind::Des),
+            request(5, BackendKind::Des),
+            priced.clone(),
+            priced,
+            request(6, BackendKind::Analytic),
+            drifted.clone(),
+            drifted,
+            quiet,
+            unbuildable,
+            base,
+        ];
+        for (step, req) in script.iter().enumerate() {
+            let got = split.process(req);
+            let want = Pending::admit(req).and_then(|pending| reference.finish(req, pending));
+            assert_eq!(got, want, "step {step}: reply");
+            assert_eq!(
+                counters(&split),
+                counters(&reference),
+                "step {step}: counters"
+            );
+        }
+        // Not vacuous: six repeats were answered without a flight.
+        let leads = |s: &ServiceState| s.flight_stats().leads;
+        assert_eq!((leads(&split), leads(&reference)), (5, 11));
     }
 
     #[test]

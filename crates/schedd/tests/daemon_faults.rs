@@ -363,3 +363,155 @@ fn graceful_shutdown_drains_admitted_work_and_rejects_new() {
     // The socket is gone: connecting now fails.
     assert!(Client::connect(&endpoint).is_err());
 }
+
+/// Submit `seed` and wait for it, so its schedule and estimate are
+/// resident and its worker has let go of it (a worker counts a job done
+/// only after writing the reply); returns the request for repeating.
+fn warmed(handle: &ServerHandle, client: &mut Client, seed: u64) -> SubmitRequest {
+    let req = request(seed);
+    let reply = client.submit(req.clone()).expect("warm-up submit");
+    assert!(reply.freshly_compiled);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while handle.stats().inflight > 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the worker never finished"
+        );
+        std::thread::yield_now();
+    }
+    req
+}
+
+/// Pipeline one submit; returns its request id.
+fn send(client: &mut Client, mut req: SubmitRequest) -> u64 {
+    req.request_id = client.next_request_id();
+    let id = req.request_id;
+    client.send(&Request::Submit(req)).unwrap();
+    id
+}
+
+fn expect_schedule(client: &mut Client, id: u64, freshly_compiled: bool) {
+    match client.recv().expect("a reply arrives") {
+        Response::Schedule(reply) => {
+            assert_eq!(reply.request_id, id);
+            assert_eq!(reply.freshly_compiled, freshly_compiled);
+        }
+        other => panic!("expected the schedule for {id}, got {other:?}"),
+    }
+}
+
+#[test]
+fn paused_workers_do_not_hold_back_a_resident_repeat() {
+    let (handle, endpoint) = start("resident-paused", ServiceConfig::default());
+    let mut client = Client::connect(&endpoint).unwrap();
+    let hot = warmed(&handle, &mut client, 11);
+    handle.pause_workers();
+
+    let miss = send(&mut client, request(12));
+    let repeat = send(&mut client, hot);
+    // The reader answers the repeat itself; the miss waits for a worker.
+    expect_schedule(&mut client, repeat, false);
+    let stats = handle.stats();
+    assert_eq!(
+        (stats.queue_depth, stats.inflight),
+        (1, 1),
+        "the miss stays queued"
+    );
+
+    handle.resume_workers();
+    expect_schedule(&mut client, miss, true);
+    handle.shutdown();
+}
+
+#[test]
+fn a_connection_at_its_quota_still_gets_resident_repeats() {
+    let quota = 2;
+    let (handle, endpoint) = start(
+        "resident-quota",
+        ServiceConfig {
+            max_inflight_per_client: quota,
+            ..ServiceConfig::default()
+        },
+    );
+    let mut client = Client::connect(&endpoint).unwrap();
+    let hot = warmed(&handle, &mut client, 21);
+    handle.pause_workers();
+
+    let misses = [
+        send(&mut client, request(22)),
+        send(&mut client, request(23)),
+    ];
+    // At its quota, the connection is still answered from memory...
+    let repeat = send(&mut client, hot);
+    expect_schedule(&mut client, repeat, false);
+    // ...but one more miss is not admitted.
+    let overflow = send(&mut client, request(24));
+    match client.recv().expect("rejection arrives") {
+        Response::Error(err) => {
+            assert_eq!(err.code, ErrorCode::QuotaExceeded);
+            assert_eq!(err.request_id, overflow);
+        }
+        other => panic!("expected QuotaExceeded, got {other:?}"),
+    }
+    assert_eq!(handle.stats().rejected_quota, 1);
+
+    handle.resume_workers();
+    for _ in misses {
+        match client.recv().expect("queued responses drain") {
+            Response::Schedule(reply) => assert!(misses.contains(&reply.request_id)),
+            other => panic!("expected schedules, got {other:?}"),
+        }
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn a_resident_repeat_after_the_drain_mark_is_shutting_down() {
+    let (handle, endpoint) = start("resident-drain", ServiceConfig::default());
+    let mut client = Client::connect(&endpoint).unwrap();
+    let hot = warmed(&handle, &mut client, 31);
+    let shutdown_id = client.next_request_id();
+    client
+        .send(&Request::Shutdown {
+            request_id: shutdown_id,
+        })
+        .unwrap();
+    match client.recv().expect("ack arrives") {
+        Response::ShutdownAck { request_id } => assert_eq!(request_id, shutdown_id),
+        other => panic!("expected ack, got {other:?}"),
+    }
+
+    let late = send(&mut client, hot);
+    match client.recv().expect("rejection arrives") {
+        Response::Error(err) => {
+            assert_eq!(err.code, ErrorCode::ShuttingDown);
+            assert_eq!(err.request_id, late);
+        }
+        other => panic!("expected ShuttingDown, got {other:?}"),
+    }
+    let stats = handle.stats();
+    assert_eq!((stats.rejected_shutdown, stats.completed), (1, 1));
+    handle.shutdown();
+}
+
+#[test]
+fn a_pipelined_miss_and_hit_both_arrive_matched_by_id() {
+    let (handle, endpoint) = start("resident-pipelined", ServiceConfig::default());
+    let mut client = Client::connect(&endpoint).unwrap();
+    let hot = warmed(&handle, &mut client, 41);
+
+    let miss = send(&mut client, request(42));
+    let hit = send(&mut client, hot);
+    // Either may arrive first: the hit on the reader, the miss on a worker.
+    let mut replies = std::collections::HashMap::new();
+    for _ in 0..2 {
+        match client.recv().expect("both replies arrive") {
+            Response::Schedule(reply) => replies.insert(reply.request_id, reply),
+            other => panic!("expected schedules, got {other:?}"),
+        };
+    }
+    assert!(replies[&miss].freshly_compiled);
+    assert!(!replies[&hit].freshly_compiled);
+    assert_ne!(replies[&miss].fingerprint, replies[&hit].fingerprint);
+    handle.shutdown();
+}

@@ -486,6 +486,76 @@ fn the_frame_layout_is_pinned_byte_for_byte() {
     );
 }
 
+/// A `serve_hot`-sized request body: 64 nodes, 8-regular, 1 KiB
+/// messages (6 194 bytes), or the same on `dims` cube dimensions.
+fn cube_submit_body(dims: u32) -> Vec<u8> {
+    let n = 1usize << dims;
+    Request::Submit(SubmitRequest {
+        request_id: u64::from(dims),
+        want_schedule: true,
+        topology: TopologySpec::Hypercube { dims },
+        scheduler: "RS_NL".into(),
+        scheme: SchemeChoice::Default,
+        backend: BackendKind::Analytic,
+        seed: 0,
+        matrix: workloads::Generator::dregular(n, 8, 1024).generate(1),
+        cost_model: LinkCostModel::Uniform,
+    })
+    .encode()
+}
+
+/// A reader that hands out one byte per `read` call, however much room
+/// the caller offers.
+struct ByteAtATime<'a>(&'a [u8]);
+
+impl std::io::Read for ByteAtATime<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match (self.0.split_first(), buf.first_mut()) {
+            (Some((&byte, rest)), Some(slot)) => {
+                *slot = byte;
+                self.0 = rest;
+                Ok(1)
+            }
+            _ => Ok(0),
+        }
+    }
+}
+
+#[test]
+fn a_frame_read_one_byte_per_call_decodes() {
+    let body = cube_submit_body(6);
+    let wire = frame(&body);
+    let mut reader = ByteAtATime(&wire);
+    assert_eq!(read_frame(&mut reader).unwrap(), Some(body));
+    assert_eq!(read_frame(&mut reader).unwrap(), None);
+}
+
+#[test]
+fn buffered_back_to_back_frames_decode_then_eof() {
+    // The second body outgrows the 8 KiB buffer, so the reader refills
+    // mid-frame as well as across the frame boundary.
+    let (first, second) = (cube_submit_body(6), cube_submit_body(8));
+    assert!(second.len() > 8 * 1024);
+    let mut wire = frame(&first);
+    wire.extend_from_slice(&frame(&second));
+    let mut reader = std::io::BufReader::new(wire.as_slice());
+    assert_eq!(read_frame(&mut reader).unwrap(), Some(first));
+    assert_eq!(read_frame(&mut reader).unwrap(), Some(second));
+    assert_eq!(read_frame(&mut reader).unwrap(), None);
+}
+
+#[test]
+fn a_buffered_frame_cut_at_any_offset_is_truncated() {
+    let wire = frame(&cube_submit_body(6));
+    for cut in 0..wire.len() {
+        match read_frame(&mut std::io::BufReader::new(&wire[..cut])) {
+            Ok(None) => assert_eq!(cut, 0, "EOF only legal at a frame boundary"),
+            Err(FrameError::Truncated) => {}
+            other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn hostile_and_oversized_headers_are_typed_errors() {
     // Not our protocol at all.
