@@ -15,31 +15,23 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// The instance section of the canonical layout, materialized. The
-/// message count is written after the one walk over the matrix that
-/// also emits the records.
+/// The instance section of the canonical layout, materialized.
 fn instance_section(com: &CommMatrix, topo: &dyn Topology) -> Vec<u8> {
-    // Room for the header and a message per node; the walk finds the
-    // real count, and a denser matrix grows the buffer from here.
-    let mut out = Vec::with_capacity(64 + 12 * com.n());
+    let mut out = Vec::with_capacity(64 + 12 * com.message_count());
     out.extend_from_slice(b"CCFP");
     out.push(LAYOUT_VERSION);
     put_str(&mut out, topo.name());
     out.extend_from_slice(&(topo.num_nodes() as u64).to_le_bytes());
     out.extend_from_slice(&(topo.link_count() as u64).to_le_bytes());
     out.extend_from_slice(&(com.n() as u64).to_le_bytes());
-    let count_at = out.len();
-    out.extend_from_slice(&[0; 8]);
-    let mut count = 0u64;
+    out.extend_from_slice(&(com.message_count() as u64).to_le_bytes());
     com.messages().for_each(|(src, dst, bytes)| {
         let mut record = [0u8; 12];
         record[..4].copy_from_slice(&src.0.to_le_bytes());
         record[4..8].copy_from_slice(&dst.0.to_le_bytes());
         record[8..].copy_from_slice(&bytes.to_le_bytes());
         out.extend_from_slice(&record);
-        count += 1;
     });
-    out[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
     out
 }
 

@@ -43,7 +43,7 @@ pub struct IncrementalConfig {
     /// (remove + re-add ≈ 20‰) fits comfortably.
     pub max_delta_permille: u32,
     /// Most-recent compatible bases diffed per lookup before giving up —
-    /// bounds the O(n²) diff work a single miss can spend.
+    /// bounds the diff work a single miss can spend.
     pub max_candidates: usize,
 }
 
@@ -129,10 +129,9 @@ fn patched_link_free(patched: &Schedule, base: &Schedule, topo: &dyn Topology) -
     })
 }
 
-/// Approximate resident size of a retained base matrix: struct header
-/// plus the dense `n x n` cell array.
+/// Approximate resident size of a retained base matrix: header and table.
 fn matrix_weight_bytes(com: &CommMatrix) -> usize {
-    64 + com.n() * com.n() * 4
+    64 + com.heap_bytes()
 }
 
 struct BaseEntry {
@@ -546,6 +545,23 @@ mod tests {
         assert!(stats.evictions >= 3, "evictions: {}", stats.evictions);
         assert!(stats.bytes_in_use <= one);
         assert!(stats.bases_resident <= 2);
+    }
+
+    #[test]
+    fn the_default_budget_holds_ten_times_the_dense_bases() {
+        // A dense n = 1024 base was charged 4 MiB for its matrix alone, so
+        // the default 32 MiB held seven; a d = 4 table is about 40 KiB.
+        let inc = IncrementalCache::new(IncrementalConfig::default());
+        let cube = Hypercube::new(10);
+        let entry = registry::find("RS_N").unwrap();
+        for seed in 0..70 {
+            let com = workloads::random_dregular(1024, 4, 1024, seed);
+            let schedule = Arc::new(entry.schedule(&com, &cube, 0));
+            let key = InstanceKey::compute(&com, &cube);
+            inc.register(key, &com, &cube, entry.name(), 0, schedule);
+        }
+        let stats = inc.stats();
+        assert_eq!((stats.bases_resident, stats.evictions), (70, 0));
     }
 
     #[test]

@@ -23,11 +23,8 @@ pub fn greedy(com: &CommMatrix) -> Schedule {
     let n = com.n();
     let mut rows = CompressedMatrix::in_row_order(com);
     let mut in_deg = vec![0u32; n];
-    for x in 0..n {
-        for &y in rows.live_row(x) {
-            in_deg[y as usize] += 1;
-        }
-    }
+    let (_, dsts, _) = com.columns();
+    dsts.iter().for_each(|&y| in_deg[y as usize] += 1);
     let degrees = (0..n).map(|i| rows.remaining(i).max(in_deg[i] as usize));
     let compress_ops = (n + degrees.max().unwrap_or(0) * n) as u64;
     // Per phase: `feasible · (in_deg + 1)` per destination, each degree's

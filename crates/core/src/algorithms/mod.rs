@@ -3,7 +3,7 @@
 mod ac;
 mod greedy;
 mod lp;
-mod rs_n;
+pub(crate) mod rs_n;
 mod rs_nl;
 
 pub use ac::ac;

@@ -27,9 +27,23 @@ pub fn rs_n(com: &CommMatrix, seed: u64) -> Schedule {
 
 /// [`rs_n`] with explicit [`RsOptions`] (ablations).
 pub fn rs_n_with(com: &CommMatrix, seed: u64, opts: RsOptions) -> Schedule {
-    let n = com.n();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut ccom = CompressedMatrix::compress_with(com, opts.randomize_rows, &mut rng);
+    let ccom = CompressedMatrix::compress_with(com, opts.randomize_rows, &mut rng);
+    sweep(ccom, rng, opts.random_start, |row, _, free| {
+        let chosen = row.iter().position(|&y| free[y as usize]);
+        // One op per CCOM slot scanned, the chosen one included.
+        (chosen, chosen.map_or(row.len(), |z| z + 1))
+    })
+}
+
+/// RS_N's phase loop over `ccom`; `pick` chooses each row's slot and charges its ops.
+pub(crate) fn sweep(
+    mut ccom: CompressedMatrix,
+    mut rng: StdRng,
+    random_start: bool,
+    mut pick: impl FnMut(&[i32], &[u32], &[bool]) -> (Option<usize>, usize),
+) -> Schedule {
+    let n = ccom.n();
     let mut ops: u64 = 0;
     let mut table = Vec::new();
     // `Trecv` as a free-receiver table; `Tsend` is the phase's row.
@@ -40,19 +54,17 @@ pub fn rs_n_with(com: &CommMatrix, seed: u64, opts: RsOptions) -> Schedule {
         let at = table.len();
         table.resize(at + n, SILENT);
         ops += n as u64; // per-phase Tsend/Trecv initialization
-        let start = if opts.random_start {
+        let start = if random_start {
             rng.random_range(0..n)
         } else {
             0
         };
         for x in (start..n).chain(0..start) {
             ops += 1; // visiting row x
-            let row = ccom.live_row(x);
-            let chosen = row.iter().position(|&y| free[y as usize]);
-            // One op per CCOM slot scanned, the chosen one included.
-            ops += chosen.map_or(row.len(), |z| z + 1) as u64;
+            let (chosen, spent) = pick(ccom.live_row(x), ccom.live_messages(x), &free);
+            ops += spent as u64;
             if let Some(z) = chosen {
-                let y = row[z] as usize;
+                let y = ccom.live_row(x)[z] as usize;
                 table[at + x] = y as u32;
                 free[y] = false;
                 ccom.remove(x, z);

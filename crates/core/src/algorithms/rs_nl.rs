@@ -51,34 +51,29 @@ pub fn rs_nl_with<T: Topology + ?Sized>(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut ccom = CompressedMatrix::compress_with(com, opts.randomize_rows, &mut rng);
     let mut paths = PathsTable::new(topo);
-    // pending[s*n + d] = message s->d not yet scheduled; gives the pairwise
-    // pass an O(1) "does y still owe x a message?" lookup instead of a row
-    // scan (each node can maintain this bitmap of its own column for free
-    // while building CCOM, so one op per probe is the honest cost).
-    let mut pending = vec![false; n * n];
     // Every message's circuit, routed here and nowhere else: row k of the
     // CSR table (`offsets[k]..offsets[k + 1]` into `links`) is the circuit
-    // of the k-th message, found through `circuit_row` under the same
-    // s*n + d addressing as `pending`. Check_Path and Mark_Path read these
-    // slices and charge `ops` the circuit's length, the paper's cost of
-    // walking it.
-    let mut circuit_row = vec![0u32; n * n];
+    // of message k in `messages()` order, the index CCOM carries beside
+    // each slot. Check_Path and Mark_Path read these slices and charge
+    // `ops` the circuit's length, the paper's cost of walking it.
     let mut offsets: Vec<u32> = vec![0];
     let mut links: Vec<LinkId> = Vec::new();
     let mut scratch = Vec::new();
-    for (k, (s, d, _)) in com.messages().enumerate() {
-        let at = s.index() * n + d.index();
-        pending[at] = true;
-        // Fits: every message crosses at least one link, so k stays below
-        // `links.len()`, which is checked against u32 below.
-        circuit_row[at] = k as u32;
+    // reverse[k] = message y -> x of message k = x -> y, if any, and
+    // pending[k] = message k not yet scheduled: an O(1) "does y still owe
+    // x a message?" (each node keeps this bitmap of its own column for
+    // free while building CCOM, so one op per probe is the honest cost).
+    let mut reverse = Vec::with_capacity(com.message_count());
+    for (s, d, _) in com.messages() {
         topo.route_into(s, d, &mut scratch);
         links.extend_from_slice(&scratch);
         offsets.push(u32::try_from(links.len()).expect("circuit table outgrew u32 offsets"));
+        let r = com.locate(d.index(), s.index()).ok();
+        reverse.push(r.map(|r| r as u32));
     }
-    let circuit = |s: usize, d: usize| -> &[LinkId] {
-        let k = circuit_row[s * n + d] as usize;
-        &links[offsets[k] as usize..offsets[k + 1] as usize]
+    let mut pending = vec![true; com.message_count()];
+    let circuit = |k: u32| -> &[LinkId] {
+        &links[offsets[k as usize] as usize..offsets[k as usize + 1] as usize]
     };
     let mut ops: u64 = 0;
     let mut table = Vec::new();
@@ -110,8 +105,9 @@ pub fn rs_nl_with<T: Topology + ?Sized>(
             // Pass 1 (pairwise preference): find y with a live reverse
             // message y -> x, both endpoints free, both circuits free.
             if opts.pairwise_preference && trecv[x] == -1 {
-                let mut candidate: Option<(usize, i32)> = None;
-                for (z, &y) in ccom.live_row(x).iter().enumerate() {
+                let mut candidate = None;
+                let live = ccom.live_row(x).iter().zip(ccom.live_messages(x));
+                for (z, (&y, &k)) in live.enumerate() {
                     ops += 1;
                     let yu = y as usize;
                     if trecv[yu] != -1 || dests[yu] != SILENT {
@@ -119,55 +115,54 @@ pub fn rs_nl_with<T: Topology + ?Sized>(
                     }
                     // Does y still owe a message to x?
                     ops += 1;
-                    if !pending[yu * n + x] {
+                    let Some(r) = reverse[k as usize].filter(|&r| pending[r as usize]) else {
                         continue;
-                    }
-                    if paths.check(circuit(x, yu), &mut ops)
-                        && paths.check(circuit(yu, x), &mut ops)
-                    {
-                        candidate = Some((z, y));
+                    };
+                    if paths.check(circuit(k), &mut ops) && paths.check(circuit(r), &mut ops) {
+                        candidate = Some((z, y, k, r));
                         break;
                     }
                 }
-                if let Some((z, y)) = candidate {
+                if let Some((z, y, k, r)) = candidate {
                     let yu = y as usize;
                     dests[x] = y as u32;
                     trecv[yu] = x as i32;
                     dests[yu] = x as u32;
                     trecv[x] = y;
-                    paths.mark(circuit(x, yu));
-                    paths.mark(circuit(yu, x));
+                    paths.mark(circuit(k));
+                    paths.mark(circuit(r));
                     ccom.remove(x, z);
                     let z2 = ccom
-                        .live_row(yu)
+                        .live_messages(yu)
                         .iter()
-                        .position(|&w| w as usize == x)
+                        .position(|&w| w == r)
                         .expect("reverse message verified live");
                     ccom.remove(yu, z2);
-                    pending[x * n + yu] = false;
-                    pending[yu * n + x] = false;
+                    pending[k as usize] = false;
+                    pending[r as usize] = false;
                     placed = true;
                 }
             }
             // Pass 2: the plain RS_N scan with the Check_Path condition.
             if !placed {
-                let mut candidate: Option<(usize, i32)> = None;
-                for (z, &y) in ccom.live_row(x).iter().enumerate() {
+                let mut candidate = None;
+                let live = ccom.live_row(x).iter().zip(ccom.live_messages(x));
+                for (z, (&y, &k)) in live.enumerate() {
                     ops += 1;
                     if trecv[y as usize] != -1 {
                         continue;
                     }
-                    if paths.check(circuit(x, y as usize), &mut ops) {
-                        candidate = Some((z, y));
+                    if paths.check(circuit(k), &mut ops) {
+                        candidate = Some((z, y, k));
                         break;
                     }
                 }
-                if let Some((z, y)) = candidate {
+                if let Some((z, y, k)) = candidate {
                     dests[x] = y as u32;
                     trecv[y as usize] = x as i32;
-                    paths.mark(circuit(x, y as usize));
+                    paths.mark(circuit(k));
                     ccom.remove(x, z);
-                    pending[x * n + y as usize] = false;
+                    pending[k as usize] = false;
                 }
             }
             x = (x + 1) % n;

@@ -9,8 +9,8 @@ use crate::CommMatrix;
 /// The `n x n` matrix `COM` is sparse (each node sends at most `d << n`
 /// messages), so scanning it per phase would cost `O(n^2)`. Compression
 /// packs the active entries of every row into one flat table, row after
-/// row, improving a full scan to `O(messages) ≤ O(dn)`. Set-up is
-/// O(messages) too: one [`CommMatrix::messages`] walk fills the table.
+/// row, improving a full scan to `O(messages) ≤ O(dn)`. Set-up copies the
+/// table [`CommMatrix`] already keeps: O(messages) too.
 ///
 /// Each row's entries are **randomly shuffled** — the paper requires this to
 /// keep the expected number of receiver collisions bounded: without it the
@@ -22,6 +22,8 @@ pub struct CompressedMatrix {
     width: usize,
     /// Destination node ids; row `i` owns `slots[start[i]..start[i + 1]]`.
     slots: Vec<i32>,
+    /// Each slot's message index ([`CommMatrix::messages`] order).
+    msgs: Vec<u32>,
     start: Vec<usize>,
     /// `prt[i]` = number of live entries remaining in row `i` (the paper's
     /// pointer vector, kept as a count: live entries lead the row).
@@ -43,8 +45,13 @@ impl CompressedMatrix {
     pub fn compress_with(com: &CommMatrix, randomize: bool, rng: &mut StdRng) -> Self {
         let mut ccom = Self::in_row_order(com);
         if randomize {
+            // The shuffle permutes message indices; the slots follow.
             for row in ccom.start.windows(2) {
-                ccom.slots[row[0]..row[1]].shuffle(rng);
+                ccom.msgs[row[0]..row[1]].shuffle(rng);
+            }
+            let (_, dsts, _) = com.columns();
+            for (slot, &k) in ccom.slots.iter_mut().zip(&ccom.msgs) {
+                *slot = dsts[k as usize] as i32;
             }
             ccom.ops += ccom.slots.len() as u64;
         }
@@ -55,20 +62,13 @@ impl CompressedMatrix {
     /// is the paper's sequential figure: the scan touches every entry once.
     pub(crate) fn in_row_order(com: &CommMatrix) -> Self {
         let n = com.n();
-        let mut start = vec![0usize; n + 1];
-        let mut slots = Vec::new();
-        com.messages().for_each(|(src, dst, _)| {
-            start[src.index() + 1] += 1;
-            slots.push(dst.0 as i32);
-        });
-        for i in 0..n {
-            start[i + 1] += start[i];
-        }
-        let prt: Vec<usize> = start.windows(2).map(|row| row[1] - row[0]).collect();
+        let (offsets, dsts, _) = com.columns();
+        let prt: Vec<usize> = offsets.windows(2).map(|row| row[1] - row[0]).collect();
         CompressedMatrix {
             width: prt.iter().copied().max().unwrap_or(0).max(1),
-            slots,
-            start,
+            slots: dsts.iter().map(|&d| d as i32).collect(),
+            msgs: (0..u32::try_from(dsts.len()).expect("message index outgrew u32")).collect(),
+            start: offsets.to_vec(),
             prt,
             ops: (n * n) as u64,
         }
@@ -101,6 +101,11 @@ impl CompressedMatrix {
         &self.slots[self.start[i]..self.start[i] + self.prt[i]]
     }
 
+    /// The message index of each slot of [`live_row`](Self::live_row)`(i)`.
+    pub(crate) fn live_messages(&self, i: usize) -> &[u32] {
+        &self.msgs[self.start[i]..self.start[i] + self.prt[i]]
+    }
+
     /// Remove the live entry at slot `z` of row `i` (the paper's
     /// `CCOM(x,z) := CCOM(x,prt(x)); prt(x) -= 1` swap-delete).
     ///
@@ -112,6 +117,7 @@ impl CompressedMatrix {
         assert!(z < live, "slot {z} of row {i} is not live (live = {live})");
         let base = self.start[i];
         self.slots.swap(base + z, base + live - 1);
+        self.msgs.swap(base + z, base + live - 1);
         self.prt[i] = live - 1;
     }
 

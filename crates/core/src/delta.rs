@@ -40,12 +40,11 @@
 //! assert!(patched.link_contention_free(&cube));
 //! ```
 
-use std::collections::HashSet;
 use std::fmt;
 
 use hypercube::{NodeId, Topology};
 
-use crate::{CommMatrix, Schedule, ScheduleKind, SILENT};
+use crate::{CommMatrix, MatrixError, Schedule, ScheduleKind, SILENT};
 
 /// Why a delta could not be built or applied.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -166,8 +165,9 @@ impl MatrixDelta {
     /// [`MatrixDelta::diff`], given up (`None`) once a row leaves more
     /// than `max_structural` messages added or removed: a caller with a
     /// [`MatrixDelta::structural_count`] threshold rejects an unrelated
-    /// base after a few rows, not `n²` cells and every edit pushed. An
-    /// unchanged row costs one slice compare.
+    /// base after a few rows, not every message and every edit pushed. An
+    /// unchanged row costs one slice compare; a changed one, a merge walk
+    /// of its two sorted rows.
     ///
     /// # Errors
     ///
@@ -191,19 +191,26 @@ impl MatrixDelta {
             resized: Vec::new(),
         };
         for i in 0..n {
-            let (old_row, new_row) = (base.row(i), target.row(i));
-            if old_row == new_row {
+            let ((old_dst, old_bytes), (new_dst, new_bytes)) = (base.row(i), target.row(i));
+            if old_dst == new_dst && old_bytes == new_bytes {
                 continue;
             }
-            for (j, (&old, &new)) in old_row.iter().zip(new_row).enumerate() {
-                if old == new {
-                    continue;
-                }
-                let (src, dst) = (NodeId(i as u32), NodeId(j as u32));
-                match (old, new) {
-                    (0, b) => delta.added.push((src, dst, b)),
-                    (_, 0) => delta.removed.push((src, dst)),
-                    (_, b) => delta.resized.push((src, dst, b)),
+            // Both rows ascend, so one merge walk classifies every cell.
+            let src = NodeId(i as u32);
+            let (mut a, mut b) = (0, 0);
+            while a < old_dst.len() || b < new_dst.len() {
+                let (old, new) = (old_dst.get(a), new_dst.get(b));
+                if old.is_some() && old == new {
+                    if old_bytes[a] != new_bytes[b] {
+                        delta.resized.push((src, NodeId(new_dst[b]), new_bytes[b]));
+                    }
+                    (a, b) = (a + 1, b + 1);
+                } else if new.is_none_or(|new| old.is_some_and(|old| old < new)) {
+                    delta.removed.push((src, NodeId(old_dst[a])));
+                    a += 1;
+                } else {
+                    delta.added.push((src, NodeId(new_dst[b]), new_bytes[b]));
+                    b += 1;
                 }
             }
             if delta.structural_count() > max_structural {
@@ -228,32 +235,27 @@ impl MatrixDelta {
         removed: Vec<(NodeId, NodeId)>,
         resized: Vec<(NodeId, NodeId, u32)>,
     ) -> Result<MatrixDelta, DeltaError> {
-        let mut seen: HashSet<(u32, u32)> = HashSet::new();
-        let mut check = |src: NodeId, dst: NodeId, bytes: Option<u32>| -> Result<(), DeltaError> {
-            let (s, d) = (src.index(), dst.index());
-            if s >= n || d >= n {
-                return Err(DeltaError::OutOfRange { src: s, dst: d, n });
-            }
-            if s == d {
-                return Err(DeltaError::SelfMessage { node: s });
-            }
-            if bytes == Some(0) {
-                return Err(DeltaError::ZeroBytes { src: s, dst: d });
-            }
-            if !seen.insert((src.0, dst.0)) {
-                return Err(DeltaError::DuplicateCell { src: s, dst: d });
-            }
-            Ok(())
+        // The listed cells, a removal as one byte, must make a matrix; a
+        // malformed entry is reported where it is listed.
+        let removals = removed.iter().map(|&(src, dst)| (src, dst, 1));
+        let mut cells = added
+            .iter()
+            .copied()
+            .chain(removals)
+            .chain(resized.iter().copied());
+        let checked = match n {
+            0 => cells.next().map_or(Ok(()), |(s, d, _)| {
+                let (src, dst) = (s.index(), d.index());
+                Err(MatrixError::OutOfRange { src, dst, n })
+            }),
+            _ => CommMatrix::from_messages(n, cells).map(drop),
         };
-        for &(src, dst, bytes) in &added {
-            check(src, dst, Some(bytes))?;
-        }
-        for &(src, dst) in &removed {
-            check(src, dst, None)?;
-        }
-        for &(src, dst, bytes) in &resized {
-            check(src, dst, Some(bytes))?;
-        }
+        checked.map_err(|e| match e {
+            MatrixError::OutOfRange { src, dst, n } => DeltaError::OutOfRange { src, dst, n },
+            MatrixError::SelfMessage { node } => DeltaError::SelfMessage { node },
+            MatrixError::ZeroBytes { src, dst } => DeltaError::ZeroBytes { src, dst },
+            MatrixError::Duplicate { src, dst } => DeltaError::DuplicateCell { src, dst },
+        })?;
         Ok(MatrixDelta {
             n,
             added,
@@ -313,24 +315,21 @@ impl MatrixDelta {
                 matrix: base.n(),
             });
         }
-        let mut out = base.clone();
-        for &(src, dst, bytes) in &self.added {
-            let (s, d) = (src.index(), dst.index());
-            if out.get(s, d) != 0 {
-                return Err(DeltaError::AddExisting { src: s, dst: d });
-            }
-            out.set(s, d, bytes);
-        }
         // A removal is a resize to zero bytes.
         let removed = self.removed.iter().map(|&(src, dst)| (src, dst, 0));
-        for (src, dst, bytes) in removed.chain(self.resized.iter().copied()) {
-            let (s, d) = (src.index(), dst.index());
-            if out.get(s, d) == 0 {
-                return Err(DeltaError::MissingMessage { src: s, dst: d });
+        let resized = removed.chain(self.resized.iter().copied());
+        let mut edits: Vec<_> = self.added.iter().copied().chain(resized).collect();
+        for (k, &(src, dst, _)) in edits.iter().enumerate() {
+            let (src, dst) = (src.index(), dst.index());
+            match (k < self.added.len(), base.get(src, dst) != 0) {
+                (true, true) => return Err(DeltaError::AddExisting { src, dst }),
+                (false, false) => return Err(DeltaError::MissingMessage { src, dst }),
+                _ => {}
             }
-            out.set(s, d, bytes);
         }
-        Ok(out)
+        // Edits name distinct cells: sorted, they merge into the base in one walk.
+        edits.sort_unstable_by_key(|&(src, dst, _)| (src, dst));
+        Ok(base.edited(&edits))
     }
 }
 

@@ -72,7 +72,7 @@ pub use algorithms::{ac, greedy, lp, rs_n, rs_n_with, rs_nl, rs_nl_with, RsOptio
 pub use compress::CompressedMatrix;
 pub use cost::I860CostModel;
 pub use delta::{DeltaError, MatrixDelta};
-pub use matrix::CommMatrix;
+pub use matrix::{CommMatrix, MatrixError};
 pub use paths_table::PathsTable;
 pub use phase::{PartialPermutation, SILENT};
 pub use registry::Scheduler;

@@ -1,3 +1,8 @@
+//! `COM` stored as the paper's compressed `CCOM` (Section 4.2): a sorted
+//! CSR table with one entry per message. Only this module knows the layout.
+
+use std::fmt;
+
 use hypercube::NodeId;
 
 /// The communication matrix `COM`.
@@ -6,12 +11,48 @@ use hypercube::NodeId;
 /// `j`. The diagonal is forbidden (a node does not message itself through
 /// the network). Row `i` is node `i`'s *send vector*; column `i` is its
 /// *receive vector* (Section 2 of the paper).
+///
+/// Row `i` owns entries `offsets[i]..offsets[i + 1]`; entry `k` is the
+/// message `(dst[k], bytes[k])`, row-major with destinations strictly
+/// ascending in a row, off the diagonal and `bytes[k] > 0`. The table is a
+/// function of the messages, so `PartialEq` is structural. Costs follow the
+/// message count: [`set`](Self::set) shifts the entries after it, and bulk
+/// builders use [`from_messages`](Self::from_messages).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CommMatrix {
     n: usize,
-    /// Row-major `n * n` byte counts; 0 = no message.
-    data: Vec<u32>,
+    offsets: Vec<usize>,
+    dst: Vec<u32>,
+    bytes: Vec<u32>,
 }
+
+/// Why a list of messages is no matrix, displayed as `Submit` decoding reports it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum MatrixError {
+    /// An endpoint lies outside `0..n`.
+    OutOfRange { src: usize, dst: usize, n: usize },
+    /// A node messages itself.
+    SelfMessage { node: usize },
+    /// A message carries zero bytes.
+    ZeroBytes { src: usize, dst: usize },
+    /// A cell is listed twice.
+    Duplicate { src: usize, dst: usize },
+}
+
+impl fmt::Display for MatrixError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MatrixError::OutOfRange { src, dst, n } => {
+                write!(f, "message endpoint {} out of {n} nodes", src.max(dst))
+            }
+            MatrixError::SelfMessage { node } => write!(f, "self-message at node {node}"),
+            MatrixError::ZeroBytes { src, dst } => write!(f, "zero-byte message {src} -> {dst}"),
+            MatrixError::Duplicate { src, dst } => write!(f, "duplicate message {src} -> {dst}"),
+        }
+    }
+}
+
+impl std::error::Error for MatrixError {}
 
 impl CommMatrix {
     /// An empty matrix for `n` nodes.
@@ -23,21 +64,59 @@ impl CommMatrix {
         assert!(n > 0, "matrix needs at least one node");
         CommMatrix {
             n,
-            data: vec![0; n * n],
+            offsets: vec![0; n + 1],
+            dst: Vec::new(),
+            bytes: Vec::new(),
         }
     }
 
-    /// Build from a row-major buffer.
+    /// The matrix of `messages`, listed in any order (`n > 0`).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `data.len() != n * n` or any diagonal entry is non-zero.
-    pub fn from_rows(n: usize, data: Vec<u32>) -> Self {
-        assert_eq!(data.len(), n * n, "buffer size mismatch");
-        for i in 0..n {
-            assert_eq!(data[i * n + i], 0, "self-message at node {i}");
+    /// The anomaly listed first: an endpoint out of range, a self-message,
+    /// a zero-byte message, or a cell's second listing.
+    pub fn from_messages(
+        n: usize,
+        messages: impl IntoIterator<Item = (NodeId, NodeId, u32)>,
+    ) -> Result<Self, MatrixError> {
+        assert!(n > 0, "matrix needs at least one node");
+        // (row-major key, bytes), up to the first malformed message.
+        let mut messages = messages.into_iter();
+        let mut cells: Vec<(u64, u32)> = Vec::with_capacity(messages.size_hint().0);
+        let mut com = CommMatrix::new(n);
+        let fault = messages.try_for_each(|(src, dst, bytes)| {
+            let (src, dst) = (src.index(), dst.index());
+            if src >= n || dst >= n {
+                return Err(MatrixError::OutOfRange { src, dst, n });
+            } else if src == dst {
+                return Err(MatrixError::SelfMessage { node: src });
+            } else if bytes == 0 {
+                return Err(MatrixError::ZeroBytes { src, dst });
+            }
+            com.offsets[src + 1] += 1;
+            cells.push(((src as u64) << 32 | dst as u64, bytes));
+            Ok(())
+        });
+        // A strictly row-major list (every encoder's) repeats no cell; any other
+        // is ordered by (cell, position) to find the earliest second listing.
+        if !cells.windows(2).all(|w| w[0].0 < w[1].0) {
+            let mut order: Vec<usize> = (0..cells.len()).collect();
+            order.sort_unstable_by_key(|&k| (cells[k].0, k));
+            let same = |w: &[usize]| cells[w[0]].0 == cells[w[1]].0;
+            if let Some(at) = order.windows(2).filter(|w| same(w)).map(|w| w[1]).min() {
+                let (src, dst) = ((cells[at].0 >> 32) as usize, cells[at].0 as u32 as usize);
+                return Err(MatrixError::Duplicate { src, dst });
+            }
+            cells = order.into_iter().map(|k| cells[k]).collect();
         }
-        CommMatrix { n, data }
+        fault?;
+        com.dst = cells.iter().map(|c| c.0 as u32).collect();
+        com.bytes = cells.iter().map(|c| c.1).collect();
+        for i in 0..n {
+            com.offsets[i + 1] += com.offsets[i];
+        }
+        Ok(com)
     }
 
     /// Number of nodes.
@@ -46,91 +125,137 @@ impl CommMatrix {
         self.n
     }
 
-    /// Message size from `src` to `dst` (0 = none).
+    /// The index of `src -> dst` in table order (`Err`: its insertion point).
     #[inline]
-    pub fn get(&self, src: usize, dst: usize) -> u32 {
-        self.data[src * self.n + dst]
+    pub(crate) fn locate(&self, src: usize, dst: usize) -> Result<usize, usize> {
+        assert!(src < self.n && dst < self.n, "node out of range");
+        let start = self.offsets[src];
+        let row = &self.dst[start..self.offsets[src + 1]];
+        row.binary_search(&(dst as u32))
+            .map(|k| start + k)
+            .map_err(|k| start + k)
     }
 
-    /// Set the message size from `src` to `dst`.
+    /// Message size from `src` to `dst` (0 = none): a search of row `src`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-range indices, as [`set`](Self::set) does.
+    #[inline]
+    pub fn get(&self, src: usize, dst: usize) -> u32 {
+        self.locate(src, dst).map_or(0, |k| self.bytes[k])
+    }
+
+    /// Set the message size from `src` to `dst`; `0` removes the message.
     ///
     /// # Panics
     ///
     /// Panics on out-of-range indices or `src == dst` with `bytes > 0`.
     pub fn set(&mut self, src: usize, dst: usize, bytes: u32) {
-        assert!(src < self.n && dst < self.n, "node out of range");
+        let found = self.locate(src, dst);
         assert!(src != dst || bytes == 0, "self-message at node {src}");
-        self.data[src * self.n + dst] = bytes;
+        match found {
+            Ok(k) if bytes == 0 => {
+                self.dst.remove(k);
+                self.bytes.remove(k);
+                self.offsets[src + 1..].iter_mut().for_each(|end| *end -= 1);
+            }
+            Ok(k) => self.bytes[k] = bytes,
+            Err(k) if bytes > 0 => {
+                self.dst.insert(k, dst as u32);
+                self.bytes.insert(k, bytes);
+                self.offsets[src + 1..].iter_mut().for_each(|end| *end += 1);
+            }
+            Err(_) => {}
+        }
     }
 
-    /// Row `i` as a slice — node `i`'s send vector.
+    /// This matrix with `edits` (distinct cells, row-major; `0` removes) made
+    /// in one merge walk that copies the runs of entries between them.
+    pub(crate) fn edited(&self, edits: &[(NodeId, NodeId, u32)]) -> CommMatrix {
+        let mut out = CommMatrix::new(self.n);
+        out.dst.reserve(self.dst.len() + edits.len());
+        out.bytes.reserve(self.dst.len() + edits.len());
+        let (mut from, mut grown) = (0, vec![0isize; self.n]);
+        for &(src, dst, bytes) in edits {
+            let found = self.locate(src.index(), dst.index());
+            let at = found.unwrap_or_else(|k| k);
+            out.dst.extend_from_slice(&self.dst[from..at]);
+            out.bytes.extend_from_slice(&self.bytes[from..at]);
+            from = at + usize::from(found.is_ok());
+            grown[src.index()] += isize::from(bytes > 0) - isize::from(found.is_ok());
+            if bytes > 0 {
+                out.dst.push(dst.0);
+                out.bytes.push(bytes);
+            }
+        }
+        out.dst.extend_from_slice(&self.dst[from..]);
+        out.bytes.extend_from_slice(&self.bytes[from..]);
+        for (i, grown) in grown.into_iter().enumerate() {
+            out.offsets[i + 1] = (out.offsets[i] + self.out_degree(i)).wrapping_add_signed(grown);
+        }
+        out
+    }
+
+    /// Row `i` (node `i`'s send vector): destinations, ascending, and sizes.
     #[inline]
-    pub fn row(&self, i: usize) -> &[u32] {
-        &self.data[i * self.n..(i + 1) * self.n]
+    pub fn row(&self, i: usize) -> (&[u32], &[u32]) {
+        let range = self.offsets[i]..self.offsets[i + 1];
+        (&self.dst[range.clone()], &self.bytes[range])
     }
 
-    /// Iterate all messages as `(src, dst, bytes)`, row-major.
-    ///
-    /// Each row is scanned in 64-cell chunks: `occupancy` turns a chunk
-    /// into a bit mask without a branch per cell, and the set bits are
-    /// popped lowest first, so the cost follows the message count rather
-    /// than one unpredictable branch for each of the `n²` cells.
+    /// The table: row bounds (`n + 1`), destinations and sizes.
+    pub(crate) fn columns(&self) -> (&[usize], &[u32], &[u32]) {
+        (&self.offsets, &self.dst, &self.bytes)
+    }
+
+    /// Iterate all messages as `(src, dst, bytes)` in table order.
     pub fn messages(&self) -> impl Iterator<Item = (NodeId, NodeId, u32)> + '_ {
-        self.data
-            .chunks_exact(self.n)
+        self.offsets
+            .windows(2)
             .enumerate()
-            .flat_map(|(i, row)| {
-                row.chunks(64).enumerate().flat_map(move |(c, cells)| {
-                    let mut mask = occupancy(cells);
-                    std::iter::from_fn(move || {
-                        (mask != 0).then(|| {
-                            let k = mask.trailing_zeros() as usize;
-                            mask &= mask - 1;
-                            (NodeId(i as u32), NodeId((c * 64 + k) as u32), cells[k])
-                        })
-                    })
-                })
+            .flat_map(move |(i, row)| {
+                let range = row[0]..row[1];
+                self.dst[range.clone()]
+                    .iter()
+                    .zip(&self.bytes[range])
+                    .map(move |(&dst, &bytes)| (NodeId(i as u32), NodeId(dst), bytes))
             })
     }
 
-    /// Total number of messages, counted per row in vectorizable `u32` lanes.
+    /// Total number of messages.
     pub fn message_count(&self) -> usize {
-        self.data
-            .chunks_exact(self.n)
-            .map(|row| row.iter().map(|&b| u32::from(b > 0)).sum::<u32>() as usize)
-            .sum()
+        self.dst.len()
     }
 
     /// Total bytes over all messages.
     pub fn total_bytes(&self) -> u64 {
-        self.data.iter().map(|&b| b as u64).sum()
+        self.bytes.iter().map(|&b| b as u64).sum()
+    }
+
+    /// Heap bytes the table holds (its row bounds and message entries).
+    pub fn heap_bytes(&self) -> usize {
+        self.offsets.len() * std::mem::size_of::<usize>() + self.dst.len() * 8
     }
 
     /// Out-degree of node `i` (messages sent).
     pub fn out_degree(&self, i: usize) -> usize {
-        self.row(i).iter().filter(|&&b| b > 0).count()
+        self.offsets[i + 1] - self.offsets[i]
     }
 
-    /// In-degree of node `j` (messages received).
+    /// In-degree of node `j` (messages received): a scan of the table.
     pub fn in_degree(&self, j: usize) -> usize {
-        (0..self.n).filter(|&i| self.get(i, j) > 0).count()
+        self.dst.iter().filter(|&&d| d as usize == j).count()
     }
 
     /// The paper's *density* `d`: the maximum number of messages any node
     /// sends or receives. At least `d` permutations are needed to route
-    /// everything (Assumption 3). Counted in one [`CommMatrix::messages`] walk.
+    /// everything (Assumption 3). Counted in one pass over the table.
     pub fn density(&self) -> usize {
-        let mut out = vec![0u32; self.n];
-        let mut inn = vec![0u32; self.n];
-        self.messages().for_each(|(src, dst, _)| {
-            out[src.index()] += 1;
-            inn[dst.index()] += 1;
-        });
-        out.iter()
-            .zip(&inn)
-            .map(|(&o, &i)| o.max(i))
-            .max()
-            .unwrap_or(0) as usize
+        let mut inn = vec![0usize; self.n];
+        self.dst.iter().for_each(|&d| inn[d as usize] += 1);
+        let degree = |i: usize| self.out_degree(i).max(inn[i]);
+        (0..self.n).map(degree).max().unwrap_or(0)
     }
 
     /// The matrix under a node relabeling: `COM'(perm[i], perm[j]) =
@@ -144,27 +269,23 @@ impl CommMatrix {
     /// Panics if `perm` is not a permutation of `0..n`.
     pub fn relabeled(&self, perm: &[NodeId]) -> CommMatrix {
         assert_permutation(perm, self.n);
-        let mut out = CommMatrix::new(self.n);
-        for (src, dst, bytes) in self.messages() {
-            out.set(perm[src.index()].index(), perm[dst.index()].index(), bytes);
-        }
-        out
+        let moved = self
+            .messages()
+            .map(|(src, dst, bytes)| (perm[src.index()], perm[dst.index()], bytes));
+        CommMatrix::from_messages(self.n, moved).expect("a relabeling maps cells one to one")
     }
 
     /// Whether all messages share one size (the paper's experiments assume
     /// uniform sizes; [`crate::nonuniform`] lifts this).
     pub fn is_uniform(&self) -> bool {
-        let mut sizes = self.data.iter().filter(|&&b| b > 0);
-        match sizes.next() {
-            None => true,
-            Some(&first) => sizes.all(|&b| b == first),
-        }
+        self.bytes.windows(2).all(|w| w[0] == w[1])
     }
 
     /// Whether the pattern is symmetric (`COM(i,j) > 0` iff `COM(j,i) > 0`);
     /// symmetric patterns let LP pair every message into an exchange.
     pub fn is_symmetric_pattern(&self) -> bool {
-        (0..self.n).all(|i| (0..self.n).all(|j| (self.get(i, j) > 0) == (self.get(j, i) > 0)))
+        self.messages()
+            .all(|(src, dst, _)| self.get(dst.index(), src.index()) > 0)
     }
 }
 
@@ -180,37 +301,13 @@ pub(crate) fn assert_permutation(perm: &[NodeId], n: usize) {
     }
 }
 
-/// Bit `k` of the result is set iff `cells[k] != 0` (`cells.len() ≤ 64`).
-///
-/// No branch per cell: a whole chunk goes through [`occupancy64`] as it
-/// is, and a row's shorter tail is zero-padded to one first.
-fn occupancy(cells: &[u32]) -> u64 {
-    match <&[u32; 64]>::try_from(cells) {
-        Ok(whole) => occupancy64(whole),
-        Err(_) => {
-            let mut padded = [0u32; 64];
-            padded[..cells.len()].copy_from_slice(cells);
-            occupancy64(&padded)
-        }
-    }
-}
-
-/// [`occupancy`] of exactly 64 cells, as two 32-bit halves so that each
-/// is an or-reduction over 32-bit lanes with a constant bit per position —
-/// a form the compiler turns into vector compares and masks.
-fn occupancy64(cells: &[u32; 64]) -> u64 {
-    let mut halves = [0u32; 2];
-    for (half, cells) in halves.iter_mut().zip(cells.chunks_exact(32)) {
-        for (k, &bytes) in cells.iter().enumerate() {
-            *half |= u32::from(bytes != 0) << k;
-        }
-    }
-    u64::from(halves[0]) | u64::from(halves[1]) << 32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MatrixDelta;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{RngExt, SeedableRng};
 
     fn sample() -> CommMatrix {
         let mut m = CommMatrix::new(4);
@@ -219,6 +316,24 @@ mod tests {
         m.set(1, 0, 50);
         m.set(3, 0, 100);
         m
+    }
+
+    /// Whether the table keeps its invariants: rows strictly ascending,
+    /// off the diagonal, every size non-zero, the bounds consistent.
+    fn is_well_formed(m: &CommMatrix) -> bool {
+        m.offsets.len() == m.n + 1
+            && m.offsets[m.n] == m.dst.len()
+            && m.dst.len() == m.bytes.len()
+            && (0..m.n).all(|i| {
+                let (dst, bytes) = m.row(i);
+                dst.windows(2).all(|w| w[0] < w[1])
+                    && dst.iter().all(|&d| (d as usize) < m.n && d as usize != i)
+                    && bytes.iter().all(|&b| b > 0)
+            })
+    }
+
+    fn msg(src: u32, dst: u32, bytes: u32) -> (NodeId, NodeId, u32) {
+        (NodeId(src), NodeId(dst), bytes)
     }
 
     #[test]
@@ -235,9 +350,55 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "self-message")]
-    fn from_rows_rejects_diagonal() {
-        CommMatrix::from_rows(2, vec![1, 0, 0, 0]);
+    #[should_panic(expected = "node out of range")]
+    fn get_rejects_an_out_of_range_destination() {
+        // Row-major, `(0, n)` would be the cell `(1, 0)`.
+        sample().get(0, 4);
+    }
+
+    #[test]
+    fn from_messages_rejects_a_self_message() {
+        let err = CommMatrix::from_messages(2, [msg(1, 1, 1)]).unwrap_err();
+        assert_eq!(err, MatrixError::SelfMessage { node: 1 });
+        assert_eq!(err.to_string(), "self-message at node 1");
+    }
+
+    #[test]
+    fn from_messages_reports_the_earliest_anomaly() {
+        let cases = [
+            (
+                vec![msg(0, 1, 5), msg(0, 9, 5)],
+                "message endpoint 9 out of 4 nodes",
+            ),
+            (vec![msg(2, 3, 0)], "zero-byte message 2 -> 3"),
+            (
+                vec![msg(3, 2, 1), msg(0, 1, 1), msg(0, 1, 2), msg(3, 2, 2)],
+                "duplicate message 0 -> 1",
+            ),
+            (
+                vec![msg(3, 2, 1), msg(0, 1, 1), msg(3, 2, 2), msg(0, 1, 2)],
+                "duplicate message 3 -> 2",
+            ),
+            (
+                vec![msg(0, 1, 1), msg(0, 1, 1), msg(5, 5, 0)],
+                "duplicate message 0 -> 1",
+            ),
+            (
+                vec![msg(5, 5, 0), msg(0, 1, 1), msg(0, 1, 1)],
+                "message endpoint 5 out of 4 nodes",
+            ),
+        ];
+        for (messages, want) in cases {
+            let err = CommMatrix::from_messages(4, messages).unwrap_err();
+            assert_eq!(err.to_string(), want);
+        }
+        let shuffled = [
+            msg(3, 0, 100),
+            msg(0, 2, 100),
+            msg(1, 0, 50),
+            msg(0, 1, 100),
+        ];
+        assert_eq!(CommMatrix::from_messages(4, shuffled).unwrap(), sample());
     }
 
     #[test]
@@ -245,6 +406,20 @@ mod tests {
         let mut m = CommMatrix::new(4);
         m.set(2, 2, 0); // a no-op, not an error
         assert_eq!(m.get(2, 2), 0);
+    }
+
+    #[test]
+    fn setting_zero_removes_the_message() {
+        let mut m = sample();
+        m.set(0, 1, 0);
+        m.set(2, 1, 0); // absent: a no-op
+        assert_eq!(m.message_count(), 3);
+        let mut expect = CommMatrix::new(4);
+        expect.set(3, 0, 100);
+        expect.set(1, 0, 50);
+        expect.set(0, 2, 100);
+        assert_eq!(m, expect);
+        assert!(is_well_formed(&m));
     }
 
     #[test]
@@ -286,39 +461,37 @@ mod tests {
         assert_eq!(walked.len(), m.message_count(), "{what}, n = {}", m.n());
     }
 
+    /// The matrix of every off-diagonal cell `weight` gives a size to.
+    fn filled(n: usize, mut weight: impl FnMut(usize, usize) -> Option<u32>) -> CommMatrix {
+        let cells = (0..n)
+            .flat_map(|i| (0..n).map(move |j| (i, j)))
+            .filter(|&(i, j)| i != j);
+        let mut messages = Vec::new();
+        for (i, j) in cells {
+            if let Some(bytes) = weight(i, j) {
+                messages.push(msg(i as u32, j as u32, bytes));
+            }
+        }
+        CommMatrix::from_messages(n, messages).unwrap()
+    }
+
     #[test]
     fn messages_equal_a_naive_double_loop_on_every_shape() {
-        use rand::rngs::StdRng;
-        use rand::{RngExt, SeedableRng};
-
-        // The sizes straddle the 64-cell chunk a row is scanned in; 100 is
-        // `mesh:10x10`. Weights include 1 and `u32::MAX`.
+        // 100 is `mesh:10x10`. Weights include 1 and `u32::MAX`.
         for n in [1usize, 8, 63, 64, 65, 100, 256] {
             let mut rng = StdRng::seed_from_u64(n as u64);
             assert_walk_matches(&CommMatrix::new(n), "empty");
-            let mut full = CommMatrix::new(n);
-            let mut regular = CommMatrix::new(n);
-            let mut dense = CommMatrix::new(n);
-            let mut hot = CommMatrix::new(n);
-            for i in 0..n {
-                for j in (0..n).filter(|&j| j != i) {
-                    full.set(i, j, if (i + j) % 2 == 0 { 1 } else { u32::MAX });
-                    // Circulant: each node sends to its next 8 neighbours.
-                    if (j + n - i) % n <= 8 {
-                        regular.set(i, j, 1024);
-                    }
-                    if rng.random_bool(0.5) {
-                        dense.set(i, j, rng.random_range(1..=u32::MAX));
-                    }
-                    // Two popular receivers and one node that sends to all.
-                    if j < 2 || i == n / 2 {
-                        hot.set(i, j, 256);
-                    }
-                }
-            }
+            let full = filled(n, |i, j| Some(if (i + j) % 2 == 0 { 1 } else { u32::MAX }));
             assert_walk_matches(&full, "full off-diagonal");
+            // Circulant: each node sends to its next 8 neighbours.
+            let regular = filled(n, |i, j| ((j + n - i) % n <= 8).then_some(1024));
             assert_walk_matches(&regular, "d-regular");
+            let dense = filled(n, |_, _| {
+                rng.random_bool(0.5).then(|| rng.random_range(1..=u32::MAX))
+            });
             assert_walk_matches(&dense, "dense");
+            // Two popular receivers and one node that sends to all.
+            let hot = filled(n, |i, j| (j < 2 || i == n / 2).then_some(256));
             assert_walk_matches(&hot, "hot-spot");
         }
 
@@ -333,16 +506,11 @@ mod tests {
                     break n;
                 }
             };
-            let mut m = CommMatrix::new(n);
             let fill = [0.01, 0.1, 0.5, 0.9][case % 4];
-            for i in 0..n {
-                let whole_row = rng.random_bool(0.05);
-                for j in (0..n).filter(|&j| j != i) {
-                    if whole_row || rng.random_bool(fill) {
-                        m.set(i, j, rng.random_range(1..=u32::MAX));
-                    }
-                }
-            }
+            let whole: Vec<bool> = (0..n).map(|_| rng.random_bool(0.05)).collect();
+            let mut m = filled(n, |i, _| {
+                (whole[i] || rng.random_bool(fill)).then(|| rng.random_range(1..=u32::MAX))
+            });
             m.set(n - 1, n - 2, u32::MAX);
             assert_walk_matches(&m, "random");
         }
@@ -371,7 +539,117 @@ mod tests {
     #[test]
     fn row_slices() {
         let m = sample();
-        assert_eq!(m.row(0), &[0, 100, 100, 0]);
-        assert_eq!(m.row(2), &[0, 0, 0, 0]);
+        assert_eq!(m.row(0), (&[1, 2][..], &[100, 100][..]));
+        assert_eq!(m.row(2), (&[][..], &[][..]));
+    }
+
+    /// The dense `n × n` layout the table replaced, as a reference.
+    #[derive(Clone)]
+    struct Dense {
+        n: usize,
+        cells: Vec<u32>,
+    }
+
+    impl Dense {
+        fn messages(&self) -> Vec<(NodeId, NodeId, u32)> {
+            (0..self.n * self.n)
+                .filter(|&c| self.cells[c] > 0)
+                .map(|c| msg((c / self.n) as u32, (c % self.n) as u32, self.cells[c]))
+                .collect()
+        }
+
+        fn density(&self) -> usize {
+            (0..self.n)
+                .map(|i| {
+                    let row = &self.cells[i * self.n..(i + 1) * self.n];
+                    let out = row.iter().filter(|&&b| b > 0).count();
+                    let inn = (0..self.n)
+                        .filter(|&s| self.cells[s * self.n + i] > 0)
+                        .count();
+                    out.max(inn)
+                })
+                .max()
+                .unwrap_or(0)
+        }
+
+        /// `(added, removed, resized)` from `self` to `target`, row-major.
+        fn diff(&self, target: &Dense) -> [Vec<(NodeId, NodeId, u32)>; 3] {
+            let mut lists: [Vec<_>; 3] = Default::default();
+            for c in 0..self.n * self.n {
+                let (old, new) = (self.cells[c], target.cells[c]);
+                let m = msg((c / self.n) as u32, (c % self.n) as u32, new);
+                match (old, new) {
+                    (a, b) if a == b => {}
+                    (0, _) => lists[0].push(m),
+                    (_, 0) => lists[1].push(m),
+                    _ => lists[2].push(m),
+                }
+            }
+            lists
+        }
+    }
+
+    fn assert_same(csr: &CommMatrix, dense: &Dense, what: &str) {
+        let messages = dense.messages();
+        assert_eq!(csr.messages().collect::<Vec<_>>(), messages, "{what}");
+        assert_eq!(csr.message_count(), messages.len(), "{what}");
+        let total: u64 = messages.iter().map(|m| u64::from(m.2)).sum();
+        assert_eq!(csr.total_bytes(), total, "{what}");
+        assert_eq!(csr.density(), dense.density(), "{what}");
+        assert!(is_well_formed(csr), "{what}");
+    }
+
+    #[test]
+    fn differential_csr_matches_a_dense_oracle() {
+        for n in [1usize, 2, 63, 64, 65, 100] {
+            let mut rng = StdRng::seed_from_u64(0xC5 ^ n as u64);
+            let mut csr = CommMatrix::new(n);
+            let mut dense = Dense {
+                n,
+                cells: vec![0; n * n],
+            };
+            for step in 0..400 {
+                let what = format!("n = {n}, step {step}");
+                let (before, before_dense) = (csr.clone(), dense.clone());
+                let (s, d) = (rng.random_range(0..n), rng.random_range(0..n));
+                match rng.random_range(0..4) {
+                    // Remove a message that exists, when one does.
+                    0 if csr.message_count() > 0 => {
+                        let k = rng.random_range(0..csr.message_count());
+                        let (src, dst, _) = csr.messages().nth(k).unwrap();
+                        csr.set(src.index(), dst.index(), 0);
+                        dense.cells[src.index() * n + dst.index()] = 0;
+                    }
+                    // Point lookups, the diagonal included.
+                    1 => assert_eq!(csr.get(s, d), dense.cells[s * n + d], "{what}"),
+                    // Set (or, on the diagonal, clear) a cell.
+                    _ => {
+                        let bytes = if s == d {
+                            0
+                        } else {
+                            rng.random_range(0..=3u32)
+                        };
+                        let bytes = if bytes == 3 { u32::MAX } else { bytes };
+                        csr.set(s, d, bytes);
+                        dense.cells[s * n + d] = bytes;
+                    }
+                }
+                assert_same(&csr, &dense, &what);
+                let delta = MatrixDelta::diff(&before, &csr).unwrap();
+                let [added, removed, resized] = before_dense.diff(&dense);
+                let removed: Vec<_> = removed.iter().map(|&(s, d, _)| (s, d)).collect();
+                assert_eq!(delta.added(), added, "{what}");
+                assert_eq!(delta.removed(), removed, "{what}");
+                assert_eq!(delta.resized(), resized, "{what}");
+                assert_eq!(delta.apply(&before).unwrap(), csr, "{what}");
+                let mut shuffled: Vec<_> = csr.messages().collect();
+                shuffled.shuffle(&mut rng);
+                assert_eq!(
+                    CommMatrix::from_messages(n, shuffled).unwrap(),
+                    csr,
+                    "{what}"
+                );
+            }
+        }
     }
 }

@@ -9,10 +9,13 @@
 //! each `CCOM` row for the largest feasible candidate instead of the first
 //! one, shrinking the sum over phases of the per-phase maximum.
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use std::cmp::Reverse;
 
-use crate::{CommMatrix, Schedule, ScheduleKind, SchedulerKind, SILENT};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use crate::algorithms::rs_n::sweep;
+use crate::{CommMatrix, CompressedMatrix, Schedule};
 
 /// RS_N with a largest-first row scan for non-uniform message sizes.
 ///
@@ -22,57 +25,19 @@ use crate::{CommMatrix, Schedule, ScheduleKind, SchedulerKind, SILENT};
 /// so that big messages ride together and small messages do not get
 /// stranded in expensive phases.
 pub fn rs_n_largest_first(com: &CommMatrix, seed: u64) -> Schedule {
-    let n = com.n();
-    let mut rng = StdRng::seed_from_u64(seed);
-    // A size-aware compressed matrix: per row, live (dst, bytes) pairs.
-    let mut rows: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-    for (src, dst, bytes) in com.messages() {
-        rows[src.index()].push((dst.0, bytes));
-    }
-    let mut ops: u64 = 0;
-    let width = rows.iter().map(Vec::len).max().unwrap_or(0).max(1);
-    let mut remaining: usize = rows.iter().map(Vec::len).sum();
-    let mut table = Vec::new();
-    let mut trecv: Vec<i32> = vec![-1; n];
-
-    while remaining > 0 {
-        // `Tsend` is the phase's row.
-        let row = table.len();
-        table.resize(row + n, SILENT);
-        trecv.fill(-1);
-        ops += n as u64;
-        let start = rng.random_range(0..n);
-        let mut x = start;
-        for _ in 0..n {
-            ops += 1;
-            let mut best: Option<(usize, u32, u32)> = None; // (slot, dst, bytes)
-            for (z, &(dst, bytes)) in rows[x].iter().enumerate() {
-                ops += 1;
-                if trecv[dst as usize] != -1 {
-                    continue;
-                }
-                if best.is_none_or(|(_, _, b)| bytes > b) {
-                    best = Some((z, dst, bytes));
-                }
-            }
-            if let Some((z, dst, _)) = best {
-                table[row + x] = dst;
-                trecv[dst as usize] = x as i32;
-                rows[x].swap_remove(z);
-                remaining -= 1;
-            }
-            x = (x + 1) % n;
-        }
-    }
-
-    let compress_ops = (n + width * n) as u64;
-    Schedule::from_parts(
-        ScheduleKind::Phased,
-        SchedulerKind::RsN,
-        n,
-        table,
-        ops,
-        compress_ops,
+    // CCOM unshuffled; a slot's size is its message's.
+    let (_, _, sizes) = com.columns();
+    let ccom = CompressedMatrix::in_row_order(com);
+    sweep(
+        ccom,
+        StdRng::seed_from_u64(seed),
+        true,
+        |row, msgs, free| {
+            let feasible = (0..row.len()).filter(|&z| free[row[z] as usize]);
+            // The first of the largest; one op per live slot.
+            let best = feasible.max_by_key(|&z| (sizes[msgs[z] as usize], Reverse(z)));
+            (best, row.len())
+        },
     )
 }
 
@@ -110,6 +75,7 @@ pub fn estimate_phased_cost(
 mod tests {
     use super::*;
     use crate::{rs_n, validate_schedule};
+    use rand::RngExt;
 
     /// Bimodal traffic: a few huge messages among many small ones.
     fn bimodal(n: usize, d: usize, seed: u64) -> CommMatrix {

@@ -80,8 +80,8 @@ impl std::error::Error for ValidationError {}
 /// [`ScheduleKind::Async`] schedules are vacuously valid (the runtime sends
 /// straight from the matrix) apart from the size check.
 ///
-/// One pass over the phase table; its two tables (a bit per cell already
-/// scheduled, a phase stamp per receiver) are allocated once.
+/// One pass over the phase table; its two tables (a bit per message
+/// already scheduled, a phase stamp per receiver) are allocated once.
 ///
 /// # Errors
 ///
@@ -100,38 +100,38 @@ pub fn validate_schedule(com: &CommMatrix, schedule: &Schedule) -> Result<(), Va
     if schedule.kind() == ScheduleKind::Async {
         return Ok(());
     }
-    // Bit `c % 64` of word `c / 64` is set once cell `c = src·n + dst` is.
-    let mut scheduled = vec![0u64; (n * n).div_ceil(64)];
+    // Bit `k % 64` of word `k / 64` is set once message `k` (in
+    // `messages()` order) is.
+    let mut scheduled = vec![0u64; com.message_count().div_ceil(64)];
     let mut placed = 0;
     // `claimed_by_phase[d] = k + 1` once phase `k` has a sender to `d`.
     let mut claimed_by_phase = vec![0usize; n];
     for (k, pm) in schedule.phases().iter().enumerate() {
         // A collision anywhere in the phase outranks its bad messages.
         let mut first_bad = None;
-        for (s, &w) in pm.words().iter().enumerate() {
+        for (src, &w) in pm.words().iter().enumerate() {
             if w == SILENT {
                 continue;
             }
-            let d = w as usize;
-            if d == s || claimed_by_phase[d] == k + 1 {
+            let dst = w as usize;
+            if dst == src || claimed_by_phase[dst] == k + 1 {
                 return Err(NotPermutation { phase: k });
             }
-            claimed_by_phase[d] = k + 1;
-            let (word, bit) = ((s * n + d) / 64, 1 << ((s * n + d) % 64));
-            if first_bad.is_none() {
-                if com.get(s, d) == 0 {
-                    first_bad = Some(UnknownMessage {
-                        phase: k,
-                        src: s,
-                        dst: d,
-                    });
-                } else if scheduled[word] & bit != 0 {
-                    first_bad = Some(DuplicateMessage { src: s, dst: d });
-                } else {
-                    scheduled[word] |= bit;
-                    placed += 1;
-                }
+            claimed_by_phase[dst] = k + 1;
+            if first_bad.is_some() {
+                continue;
             }
+            first_bad = match com.locate(src, dst).ok() {
+                None => Some(UnknownMessage { phase: k, src, dst }),
+                Some(m) if scheduled[m / 64] & 1 << (m % 64) != 0 => {
+                    Some(DuplicateMessage { src, dst })
+                }
+                Some(m) => {
+                    scheduled[m / 64] |= 1 << (m % 64);
+                    placed += 1;
+                    None
+                }
+            };
         }
         first_bad.map_or(Ok(()), Err)?;
     }
@@ -142,8 +142,9 @@ pub fn validate_schedule(com: &CommMatrix, schedule: &Schedule) -> Result<(), Va
     }
     let (src, dst) = com
         .messages()
-        .map(|(s, d, _)| (s.index(), d.index()))
-        .find(|&(s, d)| scheduled[(s * n + d) / 64] & 1 << ((s * n + d) % 64) == 0)
+        .enumerate()
+        .find(|&(m, _)| scheduled[m / 64] & 1 << (m % 64) == 0)
+        .map(|(_, (s, d, _))| (s.index(), d.index()))
         .expect("a short count leaves a message unscheduled");
     Err(MissingMessage { src, dst })
 }

@@ -389,13 +389,10 @@ impl AnalyticBackend {
         // Posts precede sends in both the AC and the S2 program shape:
         // the first send is requested at in_degree * recv_post +
         // send_overhead.
-        // Counted cell by cell, branch-free, so the rows vectorize.
+        // Counted in one pass over the messages' destinations.
         let mut in_degree = vec![0u32; n];
-        for src in 0..n {
-            for (degree, &bytes) in in_degree.iter_mut().zip(com.row(src)) {
-                *degree += u32::from(bytes != 0);
-            }
-        }
+        com.messages()
+            .for_each(|(_, dst, _)| in_degree[dst.index()] += 1);
         let mut sends_before = vec![0u64; n];
         let mut pool = LoadModel::new(topo, params.ports);
         let mut claims = Vec::with_capacity(topo.diameter());

@@ -64,9 +64,8 @@ pub const MAX_COSTMODEL_LEN: usize = 128;
 /// force a large allocation on an unconfigured daemon.
 pub const MAX_REQUEST_NODES: u64 = 1024;
 
-/// Default for [`ProtocolLimits::max_matrix_cells`]: 2^26 dense cells
-/// (a 256 MiB `u32` matrix) — the allocation bomb guard that stays in
-/// force however high `--max-nodes` is raised.
+/// Default for [`ProtocolLimits::max_matrix_cells`]: `n²` up to 2^26
+/// (n = 8192), a wire contract in force however high `--max-nodes` goes.
 pub const MAX_MATRIX_CELLS: u64 = 1 << 26;
 
 /// Decode-time size limits, configurable per daemon (`--max-nodes`).
@@ -79,16 +78,14 @@ pub const MAX_MATRIX_CELLS: u64 = 1 << 26;
 ///
 /// The node cap bounds [`TopologyKind::num_nodes`] of every decoded
 /// fabric, whatever its kind. [`max_matrix_cells`](Self::max_matrix_cells)
-/// is deliberately independent of it: a dense [`CommMatrix`] costs `n²`
-/// cells, so raising `--max-nodes` alone must not let a single frame
-/// demand a 16 GiB matrix — topology-sized requests above the cell
-/// budget are rejected with [`DecodeError::LimitExceeded`] before the
-/// allocation happens.
+/// is independent of it: a `Submit` whose `n²` exceeds it is rejected with
+/// [`DecodeError::LimitExceeded`]. A [`CommMatrix`] costs its messages, not
+/// `n²`, so the cap guards no allocation; it is kept as a wire contract.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ProtocolLimits {
     /// Largest node count a request may carry.
     pub max_request_nodes: u64,
-    /// Largest dense matrix (`n²` cells) a decode may allocate.
+    /// Largest `n²` a `Submit` matrix may span.
     pub max_matrix_cells: u64,
 }
 
@@ -102,10 +99,9 @@ impl Default for ProtocolLimits {
 }
 
 impl ProtocolLimits {
-    /// Limits for a daemon admitting up to `nodes` nodes. The
-    /// matrix-cell bomb guard keeps its default — node count bounds what
-    /// a request may *name*, the cell budget bounds what a decode may
-    /// *allocate*.
+    /// Limits for a daemon admitting up to `nodes` nodes. The matrix-cell
+    /// cap keeps its default: the node count bounds what a request may
+    /// *name*, and the cell cap stays the wire contract it shipped as.
     pub fn with_max_nodes(nodes: u64) -> Self {
         ProtocolLimits {
             max_request_nodes: nodes,
@@ -698,20 +694,13 @@ impl SubmitRequest {
 
     /// Encode into a frame body.
     pub fn encode(&self) -> Vec<u8> {
-        // Room for the envelope and a message per node; the walk finds
-        // the real count, and a denser matrix grows the buffer from here.
-        let mut out = Vec::with_capacity(64 + 12 * self.matrix.n());
+        let mut out = Vec::with_capacity(64 + 12 * self.matrix.message_count());
         self.envelope().encode(K_SUBMIT, &mut out);
         out.extend_from_slice(&(self.matrix.n() as u64).to_le_bytes());
-        // The count is known once the one walk over the matrix is done.
-        let count_at = out.len();
-        out.extend_from_slice(&[0; 8]);
-        let mut count = 0u64;
-        self.matrix.messages().for_each(|message| {
-            put_message(&mut out, message);
-            count += 1;
-        });
-        out[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
+        out.extend_from_slice(&(self.matrix.message_count() as u64).to_le_bytes());
+        self.matrix
+            .messages()
+            .for_each(|message| put_message(&mut out, message));
         put_cost_model(&mut out, &self.cost_model);
         out
     }
@@ -719,8 +708,7 @@ impl SubmitRequest {
     fn decode(rd: &mut Rd<'_>, limits: &ProtocolLimits) -> Result<SubmitRequest, DecodeError> {
         let head = Envelope::decode(rd, limits)?;
         let n = head.node_count(rd, limits, "matrix.n")?;
-        // The dense matrix below costs n² cells; the cell budget guards
-        // that allocation independently of how high the node cap is set.
+        // The cell cap is a wire contract, kept whatever the matrix costs.
         let cells = (n as u64).saturating_mul(n as u64);
         if cells > limits.max_matrix_cells {
             return Err(DecodeError::LimitExceeded {
@@ -729,33 +717,14 @@ impl SubmitRequest {
                 limit: limits.max_matrix_cells,
             });
         }
-        let mut matrix = CommMatrix::new(n);
-        for _ in 0..rd.count(12)? {
-            let src = rd.u32()? as usize;
-            let dst = rd.u32()? as usize;
-            let bytes = rd.u32()?;
-            if src >= n || dst >= n {
-                return Err(DecodeError::Invalid(format!(
-                    "message endpoint {} out of {n} nodes",
-                    src.max(dst)
-                )));
-            }
-            if src == dst {
-                return Err(DecodeError::Invalid(format!("self-message at node {src}")));
-            }
-            if bytes == 0 {
-                return Err(DecodeError::Invalid(format!(
-                    "zero-byte message {src} -> {dst}"
-                )));
-            }
-            // Sizes are non-zero, so a cell already set was listed before.
-            if matrix.get(src, dst) != 0 {
-                return Err(DecodeError::Invalid(format!(
-                    "duplicate message {src} -> {dst}"
-                )));
-            }
-            matrix.set(src, dst, bytes);
-        }
+        // Any message order decodes; the anomaly reported is the one at
+        // the earliest wire position.
+        let count = rd.count(12)?;
+        let records = rd.take(12 * count)?.chunks_exact(12);
+        let word = |m: &[u8], at| u32::from_le_bytes(m[at..at + 4].try_into().expect("4 bytes"));
+        let messages = records.map(|m| (NodeId(word(m, 0)), NodeId(word(m, 4)), word(m, 8)));
+        let matrix = CommMatrix::from_messages(n, messages)
+            .map_err(|e| DecodeError::Invalid(e.to_string()))?;
         Ok(head.into_submit(matrix, decode_cost_model(rd)?))
     }
 }

@@ -7,6 +7,8 @@
 use commsched::CommMatrix;
 use hypercube::embed;
 
+use crate::uniform;
+
 /// One butterfly stage of an FFT over `n = 2^dims` nodes: stage `s`
 /// exchanges between partners differing in bit `s` — exactly the XOR
 /// permutation `k = 2^s`, the best case for every scheduler.
@@ -18,11 +20,7 @@ pub fn butterfly_stage(n: usize, stage: u32, bytes: u32) -> CommMatrix {
     assert!(n.is_power_of_two(), "butterfly needs a power-of-two n");
     assert!((1usize << stage) < n, "stage {stage} out of range");
     assert!(bytes > 0);
-    let mut com = CommMatrix::new(n);
-    for i in 0..n {
-        com.set(i, i ^ (1 << stage), bytes);
-    }
-    com
+    uniform(n, bytes, (0..n).map(|i| (i, i ^ (1 << stage))))
 }
 
 /// The union of all `log2(n)` butterfly stages — the complete FFT
@@ -34,14 +32,9 @@ pub fn butterfly_stage(n: usize, stage: u32, bytes: u32) -> CommMatrix {
 pub fn butterfly_all_stages(n: usize, bytes: u32) -> CommMatrix {
     assert!(n.is_power_of_two(), "butterfly needs a power-of-two n");
     assert!(bytes > 0);
-    let mut com = CommMatrix::new(n);
     let stages = n.trailing_zeros();
-    for s in 0..stages {
-        for i in 0..n {
-            com.set(i, i ^ (1usize << s), bytes);
-        }
-    }
-    com
+    let cells = (0..n).flat_map(|i| (0..stages).map(move |s| (i, i ^ (1usize << s))));
+    uniform(n, bytes, cells)
 }
 
 /// Halo exchange of a `2^r x 2^c` grid embedded on the `2^(r+c)`-node cube
@@ -58,13 +51,11 @@ pub fn embedded_grid_halo(r: u32, c: u32, bytes: u32) -> CommMatrix {
     let rows = grid.len();
     let cols = grid[0].len();
     let n = rows * cols;
-    let mut com = CommMatrix::new(n);
+    let mut cells = Vec::new();
     for y in 0..rows {
         for x in 0..cols {
             let src = grid[y][x].index();
-            let mut link = |ny: usize, nx: usize| {
-                com.set(src, grid[ny][nx].index(), bytes);
-            };
+            let mut link = |ny: usize, nx: usize| cells.push((src, grid[ny][nx].index()));
             if y > 0 {
                 link(y - 1, x);
             }
@@ -79,7 +70,7 @@ pub fn embedded_grid_halo(r: u32, c: u32, bytes: u32) -> CommMatrix {
             }
         }
     }
-    com
+    uniform(n, bytes, cells)
 }
 
 #[cfg(test)]

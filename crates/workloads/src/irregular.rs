@@ -6,6 +6,8 @@ use commsched::CommMatrix;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use crate::draw_row;
+
 /// Halo (ghost-cell) exchange of a 2-D grid block-partitioned over
 /// `pr x pc` processors: every processor exchanges a face with each of its
 /// up/down/left/right neighbours and a corner sliver with its diagonal
@@ -102,14 +104,7 @@ pub fn hotspot(n: usize, spots: usize, background: usize, bytes: u32, seed: u64)
                 com.set(i, s, bytes);
             }
         }
-        let mut placed = 0;
-        while placed < background {
-            let j = rng.random_range(0..n);
-            if j != i && com.get(i, j) == 0 {
-                com.set(i, j, bytes);
-                placed += 1;
-            }
-        }
+        draw_row(&mut com, i, background, &mut rng, |_| bytes);
     }
     com
 }
@@ -131,15 +126,7 @@ pub fn powerlaw(n: usize, max_degree: usize, alpha: f64, bytes: u32, seed: u64) 
         // 1..=n; approximate with the node id shuffled by the seed.
         let rank = ((i as u64 * 2654435761 + seed) % n as u64) as f64 + 1.0;
         let deg = ((max_degree as f64) / rank.powf(alpha)).ceil().max(1.0) as usize;
-        let deg = deg.min(max_degree);
-        let mut placed = 0;
-        while placed < deg {
-            let j = rng.random_range(0..n);
-            if j != i && com.get(i, j) == 0 {
-                com.set(i, j, bytes);
-                placed += 1;
-            }
-        }
+        draw_row(&mut com, i, deg.min(max_degree), &mut rng, |_| bytes);
     }
     com
 }

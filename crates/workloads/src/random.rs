@@ -3,6 +3,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
 
+use crate::{draw_row, uniform};
+
 /// The paper's random test pattern: every node sends `bytes`-byte messages
 /// to `d` distinct random destinations (Section 2.1, assumption 2: nodes
 /// send and receive an *approximately* equal number of messages — the
@@ -18,14 +20,7 @@ pub fn random_dense(n: usize, d: usize, bytes: u32, seed: u64) -> CommMatrix {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut com = CommMatrix::new(n);
     for i in 0..n {
-        let mut placed = 0;
-        while placed < d {
-            let j = rng.random_range(0..n);
-            if j != i && com.get(i, j) == 0 {
-                com.set(i, j, bytes);
-                placed += 1;
-            }
-        }
+        draw_row(&mut com, i, d, &mut rng, |_| bytes);
     }
     com
 }
@@ -49,13 +44,15 @@ pub fn random_dregular(n: usize, d: usize, bytes: u32, seed: u64) -> CommMatrix 
     assert!(d < n, "density {d} needs at least {} nodes, got {n}", d + 1);
     assert!(bytes > 0, "messages must be non-empty");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut com = CommMatrix::new(n);
+    // The membership test of every draw, as one dense table; the matrix is
+    // built once at the end.
+    let mut taken = vec![false; n * n];
     let mut order: Vec<usize> = (0..n).collect();
     for _layer in 0..d {
         loop {
-            if let Some(assign) = try_matching_layer(&com, n, &mut order, &mut rng) {
+            if let Some(assign) = try_matching_layer(&taken, n, &mut order, &mut rng) {
                 for (i, c) in assign.into_iter().enumerate() {
-                    com.set(i, c, bytes);
+                    taken[i * n + c] = true;
                 }
                 break;
             }
@@ -63,13 +60,17 @@ pub fn random_dregular(n: usize, d: usize, bytes: u32, seed: u64) -> CommMatrix 
             // layer with fresh randomness.
         }
     }
-    com
+    uniform(
+        n,
+        bytes,
+        (0..n * n).filter(|&c| taken[c]).map(|c| (c / n, c % n)),
+    )
 }
 
 /// One random perfect matching avoiding the diagonal and every edge already
-/// present in `com`. Returns `None` if the random-walk budget runs out.
+/// `taken` (row-major). Returns `None` if the random-walk budget runs out.
 fn try_matching_layer(
-    com: &CommMatrix,
+    taken: &[bool],
     n: usize,
     order: &mut [usize],
     rng: &mut StdRng,
@@ -89,7 +90,7 @@ fn try_matching_layer(
             // Random allowed column for row i (may steal an owned one).
             let mut c = rng.random_range(0..n);
             let mut tries = 0;
-            while c == i || com.get(i, c) > 0 || assign[i] == Some(c) {
+            while c == i || taken[i * n + c] || assign[i] == Some(c) {
                 c = rng.random_range(0..n);
                 tries += 1;
                 if tries > 8 * n {
@@ -137,15 +138,10 @@ pub fn random_nonuniform(
     let lo = (min_bytes as f64).ln();
     let hi = (max_bytes as f64).ln();
     for i in 0..n {
-        let mut placed = 0;
-        while placed < d {
-            let j = rng.random_range(0..n);
-            if j != i && com.get(i, j) == 0 {
-                let b = (lo + (hi - lo) * rng.random_range(0.0..1.0)).exp() as u32;
-                com.set(i, j, b.clamp(min_bytes, max_bytes));
-                placed += 1;
-            }
-        }
+        draw_row(&mut com, i, d, &mut rng, |rng| {
+            let b = (lo + (hi - lo) * rng.random_range(0.0..1.0)).exp() as u32;
+            b.clamp(min_bytes, max_bytes)
+        });
     }
     com
 }

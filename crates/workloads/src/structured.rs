@@ -4,6 +4,8 @@
 use commsched::CommMatrix;
 use hypercube::{perm, NodeId, Topology};
 
+use crate::uniform;
+
 /// Matrix transpose: node `i` of an implicit `sqrt(n) x sqrt(n)` grid sends
 /// to its transposed peer.
 ///
@@ -14,17 +16,8 @@ pub fn transpose(n: usize, bytes: u32) -> CommMatrix {
     let side = (n as f64).sqrt() as usize;
     assert_eq!(side * side, n, "transpose needs a square node count");
     assert!(bytes > 0);
-    let mut com = CommMatrix::new(n);
-    for r in 0..side {
-        for c in 0..side {
-            let src = r * side + c;
-            let dst = c * side + r;
-            if src != dst {
-                com.set(src, dst, bytes);
-            }
-        }
-    }
-    com
+    let cells = (0..n).map(|src| (src, src % side * side + src / side));
+    uniform(n, bytes, cells.filter(|&(src, dst)| src != dst))
 }
 
 /// Cyclic shift by `k`: node `i` sends to `(i + k) mod n`.
@@ -38,11 +31,7 @@ pub fn shift(n: usize, k: usize, bytes: u32) -> CommMatrix {
         "shift by a multiple of n is a self-send"
     );
     assert!(bytes > 0);
-    let mut com = CommMatrix::new(n);
-    for i in 0..n {
-        com.set(i, (i + k) % n, bytes);
-    }
-    com
+    uniform(n, bytes, (0..n).map(|i| (i, (i + k) % n)))
 }
 
 /// Bit-reverse permutation traffic — a known worst case for e-cube routing
@@ -53,14 +42,11 @@ pub fn shift(n: usize, k: usize, bytes: u32) -> CommMatrix {
 /// Panics unless `n` is a power of two.
 pub fn bit_reverse(n: usize, bytes: u32) -> CommMatrix {
     assert!(bytes > 0);
-    let dests = perm::bit_reverse(n);
-    let mut com = CommMatrix::new(n);
-    for (i, d) in dests.iter().enumerate() {
-        if i != d.index() {
-            com.set(i, d.index(), bytes);
-        }
-    }
-    com
+    let cells = perm::bit_reverse(n)
+        .into_iter()
+        .map(NodeId::index)
+        .enumerate();
+    uniform(n, bytes, cells.filter(|&(i, d)| i != d))
 }
 
 /// Bit-complement permutation — the classic link-contention-free hypercube
@@ -71,27 +57,16 @@ pub fn bit_reverse(n: usize, bytes: u32) -> CommMatrix {
 /// Panics unless `n` is a power of two.
 pub fn bit_complement(n: usize, bytes: u32) -> CommMatrix {
     assert!(bytes > 0);
-    let dests = perm::bit_complement(n);
-    let mut com = CommMatrix::new(n);
-    for (i, d) in dests.iter().enumerate() {
-        com.set(i, d.index(), bytes);
-    }
-    com
+    let cells = perm::bit_complement(n).into_iter().map(NodeId::index);
+    uniform(n, bytes, cells.enumerate())
 }
 
 /// Complete exchange (all-to-all personalized): everyone messages everyone.
 /// Density `n - 1` — the heaviest pattern, where LP shines.
 pub fn all_to_all(n: usize, bytes: u32) -> CommMatrix {
     assert!(bytes > 0);
-    let mut com = CommMatrix::new(n);
-    for i in 0..n {
-        for j in 0..n {
-            if i != j {
-                com.set(i, j, bytes);
-            }
-        }
-    }
-    com
+    let cells = (0..n).flat_map(|i| (0..n).map(move |j| (i, j)));
+    uniform(n, bytes, cells.filter(|&(i, j)| i != j))
 }
 
 /// Symmetric ring halo: node `i` exchanges with `i±1 .. i±w` (mod n) —
@@ -103,14 +78,9 @@ pub fn all_to_all(n: usize, bytes: u32) -> CommMatrix {
 pub fn ring_halo(n: usize, w: usize, bytes: u32) -> CommMatrix {
     assert!(2 * w < n, "halo width {w} too large for {n} nodes");
     assert!(bytes > 0);
-    let mut com = CommMatrix::new(n);
-    for i in 0..n {
-        for k in 1..=w {
-            com.set(i, (i + k) % n, bytes);
-            com.set(i, (i + n - k) % n, bytes);
-        }
-    }
-    com
+    let cells =
+        (0..n).flat_map(|i| (1..=w).flat_map(move |k| [(i, (i + k) % n), (i, (i + n - k) % n)]));
+    uniform(n, bytes, cells)
 }
 
 /// Torus nearest-neighbour halo: every node exchanges with its ±1 ring
@@ -140,22 +110,23 @@ pub fn torus_neighborhood(extents: &[usize], w: usize, bytes: u32) -> CommMatrix
     assert!(bytes > 0);
     let torus = topo::Torus::new(extents);
     let n = torus.num_nodes();
-    let mut com = CommMatrix::new(n);
+    let mut cells = Vec::new();
     for i in 0..n {
-        let node = NodeId(i as u32);
+        let (node, row) = (NodeId(i as u32), cells.len());
         for dim in 0..torus.ndims() {
             for dir in 0..2u32 {
                 let mut cur = node;
                 for _ in 0..w {
                     cur = torus.neighbor(cur, dim, dir);
-                    if cur != node {
-                        com.set(i, cur.index(), bytes);
+                    // A short ring reaches one neighbour both ways.
+                    if cur != node && !cells[row..].contains(&(i, cur.index())) {
+                        cells.push((i, cur.index()));
                     }
                 }
             }
         }
     }
-    com
+    uniform(n, bytes, cells)
 }
 
 #[cfg(test)]

@@ -277,9 +277,9 @@ fn incremental_stats_after_a_fixed_replay_are_pinned() {
             patches: 30,
             fallbacks: 6,
             validation_rejections: 0,
-            bases_resident: 18,
-            bytes_in_use: 97_312,
-            evictions: 30,
+            bases_resident: 26,
+            bytes_in_use: 96_368,
+            evictions: 22,
         }
     );
 }
