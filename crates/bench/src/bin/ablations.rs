@@ -12,27 +12,27 @@
 //!
 //! Studies 1-3 are declarative grids with *shared* sample streams: every
 //! scheduler column of a workload point consumes the same sampled
-//! matrices, generated once (the isomorphic-instances discipline). The
-//! reuse speedup is measured and recorded in
-//! `BENCH_grid_matrix_reuse.json`.
+//! matrices, generated once (the isomorphic-instances discipline).
 //!
 //! Run: `cargo run -p repro-bench --release --bin ablations`
+//! (honours `REPRO_SAMPLES`, `IPSC_BACKEND` and `IPSC_THREADS`).
 
-use commrt::grid::{ExecOptions, GridColumn, SchedulerHandle};
-use commrt::{run_schedule, ExperimentGrid, ExperimentRunner, Scheme, WorkloadPoint};
+use commrt::grid::{GridColumn, SchedulerHandle};
+use commrt::{run_schedule, ExperimentGrid, Scheme, WorkloadPoint};
 use commsched::{registry, Scheduler};
 use hypercube::Topology;
-use repro_bench::{paper_cube, sample_count, time_case};
+use repro_bench::{paper_cube, EnvConfig, PAPER_SAMPLES};
 use simnet::MachineParams;
 use workloads::Generator;
 
 fn main() {
     let cube = paper_cube();
     let n = cube.num_nodes();
-    let samples = sample_count().min(20);
+    let env = EnvConfig::from_env();
+    let samples = env.samples.unwrap_or(PAPER_SAMPLES).min(20);
 
     println!("=== Ablation 1: registry variants vs their canonical configuration ===");
-    let variant_grid = {
+    {
         // Two probe workloads: random d-regular traffic (where the
         // randomization toggles matter, Section 4.2) and a symmetric halo
         // (where the pairwise-exchange preference matters, Section 5).
@@ -45,8 +45,9 @@ fn main() {
             }
         }
         columns.extend(registry::variants());
-        ExperimentGrid::new()
-            .with_backend(repro_bench::backend_from_env())
+        let result = ExperimentGrid::new()
+            .with_runner(env.runner())
+            .with_backend(env.backend)
             .topology("hypercube(6)", paper_cube())
             .schedulers(columns)
             .point(WorkloadPoint::shared(
@@ -65,9 +66,8 @@ fn main() {
                 202,
             ))
             .samples(samples)
-    };
-    {
-        let result = variant_grid.execute().unwrap_or_else(|e| panic!("{e}"));
+            .execute()
+            .unwrap_or_else(|e| panic!("{e}"));
         for (point, wl_label) in [(0, "random d=16, 1 KB    "), (1, "symmetric halo, 32 KB")] {
             for variant in registry::variants() {
                 let base = variant.family().scheduler();
@@ -115,7 +115,8 @@ fn main() {
             .filter(|e| e.node_contention_free())
             .collect();
         let mut grid = ExperimentGrid::new()
-            .with_backend(repro_bench::backend_from_env())
+            .with_runner(env.runner())
+            .with_backend(env.backend)
             .topology("hypercube(6)", paper_cube())
             .samples(samples);
         for &entry in &phased {
@@ -175,11 +176,11 @@ fn main() {
                 MachineParams::ipsc860_hold_and_wait(),
             ),
         ] {
-            let mut runner = ExperimentRunner::ipsc860();
+            let mut runner = env.runner();
             runner.params = params;
             let result = ExperimentGrid::new()
                 .with_runner(runner)
-                .with_backend(repro_bench::backend_from_env())
+                .with_backend(env.backend)
                 .topology("hypercube(6)", paper_cube())
                 .scheduler(ac)
                 .point(WorkloadPoint::shared(
@@ -268,31 +269,5 @@ fn main() {
                 schedule.link_contention_free(&mesh)
             );
         }
-    }
-
-    // Measure what matrix reuse buys on the ablation-1 grid (every base
-    // and variant column of a row consumes the same samples) and record
-    // it in `BENCH_grid_matrix_reuse.json`. Stderr only: stdout above is
-    // the reproduced artifact.
-    let reuse = time_case("ablation1_grid_reuse", 3, || {
-        variant_grid.execute().expect("grid runs");
-    });
-    let no_reuse = time_case("ablation1_grid_no_reuse", 3, || {
-        variant_grid
-            .execute_opts(ExecOptions {
-                no_matrix_reuse: true,
-                ..Default::default()
-            })
-            .expect("grid runs");
-    });
-    let speedup = no_reuse.mean_ns / reuse.mean_ns;
-    eprintln!(
-        "matrix reuse: {:.1} ms vs {:.1} ms without ({speedup:.2}x)",
-        reuse.mean_ns / 1e6,
-        no_reuse.mean_ns / 1e6
-    );
-    match repro_bench::write_bench_json("grid_matrix_reuse", &[reuse, no_reuse]) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("BENCH report not written: {e}"),
     }
 }

@@ -13,14 +13,15 @@
 
 use commrt::write_csv;
 use commsched::registry;
-use repro_bench::{figure_sizes, paper_grid, sample_count, DENSITIES};
+use repro_bench::{figure_sizes, paper_grid, EnvConfig, DENSITIES, PAPER_SAMPLES};
 
 fn main() {
-    let samples = sample_count().min(20);
+    let env = EnvConfig::from_env();
+    let samples = env.samples.unwrap_or(PAPER_SAMPLES).min(20);
     let sizes = figure_sizes();
 
     let entries = ["RS_N", "RS_NL"].map(|name| registry::find(name).expect("registered"));
-    let result = paper_grid(entries, &DENSITIES, &sizes, samples)
+    let result = paper_grid(&env, entries, &DENSITIES, &sizes, samples)
         .execute()
         .unwrap_or_else(|e| panic!("{e}"));
 

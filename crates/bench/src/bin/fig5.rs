@@ -11,16 +11,17 @@
 
 use commrt::write_csv;
 use commsched::registry;
-use repro_bench::{paper_grid, sample_count, DENSITIES};
+use repro_bench::{paper_grid, EnvConfig, DENSITIES, PAPER_SAMPLES};
 
 fn main() {
-    let samples = sample_count().min(20); // a 2-D sweep; keep it tractable
+    let env = EnvConfig::from_env();
+    let samples = env.samples.unwrap_or(PAPER_SAMPLES).min(20); // a 2-D sweep; keep it tractable
     let sizes: Vec<u32> = (6..=16).map(|x| 1u32 << x).collect(); // 64 B .. 64 KB
 
     println!("Figure 5 reproduction: winner per (d, msg size), {samples} samples per cell");
     println!("(columns are log2(msg bytes) = 6..16, as in the paper's x-axis)\n");
 
-    let result = paper_grid(registry::primary(), &DENSITIES, &sizes, samples)
+    let result = paper_grid(&env, registry::primary(), &DENSITIES, &sizes, samples)
         .execute()
         .unwrap_or_else(|e| panic!("{e}"));
 

@@ -7,14 +7,15 @@
 
 use commrt::write_csv;
 use commsched::registry;
-use repro_bench::{figure_sizes, paper_grid, sample_count};
+use repro_bench::{figure_sizes, paper_grid, EnvConfig, PAPER_SAMPLES};
 
 fn main() {
-    let samples = sample_count().min(25);
+    let env = EnvConfig::from_env();
+    let samples = env.samples.unwrap_or(PAPER_SAMPLES).min(25);
     let sizes = figure_sizes();
     let figure_for_d = [(4usize, 6u32), (8, 7), (16, 8), (32, 9)];
 
-    let result = paper_grid(registry::primary(), &[4, 8, 16, 32], &sizes, samples)
+    let result = paper_grid(&env, registry::primary(), &[4, 8, 16, 32], &sizes, samples)
         .execute()
         .unwrap_or_else(|e| panic!("{e}"));
 

@@ -7,11 +7,12 @@
 //! router has no detours (a dead link on a route strands the transfer
 //! as a typed `LinkDown`), while the torus reroutes around dead links
 //! and completes at a longer makespan. Reported per cell: completion
-//! rate, mean makespan over the completed samples, and degradation
-//! relative to the p=0 baseline.
+//! rate and mean makespan over the completed samples, beside the p=0
+//! baseline.
 //!
 //! Run: `cargo run -p repro_bench --release --bin fig_faults`
-//! (honours `IPSC_BACKEND` and `REPRO_SAMPLES`).
+//! (honours `REPRO_SAMPLES` and `IPSC_BACKEND`; the sweep sets its own
+//! link-cost models).
 //!
 //! `--expect-completion-rate <min>` exits non-zero when the aggregate
 //! completion rate over all measured cells falls below `min` — the CI
@@ -20,7 +21,7 @@
 
 use commrt::{LinkCostModel, Scheme};
 use commsched::registry;
-use repro_bench::{backend_from_env, sample_count_or, write_bench_json, BenchCase};
+use repro_bench::EnvConfig;
 use simnet::{MachineParams, SimError};
 use topo::TopologyKind;
 use workloads::{Generator, SampleSet};
@@ -39,13 +40,13 @@ const FAULT_SEED: u64 = 42;
 
 fn main() {
     let expect_rate = expect_completion_rate_arg();
-    let samples = sample_count_or(5);
-    let backend_kind = backend_from_env();
+    let env = EnvConfig::from_env();
+    let samples = env.samples.unwrap_or(5);
+    let backend_kind = env.backend;
     let backend = backend_kind.backend();
     let params = MachineParams::ipsc860();
     let entries = registry::all();
 
-    let mut cases = Vec::new();
     let mut total_runs = 0usize;
     let mut total_ok = 0usize;
 
@@ -92,7 +93,6 @@ fn main() {
                 .collect();
 
             print!("{:>10} |", entry.name());
-            let mut baseline_ms = None;
             for (label, p_ppm) in PROBS {
                 let model = LinkCostModel::Faulty {
                     p_ppm,
@@ -122,56 +122,15 @@ fn main() {
                     }
                 }
                 let rate = done_ms.len() as f64 / samples as f64;
-                let mean_ms = mean(&done_ms);
-                if p_ppm == 0 {
-                    baseline_ms = mean_ms;
-                }
-                let degradation = match (mean_ms, baseline_ms) {
-                    (Some(m), Some(b)) if b > 0.0 => Some(m / b),
-                    _ => None,
-                };
-
-                match mean_ms {
+                match mean(&done_ms) {
                     Some(m) => print!(" {:>8.3} ({:>3.0}%)", m, rate * 100.0),
                     None => print!(" {:>8} ({:>3.0}%)", "—", rate * 100.0),
-                }
-
-                let name =
-                    |metric: &str| format!("faults/{spec}/{}/p{label}/{metric}", entry.name());
-                if let Some(m) = mean_ms {
-                    let (lo, hi) = min_max(&done_ms);
-                    cases.push(BenchCase {
-                        name: name("makespan"),
-                        mean_ns: m * 1e6,
-                        min_ns: lo * 1e6,
-                        max_ns: hi * 1e6,
-                    });
-                }
-                // Rates and ratios are dimensionless; the report's ns
-                // fields carry them verbatim (a completion case of 0.8
-                // means 80% of samples completed).
-                cases.push(BenchCase {
-                    name: name("completion"),
-                    mean_ns: rate,
-                    min_ns: rate,
-                    max_ns: rate,
-                });
-                if let Some(d) = degradation {
-                    cases.push(BenchCase {
-                        name: name("degradation"),
-                        mean_ns: d,
-                        min_ns: d,
-                        max_ns: d,
-                    });
                 }
             }
             println!();
         }
         println!();
     }
-
-    let path = write_bench_json("faults", &cases).expect("write bench json");
-    println!("wrote {}", path.display());
 
     let aggregate = total_ok as f64 / total_runs.max(1) as f64;
     println!(
@@ -195,13 +154,6 @@ fn mean(xs: &[f64]) -> Option<f64> {
     }
 }
 
-fn min_max(xs: &[f64]) -> (f64, f64) {
-    xs.iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &x| {
-            (lo.min(x), hi.max(x))
-        })
-}
-
 fn expect_completion_rate_arg() -> Option<f64> {
     let mut expect = None;
     let mut args = std::env::args().skip(1);
@@ -222,7 +174,9 @@ fn expect_completion_rate_arg() -> Option<f64> {
             "--help" | "-h" => {
                 println!(
                     "usage: fig_faults [--expect-completion-rate <0..1>]\n\
-                     env: IPSC_BACKEND=des|analytic, REPRO_SAMPLES=<n>"
+                     env: REPRO_SAMPLES=<n> [default: 5], IPSC_BACKEND=des|analytic\n\
+                     (the sweep sets its own link-cost models; IPSC_COSTMODEL,\n\
+                     IPSC_CACHE and IPSC_THREADS are not used)"
                 );
                 std::process::exit(0);
             }

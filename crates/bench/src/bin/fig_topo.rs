@@ -9,14 +9,13 @@
 //! hypercubes) appear as explicit holes, not silent omissions.
 //!
 //! Run: `cargo run -p repro_bench --release --bin fig_topo`
-//! (honours `IPSC_BACKEND`, `IPSC_CACHE`, and `REPRO_SAMPLES`).
+//! (honours `REPRO_SAMPLES`, `IPSC_BACKEND`, `IPSC_CACHE` and
+//! `IPSC_THREADS`).
 
 use commrt::grid::{CellId, ExperimentGrid, WorkloadPoint};
 use commrt::write_csv;
 use commsched::registry;
-use repro_bench::{
-    backend_from_env, cache_config_from_env, sample_count_or, write_bench_json, BenchCase,
-};
+use repro_bench::EnvConfig;
 use topo::TopologyKind;
 use workloads::Generator;
 
@@ -27,12 +26,14 @@ const DENSITIES: [usize; 2] = [3, 8];
 const MSG_BYTES: u32 = 1024;
 
 fn main() {
-    let samples = sample_count_or(5);
+    let env = EnvConfig::from_env();
+    let samples = env.samples.unwrap_or(5);
     let mut grid = ExperimentGrid::new()
+        .with_runner(env.runner())
         .schedulers(registry::all().iter().copied())
         .samples(samples)
-        .with_backend(backend_from_env());
-    if let Some(config) = cache_config_from_env() {
+        .with_backend(env.backend);
+    if let Some(config) = env.cache {
         grid = grid.with_cache(config);
     }
     for spec in KINDS {
@@ -59,7 +60,6 @@ fn main() {
 
     let entries = registry::all();
     let mut records = Vec::new();
-    let mut cases = Vec::new();
     for (ti, spec) in KINDS.iter().enumerate() {
         println!("fabric {spec} ({NODES} nodes): mean comm time (ms), {samples} sample(s)");
         print!("{:>10} |", "scheduler");
@@ -69,7 +69,7 @@ fn main() {
         println!();
         for (ci, entry) in entries.iter().enumerate() {
             print!("{:>10} |", entry.name());
-            for (pi, &d) in DENSITIES.iter().enumerate() {
+            for pi in 0..DENSITIES.len() {
                 let id = CellId {
                     col: ci,
                     point: pi,
@@ -78,12 +78,6 @@ fn main() {
                 match result.cell(id) {
                     Some(cell) => {
                         records.push(cell.record(&format!("fig_topo/{spec}")));
-                        cases.push(BenchCase {
-                            name: format!("topo_compare/{spec}/{}/d{d}", entry.name()),
-                            mean_ns: cell.result.comm_ms * 1e6,
-                            min_ns: cell.result.comm_ms_min * 1e6,
-                            max_ns: cell.result.comm_ms_max * 1e6,
-                        });
                         print!(" {:>9.3}", cell.result.comm_ms);
                     }
                     // The scheduler declined this fabric: an addressable
@@ -103,6 +97,4 @@ fn main() {
     );
     write_csv(std::path::Path::new("results/fig_topo.csv"), &records).expect("write csv");
     println!("wrote results/fig_topo.csv");
-    let path = write_bench_json("topo_compare", &cases).expect("write bench json");
-    println!("wrote {}", path.display());
 }

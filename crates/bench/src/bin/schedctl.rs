@@ -52,7 +52,7 @@ use commrt::grid::paper_base_seed;
 use commrt::BackendKind;
 use commsched::{registry, Scheduler};
 use hypercube::Hypercube;
-use repro_bench::{write_bench_json, BenchCase};
+use repro_bench::EnvConfig;
 use schedd::{Client, Endpoint, SchemeChoice, SubmitRequest};
 use topo::TopologyKind;
 use workloads::{Generator, SampleSet};
@@ -102,10 +102,6 @@ OPTIONS:
                        or faulty:p=..,seed=..  [default: IPSC_COSTMODEL]
   --want-schedule      (submit) stream the compiled schedule summary too
   --requests <k>       (bench) how many requests to replay   [default: 200]
-  --dims <lo>..<hi>    (bench) sweep hypercube dimensions instead of one
-                       --n, writing daemon/d{dim} latency rows to
-                       BENCH_daemon_scale.json (daemon needs
-                       --max-nodes covering 2^hi)
 ";
 
 fn main() -> ExitCode {
@@ -474,12 +470,6 @@ fn request_from(opts: &[String]) -> Result<SubmitRequest, String> {
     if !n.is_power_of_two() {
         return Err(format!("--n {n} is not a power of two (hypercube size)"));
     }
-    request_with_n(opts, n)
-}
-
-/// [`request_from`] with the machine size fixed by the caller (the
-/// `--dims` sweep overrides `--n` per dimension).
-fn request_with_n(opts: &[String], n: usize) -> Result<SubmitRequest, String> {
     request_on(
         opts,
         TopologyKind::Hypercube {
@@ -503,13 +493,15 @@ fn request_on(opts: &[String], topology: TopologyKind) -> Result<SubmitRequest, 
         "default" => SchemeChoice::Default,
         other => return Err(format!("--scheme: `{other}` is not s1|s2|default")),
     };
+    // The flags override IPSC_BACKEND and IPSC_COSTMODEL.
+    let env = EnvConfig::parse(|key| std::env::var_os(key))?;
     let backend = match opt_value(opts, "--backend")? {
         Some(v) => BackendKind::parse(v).ok_or_else(|| format!("unknown backend `{v}`"))?,
-        None => BackendKind::from_env()?,
+        None => env.backend,
     };
     let cost_model = match opt_value(opts, "--costmodel")? {
         Some(v) => v.parse().map_err(|e| format!("--costmodel: {e}"))?,
-        None => schedd::LinkCostModel::from_env().map_err(|e| e.to_string())?,
+        None => env.cost_model,
     };
     Ok(SubmitRequest {
         request_id: 0,
@@ -536,7 +528,6 @@ const DAEMON_FLAGS: &[&str] = &[
     "--backend",
     "--costmodel",
     "--requests",
-    "--dims",
 ];
 
 fn submit(opts: &[String]) -> Result<ExitCode, String> {
@@ -585,8 +576,8 @@ fn submit(opts: &[String]) -> Result<ExitCode, String> {
 fn bench(opts: &[String]) -> Result<ExitCode, String> {
     reject_unknown(opts, DAEMON_FLAGS, &["--want-schedule"])?;
     let requests: usize = opt_parsed(opts, "--requests", 200)?;
-    if let Some(spec) = opt_value(opts, "--dims")? {
-        return bench_dims(opts, spec, requests);
+    if requests == 0 {
+        return Err("--requests must be at least 1".into());
     }
     let req = request_from(opts)?;
     let mut client = connect(opts)?;
@@ -623,53 +614,6 @@ fn bench(opts: &[String]) -> Result<ExitCode, String> {
             (1.0 - d_compiles as f64 / d_completed as f64) * 100.0
         },
     );
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `bench --dims <lo>..<hi>`: replay `requests` requests per hypercube
-/// dimension against the live daemon and write one `daemon/d{dim}` row
-/// per dimension (mean/min/max ns per request) to
-/// `BENCH_daemon_scale.json`. The daemon must have been started with a
-/// `--max-nodes` admitting the largest dimension.
-fn bench_dims(opts: &[String], spec: &str, requests: usize) -> Result<ExitCode, String> {
-    if opt_value(opts, "--topo")?.is_some() {
-        return Err("--dims sweeps hypercubes; it cannot be combined with --topo".into());
-    }
-    let (lo, hi) = spec
-        .split_once("..")
-        .and_then(|(a, b)| Some((a.trim().parse::<u32>().ok()?, b.trim().parse::<u32>().ok()?)))
-        .filter(|&(lo, hi)| lo >= 1 && lo <= hi)
-        .ok_or_else(|| format!("--dims: `{spec}` is not `<lo>..<hi>` with 1 <= lo <= hi"))?;
-    let mut client = connect(opts)?;
-    let mut cases = Vec::new();
-    println!("daemon sweep: dims {lo}..{hi}, {requests} request(s) each");
-    for dim in lo..=hi {
-        let req = request_with_n(opts, 1usize << dim)?;
-        let mut latencies_ns: Vec<u64> = Vec::with_capacity(requests);
-        let t0 = Instant::now();
-        for _ in 0..requests {
-            let t = Instant::now();
-            client.submit(req.clone()).map_err(|e| e.to_string())?;
-            latencies_ns.push(t.elapsed().as_nanos() as u64);
-        }
-        let wall = t0.elapsed().as_secs_f64();
-        let mean = latencies_ns.iter().sum::<u64>() as f64 / latencies_ns.len().max(1) as f64;
-        let case = BenchCase {
-            name: format!("daemon/d{dim}"),
-            mean_ns: mean,
-            min_ns: latencies_ns.iter().min().copied().unwrap_or(0) as f64,
-            max_ns: latencies_ns.iter().max().copied().unwrap_or(0) as f64,
-        };
-        println!(
-            "  d={dim:<2} ({:>7} nodes): {:>8.0} req/s, mean {:>10.1} us",
-            1u64 << dim,
-            requests as f64 / wall.max(1e-9),
-            mean / 1e3,
-        );
-        cases.push(case);
-    }
-    let path = write_bench_json("daemon_scale", &cases).map_err(|e| e.to_string())?;
-    println!("wrote {} row(s) to {}", cases.len(), path.display());
     Ok(ExitCode::SUCCESS)
 }
 

@@ -27,7 +27,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         dims: vec![3, 4, 5],
-        samples: repro_bench::sample_count_or(2),
+        samples: repro_bench::EnvConfig::from_env().samples.unwrap_or(2),
         verbose: false,
     };
     let mut it = std::env::args().skip(1);

@@ -10,20 +10,29 @@
 //! result.
 //!
 //! Run: `cargo run -p repro-bench --release --bin table1`
-//! (set `REPRO_SAMPLES` to override the paper's 50 samples per cell, and
-//! `IPSC_THREADS` to pin the worker count).
+//! (honours all five variables of [`repro_bench::EnvConfig`];
+//! `REPRO_SAMPLES` overrides the paper's 50 samples per cell).
 
 use commrt::{write_csv, write_grid_markdown, write_json};
 use commsched::registry;
-use repro_bench::{format_density_block, paper_grid, sample_count, DENSITIES, TABLE1_SIZES};
+use repro_bench::{
+    format_density_block, paper_grid, EnvConfig, DENSITIES, PAPER_SAMPLES, TABLE1_SIZES,
+};
 
 fn main() {
-    let samples = sample_count();
+    let env = EnvConfig::from_env();
+    let samples = env.samples.unwrap_or(PAPER_SAMPLES);
     println!("Table 1 reproduction: 64-node iPSC/860 model, {samples} samples per cell\n");
 
-    let result = paper_grid(registry::primary(), &DENSITIES, &TABLE1_SIZES, samples)
-        .execute()
-        .unwrap_or_else(|e| panic!("{e}"));
+    let result = paper_grid(
+        &env,
+        registry::primary(),
+        &DENSITIES,
+        &TABLE1_SIZES,
+        samples,
+    )
+    .execute()
+    .unwrap_or_else(|e| panic!("{e}"));
 
     let mut all_records = Vec::new();
     for d in DENSITIES {

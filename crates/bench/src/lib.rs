@@ -11,14 +11,15 @@
 //! loop over cells: each declares its sweep as one
 //! [`commrt::ExperimentGrid`] ([`paper_grid`]), executes it on the
 //! work-stealing pool, and renders tables from the returned
-//! [`commrt::GridResult`].
+//! [`commrt::GridResult`]. What the caller's environment may change is
+//! read once, into an [`EnvConfig`].
 
 #![forbid(unsafe_code)]
 
 pub mod simcheck;
 
+use std::ffi::OsString;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 use commrt::grid::{paper_base_seed, WorkloadPoint};
 use commrt::{CellRecord, CellResult, ExperimentGrid, ExperimentRunner, Scheme};
@@ -37,80 +38,130 @@ pub const DENSITIES: [usize; 5] = [4, 8, 16, 32, 48];
 /// The message sizes of Table 1 (bytes).
 pub const TABLE1_SIZES: [u32; 3] = [256, 1024, 131_072];
 
+/// Samples per cell in the paper; `REPRO_SAMPLES` overrides it.
+pub const PAPER_SAMPLES: usize = 50;
+
 /// The message-size sweep of Figures 6-9: powers of two from 16 B to 128 KB.
 pub fn figure_sizes() -> Vec<u32> {
     (4..=17).map(|x| 1u32 << x).collect()
 }
 
-/// Sample count: the paper uses 50; the harness accepts an override via the
-/// `REPRO_SAMPLES` environment variable to trade precision for speed.
-pub fn sample_count() -> usize {
-    sample_count_or(50)
+/// The five environment variables the repro binaries honour, read once
+/// ([`EnvConfig::from_env`]). The libraries read no environment: each
+/// binary passes on the fields it honours.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct EnvConfig {
+    /// `REPRO_SAMPLES`: samples per cell when set to a positive integer;
+    /// anything else leaves the binary's own default.
+    pub samples: Option<usize>,
+    /// `IPSC_CACHE`: the opt-in schedule cache. Unset, empty or `off` =
+    /// none, `mem` = in-memory only, anything else = a persistent
+    /// artifact-store directory. Caching never changes a reported number,
+    /// only how often schedules are recompiled.
+    pub cache: Option<commrt::CacheConfig>,
+    /// `IPSC_BACKEND`: unset, empty or `des` = the exact discrete-event
+    /// engine; `analytic` = the occupancy model (estimates within the
+    /// conformance suite's documented tolerances, orders of magnitude
+    /// faster).
+    pub backend: commrt::BackendKind,
+    /// `IPSC_COSTMODEL`: unset, empty or `uniform` = the paper's uniform
+    /// machine; otherwise a model string like `loggp:o=75000,g=10000,G=1.5`
+    /// or `faulty:p=0.05,seed=42` (see [`commrt::LinkCostModel::parse`]).
+    pub cost_model: commrt::LinkCostModel,
+    /// `IPSC_THREADS`: grid worker threads when set to a positive integer;
+    /// anything else leaves the host's available parallelism. Thread count
+    /// never changes a result, only wall-clock time.
+    pub threads: Option<usize>,
 }
 
-/// [`sample_count`] with a caller-chosen default — the one parse of the
-/// `REPRO_SAMPLES` contract (positive integers only; anything else falls
-/// back), shared by the repro binaries, the `simcheck` harness, and the
-/// conformance suite.
-pub fn sample_count_or(default: usize) -> usize {
-    std::env::var("REPRO_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(default)
-}
-
-/// The repro binaries' opt-in schedule cache, from the `IPSC_CACHE`
-/// environment variable: unset/empty/`off` = no cache, `mem` = in-memory
-/// only, anything else = a persistent artifact-store directory. Caching
-/// never changes a reported number (tested below and in the grid suite) —
-/// only how often schedules are recompiled.
-pub fn cache_config_from_env() -> Option<commrt::CacheConfig> {
-    match std::env::var("IPSC_CACHE") {
-        Err(_) => None,
-        Ok(v) if v.is_empty() || v == "off" => None,
-        Ok(v) if v == "mem" => Some(commrt::CacheConfig::in_memory()),
-        Ok(dir) => Some(commrt::CacheConfig::persistent(dir)),
+impl EnvConfig {
+    /// Read the process environment.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unrecognized backend or cost model: a typo must not
+    /// silently price a sweep on another substrate or machine.
+    pub fn from_env() -> EnvConfig {
+        EnvConfig::parse(|key| std::env::var_os(key)).unwrap_or_else(|e| panic!("{e}"))
     }
-}
 
-/// The repro binaries' simulation-backend selection, from the
-/// `IPSC_BACKEND` environment variable: unset/empty/`des` = the exact
-/// discrete-event engine, `analytic` = the occupancy model (estimates
-/// within the conformance suite's documented tolerances, orders of
-/// magnitude faster — `commrt.estimate.{des,analytic}_us` in the benchmark).
-///
-/// # Panics
-///
-/// Panics on an unrecognized value — a typo'd backend must not silently
-/// fall back to a different substrate mid-experiment.
-pub fn backend_from_env() -> commrt::BackendKind {
-    commrt::BackendKind::from_env().unwrap_or_else(|e| panic!("{e}"))
-}
+    /// [`EnvConfig::from_env`] over any `lookup` of variable values.
+    ///
+    /// # Errors
+    ///
+    /// An unrecognized or non-UTF-8 `IPSC_BACKEND` or `IPSC_COSTMODEL`,
+    /// echoed back (the backend is checked first).
+    pub fn parse(lookup: impl Fn(&str) -> Option<OsString>) -> Result<EnvConfig, String> {
+        // Unset and empty are the same; `Err` carries a non-UTF-8 value.
+        let text = |key| {
+            lookup(key)
+                .filter(|v| !v.is_empty())
+                .map(OsString::into_string)
+                .transpose()
+        };
+        let count = |key| {
+            text(key)
+                .ok()
+                .flatten()
+                .and_then(|v| v.parse().ok())
+                .filter(|&v: &usize| v > 0)
+        };
+        let backend = match text("IPSC_BACKEND") {
+            Ok(None) => commrt::BackendKind::Des,
+            Ok(Some(v)) => commrt::BackendKind::parse(&v).ok_or(format!(
+                "IPSC_BACKEND={v:?} is not a backend; use \"des\" or \"analytic\""
+            ))?,
+            Err(v) => {
+                return Err(format!(
+                    "IPSC_BACKEND={v:?} is not valid UTF-8; use \"des\" or \"analytic\""
+                ))
+            }
+        };
+        let cost_model = match text("IPSC_COSTMODEL") {
+            Ok(None) => commrt::LinkCostModel::Uniform,
+            Ok(Some(v)) => {
+                commrt::LinkCostModel::parse(&v).map_err(|e| format!("IPSC_COSTMODEL: {e}"))?
+            }
+            Err(v) => {
+                return Err(format!(
+                    "IPSC_COSTMODEL={v:?} is not valid UTF-8; use e.g. \"faulty:p=0.05,seed=42\""
+                ))
+            }
+        };
+        let cache = match text("IPSC_CACHE").ok().flatten().as_deref() {
+            None | Some("off") => None,
+            Some("mem") => Some(commrt::CacheConfig::in_memory()),
+            Some(dir) => Some(commrt::CacheConfig::persistent(dir)),
+        };
+        Ok(EnvConfig {
+            samples: count("REPRO_SAMPLES"),
+            cache,
+            backend,
+            cost_model,
+            threads: count("IPSC_THREADS"),
+        })
+    }
 
-/// The repro binaries' link-cost-model selection, from the
-/// `IPSC_COSTMODEL` environment variable: unset/empty/`uniform` = the
-/// paper's uniform machine (byte-identical to every pre-cost-model
-/// output), otherwise a model string like `loggp:o=75000,g=10000,G=1.5`
-/// or `faulty:p=0.05,seed=42` (see [`commrt::LinkCostModel::parse`]).
-///
-/// # Panics
-///
-/// Panics on an unrecognized value — a typo'd model must not silently
-/// price a sweep on the wrong machine.
-pub fn cost_model_from_env() -> commrt::LinkCostModel {
-    commrt::LinkCostModel::from_env().unwrap_or_else(|e| panic!("{e}"))
+    /// The paper's runner ([`ExperimentRunner::ipsc860`]) on
+    /// `IPSC_THREADS` workers when set. Backend, cost model and cache are
+    /// left to the caller, which passes on only the variables it honours.
+    pub fn runner(&self) -> ExperimentRunner {
+        let mut runner = ExperimentRunner::ipsc860();
+        if let Some(threads) = self.threads {
+            runner.threads = threads;
+        }
+        runner
+    }
 }
 
 /// The paper's sweep as a declarative grid: `entries` as scheduler
 /// columns, one pre-grid-compatible [`WorkloadPoint`] per `(d, M)` pair
 /// (densities outermost), `samples` samples per cell, on the 64-node
 /// hypercube. Each binary narrows the axes to its figure and renders from
-/// the executed [`commrt::GridResult`]. Honours the `IPSC_CACHE` schedule
-/// cache opt-in ([`cache_config_from_env`]), the `IPSC_BACKEND`
-/// simulation-backend selection ([`backend_from_env`]), and the
-/// `IPSC_COSTMODEL` link-cost model ([`cost_model_from_env`]).
+/// the executed [`commrt::GridResult`]. Honours all of `env` but the
+/// sample count, which each binary clamps itself.
 pub fn paper_grid(
+    env: &EnvConfig,
     entries: impl IntoIterator<Item = &'static dyn Scheduler>,
     densities: &[usize],
     sizes: &[u32],
@@ -118,13 +169,14 @@ pub fn paper_grid(
 ) -> ExperimentGrid {
     let n = paper_cube().num_nodes();
     let mut grid = ExperimentGrid::new()
+        .with_runner(env.runner())
         .topology("hypercube(6)", paper_cube())
         .schedulers(entries)
         .samples(samples)
-        .with_backend(backend_from_env())
-        .with_link_costs(cost_model_from_env());
-    if let Some(config) = cache_config_from_env() {
-        grid = grid.with_cache(config);
+        .with_backend(env.backend)
+        .with_link_costs(env.cost_model);
+    if let Some(config) = &env.cache {
+        grid = grid.with_cache(config.clone());
     }
     for &d in densities {
         for &msg_bytes in sizes {
@@ -196,71 +248,6 @@ pub fn record_cell(
     Ok(CellRecord::from_entry(
         experiment, entry, d, msg_bytes, &cell,
     ))
-}
-
-/// One row of a `BENCH_<group>.json` report. The three fields are
-/// nanoseconds for timed cases; dimensionless cases (`fig_faults`'
-/// completion rates and degradation ratios) carry their value verbatim.
-#[derive(Clone, Debug)]
-pub struct BenchCase {
-    /// Full case name (`group/…`).
-    pub name: String,
-    /// Mean over the samples.
-    pub mean_ns: f64,
-    /// Smallest sample.
-    pub min_ns: f64,
-    /// Largest sample.
-    pub max_ns: f64,
-}
-
-/// Wall-clock-time `f` over `reps` repetitions into a [`BenchCase`] (ns).
-pub fn time_case(name: impl Into<String>, reps: usize, mut f: impl FnMut()) -> BenchCase {
-    let mut samples = Vec::with_capacity(reps.max(1));
-    for _ in 0..reps.max(1) {
-        let t0 = std::time::Instant::now();
-        f();
-        samples.push(t0.elapsed().as_nanos() as f64);
-    }
-    BenchCase {
-        name: name.into(),
-        mean_ns: samples.iter().sum::<f64>() / samples.len() as f64,
-        min_ns: samples.iter().copied().fold(f64::INFINITY, f64::min),
-        max_ns: samples.iter().copied().fold(0.0f64, f64::max),
-    }
-}
-
-/// Write `BENCH_<group>.json` — a flat JSON array, one case per line,
-/// rendered by hand because the offline workspace has no serde — at the
-/// workspace root: the nearest ancestor of `CARGO_MANIFEST_DIR` (or of
-/// the current directory) holding a `Cargo.lock`, else that starting
-/// directory itself. Replaces whatever an earlier run left there and
-/// prints nothing, because the repro binaries pin their stdout.
-///
-/// # Errors
-///
-/// I/O errors from the filesystem.
-pub fn write_bench_json(group: &str, cases: &[BenchCase]) -> std::io::Result<PathBuf> {
-    let start = std::env::var_os("CARGO_MANIFEST_DIR")
-        .map(PathBuf::from)
-        .or_else(|| std::env::current_dir().ok())
-        .unwrap_or_else(|| PathBuf::from("."));
-    let root = start
-        .ancestors()
-        .find(|dir| dir.join("Cargo.lock").exists())
-        .unwrap_or(&start);
-    let path = root.join(format!("BENCH_{group}.json"));
-    let mut out = String::from("[\n");
-    for (i, c) in cases.iter().enumerate() {
-        let comma = if i + 1 < cases.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "  {{\"name\": {:?}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"max_ns\": {:.1}}}{comma}",
-            c.name, c.mean_ns, c.min_ns, c.max_ns
-        );
-    }
-    out.push_str("]\n");
-    std::fs::write(&path, out)?;
-    Ok(path)
 }
 
 /// Render a Table-1-style block for one density. The column set is taken
@@ -347,9 +334,15 @@ mod tests {
     fn paper_grid_cells_match_the_closure_oracle_bit_for_bit() {
         // The grid rewrite must not move a single bit of any reproduced
         // table: each grid cell equals the pre-grid measure_cell path.
-        let result = paper_grid(registry::primary(), &[4, 8], &[256, 1024], 2)
-            .execute()
-            .unwrap();
+        let result = paper_grid(
+            &EnvConfig::default(),
+            registry::primary(),
+            &[4, 8],
+            &[256, 1024],
+            2,
+        )
+        .execute()
+        .unwrap();
         let cube = paper_cube();
         let runner = ExperimentRunner::ipsc860();
         for entry in registry::primary() {
@@ -370,13 +363,15 @@ mod tests {
     #[test]
     fn paper_grid_numbers_survive_the_schedule_cache() {
         // The repro binaries must be byte-identical with IPSC_CACHE set or
-        // unset; the env var is process-global, so exercise the same code
-        // path (with_cache) directly.
-        let plain = paper_grid(registry::primary(), &[4], &[1024], 2)
+        // unset.
+        let cached_env = EnvConfig {
+            cache: Some(commrt::CacheConfig::in_memory()),
+            ..EnvConfig::default()
+        };
+        let plain = paper_grid(&EnvConfig::default(), registry::primary(), &[4], &[1024], 2)
             .execute()
             .unwrap();
-        let cached = paper_grid(registry::primary(), &[4], &[1024], 2)
-            .with_cache(commrt::CacheConfig::in_memory())
+        let cached = paper_grid(&cached_env, registry::primary(), &[4], &[1024], 2)
             .execute()
             .unwrap();
         assert_eq!(
@@ -385,29 +380,106 @@ mod tests {
         );
     }
 
+    /// [`EnvConfig::parse`] over a fixed set of variables.
+    fn parse(vars: &[(&str, &str)]) -> Result<EnvConfig, String> {
+        EnvConfig::parse(|key| {
+            vars.iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| OsString::from(v))
+        })
+    }
+
     #[test]
-    fn bench_json_has_the_shim_shape() {
-        let timed = time_case("noop", 2, || {});
-        assert!(timed.min_ns <= timed.mean_ns && timed.mean_ns <= timed.max_ns);
-        let case = |name: &str, v: f64| BenchCase {
-            name: name.to_string(),
-            mean_ns: v,
-            min_ns: v - 0.25,
-            max_ns: v * 2.0,
-        };
-        // The line format is what CI greps and downstream tooling read,
-        // and a second write replaces the first instead of merging.
-        write_bench_json("libtest_selftest", &[timed]).unwrap();
-        let path =
-            write_bench_json("libtest_selftest", &[case("g/a", 1.5), case("g/b", 10.0)]).unwrap();
-        assert!(path.ends_with("BENCH_libtest_selftest.json"));
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
+    fn env_config_defaults_when_unset_or_empty() {
+        assert_eq!(parse(&[]).unwrap(), EnvConfig::default());
+        let empty = [
+            "REPRO_SAMPLES",
+            "IPSC_CACHE",
+            "IPSC_BACKEND",
+            "IPSC_COSTMODEL",
+            "IPSC_THREADS",
+        ]
+        .map(|key| (key, ""));
+        assert_eq!(parse(&empty).unwrap(), EnvConfig::default());
+        let env = EnvConfig::default();
+        assert_eq!(env.backend, commrt::BackendKind::Des);
+        assert_eq!(env.cost_model, commrt::LinkCostModel::Uniform);
+        assert_eq!(env.runner().threads, ExperimentRunner::ipsc860().threads);
+    }
+
+    #[test]
+    fn env_config_counts_fall_back_unless_positive() {
+        let env = parse(&[("REPRO_SAMPLES", "7"), ("IPSC_THREADS", "3")]).unwrap();
+        assert_eq!((env.samples, env.threads), (Some(7), Some(3)));
+        assert_eq!(env.runner().threads, 3);
+        for bad in ["0", "-2", "not-a-number", "2.5", " 4"] {
+            let env = parse(&[("REPRO_SAMPLES", bad), ("IPSC_THREADS", bad)]).unwrap();
+            assert_eq!((env.samples, env.threads), (None, None), "{bad:?}");
+            assert!(env.runner().threads >= 1);
+        }
+    }
+
+    #[test]
+    fn env_config_reads_the_cache_opt_in() {
+        for off in ["off", ""] {
+            assert_eq!(parse(&[("IPSC_CACHE", off)]).unwrap().cache, None);
+        }
         assert_eq!(
-            text,
-            "[\n  {\"name\": \"g/a\", \"mean_ns\": 1.5, \"min_ns\": 1.2, \"max_ns\": 3.0},\n  \
-             {\"name\": \"g/b\", \"mean_ns\": 10.0, \"min_ns\": 9.8, \"max_ns\": 20.0}\n]\n"
+            parse(&[("IPSC_CACHE", "mem")]).unwrap().cache,
+            Some(commrt::CacheConfig::in_memory())
         );
+        assert_eq!(
+            parse(&[("IPSC_CACHE", "results/cache")]).unwrap().cache,
+            Some(commrt::CacheConfig::persistent("results/cache"))
+        );
+    }
+
+    #[test]
+    fn env_config_reads_backend_and_cost_model() {
+        let env = parse(&[
+            ("IPSC_BACKEND", "analytic"),
+            ("IPSC_COSTMODEL", "loggp:o=75000,g=10000,G=1.5"),
+        ])
+        .unwrap();
+        assert_eq!(env.backend, commrt::BackendKind::Analytic);
+        assert_eq!(
+            env.cost_model,
+            commrt::LinkCostModel::parse("loggp:o=75000,g=10000,G=1.5").unwrap()
+        );
+        assert_eq!(
+            parse(&[("IPSC_COSTMODEL", "uniform")]).unwrap().cost_model,
+            commrt::LinkCostModel::Uniform
+        );
+    }
+
+    #[test]
+    fn env_config_rejects_typos_loudly() {
+        assert_eq!(
+            parse(&[("IPSC_BACKEND", "DES")]).unwrap_err(),
+            "IPSC_BACKEND=\"DES\" is not a backend; use \"des\" or \"analytic\""
+        );
+        let err = parse(&[("IPSC_COSTMODEL", "lossy:p=1")]).unwrap_err();
+        assert!(err.starts_with("IPSC_COSTMODEL: "), "{err}");
+        // The backend is checked first.
+        let both = parse(&[("IPSC_BACKEND", "x"), ("IPSC_COSTMODEL", "y")]).unwrap_err();
+        assert!(both.starts_with("IPSC_BACKEND="), "{both}");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn env_config_rejects_non_utf8_backend_and_cost_model() {
+        use std::os::unix::ffi::OsStringExt;
+        let garbled = || Some(OsString::from_vec(vec![0x61, 0xff]));
+        for key in ["IPSC_BACKEND", "IPSC_COSTMODEL"] {
+            let err = EnvConfig::parse(|k| if k == key { garbled() } else { None }).unwrap_err();
+            assert!(err.starts_with(&format!("{key}=")), "{err}");
+            assert!(err.contains("is not valid UTF-8"), "{err}");
+        }
+        // The counts and the cache fall back instead.
+        for key in ["REPRO_SAMPLES", "IPSC_THREADS", "IPSC_CACHE"] {
+            let env = EnvConfig::parse(|k| if k == key { garbled() } else { None }).unwrap();
+            assert_eq!(env, EnvConfig::default(), "{key}");
+        }
     }
 
     #[test]

@@ -51,16 +51,7 @@ fn run(tag: &str, exe: &str, args: &[&str], env: &[(&str, &str)]) -> String {
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
-    // Side files outside `results/` are named by absolute path; their
-    // lines are not part of the reproduced artifact.
-    stdout
-        .lines()
-        .filter(|line| {
-            !(line.starts_with("wrote ") && line.contains("BENCH_") && line.ends_with(".json"))
-        })
-        .map(|line| format!("{line}\n"))
-        .collect()
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
 }
 
 fn scratch_dir() -> PathBuf {

@@ -748,36 +748,15 @@ impl BackendKind {
         }
     }
 
-    /// Parse a label (as accepted by the `IPSC_BACKEND` environment
-    /// variable): `des`/`sim`/`event` for the event engine, `analytic`
-    /// for the model. Case-sensitive, by design — env typos should fail
-    /// loudly, not fall back.
+    /// Parse a label (as accepted by the repro binaries' `IPSC_BACKEND`):
+    /// `des`/`sim`/`event` for the event engine, `analytic` for the model.
+    /// Case-sensitive, by design — typos should fail loudly, not fall
+    /// back.
     pub fn parse(s: &str) -> Option<BackendKind> {
         match s {
             "des" | "sim" | "event" => Some(BackendKind::Des),
             "analytic" => Some(BackendKind::Analytic),
             _ => None,
-        }
-    }
-
-    /// Backend selection from the `IPSC_BACKEND` environment variable;
-    /// unset or empty means [`BackendKind::Des`].
-    ///
-    /// # Errors
-    ///
-    /// An unrecognized value, echoed back with the accepted set.
-    pub fn from_env() -> Result<BackendKind, String> {
-        match std::env::var("IPSC_BACKEND") {
-            Err(std::env::VarError::NotPresent) => Ok(BackendKind::Des),
-            // A present-but-garbled value must fail like any other typo,
-            // not silently price the sweep on the default substrate.
-            Err(std::env::VarError::NotUnicode(v)) => Err(format!(
-                "IPSC_BACKEND={v:?} is not valid UTF-8; use \"des\" or \"analytic\""
-            )),
-            Ok(v) if v.is_empty() => Ok(BackendKind::Des),
-            Ok(v) => BackendKind::parse(&v).ok_or(format!(
-                "IPSC_BACKEND={v:?} is not a backend; use \"des\" or \"analytic\""
-            )),
         }
     }
 }

@@ -96,30 +96,16 @@ pub struct ExperimentRunner {
     schedule_cache: Option<Arc<SchedCache>>,
 }
 
-/// Worker-thread default: the `IPSC_THREADS` environment variable when set
-/// to a positive integer (reproducible thread control on shared CI
-/// machines), otherwise the host's available parallelism.
-///
-/// Thread count never changes *results* — cell outputs are deterministic
-/// by construction — only wall-clock time and scheduling noise.
-pub(crate) fn default_threads() -> usize {
-    std::env::var("IPSC_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&t: &usize| t > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, usize::from))
-}
-
 impl ExperimentRunner {
-    /// Runner with the paper's machine calibration. Worker threads honour
-    /// the `IPSC_THREADS` environment override.
+    /// Runner with the paper's machine calibration, on the host's
+    /// available parallelism.
     pub fn ipsc860() -> Self {
         ExperimentRunner {
             params: MachineParams::ipsc860(),
             cost_model: I860CostModel::default(),
             link_costs: LinkCostModel::Uniform,
             backend: BackendKind::Des,
-            threads: default_threads(),
+            threads: std::thread::available_parallelism().map_or(4, usize::from),
             schedule_cache: None,
         }
     }

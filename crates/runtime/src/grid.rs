@@ -342,8 +342,8 @@ impl fmt::Debug for CellSpec {
 /// change the [`GridResult`] — that is tested, not hoped.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExecOptions {
-    /// Worker-thread override (`None` = the runner's thread count, which
-    /// honours `IPSC_THREADS`).
+    /// Worker-thread override (`None` = the runner's
+    /// [`ExperimentRunner::threads`]).
     pub threads: Option<usize>,
     /// Disable the `(workload point, seed)` matrix cache, regenerating
     /// every sample per cell — only useful for measuring what reuse buys.

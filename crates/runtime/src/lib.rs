@@ -68,8 +68,6 @@ pub use commcache::{CacheConfig, CacheStats, SchedCache};
 pub use compile::{compile, compile_ac_send_detect, run_schedule, run_schedule_traced};
 pub use experiment::{CellResult, ExperimentRunner};
 pub use grid::{ExperimentGrid, GridResult, WorkloadPoint};
-pub use report::{
-    read_json, write_csv, write_grid_json, write_grid_markdown, write_json, CellRecord,
-};
+pub use report::{write_csv, write_grid_markdown, write_json, CellRecord};
 pub use scheme::Scheme;
 pub use simnet::{CostModelError, LinkCostModel};

@@ -331,24 +331,6 @@ impl LinkCostModel {
         }
     }
 
-    /// Model from the `IPSC_COSTMODEL` environment variable; unset or
-    /// empty means [`LinkCostModel::Uniform`].
-    ///
-    /// # Errors
-    ///
-    /// An unrecognized or non-UTF-8 value, echoed back — env typos fail
-    /// loudly, matching `IPSC_BACKEND`.
-    pub fn from_env() -> Result<LinkCostModel, String> {
-        match std::env::var("IPSC_COSTMODEL") {
-            Err(std::env::VarError::NotPresent) => Ok(LinkCostModel::Uniform),
-            Err(std::env::VarError::NotUnicode(v)) => Err(format!(
-                "IPSC_COSTMODEL={v:?} is not valid UTF-8; use e.g. \"faulty:p=0.05,seed=42\""
-            )),
-            Ok(v) if v.is_empty() => Ok(LinkCostModel::Uniform),
-            Ok(v) => LinkCostModel::parse(&v).map_err(|e| format!("IPSC_COSTMODEL: {e}")),
-        }
-    }
-
     /// Whether this is the paper's uniform machine — the fast path every
     /// pricing site short-circuits on.
     #[inline]

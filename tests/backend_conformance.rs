@@ -17,7 +17,7 @@ use repro_bench::simcheck;
 use workloads::Generator;
 
 fn samples() -> usize {
-    repro_bench::sample_count_or(2)
+    repro_bench::EnvConfig::from_env().samples.unwrap_or(2)
 }
 
 #[test]

@@ -4,17 +4,23 @@
 //! the grid-aware report writers.
 
 use commrt::grid::ExecOptions;
-use commrt::{write_grid_json, write_grid_markdown, ExperimentGrid, WorkloadPoint};
+use commrt::{write_grid_markdown, ExperimentGrid, WorkloadPoint};
 use commsched::registry;
 use hypercube::Hypercube;
-use repro_bench::paper_grid;
+use repro_bench::{paper_grid, EnvConfig};
 use workloads::Generator;
 
 #[test]
 fn paper_sweep_is_deterministic_across_workers_and_task_orders() {
     // The acceptance bar of the grid refactor: identical GridResult with
     // 1 worker, N workers, and an adversarially shuffled task order.
-    let grid = paper_grid(registry::primary(), &[4, 8], &[256, 4096], 3);
+    let grid = paper_grid(
+        &EnvConfig::default(),
+        registry::primary(),
+        &[4, 8],
+        &[256, 4096],
+        3,
+    );
     let reference = grid
         .execute_opts(ExecOptions {
             threads: Some(1),
@@ -101,18 +107,36 @@ fn schedule_cache_changes_cost_never_results() {
         std::process::id()
     ));
     std::fs::remove_dir_all(&dir).ok();
-    let reference = paper_grid(registry::primary(), &[4, 8], &[256, 4096], 2)
-        .execute()
-        .unwrap();
-    let in_memory = paper_grid(registry::primary(), &[4, 8], &[256, 4096], 2)
-        .with_cache(commrt::CacheConfig::in_memory())
-        .execute()
-        .unwrap();
+    let reference = paper_grid(
+        &EnvConfig::default(),
+        registry::primary(),
+        &[4, 8],
+        &[256, 4096],
+        2,
+    )
+    .execute()
+    .unwrap();
+    let in_memory = paper_grid(
+        &EnvConfig::default(),
+        registry::primary(),
+        &[4, 8],
+        &[256, 4096],
+        2,
+    )
+    .with_cache(commrt::CacheConfig::in_memory())
+    .execute()
+    .unwrap();
     assert_eq!(reference.records("cache"), in_memory.records("cache"));
     let mut warm_stats = None;
     for run in 0..2 {
-        let grid = paper_grid(registry::primary(), &[4, 8], &[256, 4096], 2)
-            .with_cache(commrt::CacheConfig::persistent(&dir));
+        let grid = paper_grid(
+            &EnvConfig::default(),
+            registry::primary(),
+            &[4, 8],
+            &[256, 4096],
+            2,
+        )
+        .with_cache(commrt::CacheConfig::persistent(&dir));
         let persistent = grid.execute().unwrap();
         assert_eq!(
             reference.records("cache"),
@@ -130,18 +154,14 @@ fn schedule_cache_changes_cost_never_results() {
 
 #[test]
 fn grid_reports_render_every_cell() {
-    let result = paper_grid(registry::primary(), &[4], &[1024], 2)
+    let result = paper_grid(&EnvConfig::default(), registry::primary(), &[4], &[1024], 2)
         .execute()
         .unwrap();
     let dir = std::env::temp_dir().join("ipsc_sched_grid_pipeline_reports");
-    let json_path = dir.join("grid.json");
     let md_path = dir.join("grid.md");
-    write_grid_json(&json_path, "pipeline", &result).unwrap();
     write_grid_markdown(&md_path, "Pipeline grid", &result).unwrap();
-    let json = std::fs::read_to_string(&json_path).unwrap();
     let md = std::fs::read_to_string(&md_path).unwrap();
     for entry in registry::primary() {
-        assert!(json.contains(&format!("\"algorithm\": \"{}\"", entry.name())));
         assert!(md.contains(entry.name()));
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -151,9 +171,15 @@ fn grid_reports_render_every_cell() {
 fn records_match_the_csv_row_order_of_the_binaries() {
     // The repro binaries rely on stable cell order (points outermost,
     // columns innermost) to keep their CSV artifacts byte-identical.
-    let result = paper_grid(registry::primary(), &[4, 8], &[256, 1024], 1)
-        .execute()
-        .unwrap();
+    let result = paper_grid(
+        &EnvConfig::default(),
+        registry::primary(),
+        &[4, 8],
+        &[256, 1024],
+        1,
+    )
+    .execute()
+    .unwrap();
     let records = result.records("order");
     let mut expected = Vec::new();
     for (d, bytes) in [(4, 256), (4, 1024), (8, 256), (8, 1024)] {
