@@ -230,26 +230,6 @@ pub fn measure_cell(
     )
 }
 
-/// Convenience: measure and convert to a [`CellRecord`].
-///
-/// # Errors
-///
-/// Propagates the first simulation error of any sample.
-pub fn record_cell(
-    experiment: &str,
-    runner: &ExperimentRunner,
-    cube: &Hypercube,
-    entry: &dyn Scheduler,
-    d: usize,
-    msg_bytes: u32,
-    samples: usize,
-) -> Result<CellRecord, simnet::SimError> {
-    let cell = measure_cell(runner, cube, entry, d, msg_bytes, samples)?;
-    Ok(CellRecord::from_entry(
-        experiment, entry, d, msg_bytes, &cell,
-    ))
-}
-
 /// Render a Table-1-style block for one density. The column set is taken
 /// from the records themselves (first-row order), so the table grows with
 /// the registry instead of hardcoding algorithm names.
@@ -508,7 +488,10 @@ mod tests {
         let cube = paper_cube();
         let runner = ExperimentRunner::ipsc860();
         let records: Vec<CellRecord> = registry::primary()
-            .map(|e| record_cell("t", &runner, &cube, e, 4, 256, 1).unwrap())
+            .map(|e| {
+                let cell = measure_cell(&runner, &cube, e, 4, 256, 1).unwrap();
+                CellRecord::from_cell("t", e.name(), 4, 256, &cell)
+            })
             .collect();
         let block = format_density_block(4, &[(256, records)]);
         for e in registry::primary() {

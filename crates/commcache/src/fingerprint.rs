@@ -1,6 +1,7 @@
 //! Canonical 128-bit fingerprints over scheduling requests (the full
 //! layout contract is documented on [`Fingerprint`], the public face of
-//! this private module).
+//! this private module). Its strings and matrix block are written by the
+//! [`codec`](crate::codec) the wire frames and the artifact share.
 
 use std::fmt;
 
@@ -8,12 +9,7 @@ use commsched::CommMatrix;
 use hypercube::Topology;
 
 use crate::checksum::hash128;
-
-/// Append a `u32` length and the UTF-8 bytes.
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
+use crate::codec::{put_matrix, put_str};
 
 /// The instance section of the canonical layout, materialized.
 fn instance_section(com: &CommMatrix, topo: &dyn Topology) -> Vec<u8> {
@@ -23,15 +19,7 @@ fn instance_section(com: &CommMatrix, topo: &dyn Topology) -> Vec<u8> {
     put_str(&mut out, topo.name());
     out.extend_from_slice(&(topo.num_nodes() as u64).to_le_bytes());
     out.extend_from_slice(&(topo.link_count() as u64).to_le_bytes());
-    out.extend_from_slice(&(com.n() as u64).to_le_bytes());
-    out.extend_from_slice(&(com.message_count() as u64).to_le_bytes());
-    com.messages().for_each(|(src, dst, bytes)| {
-        let mut record = [0u8; 12];
-        record[..4].copy_from_slice(&src.0.to_le_bytes());
-        record[4..8].copy_from_slice(&dst.0.to_le_bytes());
-        record[8..].copy_from_slice(&bytes.to_le_bytes());
-        out.extend_from_slice(&record);
-    });
+    put_matrix(&mut out, com);
     out
 }
 

@@ -54,6 +54,7 @@ use hypercube::Topology;
 
 mod cache;
 mod checksum;
+pub mod codec;
 mod fingerprint;
 mod incremental;
 mod store;
@@ -63,24 +64,22 @@ pub use checksum::{checksum64, hash128};
 pub use fingerprint::{canonical_bytes, Fingerprint, InstanceKey, LAYOUT_VERSION};
 pub use incremental::{IncrementalCache, IncrementalConfig, IncrementalStats};
 pub use store::{
-    decode_artifact, decode_artifact_full, decode_artifact_meta, encode_artifact,
-    encode_artifact_meta, encode_artifact_with, ArtifactStore, StoreError, TopologyMeta, EXTENSION,
-    FORMAT_VERSION, MAGIC,
+    decode_artifact, decode_artifact_full, encode_artifact, encode_artifact_with, ArtifactStore,
+    StoreError, TopologyMeta, EXTENSION, FORMAT_VERSION, MAGIC,
 };
+
+/// Mutex-guarded shards of a [`SchedCache`]'s in-memory cache.
+const SHARDS: usize = 8;
 
 /// Configuration of a [`SchedCache`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Mutex-guarded shards of the in-memory cache (≥ 1).
-    pub shards: usize,
-    /// Total in-memory byte budget, split evenly across shards and
-    /// enforced by LRU eviction (metered via [`schedule_weight_bytes`]).
+    /// Total in-memory byte budget, split evenly across the eight shards
+    /// and enforced by LRU eviction (metered via [`schedule_weight_bytes`]).
     pub byte_budget: usize,
-    /// Artifact-store directory; `None` disables persistence.
+    /// Artifact-store directory; `None` disables persistence. Freshly
+    /// compiled schedules are written through to it.
     pub persist_dir: Option<PathBuf>,
-    /// Write freshly compiled schedules through to the store (only
-    /// meaningful with `persist_dir`; on by default).
-    pub write_through: bool,
     /// Delta-aware compilation ([`IncrementalCache`]); `None` (the
     /// default) keeps the cache byte-identical to a cold compile —
     /// patched schedules may differ structurally from cold ones, so the
@@ -91,10 +90,8 @@ pub struct CacheConfig {
 impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
-            shards: 8,
             byte_budget: 64 << 20, // 64 MiB
             persist_dir: None,
-            write_through: true,
             incremental: None,
         }
     }
@@ -117,12 +114,6 @@ impl CacheConfig {
     /// Override the in-memory byte budget.
     pub fn with_byte_budget(mut self, bytes: usize) -> Self {
         self.byte_budget = bytes;
-        self
-    }
-
-    /// Keep the store read-only: load-on-miss without write-through.
-    pub fn read_only_store(mut self) -> Self {
-        self.write_through = false;
         self
     }
 
@@ -189,7 +180,7 @@ impl CacheStats {
 ///
 /// Lookup policy per request: fingerprint the inputs, try memory, then
 /// (if persistent) try the store — a store hit is promoted into memory —
-/// then compile, cache, and (if `write_through`) persist. Store files
+/// then compile, cache, and (if persistent) write through. Store files
 /// that are corrupt or a foreign version are *skipped*: the request falls
 /// through to compilation and the bad artifact is overwritten by the
 /// write-through, which is the self-healing behaviour an on-disk cache
@@ -204,7 +195,6 @@ pub struct SchedCache {
     mem: ShardedCache,
     store: Option<ArtifactStore>,
     incremental: Option<IncrementalCache>,
-    write_through: bool,
     requests: AtomicU64,
     store_hits: AtomicU64,
     misses: AtomicU64,
@@ -217,10 +207,9 @@ impl SchedCache {
     /// Build a cache from its configuration.
     pub fn new(config: CacheConfig) -> Self {
         SchedCache {
-            mem: ShardedCache::new(config.shards, config.byte_budget),
+            mem: ShardedCache::new(SHARDS, config.byte_budget),
             store: config.persist_dir.map(ArtifactStore::new),
             incremental: config.incremental.map(IncrementalCache::new),
-            write_through: config.write_through,
             requests: AtomicU64::new(0),
             store_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -339,16 +328,14 @@ impl SchedCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let schedule = compile();
         self.mem.insert(key, Arc::clone(&schedule));
-        if self.write_through {
-            if let Some(store) = &self.store {
-                let meta = topo.map(TopologyMeta::of);
-                match store.store_with(key, &schedule, meta.as_ref()) {
-                    Ok(_) => {
-                        self.store_writes.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(_) => {
-                        self.store_errors.fetch_add(1, Ordering::Relaxed);
-                    }
+        if let Some(store) = &self.store {
+            let meta = topo.map(TopologyMeta::of);
+            match store.store_with(key, &schedule, meta.as_ref()) {
+                Ok(_) => {
+                    self.store_writes.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(_) => {
+                    self.store_errors.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -388,7 +375,6 @@ impl std::fmt::Debug for SchedCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SchedCache")
             .field("persist_dir", &self.store.as_ref().map(ArtifactStore::dir))
-            .field("write_through", &self.write_through)
             .field("stats", &self.stats())
             .finish()
     }
@@ -523,18 +509,6 @@ mod tests {
         healed.get_or_schedule(entry, &com, &cube, 1);
         assert_eq!(healed.stats().store_hits, 1);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn read_only_store_never_writes() {
-        let dir = tmp_dir("readonly");
-        let com = sample_com();
-        let cube = Hypercube::new(4);
-        let entry = registry::find("LP").unwrap();
-        let cache = SchedCache::new(CacheConfig::persistent(&dir).read_only_store());
-        cache.get_or_schedule(entry, &com, &cube, 0);
-        assert_eq!(cache.stats().store_writes, 0);
-        assert!(!dir.exists(), "no directory created without writes");
     }
 
     #[test]

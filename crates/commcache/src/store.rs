@@ -29,10 +29,12 @@
 //! topology section: `u8` presence flag — when 1, the topology kind
 //! string (`u32` length + bytes), `u64` node count, and `u64` link count
 //! of the fabric the schedule was compiled for — then a link-cost
-//! section: `u8` presence flag — when 1, the canonical cost-model string
-//! (`u32` length + bytes) the request carried. The uniform model is
-//! always encoded as *absent* (flag 0). Versions 1–3 summed the payload
-//! differently and are foreign versions like any other.
+//! section: `u8` presence flag — when 1, a cost-model string (`u32`
+//! length + bytes). The encoder always writes the link-cost section
+//! absent (flag 0); the decoder validates a present one and skips it.
+//! Versions 1–3 summed the payload differently and are foreign versions
+//! like any other. Strings and bounds-checked reads are the
+//! [`codec`](crate::codec)'s, which the wire and the fingerprint share.
 //!
 //! The phase words are the schedule's in-memory phase table verbatim
 //! ([`Schedule::table`]: `phases × n` words, row-major, [`SILENT`] for a
@@ -48,6 +50,7 @@ use std::path::{Path, PathBuf};
 use commsched::{Schedule, ScheduleKind, SchedulerKind, SILENT};
 use hypercube::Topology;
 
+use crate::codec::{put_str, CodecError, Reader};
 use crate::{checksum64, Fingerprint};
 
 /// Leading magic of every artifact file.
@@ -152,11 +155,9 @@ fn kind_code(kind: ScheduleKind) -> u8 {
 }
 
 fn kind_from_code(code: u8) -> Option<ScheduleKind> {
-    match code {
-        0 => Some(ScheduleKind::Async),
-        1 => Some(ScheduleKind::Phased),
-        _ => None,
-    }
+    [ScheduleKind::Async, ScheduleKind::Phased]
+        .into_iter()
+        .find(|&kind| kind_code(kind) == code)
 }
 
 fn family_code(kind: SchedulerKind) -> u8 {
@@ -169,13 +170,10 @@ fn family_code(kind: SchedulerKind) -> u8 {
 }
 
 fn family_from_code(code: u8) -> Option<SchedulerKind> {
-    match code {
-        0 => Some(SchedulerKind::Ac),
-        1 => Some(SchedulerKind::Lp),
-        2 => Some(SchedulerKind::RsN),
-        3 => Some(SchedulerKind::RsNl),
-        _ => None,
-    }
+    use SchedulerKind::*;
+    [Ac, Lp, RsN, RsNl]
+        .into_iter()
+        .find(|&kind| family_code(kind) == code)
 }
 
 /// Serialize one schedule into a complete artifact (header + payload +
@@ -187,24 +185,12 @@ pub fn encode_artifact(fp: Fingerprint, schedule: &Schedule) -> Vec<u8> {
 }
 
 /// [`encode_artifact`] with an optional topology section describing the
-/// fabric the schedule was compiled for.
+/// fabric the schedule was compiled for. The link-cost section is always
+/// written absent.
 pub fn encode_artifact_with(
     fp: Fingerprint,
     schedule: &Schedule,
     topology: Option<&TopologyMeta>,
-) -> Vec<u8> {
-    encode_artifact_meta(fp, schedule, topology, None)
-}
-
-/// [`encode_artifact_with`] plus an optional link-cost section: the
-/// canonical cost-model string the request carried. `"uniform"` (or
-/// `None`) is always encoded as absent — the canonical form of "no cost
-/// model", so uniform artifacts never fork on this field.
-pub fn encode_artifact_meta(
-    fp: Fingerprint,
-    schedule: &Schedule,
-    topology: Option<&TopologyMeta>,
-    cost_model: Option<&str>,
 ) -> Vec<u8> {
     let table = schedule.table();
     let mut payload = Vec::with_capacity(36 + table.len() * 4);
@@ -219,20 +205,12 @@ pub fn encode_artifact_meta(
         None => payload.push(0),
         Some(meta) => {
             payload.push(1);
-            payload.extend_from_slice(&(meta.kind.len() as u32).to_le_bytes());
-            payload.extend_from_slice(meta.kind.as_bytes());
+            put_str(&mut payload, &meta.kind);
             payload.extend_from_slice(&meta.nodes.to_le_bytes());
             payload.extend_from_slice(&meta.links.to_le_bytes());
         }
     }
-    match cost_model.filter(|&s| s != "uniform") {
-        None => payload.push(0),
-        Some(s) => {
-            payload.push(1);
-            payload.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            payload.extend_from_slice(s.as_bytes());
-        }
-    }
+    payload.push(0); // no link-cost section
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + 8);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -243,52 +221,23 @@ pub fn encode_artifact_meta(
     out
 }
 
-/// Little-endian field cursor over an artifact payload.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
+impl From<CodecError> for StoreError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated => StoreError::Truncated,
+            CodecError::TrailingBytes => StoreError::Corrupt("trailing payload bytes".into()),
+            CodecError::BadString(what) => StoreError::Corrupt(format!("{what} not UTF-8")),
+        }
+    }
 }
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        let end = self.at.checked_add(n).ok_or(StoreError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(StoreError::Truncated);
-        }
-        let slice = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, StoreError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// An optional section: a presence flag, then — when 1 — the string
-    /// (`u32` length + UTF-8 bytes) the section opens with.
-    fn section(&mut self, what: &str) -> Result<Option<String>, StoreError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => {
-                let len = self.u32()? as usize;
-                let s = std::str::from_utf8(self.take(len)?)
-                    .map_err(|_| StoreError::Corrupt(format!("{what} not UTF-8")))?;
-                Ok(Some(s.to_string()))
-            }
-            flag => Err(StoreError::Corrupt(format!("{what} presence flag {flag}"))),
-        }
+/// An optional section: a presence flag, then — when 1 — the string
+/// (`u32` length + UTF-8 bytes) the section opens with.
+fn section(p: &mut Reader<'_>, what: &'static str) -> Result<Option<String>, StoreError> {
+    match p.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(p.str(what, usize::MAX)?)),
+        flag => Err(StoreError::Corrupt(format!("{what} presence flag {flag}"))),
     }
 }
 
@@ -304,7 +253,8 @@ pub fn decode_artifact(bytes: &[u8]) -> Result<(Fingerprint, Schedule), StoreErr
 }
 
 /// Parse a complete artifact, including its topology section (`None` for
-/// wire artifacts, which carry none).
+/// wire artifacts, which carry none). A link-cost section is validated
+/// and skipped.
 ///
 /// # Errors
 ///
@@ -313,45 +263,22 @@ pub fn decode_artifact(bytes: &[u8]) -> Result<(Fingerprint, Schedule), StoreErr
 pub fn decode_artifact_full(
     bytes: &[u8],
 ) -> Result<(Fingerprint, Schedule, Option<TopologyMeta>), StoreError> {
-    decode_artifact_meta(bytes).map(|(fp, schedule, topo, _)| (fp, schedule, topo))
-}
-
-/// Parse a complete artifact, including its topology and link-cost
-/// sections (`None` where a section is absent).
-///
-/// # Errors
-///
-/// Every malformation maps to a typed [`StoreError`]; this function never
-/// panics on untrusted bytes.
-pub fn decode_artifact_meta(
-    bytes: &[u8],
-) -> Result<(Fingerprint, Schedule, Option<TopologyMeta>, Option<String>), StoreError> {
-    if bytes.len() < MAGIC.len() {
-        return Err(StoreError::Truncated);
-    }
-    if bytes[..MAGIC.len()] != MAGIC {
+    let mut header = Reader::new(bytes);
+    if header.take(MAGIC.len())? != MAGIC {
         return Err(StoreError::BadMagic);
     }
-    let mut header = Cursor {
-        bytes,
-        at: MAGIC.len(),
-    };
     let version = header.u32()?;
     if version != FORMAT_VERSION {
         return Err(StoreError::UnsupportedVersion(version));
     }
-    let fp = Fingerprint::from_bytes(header.take(16)?.try_into().expect("16 bytes"));
+    let fp = Fingerprint::from_bytes(header.array()?);
     let payload_len = header.u64()? as usize;
     let payload = header.take(payload_len)?;
-    let checksum = u64::from_le_bytes(header.take(8)?.try_into().expect("8 bytes"));
-    if checksum64(payload) != checksum {
+    if checksum64(payload) != header.u64()? {
         return Err(StoreError::Corrupt("payload checksum mismatch".into()));
     }
 
-    let mut p = Cursor {
-        bytes: payload,
-        at: 0,
-    };
+    let mut p = Reader::new(payload);
     let kind = p.u8()?;
     let kind =
         kind_from_code(kind).ok_or_else(|| StoreError::Corrupt(format!("schedule kind {kind}")))?;
@@ -367,8 +294,7 @@ pub fn decode_artifact_meta(
     let phase_count = p.u64()? as usize;
     // A phase is n words; bound the claimed count by the payload actually
     // present before allocating anything proportional to it.
-    let remaining = payload.len() - p.at;
-    if phase_count > remaining / (n * 4).max(1) {
+    if phase_count > p.remaining() / (n * 4).max(1) {
         return Err(StoreError::Truncated);
     }
     let words = p.take(phase_count * n * 4)?;
@@ -388,7 +314,7 @@ pub fn decode_artifact_meta(
             "destination {word} out of {n} nodes"
         )));
     }
-    let topology = match p.section("topology kind")? {
+    let topology = match section(&mut p, "topology kind")? {
         Some(kind) => Some(TopologyMeta {
             kind,
             nodes: p.u64()?,
@@ -396,15 +322,12 @@ pub fn decode_artifact_meta(
         }),
         None => None,
     };
-    let cost_model = p.section("cost model")?;
-    if p.at != payload.len() {
-        return Err(StoreError::Corrupt("trailing payload bytes".into()));
-    }
+    section(&mut p, "cost model")?;
+    p.finish()?;
     Ok((
         fp,
         Schedule::from_parts(kind, family, n, table, ops, compress_ops),
         topology,
-        cost_model,
     ))
 }
 
@@ -568,10 +491,22 @@ mod tests {
         assert_eq!(got, s);
     }
 
+    /// `bytes` with its payload's last byte (the link-cost flag) replaced
+    /// by `tail`, the length and checksum rewritten to match.
+    fn with_cost_section(bytes: &[u8], tail: &[u8]) -> Vec<u8> {
+        let mut payload = bytes[HEADER_LEN..bytes.len() - 9].to_vec();
+        payload.extend_from_slice(tail);
+        let mut out = bytes[..HEADER_LEN - 8].to_vec();
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&payload);
+        out.extend_from_slice(&checksum64(&payload).to_le_bytes());
+        out
+    }
+
     #[test]
     fn the_format_is_pinned_byte_for_byte() {
         // One phase on two nodes — 0 sends to 1, 1 is silent — for RS_NL,
-        // 3 scheduling ops, compiled for `ring(2)` under a faulty model.
+        // 3 scheduling ops, compiled for `ring(2)`.
         let s = Schedule::from_parts(
             ScheduleKind::Phased,
             SchedulerKind::RsNl,
@@ -588,7 +523,7 @@ mod tests {
         let fp = Fingerprint(0x0f0e_0d0c_0b0a_0908_0706_0504_0302_0100);
         let mut want = b"CCSCHED\0\x04\0\0\0".to_vec();
         want.extend(0u8..16); // fingerprint, LE
-        want.extend_from_slice(&[85, 0, 0, 0, 0, 0, 0, 0]); // payload length
+        want.extend_from_slice(&[71, 0, 0, 0, 0, 0, 0, 0]); // payload length
         want.extend_from_slice(&[1, 3]); // phased, RS_NL
         want.extend_from_slice(&[2, 0, 0, 0, 0, 0, 0, 0]); // n
         want.extend_from_slice(&[3, 0, 0, 0, 0, 0, 0, 0]); // scheduling ops
@@ -597,15 +532,21 @@ mod tests {
         want.extend_from_slice(&[1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff]); // 0 -> 1, silent
         want.extend_from_slice(b"\x01\x07\0\0\0ring(2)"); // topology present
         want.extend_from_slice(&[2, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0]);
-        want.extend_from_slice(b"\x01\x0a\0\0\0faulty:p=1"); // cost model present
-        want.extend_from_slice(&0x29b6_315b_e04d_be01u64.to_le_bytes()); // checksum64(payload)
+        want.push(0); // no cost model
+        want.extend_from_slice(&0xd722_33e9_f527_d4feu64.to_le_bytes()); // checksum64(payload)
+        assert_eq!(encode_artifact_with(fp, &s, Some(&meta)), want);
+        let decoded = decode_artifact_full(&want).unwrap();
+        assert_eq!(decoded, (fp, s.clone(), Some(meta.clone())));
+
+        // A present cost section, as version 4 allows, decodes to the
+        // same schedule.
+        let costed = with_cost_section(&want, b"\x01\x0a\0\0\0faulty:p=1");
+        assert_eq!(costed[28], 85); // payload length
         assert_eq!(
-            encode_artifact_meta(fp, &s, Some(&meta), Some("faulty:p=1")),
-            want
+            costed[costed.len() - 8..],
+            0x29b6_315b_e04d_be01u64.to_le_bytes()
         );
-        let (got_fp, got, topo, cost) = decode_artifact_meta(&want).unwrap();
-        assert_eq!((got_fp, got, topo), (fp, s, Some(meta)));
-        assert_eq!(cost.as_deref(), Some("faulty:p=1"));
+        assert_eq!(decode_artifact_full(&costed).unwrap(), decoded);
     }
 
     #[test]
@@ -687,7 +628,7 @@ mod tests {
         let mut v3 = encode_artifact(fp, &s);
         v3[8..12].copy_from_slice(&3u32.to_le_bytes());
         assert!(matches!(
-            decode_artifact_meta(&v3),
+            decode_artifact(&v3),
             Err(StoreError::UnsupportedVersion(3))
         ));
 
@@ -713,31 +654,25 @@ mod tests {
     }
 
     #[test]
-    fn cost_model_section_roundtrips_and_uniform_is_absent() {
+    fn a_cost_section_is_validated_and_skipped() {
         let s = sample_schedule();
-        let bytes = encode_artifact_meta(Fingerprint(31), &s, None, Some("faulty:p=0.05,seed=7"));
-        let (_, got, _, cost) = decode_artifact_meta(&bytes).unwrap();
-        assert_eq!(got, s);
-        assert_eq!(cost.as_deref(), Some("faulty:p=0.05,seed=7"));
-        // "uniform" normalizes to an absent section: byte-identical to
-        // passing no cost model at all.
-        let explicit = encode_artifact_meta(Fingerprint(31), &s, None, Some("uniform"));
-        let implicit = encode_artifact_meta(Fingerprint(31), &s, None, None);
-        assert_eq!(explicit, implicit);
-        let (_, _, _, cost) = decode_artifact_meta(&explicit).unwrap();
-        assert_eq!(cost, None);
-        // A presence flag outside {0, 1} is typed corruption.
-        let mut bad = encode_artifact(Fingerprint(31), &s);
-        let payload_start = HEADER_LEN;
-        let payload_end = bad.len() - 8;
-        bad[payload_end - 1] = 9;
-        let sum = checksum64(&bad[payload_start..payload_end]);
-        let at = bad.len() - 8;
-        bad[at..].copy_from_slice(&sum.to_le_bytes());
-        assert!(matches!(
-            decode_artifact_meta(&bad),
-            Err(StoreError::Corrupt(_))
-        ));
+        let bytes = encode_artifact(Fingerprint(31), &s);
+        assert_eq!(bytes[bytes.len() - 9], 0); // written absent
+        let present = with_cost_section(&bytes, b"\x01\x14\0\0\0faulty:p=0.05,seed=7");
+        assert_eq!(decode_artifact(&present).unwrap(), (Fingerprint(31), s));
+        // A presence flag outside {0, 1}, a string that is not UTF-8 and
+        // one cut short are each typed.
+        for (tail, want) in [
+            (&b"\x09"[..], "Corrupt(\"cost model presence flag 9\")"),
+            (
+                b"\x01\x02\0\0\0\xff\xfe",
+                "Corrupt(\"cost model not UTF-8\")",
+            ),
+            (b"\x01\x09\0\0\0short", "Truncated"),
+        ] {
+            let err = decode_artifact(&with_cost_section(&bytes, tail)).unwrap_err();
+            assert_eq!(format!("{err:?}"), want);
+        }
     }
 
     #[test]

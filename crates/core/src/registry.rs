@@ -414,8 +414,6 @@ pub struct AdHoc {
     name: String,
     section: String,
     family: SchedulerKind,
-    link_cf: bool,
-    node_cf: bool,
     ordinal: u64,
     #[allow(clippy::type_complexity)]
     f: Box<dyn Fn(&CommMatrix, &dyn Topology, u64) -> Schedule + Send + Sync>,
@@ -429,27 +427,13 @@ impl AdHoc {
         f: impl Fn(&CommMatrix, &dyn Topology, u64) -> Schedule + Send + Sync + 'static,
     ) -> Self {
         let name = name.into();
-        let canonical = family.scheduler();
         AdHoc {
             section: format!("ad hoc ({name})"),
             family,
-            link_cf: canonical.link_contention_free(),
-            node_cf: canonical.node_contention_free(),
             ordinal: fnv1a(&name),
             name,
             f: Box::new(f),
         }
-    }
-
-    /// Override the guarantee flags (defaulted from the family entry).
-    pub fn with_guarantees(
-        mut self,
-        link_contention_free: bool,
-        node_contention_free: bool,
-    ) -> Self {
-        self.link_cf = link_contention_free;
-        self.node_cf = node_contention_free;
-        self
     }
 
     /// Pin the seed-stream ordinal (defaulted to a hash of the name).
@@ -470,10 +454,10 @@ impl Scheduler for AdHoc {
         self.family
     }
     fn link_contention_free(&self) -> bool {
-        self.link_cf
+        self.family.scheduler().link_contention_free()
     }
     fn node_contention_free(&self) -> bool {
-        self.node_cf
+        self.family.scheduler().node_contention_free()
     }
     fn ordinal(&self) -> u64 {
         self.ordinal
@@ -620,14 +604,13 @@ mod tests {
         assert!(entry.node_contention_free());
         assert_eq!(entry.family(), SchedulerKind::RsNl);
         // Distinct names get distinct default ordinals; explicit pinning
-        // and guarantee overrides stick.
+        // sticks.
         let other = AdHoc::new("OTHER", SchedulerKind::RsNl, |com, topo, seed| {
             crate::rs_nl(com, topo, seed)
         });
         assert_ne!(entry.ordinal(), other.ordinal());
-        let pinned = other.with_ordinal(99).with_guarantees(false, true);
+        let pinned = other.with_ordinal(99);
         assert_eq!(pinned.ordinal(), 99);
-        assert!(!pinned.link_contention_free());
         // And it schedules like the function it wraps.
         let com = sample_com(16);
         let cube = Hypercube::new(4);

@@ -88,20 +88,6 @@ pub fn phase_lower_bound(com: &CommMatrix) -> usize {
     com.density()
 }
 
-/// A simple analytic estimate of a phased schedule's communication time
-/// under the paper's `tau + M*phi` model with per-phase synchronization —
-/// useful for quick what-if analysis without firing the simulator.
-pub fn analytic_phase_cost(
-    schedule: &Schedule,
-    com: &CommMatrix,
-    tau_ns: u64,
-    phi_ns_per_byte: f64,
-) -> u64 {
-    crate::nonuniform::estimate_phased_cost(schedule, com, |max_bytes| {
-        tau_ns + (max_bytes as f64 * phi_ns_per_byte) as u64
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,7 +137,9 @@ mod tests {
     fn analytic_cost_tracks_phase_count_and_size() {
         let com = symmetric(16, 2);
         let s = rs_n(&com, 1);
-        let cheap = analytic_phase_cost(&s, &com, 100_000, 357.0);
+        let cheap = crate::nonuniform::estimate_phased_cost(&s, &com, |max_bytes| {
+            100_000 + (max_bytes as f64 * 357.0) as u64
+        });
         // tau + M*phi per phase:
         let per_phase = 100_000 + (1024.0 * 357.0) as u64;
         assert_eq!(cheap, per_phase * s.num_phases() as u64);

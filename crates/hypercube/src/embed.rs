@@ -14,28 +14,6 @@ pub fn gray(i: u32) -> u32 {
     i ^ (i >> 1)
 }
 
-/// Inverse Gray code: the rank of a code word in the reflected sequence.
-#[inline]
-pub fn gray_inverse(mut g: u32) -> u32 {
-    let mut i = g;
-    while g > 0 {
-        g >>= 1;
-        i ^= g;
-    }
-    i
-}
-
-/// Embed a ring of `2^dims` logical positions into the cube: position `p`
-/// lives on node `gray(p)`, making ring neighbours cube neighbours.
-///
-/// # Panics
-///
-/// Panics if `dims > 20` (consistency with [`crate::Hypercube::new`]).
-pub fn ring_embedding(dims: u32) -> Vec<NodeId> {
-    assert!(dims <= 20, "cube too large");
-    (0..(1u32 << dims)).map(|p| NodeId(gray(p))).collect()
-}
-
 /// Embed a `2^r x 2^c` logical grid into a `2^(r+c)`-node cube by crossing
 /// two Gray codes: grid position `(y, x)` lives on node
 /// `gray(y) << c | gray(x)`. Grid neighbours (up/down/left/right, no
@@ -68,19 +46,20 @@ mod tests {
     }
 
     #[test]
-    fn gray_is_a_bijection_with_inverse() {
+    fn gray_is_a_bijection() {
         let mut seen = [false; 1024];
         for i in 0..1024u32 {
             let g = gray(i);
             assert!(!seen[g as usize]);
             seen[g as usize] = true;
-            assert_eq!(gray_inverse(g), i);
         }
     }
 
     #[test]
     fn ring_embedding_is_a_hamiltonian_cycle() {
-        let ring = ring_embedding(6);
+        // Ring position `p` on node `gray(p)`: ring neighbours are cube
+        // neighbours.
+        let ring: Vec<NodeId> = (0..64).map(|p| NodeId(gray(p))).collect();
         assert_eq!(ring.len(), 64);
         for w in ring.windows(2) {
             assert_eq!(w[0].hamming(w[1]), 1);

@@ -7,7 +7,7 @@
 //! [3, 13]; [`xor_permutation_is_link_free`] re-verifies it exhaustively in
 //! tests). The bit-complement permutation is the special case `k = n - 1`.
 
-use crate::{NodeId, Path, Topology};
+use crate::{NodeId, Topology};
 
 /// The XOR (linear) permutation `i -> i ^ k` over `n` nodes.
 ///
@@ -76,27 +76,6 @@ pub fn xor_permutation_is_link_free<T: Topology>(topo: &T, k: usize) -> bool {
     is_link_free(topo, (0..n).map(|i| (NodeId(i), NodeId(i ^ k as u32))))
 }
 
-/// Collect all pairwise path intersections of a phase, for diagnostics:
-/// returns `(i, j)` sender pairs whose circuits share at least one link.
-pub fn link_conflicts<T: Topology>(topo: &T, dests: &[Option<NodeId>]) -> Vec<(NodeId, NodeId)> {
-    let paths: Vec<Option<Path>> = dests
-        .iter()
-        .enumerate()
-        .map(|(i, d)| d.map(|dst| topo.route(NodeId(i as u32), dst)))
-        .collect();
-    let mut out = Vec::new();
-    for i in 0..paths.len() {
-        for j in (i + 1)..paths.len() {
-            if let (Some(a), Some(b)) = (&paths[i], &paths[j]) {
-                if a.intersects(b) {
-                    out.push((NodeId(i as u32), NodeId(j as u32)));
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,13 +134,11 @@ mod tests {
         // Sanity check that our "bad permutation" really is bad: bit
         // reversal under e-cube has link conflicts on cubes of dim >= 3.
         let cube = Hypercube::new(6);
-        let dests: Vec<_> = bit_reverse(64).into_iter().map(Some).collect();
         let pairs = bit_reverse(64).into_iter().enumerate();
         assert!(!is_link_free(
             &cube,
             pairs.map(|(i, d)| (NodeId(i as u32), d))
         ));
-        assert!(!link_conflicts(&cube, &dests).is_empty());
     }
 
     #[test]

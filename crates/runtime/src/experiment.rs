@@ -145,27 +145,6 @@ impl ExperimentRunner {
         self
     }
 
-    /// Attach a delta-aware schedule cache: fingerprint misses may be
-    /// served by patching a retained base schedule (validated, falling
-    /// back to a cold compile) instead of recompiling — the right cache
-    /// for grids over *drifting* patterns, where consecutive cells
-    /// perturb a persistent matrix. Unlike [`ExperimentRunner::with_cache`],
-    /// patched schedules may differ structurally from cold compiles (while
-    /// always validating), so byte-identical repro grids keep using the
-    /// exact cache.
-    pub fn with_incremental_cache(self, mut config: CacheConfig) -> Self {
-        if config.incremental.is_none() {
-            config.incremental = Some(commcache::IncrementalConfig::default());
-        }
-        self.with_cache(config)
-    }
-
-    /// Detach the schedule cache.
-    pub fn without_cache(mut self) -> Self {
-        self.schedule_cache = None;
-        self
-    }
-
     /// The attached schedule cache, if any (its
     /// [`commcache::SchedCache::stats`] snapshot reports hit rates).
     pub fn schedule_cache(&self) -> Option<&SchedCache> {
@@ -496,8 +475,8 @@ mod tests {
         // simulators would reject an invalid decomposition by producing
         // nonsense; we check the cache counters and determinism here).
         let cube = Hypercube::new(4);
-        let runner =
-            ExperimentRunner::ipsc860().with_incremental_cache(commcache::CacheConfig::in_memory());
+        let runner = ExperimentRunner::ipsc860()
+            .with_cache(commcache::CacheConfig::in_memory().incremental_default());
         let entry = commsched::registry::find("RS_NL").unwrap();
         let scheme = crate::Scheme::for_scheduler(entry);
         let set = SampleSet::new(29, 1);
@@ -563,7 +542,6 @@ mod tests {
             .unwrap()
             .get_or_schedule(entry, &com, &cube, 5);
         assert_eq!(clone.schedule_cache().unwrap().stats().mem_hits, 1);
-        assert!(runner.without_cache().schedule_cache().is_none());
     }
 
     #[test]

@@ -21,7 +21,8 @@ USAGE:
     schedd (--unix <path> | --tcp <host:port> | --addr <endpoint>) [options]
 
 OPTIONS:
-    --unix <path>        listen on a Unix domain socket
+    --unix <path>        listen on a Unix domain socket (replaces only a
+                         stale socket at <path>; anything else is an error)
     --tcp <host:port>    listen on TCP (port 0 picks a free port)
     --addr <endpoint>    unix:<path> or tcp:<host:port>
     --workers <n>        compile worker threads        [default: 2]

@@ -11,8 +11,9 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A parsed daemon address.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -63,22 +64,42 @@ impl Endpoint {
         }
     }
 
-    /// Bind a listener on this endpoint. An existing Unix socket file
-    /// is removed first (the daemon owns its path).
+    /// Bind a listener on this endpoint. A stale Unix socket file — one
+    /// that refuses a connection — is removed first; nothing else at the
+    /// path is touched.
     ///
     /// # Errors
     ///
-    /// The underlying bind error.
+    /// `AddrInUse` when a live socket answers at the path, `AlreadyExists`
+    /// when the path holds something that is not a socket, and otherwise
+    /// the underlying probe, unlink or bind error.
     pub fn bind(&self) -> io::Result<Listener> {
         match self {
             Endpoint::Unix(path) => {
-                if path.exists() {
-                    std::fs::remove_file(path)?;
-                }
+                reclaim_stale_socket(path)?;
                 Ok(Listener::Unix(UnixListener::bind(path)?))
             }
             Endpoint::Tcp(addr) => Ok(Listener::Tcp(TcpListener::bind(addr.as_str())?)),
         }
+    }
+}
+
+/// Unlink `path` if it is a socket nobody listens on, so a daemon can
+/// bind there after one that died without cleaning up.
+fn reclaim_stale_socket(path: &Path) -> io::Result<()> {
+    let refuse = |kind, what| Err(io::Error::new(kind, format!("{}: {what}", path.display())));
+    match std::fs::symlink_metadata(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(e),
+        Ok(meta) if !meta.file_type().is_socket() => {
+            return refuse(io::ErrorKind::AlreadyExists, "exists and is not a socket");
+        }
+        Ok(_) => {}
+    }
+    match UnixStream::connect(path) {
+        Ok(_) => refuse(io::ErrorKind::AddrInUse, "a daemon is listening there"),
+        Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => std::fs::remove_file(path),
+        Err(e) => Err(e),
     }
 }
 

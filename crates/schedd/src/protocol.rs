@@ -11,7 +11,9 @@
 //! | 8+len | 8 | [`commcache::checksum64`] of the body, LE |
 //!
 //! The first body byte is the frame kind; the rest is kind-specific, all
-//! integers little-endian, strings UTF-8 with a `u32` length prefix.
+//! integers little-endian, strings UTF-8 with a `u32` length prefix, all
+//! read and written by [`commcache::codec`], which the schedule artifact
+//! and the fingerprint layout share.
 //! Responses can arrive **out of order** relative to their submissions
 //! (the daemon's worker pool races), so every request carries a
 //! `request_id` that the matching response echoes — that is what makes
@@ -37,6 +39,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
+use commcache::codec::{put_matrix, put_messages, put_str, CodecError, Reader};
 use commcache::{checksum64, Fingerprint, InstanceKey};
 use commrt::{BackendKind, BackendReport, ContentionStats, Scheme};
 use commsched::{CommMatrix, MatrixDelta, Schedule, Scheduler};
@@ -64,8 +67,9 @@ pub const MAX_COSTMODEL_LEN: usize = 128;
 /// force a large allocation on an unconfigured daemon.
 pub const MAX_REQUEST_NODES: u64 = 1024;
 
-/// Default for [`ProtocolLimits::max_matrix_cells`]: `n²` up to 2^26
-/// (n = 8192), a wire contract in force however high `--max-nodes` goes.
+/// Largest `n²` a `Submit` matrix may span: 2^26 (n = 8192), a wire
+/// contract in force however high `--max-nodes` goes. A [`CommMatrix`]
+/// costs its messages, not `n²`, so the cap guards no allocation.
 pub const MAX_MATRIX_CELLS: u64 = 1 << 26;
 
 /// Decode-time size limits, configurable per daemon (`--max-nodes`).
@@ -77,35 +81,26 @@ pub const MAX_MATRIX_CELLS: u64 = 1 << 26;
 /// passes its own limits via [`Request::decode_with`].
 ///
 /// The node cap bounds [`TopologyKind::num_nodes`] of every decoded
-/// fabric, whatever its kind. [`max_matrix_cells`](Self::max_matrix_cells)
-/// is independent of it: a `Submit` whose `n²` exceeds it is rejected with
-/// [`DecodeError::LimitExceeded`]. A [`CommMatrix`] costs its messages, not
-/// `n²`, so the cap guards no allocation; it is kept as a wire contract.
+/// fabric, whatever its kind. [`MAX_MATRIX_CELLS`] is independent of it:
+/// a `Submit` whose `n²` exceeds that is rejected with
+/// [`DecodeError::LimitExceeded`] however high the node cap is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ProtocolLimits {
     /// Largest node count a request may carry.
     pub max_request_nodes: u64,
-    /// Largest `n²` a `Submit` matrix may span.
-    pub max_matrix_cells: u64,
 }
 
 impl Default for ProtocolLimits {
     fn default() -> Self {
-        ProtocolLimits {
-            max_request_nodes: MAX_REQUEST_NODES,
-            max_matrix_cells: MAX_MATRIX_CELLS,
-        }
+        ProtocolLimits::with_max_nodes(MAX_REQUEST_NODES)
     }
 }
 
 impl ProtocolLimits {
-    /// Limits for a daemon admitting up to `nodes` nodes. The matrix-cell
-    /// cap keeps its default: the node count bounds what a request may
-    /// *name*, and the cell cap stays the wire contract it shipped as.
+    /// Limits for a daemon admitting up to `nodes` nodes.
     pub fn with_max_nodes(nodes: u64) -> Self {
         ProtocolLimits {
             max_request_nodes: nodes,
-            ..ProtocolLimits::default()
         }
     }
 }
@@ -321,120 +316,39 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Little-endian field cursor over a frame body.
-struct Rd<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Rd<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Rd { bytes, at: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self.at.checked_add(n).ok_or(DecodeError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(DecodeError::Truncated);
-        }
-        let slice = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn str(&mut self, field: &'static str, cap: usize) -> Result<String, DecodeError> {
-        let len = self.u32()? as usize;
-        if len > cap {
-            return Err(DecodeError::BadString(field));
-        }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadString(field))
-    }
-
-    /// One byte naming a value of `T`; an unassigned code is a typed
-    /// error carrying `field`.
-    fn coded<T>(
-        &mut self,
-        field: &'static str,
-        from_code: impl FnOnce(u8) -> Option<T>,
-    ) -> Result<T, DecodeError> {
-        let code = self.u8()?;
-        from_code(code).ok_or(DecodeError::BadValue {
-            field,
-            value: code.into(),
-        })
-    }
-
-    fn flag(&mut self, field: &'static str) -> Result<bool, DecodeError> {
-        self.coded(field, |code| (code <= 1).then_some(code == 1))
-    }
-
-    /// A `u64` count of `record`-byte entries, bounded by the bytes
-    /// actually present so nothing is allocated for a claim the body
-    /// cannot back.
-    fn count(&mut self, record: usize) -> Result<usize, DecodeError> {
-        match usize::try_from(self.u64()?) {
-            Ok(count) if count <= self.remaining() / record => Ok(count),
-            _ => Err(DecodeError::Truncated),
-        }
-    }
-
-    /// A [`count`](Self::count)-prefixed list of `record`-byte entries.
-    fn list<T>(
-        &mut self,
-        record: usize,
-        mut entry: impl FnMut(&mut Self) -> Result<T, DecodeError>,
-    ) -> Result<Vec<T>, DecodeError> {
-        let count = self.count(record)?;
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            entries.push(entry(self)?);
-        }
-        Ok(entries)
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.at
-    }
-
-    fn finish(self) -> Result<(), DecodeError> {
-        if self.at == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(DecodeError::TrailingBytes)
+impl From<CodecError> for DecodeError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated => DecodeError::Truncated,
+            CodecError::TrailingBytes => DecodeError::TrailingBytes,
+            CodecError::BadString(field) => DecodeError::BadString(field),
         }
     }
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+/// One byte naming a value of `T`; an unassigned code is a typed error
+/// carrying `field`.
+fn coded<T>(
+    rd: &mut Reader<'_>,
+    field: &'static str,
+    from_code: impl FnOnce(u8) -> Option<T>,
+) -> Result<T, DecodeError> {
+    let code = rd.u8()?;
+    from_code(code).ok_or(DecodeError::BadValue {
+        field,
+        value: code.into(),
+    })
 }
 
-/// The 12-byte `(src, dst, bytes)` record of a matrix cell, assembled
-/// first so the body grows once per message.
-fn put_message(out: &mut Vec<u8>, (src, dst, bytes): (NodeId, NodeId, u32)) {
-    let mut record = [0u8; 12];
-    record[..4].copy_from_slice(&src.0.to_le_bytes());
-    record[4..8].copy_from_slice(&dst.0.to_le_bytes());
-    record[8..].copy_from_slice(&bytes.to_le_bytes());
-    out.extend_from_slice(&record);
+fn flag(rd: &mut Reader<'_>, field: &'static str) -> Result<bool, DecodeError> {
+    coded(rd, field, |code| (code <= 1).then_some(code == 1))
+}
+
+/// A body that opens with a frame kind and a request id.
+fn id_body(kind: u8, request_id: u64) -> Vec<u8> {
+    let mut out = vec![kind];
+    out.extend_from_slice(&request_id.to_le_bytes());
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -472,7 +386,10 @@ fn encode_topology(kind: &TopologyKind, out: &mut Vec<u8>) {
 /// Read a fabric back: whether the fields describe one is
 /// [`TopologyKind::validate`]'s call, whether this daemon serves one
 /// that large is the node cap's — the same two checks for every kind.
-fn decode_topology(rd: &mut Rd<'_>, limits: &ProtocolLimits) -> Result<TopologyKind, DecodeError> {
+fn decode_topology(
+    rd: &mut Reader<'_>,
+    limits: &ProtocolLimits,
+) -> Result<TopologyKind, DecodeError> {
     let kind = match rd.u8()? {
         0 => TopologyKind::Hypercube { dims: rd.u32()? },
         1 => TopologyKind::Mesh2d {
@@ -590,15 +507,15 @@ impl Envelope<'_> {
         out.extend_from_slice(&self.seed.to_le_bytes());
     }
 
-    fn decode(rd: &mut Rd<'_>, limits: &ProtocolLimits) -> Result<Envelope<'static>, DecodeError> {
+    fn decode(rd: &mut Reader<'_>, limits: &ProtocolLimits) -> Result<Self, DecodeError> {
         // Field initialisers run top to bottom: this is the wire order.
         Ok(Envelope {
             request_id: rd.u64()?,
-            want_schedule: rd.flag("flags")?,
+            want_schedule: flag(rd, "flags")?,
             topology: Cow::Owned(decode_topology(rd, limits)?),
             scheduler: Cow::Owned(rd.str("scheduler", MAX_NAME_LEN)?),
-            scheme: rd.coded("scheme", SchemeChoice::from_code)?,
-            backend: rd.coded("backend", backend_from_code)?,
+            scheme: coded(rd, "scheme", SchemeChoice::from_code)?,
+            backend: coded(rd, "backend", backend_from_code)?,
             seed: rd.u64()?,
         })
     }
@@ -618,11 +535,32 @@ impl Envelope<'_> {
         }
     }
 
+    /// The full delta submit these fields head.
+    fn into_delta(
+        self,
+        base: InstanceKey,
+        delta: MatrixDelta,
+        cost_model: LinkCostModel,
+    ) -> SubmitDeltaRequest {
+        SubmitDeltaRequest {
+            request_id: self.request_id,
+            want_schedule: self.want_schedule,
+            topology: self.topology.into_owned(),
+            scheduler: self.scheduler.into_owned(),
+            scheme: self.scheme,
+            backend: self.backend,
+            seed: self.seed,
+            base,
+            delta,
+            cost_model,
+        }
+    }
+
     /// The payload's node count: positive, within the node cap, and the
     /// size of the fabric the envelope names.
     fn node_count(
         &self,
-        rd: &mut Rd<'_>,
+        rd: &mut Reader<'_>,
         limits: &ProtocolLimits,
         field: &'static str,
     ) -> Result<usize, DecodeError> {
@@ -696,34 +634,25 @@ impl SubmitRequest {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + 12 * self.matrix.message_count());
         self.envelope().encode(K_SUBMIT, &mut out);
-        out.extend_from_slice(&(self.matrix.n() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.matrix.message_count() as u64).to_le_bytes());
-        self.matrix
-            .messages()
-            .for_each(|message| put_message(&mut out, message));
+        put_matrix(&mut out, &self.matrix);
         put_cost_model(&mut out, &self.cost_model);
         out
     }
 
-    fn decode(rd: &mut Rd<'_>, limits: &ProtocolLimits) -> Result<SubmitRequest, DecodeError> {
+    fn decode(rd: &mut Reader<'_>, limits: &ProtocolLimits) -> Result<Self, DecodeError> {
         let head = Envelope::decode(rd, limits)?;
         let n = head.node_count(rd, limits, "matrix.n")?;
-        // The cell cap is a wire contract, kept whatever the matrix costs.
         let cells = (n as u64).saturating_mul(n as u64);
-        if cells > limits.max_matrix_cells {
+        if cells > MAX_MATRIX_CELLS {
             return Err(DecodeError::LimitExceeded {
                 field: "matrix.cells",
                 value: cells,
-                limit: limits.max_matrix_cells,
+                limit: MAX_MATRIX_CELLS,
             });
         }
         // Any message order decodes; the anomaly reported is the one at
         // the earliest wire position.
-        let count = rd.count(12)?;
-        let records = rd.take(12 * count)?.chunks_exact(12);
-        let word = |m: &[u8], at| u32::from_le_bytes(m[at..at + 4].try_into().expect("4 bytes"));
-        let messages = records.map(|m| (NodeId(word(m, 0)), NodeId(word(m, 4)), word(m, 8)));
-        let matrix = CommMatrix::from_messages(n, messages)
+        let matrix = CommMatrix::from_messages(n, rd.messages()?)
             .map_err(|e| DecodeError::Invalid(e.to_string()))?;
         Ok(head.into_submit(matrix, decode_cost_model(rd)?))
     }
@@ -740,7 +669,7 @@ fn put_cost_model(out: &mut Vec<u8>, cost_model: &LinkCostModel) {
 /// Decode the trailing optional cost-model field: absent means uniform
 /// (the pre-cost-model wire format), present means a canonical string
 /// validated by the [`LinkCostModel`] grammar.
-fn decode_cost_model(rd: &mut Rd<'_>) -> Result<LinkCostModel, DecodeError> {
+fn decode_cost_model(rd: &mut Reader<'_>) -> Result<LinkCostModel, DecodeError> {
     if rd.remaining() == 0 {
         return Ok(LinkCostModel::Uniform);
     }
@@ -786,17 +715,6 @@ pub struct SubmitDeltaRequest {
     pub cost_model: LinkCostModel,
 }
 
-fn put_messages(out: &mut Vec<u8>, messages: &[(NodeId, NodeId, u32)]) {
-    out.extend_from_slice(&(messages.len() as u64).to_le_bytes());
-    for &message in messages {
-        put_message(out, message);
-    }
-}
-
-fn message(rd: &mut Rd<'_>) -> Result<(NodeId, NodeId, u32), DecodeError> {
-    Ok((NodeId(rd.u32()?), NodeId(rd.u32()?), rd.u32()?))
-}
-
 impl SubmitDeltaRequest {
     fn envelope(&self) -> Envelope<'_> {
         Envelope {
@@ -822,42 +740,32 @@ impl SubmitDeltaRequest {
         self.envelope().encode(K_SUBMIT_DELTA, &mut out);
         out.extend_from_slice(&self.base.to_bytes());
         out.extend_from_slice(&(self.delta.n() as u64).to_le_bytes());
-        put_messages(&mut out, self.delta.added());
+        let (added, resized) = (self.delta.added(), self.delta.resized());
+        put_messages(&mut out, added.len(), added.iter().copied());
         out.extend_from_slice(&(self.delta.removed().len() as u64).to_le_bytes());
         for &(src, dst) in self.delta.removed() {
             out.extend_from_slice(&src.0.to_le_bytes());
             out.extend_from_slice(&dst.0.to_le_bytes());
         }
-        put_messages(&mut out, self.delta.resized());
+        put_messages(&mut out, resized.len(), resized.iter().copied());
         put_cost_model(&mut out, &self.cost_model);
         out
     }
 
-    fn decode(rd: &mut Rd<'_>, limits: &ProtocolLimits) -> Result<SubmitDeltaRequest, DecodeError> {
+    fn decode(rd: &mut Reader<'_>, limits: &ProtocolLimits) -> Result<Self, DecodeError> {
         let head = Envelope::decode(rd, limits)?;
-        let base = InstanceKey::from_bytes(rd.take(16)?.try_into().expect("16 bytes"));
+        let base = InstanceKey::from_bytes(rd.array()?);
         let n = head.node_count(rd, limits, "delta.n")?;
-        let added = rd.list(12, message)?;
+        let added = rd.messages()?.collect();
         let removed = rd.list(8, |rd| Ok((NodeId(rd.u32()?), NodeId(rd.u32()?))))?;
-        let resized = rd.list(12, message)?;
+        let resized = rd.messages()?.collect();
         // `from_parts` re-runs the matrix-level semantic checks
         // (ranges, self-messages, zero bytes, duplicate cells), so a
         // hostile delta surfaces as a typed error here, not a panic in
         // the daemon's apply path.
         let delta = MatrixDelta::from_parts(n, added, removed, resized)
             .map_err(|e| DecodeError::Invalid(e.to_string()))?;
-        Ok(SubmitDeltaRequest {
-            request_id: head.request_id,
-            want_schedule: head.want_schedule,
-            topology: head.topology.into_owned(),
-            scheduler: head.scheduler.into_owned(),
-            scheme: head.scheme,
-            backend: head.backend,
-            seed: head.seed,
-            base,
-            delta,
-            cost_model: decode_cost_model(rd)?,
-        })
+        Ok(head.into_delta(base, delta, decode_cost_model(rd)?))
     }
 }
 
@@ -886,16 +794,8 @@ impl Request {
         match self {
             Request::Submit(req) => req.encode(),
             Request::SubmitDelta(req) => req.encode(),
-            Request::Stats { request_id } => {
-                let mut out = vec![K_STATS_REQ];
-                out.extend_from_slice(&request_id.to_le_bytes());
-                out
-            }
-            Request::Shutdown { request_id } => {
-                let mut out = vec![K_SHUTDOWN_REQ];
-                out.extend_from_slice(&request_id.to_le_bytes());
-                out
-            }
+            Request::Stats { request_id } => id_body(K_STATS_REQ, *request_id),
+            Request::Shutdown { request_id } => id_body(K_SHUTDOWN_REQ, *request_id),
         }
     }
 
@@ -915,7 +815,7 @@ impl Request {
     /// Typed [`DecodeError`] for every malformation — size claims above
     /// `limits` are [`DecodeError::LimitExceeded`]; never panics.
     pub fn decode_with(body: &[u8], limits: &ProtocolLimits) -> Result<Request, DecodeError> {
-        let mut rd = Rd::new(body);
+        let mut rd = Reader::new(body);
         let req = match rd.u8()? {
             K_SUBMIT => Request::Submit(SubmitRequest::decode(&mut rd, limits)?),
             K_SUBMIT_DELTA => Request::SubmitDelta(SubmitDeltaRequest::decode(&mut rd, limits)?),
@@ -1071,43 +971,37 @@ impl SubmitReply {
         }
     }
 
-    fn decode(rd: &mut Rd<'_>) -> Result<SubmitReply, DecodeError> {
-        let request_id = rd.u64()?;
-        let fingerprint = Fingerprint::from_bytes(rd.take(16)?.try_into().expect("16 bytes"));
-        let freshly_compiled = rd.flag("freshly_compiled")?;
-        let makespan_ns = rd.u64()?;
-        let phase_end_ns = rd.list(8, Rd::u64)?;
-        let contention = ContentionStats {
-            max_engine_busy_ns: rd.u64()?,
-            max_link_busy_ns: rd.u64()?,
-            contended_transfers: rd.u64()?,
-            contended_phases: rd.u64()? as usize,
+    fn decode(rd: &mut Reader<'_>) -> Result<SubmitReply, DecodeError> {
+        // Field initialisers run top to bottom: this is the wire order.
+        let mut reply = SubmitReply {
+            request_id: rd.u64()?,
+            fingerprint: Fingerprint::from_bytes(rd.array()?),
+            freshly_compiled: flag(rd, "freshly_compiled")?,
+            estimate: BackendReport {
+                makespan_ns: rd.u64()?,
+                phase_end_ns: rd.list(8, Reader::u64)?,
+                contention: ContentionStats {
+                    max_engine_busy_ns: rd.u64()?,
+                    max_link_busy_ns: rd.u64()?,
+                    contended_transfers: rd.u64()?,
+                    contended_phases: rd.u64()? as usize,
+                },
+            },
+            schedule: None,
         };
-        let schedule = if rd.flag("schedule_present")? {
+        if flag(rd, "schedule_present")? {
             let len = rd.u64()? as usize;
-            let bytes = rd.take(len)?;
-            let (fp, schedule) = commcache::decode_artifact(bytes)
+            let (fp, schedule) = commcache::decode_artifact(rd.take(len)?)
                 .map_err(|e| DecodeError::Artifact(e.to_string()))?;
-            if fp != fingerprint {
+            if fp != reply.fingerprint {
                 return Err(DecodeError::Invalid(format!(
-                    "artifact keyed {fp} inside a reply keyed {fingerprint}"
+                    "artifact keyed {fp} inside a reply keyed {}",
+                    reply.fingerprint
                 )));
             }
-            Some(Arc::new(schedule))
-        } else {
-            None
-        };
-        Ok(SubmitReply {
-            request_id,
-            fingerprint,
-            freshly_compiled,
-            estimate: BackendReport {
-                makespan_ns,
-                phase_end_ns,
-                contention,
-            },
-            schedule,
-        })
+            reply.schedule = Some(Arc::new(schedule));
+        }
+        Ok(reply)
     }
 }
 
@@ -1180,68 +1074,36 @@ pub struct DaemonStats {
 
 impl DaemonStats {
     /// The wire fields, in layout order.
-    fn fields(&self) -> [u64; 27] {
+    fn fields_mut(&mut self) -> [&mut u64; 27] {
         [
-            self.connections_accepted,
-            self.connections_active,
-            self.disconnects_midstream,
-            self.submits,
-            self.completed,
-            self.compiles,
-            self.coalesced,
-            self.cache_requests,
-            self.cache_mem_hits,
-            self.cache_store_hits,
-            self.cache_misses,
-            self.estimate_hits,
-            self.estimate_misses,
-            self.rejected_quota,
-            self.rejected_overload,
-            self.rejected_shutdown,
-            self.errors_malformed,
-            self.errors_other,
-            self.write_failures,
-            self.queue_depth,
-            self.inflight,
-            self.draining,
-            self.delta_submits,
-            self.incr_base_hits,
-            self.incr_patches,
-            self.incr_fallbacks,
-            self.incr_validation_rejections,
+            &mut self.connections_accepted,
+            &mut self.connections_active,
+            &mut self.disconnects_midstream,
+            &mut self.submits,
+            &mut self.completed,
+            &mut self.compiles,
+            &mut self.coalesced,
+            &mut self.cache_requests,
+            &mut self.cache_mem_hits,
+            &mut self.cache_store_hits,
+            &mut self.cache_misses,
+            &mut self.estimate_hits,
+            &mut self.estimate_misses,
+            &mut self.rejected_quota,
+            &mut self.rejected_overload,
+            &mut self.rejected_shutdown,
+            &mut self.errors_malformed,
+            &mut self.errors_other,
+            &mut self.write_failures,
+            &mut self.queue_depth,
+            &mut self.inflight,
+            &mut self.draining,
+            &mut self.delta_submits,
+            &mut self.incr_base_hits,
+            &mut self.incr_patches,
+            &mut self.incr_fallbacks,
+            &mut self.incr_validation_rejections,
         ]
-    }
-
-    fn from_fields(f: [u64; 27]) -> DaemonStats {
-        DaemonStats {
-            connections_accepted: f[0],
-            connections_active: f[1],
-            disconnects_midstream: f[2],
-            submits: f[3],
-            completed: f[4],
-            compiles: f[5],
-            coalesced: f[6],
-            cache_requests: f[7],
-            cache_mem_hits: f[8],
-            cache_store_hits: f[9],
-            cache_misses: f[10],
-            estimate_hits: f[11],
-            estimate_misses: f[12],
-            rejected_quota: f[13],
-            rejected_overload: f[14],
-            rejected_shutdown: f[15],
-            errors_malformed: f[16],
-            errors_other: f[17],
-            write_failures: f[18],
-            queue_depth: f[19],
-            inflight: f[20],
-            draining: f[21],
-            delta_submits: f[22],
-            incr_base_hits: f[23],
-            incr_patches: f[24],
-            incr_fallbacks: f[25],
-            incr_validation_rejections: f[26],
-        }
     }
 
     /// Fraction of delta submits served by a patched base schedule —
@@ -1300,31 +1162,27 @@ impl Response {
 
     /// Encode into a frame body.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
         match self {
             Response::Schedule(reply) => {
-                out.push(K_SCHEDULE);
+                let mut out = vec![K_SCHEDULE];
                 reply.encode(&mut out);
+                out
             }
             Response::Stats { request_id, stats } => {
-                out.push(K_STATS);
-                out.extend_from_slice(&request_id.to_le_bytes());
-                for field in stats.fields() {
+                let (mut out, mut stats) = (id_body(K_STATS, *request_id), *stats);
+                for field in stats.fields_mut() {
                     out.extend_from_slice(&field.to_le_bytes());
                 }
+                out
             }
             Response::Error(err) => {
-                out.push(K_ERROR);
-                out.extend_from_slice(&err.request_id.to_le_bytes());
+                let mut out = id_body(K_ERROR, err.request_id);
                 out.push(err.code as u8);
                 put_str(&mut out, &err.detail);
+                out
             }
-            Response::ShutdownAck { request_id } => {
-                out.push(K_SHUTDOWN_ACK);
-                out.extend_from_slice(&request_id.to_le_bytes());
-            }
+            Response::ShutdownAck { request_id } => id_body(K_SHUTDOWN_ACK, *request_id),
         }
-        out
     }
 
     /// Decode a frame body.
@@ -1333,30 +1191,22 @@ impl Response {
     ///
     /// Typed [`DecodeError`] for every malformation; never panics.
     pub fn decode(body: &[u8]) -> Result<Response, DecodeError> {
-        let mut rd = Rd::new(body);
+        let mut rd = Reader::new(body);
         let resp = match rd.u8()? {
             K_SCHEDULE => Response::Schedule(SubmitReply::decode(&mut rd)?),
             K_STATS => {
                 let request_id = rd.u64()?;
-                let mut fields = [0u64; 27];
-                for f in &mut fields {
-                    *f = rd.u64()?;
+                let mut stats = DaemonStats::default();
+                for field in stats.fields_mut() {
+                    *field = rd.u64()?;
                 }
-                Response::Stats {
-                    request_id,
-                    stats: DaemonStats::from_fields(fields),
-                }
+                Response::Stats { request_id, stats }
             }
-            K_ERROR => {
-                let request_id = rd.u64()?;
-                let code = rd.coded("error.code", ErrorCode::from_code)?;
-                let detail = rd.str("error.detail", 4096)?;
-                Response::Error(ErrorReply {
-                    request_id,
-                    code,
-                    detail,
-                })
-            }
+            K_ERROR => Response::Error(ErrorReply {
+                request_id: rd.u64()?,
+                code: coded(&mut rd, "error.code", ErrorCode::from_code)?,
+                detail: rd.str("error.detail", 4096)?,
+            }),
             K_SHUTDOWN_ACK => Response::ShutdownAck {
                 request_id: rd.u64()?,
             },

@@ -515,3 +515,39 @@ fn a_pipelined_miss_and_hit_both_arrive_matched_by_id() {
     assert_ne!(replies[&miss].fingerprint, replies[&hit].fingerprint);
     handle.shutdown();
 }
+
+#[test]
+fn a_regular_file_at_the_socket_path_survives_and_start_fails() {
+    let path = sock_path("regular-file");
+    std::fs::write(&path, b"not a socket").unwrap();
+    let err = Server::start(ServiceConfig::default(), &Endpoint::Unix(path.clone()))
+        .err()
+        .expect("the daemon refuses a path holding a regular file");
+    assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists);
+    assert_eq!(std::fs::read(&path).unwrap(), b"not a socket");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_second_daemon_on_a_live_socket_fails_and_the_first_keeps_serving() {
+    let (handle, endpoint) = start("live", ServiceConfig::default());
+    let err = Server::start(ServiceConfig::default(), &endpoint)
+        .err()
+        .expect("the second daemon refuses a live socket");
+    assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse);
+    let mut client = Client::connect(&endpoint).expect("the first daemon is reachable");
+    client.stats().expect("the first daemon answers Stats");
+    handle.shutdown();
+}
+
+#[test]
+fn a_stale_socket_file_is_reclaimed() {
+    let path = sock_path("stale");
+    std::fs::remove_file(&path).ok();
+    // A listener dropped without unlinking leaves a socket nobody serves.
+    drop(std::os::unix::net::UnixListener::bind(&path).unwrap());
+    assert!(path.exists());
+    let (handle, endpoint) = start("stale", ServiceConfig::default());
+    assert_serving(&endpoint, 2);
+    handle.shutdown();
+}
