@@ -18,11 +18,11 @@
 //! (honours `REPRO_SAMPLES`, `IPSC_BACKEND` and `IPSC_THREADS`).
 
 use commrt::grid::{GridColumn, SchedulerHandle};
-use commrt::{run_schedule, ExperimentGrid, Scheme, WorkloadPoint};
+use commrt::{compile, ExperimentGrid, Scheme, WorkloadPoint};
 use commsched::{registry, Scheduler};
 use hypercube::Topology;
 use repro_bench::{paper_cube, EnvConfig, PAPER_SAMPLES};
-use simnet::MachineParams;
+use simnet::{simulate, MachineParams};
 use workloads::Generator;
 
 fn main() {
@@ -46,8 +46,7 @@ fn main() {
         }
         columns.extend(registry::variants());
         let result = ExperimentGrid::new()
-            .with_runner(env.runner())
-            .with_backend(env.backend)
+            .with_runner(env.runner().with_backend(env.backend))
             .topology("hypercube(6)", paper_cube())
             .schedulers(columns)
             .point(WorkloadPoint::shared(
@@ -115,8 +114,7 @@ fn main() {
             .filter(|e| e.node_contention_free())
             .collect();
         let mut grid = ExperimentGrid::new()
-            .with_runner(env.runner())
-            .with_backend(env.backend)
+            .with_runner(env.runner().with_backend(env.backend))
             .topology("hypercube(6)", paper_cube())
             .samples(samples);
         for &entry in &phased {
@@ -176,11 +174,10 @@ fn main() {
                 MachineParams::ipsc860_hold_and_wait(),
             ),
         ] {
-            let mut runner = env.runner();
+            let mut runner = env.runner().with_backend(env.backend);
             runner.params = params;
             let result = ExperimentGrid::new()
                 .with_runner(runner)
-                .with_backend(env.backend)
                 .topology("hypercube(6)", paper_cube())
                 .scheduler(ac)
                 .point(WorkloadPoint::shared(
@@ -208,12 +205,10 @@ fn main() {
         // variant, where every arrival is buffered and copied, and bounded
         // buffers can deadlock the machine.
         let com = workloads::random_dregular(n, 8, 16_384, 909);
-        let posted = run_schedule(
+        let posted = simulate(
             &cube,
             &MachineParams::ipsc860(),
-            &com,
-            &ac.schedule(&com, &cube, 0),
-            Scheme::S2,
+            compile(&com, &ac.schedule(&com, &cube, 0), Scheme::S2),
         )
         .expect("posted AC runs");
         println!(
@@ -231,7 +226,7 @@ fn main() {
                 ..MachineParams::ipsc860()
             };
             let progs = commrt::compile_ac_send_detect(&com);
-            match simnet::simulate(&cube, &params, progs) {
+            match simulate(&cube, &params, progs) {
                 Ok(report) => println!(
                     "  {label} comm = {:>8.2} ms   copies = {}",
                     report.makespan_ms(),
@@ -253,12 +248,10 @@ fn main() {
             .filter(|e| e.link_contention_free() && e.supports_topology(&mesh))
         {
             let schedule = entry.schedule(&com, &mesh, 77);
-            let report = run_schedule(
+            let report = simulate(
                 &mesh,
                 &MachineParams::ipsc860(),
-                &com,
-                &schedule,
-                Scheme::for_scheduler(entry),
+                compile(&com, &schedule, Scheme::for_scheduler(entry)),
             )
             .expect("mesh run");
             println!(

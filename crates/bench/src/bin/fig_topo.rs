@@ -28,14 +28,14 @@ const MSG_BYTES: u32 = 1024;
 fn main() {
     let env = EnvConfig::from_env();
     let samples = env.samples.unwrap_or(5);
-    let mut grid = ExperimentGrid::new()
-        .with_runner(env.runner())
-        .schedulers(registry::all().iter().copied())
-        .samples(samples)
-        .with_backend(env.backend);
+    let mut runner = env.runner().with_backend(env.backend);
     if let Some(config) = env.cache {
-        grid = grid.with_cache(config);
+        runner = runner.with_cache(config);
     }
+    let mut grid = ExperimentGrid::new()
+        .with_runner(runner)
+        .schedulers(registry::all().iter().copied())
+        .samples(samples);
     for spec in KINDS {
         let kind = TopologyKind::parse(spec).expect("pinned kind string");
         assert_eq!(

@@ -143,8 +143,10 @@ impl EnvConfig {
     }
 
     /// The paper's runner ([`ExperimentRunner::ipsc860`]) on
-    /// `IPSC_THREADS` workers when set. Backend, cost model and cache are
-    /// left to the caller, which passes on only the variables it honours.
+    /// `IPSC_THREADS` workers when set. The runner carries every run-wide
+    /// setting, so the caller sets on it the backend, cost model and cache
+    /// it honours ([`ExperimentRunner::with_backend`],
+    /// [`ExperimentRunner::with_link_costs`], [`ExperimentRunner::with_cache`]).
     pub fn runner(&self) -> ExperimentRunner {
         let mut runner = ExperimentRunner::ipsc860();
         if let Some(threads) = self.threads {
@@ -168,16 +170,18 @@ pub fn paper_grid(
     samples: usize,
 ) -> ExperimentGrid {
     let n = paper_cube().num_nodes();
-    let mut grid = ExperimentGrid::new()
-        .with_runner(env.runner())
-        .topology("hypercube(6)", paper_cube())
-        .schedulers(entries)
-        .samples(samples)
+    let mut runner = env
+        .runner()
         .with_backend(env.backend)
         .with_link_costs(env.cost_model);
     if let Some(config) = &env.cache {
-        grid = grid.with_cache(config.clone());
+        runner = runner.with_cache(config.clone());
     }
+    let mut grid = ExperimentGrid::new()
+        .with_runner(runner)
+        .topology("hypercube(6)", paper_cube())
+        .schedulers(entries)
+        .samples(samples);
     for &d in densities {
         for &msg_bytes in sizes {
             // The paper's assumption 2: "all nodes send and receive an

@@ -42,11 +42,6 @@ pub trait Scheduler: Sync {
     /// Unique label, used in tables, CSV/JSON records, and [`find`].
     fn name(&self) -> &str;
 
-    /// The paper section describing the algorithm (variants name the
-    /// section whose design choice they ablate; ad-hoc entries say what
-    /// they are).
-    fn paper_section(&self) -> &str;
-
     /// The algorithm family, for compat consumers keyed on the closed
     /// [`SchedulerKind`] enum (protocol defaults, record grouping).
     fn family(&self) -> SchedulerKind;
@@ -119,9 +114,6 @@ impl Scheduler for Ac {
     fn name(&self) -> &str {
         "AC"
     }
-    fn paper_section(&self) -> &str {
-        "3"
-    }
     fn family(&self) -> SchedulerKind {
         SchedulerKind::Ac
     }
@@ -144,9 +136,6 @@ struct Lp;
 impl Scheduler for Lp {
     fn name(&self) -> &str {
         "LP"
-    }
-    fn paper_section(&self) -> &str {
-        "4.1"
     }
     fn family(&self) -> SchedulerKind {
         SchedulerKind::Lp
@@ -190,7 +179,6 @@ impl Scheduler for Lp {
 /// ablation variants toggle one design choice each.
 struct Rs {
     name: &'static str,
-    section: &'static str,
     /// [`SchedulerKind::RsN`] (node contention only) or
     /// [`SchedulerKind::RsNl`] (node + link contention).
     family: SchedulerKind,
@@ -202,9 +190,6 @@ struct Rs {
 impl Scheduler for Rs {
     fn name(&self) -> &str {
         self.name
-    }
-    fn paper_section(&self) -> &str {
-        self.section
     }
     fn family(&self) -> SchedulerKind {
         self.family
@@ -255,9 +240,6 @@ impl Scheduler for Greedy {
     fn name(&self) -> &str {
         "GREEDY"
     }
-    fn paper_section(&self) -> &str {
-        "4.2 (ref. 15)"
-    }
     fn family(&self) -> SchedulerKind {
         SchedulerKind::RsN
     }
@@ -288,7 +270,6 @@ static AC_ENTRY: Ac = Ac;
 static LP_ENTRY: Lp = Lp;
 static RS_N_ENTRY: Rs = Rs {
     name: "RS_N",
-    section: "4.2",
     family: SchedulerKind::RsN,
     opts: RsOptions {
         randomize_rows: true,
@@ -300,7 +281,6 @@ static RS_N_ENTRY: Rs = Rs {
 };
 static RS_NL_ENTRY: Rs = Rs {
     name: "RS_NL",
-    section: "5",
     family: SchedulerKind::RsNl,
     opts: RsOptions {
         randomize_rows: true,
@@ -313,7 +293,6 @@ static RS_NL_ENTRY: Rs = Rs {
 static GREEDY_ENTRY: Greedy = Greedy;
 static RS_N_DET: Rs = Rs {
     name: "RS_N_DET",
-    section: "4.2 (no randomization)",
     family: SchedulerKind::RsN,
     opts: RsOptions {
         randomize_rows: false,
@@ -325,7 +304,6 @@ static RS_N_DET: Rs = Rs {
 };
 static RS_NL_NOPAIR: Rs = Rs {
     name: "RS_NL_NOPAIR",
-    section: "5 (no pairwise preference)",
     family: SchedulerKind::RsNl,
     opts: RsOptions {
         randomize_rows: true,
@@ -337,7 +315,6 @@ static RS_NL_NOPAIR: Rs = Rs {
 };
 static RS_NL_DET: Rs = Rs {
     name: "RS_NL_DET",
-    section: "5 (no randomization)",
     family: SchedulerKind::RsNl,
     opts: RsOptions {
         randomize_rows: false,
@@ -412,7 +389,6 @@ pub fn find(name: &str) -> Option<&'static dyn Scheduler> {
 /// ```
 pub struct AdHoc {
     name: String,
-    section: String,
     family: SchedulerKind,
     ordinal: u64,
     #[allow(clippy::type_complexity)]
@@ -428,7 +404,6 @@ impl AdHoc {
     ) -> Self {
         let name = name.into();
         AdHoc {
-            section: format!("ad hoc ({name})"),
             family,
             ordinal: fnv1a(&name),
             name,
@@ -446,9 +421,6 @@ impl AdHoc {
 impl Scheduler for AdHoc {
     fn name(&self) -> &str {
         &self.name
-    }
-    fn paper_section(&self) -> &str {
-        &self.section
     }
     fn family(&self) -> SchedulerKind {
         self.family

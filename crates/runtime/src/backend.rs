@@ -8,8 +8,8 @@
 //!
 //! * [`DesBackend`] — the exact oracle: compiles the schedule to per-node
 //!   programs ([`crate::compile`]) and replays them on the discrete-event
-//!   engine ([`simnet::simulate_traced`]), extracting phase boundaries
-//!   from the execution trace.
+//!   engine ([`simnet::simulate_with`], with a trace sink), extracting
+//!   phase boundaries from the execution trace.
 //! * [`AnalyticBackend`] — a contention-aware LogP/LogGP-style model
 //!   built on [`simnet::LoadModel`]: no programs, no events — phase
 //!   makespans follow from link/port occupancy sums and the machine's
@@ -24,9 +24,9 @@
 //! policy are documented in `docs/ARCHITECTURE.md`.
 //!
 //! Selection is threaded through the stack: [`crate::ExperimentRunner`]
-//! carries a [`BackendKind`], grid columns can override it per column
-//! ([`crate::grid::GridColumn::with_backend`]), and the repro binaries
-//! read the `IPSC_BACKEND` environment variable.
+//! carries a [`BackendKind`] for every sample it prices, a grid column
+//! can pin its own ([`crate::grid::GridColumn::with_backend`]), and the
+//! repro binaries set the runner's from `IPSC_BACKEND`.
 
 use std::fmt;
 
@@ -165,7 +165,7 @@ pub trait SimBackend: Send + Sync {
 
 /// Shared input validation: the schedule must belong to the matrix and
 /// the matrix must fit the machine.
-fn check_shapes(
+pub(crate) fn check_shapes(
     topo: &dyn Topology,
     com: &CommMatrix,
     schedule: &Schedule,
@@ -222,8 +222,9 @@ fn circuit_into(
 /// The exact backend: compile to per-node programs and replay on the
 /// discrete-event engine, with phase boundaries read off the trace.
 ///
-/// This is the same code path [`crate::ExperimentRunner`] fast-paths for
-/// its default measurements (minus the trace); makespans agree exactly.
+/// [`crate::ExperimentRunner`] prices its DES samples with the same
+/// [`simnet::simulate_with`] call, without the trace sink; makespans
+/// agree exactly.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DesBackend {
     /// How the caller spelled the engine's execution ([`simnet::ExecMode`]);
@@ -265,7 +266,8 @@ impl SimBackend for DesBackend {
     ) -> Result<BackendReport, SimError> {
         check_shapes(topo, com, schedule)?;
         let programs = compile(com, schedule, scheme);
-        let (report, trace) = simnet::simulate_traced(topo, params, cost, programs)?;
+        let mut trace = Vec::new();
+        let report = simnet::simulate_with(topo, params, cost, programs, Some(&mut trace))?;
         let phases = schedule.num_phases().max(1);
         let mut phase_end_ns = vec![0u64; phases];
         // Requested/Started per (src, dst, tag): blocked-start detection.
@@ -1184,7 +1186,8 @@ mod tests {
         let com = workloads::random_dregular(16, 3, 1024, 4);
         let params = MachineParams::ipsc860();
         let schedule = rs_nl(&com, &cube, 4);
-        let direct = crate::run_schedule(&cube, &params, &com, &schedule, Scheme::S1).unwrap();
+        let direct =
+            simnet::simulate(&cube, &params, crate::compile(&com, &schedule, Scheme::S1)).unwrap();
         let via_backend = DesBackend::default()
             .estimate(&params, &cube, &com, &schedule, Scheme::S1)
             .unwrap();

@@ -1,9 +1,6 @@
 use commsched::{CommMatrix, Schedule, ScheduleKind, SILENT};
-use hypercube::{NodeId, Topology};
-use simnet::{
-    simulate, simulate_traced, LinkCostModel, MachineParams, Program, ProgramBuilder, SimError,
-    SimReport, Tag, TraceEvent,
-};
+use hypercube::NodeId;
+use simnet::{Program, ProgramBuilder, Tag};
 
 /// Tag of the data message scheduled in phase `k` (AC uses phase 0).
 #[inline]
@@ -190,49 +187,13 @@ fn compile_s1(com: &CommMatrix, schedule: &Schedule) -> Vec<Program> {
     builders.into_iter().map(ProgramBuilder::build).collect()
 }
 
-/// Compile and simulate in one call — the main entry point for running one
-/// schedule on the simulated machine.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator (deadlock, bad parameters).
-pub fn run_schedule<T: Topology + ?Sized>(
-    topo: &T,
-    params: &MachineParams,
-    com: &CommMatrix,
-    schedule: &Schedule,
-    scheme: crate::Scheme,
-) -> Result<SimReport, SimError> {
-    simulate(topo, params, compile(com, schedule, scheme))
-}
-
-/// [`run_schedule`] with the full execution trace (diagnostics, examples).
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-pub fn run_schedule_traced<T: Topology + ?Sized>(
-    topo: &T,
-    params: &MachineParams,
-    com: &CommMatrix,
-    schedule: &Schedule,
-    scheme: crate::Scheme,
-) -> Result<(SimReport, Vec<TraceEvent>), SimError> {
-    simulate_traced(
-        topo,
-        params,
-        &LinkCostModel::Uniform,
-        compile(com, schedule, scheme),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Scheme;
     use commsched::{ac, lp, rs_n, rs_nl, validate_schedule};
     use hypercube::Hypercube;
-    use simnet::Op;
+    use simnet::{simulate, MachineParams, Op, SimError};
 
     fn com_and_cube() -> (CommMatrix, Hypercube) {
         (workloads::random_dense(16, 4, 2048, 3), Hypercube::new(4))
@@ -272,7 +233,7 @@ mod tests {
             (rs_nl(&com, &cube, 5), Scheme::S1),
         ] {
             validate_schedule(&com, &schedule).unwrap();
-            let report = run_schedule(&cube, &params, &com, &schedule, scheme)
+            let report = simulate(&cube, &params, compile(&com, &schedule, scheme))
                 .unwrap_or_else(|e| panic!("{:?} failed: {e}", schedule.algorithm()));
             assert!(report.makespan_ns > 0);
             // Conservation: every message delivered exactly once.
@@ -293,7 +254,7 @@ mod tests {
         let (com, cube) = com_and_cube();
         let params = MachineParams::ipsc860();
         let schedule = rs_nl(&com, &cube, 9);
-        let report = run_schedule(&cube, &params, &com, &schedule, Scheme::S1).unwrap();
+        let report = simulate(&cube, &params, compile(&com, &schedule, Scheme::S1)).unwrap();
         assert_eq!(report.stats.copies, 0);
         for nstats in &report.stats.nodes {
             assert_eq!(nstats.buffered_bytes, 0);
@@ -314,12 +275,10 @@ mod tests {
             .filter(|o| matches!(o, Op::Exchange { .. }))
             .count();
         assert_eq!(exchanges, 2, "one Exchange op per endpoint");
-        let report = run_schedule(
+        let report = simulate(
             &cube,
             &MachineParams::ipsc860(),
-            &com,
-            &schedule,
-            Scheme::S1,
+            compile(&com, &schedule, Scheme::S1),
         )
         .unwrap();
         assert!(report.makespan_ns > 0);
@@ -333,8 +292,8 @@ mod tests {
         let com = workloads::structured::ring_halo(32, 3, 65_536);
         let schedule = rs_nl(&com, &cube, 2);
         let params = MachineParams::ipsc860();
-        let s1 = run_schedule(&cube, &params, &com, &schedule, Scheme::S1).unwrap();
-        let s2 = run_schedule(&cube, &params, &com, &schedule, Scheme::S2).unwrap();
+        let s1 = simulate(&cube, &params, compile(&com, &schedule, Scheme::S1)).unwrap();
+        let s2 = simulate(&cube, &params, compile(&com, &schedule, Scheme::S2)).unwrap();
         assert!(
             (s1.makespan_ns as f64) < 0.9 * s2.makespan_ns as f64,
             "S1 {} vs S2 {}",
@@ -347,12 +306,10 @@ mod tests {
     fn phased_s2_orders_but_never_deadlocks() {
         let (com, cube) = com_and_cube();
         let schedule = rs_n(&com, 1);
-        let report = run_schedule(
+        let report = simulate(
             &cube,
             &MachineParams::ipsc860(),
-            &com,
-            &schedule,
-            Scheme::S2,
+            compile(&com, &schedule, Scheme::S2),
         )
         .unwrap();
         assert!(report.makespan_ns > 0);
@@ -363,8 +320,12 @@ mod tests {
         let com = CommMatrix::new(8);
         let cube = Hypercube::new(3);
         for (sched, scheme) in [(ac(&com), Scheme::S2), (lp(&com), Scheme::S1)] {
-            let report =
-                run_schedule(&cube, &MachineParams::ipsc860(), &com, &sched, scheme).unwrap();
+            let report = simulate(
+                &cube,
+                &MachineParams::ipsc860(),
+                compile(&com, &sched, scheme),
+            )
+            .unwrap();
             assert_eq!(report.stats.transfers, 0);
         }
     }
@@ -381,9 +342,9 @@ mod tests {
     fn send_detect_receive_pays_copies() {
         let (com, cube) = com_and_cube();
         let params = MachineParams::ipsc860();
-        let posted = run_schedule(&cube, &params, &com, &ac(&com), Scheme::S2).unwrap();
+        let posted = simulate(&cube, &params, compile(&com, &ac(&com), Scheme::S2)).unwrap();
         let progs = compile_ac_send_detect(&com);
-        let detected = simnet::simulate(&cube, &params, progs).unwrap();
+        let detected = simulate(&cube, &params, progs).unwrap();
         assert_eq!(posted.stats.copies, 0);
         let buffered: u64 = detected.stats.nodes.iter().map(|s| s.buffered_bytes).sum();
         assert!(detected.stats.copies > 0, "late posts must force copies");
@@ -404,8 +365,8 @@ mod tests {
             ..MachineParams::ipsc860()
         };
         let progs = compile_ac_send_detect(&com);
-        let err = simnet::simulate(&cube, &params, progs).unwrap_err();
-        assert!(matches!(err, simnet::SimError::Deadlock { .. }), "{err}");
+        let err = simulate(&cube, &params, progs).unwrap_err();
+        assert!(matches!(err, SimError::Deadlock { .. }), "{err}");
     }
 
     #[test]
@@ -425,7 +386,7 @@ mod tests {
             buffer_bytes: Some(4096), // half a message: nobody can land
             ..MachineParams::ipsc860()
         };
-        let err = simnet::simulate(&cube, &params, compile_ac_send_detect(&com)).unwrap_err();
+        let err = simulate(&cube, &params, compile_ac_send_detect(&com)).unwrap_err();
         match err {
             SimError::Deadlock { ref stuck } => {
                 assert_eq!(stuck.len(), 8, "the whole ring is stuck: {stuck:?}");
@@ -449,7 +410,7 @@ mod tests {
             buffer_bytes: Some(64 * 1024),
             ..MachineParams::ipsc860()
         };
-        let report = simnet::simulate(&cube, &params, compile_ac_send_detect(&com)).unwrap();
+        let report = simulate(&cube, &params, compile_ac_send_detect(&com)).unwrap();
         assert!(report.makespan_ns > 0);
         assert_eq!(report.stats.copies, 8, "every arrival is buffered once");
         let delivered: u64 = report.stats.nodes.iter().map(|s| s.recvs).sum();
@@ -461,8 +422,8 @@ mod tests {
         let (com, cube) = com_and_cube();
         let params = MachineParams::ipsc860();
         let s = rs_nl(&com, &cube, 4);
-        let a = run_schedule(&cube, &params, &com, &s, Scheme::S1).unwrap();
-        let b = run_schedule(&cube, &params, &com, &s, Scheme::S1).unwrap();
+        let a = simulate(&cube, &params, compile(&com, &s, Scheme::S1)).unwrap();
+        let b = simulate(&cube, &params, compile(&com, &s, Scheme::S1)).unwrap();
         assert_eq!(a.makespan_ns, b.makespan_ns);
     }
 }

@@ -2,10 +2,11 @@ use commcache::{CacheConfig, SchedCache};
 use commsched::{CommMatrix, I860CostModel, Schedule, Scheduler};
 use hypercube::Topology;
 use simnet::{LinkCostModel, MachineParams, SimError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use workloads::SampleSet;
 
-use crate::backend::{AnalyticBackend, BackendKind, SimBackend};
+use crate::backend::{check_shapes, AnalyticBackend, BackendKind, SimBackend};
+use crate::grid::executor;
 use crate::{compile, Scheme};
 
 /// Aggregated measurements of one experiment cell (one algorithm at one
@@ -156,8 +157,9 @@ impl ExperimentRunner {
     ///
     /// # Errors
     ///
-    /// [`SimError::BadParams`] for an empty sample set, otherwise the
-    /// first [`SimError`] of any sample (by sample index).
+    /// [`SimError::BadParams`] for an empty sample set or a schedule that
+    /// does not span the matrix's nodes, otherwise the first [`SimError`]
+    /// of any sample (by sample index).
     pub fn run_cell(
         &self,
         topo: &dyn Topology,
@@ -166,172 +168,97 @@ impl ExperimentRunner {
         sched: &(dyn Fn(&CommMatrix, u64) -> Schedule + Sync),
         scheme: Scheme,
     ) -> Result<CellResult, SimError> {
-        self.run_cell_arc(
-            topo,
-            set,
-            gen,
-            &|com, seed| Arc::new(sched(com, seed)),
-            scheme,
-        )
-    }
-
-    /// [`ExperimentRunner::run_cell`] with an `Arc`-returning schedule
-    /// closure — the internal spine, so cache-served schedules are shared
-    /// by pointer instead of deep-cloned per sample.
-    fn run_cell_arc(
-        &self,
-        topo: &dyn Topology,
-        set: &SampleSet,
-        gen: &(dyn Fn(u64) -> CommMatrix + Sync),
-        sched: &(dyn Fn(&CommMatrix, u64) -> Arc<Schedule> + Sync),
-        scheme: Scheme,
-    ) -> Result<CellResult, SimError> {
-        let k = set.len();
-        if k == 0 {
-            return Err(SimError::BadParams(
-                "cannot run a cell over an empty sample set".into(),
-            ));
-        }
-        let results: Mutex<Vec<Option<Result<SampleOutcome, SimError>>>> =
-            Mutex::new(vec![None; k]);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let work = || loop {
-            let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if idx >= k {
-                return;
-            }
-            let seed = set.seed(idx);
-            let outcome = self.run_sample(topo, seed, gen, sched, scheme);
-            results.lock().expect("no panics hold the lock")[idx] = Some(outcome);
-        };
-        // One worker runs on the calling thread: a spawn and join per cell
-        // would cost more than a small sample set takes to run.
-        match self.threads.clamp(1, k) {
-            1 => work(),
-            workers => std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(work);
-                }
-            }),
-        }
-        let slots = results.into_inner().expect("no panics hold the lock");
-        let mut outcomes = Vec::with_capacity(k);
-        for o in slots {
-            outcomes.push(o.expect("worker filled every slot")?);
-        }
-        Ok(CellResult::aggregate(&outcomes).expect("k > 0 checked above"))
+        self.cell(set, |seed| {
+            let com = gen(seed);
+            self.price(topo, &com, &sched(&com, seed), scheme)
+        })
     }
 
     /// [`ExperimentRunner::run_cell`] for a registry entry: the schedule
-    /// closure is the entry's [`Scheduler::schedule`] over `topo`, and the
-    /// communication scheme is the entry's paper default
-    /// ([`crate::Scheme::for_scheduler`]).
+    /// closure is the entry's [`Scheduler::schedule`] over `topo`, served
+    /// from the schedule cache when one is attached.
     ///
     /// This is how the repro binaries enumerate the whole registry without
     /// naming any algorithm.
     ///
     /// # Errors
     ///
-    /// The first [`SimError`] of any sample (by sample index).
+    /// As [`ExperimentRunner::run_cell`].
     pub fn run_scheduler_cell(
         &self,
         topo: &dyn Topology,
         set: &SampleSet,
         gen: &(dyn Fn(u64) -> CommMatrix + Sync),
         entry: &dyn Scheduler,
-        scheme: crate::Scheme,
+        scheme: Scheme,
     ) -> Result<CellResult, SimError> {
-        match &self.schedule_cache {
-            Some(cache) => self.run_cell_arc(
-                topo,
-                set,
-                gen,
-                &|com, seed| cache.get_or_schedule(entry, com, topo, seed),
-                scheme,
-            ),
-            None => self.run_cell_arc(
-                topo,
-                set,
-                gen,
-                &|com, seed| Arc::new(entry.schedule(com, topo, seed)),
-                scheme,
-            ),
-        }
+        self.cell(set, |seed| {
+            self.sample(topo, &gen(seed), seed, entry, scheme)
+        })
     }
 
-    fn run_sample(
+    /// Run `sample(seed)` for every seed of `set` on the grid's worker
+    /// pool and aggregate the outcomes in sample order.
+    fn cell(
+        &self,
+        set: &SampleSet,
+        sample: impl Fn(u64) -> Result<SampleOutcome, SimError> + Sync,
+    ) -> Result<CellResult, SimError> {
+        let order: Vec<usize> = (0..set.len()).collect();
+        let outcomes = executor::run_work_stealing(self.threads, &order, |k| sample(set.seed(k)))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+        CellResult::aggregate(&outcomes)
+            .ok_or_else(|| SimError::BadParams("cannot run a cell over an empty sample set".into()))
+    }
+
+    /// One sample: schedule `com` with `entry` — through the schedule
+    /// cache when one is attached — and price the schedule.
+    pub(crate) fn sample(
         &self,
         topo: &dyn Topology,
+        com: &CommMatrix,
         seed: u64,
-        gen: &dyn Fn(u64) -> CommMatrix,
-        sched: &dyn Fn(&CommMatrix, u64) -> Arc<Schedule>,
+        entry: &dyn Scheduler,
         scheme: Scheme,
     ) -> Result<SampleOutcome, SimError> {
-        let com = gen(seed);
-        let schedule = sched(&com, seed);
-        measure_sample(
-            &Pricing {
-                params: &self.params,
-                cost_model: &self.cost_model,
-                link_costs: &self.link_costs,
-                backend: self.backend,
-            },
-            topo,
-            &com,
-            &schedule,
-            scheme,
-        )
+        let schedule = match &self.schedule_cache {
+            Some(cache) => cache.get_or_schedule(entry, com, topo, seed),
+            None => Arc::new(entry.schedule(com, topo, seed)),
+        };
+        self.price(topo, com, &schedule, scheme)
     }
-}
 
-/// How one sample is priced: the machine calibration, the i860
-/// scheduling-cost model, the link-cost overlay, and the backend doing
-/// the pricing. Assembled per cell by [`ExperimentRunner::run_cell`]
-/// and the grid executor (which resolves per-column overrides first).
-pub(crate) struct Pricing<'a> {
-    pub(crate) params: &'a MachineParams,
-    pub(crate) cost_model: &'a I860CostModel,
-    pub(crate) link_costs: &'a LinkCostModel,
-    pub(crate) backend: BackendKind,
-}
-
-/// Schedule-to-numbers for one already-generated sample: price the
-/// schedule under the selected backend and the i860 cost model. Shared by
-/// [`ExperimentRunner::run_cell`] and the grid executor (which generates
-/// matrices through its reuse cache instead of a per-sample closure).
-///
-/// [`BackendKind::Des`] keeps the historical fast path — compile under
-/// `scheme` and run the untraced event engine — so default measurements
-/// are bit-identical to every release before backends existed.
-/// [`BackendKind::Analytic`] skips program compilation entirely.
-pub(crate) fn measure_sample(
-    pricing: &Pricing<'_>,
-    topo: &dyn Topology,
-    com: &CommMatrix,
-    schedule: &Schedule,
-    scheme: Scheme,
-) -> Result<SampleOutcome, SimError> {
-    let Pricing {
-        params,
-        cost_model,
-        link_costs,
-        backend,
-    } = *pricing;
-    let comm_ms = match backend {
-        BackendKind::Des => {
-            let programs = compile(com, schedule, scheme);
-            simnet::simulate_costed(topo, params, link_costs, programs)?.makespan_ms()
-        }
-        BackendKind::Analytic => AnalyticBackend
-            .estimate_costed(params, link_costs, topo, com, schedule, scheme)?
-            .makespan_ms(),
-    };
-    Ok(SampleOutcome {
-        comm_ms,
-        phases: schedule.num_phases(),
-        comp_ms: cost_model.schedule_ms(schedule),
-        exchange_pairs: schedule.exchange_pairs(),
-    })
+    /// Price one scheduled sample on the runner's backend and link costs,
+    /// and under the i860 cost model.
+    ///
+    /// [`BackendKind::Des`] compiles under `scheme` and runs the untraced
+    /// event engine; [`BackendKind::Analytic`] skips program compilation.
+    fn price(
+        &self,
+        topo: &dyn Topology,
+        com: &CommMatrix,
+        schedule: &Schedule,
+        scheme: Scheme,
+    ) -> Result<SampleOutcome, SimError> {
+        check_shapes(topo, com, schedule)?;
+        let (params, cost) = (&self.params, &self.link_costs);
+        let comm_ms = match self.backend {
+            BackendKind::Des => {
+                let programs = compile(com, schedule, scheme);
+                simnet::simulate_with(topo, params, cost, programs, None)?.makespan_ms()
+            }
+            BackendKind::Analytic => AnalyticBackend
+                .estimate_costed(params, cost, topo, com, schedule, scheme)?
+                .makespan_ms(),
+        };
+        Ok(SampleOutcome {
+            comm_ms,
+            phases: schedule.num_phases(),
+            comp_ms: self.cost_model.schedule_ms(schedule),
+            exchange_pairs: schedule.exchange_pairs(),
+        })
+    }
 }
 
 /// Per-sample measurement, aggregated by [`CellResult::aggregate`].
@@ -566,6 +493,74 @@ mod tests {
             "unexpected error: {err}"
         );
         assert!(err.to_string().contains("empty sample set"), "{err}");
+    }
+
+    /// `rs_n`, except that the schedules of `set`'s samples 1 and 3 span 8
+    /// and 4 nodes.
+    fn planted(set: &SampleSet) -> impl Fn(&CommMatrix, u64) -> Schedule + Send + Sync {
+        let (one, three) = (set.seed(1), set.seed(3));
+        move |com, seed| match seed {
+            s if s == one => commsched::ac(&CommMatrix::new(8)),
+            s if s == three => commsched::ac(&CommMatrix::new(4)),
+            _ => rs_n(com, seed),
+        }
+    }
+
+    fn bad_params(result: Result<CellResult, SimError>) -> String {
+        match result {
+            Err(SimError::BadParams(msg)) => msg,
+            other => panic!("expected BadParams, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_schedule_for_another_node_count_is_a_typed_error_on_both_backends() {
+        let cube = Hypercube::new(4);
+        let set = SampleSet::new(41, 1);
+        let gen = |seed| workloads::random_dregular(16, 3, 1024, seed);
+        let eight = |_: &CommMatrix, _| commsched::ac(&workloads::random_dregular(8, 3, 1024, 1));
+        for backend in BackendKind::all() {
+            let runner = ExperimentRunner::ipsc860().with_backend(backend);
+            assert_eq!(
+                bad_params(runner.run_cell(&cube, &set, &gen, &eight, Scheme::S2)),
+                "schedule spans 8 nodes but the matrix spans 16",
+                "{backend}"
+            );
+        }
+    }
+
+    #[test]
+    fn cells_agree_across_thread_counts_and_fail_at_the_first_bad_sample() {
+        use commsched::registry::AdHoc;
+        let cube = Hypercube::new(4);
+        let set = SampleSet::new(43, 6);
+        let gen = |seed| workloads::random_dregular(16, 3, 1024, seed);
+        let entry = commsched::registry::find("RS_N").unwrap();
+        let scheme = Scheme::for_scheduler(entry);
+        let closure = planted(&set);
+        let adhoc = AdHoc::new("PLANTED", commsched::SchedulerKind::RsN, {
+            let planted = planted(&set);
+            move |com, _topo, seed| planted(com, seed)
+        });
+        let mut runner = ExperimentRunner::ipsc860();
+        let mut cells = Vec::new();
+        for threads in [1, 2, 8] {
+            runner.threads = threads;
+            let by_closure = runner
+                .run_cell(&cube, &set, &gen, &|com, seed| rs_n(com, seed), scheme)
+                .unwrap();
+            let by_entry = runner
+                .run_scheduler_cell(&cube, &set, &gen, entry, scheme)
+                .unwrap();
+            assert_eq!(by_closure, by_entry, "{threads} threads");
+            cells.push(by_closure);
+            let first = "schedule spans 8 nodes but the matrix spans 16";
+            let planted_cell = runner.run_cell(&cube, &set, &gen, &closure, scheme);
+            assert_eq!(bad_params(planted_cell), first, "{threads} threads");
+            let planted_entry = runner.run_scheduler_cell(&cube, &set, &gen, &adhoc, scheme);
+            assert_eq!(bad_params(planted_entry), first, "{threads} threads");
+        }
+        assert!(cells.windows(2).all(|w| w[0] == w[1]));
     }
 
     #[test]

@@ -46,10 +46,10 @@ use simnet::{LinkCostModel, SimError};
 use workloads::{Generator, SampleSet};
 
 use crate::backend::BackendKind;
-use crate::experiment::{measure_sample, Pricing, SampleOutcome};
+use crate::experiment::SampleOutcome;
 use crate::{CellRecord, CellResult, ExperimentRunner, Scheme};
 
-mod executor;
+pub(crate) mod executor;
 
 /// The base seed the pre-grid repro harness used for one `(d, M, entry)`
 /// cell. [`SeedPolicy::PerScheduler`] points use it, which pins the
@@ -162,28 +162,6 @@ impl GridColumn {
     /// The compile scheme of this column's cells.
     pub fn scheme(&self) -> Scheme {
         self.scheme
-    }
-
-    /// This column's backend override (`None` = the runner's default).
-    pub fn backend(&self) -> Option<BackendKind> {
-        self.backend
-    }
-
-    /// The backend this column resolves to under a runner defaulting to
-    /// `default`.
-    pub fn backend_for(&self, default: BackendKind) -> BackendKind {
-        self.backend.unwrap_or(default)
-    }
-
-    /// This column's link-cost override (`None` = the runner's default).
-    pub fn cost_model(&self) -> Option<&LinkCostModel> {
-        self.cost_model.as_ref()
-    }
-
-    /// The link-cost model this column resolves to under a runner
-    /// defaulting to `default`.
-    pub fn cost_model_for(&self, default: LinkCostModel) -> LinkCostModel {
-        self.cost_model.unwrap_or(default)
     }
 
     /// Column label: the scheduler name, qualified with the scheme when
@@ -470,14 +448,6 @@ pub struct ExperimentGrid {
     points: Vec<WorkloadPoint>,
     topologies: Vec<(String, Arc<dyn Topology>)>,
     samples: usize,
-    /// Grid-level backend override; falls back to the runner's. Stored on
-    /// the grid (not written into the runner) so builder-call order
-    /// cannot matter: `with_runner` after `with_backend` does not reset
-    /// the choice.
-    backend: Option<BackendKind>,
-    /// Grid-level link-cost override; same builder-order discipline as
-    /// `backend`.
-    link_costs: Option<LinkCostModel>,
 }
 
 impl Default for ExperimentGrid {
@@ -496,26 +466,15 @@ impl ExperimentGrid {
             points: Vec::new(),
             topologies: Vec::new(),
             samples: 1,
-            backend: None,
-            link_costs: None,
         }
     }
 
-    /// Replace the runner (machine params, cost model, thread count).
+    /// Replace the runner: machine params, cost models, backend, schedule
+    /// cache and thread count. Every cell prices under the runner's
+    /// backend and link costs unless its column pins its own
+    /// ([`GridColumn::with_backend`], [`GridColumn::with_cost_model`]).
     pub fn with_runner(mut self, runner: ExperimentRunner) -> Self {
         self.runner = runner;
-        self
-    }
-
-    /// Attach a schedule cache to the grid's runner
-    /// ([`ExperimentRunner::with_cache`]): cells that request the same
-    /// *(matrix, topology, scheduler, seed)* — scheme-ablation columns of
-    /// a shared-seed point, or re-executions against a persistent store —
-    /// hit the cache instead of rescheduling. The [`GridResult`] is
-    /// byte-identical with the cache on or off (tested); only scheduling
-    /// cost changes.
-    pub fn with_cache(mut self, config: commcache::CacheConfig) -> Self {
-        self.runner = self.runner.with_cache(config);
         self
     }
 
@@ -523,38 +482,6 @@ impl ExperimentGrid {
     /// [`ExperimentRunner::schedule_cache`] stats after an execution.
     pub fn runner(&self) -> &ExperimentRunner {
         &self.runner
-    }
-
-    /// Set the default simulation backend for every column that does not
-    /// pin its own ([`GridColumn::with_backend`]). The repro binaries
-    /// wire this to the `IPSC_BACKEND` environment variable. Takes
-    /// precedence over the runner's backend and survives a later
-    /// [`ExperimentGrid::with_runner`] — builder-call order never changes
-    /// which substrate prices the cells.
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
-    /// The backend grid cells default to: the grid-level override when
-    /// set, otherwise the runner's.
-    pub fn default_backend(&self) -> BackendKind {
-        self.backend.unwrap_or(self.runner.backend)
-    }
-
-    /// Set the default per-link cost model for every column that does not
-    /// pin its own ([`GridColumn::with_cost_model`]). The repro binaries
-    /// wire this to the `IPSC_COSTMODEL` environment variable. Same
-    /// builder-order discipline as [`ExperimentGrid::with_backend`].
-    pub fn with_link_costs(mut self, link_costs: LinkCostModel) -> Self {
-        self.link_costs = Some(link_costs);
-        self
-    }
-
-    /// The link-cost model grid cells default to: the grid-level override
-    /// when set, otherwise the runner's.
-    pub fn default_link_costs(&self) -> LinkCostModel {
-        self.link_costs.unwrap_or(self.runner.link_costs)
     }
 
     /// Samples aggregated per cell.
@@ -688,6 +615,18 @@ impl ExperimentGrid {
         let cache = MatrixCache::default();
         let reuse = !opts.no_matrix_reuse;
         let threads = opts.threads.unwrap_or(self.runner.threads);
+        // The runner each column prices under: the grid's, with the
+        // column's backend and link-cost pins.
+        let runners: Vec<ExperimentRunner> = self
+            .columns
+            .iter()
+            .map(|column| {
+                let mut runner = self.runner.clone();
+                runner.backend = column.backend.unwrap_or(runner.backend);
+                runner.link_costs = column.cost_model.unwrap_or(runner.link_costs);
+                runner
+            })
+            .collect();
         let outcomes: Vec<Result<SampleOutcome, SimError>> =
             executor::run_work_stealing(threads, &order, |t| {
                 let spec = &specs[t / self.samples];
@@ -706,25 +645,14 @@ impl ExperimentGrid {
                 } else {
                     cache.bypass(|| spec.point.generator.generate(seed))
                 };
-                let entry = spec.column.scheduler();
-                let topo = spec.topology.as_ref();
                 // With a cache attached, duplicate (matrix, topology,
                 // scheduler, seed) requests — scheme-ablation columns,
                 // persistent-store re-runs — reuse the compiled schedule.
-                let schedule = match self.runner.schedule_cache() {
-                    Some(cache) => cache.get_or_schedule(entry, &com, topo, seed),
-                    None => Arc::new(entry.schedule(&com, topo, seed)),
-                };
-                measure_sample(
-                    &Pricing {
-                        params: &self.runner.params,
-                        cost_model: &self.runner.cost_model,
-                        link_costs: &spec.column.cost_model_for(self.default_link_costs()),
-                        backend: spec.column.backend_for(self.default_backend()),
-                    },
+                runners[spec.id.col].sample(
                     spec.topology.as_ref(),
                     &com,
-                    &schedule,
+                    seed,
+                    spec.column.scheduler(),
                     spec.column.scheme,
                 )
             });
@@ -1081,7 +1009,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let base = small_grid(2).execute().unwrap();
         let cached = small_grid(2)
-            .with_cache(commcache::CacheConfig::in_memory())
+            .with_runner(
+                ExperimentRunner::ipsc860().with_cache(commcache::CacheConfig::in_memory()),
+            )
             .execute()
             .unwrap();
         assert_eq!(
@@ -1089,10 +1019,9 @@ mod tests {
             cached.cells().collect::<Vec<_>>()
         );
         for _ in 0..2 {
-            let persistent = small_grid(2)
-                .with_cache(commcache::CacheConfig::persistent(&dir))
-                .execute()
-                .unwrap();
+            let runner =
+                ExperimentRunner::ipsc860().with_cache(commcache::CacheConfig::persistent(&dir));
+            let persistent = small_grid(2).with_runner(runner).execute().unwrap();
             assert_eq!(
                 base.cells().collect::<Vec<_>>(),
                 persistent.cells().collect::<Vec<_>>()
@@ -1106,6 +1035,9 @@ mod tests {
     fn scheme_ablation_grid() -> ExperimentGrid {
         let entry = registry::find("RS_NL").unwrap();
         ExperimentGrid::new()
+            .with_runner(
+                ExperimentRunner::ipsc860().with_cache(commcache::CacheConfig::in_memory()),
+            )
             .topology("hypercube(4)", Hypercube::new(4))
             .column(GridColumn::new(SchedulerHandle::from(entry)).with_scheme(Scheme::S1))
             .column(GridColumn::new(SchedulerHandle::from(entry)).with_scheme(Scheme::S2))
@@ -1116,7 +1048,6 @@ mod tests {
                 7,
             ))
             .samples(3)
-            .with_cache(commcache::CacheConfig::in_memory())
     }
 
     #[test]
@@ -1250,26 +1181,33 @@ mod tests {
     }
 
     #[test]
-    fn grid_backend_choice_survives_a_later_runner_swap() {
-        // Regression: with_backend used to write into the runner, so a
-        // subsequent with_runner silently reset the grid to DES.
-        let grid = small_grid(1)
-            .with_backend(crate::BackendKind::Analytic)
-            .with_runner(ExperimentRunner::ipsc860());
-        assert_eq!(grid.default_backend(), crate::BackendKind::Analytic);
-        // A runner that carries its own backend is honoured when the grid
-        // sets none.
-        let grid = small_grid(1)
-            .with_runner(ExperimentRunner::ipsc860().with_backend(crate::BackendKind::Analytic));
-        assert_eq!(grid.default_backend(), crate::BackendKind::Analytic);
-        // And the per-column override still wins over both.
+    fn a_column_pin_wins_over_the_runner_backend() {
+        // Column 0 prices under the runner's backend, column 1 pins DES.
+        use crate::BackendKind;
         let entry = registry::find("RS_N").unwrap();
-        let col = GridColumn::new(SchedulerHandle::from(entry))
-            .with_backend(crate::BackendKind::Analytic);
-        assert_eq!(
-            col.backend_for(crate::BackendKind::Des),
-            crate::BackendKind::Analytic
-        );
+        let execute = |runner: ExperimentRunner| {
+            ExperimentGrid::new()
+                .with_runner(runner)
+                .topology("hypercube(4)", Hypercube::new(4))
+                .scheduler(entry)
+                .column(
+                    GridColumn::new(SchedulerHandle::from(entry)).with_backend(BackendKind::Des),
+                )
+                .point(WorkloadPoint::shared(
+                    Generator::dregular(16, 3, 1024),
+                    3,
+                    1024,
+                    7,
+                ))
+                .execute()
+                .unwrap()
+        };
+        let des = execute(ExperimentRunner::ipsc860());
+        let analytic = execute(ExperimentRunner::ipsc860().with_backend(BackendKind::Analytic));
+        let comm_ms = |r: &GridResult, col| r.at(col, 0).unwrap().result.comm_ms;
+        assert_eq!(comm_ms(&des, 0), comm_ms(&des, 1));
+        assert_ne!(comm_ms(&analytic, 0), comm_ms(&des, 0));
+        assert_eq!(comm_ms(&analytic, 1), comm_ms(&des, 1));
     }
 
     #[test]

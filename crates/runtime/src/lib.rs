@@ -10,13 +10,16 @@
 //!   concurrent pairwise exchanges) and **S2** (post all receives up front,
 //!   send everything in schedule order, confirm at the end). Asynchronous
 //!   (AC) schedules compile to the post/send/confirm program of Figure 1.
+//!   [`simnet::simulate`] runs the programs (example below).
 //! * [`allgather`] implements the *concatenate* operation the paper uses to
 //!   replicate every node's send vector before runtime scheduling
 //!   (recursive doubling on the hypercube).
 //! * [`ExperimentRunner`] reproduces the paper's measurement methodology:
 //!   many independently seeded samples per configuration, cost = maximum
-//!   time over processors, averaged over samples — fanned out over host
-//!   threads.
+//!   time over processors, averaged over samples. It holds every run-wide
+//!   setting (machine, backend, link costs, schedule cache, threads), and
+//!   one sample body on it schedules and prices every sample of a cell or
+//!   a grid, on the grid's work-stealing pool.
 //! * [`ExperimentRunner::with_cache`] opts the registry-driven paths into
 //!   the [`commcache`] schedule cache: repeated *(matrix, topology,
 //!   scheduler, seed)* requests are served from a sharded in-memory LRU
@@ -31,23 +34,22 @@
 //! * [`backend`] makes the simulation substrate pluggable: a
 //!   [`SimBackend`] trait with the exact event engine ([`DesBackend`])
 //!   and a fast contention-aware occupancy model ([`AnalyticBackend`]),
-//!   selectable per runner ([`ExperimentRunner::with_backend`]), per grid
-//!   column ([`grid::GridColumn::with_backend`]), and via the
-//!   `IPSC_BACKEND` environment variable in the repro binaries. The two
-//!   are validated against each other by a differential conformance
-//!   suite.
+//!   selectable per runner ([`ExperimentRunner::with_backend`]) and per
+//!   grid column ([`grid::GridColumn::with_backend`]); the repro binaries
+//!   set the runner's from `IPSC_BACKEND`. The two are validated against
+//!   each other by a differential conformance suite.
 //!
 //! ```
-//! use commrt::{run_schedule, Scheme};
+//! use commrt::{compile, Scheme};
 //! use commsched::rs_nl;
 //! use hypercube::Hypercube;
-//! use simnet::MachineParams;
+//! use simnet::{simulate, MachineParams};
 //!
 //! let cube = Hypercube::new(4);
 //! let com = workloads::random_dense(16, 3, 1024, 7);
 //! let schedule = rs_nl(&com, &cube, 7);
-//! let report = run_schedule(&cube, &MachineParams::ipsc860(), &com, &schedule, Scheme::S1)
-//!     .unwrap();
+//! let programs = compile(&com, &schedule, Scheme::S1);
+//! let report = simulate(&cube, &MachineParams::ipsc860(), programs).unwrap();
 //! assert!(report.makespan_ns > 0);
 //! ```
 
@@ -65,7 +67,7 @@ pub use backend::{
     AnalyticBackend, BackendKind, BackendReport, ContentionStats, DesBackend, SimBackend,
 };
 pub use commcache::{CacheConfig, CacheStats, SchedCache};
-pub use compile::{compile, compile_ac_send_detect, run_schedule, run_schedule_traced};
+pub use compile::{compile, compile_ac_send_detect};
 pub use experiment::{CellResult, ExperimentRunner};
 pub use grid::{ExperimentGrid, GridResult, WorkloadPoint};
 pub use report::{write_csv, write_grid_markdown, write_json, CellRecord};

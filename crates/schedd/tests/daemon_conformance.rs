@@ -5,13 +5,13 @@
 //! fingerprint. The daemon is a transport, never a semantic layer.
 
 use commcache::{encode_artifact, CacheConfig, Fingerprint, InstanceKey};
-use commrt::{run_schedule, BackendKind, Scheme};
+use commrt::{compile, BackendKind, Scheme};
 use commsched::{registry, MatrixDelta};
 use schedd::{
     Client, ClientError, Endpoint, ErrorCode, Request, Response, SchemeChoice, Server,
     ServiceConfig, SubmitDeltaRequest, SubmitRequest, TopologySpec,
 };
-use simnet::MachineParams;
+use simnet::{simulate, MachineParams};
 use workloads::Generator;
 
 /// The pinned request set: one d-regular instance per dimension.
@@ -96,12 +96,10 @@ fn daemon_responses_are_byte_identical_to_in_process_calls() {
         // The DES estimate must agree with the raw simulator run —
         // the daemon inherits the backend conformance contract.
         if req.backend == BackendKind::Des {
-            let sim = run_schedule(
+            let sim = simulate(
                 topo.as_ref(),
                 &params,
-                &req.matrix,
-                &expect_schedule,
-                scheme,
+                compile(&req.matrix, &expect_schedule, scheme),
             )
             .expect("simulation succeeds");
             assert_eq!(

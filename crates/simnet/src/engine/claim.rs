@@ -732,7 +732,7 @@ mod tests {
                 exchange_programs(),
             ] {
                 let sim =
-                    Sim::new(&cube, &params, &LinkCostModel::Uniform, programs, false).unwrap();
+                    Sim::new(&cube, &params, &LinkCostModel::Uniform, programs, None).unwrap();
                 let mut slot_of = HashMap::new();
                 let mut bound = 0;
                 for (node, program) in sim.programs.iter().enumerate() {
@@ -774,7 +774,7 @@ mod tests {
             .post_recv(NodeId(0), Tag(3));
         let programs = vec![sender.build(), receiver.build()];
         let params = MachineParams::ipsc860();
-        let sim = Sim::new(&cube, &params, &LinkCostModel::Uniform, programs, false).unwrap();
+        let sim = Sim::new(&cube, &params, &LinkCostModel::Uniform, programs, None).unwrap();
         // Tags 1 (never posted), 2, 3 (never sent), in key order.
         assert_eq!(sim.recv.len(), 3);
         assert_eq!(sim.op_slot, [0, 1, 1, 2]);
@@ -810,8 +810,9 @@ mod tests {
                     b.build()
                 })
                 .collect();
-            let mut sim =
-                Sim::new(&cube, &params, &LinkCostModel::Uniform, programs, true).unwrap();
+            let mut trace = Vec::new();
+            let cost = &LinkCostModel::Uniform;
+            let mut sim = Sim::new(&cube, &params, cost, programs, Some(&mut trace)).unwrap();
             sim.drain().unwrap();
             let events = |kind| {
                 let trace = sim.trace.as_ref().unwrap().iter();
@@ -845,7 +846,7 @@ mod tests {
         receiver.post_recv(NodeId(0), Tag(0)).wait_all_recvs();
         let params = MachineParams::ipsc860();
         let programs = vec![sender.build(), receiver.build()];
-        let mut sim = Sim::new(&cube, &params, &LinkCostModel::Uniform, programs, false).unwrap();
+        let mut sim = Sim::new(&cube, &params, &LinkCostModel::Uniform, programs, None).unwrap();
         sim.queue.exhaust_sequence_numbers();
         assert!(matches!(sim.run(), Err(SimError::EventBudgetExhausted)));
     }

@@ -83,6 +83,6 @@ pub use analytic::{LoadModel, PoolMode, TransferSpec};
 pub use cost::{CostModelError, LinkCost, LinkCostModel};
 pub use params::{ClaimPolicy, MachineParams, PortModel};
 pub use program::{Op, Program, ProgramBuilder, Tag};
-pub use sim::{simulate, simulate_costed, simulate_traced, ExecMode};
+pub use sim::{simulate, simulate_with, ExecMode};
 pub use stats::{NodeStats, SimError, SimReport, SimStats};
 pub use trace::{TraceEvent, TraceKind};

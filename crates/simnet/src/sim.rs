@@ -43,7 +43,8 @@ pub enum ExecMode {
 }
 
 /// Run `programs` (one per node of `topo`) to completion on the paper's
-/// uniform machine.
+/// uniform machine: [`simulate_with`] under [`LinkCostModel::Uniform`],
+/// untraced.
 ///
 /// # Errors
 ///
@@ -54,35 +55,30 @@ pub fn simulate<T: Topology + ?Sized>(
     params: &MachineParams,
     programs: Vec<Program>,
 ) -> Result<SimReport, SimError> {
-    simulate_costed(topo, params, &LinkCostModel::Uniform, programs)
+    simulate_with(topo, params, &LinkCostModel::Uniform, programs, None)
 }
 
-/// Like [`simulate`], pricing transfers under a [`LinkCostModel`]: routes
-/// that cross a down link detour where the fabric permits
+/// Run `programs` (one per node of `topo`) to completion, pricing
+/// transfers under `cost`, and append every event the run records to
+/// `trace` when a sink is given.
+///
+/// Routes that cross a down link detour where the fabric permits
 /// ([`Topology::route_avoiding`]) and fail with [`SimError::LinkDown`]
-/// where it does not. `LinkCostModel::Uniform` is byte-identical to
-/// [`simulate`].
-pub fn simulate_costed<T: Topology + ?Sized>(
+/// where it does not; `LinkCostModel::Uniform` is byte-identical to
+/// [`simulate`]. A run that fails leaves the events recorded up to the
+/// failure in the sink.
+///
+/// # Errors
+///
+/// See [`simulate`], plus [`SimError::LinkDown`] for stranded transfers.
+pub fn simulate_with<T: Topology + ?Sized>(
     topo: &T,
     params: &MachineParams,
     cost: &LinkCostModel,
     programs: Vec<Program>,
+    trace: Option<&mut Vec<TraceEvent>>,
 ) -> Result<SimReport, SimError> {
-    Sim::new(topo, params, cost, programs, false)?
-        .run()
-        .map(|(r, _)| r)
-}
-
-/// Like [`simulate_costed`], additionally returning the full execution
-/// trace.
-pub fn simulate_traced<T: Topology + ?Sized>(
-    topo: &T,
-    params: &MachineParams,
-    cost: &LinkCostModel,
-    programs: Vec<Program>,
-) -> Result<(SimReport, Vec<TraceEvent>), SimError> {
-    let (r, t) = Sim::new(topo, params, cost, programs, true)?.run()?;
-    Ok((r, t.expect("trace was requested")))
+    Sim::new(topo, params, cost, programs, trace)?.run()
 }
 
 pub(crate) struct Sim<'a, T: ?Sized> {
@@ -112,7 +108,8 @@ pub(crate) struct Sim<'a, T: ?Sized> {
     pub(crate) stats_claim_checks: u64,
     pub(crate) events: u64,
     pub(crate) last_activity_ns: u64,
-    pub(crate) trace: Option<Vec<TraceEvent>>,
+    /// The caller's trace sink, if any.
+    pub(crate) trace: Option<&'a mut Vec<TraceEvent>>,
     pub(crate) err: Option<SimError>,
 }
 
@@ -122,7 +119,7 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
         params: &'a MachineParams,
         cost: &'a LinkCostModel,
         programs: Vec<Program>,
-        traced: bool,
+        trace: Option<&'a mut Vec<TraceEvent>>,
     ) -> Result<Self, SimError> {
         params.validate().map_err(SimError::BadParams)?;
         let n = topo.num_nodes();
@@ -213,14 +210,14 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
             stats_claim_checks: 0,
             events: 0,
             last_activity_ns: 0,
-            trace: traced.then(Vec::new),
+            trace,
             err: None,
         })
     }
 
     // -- main loop ---------------------------------------------------------
 
-    pub(crate) fn run(mut self) -> Result<(SimReport, Option<Vec<TraceEvent>>), SimError> {
+    pub(crate) fn run(mut self) -> Result<SimReport, SimError> {
         self.drain()?;
         // Queue drained: every node must have finished, otherwise the run
         // deadlocked (the classic bounded-buffer hazard of Section 3).
@@ -262,13 +259,10 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
             peak_transfers_live: self.transfers.peak_live() as u64,
             state_bytes: state_bytes as u64,
         };
-        Ok((
-            SimReport {
-                makespan_ns: makespan,
-                stats,
-            },
-            self.trace,
-        ))
+        Ok(SimReport {
+            makespan_ns: makespan,
+            stats,
+        })
     }
 
     /// Fire every event there is.

@@ -20,7 +20,7 @@ pub enum TraceKind {
 }
 
 /// One record of the optional execution trace (see
-/// [`crate::simulate_traced`]); used by diagnostics and the contention
+/// [`crate::simulate_with`]); used by diagnostics and the contention
 /// visualization example.
 #[derive(Clone, Debug)]
 pub struct TraceEvent {

@@ -30,9 +30,9 @@
 use commrt::{compile, compile_ac_send_detect, Scheme};
 use commsched::{registry, ScheduleKind};
 use hypercube::Hypercube;
-use hypercube::NodeId;
+use hypercube::{NodeId, Topology};
 use simnet::{
-    simulate_traced, LinkCostModel, MachineParams, PortModel, Program, ProgramBuilder, SimError,
+    simulate_with, LinkCostModel, MachineParams, PortModel, Program, ProgramBuilder, SimError,
     SimReport, Tag, TraceEvent,
 };
 use topo::TopologyKind;
@@ -99,6 +99,18 @@ impl Fnv {
     }
 }
 
+/// One run with its full trace.
+fn traced_run<T: Topology + ?Sized>(
+    topo: &T,
+    params: &MachineParams,
+    cost: &LinkCostModel,
+    programs: Vec<Program>,
+) -> Result<(SimReport, Vec<TraceEvent>), SimError> {
+    let mut trace = Vec::new();
+    let report = simulate_with(topo, params, cost, programs, Some(&mut trace))?;
+    Ok((report, trace))
+}
+
 /// Fold one run's whole observable outcome into `h`.
 fn digest_run(h: &mut Fnv, outcome: Result<(SimReport, Vec<TraceEvent>), SimError>) {
     match outcome {
@@ -144,7 +156,7 @@ fn fabric_digests(
                 for ((_, params), h) in machines.iter().zip(&mut digests) {
                     digest_run(
                         h,
-                        simulate_traced(&*topo, params, &LinkCostModel::Uniform, programs.clone()),
+                        traced_run(&*topo, params, &LinkCostModel::Uniform, programs.clone()),
                     );
                 }
             }
@@ -232,7 +244,7 @@ fn cost_model_digests(
             }
             let schedule = entry.schedule(&com, &*topo, 7);
             let programs = compile(&com, &schedule, Scheme::for_scheduler(entry));
-            digest_run(&mut h, simulate_traced(&*topo, params, &cost, programs));
+            digest_run(&mut h, traced_run(&*topo, params, &cost, programs));
         }
         actual.push((kind, h.0));
     }
@@ -339,7 +351,7 @@ fn cube_d13_hashed_layout_runs_are_pinned() {
         for ((_, params), h) in machines.iter().zip(&mut digests) {
             digest_run(
                 h,
-                simulate_traced(&*topo, params, &LinkCostModel::Uniform, programs.clone()),
+                traced_run(&*topo, params, &LinkCostModel::Uniform, programs.clone()),
             );
         }
     }
@@ -501,7 +513,7 @@ fn runtime_errors_are_pinned() {
         let cube = Hypercube::new(dims);
         let mut h = Fnv::new();
         for params in &machines {
-            let outcome = simulate_traced(&cube, params, &LinkCostModel::Uniform, programs.clone());
+            let outcome = traced_run(&cube, params, &LinkCostModel::Uniform, programs.clone());
             assert!(outcome.is_err(), "{what}: expected an error");
             digest_run(&mut h, outcome);
         }
@@ -517,7 +529,7 @@ fn runtime_errors_are_pinned() {
         .schedule(&com, &cube, 7);
     let mut h = Fnv::new();
     for params in &machines {
-        let outcome = simulate_traced(&cube, params, &cost, compile(&com, &schedule, Scheme::S2));
+        let outcome = traced_run(&cube, params, &cost, compile(&com, &schedule, Scheme::S2));
         assert!(
             matches!(outcome, Err(SimError::LinkDown { .. })),
             "{outcome:?}"

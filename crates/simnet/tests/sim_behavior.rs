@@ -5,8 +5,8 @@
 
 use hypercube::{Hypercube, NodeId};
 use simnet::{
-    simulate, simulate_traced, LinkCostModel, MachineParams, Program, ProgramBuilder, SimError,
-    Tag, TraceKind,
+    simulate, simulate_with, LinkCostModel, MachineParams, Program, ProgramBuilder, SimError, Tag,
+    TraceKind,
 };
 
 fn params() -> MachineParams {
@@ -479,8 +479,15 @@ fn hold_and_wait_tree_saturation_hurts_more() {
 fn trace_records_lifecycle() {
     let cube = Hypercube::new(1);
     let (s, r) = send_recv_pair(256);
-    let (_, trace) =
-        simulate_traced(&cube, &params(), &LinkCostModel::Uniform, vec![s, r]).unwrap();
+    let mut trace = Vec::new();
+    simulate_with(
+        &cube,
+        &params(),
+        &LinkCostModel::Uniform,
+        vec![s, r],
+        Some(&mut trace),
+    )
+    .unwrap();
     let kinds: Vec<TraceKind> = trace.iter().map(|e| e.kind).collect();
     assert!(kinds.contains(&TraceKind::Requested));
     assert!(kinds.contains(&TraceKind::Started));

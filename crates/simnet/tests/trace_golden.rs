@@ -8,7 +8,7 @@
 //! these fixtures: a changed line here means observable behavior moved,
 //! which is either a bug or a deliberate model change that must update
 //! the goldens (regenerate by printing `TraceEvent::compact` for each
-//! event of `commrt::run_schedule_traced` with the inputs below).
+//! event `simnet::simulate_with` records for the inputs below).
 //!
 //! Fixtures cover the protocol corners on purpose: AC's post/blast
 //! program, LP's fused pairwise exchanges, RS_N under S2 ordering, and
@@ -18,7 +18,7 @@
 use commrt::Scheme;
 use commsched::{registry, CommMatrix};
 use hypercube::Hypercube;
-use simnet::MachineParams;
+use simnet::{simulate_with, LinkCostModel, MachineParams};
 
 /// The d=2 fixture: two reciprocal pairs mixing all four message sizes.
 fn com_d2() -> CommMatrix {
@@ -46,9 +46,17 @@ fn trace_of(dim: u32, com: &CommMatrix, algorithm: &str) -> String {
     let entry = registry::find(algorithm).expect("registered algorithm");
     let schedule = entry.schedule(com, &cube, 7);
     let scheme = Scheme::for_scheduler(entry);
-    let (_, trace) =
-        commrt::run_schedule_traced(&cube, &MachineParams::ipsc860(), com, &schedule, scheme)
-            .expect("fixture simulates green");
+    let programs = commrt::compile(com, &schedule, scheme);
+    let mut trace = Vec::new();
+    let params = MachineParams::ipsc860();
+    simulate_with(
+        &cube,
+        &params,
+        &LinkCostModel::Uniform,
+        programs,
+        Some(&mut trace),
+    )
+    .expect("fixture simulates green");
     let mut out = String::new();
     for ev in &trace {
         out.push_str(&ev.compact());

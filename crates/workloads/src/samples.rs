@@ -4,8 +4,11 @@ use commsched::CommMatrix;
 /// of one workload configuration ("the test set used in the experiments
 /// contains 50 randomly generated samples for each density d").
 ///
-/// Sample `k` of a set with base seed `s` uses seed `s * 1000 + k`, so sets
-/// with different base seeds never share samples.
+/// Sample `k` of a set with base seed `s` uses seed `s * 1000 + k`
+/// (wrapping), so sets with different base seeds share no sample only
+/// while each holds at most 1,000: sample 1,000 of base `s` is sample 0
+/// of base `s + 1`. (Bases that agree modulo 2^61 also share samples,
+/// because the product wraps.)
 #[derive(Clone, Debug)]
 pub struct SampleSet {
     base_seed: u64,

@@ -5,9 +5,8 @@
 //!
 //! Run: `cargo run --release --example contention_study`
 
-use commrt::run_schedule_traced;
 use ipsc_sched::prelude::*;
-use simnet::TraceKind;
+use simnet::{simulate_with, LinkCostModel, TraceKind};
 
 fn main() {
     let cube = Hypercube::new(6);
@@ -29,12 +28,14 @@ fn main() {
     for name in ["AC", "RS_N", "RS_NL"] {
         let entry = commsched::registry::find(name).expect("registered");
         let schedule = entry.schedule(&com, &cube, 9);
-        let (report, trace) = run_schedule_traced(
+        let programs = compile(&com, &schedule, Scheme::for_scheduler(entry));
+        let mut trace = Vec::new();
+        let report = simulate_with(
             &cube,
             &params,
-            &com,
-            &schedule,
-            Scheme::for_scheduler(entry),
+            &LinkCostModel::Uniform,
+            programs,
+            Some(&mut trace),
         )
         .expect("simulation runs");
         let buffered: u64 = report.stats.nodes.iter().map(|s| s.buffered_bytes).sum();

@@ -52,7 +52,7 @@ fn main() {
     // The solver loop: every iteration re-requests the schedule by the
     // key it kept, then executes the exchange. (The simulated exchange
     // cost is identical each iteration — the schedule is.)
-    let comm_ms = run_schedule(&cube, &params, &com, &schedule, Scheme::S1)
+    let comm_ms = simulate(&cube, &params, compile(&com, &schedule, Scheme::S1))
         .expect("halo exchange simulates")
         .makespan_ms();
     let t1 = Instant::now();

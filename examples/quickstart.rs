@@ -65,6 +65,7 @@ fn main() {
     // backend: same grid, no events, documented tolerance vs the engine
     // (`IPSC_BACKEND=analytic` does this for the repro binaries).
     let fast = ExperimentGrid::new()
+        .with_runner(ExperimentRunner::ipsc860().with_backend(BackendKind::Analytic))
         .topology("hypercube(6)", Hypercube::new(6))
         .schedulers(commsched::registry::primary())
         .point(WorkloadPoint::shared(
@@ -73,7 +74,6 @@ fn main() {
             8192,
             1,
         ))
-        .with_backend(BackendKind::Analytic)
         .execute()
         .expect("analytic grid runs");
     println!("\nanalytic backend (event-free estimates of the same grid):");

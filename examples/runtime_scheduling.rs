@@ -30,8 +30,9 @@ fn main() {
 
     // Per-use costs.
     let scheduled =
-        run_schedule(&cube, &params, &com, &schedule, Scheme::S1).expect("scheduled run");
-    let unscheduled = run_schedule(&cube, &params, &com, &ac(&com), Scheme::S2).expect("AC run");
+        simulate(&cube, &params, compile(&com, &schedule, Scheme::S1)).expect("scheduled run");
+    let unscheduled =
+        simulate(&cube, &params, compile(&com, &ac(&com), Scheme::S2)).expect("AC run");
 
     println!("d = {d}, M = {bytes} B on the 64-node machine");
     println!(

@@ -24,9 +24,11 @@
 //! * [`workloads`] — generators for the paper's random test sets and richer
 //!   irregular patterns.
 //! * [`commrt`] — the runtime layer: compiles schedules + protocols (S1/S2)
-//!   into per-node programs and runs experiments on pluggable simulation
+//!   into per-node programs ([`commrt::compile`], run by
+//!   [`simnet::simulate`]) and runs experiments on pluggable simulation
 //!   backends (exact discrete-event, or a fast contention-aware analytic
-//!   model — `IPSC_BACKEND`).
+//!   model), set on the [`commrt::ExperimentRunner`] that prices every
+//!   sample.
 //! * [`schedd`] — a scheduling daemon: serves compile+simulate requests
 //!   over a checksummed framed protocol (Unix/TCP), coalescing identical
 //!   in-flight requests onto one compile and streaming schedules back.
@@ -41,8 +43,8 @@
 //! let cube = Hypercube::new(6);                      // 64 nodes
 //! let com = workloads::random_dense(64, 8, 1024, 42); // d=8, 1 KiB messages
 //! let schedule = rs_nl(&com, &cube, 7);              // avoid node+link contention
-//! let report = run_schedule(&cube, &MachineParams::ipsc860(), &com, &schedule, Scheme::S1)
-//!     .expect("simulation succeeds");
+//! let programs = compile(&com, &schedule, Scheme::S1); // S1: ready signals + exchanges
+//! let report = simulate(&cube, &MachineParams::ipsc860(), programs).expect("simulation succeeds");
 //! println!("communication cost: {:.2} ms", report.makespan_ms());
 //! ```
 
@@ -62,7 +64,7 @@ pub use workloads;
 pub mod prelude {
     pub use commcache::{ArtifactStore, CacheConfig, CacheStats, Fingerprint, SchedCache};
     pub use commrt::{
-        run_schedule, AnalyticBackend, BackendKind, BackendReport, DesBackend, ExperimentGrid,
+        compile, AnalyticBackend, BackendKind, BackendReport, DesBackend, ExperimentGrid,
         ExperimentRunner, GridResult, Scheme, SimBackend, WorkloadPoint,
     };
     pub use commsched::{

@@ -98,6 +98,7 @@ fn analytic_grids_preserve_structure_and_schedule_facts() {
     // (LP declining the mesh), same phase counts and scheduling costs.
     let build = |kind: BackendKind| {
         ExperimentGrid::new()
+            .with_runner(commrt::ExperimentRunner::ipsc860().with_backend(kind))
             .topology("hypercube(4)", Hypercube::new(4))
             .topology("mesh(4x4)", hypercube::Mesh2d::new(4, 4))
             .schedulers(registry::primary())
@@ -108,7 +109,6 @@ fn analytic_grids_preserve_structure_and_schedule_facts() {
                 9,
             ))
             .samples(samples())
-            .with_backend(kind)
     };
     let des = build(BackendKind::Des).execute().unwrap();
     let ana = build(BackendKind::Analytic).execute().unwrap();
@@ -132,6 +132,7 @@ fn empty_matrices_flow_through_both_backends_and_the_grid() {
     // both backends, without panicking.
     for kind in BackendKind::all() {
         let result = ExperimentGrid::new()
+            .with_runner(commrt::ExperimentRunner::ipsc860().with_backend(kind))
             .topology("hypercube(3)", Hypercube::new(3))
             .schedulers(registry::primary())
             .point(WorkloadPoint::shared(
@@ -141,7 +142,6 @@ fn empty_matrices_flow_through_both_backends_and_the_grid() {
                 1,
             ))
             .samples(2)
-            .with_backend(kind)
             .execute()
             .unwrap_or_else(|e| panic!("{kind}: {e}"));
         for cell in result.cells() {
@@ -165,6 +165,7 @@ fn single_node_topologies_flow_through_both_backends_and_the_grid() {
     assert!(!accepted.is_empty(), "RS/AC families accept any topology");
     for kind in BackendKind::all() {
         let result = ExperimentGrid::new()
+            .with_runner(commrt::ExperimentRunner::ipsc860().with_backend(kind))
             .topology("mesh(1x1)", hypercube::Mesh2d::new(1, 1))
             .schedulers(accepted.iter().copied())
             .point(WorkloadPoint::shared(
@@ -174,7 +175,6 @@ fn single_node_topologies_flow_through_both_backends_and_the_grid() {
                 1,
             ))
             .samples(1)
-            .with_backend(kind)
             .execute()
             .unwrap_or_else(|e| panic!("{kind}: {e}"));
         assert_eq!(result.stats().cells, accepted.len(), "{kind}");
@@ -246,7 +246,12 @@ fn schedule_cache_serves_both_backends_identically() {
     // neither backend's numbers move.
     let cache = std::sync::Arc::new(commrt::SchedCache::new(commrt::CacheConfig::in_memory()));
     let run = |kind: BackendKind, cached: bool| {
-        let mut grid = ExperimentGrid::new()
+        let mut runner = commrt::ExperimentRunner::ipsc860().with_backend(kind);
+        if cached {
+            runner = runner.with_shared_cache(cache.clone());
+        }
+        ExperimentGrid::new()
+            .with_runner(runner)
             .topology("hypercube(4)", Hypercube::new(4))
             .schedulers(registry::primary())
             .point(WorkloadPoint::shared(
@@ -256,15 +261,8 @@ fn schedule_cache_serves_both_backends_identically() {
                 33,
             ))
             .samples(2)
-            .with_backend(kind);
-        if cached {
-            // `with_runner` after `with_backend`: the grid-level backend
-            // choice must survive the runner swap (regression for the
-            // silent-reset ordering hazard).
-            let runner = grid.runner().clone().with_shared_cache(cache.clone());
-            grid = grid.with_runner(runner);
-        }
-        grid.execute().unwrap()
+            .execute()
+            .unwrap()
     };
     let des_plain = run(BackendKind::Des, false);
     let des_cached = run(BackendKind::Des, true); // warms the cache

@@ -116,27 +116,29 @@ fn schedule_cache_changes_cost_never_results() {
     )
     .execute()
     .unwrap();
+    let cached = |cache| EnvConfig {
+        cache: Some(cache),
+        ..EnvConfig::default()
+    };
     let in_memory = paper_grid(
-        &EnvConfig::default(),
+        &cached(commrt::CacheConfig::in_memory()),
         registry::primary(),
         &[4, 8],
         &[256, 4096],
         2,
     )
-    .with_cache(commrt::CacheConfig::in_memory())
     .execute()
     .unwrap();
     assert_eq!(reference.records("cache"), in_memory.records("cache"));
     let mut warm_stats = None;
     for run in 0..2 {
         let grid = paper_grid(
-            &EnvConfig::default(),
+            &cached(commrt::CacheConfig::persistent(&dir)),
             registry::primary(),
             &[4, 8],
             &[256, 4096],
             2,
-        )
-        .with_cache(commrt::CacheConfig::persistent(&dir));
+        );
         let persistent = grid.execute().unwrap();
         assert_eq!(
             reference.records("cache"),

@@ -9,7 +9,7 @@ fn one_message_cost(bytes: u32) -> f64 {
     let params = MachineParams::ipsc860();
     let mut com = CommMatrix::new(2);
     com.set(0, 1, bytes);
-    run_schedule(&cube, &params, &com, &ac(&com), Scheme::S2)
+    simulate(&cube, &params, compile(&com, &ac(&com), Scheme::S2))
         .unwrap()
         .makespan_ms()
 }
@@ -50,8 +50,8 @@ fn pairwise_exchange_halves_symmetric_traffic() {
     let params = MachineParams::ipsc860();
     let com = workloads::structured::ring_halo(16, 1, 100_000);
     let schedule = lp(&com);
-    let s1 = run_schedule(&cube, &params, &com, &schedule, Scheme::S1).unwrap();
-    let s2 = run_schedule(&cube, &params, &com, &schedule, Scheme::S2).unwrap();
+    let s1 = simulate(&cube, &params, compile(&com, &schedule, Scheme::S1)).unwrap();
+    let s2 = simulate(&cube, &params, compile(&com, &schedule, Scheme::S2)).unwrap();
     let ratio = s1.makespan_ns as f64 / s2.makespan_ns as f64;
     assert!(
         (0.35..0.75).contains(&ratio),
@@ -68,7 +68,7 @@ fn hop_count_matters_little() {
     let cost = |dst: usize| {
         let mut com = CommMatrix::new(64);
         com.set(0, dst, 65_536);
-        run_schedule(&cube, &params, &com, &ac(&com), Scheme::S2)
+        simulate(&cube, &params, compile(&com, &ac(&com), Scheme::S2))
             .unwrap()
             .makespan_ns as f64
     };
@@ -89,7 +89,7 @@ fn node_contention_scales_with_in_degree() {
         for i in 1..=k {
             com.set(i, 0, 50_000);
         }
-        run_schedule(&cube, &params, &com, &ac(&com), Scheme::S2)
+        simulate(&cube, &params, compile(&com, &ac(&com), Scheme::S2))
             .unwrap()
             .makespan_ns as f64
     };
@@ -109,7 +109,7 @@ fn link_contention_shows_up_in_blocked_stats() {
     let cube = Hypercube::new(6);
     let params = MachineParams::ipsc860();
     let com = workloads::structured::bit_reverse(64, 65_536);
-    let report = run_schedule(&cube, &params, &com, &ac(&com), Scheme::S2).unwrap();
+    let report = simulate(&cube, &params, compile(&com, &ac(&com), Scheme::S2)).unwrap();
     assert!(
         report.stats.transfers_blocked > 5,
         "bit reverse must collide: {} blocked",

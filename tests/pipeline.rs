@@ -17,7 +17,7 @@ fn run_all(com: &CommMatrix, cube: &Hypercube) -> Vec<(SchedulerKind, f64)> {
         .map(|kind| {
             let s = schedule_of(kind, com, cube, 17);
             validate_schedule(com, &s).expect("valid schedule");
-            let report = run_schedule(cube, &params, com, &s, Scheme::paper_default(kind))
+            let report = simulate(cube, &params, compile(com, &s, Scheme::paper_default(kind)))
                 .unwrap_or_else(|e| panic!("{}: {e}", kind.label()));
             (kind, report.makespan_ms())
         })
@@ -71,7 +71,12 @@ fn bytes_are_conserved_end_to_end() {
     let com = workloads::random_dregular(32, 5, 3000, 9);
     for kind in SchedulerKind::all() {
         let s = schedule_of(kind, &com, &cube, 9);
-        let report = run_schedule(&cube, &params, &com, &s, Scheme::paper_default(kind)).unwrap();
+        let report = simulate(
+            &cube,
+            &params,
+            compile(&com, &s, Scheme::paper_default(kind)),
+        )
+        .unwrap();
         let delivered: u64 = report
             .stats
             .nodes
@@ -96,11 +101,21 @@ fn simulation_is_deterministic_across_runs() {
     for kind in SchedulerKind::all() {
         let a = {
             let s = schedule_of(kind, &com, &cube, 4);
-            run_schedule(&cube, &params, &com, &s, Scheme::paper_default(kind)).unwrap()
+            simulate(
+                &cube,
+                &params,
+                compile(&com, &s, Scheme::paper_default(kind)),
+            )
+            .unwrap()
         };
         let b = {
             let s = schedule_of(kind, &com, &cube, 4);
-            run_schedule(&cube, &params, &com, &s, Scheme::paper_default(kind)).unwrap()
+            simulate(
+                &cube,
+                &params,
+                compile(&com, &s, Scheme::paper_default(kind)),
+            )
+            .unwrap()
         };
         assert_eq!(a.makespan_ns, b.makespan_ns, "{}", kind.label());
         assert_eq!(a.stats.events, b.stats.events);
@@ -119,8 +134,8 @@ fn rs_nl_runs_contention_free_at_the_wire_level() {
     let com = workloads::random_dregular(64, 8, 32_768, 12);
     let s = rs_nl(&com, &cube, 12);
     assert!(s.link_contention_free(&cube));
-    let nl = run_schedule(&cube, &params, &com, &s, Scheme::S1).unwrap();
-    let acr = run_schedule(&cube, &params, &com, &ac(&com), Scheme::S2).unwrap();
+    let nl = simulate(&cube, &params, compile(&com, &s, Scheme::S1)).unwrap();
+    let acr = simulate(&cube, &params, compile(&com, &ac(&com), Scheme::S2)).unwrap();
     assert!(
         (nl.stats.blocked_ns_total as f64) < 0.4 * acr.stats.blocked_ns_total as f64,
         "RS_NL blocked {} vs AC blocked {}",
@@ -156,8 +171,12 @@ fn hold_and_wait_policy_end_to_end() {
     let com = workloads::random_dregular(32, 6, 8192, 5);
     for kind in SchedulerKind::all() {
         let s = schedule_of(kind, &com, &cube, 5);
-        let report = run_schedule(&cube, &params, &com, &s, Scheme::paper_default(kind))
-            .unwrap_or_else(|e| panic!("{}: {e}", kind.label()));
+        let report = simulate(
+            &cube,
+            &params,
+            compile(&com, &s, Scheme::paper_default(kind)),
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", kind.label()));
         assert!(report.makespan_ns > 0);
     }
 }
@@ -178,7 +197,12 @@ fn mesh_topology_end_to_end() {
         assert_ne!(entry.family(), SchedulerKind::Lp, "LP must decline meshes");
         let s = entry.schedule(&com, &mesh, 8);
         validate_schedule(&com, &s).unwrap();
-        let report = run_schedule(&mesh, &params, &com, &s, Scheme::for_scheduler(entry)).unwrap();
+        let report = simulate(
+            &mesh,
+            &params,
+            compile(&com, &s, Scheme::for_scheduler(entry)),
+        )
+        .unwrap();
         assert!(report.makespan_ns > 0, "{}", entry.name());
         ran += 1;
     }
@@ -197,7 +221,7 @@ fn nonuniform_sizes_end_to_end() {
     let largest_first = commsched::nonuniform::rs_n_largest_first(&com, 21);
     validate_schedule(&com, &plain).unwrap();
     validate_schedule(&com, &largest_first).unwrap();
-    let a = run_schedule(&cube, &params, &com, &plain, Scheme::S2).unwrap();
-    let b = run_schedule(&cube, &params, &com, &largest_first, Scheme::S2).unwrap();
+    let a = simulate(&cube, &params, compile(&com, &plain, Scheme::S2)).unwrap();
+    let b = simulate(&cube, &params, compile(&com, &largest_first, Scheme::S2)).unwrap();
     assert!(a.makespan_ns > 0 && b.makespan_ns > 0);
 }

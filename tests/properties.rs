@@ -82,7 +82,7 @@ proptest! {
         let cube = Hypercube::new(3);
         let params = MachineParams::ipsc860();
         let s = rs_n(&com, seed);
-        let report = run_schedule(&cube, &params, &com, &s, Scheme::S2).unwrap();
+        let report = simulate(&cube, &params, compile(&com, &s, Scheme::S2)).unwrap();
         let delivered: u64 = report
             .stats
             .nodes
@@ -110,7 +110,7 @@ proptest! {
             (rs_nl(&com, &cube, seed), Scheme::S1),
             (lp(&com), Scheme::S1),
         ] {
-            let report = run_schedule(&cube, &params, &com, &sched, scheme).unwrap();
+            let report = simulate(&cube, &params, compile(&com, &sched, scheme)).unwrap();
             prop_assert!(
                 report.makespan_ns >= floor,
                 "{:?}: {} < floor {}",

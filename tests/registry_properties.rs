@@ -203,8 +203,8 @@ proptest! {
                     entry.name(), hi / lo
                 );
             }
-            let da = commrt::run_schedule(&cube, &params, &com, &s, scheme).unwrap();
-            let db = commrt::run_schedule(&cube, &params, &com2, &s2, scheme).unwrap();
+            let da = simnet::simulate(&cube, &params, commrt::compile(&com, &s, scheme)).unwrap();
+            let db = simnet::simulate(&cube, &params, commrt::compile(&com2, &s2, scheme)).unwrap();
             let hi = da.makespan_ns.max(db.makespan_ns) as f64;
             let lo = da.makespan_ns.min(db.makespan_ns).max(1) as f64;
             prop_assert!(
