@@ -12,9 +12,14 @@
 //!   that re-derives every hop from [`Torus::neighbor`].
 //! * Every `route_into` equals, link for link, a reference router written
 //!   here from the documented channel layouts alone: the bit-test loop on
-//!   cubes, the remainder-and-division peel on tori.
+//!   cubes, the remainder-and-division peel on tori, the XY walk on
+//!   meshes.
+//! * A mesh never wraps: a down link on its XY route is a typed
+//!   `LinkDown`, where the torus of the same shape detours.
 
 use hypercube::{Hypercube, LinkId, Mesh2d, NodeId, Topology};
+use simnet::cost::resolve_route;
+use simnet::{LinkCostModel, SimError};
 use topo::{FatTree, Torus};
 
 /// xorshift64: seeded, dependency-free, the same on every host.
@@ -269,4 +274,85 @@ fn every_router_equals_its_reference_link_for_link() {
             assert_eq!(buf, peel_reference(&t, s, d), "{} {s:?} -> {d:?}", t.name());
         }
     }
+}
+
+/// The XY mesh router from its documented channel layout alone: nodes
+/// row-major (`r · cols + c`), four channels per node (`node · 4 +`
+/// E = 0, W = 1, S = 2, N = 3), the column walked first, then the row,
+/// one step at a time and never around the edge.
+fn xy_reference(rows: u32, cols: u32, src: NodeId, dst: NodeId) -> Vec<LinkId> {
+    let (mut r, mut c) = (src.0 / cols, src.0 % cols);
+    let (dr, dc) = (dst.0 / cols, dst.0 % cols);
+    assert!(r < rows && dr < rows);
+    let mut links = Vec::new();
+    while c != dc {
+        let (dir, next) = if c < dc { (0, c + 1) } else { (1, c - 1) };
+        links.push(LinkId((r * cols + c) * 4 + dir));
+        c = next;
+    }
+    while r != dr {
+        let (dir, next) = if r < dr { (2, r + 1) } else { (3, r - 1) };
+        links.push(LinkId((r * cols + c) * 4 + dir));
+        r = next;
+    }
+    links
+}
+
+fn mesh(rows: usize, cols: usize) -> Mesh2d {
+    Mesh2d::new(rows, cols)
+}
+
+#[test]
+fn mesh_router_equals_the_xy_reference_link_for_link() {
+    let mut buf = Vec::new();
+    for (rows, cols) in [
+        (1, 1),
+        (1, 2),
+        (2, 1),
+        (2, 2),
+        (1, 7),
+        (7, 1),
+        (3, 5),
+        (8, 8),
+        (24, 32),
+    ] {
+        let m = mesh(rows, cols);
+        assert_eq!(m.name(), format!("mesh2d({rows}x{cols})"));
+        assert_eq!(m.num_nodes(), rows * cols);
+        assert_eq!(m.link_count(), 4 * rows * cols);
+        assert_eq!(m.diameter(), rows + cols - 2);
+        for (s, d) in pairs(m.num_nodes()) {
+            let want = xy_reference(rows as u32, cols as u32, s, d);
+            m.route_into(s, d, &mut buf);
+            assert_eq!(buf, want, "{} {s:?} -> {d:?}", m.name());
+            assert_eq!(m.hops(s, d), want.len(), "{} {s:?} -> {d:?}", m.name());
+        }
+    }
+}
+
+#[test]
+fn a_cut_xy_route_is_link_down_where_the_torus_detours() {
+    // 3 rows x 5 columns both ways: node 0 -> node 1 is one hop east
+    // (channel 0) on either fabric.
+    let (m, t) = (mesh(3, 5), Torus::new(&[5, 3]));
+    let (s, d) = (NodeId(0), NodeId(1));
+    assert_eq!(m.route(s, d).links(), &[LinkId(0)]);
+    assert_eq!(t.route(s, d).links(), &[LinkId(0)]);
+    // The first fault seed that downs that hop and leaves the torus a
+    // way round.
+    let cost = (0..)
+        .map(|seed| LinkCostModel::parse(&format!("faulty:p=0.2,seed={seed}")).unwrap())
+        .find(|c| !c.link_up(LinkId(0)) && t.route_avoiding(s, d, &|l| !c.link_up(l)).is_some())
+        .unwrap();
+    assert!(matches!(
+        resolve_route(&m, &cost, s, d),
+        Err(SimError::LinkDown {
+            link: 0,
+            src: 0,
+            dst: 1
+        })
+    ));
+    let detour = resolve_route(&t, &cost, s, d).unwrap();
+    assert_eq!(detour.hops(), 4, "the long way around the 5-ring");
+    assert!(detour.links().iter().all(|&l| cost.link_up(l)));
 }
