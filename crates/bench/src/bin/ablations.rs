@@ -240,7 +240,7 @@ fn main() {
 
     println!("=== Bonus: link-free schedulers on a 2-D mesh (topology generality, d=8, 8 KB) ===");
     {
-        let mesh = hypercube::Mesh2d::new(8, 8);
+        let mesh = topo::Torus::mesh(8, 8);
         let com = workloads::random_dregular(64, 8, 8192, 77);
         for entry in registry::all()
             .iter()

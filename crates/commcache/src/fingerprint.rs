@@ -227,7 +227,8 @@ pub fn canonical_bytes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypercube::{Hypercube, Mesh2d};
+    use hypercube::Hypercube;
+    use topo::Torus;
 
     fn sample_com() -> CommMatrix {
         let mut com = CommMatrix::new(16);
@@ -285,7 +286,7 @@ mod tests {
             base
         );
         assert_ne!(
-            Fingerprint::compute(&com, &Mesh2d::new(4, 4), "RS_NL", 9),
+            Fingerprint::compute(&com, &Torus::mesh(4, 4), "RS_NL", 9),
             base
         );
     }

@@ -252,7 +252,7 @@ impl SchedCache {
             Some(inc) => {
                 let key = InstanceKey::compute(com, topo);
                 let fp = key.schedule_key(entry.name(), seed);
-                let schedule = self.get_or_compute_arc(fp, Some(topo), || {
+                let schedule = self.get_or_compute_arc(fp, topo, || {
                     inc.get_patched(entry, key, com, topo, seed)
                         .unwrap_or_else(|| Arc::new(entry.schedule(com, topo, seed)))
                 });
@@ -265,26 +265,15 @@ impl SchedCache {
     /// The policy core: serve `key` from memory, then the store, then
     /// `compile` (caching and write-through on the way out). Exposed for
     /// callers that derive keys themselves (e.g. via [`InstanceKey`]).
-    /// Artifacts written through this path carry no topology section;
-    /// callers that know the fabric use [`SchedCache::get_or_compute_on`].
-    pub fn get_or_compute(
-        &self,
-        key: Fingerprint,
-        compile: impl FnOnce() -> Schedule,
-    ) -> Arc<Schedule> {
-        self.get_or_compute_arc(key, None, || Arc::new(compile()))
-    }
-
-    /// [`SchedCache::get_or_compute`] for callers that know the topology:
-    /// write-through artifacts record the fabric (`schedctl inspect`
-    /// renders it).
+    /// Write-through artifacts record `topo` (`schedctl inspect` renders
+    /// it).
     pub fn get_or_compute_on(
         &self,
         key: Fingerprint,
         topo: &dyn Topology,
         compile: impl FnOnce() -> Schedule,
     ) -> Arc<Schedule> {
-        self.get_or_compute_arc(key, Some(topo), || Arc::new(compile()))
+        self.get_or_compute_arc(key, topo, || Arc::new(compile()))
     }
 
     /// Serve `key` from memory alone. A hit counts one request and one
@@ -301,7 +290,7 @@ impl SchedCache {
     fn get_or_compute_arc(
         &self,
         key: Fingerprint,
-        topo: Option<&dyn Topology>,
+        topo: &dyn Topology,
         compile: impl FnOnce() -> Arc<Schedule>,
     ) -> Arc<Schedule> {
         self.requests.fetch_add(1, Ordering::Relaxed);
@@ -329,8 +318,7 @@ impl SchedCache {
         let schedule = compile();
         self.mem.insert(key, Arc::clone(&schedule));
         if let Some(store) = &self.store {
-            let meta = topo.map(TopologyMeta::of);
-            match store.store_with(key, &schedule, meta.as_ref()) {
+            match store.store_with(key, &schedule, Some(&TopologyMeta::of(topo))) {
                 Ok(_) => {
                     self.store_writes.fetch_add(1, Ordering::Relaxed);
                 }

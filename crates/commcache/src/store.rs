@@ -638,7 +638,8 @@ mod tests {
         std::fs::create_dir_all(store.dir()).unwrap();
         std::fs::write(store.path_for(fp), &v3).unwrap();
         let cache = crate::SchedCache::new(crate::CacheConfig::persistent(store.dir()));
-        assert_eq!(*cache.get_or_compute(fp, || s.clone()), s);
+        let cube = Hypercube::new(3);
+        assert_eq!(*cache.get_or_compute_on(fp, &cube, || s.clone()), s);
         let stats = cache.stats();
         assert_eq!((stats.store_skips, stats.store_errors), (1, 0));
         assert_eq!((stats.misses, stats.store_writes), (1, 1));
@@ -647,7 +648,7 @@ mod tests {
 
         // The next process loads it as a store hit and compiles nothing.
         let next = crate::SchedCache::new(crate::CacheConfig::persistent(store.dir()));
-        let loaded = next.get_or_compute(fp, || panic!("the healed artifact must load"));
+        let loaded = next.get_or_compute_on(fp, &cube, || panic!("the healed artifact must load"));
         assert_eq!(*loaded, s);
         assert_eq!((next.stats().store_hits, next.stats().misses), (1, 0));
         std::fs::remove_dir_all(store.dir()).ok();

@@ -5,8 +5,9 @@
 
 use commcache::{canonical_bytes, Fingerprint, InstanceKey};
 use commsched::CommMatrix;
-use hypercube::{Hypercube, Mesh2d};
+use hypercube::Hypercube;
 use proptest::prelude::*;
+use topo::Torus;
 
 /// Sparse matrix on `n = 2^dim` nodes from raw triples (same construction
 /// as the registry property tests).
@@ -78,8 +79,8 @@ proptest! {
         // keys (a schedule for one is not a schedule for another).
         let com = matrix_from(4, &cells);
         let cube = Fingerprint::compute(&com, &Hypercube::new(4), "RS_NL", seed);
-        let mesh = Fingerprint::compute(&com, &Mesh2d::new(4, 4), "RS_NL", seed);
-        let flat = Fingerprint::compute(&com, &Mesh2d::new(2, 8), "RS_NL", seed);
+        let mesh = Fingerprint::compute(&com, &Torus::mesh(4, 4), "RS_NL", seed);
+        let flat = Fingerprint::compute(&com, &Torus::mesh(2, 8), "RS_NL", seed);
         prop_assert_ne!(cube, mesh);
         prop_assert_ne!(mesh, flat);
         prop_assert_ne!(cube, flat);

@@ -184,7 +184,8 @@ pub fn rs_nl_with<T: Topology + ?Sized>(
 mod tests {
     use super::*;
     use crate::validate_schedule;
-    use hypercube::{Hypercube, Mesh2d};
+    use hypercube::Hypercube;
+    use topo::Torus;
 
     fn shift_pattern(n: usize, d: usize, bytes: u32) -> CommMatrix {
         let mut m = CommMatrix::new(n);
@@ -221,7 +222,7 @@ mod tests {
     fn works_on_meshes_too() {
         // The generality claim of Section 5: RS_NL only needs deterministic
         // routing, so it runs unchanged on a mesh.
-        let mesh = Mesh2d::new(4, 8);
+        let mesh = Torus::mesh(4, 8);
         let com = shift_pattern(32, 5, 64);
         let s = rs_nl(&com, &mesh, 2);
         validate_schedule(&com, &s).unwrap();

@@ -17,9 +17,8 @@ use crate::Schedule;
 /// operation (≈48 cycles at 40 MHz — an inner loop with a couple of memory
 /// references, which is exactly what these operations are).
 ///
-/// Real wall-clock scheduling throughput on the host machine is measured
-/// separately by the Criterion benches; this model is only for reproducing
-/// the paper's overhead ratios.
+/// This model is only for reproducing the paper's overhead ratios; it
+/// says nothing about the host's wall-clock scheduling time.
 #[derive(Clone, Copy, Debug)]
 pub struct I860CostModel {
     /// Simulated nanoseconds per abstract scheduling operation.

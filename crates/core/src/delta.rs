@@ -838,8 +838,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(27);
         let fabrics: [Box<dyn Topology>; 3] = [
             Box::new(Hypercube::new(4)),
-            Box::new(hypercube::Mesh2d::new(4, 4)),
-            Box::new(hypercube::Mesh2d::new(2, 8)),
+            Box::new(topo::Torus::mesh(4, 4)),
+            Box::new(topo::Torus::mesh(2, 8)),
         ];
         let (mut appended, mut emptied, mut declined) = (0, 0, 0);
         for case in 0..300 {

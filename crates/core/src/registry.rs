@@ -68,13 +68,14 @@ pub trait Scheduler: Sync {
     fn ordinal(&self) -> u64;
 
     /// Whether the algorithm can schedule for `topo` with its registered
-    /// guarantees intact. Entries answer honestly from the topology's
-    /// [`hypercube::RoutingProperties`] report (`topo.routing()`): the RS
-    /// families run on any deterministic-routing topology, while LP
-    /// requires an e-cube-routed hypercube (the `i ^ k` pairing needs the
-    /// power-of-two address space and its link-freedom argument is
-    /// e-cube-specific). Enumeration-driven consumers skip entries that
-    /// decline the topology at hand.
+    /// guarantees intact. The default, `true`, is every RS family's
+    /// answer: RS_NL reserves links in its shadow `PATHS` table ahead of
+    /// time, sound on any [`Topology`] because every one routes
+    /// deterministically. LP asks [`Topology::is_ecube_hypercube`] and
+    /// declines anything else (the `i ^ k` pairing needs the power-of-two
+    /// address space and its link-freedom argument is e-cube-specific).
+    /// Enumeration-driven consumers skip entries that decline the
+    /// topology at hand.
     fn supports_topology(&self, topo: &dyn Topology) -> bool {
         let _ = topo;
         true
@@ -155,7 +156,7 @@ impl Scheduler for Lp {
         // defines LP on the hypercube only, so the entry declines
         // everything else (a mesh or torus with a power-of-two node count
         // would run, but with the registry's guarantee silently broken).
-        topo.num_nodes().is_power_of_two() && topo.routing().ecube_hypercube
+        topo.num_nodes().is_power_of_two() && topo.is_ecube_hypercube()
     }
     fn schedule(&self, com: &CommMatrix, _topo: &dyn Topology, _seed: u64) -> Schedule {
         lp(com)
@@ -205,14 +206,6 @@ impl Scheduler for Rs {
     }
     fn ordinal(&self) -> u64 {
         self.ordinal
-    }
-    fn supports_topology(&self, topo: &dyn Topology) -> bool {
-        // RS_N only resolves node contention and never routes; RS_NL
-        // reserves links in its shadow PATHS table ahead of time, which
-        // is sound exactly when the route is a pure function of the
-        // endpoints. Torus and fat-tree qualify; an adaptive router
-        // would not.
-        !self.link_contention_free() || topo.routing().deterministic
     }
     fn schedule(&self, com: &CommMatrix, topo: &dyn Topology, seed: u64) -> Schedule {
         match self.family {
@@ -467,7 +460,8 @@ impl SchedulerKind {
 mod tests {
     use super::*;
     use crate::validate_schedule;
-    use hypercube::{Hypercube, Mesh2d};
+    use hypercube::Hypercube;
+    use topo::Torus;
 
     fn sample_com(n: usize) -> CommMatrix {
         let mut com = CommMatrix::new(n);
@@ -554,11 +548,11 @@ mod tests {
 
     #[test]
     fn lp_declines_non_hypercube_topologies() {
-        let mesh = Mesh2d::new(3, 4);
+        let mesh = Torus::mesh(3, 4);
         assert!(!find("LP").unwrap().supports_topology(&mesh));
         // Even with a power-of-two node count a mesh is declined: LP's
         // link-freedom argument needs e-cube routing, not just `i ^ k`.
-        assert!(!find("LP").unwrap().supports_topology(&Mesh2d::new(4, 8)));
+        assert!(!find("LP").unwrap().supports_topology(&Torus::mesh(4, 8)));
         assert!(find("LP").unwrap().supports_topology(&Hypercube::new(5)));
         assert!(find("RS_NL").unwrap().supports_topology(&mesh));
         let com = sample_com(12);

@@ -6,11 +6,9 @@
 //! * [`Hypercube`] — the binary hypercube of the Intel iPSC/860, with
 //!   **e-cube** routing (bits corrected from least- to most-significant, the
 //!   exact deterministic algorithm the iPSC/860 hardware used),
-//! * [`Mesh2d`] — a 2-D mesh with dimension-ordered (XY) routing, showing
-//!   that the link-reservation machinery of the scheduling layer generalizes
-//!   beyond hypercubes (Section 5 of the paper),
-//! * the [`Topology`] trait that the simulator and the schedulers program
-//!   against, and
+//! * the [`Topology`] trait that the simulator, the schedulers and the
+//!   other fabrics (the `topo` crate's tori, meshes and fat-trees)
+//!   program against, and
 //! * permutation utilities ([`perm`]) for the special contention-free
 //!   communication classes the paper exploits (XOR / linear permutations,
 //!   bit-complement).
@@ -42,7 +40,6 @@
 mod cube;
 pub mod embed;
 mod link;
-mod mesh;
 mod node;
 mod path;
 pub mod perm;
@@ -50,7 +47,6 @@ mod topology;
 
 pub use cube::Hypercube;
 pub use link::LinkId;
-pub use mesh::Mesh2d;
 pub use node::NodeId;
 pub use path::Path;
-pub use topology::{RoutingProperties, Topology};
+pub use topology::Topology;

@@ -79,7 +79,7 @@ pub fn xor_permutation_is_link_free<T: Topology>(topo: &T, k: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Hypercube, Mesh2d};
+    use crate::Hypercube;
 
     #[test]
     fn xor_perm_is_an_involution() {
@@ -139,15 +139,6 @@ mod tests {
             &cube,
             pairs.map(|(i, d)| (NodeId(i as u32), d))
         ));
-    }
-
-    #[test]
-    fn xor_phase_can_contend_on_a_mesh() {
-        // On a mesh, XOR phases are NOT guaranteed link-free; this is why
-        // LP is a hypercube-specific algorithm while RS_NL generalizes.
-        let mesh = Mesh2d::new(4, 4);
-        let any_conflict = (1..16).any(|k| !xor_permutation_is_link_free(&mesh, k));
-        assert!(any_conflict);
     }
 
     #[test]

@@ -1,28 +1,5 @@
 use crate::{LinkId, NodeId, Path};
 
-/// What a topology's routing function guarantees, as data.
-///
-/// Schedulers probe this report instead of downcasting: RS_NL only needs
-/// `deterministic` (its shadow `PATHS` reservation table requires the
-/// route to be a pure function of the endpoints), while LP's XOR phases
-/// are contention-free only on an `ecube_hypercube`. New topologies
-/// describe themselves here and every scheduler's `supports_topology`
-/// answer follows without naming any concrete type.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RoutingProperties {
-    /// The circuit between two nodes is a pure function of the endpoints.
-    pub deterministic: bool,
-    /// Every route is a shortest path (hop count equals the graph
-    /// distance).
-    pub minimal: bool,
-    /// The network is a binary hypercube routed e-cube (LSB-first
-    /// bit-fixing) — the structure LP's pairing argument relies on.
-    pub ecube_hypercube: bool,
-    /// Links wrap around at the boundary (torus rings), so routes may
-    /// take either direction around a dimension.
-    pub wraparound: bool,
-}
-
 /// A point-to-point interconnection network with **deterministic, oblivious
 /// routing**: the circuit between two nodes is a pure function of the
 /// endpoints.
@@ -67,30 +44,17 @@ pub trait Topology: Send + Sync {
         );
     }
 
-    /// Whether this topology is a hypercube under e-cube routing.
+    /// Whether this topology is a hypercube under e-cube routing — the
+    /// one routing fact a scheduler asks of a fabric.
     ///
     /// Some scheduling guarantees are e-cube-specific — LP's XOR phases
     /// are link-contention-free *only* under e-cube routing on a cube —
     /// so schedulers that rely on that structure probe it here instead of
-    /// guessing from the node count. Defaults to `false`. Prefer the
-    /// richer [`Topology::routing`] report in new code.
+    /// guessing from the node count or downcasting. Every other guarantee
+    /// (RS_NL's `PATHS` reservation) needs only the deterministic routing
+    /// every `Topology` promises. Defaults to `false`.
     fn is_ecube_hypercube(&self) -> bool {
         false
-    }
-
-    /// The capability report of this topology's routing function.
-    ///
-    /// The default describes the common case for this workspace — a
-    /// deterministic minimal router without wraparound — and derives the
-    /// e-cube flag from [`Topology::is_ecube_hypercube`]. Topologies with
-    /// wraparound links or non-minimal routing override this.
-    fn routing(&self) -> RoutingProperties {
-        RoutingProperties {
-            deterministic: true,
-            minimal: true,
-            ecube_hypercube: self.is_ecube_hypercube(),
-            wraparound: false,
-        }
     }
 
     /// An alternative `src -> dst` circuit that avoids every link for
@@ -99,10 +63,10 @@ pub trait Topology: Send + Sync {
     ///
     /// This is the fault-tolerance escape hatch for link-cost models
     /// with dead links: fabrics whose routing admits a detour (torus
-    /// rings can run the long way around a dimension —
-    /// [`RoutingProperties::wraparound`]) override this; strictly
-    /// deterministic single-path routers keep the default `None`, and a
-    /// down link on their route surfaces as a typed error upstream.
+    /// rings can run the long way around a dimension) override this;
+    /// single-path routers (the cube, the mesh, the fat-tree) answer
+    /// `None`, and a down link on their route surfaces as a typed error
+    /// upstream.
     ///
     /// Implementations must return a path whose links all pass `down ==
     /// false`; the detour need not be minimal.
@@ -137,21 +101,6 @@ mod tests {
         assert_eq!(cube.num_nodes(), 16);
         assert_eq!(cube.hops(NodeId(0), NodeId(0b1011)), 3);
         assert_eq!(cube.diameter(), 4);
-    }
-
-    #[test]
-    fn default_routing_report_follows_ecube_probe() {
-        let cube = Hypercube::new(3);
-        let props = cube.routing();
-        assert!(props.deterministic);
-        assert!(props.minimal);
-        assert!(props.ecube_hypercube, "derived from is_ecube_hypercube");
-        assert!(!props.wraparound);
-
-        let mesh = crate::Mesh2d::new(2, 3);
-        let props = mesh.routing();
-        assert!(props.deterministic);
-        assert!(!props.ecube_hypercube);
-        assert!(!props.wraparound);
+        assert!(cube.is_ecube_hypercube());
     }
 }

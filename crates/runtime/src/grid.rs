@@ -870,7 +870,8 @@ impl GridResult {
 mod tests {
     use super::*;
     use commsched::registry;
-    use hypercube::{Hypercube, Mesh2d};
+    use hypercube::Hypercube;
+    use topo::Torus;
 
     fn small_grid(samples: usize) -> ExperimentGrid {
         ExperimentGrid::new()
@@ -969,7 +970,7 @@ mod tests {
         // LP declines the mesh; everyone else runs on both topologies.
         let result = ExperimentGrid::new()
             .topology("hypercube(4)", Hypercube::new(4))
-            .topology("mesh(4x4)", Mesh2d::new(4, 4))
+            .topology("mesh(4x4)", Torus::mesh(4, 4))
             .schedulers(registry::primary())
             .point(WorkloadPoint::shared(
                 Generator::dregular(16, 3, 512),

@@ -180,7 +180,7 @@ fn torus_reroutes_around_the_faults_the_cube_cannot() {
         p_ppm: 50_000,
         seed: 42,
     };
-    let torus = topo::Torus::try_new(&[4, 4]).unwrap();
+    let torus = topo::Torus::new(&[4, 4]);
     let set = SampleSet::new(31, 4);
     let matrices = set.realize(&Generator::dregular(NODES, 3, 1024));
     let entry = registry::find("RS_N").expect("RS_N is always registered");

@@ -1,6 +1,4 @@
-use hypercube::{LinkId, NodeId, Path, RoutingProperties, Topology};
-
-use crate::BuildError;
+use hypercube::{LinkId, NodeId, Path, Topology};
 
 /// A k-ary fat-tree (Clos) with deterministic up-down routing.
 ///
@@ -44,38 +42,26 @@ impl FatTree {
     ///
     /// # Panics
     ///
-    /// Panics on any spec [`FatTree::try_new`] rejects.
+    /// Panics unless `k` is even and in `2..=64` (k = 64 is already a
+    /// 65 536-host fabric), the bounds
+    /// [`TopologyKind::validate`](crate::TopologyKind::validate) states for
+    /// `fattree:k=N`.
     pub fn new(k: usize) -> Self {
-        match Self::try_new(k) {
-            Ok(t) => t,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`FatTree::new`]: a typed [`BuildError`] instead of a
-    /// panic unless `k` is even and in `2..=64` (k = 64 is already a
-    /// 65 536-host fabric).
-    ///
-    /// # Errors
-    ///
-    /// [`BuildError`] naming the violated bound.
-    pub fn try_new(k: usize) -> Result<Self, BuildError> {
-        if !(2..=64).contains(&k) || !k.is_multiple_of(2) {
-            return Err(BuildError::new(format!(
-                "fat-tree arity must be even and in 2..=64, got {k}"
-            )));
-        }
+        assert!(
+            (2..=64).contains(&k) && k.is_multiple_of(2),
+            "fat-tree arity must be even and in 2..=64, got {k}"
+        );
         let k = k as u32;
         let hosts = k * k * k / 4;
         // This string is hashed into cache fingerprints; it must never
         // change shape.
         let name = format!("fattree(k={k}, hosts={hosts})");
-        Ok(FatTree {
+        FatTree {
             k,
             half: k / 2,
             hosts,
             name,
-        })
+        }
     }
 
     /// The arity `k`.
@@ -191,15 +177,6 @@ impl Topology for FatTree {
         debug_assert_eq!(out.len(), self.hops(src, dst));
     }
 
-    fn routing(&self) -> RoutingProperties {
-        RoutingProperties {
-            deterministic: true,
-            minimal: true,
-            ecube_hypercube: false,
-            wraparound: false,
-        }
-    }
-
     fn diameter(&self) -> usize {
         6
     }
@@ -220,12 +197,13 @@ mod tests {
     }
 
     #[test]
-    fn try_new_surfaces_typed_errors() {
-        assert!(FatTree::try_new(0).is_err());
-        assert!(FatTree::try_new(5).is_err());
-        assert!(FatTree::try_new(66).is_err());
-        assert!(FatTree::try_new(usize::MAX).is_err());
-        assert_eq!(FatTree::try_new(4).unwrap().num_nodes(), 16);
+    fn new_panics_exactly_where_validate_rejects() {
+        use crate::TopologyKind;
+        for k in [0, 1, 2, 4, 5, 64, 66, u32::MAX] {
+            let built = std::panic::catch_unwind(|| FatTree::new(k as usize));
+            let valid = TopologyKind::FatTree { k }.validate();
+            assert_eq!(built.is_ok(), valid.is_ok(), "k = {k}");
+        }
     }
 
     #[test]
@@ -360,8 +338,9 @@ mod tests {
 
     #[test]
     fn routing_report() {
-        let props = FatTree::new(4).routing();
-        assert!(props.deterministic && props.minimal);
-        assert!(!props.ecube_hypercube && !props.wraparound);
+        let t = FatTree::new(4);
+        assert!(!t.is_ecube_hypercube());
+        // Up-down routing is single-path: no detour around a down link.
+        assert!(t.route_avoiding(NodeId(0), NodeId(5), &|_| true).is_none());
     }
 }

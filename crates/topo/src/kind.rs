@@ -1,7 +1,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use hypercube::{Hypercube, Mesh2d, Topology};
+use hypercube::{Hypercube, Topology};
 
 use crate::{FatTree, Torus};
 
@@ -14,7 +14,7 @@ use crate::{FatTree, Torus};
 /// | string | builds |
 /// |--------|--------|
 /// | `cube:d=6` | [`Hypercube::new`]`(6)` — 64 nodes |
-/// | `mesh:4x8` | [`Mesh2d::new`]`(4, 8)` — 32 nodes |
+/// | `mesh:4x8` | [`Torus::mesh`]`(4, 8)` — 32 nodes, a torus without wraparound |
 /// | `torus:4x4x4x4` | [`Torus::new`]`(&[4, 4, 4, 4])` — 256 nodes |
 /// | `fattree:k=8` | [`FatTree::new`]`(8)` — 128 hosts |
 ///
@@ -30,11 +30,11 @@ pub enum TopologyKind {
         /// Number of dimensions (`2^dims` nodes), 1..=20.
         dims: u32,
     },
-    /// 2-D mesh, XY-routed.
+    /// 2-D mesh, XY-routed: a torus without wraparound.
     Mesh2d {
-        /// Rows.
+        /// Rows, >= 1.
         rows: u32,
-        /// Columns.
+        /// Columns, >= 1.
         cols: u32,
     },
     /// k-ary n-cube torus.
@@ -221,7 +221,7 @@ impl TopologyKind {
         Ok(match self {
             TopologyKind::Hypercube { dims } => Box::new(Hypercube::new(*dims)),
             TopologyKind::Mesh2d { rows, cols } => {
-                Box::new(Mesh2d::new(*rows as usize, *cols as usize))
+                Box::new(Torus::mesh(*rows as usize, *cols as usize))
             }
             TopologyKind::Torus { extents } => {
                 let extents: Vec<usize> = extents.iter().map(|&k| k as usize).collect();

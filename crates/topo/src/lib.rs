@@ -9,7 +9,8 @@
 //!   dimension-ordered routing that walks the shorter direction around
 //!   each ring (ties break toward the positive direction), with
 //!   closed-form `hops`/`diameter`. The QCDSP machine (hep-lat/9908024)
-//!   is a 4D instance.
+//!   is a 4D instance. [`Torus::mesh`] builds the 2-D mesh, the same
+//!   grid without wraparound, routed XY (column first).
 //! * [`FatTree`] — the k-ary fat-tree (k/2² hosts per pod, k pods,
 //!   (k/2)² core switches) under deterministic up-down routing: the
 //!   upward aggregation and core choices are pure functions of the
@@ -19,10 +20,15 @@
 //!   round-trip through strings at every entry point (CLI flags, grid
 //!   axes, daemon requests, test sweeps).
 //!
-//! Schedulers do not name these types; they probe
-//! [`hypercube::RoutingProperties`] (`topology.routing()`) and decide
-//! honestly — RS families run anywhere routing is deterministic, LP
-//! declines anything that is not an e-cube hypercube.
+//! Every structural bound (dimensions, extents, arity, the `2^20`-node
+//! cap) is stated as a typed error once, in [`TopologyKind::validate`];
+//! the constructors assert the same bounds.
+//!
+//! Schedulers do not name these types; they ask one question,
+//! [`Topology::is_ecube_hypercube`](hypercube::Topology::is_ecube_hypercube),
+//! and decide honestly — RS families run on any fabric (every
+//! `Topology` routes deterministically), LP declines anything that is
+//! not an e-cube hypercube.
 //!
 //! # Example
 //!
@@ -34,47 +40,19 @@
 //! assert_eq!(torus.num_nodes(), 16);
 //! // Wraparound: 0 -> 3 is one hop around the ring, not three across.
 //! assert_eq!(torus.hops(NodeId(0), NodeId(3)), 1);
-//! assert!(torus.routing().wraparound);
+//! // A mesh of the same shape has no wraparound: three hops across.
+//! let mesh = TopologyKind::parse("mesh:4x4").unwrap().build();
+//! assert_eq!(mesh.hops(NodeId(0), NodeId(3)), 3);
+//! assert!(!mesh.is_ecube_hypercube());
 //! ```
 
 #![forbid(unsafe_code)]
 
-use std::fmt;
-
 mod fattree;
 mod kind;
+mod mesh;
 mod torus;
 
 pub use fattree::FatTree;
 pub use kind::{KindError, TopologyKind};
 pub use torus::Torus;
-
-/// Why a topology could not be constructed — the typed alternative to
-/// the constructors' panics, for untrusted input paths (wire frames,
-/// CLI flags, env vars).
-///
-/// [`Torus::try_new`] and [`FatTree::try_new`] return this;
-/// [`TopologyKind::parse`] folds it into [`KindError::BadSpec`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BuildError {
-    detail: String,
-}
-
-impl BuildError {
-    pub(crate) fn new(detail: String) -> Self {
-        BuildError { detail }
-    }
-
-    /// What bound the spec violated.
-    pub fn detail(&self) -> &str {
-        &self.detail
-    }
-}
-
-impl fmt::Display for BuildError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.detail)
-    }
-}
-
-impl std::error::Error for BuildError {}

@@ -1,6 +1,4 @@
-use hypercube::{LinkId, NodeId, Path, RoutingProperties, Topology};
-
-use crate::BuildError;
+use hypercube::{LinkId, NodeId, Path, Topology};
 
 /// Direction encoding for torus channels: around the ring toward higher
 /// coordinates.
@@ -9,23 +7,28 @@ const PLUS: u32 = 0;
 const MINUS: u32 = 1;
 
 /// A k-ary n-cube: `n` dimensions, each a wraparound ring of `k` nodes
-/// (extents may differ per dimension — `4x4x2` is legal).
+/// (extents may differ per dimension — `4x4x2` is legal). Built by
+/// [`Torus::mesh`], the same grid without the wraparound links: a 2-D
+/// mesh.
 ///
 /// Nodes are numbered mixed-radix with dimension 0 fastest: node id
 /// `= Σ coordᵢ · strideᵢ` where `stride₀ = 1` and
 /// `strideᵢ₊₁ = strideᵢ · extentᵢ`.
 ///
-/// Routing is **dimension-ordered** (dimension 0 first, like the mesh's
-/// XY order) and walks each ring in the *shorter* direction; when both
-/// directions are equally long (an even extent, distance exactly `k/2`)
-/// the tie breaks toward the positive direction, keeping the route a
-/// pure function of the endpoints. Every route is therefore minimal and
-/// `hops`/`diameter` have closed forms: the per-dimension ring distance
-/// `min(Δ, k−Δ)` sums across dimensions, and the diameter is
-/// `Σ ⌊extentᵢ/2⌋`.
+/// Routing is **dimension-ordered** (dimension 0 first). A torus walks
+/// each ring in the *shorter* direction; when both directions are
+/// equally long (an even extent, distance exactly `k/2`) the tie breaks
+/// toward the positive direction, keeping the route a pure function of
+/// the endpoints. A mesh walks straight toward the destination,
+/// `|d − s|` steps. Every route is therefore minimal and
+/// `hops`/`diameter` have closed forms: the per-dimension distance
+/// (`min(Δ, k−Δ)` on a ring, `Δ` on a mesh) sums across dimensions, and
+/// the diameter is `Σ ⌊extentᵢ/2⌋` on a torus, `Σ (extentᵢ − 1)` on a
+/// mesh.
 ///
 /// Every node owns two directed channels per dimension, one per
-/// direction: `LinkId = node · 2n + 2·dim + dir`.
+/// direction: `LinkId = node · 2n + 2·dim + dir`. A mesh's boundary
+/// channels exist in that layout but no route uses them.
 ///
 /// A route costs its hops plus two multiplies per endpoint and dimension
 /// (a reciprocal precomputed per extent, no run-time divide), and
@@ -36,8 +39,11 @@ pub struct Torus {
     /// Mixed-radix strides; `strides[d]` is the id delta of one positive
     /// step in dimension `d` (before wraparound).
     strides: Vec<u32>,
-    /// `⌈2^64 / extentᵢ⌉`, what [`Torus::peel`] multiplies by.
+    /// `⌈2^64 / extentᵢ⌉ − 1`, what [`Torus::peel`] multiplies by
+    /// (`u64::MAX` for an extent of 1).
     reciprocals: Vec<u64>,
+    /// Whether each dimension's last node links back to its first.
+    wraps: bool,
     nodes: u32,
     name: String,
 }
@@ -47,49 +53,16 @@ impl Torus {
     ///
     /// # Panics
     ///
-    /// Panics on any spec [`Torus::try_new`] rejects. Use `try_new` on
-    /// untrusted input (wire frames, CLI flags) — overflowing node
-    /// counts included, this constructor never returns a typed error.
+    /// Panics on a spec [`TopologyKind::validate`](crate::TopologyKind::validate)
+    /// rejects: no dimensions or more than 8, an extent below 2 (a 1-ring
+    /// has no links), or more than `2^20` nodes. Untrusted input (wire
+    /// frames, CLI flags) goes through [`crate::TopologyKind`], which
+    /// answers a typed error instead.
     pub fn new(extents: &[usize]) -> Self {
-        match Self::try_new(extents) {
-            Ok(t) => t,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`Torus::new`]: a typed [`BuildError`] instead of a
-    /// panic for hostile or out-of-bounds specs — no dimensions, more
-    /// than 8 of them, an extent below 2 (a 1-ring has no links), or a
-    /// node count above `2^20` (mirroring the hypercube's cap), however
-    /// astronomically the extents multiply out.
-    ///
-    /// # Errors
-    ///
-    /// [`BuildError`] naming the violated bound.
-    pub fn try_new(extents: &[usize]) -> Result<Self, BuildError> {
-        if !(1..=8).contains(&extents.len()) {
-            return Err(BuildError::new(format!(
-                "torus must have 1..=8 dimensions, got {}",
-                extents.len()
-            )));
-        }
-        let mut nodes: usize = 1;
-        let mut strides = Vec::with_capacity(extents.len());
-        for &k in extents {
-            if !(2..=1 << 20).contains(&k) {
-                return Err(BuildError::new(format!(
-                    "torus extent must be >= 2, got {k}"
-                )));
-            }
-            strides.push(nodes as u32);
-            // Checked, then bounded: `u32::MAX x u32::MAX x ...` wire
-            // specs must surface as this same typed error, not wrap or
-            // panic.
-            nodes = nodes
-                .checked_mul(k)
-                .filter(|&n| n <= 1 << 20)
-                .ok_or_else(|| BuildError::new("torus larger than 2^20 nodes".to_string()))?;
-        }
+        assert!(
+            extents.iter().all(|&k| k >= 2),
+            "torus extent must be >= 2, got {extents:?}"
+        );
         // This string is hashed into cache fingerprints; it must never
         // change shape.
         let name = format!(
@@ -100,13 +73,42 @@ impl Torus {
                 .collect::<Vec<_>>()
                 .join("x")
         );
-        Ok(Torus {
+        Self::build(extents, true, name)
+    }
+
+    /// The grid [`Torus::new`] and [`Torus::mesh`] share, with or without
+    /// its wraparound links.
+    pub(crate) fn build(extents: &[usize], wraps: bool, name: String) -> Self {
+        assert!(
+            (1..=8).contains(&extents.len()),
+            "{name}: must have 1..=8 dimensions, got {}",
+            extents.len()
+        );
+        assert!(
+            extents.iter().all(|&k| k > 0),
+            "{name}: extents must be positive"
+        );
+        let nodes = extents
+            .iter()
+            .try_fold(1usize, |n, &k| n.checked_mul(k))
+            .filter(|&n| n <= 1 << 20)
+            .unwrap_or_else(|| panic!("{name}: larger than 2^20 nodes"));
+        let strides = extents
+            .iter()
+            .scan(1, |stride, &k| {
+                let here = *stride;
+                *stride *= k as u32;
+                Some(here)
+            })
+            .collect();
+        Torus {
             extents: extents.iter().map(|&k| k as u32).collect(),
             strides,
-            reciprocals: extents.iter().map(|&k| u64::MAX / k as u64 + 1).collect(),
+            reciprocals: extents.iter().map(|&k| u64::MAX / k as u64).collect(),
+            wraps,
             nodes: nodes as u32,
             name,
-        })
+        }
     }
 
     /// Number of dimensions.
@@ -144,7 +146,8 @@ impl Torus {
         )
     }
 
-    /// The ring neighbour of `node` along `dim` in `dir`.
+    /// The ring neighbour of `node` along `dim` in `dir`. On a mesh a
+    /// step off the edge lands on the far edge, where no channel leads.
     pub fn neighbor(&self, node: NodeId, dim: usize, dir: u32) -> NodeId {
         let k = self.extents[dim];
         let stride = self.strides[dim];
@@ -190,12 +193,14 @@ impl Torus {
         Some(NodeId(origin + c * stride))
     }
 
-    /// Hops and direction of the shorter arc from coordinate `s` to `d`
-    /// on a `k`-ring (ties go the positive way; no hops when `s == d`).
+    /// Hops and direction from coordinate `s` to `d` along an extent of
+    /// `k`: the shorter arc of a ring (ties go the positive way), the
+    /// straight line on a mesh; no hops when `s == d`.
     #[inline]
-    fn shorter_arc(k: u32, s: u32, d: u32) -> (u32, u32) {
+    fn arc(&self, k: u32, s: u32, d: u32) -> (u32, u32) {
         let fwd = if d >= s { d - s } else { d + k - s };
-        if fwd <= k - fwd {
+        let plus = if self.wraps { fwd <= k - fwd } else { d >= s };
+        if plus {
             (fwd, PLUS)
         } else {
             (k - fwd, MINUS)
@@ -204,11 +209,15 @@ impl Torus {
 
     /// `(rest / k, rest % k)` for dimension `dim`'s extent `k` by two
     /// multiplies, exact for every 32-bit `rest` (Lemire, Kaser & Kurz
-    /// 2019): a divide by a run-time `k` costs more than the hops.
+    /// 2019): a divide by a run-time `k` costs more than the hops. The
+    /// quotient is the top half of `⌈2^64/k⌉ · rest`, taken as
+    /// `(⌈2^64/k⌉ − 1) · rest + rest` so that the stored factor fits 64
+    /// bits at `k = 1` (a mesh of one row or column) too.
     #[inline]
     fn peel(&self, dim: usize, rest: u32) -> (u32, u32) {
-        let quotient = ((u128::from(self.reciprocals[dim]) * u128::from(rest)) >> 64) as u32;
-        (quotient, rest - quotient * self.extents[dim])
+        let rest = u128::from(rest);
+        let quotient = ((u128::from(self.reciprocals[dim]) * rest + rest) >> 64) as u32;
+        (quotient, rest as u32 - quotient * self.extents[dim])
     }
 
     /// Hand `arc(dim, coord, steps, dir)` every ring the route walks, in
@@ -226,7 +235,7 @@ impl Torus {
             let (s, d);
             (src_rest, s) = self.peel(dim, src_rest);
             (dst_rest, d) = self.peel(dim, dst_rest);
-            let (steps, dir) = Self::shorter_arc(k, s, d);
+            let (steps, dir) = self.arc(k, s, d);
             arc(dim, s, steps, dir);
         }
     }
@@ -304,7 +313,8 @@ impl Topology for Torus {
     /// down link reroutes the long way around that ring. Dimensions stay
     /// ordered — if *both* arcs of some ring are blocked the fault has
     /// cut the dimension-ordered route entirely and this router gives up
-    /// (`None`) rather than search non-dimension-ordered paths.
+    /// (`None`) rather than search non-dimension-ordered paths. A mesh
+    /// has no long way round: a down link on its route is `None`.
     fn route_avoiding(
         &self,
         src: NodeId,
@@ -315,27 +325,22 @@ impl Topology for Torus {
         let mut cur = src;
         for (dim, &k) in self.extents.iter().enumerate() {
             let (s, d) = (self.coord(cur, dim), self.coord(dst, dim));
-            let (steps, dir) = Self::shorter_arc(k, s, d);
-            let (alt_steps, alt_dir) = (k - steps, if dir == PLUS { MINUS } else { PLUS });
-            cur = self
-                .walk_clear(cur, dim, dir, steps, down, &mut links)
-                .or_else(|| self.walk_clear(cur, dim, alt_dir, alt_steps, down, &mut links))?;
+            let (steps, dir) = self.arc(k, s, d);
+            cur = match self.walk_clear(cur, dim, dir, steps, down, &mut links) {
+                Some(end) => end,
+                None if self.wraps => {
+                    self.walk_clear(cur, dim, 1 - dir, k - steps, down, &mut links)?
+                }
+                None => return None,
+            };
         }
         debug_assert_eq!(cur, dst);
         Some(Path::new(src, dst, links))
     }
 
-    fn routing(&self) -> RoutingProperties {
-        RoutingProperties {
-            deterministic: true,
-            minimal: true,
-            ecube_hypercube: false,
-            wraparound: true,
-        }
-    }
-
     fn diameter(&self) -> usize {
-        self.extents.iter().map(|&k| (k / 2) as usize).sum()
+        let span = |k: u32| if self.wraps { k / 2 } else { k - 1 };
+        self.extents.iter().map(|&k| span(k) as usize).sum()
     }
 
     fn name(&self) -> &str {
@@ -360,20 +365,31 @@ mod tests {
     }
 
     #[test]
-    fn try_new_surfaces_typed_errors_never_panics() {
-        assert!(Torus::try_new(&[]).is_err());
-        assert!(Torus::try_new(&[4, 1]).is_err());
-        assert!(Torus::try_new(&[2; 9]).is_err());
-        // Extents individually in bounds whose product overflows the cap
-        // must surface the same typed error — the old constructor's
-        // `checked_mul(..).expect(..)` panicked here.
-        let e = Torus::try_new(&[1 << 20, 1 << 20]).unwrap_err();
-        assert!(e.to_string().contains("2^20"), "{e}");
-        // And extents big enough to overflow usize itself.
-        let e = Torus::try_new(&[usize::MAX, usize::MAX]).unwrap_err();
-        assert!(e.to_string().contains("extent"), "{e}");
-        // The happy path still builds.
-        assert_eq!(Torus::try_new(&[4, 4]).unwrap().num_nodes(), 16);
+    #[should_panic(expected = "larger than 2^20 nodes")]
+    fn product_past_usize_rejected() {
+        // Past what a kind can even spell: `checked_mul` overflows.
+        Torus::new(&[usize::MAX, usize::MAX]);
+    }
+
+    #[test]
+    fn new_panics_exactly_where_validate_rejects() {
+        use crate::TopologyKind;
+        for extents in [
+            &[][..],
+            &[4, 1],
+            &[0, 4],
+            &[2; 9],
+            &[2; 8],
+            &[1 << 10, 1 << 10],
+            &[1 << 10, 1 << 10, 2],
+            &[u32::MAX as usize, u32::MAX as usize],
+        ] {
+            let kind = TopologyKind::Torus {
+                extents: extents.iter().map(|&k| k as u32).collect(),
+            };
+            let built = std::panic::catch_unwind(|| Torus::new(extents));
+            assert_eq!(built.is_ok(), kind.validate().is_ok(), "{extents:?}");
+        }
     }
 
     #[test]
@@ -509,6 +525,21 @@ mod tests {
     }
 
     #[test]
+    fn peel_is_exact_division() {
+        for k in [1, 2, 3, 5, 7, 8, 255, 256, 1000, 1 << 20] {
+            // Dimension 0 of a one-row mesh has extent `k`, 1 included.
+            let t = Torus::mesh(1, k);
+            let rests = (0..4096)
+                .chain((1 << 20) - 4096..1 << 20)
+                .chain(u32::MAX - 4096..=u32::MAX);
+            for rest in rests {
+                let k = k as u32;
+                assert_eq!(t.peel(0, rest), (rest / k, rest % k), "{rest} / {k}");
+            }
+        }
+    }
+
+    #[test]
     fn link_endpoints_roundtrip() {
         let t = Torus::new(&[3, 5]);
         for v in 0..15u32 {
@@ -523,10 +554,9 @@ mod tests {
 
     #[test]
     fn routing_report() {
-        let t = Torus::new(&[4, 4]);
-        let props = t.routing();
-        assert!(props.deterministic && props.minimal && props.wraparound);
-        assert!(!props.ecube_hypercube);
-        assert!(!t.is_ecube_hypercube());
+        // Even a torus of 2-rings, the cube's shape, is not routed e-cube.
+        assert!(!Torus::new(&[4, 4]).is_ecube_hypercube());
+        assert!(!Torus::new(&[2, 2, 2, 2]).is_ecube_hypercube());
+        assert!(!Torus::mesh(4, 4).is_ecube_hypercube());
     }
 }

@@ -17,7 +17,7 @@
 //! * A mesh never wraps: a down link on its XY route is a typed
 //!   `LinkDown`, where the torus of the same shape detours.
 
-use hypercube::{Hypercube, LinkId, Mesh2d, NodeId, Topology};
+use hypercube::{Hypercube, LinkId, NodeId, Topology};
 use simnet::cost::resolve_route;
 use simnet::{LinkCostModel, SimError};
 use topo::{FatTree, Torus};
@@ -73,7 +73,7 @@ fn hops_equals_route_length_on_every_family() {
         assert_contract(&Hypercube::new(dims));
     }
     for (rows, cols) in [(1, 2), (3, 5), (8, 8), (16, 16), (24, 32)] {
-        assert_contract(&Mesh2d::new(rows, cols));
+        assert_contract(&Torus::mesh(rows, cols));
     }
     for extents in [
         &[2][..],
@@ -298,8 +298,8 @@ fn xy_reference(rows: u32, cols: u32, src: NodeId, dst: NodeId) -> Vec<LinkId> {
     links
 }
 
-fn mesh(rows: usize, cols: usize) -> Mesh2d {
-    Mesh2d::new(rows, cols)
+fn mesh(rows: usize, cols: usize) -> Torus {
+    Torus::mesh(rows, cols)
 }
 
 #[test]

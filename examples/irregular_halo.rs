@@ -25,7 +25,7 @@ fn main() {
 
     let result = ExperimentGrid::new()
         .topology("hypercube(6)", Hypercube::new(6))
-        .topology("mesh(8x8)", Mesh2d::new(8, 8))
+        .topology("mesh(8x8)", Torus::mesh(8, 8))
         .schedulers(commsched::registry::primary())
         .point(WorkloadPoint::shared(
             Generator::fixed("irregular_halo(8x8)", com),

@@ -46,7 +46,7 @@ fn main() {
 
     let t0 = Instant::now();
     let key = Fingerprint::compute(&com, &cube, entry.name(), seed);
-    let schedule = cache.get_or_compute(key, || entry.schedule(&com, &cube, seed));
+    let schedule = cache.get_or_compute_on(key, &cube, || entry.schedule(&com, &cube, seed));
     let cold = t0.elapsed();
 
     // The solver loop: every iteration re-requests the schedule by the
@@ -57,7 +57,7 @@ fn main() {
         .makespan_ms();
     let t1 = Instant::now();
     for _ in 1..iterations {
-        let replay = cache.get_or_compute(key, || entry.schedule(&com, &cube, seed));
+        let replay = cache.get_or_compute_on(key, &cube, || entry.schedule(&com, &cube, seed));
         assert_eq!(
             *replay, *schedule,
             "a hit returns exactly the compiled schedule"

@@ -7,10 +7,11 @@
 //!
 //! This facade crate re-exports the whole stack:
 //!
-//! * [`hypercube`] — the topology abstraction and the paper's machines:
-//!   hypercubes under e-cube routing and 2-D meshes under XY routing.
-//! * [`topo`] — the pluggable fabric family beyond the paper: k-ary
-//!   n-cube tori (dimension-ordered shortest-direction routing) and
+//! * [`hypercube`] — the topology abstraction and the paper's machine:
+//!   hypercubes under e-cube routing.
+//! * [`topo`] — the fabric family beyond the cube: k-ary n-cube tori
+//!   (dimension-ordered shortest-direction routing), the paper's
+//!   Section 5 2-D mesh (a torus without wraparound, XY routing) and
 //!   k-ary fat-trees (deterministic up-down routing), plus the
 //!   [`topo::TopologyKind`] kind-string grammar (`"torus:4x4x4"`,
 //!   `"fattree:k=8"`) used by CLIs and the daemon.
@@ -71,7 +72,7 @@ pub mod prelude {
         ac, greedy, lp, rs_n, rs_nl, validate_schedule, CommMatrix, Schedule, ScheduleQuality,
         SchedulerKind,
     };
-    pub use hypercube::{Hypercube, Mesh2d, NodeId, RoutingProperties, Topology};
+    pub use hypercube::{Hypercube, NodeId, Topology};
     pub use simnet::{simulate, MachineParams, SimReport};
     pub use topo::{FatTree, TopologyKind, Torus};
     pub use workloads;

@@ -100,7 +100,7 @@ fn analytic_grids_preserve_structure_and_schedule_facts() {
         ExperimentGrid::new()
             .with_runner(commrt::ExperimentRunner::ipsc860().with_backend(kind))
             .topology("hypercube(4)", Hypercube::new(4))
-            .topology("mesh(4x4)", hypercube::Mesh2d::new(4, 4))
+            .topology("mesh(4x4)", topo::Torus::mesh(4, 4))
             .schedulers(registry::primary())
             .point(WorkloadPoint::shared(
                 Generator::dregular(16, 3, 1024),
@@ -160,13 +160,13 @@ fn single_node_topologies_flow_through_both_backends_and_the_grid() {
     let accepted: Vec<_> = registry::all()
         .iter()
         .copied()
-        .filter(|e| e.supports_topology(&hypercube::Mesh2d::new(1, 1)))
+        .filter(|e| e.supports_topology(&topo::Torus::mesh(1, 1)))
         .collect();
     assert!(!accepted.is_empty(), "RS/AC families accept any topology");
     for kind in BackendKind::all() {
         let result = ExperimentGrid::new()
             .with_runner(commrt::ExperimentRunner::ipsc860().with_backend(kind))
-            .topology("mesh(1x1)", hypercube::Mesh2d::new(1, 1))
+            .topology("mesh(1x1)", topo::Torus::mesh(1, 1))
             .schedulers(accepted.iter().copied())
             .point(WorkloadPoint::shared(
                 Generator::fixed("empty", commsched::CommMatrix::new(1)),

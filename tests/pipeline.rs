@@ -183,7 +183,7 @@ fn hold_and_wait_policy_end_to_end() {
 
 #[test]
 fn mesh_topology_end_to_end() {
-    let mesh = Mesh2d::new(4, 8);
+    let mesh = Torus::mesh(4, 8);
     let params = MachineParams::ipsc860();
     let com = workloads::random_dregular(32, 5, 4096, 8);
     // Enumerate the registry; LP declines the mesh itself (its pairing and

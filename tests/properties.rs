@@ -43,7 +43,7 @@ proptest! {
 
     #[test]
     fn rs_nl_phases_are_link_free_on_the_mesh(com in arb_matrix(12, 4), seed in 0u64..1000) {
-        let mesh = Mesh2d::new(3, 4);
+        let mesh = Torus::mesh(3, 4);
         let s = rs_nl(&com, &mesh, seed);
         prop_assert!(validate_schedule(&com, &s).is_ok());
         prop_assert!(s.link_contention_free(&mesh));

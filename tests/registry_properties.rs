@@ -89,7 +89,7 @@ proptest! {
         // deterministic oblivious routing); the LP family's is e-cube
         // specific, and its entry declines the mesh via
         // `supports_topology`, so no name filter is needed.
-        let mesh = Mesh2d::new(3, 4);
+        let mesh = Torus::mesh(3, 4);
         let mut com = CommMatrix::new(12);
         for &(s, d, bytes) in &cells {
             if s != d {
@@ -241,7 +241,7 @@ proptest! {
                     // declines, and only off the hypercube-equivalent
                     // fabrics.
                     prop_assert!(
-                        !topo.routing().ecube_hypercube,
+                        !topo.is_ecube_hypercube(),
                         "{} declined the e-cube fabric {spec}",
                         entry.name()
                     );

@@ -7,7 +7,7 @@
 //! never a semantics knob; this suite is what lets `PoolMode::Auto`
 //! switch layouts at the crossover without a conformance question.
 
-use hypercube::{Hypercube, Mesh2d, NodeId, Topology};
+use hypercube::{Hypercube, NodeId, Topology};
 use proptest::prelude::*;
 use simnet::{LoadModel, MachineParams, PoolMode, PortModel, Program, Tag, TransferSpec};
 
@@ -87,7 +87,7 @@ proptest! {
         ),
         split in 0u8..2,
     ) {
-        let mesh = Mesh2d::new(rows, cols);
+        let mesh = topo::Torus::mesh(rows, cols);
         let n = mesh.num_nodes();
         if n < 2 {
             return Ok(());
