@@ -2,17 +2,17 @@
 //!
 //! Keys ([`Fingerprint`]s) are spread over N independently mutex-guarded
 //! shards — concurrent grid workers looking up different keys contend on
-//! different locks. Each shard evicts least-recently-used entries once its
-//! slice of the byte budget is exceeded; budgets are enforced per shard
-//! (`total / shards`), so a pathological key distribution can evict a
-//! little early, never late.
+//! different locks. Each shard is a [`Recency`] list that evicts
+//! least-recently-used entries once its slice of the byte budget is
+//! exceeded; budgets are enforced per shard (`total / shards`), so a
+//! pathological key distribution can evict a little early, never late.
 
-use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use commsched::Schedule;
 
+use crate::recency::Recency;
 use crate::Fingerprint;
 
 /// Approximate resident size of a cached schedule in bytes: a 64-byte
@@ -27,36 +27,14 @@ pub fn schedule_weight_bytes(s: &Schedule) -> usize {
     64 + s.num_phases() * (32 + s.n() * 4)
 }
 
-struct Entry {
-    schedule: Arc<Schedule>,
-    weight: usize,
-    last_used: u64,
-}
-
-#[derive(Default)]
-struct Shard {
-    map: HashMap<u128, Entry>,
-    /// Recency index: `last_used` tick → key. Ticks are unique (the clock
-    /// only advances under the shard lock), so this is a faithful LRU
-    /// order and eviction pops its first entry in O(log n) instead of
-    /// scanning the map.
-    lru: BTreeMap<u64, u128>,
-    /// Monotone per-shard clock stamping recency.
-    clock: u64,
-    bytes: usize,
-}
-
 /// A fixed-shard, byte-budgeted, LRU-evicting map from [`Fingerprint`] to
 /// [`Arc<Schedule>`].
 ///
 /// All operations are `&self`; the cache is shared across threads as-is
 /// (the grid executor holds one per run).
-pub struct ShardedCache {
-    shards: Vec<Mutex<Shard>>,
-    shard_budget: usize,
+pub(crate) struct ShardedCache {
+    shards: Vec<Mutex<Recency<Arc<Schedule>>>>,
     hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
     evictions: AtomicU64,
     rejected: AtomicU64,
 }
@@ -67,110 +45,54 @@ impl ShardedCache {
     pub fn new(shards: usize, byte_budget: usize) -> Self {
         let shards = shards.max(1);
         ShardedCache {
-            shard_budget: byte_budget / shards,
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
+            shards: (0..shards)
+                .map(|_| Mutex::new(Recency::new(byte_budget / shards)))
+                .collect(),
             hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
         }
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard(&self, key: Fingerprint) -> &Mutex<Shard> {
+    fn shard(&self, key: Fingerprint) -> std::sync::MutexGuard<'_, Recency<Arc<Schedule>>> {
         // The key is a 128-bit hash; its low bits are already uniform.
-        &self.shards[(key.0 as usize) % self.shards.len()]
+        self.shards[(key.0 as usize) % self.shards.len()]
+            .lock()
+            .expect("no panics hold the shard")
     }
 
-    /// Look `key` up, refreshing its recency. Counts a hit or a miss.
+    /// Look `key` up, refreshing its recency. Counts a hit; a miss
+    /// counts nothing (the caller counts what it does next).
     pub fn get(&self, key: Fingerprint) -> Option<Arc<Schedule>> {
-        let found = self.get_resident(key);
-        if found.is_none() {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    /// [`get`](Self::get) that counts only a hit: a caller that goes on
-    /// to `get` after a miss has that miss counted once.
-    pub fn get_resident(&self, key: Fingerprint) -> Option<Arc<Schedule>> {
-        let mut guard = self.shard(key).lock().expect("no panics hold the shard");
-        let shard = &mut *guard;
-        let entry = shard.map.get_mut(&key.0)?;
-        shard.clock += 1;
-        let clock = shard.clock;
-        shard.lru.remove(&entry.last_used);
-        shard.lru.insert(clock, key.0);
-        entry.last_used = clock;
+        let schedule = Arc::clone(self.shard(key).get(key.0)?);
         self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(Arc::clone(&entry.schedule))
+        Some(schedule)
     }
 
     /// Insert `schedule` under `key`, evicting least-recently-used entries
     /// of the shard until its byte budget holds. A schedule heavier than a
-    /// whole shard budget is rejected (counted, not cached) — caching it
-    /// would evict everything else for a single entry.
+    /// whole shard budget is rejected (counted, not cached).
     pub fn insert(&self, key: Fingerprint, schedule: Arc<Schedule>) {
         let weight = schedule_weight_bytes(&schedule);
-        if weight > self.shard_budget {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let mut guard = self.shard(key).lock().expect("no panics hold the shard");
-        let shard = &mut *guard;
-        shard.clock += 1;
-        let clock = shard.clock;
-        if let Some(old) = shard.map.insert(
-            key.0,
-            Entry {
-                schedule,
-                weight,
-                last_used: clock,
-            },
-        ) {
-            // Re-insert under the same key: swap the accounting, no
-            // eviction pressure change beyond the weight delta.
-            shard.bytes -= old.weight;
-            shard.lru.remove(&old.last_used);
-        } else {
-            self.insertions.fetch_add(1, Ordering::Relaxed);
-        }
-        shard.lru.insert(clock, key.0);
-        shard.bytes += weight;
-        while shard.bytes > self.shard_budget {
-            let (_, lru_key) = shard
-                .lru
-                .pop_first()
-                .expect("over budget implies non-empty");
-            let evicted = shard.map.remove(&lru_key).expect("recency index in sync");
-            shard.bytes -= evicted.weight;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+        match self.shard(key).insert(key.0, schedule, weight) {
+            Some(evicted) => self.evictions.fetch_add(evicted, Ordering::Relaxed),
+            None => self.rejected.fetch_add(1, Ordering::Relaxed),
+        };
     }
 
     /// Entries currently resident, over all shards.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("no panics hold the shard").map.len())
+            .map(|s| s.lock().expect("no panics hold the shard").len())
             .sum()
-    }
-
-    /// Whether the cache holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Metered schedule weight currently resident, over all shards.
     pub fn bytes_in_use(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("no panics hold the shard").bytes)
+            .map(|s| s.lock().expect("no panics hold the shard").bytes())
             .sum()
     }
 
@@ -179,14 +101,10 @@ impl ShardedCache {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that found nothing.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Distinct keys inserted (re-inserts of a resident key not counted).
+    /// Distinct keys inserted (re-inserts of a resident key not counted):
+    /// nothing leaves but by eviction, so those resident plus those evicted.
     pub fn insertions(&self) -> u64 {
-        self.insertions.load(Ordering::Relaxed)
+        self.len() as u64 + self.evictions()
     }
 
     /// Entries evicted under the byte budget.
@@ -222,7 +140,6 @@ mod tests {
         let got = cache.get(key(1)).expect("hit");
         assert!(Arc::ptr_eq(&got, &s));
         assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
         assert_eq!(cache.len(), 1);
         assert!(cache.bytes_in_use() > 0);
     }
@@ -230,15 +147,11 @@ mod tests {
     #[test]
     fn a_resident_lookup_counts_only_its_hit() {
         let cache = ShardedCache::new(2, 1 << 20);
-        assert!(cache.get_resident(key(1)).is_none());
-        assert_eq!(
-            (cache.hits(), cache.misses()),
-            (0, 0),
-            "a miss counts nothing"
-        );
+        assert!(cache.get(key(1)).is_none());
+        assert_eq!(cache.hits(), 0, "a miss counts nothing");
         cache.insert(key(1), schedule(8));
-        assert!(cache.get_resident(key(1)).is_some());
-        assert_eq!((cache.hits(), cache.misses()), (1, 0));
+        assert!(cache.get(key(1)).is_some());
+        assert_eq!(cache.hits(), 1);
     }
 
     #[test]
@@ -301,7 +214,7 @@ mod tests {
     #[test]
     fn zero_shards_clamps_to_one() {
         let cache = ShardedCache::new(0, 1 << 20);
-        assert_eq!(cache.shards(), 1);
+        assert_eq!(cache.shards.len(), 1);
         cache.insert(key(9), schedule(4));
         assert!(cache.get(key(9)).is_some());
     }

@@ -106,9 +106,9 @@ impl Fingerprint {
     }
 
     /// Parse a [`Fingerprint::to_hex`] rendering. `None` for anything that
-    /// is not exactly 32 hex digits.
+    /// is not exactly 32 ASCII hex digits (no sign, no prefix).
     pub fn from_hex(s: &str) -> Option<Fingerprint> {
-        if s.len() != 32 {
+        if s.len() != 32 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
             return None;
         }
         u128::from_str_radix(s, 16).ok().map(Fingerprint)
@@ -301,6 +301,19 @@ mod tests {
         assert!(Fingerprint::from_hex("xyz").is_none());
         assert!(Fingerprint::from_hex(&hex[1..]).is_none());
         assert_eq!(Fingerprint::from_bytes(fp.to_bytes()), fp);
+    }
+
+    #[test]
+    fn from_hex_takes_hex_digits_only() {
+        // `u128::from_str_radix` alone takes a leading `+`.
+        let signed = format!("+{}", "0".repeat(30) + "1");
+        assert_eq!(signed.len(), 32);
+        assert_eq!(Fingerprint::from_hex(&signed), None);
+        assert_eq!(Fingerprint::from_hex(&format!("-{}", "0".repeat(31))), None);
+        assert_eq!(Fingerprint::from_hex(&format!(" {}", "0".repeat(31))), None);
+        // Upper-case digits are digits: they parse, to the same key.
+        let fp = Fingerprint(0xabcd);
+        assert_eq!(Fingerprint::from_hex(&fp.to_hex().to_uppercase()), Some(fp));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! ([`crate::CacheConfig::incremental`] is `None` by default) and the
 //! byte-identical repro grids run without it.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -29,7 +29,18 @@ use commsched::{
 use hypercube::Topology;
 
 use crate::cache::schedule_weight_bytes;
+use crate::recency::Recency;
 use crate::InstanceKey;
+
+/// Fallback threshold: a base qualifies when the delta's *structural*
+/// edits (added + removed; resizes patch for free) per 1000 base messages
+/// stay at or under this. 50 ≙ 5%; a 1%-drift workload (remove + re-add
+/// ≈ 20‰) fits comfortably.
+const MAX_DELTA_PERMILLE: usize = 50;
+
+/// Most-recent compatible bases diffed per lookup before giving up —
+/// bounds the diff work a single miss can spend.
+const MAX_CANDIDATES: usize = 8;
 
 /// Configuration of the [`IncrementalCache`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -37,22 +48,12 @@ pub struct IncrementalConfig {
     /// Byte budget for retained bases (matrix weight + schedule weights),
     /// enforced by LRU eviction.
     pub byte_budget: usize,
-    /// Fallback threshold: a base qualifies when the delta's *structural*
-    /// edits (added + removed; resizes patch for free) per 1000 base
-    /// messages stay at or under this. 50 ≙ 5%; a 1%-drift workload
-    /// (remove + re-add ≈ 20‰) fits comfortably.
-    pub max_delta_permille: u32,
-    /// Most-recent compatible bases diffed per lookup before giving up —
-    /// bounds the diff work a single miss can spend.
-    pub max_candidates: usize,
 }
 
 impl Default for IncrementalConfig {
     fn default() -> Self {
         IncrementalConfig {
             byte_budget: 32 << 20, // 32 MiB
-            max_delta_permille: 50,
-            max_candidates: 8,
         }
     }
 }
@@ -61,12 +62,6 @@ impl IncrementalConfig {
     /// Override the byte budget.
     pub fn with_byte_budget(mut self, bytes: usize) -> Self {
         self.byte_budget = bytes;
-        self
-    }
-
-    /// Override the structural-delta threshold (permille of base messages).
-    pub fn with_max_delta_permille(mut self, permille: u32) -> Self {
-        self.max_delta_permille = permille;
         self
     }
 }
@@ -134,36 +129,24 @@ fn matrix_weight_bytes(com: &CommMatrix) -> usize {
     64 + com.heap_bytes()
 }
 
-struct BaseEntry {
+struct Base {
     com: Arc<CommMatrix>,
     topo_name: String,
     topo_nodes: usize,
     /// Schedules compiled (or patched) for this base, by
     /// `(scheduler name, seed)`.
     schedules: HashMap<(String, u64), Arc<Schedule>>,
-    weight: usize,
-    last_used: u64,
 }
 
-#[derive(Default)]
-struct Inner {
-    map: HashMap<u128, BaseEntry>,
-    /// Recency index: `last_used` tick → key (same faithful-LRU idiom as
-    /// [`crate::ShardedCache`]).
-    lru: BTreeMap<u64, u128>,
-    clock: u64,
-    bytes: usize,
-}
-
-impl Inner {
-    fn touch(&mut self, raw: u128) {
-        self.clock += 1;
-        let clock = self.clock;
-        if let Some(entry) = self.map.get_mut(&raw) {
-            self.lru.remove(&entry.last_used);
-            self.lru.insert(clock, raw);
-            entry.last_used = clock;
-        }
+impl Base {
+    /// The weight the byte budget meters: the matrix and every schedule.
+    fn weight(&self) -> usize {
+        let schedules: usize = self
+            .schedules
+            .values()
+            .map(|s| schedule_weight_bytes(s))
+            .sum();
+        matrix_weight_bytes(&self.com) + schedules
     }
 }
 
@@ -171,8 +154,7 @@ impl Inner {
 /// schedules), LRU-evicted under a byte budget, with hit/patch/fallback
 /// counters. Shared across threads as-is (all methods take `&self`).
 pub struct IncrementalCache {
-    inner: Mutex<Inner>,
-    config: IncrementalConfig,
+    bases: Mutex<Recency<Base>>,
     lookups: AtomicU64,
     base_hits: AtomicU64,
     base_misses: AtomicU64,
@@ -186,8 +168,7 @@ impl IncrementalCache {
     /// Build the layer from its configuration.
     pub fn new(config: IncrementalConfig) -> Self {
         IncrementalCache {
-            inner: Mutex::new(Inner::default()),
-            config,
+            bases: Mutex::new(Recency::new(config.byte_budget)),
             lookups: AtomicU64::new(0),
             base_hits: AtomicU64::new(0),
             base_misses: AtomicU64::new(0),
@@ -218,18 +199,15 @@ impl IncrementalCache {
         // Snapshot the most recent compatible candidates under the lock;
         // diff outside it (diffing is the expensive part).
         let candidates: Vec<(u128, Arc<CommMatrix>, Option<Arc<Schedule>>)> = {
-            let inner = self.inner.lock().expect("no panics hold the base map");
-            inner
-                .lru
+            let bases = self.bases.lock().expect("no panics hold the base map");
+            bases
                 .iter()
-                .rev()
-                .filter_map(|(_, raw)| inner.map.get(raw).map(|e| (*raw, e)))
                 .filter(|(_, e)| {
                     e.topo_name == topo_name
                         && e.topo_nodes == topo.num_nodes()
                         && e.com.n() == com.n()
                 })
-                .take(self.config.max_candidates)
+                .take(MAX_CANDIDATES)
                 .map(|(raw, e)| {
                     (
                         raw,
@@ -245,7 +223,7 @@ impl IncrementalCache {
         for (raw, base_com, base_schedule) in candidates {
             // Bounded: another chain's base is rejected after a few rows.
             let base_msgs = base_com.message_count().max(1);
-            let max_structural = self.config.max_delta_permille as usize * base_msgs / 1000;
+            let max_structural = MAX_DELTA_PERMILLE * base_msgs / 1000;
             let Ok(Some(delta)) = MatrixDelta::diff_within(&base_com, com, max_structural) else {
                 continue;
             };
@@ -273,10 +251,10 @@ impl IncrementalCache {
             }
         };
         self.base_hits.fetch_add(1, Ordering::Relaxed);
-        self.inner
+        self.bases
             .lock()
             .expect("no panics hold the base map")
-            .touch(raw);
+            .get(raw);
 
         let patched = match entry.patch_schedule(&base_schedule, &delta, topo, seed) {
             Some(s) => s,
@@ -304,11 +282,8 @@ impl IncrementalCache {
     /// the daemon resolves a delta submit that names its base by
     /// [`InstanceKey`]. Counts as a use for eviction purposes.
     pub fn base_matrix(&self, key: InstanceKey) -> Option<Arc<CommMatrix>> {
-        let raw = key.raw();
-        let mut inner = self.inner.lock().expect("no panics hold the base map");
-        let com = inner.map.get(&raw).map(|e| Arc::clone(&e.com))?;
-        inner.touch(raw);
-        Some(com)
+        let mut bases = self.bases.lock().expect("no panics hold the base map");
+        bases.get(key.raw()).map(|e| Arc::clone(&e.com))
     }
 
     /// Retain `(key, com)` as a future patch base, recording `schedule`
@@ -325,65 +300,32 @@ impl IncrementalCache {
         schedule: Arc<Schedule>,
     ) {
         let raw = key.raw();
-        let sched_weight = schedule_weight_bytes(&schedule);
-        let mut inner = self.inner.lock().expect("no panics hold the base map");
-        inner.clock += 1;
-        let clock = inner.clock;
-        match inner.map.get_mut(&raw) {
-            Some(entry) => {
-                let mut added = 0;
-                if entry
-                    .schedules
-                    .insert((entry_name.to_string(), seed), schedule)
-                    .is_none()
-                {
-                    added = sched_weight;
-                }
-                entry.weight += added;
-                let prev = entry.last_used;
-                entry.last_used = clock;
-                inner.lru.remove(&prev);
-                inner.lru.insert(clock, raw);
-                inner.bytes += added;
-            }
-            None => {
-                let weight = matrix_weight_bytes(com) + sched_weight;
-                if weight > self.config.byte_budget {
-                    return; // heavier than the whole budget: never retain
-                }
-                let mut schedules = HashMap::new();
-                schedules.insert((entry_name.to_string(), seed), schedule);
-                inner.map.insert(
-                    raw,
-                    BaseEntry {
-                        com: Arc::new(com.clone()),
-                        topo_name: topo.name().to_string(),
-                        topo_nodes: topo.num_nodes(),
-                        schedules,
-                        weight,
-                        last_used: clock,
-                    },
-                );
-                inner.lru.insert(clock, raw);
-                inner.bytes += weight;
-            }
-        }
-        while inner.bytes > self.config.byte_budget {
-            let (_, lru_key) = inner
-                .lru
-                .pop_first()
-                .expect("over budget implies non-empty");
-            let evicted = inner.map.remove(&lru_key).expect("recency index in sync");
-            inner.bytes -= evicted.weight;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+        let mut bases = self.bases.lock().expect("no panics hold the base map");
+        let resident = bases.remove(raw);
+        let was_resident = resident.is_some();
+        let mut base = resident.unwrap_or_else(|| Base {
+            com: Arc::new(com.clone()),
+            topo_name: topo.name().to_string(),
+            topo_nodes: topo.num_nodes(),
+            schedules: HashMap::new(),
+        });
+        base.schedules
+            .insert((entry_name.to_string(), seed), schedule);
+        // Re-inserting re-meters the base: a replaced schedule's weight
+        // leaves with it. A base heavier than the whole budget is never
+        // retained; one that grew past it counts as evicted.
+        let weight = base.weight();
+        let evicted = bases
+            .insert(raw, base, weight)
+            .unwrap_or(u64::from(was_resident));
+        self.evictions.fetch_add(evicted, Ordering::Relaxed);
     }
 
     /// Snapshot every counter.
     pub fn stats(&self) -> IncrementalStats {
         let (bases_resident, bytes_in_use) = {
-            let inner = self.inner.lock().expect("no panics hold the base map");
-            (inner.map.len(), inner.bytes)
+            let bases = self.bases.lock().expect("no panics hold the base map");
+            (bases.len(), bases.bytes())
         };
         IncrementalStats {
             lookups: self.lookups.load(Ordering::Relaxed),
@@ -402,7 +344,6 @@ impl IncrementalCache {
 impl std::fmt::Debug for IncrementalCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IncrementalCache")
-            .field("config", &self.config)
             .field("stats", &self.stats())
             .finish()
     }
@@ -451,10 +392,9 @@ mod tests {
 
     #[test]
     fn over_threshold_deltas_miss() {
-        let cfg = IncrementalConfig::default().with_max_delta_permille(10);
-        let inc = IncrementalCache::new(cfg);
+        let inc = IncrementalCache::new(IncrementalConfig::default());
         let cube = Hypercube::new(4);
-        let base = sample_com(16); // 32 messages; 10‰ admits 0 structural edits
+        let base = sample_com(16); // 32 messages; 50‰ admits 1 structural edit
         let entry = registry::find("RS_N").unwrap();
         let key = InstanceKey::compute(&base, &cube);
         inc.register(
@@ -518,6 +458,59 @@ mod tests {
         assert_eq!(stats.base_hits, 1);
         assert_eq!(stats.fallbacks, 1);
         assert_eq!(stats.patches, 0);
+    }
+
+    #[test]
+    fn a_replaced_schedule_takes_its_weight_with_it() {
+        // One key, one (scheduler, seed), two schedules of different
+        // weight: the base is metered at the one it holds now.
+        let inc = IncrementalCache::new(IncrementalConfig::default());
+        let cube = Hypercube::new(4);
+        let base = sample_com(16);
+        let key = InstanceKey::compute(&base, &cube);
+        let heavy = Arc::new(registry::find("AC").unwrap().schedule(&base, &cube, 1));
+        let light = Arc::new(registry::find("RS_N").unwrap().schedule(&base, &cube, 1));
+        let (heavy_w, light_w) = (schedule_weight_bytes(&heavy), schedule_weight_bytes(&light));
+        assert_ne!(heavy_w, light_w, "the two weights must differ");
+        inc.register(key, &base, &cube, "RS_N", 1, heavy);
+        assert_eq!(
+            inc.stats().bytes_in_use,
+            matrix_weight_bytes(&base) + heavy_w
+        );
+        inc.register(key, &base, &cube, "RS_N", 1, light);
+        let stats = inc.stats();
+        assert_eq!(stats.bases_resident, 1);
+        assert_eq!(stats.bytes_in_use, matrix_weight_bytes(&base) + light_w);
+    }
+
+    #[test]
+    fn a_base_outgrowing_the_budget_leaves_alone() {
+        let cube = Hypercube::new(4);
+        let rs_n = registry::find("RS_N").unwrap();
+        let lp = registry::find("LP").unwrap();
+        let a = sample_com(16);
+        let mut b = a.clone();
+        b.set(0, 1, 7); // a resize: same weight, another key
+        let one = matrix_weight_bytes(&a) + schedule_weight_bytes(&rs_n.schedule(&a, &cube, 0));
+        let inc = IncrementalCache::new(IncrementalConfig::default().with_byte_budget(2 * one));
+        let (key_a, key_b) = (
+            InstanceKey::compute(&a, &cube),
+            InstanceKey::compute(&b, &cube),
+        );
+        for (key, com) in [(key_a, &a), (key_b, &b)] {
+            let schedule = Arc::new(rs_n.schedule(com, &cube, 0));
+            inc.register(key, com, &cube, rs_n.name(), 0, schedule);
+        }
+        assert_eq!((inc.stats().bases_resident, inc.stats().evictions), (2, 0));
+        // An LP schedule makes b alone heavier than the whole budget: b
+        // goes, counted as one eviction, and a stays.
+        let heavy = Arc::new(lp.schedule(&b, &cube, 0));
+        assert!(one + schedule_weight_bytes(&heavy) > 2 * one);
+        inc.register(key_b, &b, &cube, lp.name(), 0, heavy);
+        let stats = inc.stats();
+        assert_eq!((stats.bases_resident, stats.evictions), (1, 1));
+        assert_eq!(stats.bytes_in_use, one);
+        assert!(inc.base_matrix(key_a).is_some() && inc.base_matrix(key_b).is_none());
     }
 
     #[test]

@@ -10,15 +10,17 @@
 //! * [`Fingerprint`] — a canonical 128-bit key over *(matrix contents,
 //!   topology identity, scheduler name, seed)* with a documented, stable
 //!   byte serialization, so keys survive process restarts.
-//! * [`ShardedCache`] — N mutex-guarded shards keyed by fingerprint, LRU
-//!   eviction under a configurable byte budget, hit/miss/eviction
-//!   counters.
+//! * An in-memory cache of eight mutex-guarded shards keyed by
+//!   fingerprint, each a byte-budgeted LRU list — the same list the
+//!   incremental layer keeps its retained bases in.
 //! * [`ArtifactStore`] — schedules persisted in a versioned on-disk
 //!   format (magic + version header + checksum) under `results/cache/`,
 //!   with corrupted or foreign-version files surfacing as typed
 //!   [`StoreError`]s, never trusted data.
-//! * [`SchedCache`] — the combined policy: memory first, then
-//!   load-on-miss from the store, then compile and write through.
+//! * [`SchedCache`] — the one reuse step: memory first, then
+//!   load-on-miss from the store, then patch a retained base
+//!   ([`IncrementalCache`], opt-in) or compile, write through, and
+//!   register the result as a future patch base.
 //!
 //! Caching changes *cost*, never *results*: schedules are deterministic
 //! functions of the fingerprinted inputs, the artifact round-trip is
@@ -45,6 +47,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::cell::Cell;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -57,9 +60,11 @@ mod checksum;
 pub mod codec;
 mod fingerprint;
 mod incremental;
+mod recency;
 mod store;
 
-pub use cache::{schedule_weight_bytes, ShardedCache};
+pub use cache::schedule_weight_bytes;
+use cache::ShardedCache;
 pub use checksum::{checksum64, hash128};
 pub use fingerprint::{canonical_bytes, Fingerprint, InstanceKey, LAYOUT_VERSION};
 pub use incremental::{IncrementalCache, IncrementalConfig, IncrementalStats};
@@ -175,16 +180,16 @@ impl CacheStats {
     }
 }
 
-/// The schedule cache: a [`ShardedCache`] in front of an optional
-/// [`ArtifactStore`].
+/// The schedule cache: eight LRU shards in memory in front of an
+/// optional [`ArtifactStore`], with an optional [`IncrementalCache`].
 ///
 /// Lookup policy per request: fingerprint the inputs, try memory, then
 /// (if persistent) try the store — a store hit is promoted into memory —
-/// then compile, cache, and (if persistent) write through. Store files
-/// that are corrupt or a foreign version are *skipped*: the request falls
-/// through to compilation and the bad artifact is overwritten by the
-/// write-through, which is the self-healing behaviour an on-disk cache
-/// wants.
+/// then patch a retained base or compile, cache, and (if persistent)
+/// write through. Store files that are corrupt or a foreign version are
+/// *skipped*: the request falls through to compilation and the bad
+/// artifact is overwritten by the write-through, which is the
+/// self-healing behaviour an on-disk cache wants.
 ///
 /// Concurrency: all methods take `&self`; the cache is shared across
 /// threads (the grid executor does). Two threads missing the same key
@@ -244,54 +249,65 @@ impl SchedCache {
         topo: &dyn Topology,
         seed: u64,
     ) -> Arc<Schedule> {
-        match &self.incremental {
-            None => {
-                let fp = Fingerprint::compute(com, topo, entry.name(), seed);
-                self.get_or_compute_on(fp, topo, || entry.schedule(com, topo, seed))
-            }
-            Some(inc) => {
-                let key = InstanceKey::compute(com, topo);
-                let fp = key.schedule_key(entry.name(), seed);
-                let schedule = self.get_or_compute_arc(fp, topo, || {
-                    inc.get_patched(entry, key, com, topo, seed)
-                        .unwrap_or_else(|| Arc::new(entry.schedule(com, topo, seed)))
-                });
-                inc.register(key, com, topo, entry.name(), seed, Arc::clone(&schedule));
-                schedule
-            }
+        let key = InstanceKey::compute(com, topo);
+        self.get_or_schedule_keyed(entry, key, com, topo, seed).0
+    }
+
+    /// [`get_or_schedule`](Self::get_or_schedule) given `key`, the
+    /// instance key of `(com, topo)`: memory, then the store, then patch
+    /// a retained base or compile, then [`register`](Self::register).
+    /// The flag is `true` when this call patched or compiled, i.e. when
+    /// it counted one of [`CacheStats::misses`].
+    pub fn get_or_schedule_keyed(
+        &self,
+        entry: &dyn Scheduler,
+        key: InstanceKey,
+        com: &CommMatrix,
+        topo: &dyn Topology,
+        seed: u64,
+    ) -> (Arc<Schedule>, bool) {
+        let produced = Cell::new(false);
+        let fp = key.schedule_key(entry.name(), seed);
+        let schedule = self.get_or_compute_on(fp, topo, || {
+            produced.set(true);
+            self.incremental
+                .as_ref()
+                .and_then(|inc| inc.get_patched(entry, key, com, topo, seed))
+                .unwrap_or_else(|| Arc::new(entry.schedule(com, topo, seed)))
+        });
+        self.register(entry, key, com, topo, seed, &schedule);
+        (schedule, produced.get())
+    }
+
+    /// With the incremental layer on, retain `(key, com)` as a future
+    /// patch base holding `schedule` for `(entry, seed)`, so drifting
+    /// patterns chain; otherwise nothing. The reuse step ends here, and a
+    /// caller handed a schedule some other way (a resident lookup,
+    /// another caller's compile) registers it with this.
+    pub fn register(
+        &self,
+        entry: &dyn Scheduler,
+        key: InstanceKey,
+        com: &CommMatrix,
+        topo: &dyn Topology,
+        seed: u64,
+        schedule: &Arc<Schedule>,
+    ) {
+        if let Some(inc) = &self.incremental {
+            inc.register(key, com, topo, entry.name(), seed, Arc::clone(schedule));
         }
     }
 
-    /// The policy core: serve `key` from memory, then the store, then
-    /// `compile` (caching and write-through on the way out). Exposed for
-    /// callers that derive keys themselves (e.g. via [`InstanceKey`]).
-    /// Write-through artifacts record `topo` (`schedctl inspect` renders
-    /// it).
-    pub fn get_or_compute_on(
+    /// Serve `key` from memory, then the store, then `compile` (caching
+    /// and write-through on the way out), for callers that derive keys
+    /// themselves (e.g. via [`InstanceKey`]). `compile` may return a
+    /// [`Schedule`] or an [`Arc<Schedule>`]. Write-through artifacts
+    /// record `topo` (`schedctl inspect` renders it).
+    pub fn get_or_compute_on<S: Into<Arc<Schedule>>>(
         &self,
         key: Fingerprint,
         topo: &dyn Topology,
-        compile: impl FnOnce() -> Schedule,
-    ) -> Arc<Schedule> {
-        self.get_or_compute_arc(key, topo, || Arc::new(compile()))
-    }
-
-    /// Serve `key` from memory alone. A hit counts one request and one
-    /// memory hit, exactly what [`SchedCache::get_or_compute_on`] counts
-    /// for it; a miss counts nothing and never reads the store, so a
-    /// caller that goes on to `get_or_compute_on` has the request
-    /// counted once.
-    pub fn get_resident(&self, key: Fingerprint) -> Option<Arc<Schedule>> {
-        let schedule = self.mem.get_resident(key)?;
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        Some(schedule)
-    }
-
-    fn get_or_compute_arc(
-        &self,
-        key: Fingerprint,
-        topo: &dyn Topology,
-        compile: impl FnOnce() -> Arc<Schedule>,
+        compile: impl FnOnce() -> S,
     ) -> Arc<Schedule> {
         self.requests.fetch_add(1, Ordering::Relaxed);
         if let Some(schedule) = self.mem.get(key) {
@@ -315,7 +331,7 @@ impl SchedCache {
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let schedule = compile();
+        let schedule = compile().into();
         self.mem.insert(key, Arc::clone(&schedule));
         if let Some(store) = &self.store {
             match store.store_with(key, &schedule, Some(&TopologyMeta::of(topo))) {
@@ -328,6 +344,17 @@ impl SchedCache {
             }
         }
         schedule
+    }
+
+    /// Serve `key` from memory alone. A hit counts one request and one
+    /// memory hit, exactly what [`SchedCache::get_or_compute_on`] counts
+    /// for it; a miss counts nothing and never reads the store, so a
+    /// caller that goes on to `get_or_compute_on` has the request
+    /// counted once.
+    pub fn get_resident(&self, key: Fingerprint) -> Option<Arc<Schedule>> {
+        let schedule = self.mem.get(key)?;
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        Some(schedule)
     }
 
     /// The incremental layer, when delta-aware compilation is enabled.

@@ -428,8 +428,9 @@ impl ArtifactStore {
     }
 
     /// Enumerate the fingerprints with an artifact file present, sorted.
-    /// Files whose names are not `<32-hex>.sched` are ignored (they are
-    /// not artifacts); decoding is up to the caller.
+    /// Files whose names are not exactly some fingerprint's
+    /// [`path_for`](Self::path_for) name (`<32 lowercase hex>.sched`) are
+    /// ignored (they are not artifacts); decoding is up to the caller.
     ///
     /// # Errors
     ///
@@ -447,12 +448,11 @@ impl ArtifactStore {
             if path.extension().and_then(|e| e.to_str()) != Some(EXTENSION) {
                 continue;
             }
-            if let Some(fp) = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .and_then(Fingerprint::from_hex)
-            {
-                fps.push(fp);
+            let stem = path.file_stem().and_then(|s| s.to_str());
+            if let Some(fp) = stem.and_then(Fingerprint::from_hex) {
+                if stem == Some(fp.to_hex().as_str()) {
+                    fps.push(fp);
+                }
             }
         }
         fps.sort_unstable();
@@ -593,6 +593,22 @@ mod tests {
     }
 
     #[test]
+    fn entries_lists_only_names_that_are_their_own_path() {
+        // Both names parse to a fingerprint whose `path_for` is another
+        // file: a signed one and an upper-case one.
+        let store = tmp_store("noncanonical");
+        let fp = Fingerprint(0xab);
+        store.store(fp, &sample_schedule()).unwrap();
+        let signed = format!("+{}.{EXTENSION}", &fp.to_hex()[1..]);
+        let upper = format!("{}.{EXTENSION}", Fingerprint(0xcd).to_hex().to_uppercase());
+        for name in [&signed, &upper] {
+            std::fs::write(store.dir().join(name), b"foreign").unwrap();
+        }
+        assert_eq!(store.entries().unwrap(), vec![fp]);
+        std::fs::remove_dir_all(store.dir()).ok();
+    }
+
+    #[test]
     fn missing_directory_is_an_empty_store() {
         let store = tmp_store("missing");
         assert!(store.entries().unwrap().is_empty());
@@ -648,7 +664,9 @@ mod tests {
 
         // The next process loads it as a store hit and compiles nothing.
         let next = crate::SchedCache::new(crate::CacheConfig::persistent(store.dir()));
-        let loaded = next.get_or_compute_on(fp, &cube, || panic!("the healed artifact must load"));
+        let loaded = next.get_or_compute_on(fp, &cube, || -> Schedule {
+            panic!("the healed artifact must load")
+        });
         assert_eq!(*loaded, s);
         assert_eq!((next.stats().store_hits, next.stats().misses), (1, 0));
         std::fs::remove_dir_all(store.dir()).ok();

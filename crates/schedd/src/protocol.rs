@@ -1020,7 +1020,8 @@ pub struct DaemonStats {
     pub submits: u64,
     /// Schedule responses successfully written back.
     pub completed: u64,
-    /// Requests that actually ran a schedule compile (true misses).
+    /// Requests whose flight compiled or patched a schedule: the
+    /// schedule cache's misses, so always equal to `cache_misses`.
     pub compiles: u64,
     /// Requests that piggybacked on another request's in-flight compile
     /// (the dedup/batch stage's single-flight coalescing).
@@ -1031,8 +1032,7 @@ pub struct DaemonStats {
     pub cache_mem_hits: u64,
     /// Schedule-cache artifact-store hits.
     pub cache_store_hits: u64,
-    /// Schedule-cache misses (equals compiles when only the daemon uses
-    /// the cache).
+    /// Schedule-cache misses (the same count as `compiles`).
     pub cache_misses: u64,
     /// Estimate-cache hits.
     pub estimate_hits: u64,

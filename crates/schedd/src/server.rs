@@ -117,7 +117,7 @@ impl Shared {
             disconnects_midstream: c.disconnects_midstream.load(Ordering::Relaxed),
             submits: c.submits.load(Ordering::Relaxed),
             completed: c.completed.load(Ordering::Relaxed),
-            compiles: self.state.compiles(),
+            compiles: cache.misses,
             coalesced: flight.coalesced,
             cache_requests: cache.requests,
             cache_mem_hits: cache.mem_hits,

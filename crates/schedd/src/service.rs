@@ -194,9 +194,8 @@ impl EstimateCache {
 pub struct ServiceState {
     params: MachineParams,
     cache: SchedCache,
-    flight: SingleFlight<u128, Arc<Schedule>, ServiceError>,
+    flight: SingleFlight<u128, (Arc<Schedule>, bool), ServiceError>,
     estimates: EstimateCache,
-    compiles: AtomicU64,
 }
 
 impl ServiceState {
@@ -207,7 +206,6 @@ impl ServiceState {
             cache: SchedCache::new(config.cache.clone()),
             flight: SingleFlight::new(),
             estimates: EstimateCache::new(config.estimate_cache_capacity),
-            compiles: AtomicU64::new(0),
         }
     }
 
@@ -234,9 +232,11 @@ impl ServiceState {
         )
     }
 
-    /// Compiles actually executed (true misses through every layer).
+    /// Compiles actually executed (true misses through every layer):
+    /// a leading flight patches or compiles exactly when the schedule
+    /// cache counts a miss, so this is [`CacheStats::misses`].
     pub fn compiles(&self) -> u64 {
-        self.compiles.load(Ordering::Relaxed)
+        self.cache.stats().misses
     }
 
     /// Incremental-layer counters, when the cache has the layer enabled.
@@ -382,34 +382,23 @@ impl ServiceState {
         } = pending;
         let topo = pending.topo.as_ref();
 
-        // Dedup stage: concurrent identical fingerprints ride one
-        // compile; the cache underneath serves repeats. `compiled_here`
-        // distinguishes a true compile from a cache hit inside the led
-        // flight. With the incremental layer enabled, a fingerprint miss
-        // first tries to patch a retained base schedule; a validated
-        // patch still counts as freshly compiled (this request produced
-        // the schedule rather than being served one).
-        let incremental = self.cache.incremental();
-        let compiled_here = std::cell::Cell::new(false);
-        let (schedule, led) = self.flight.run(fp.0, || {
-            Ok(self.cache.get_or_compute_on(fp, topo, || {
-                compiled_here.set(true);
-                let patched = incremental
-                    .and_then(|inc| inc.get_patched(entry, key, &req.matrix, topo, req.seed));
-                match patched {
-                    Some(schedule) => {
-                        Arc::try_unwrap(schedule).unwrap_or_else(|arc| (*arc).clone())
-                    }
-                    None => entry.schedule(&req.matrix, topo, req.seed),
-                }
-            }))
+        // Dedup stage: concurrent identical fingerprints ride one pass
+        // of the cache's reuse step (memory, store, patch or compile,
+        // register); the step's flag tells a produced schedule from a
+        // cache hit inside the led flight. A validated patch counts as
+        // freshly compiled (this request produced the schedule rather
+        // than being served one). Followers register the leader's
+        // schedule themselves.
+        let (served, led) = self.flight.run(fp.0, || {
+            Ok(self
+                .cache
+                .get_or_schedule_keyed(entry, key, &req.matrix, topo, req.seed))
         });
-        let schedule = schedule?;
-        self.register(req, &pending, &schedule);
-        let freshly_compiled = led && compiled_here.get();
-        if freshly_compiled {
-            self.compiles.fetch_add(1, Ordering::Relaxed);
+        let (schedule, produced) = served?;
+        if !led {
+            self.register(req, &pending, &schedule);
         }
+        let freshly_compiled = led && produced;
 
         let estimate = match self.estimates.get(estimate_key) {
             Some(report) => report,
@@ -438,16 +427,14 @@ impl ServiceState {
     /// future patch base, so drifting patterns chain from iteration to
     /// iteration.
     fn register(&self, req: &SubmitRequest, pending: &Pending, schedule: &Arc<Schedule>) {
-        if let Some(inc) = self.cache.incremental() {
-            inc.register(
-                pending.key,
-                &req.matrix,
-                pending.topo.as_ref(),
-                pending.entry.name(),
-                req.seed,
-                Arc::clone(schedule),
-            );
-        }
+        self.cache.register(
+            pending.entry,
+            pending.key,
+            &req.matrix,
+            pending.topo.as_ref(),
+            req.seed,
+            schedule,
+        );
     }
 }
 
