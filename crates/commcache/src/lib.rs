@@ -282,8 +282,8 @@ impl SchedCache {
     /// With the incremental layer on, retain `(key, com)` as a future
     /// patch base holding `schedule` for `(entry, seed)`, so drifting
     /// patterns chain; otherwise nothing. The reuse step ends here, and a
-    /// caller handed a schedule some other way (a resident lookup,
-    /// another caller's compile) registers it with this.
+    /// caller handed a schedule some other way (a resident lookup)
+    /// registers it with this.
     pub fn register(
         &self,
         entry: &dyn Scheduler,

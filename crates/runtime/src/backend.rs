@@ -24,15 +24,16 @@
 //! policy are documented in `docs/ARCHITECTURE.md`.
 //!
 //! Selection is threaded through the stack: [`crate::ExperimentRunner`]
-//! carries a [`BackendKind`] for every sample it prices, a grid column
-//! can pin its own ([`crate::grid::GridColumn::with_backend`]), and the
-//! repro binaries set the runner's from `IPSC_BACKEND`.
+//! carries a [`BackendKind`] for every sample it prices, every cell of a
+//! grid prices under the grid's one runner, and the repro binaries set
+//! the runner's from `IPSC_BACKEND`. Both backends route and price
+//! through [`simnet::LinkCostModel`] and claim node resources by
+//! [`simnet::TransferSpec::node_claims`].
 
 use std::fmt;
 
 use commsched::{CommMatrix, Schedule, ScheduleKind};
-use hypercube::{LinkId, NodeId, Topology};
-use simnet::cost::resolve_route;
+use hypercube::{NodeId, Topology};
 use simnet::{
     ExecMode, LinkCostModel, LoadModel, MachineParams, PortModel, SimError, TraceKind, TransferSpec,
 };
@@ -187,34 +188,6 @@ pub(crate) fn check_shapes(
     Ok(())
 }
 
-/// Write the circuit a `src -> dst` transfer travels under `cost` into
-/// `out` (cleared first): the topology's route on the uniform machine —
-/// no allocation, and [`LinkCostModel::transfer_ns`] over it is *exactly*
-/// the legacy `transfer_ns(bytes, hops)` — otherwise the resolved route,
-/// detouring around down links where the fabric permits. Either way the
-/// caller prices and claims the links actually travelled, from this one
-/// routing pass.
-///
-/// # Errors
-///
-/// [`SimError::LinkDown`] when the route crosses a down link with no
-/// detour.
-fn circuit_into(
-    topo: &dyn Topology,
-    cost: &LinkCostModel,
-    src: NodeId,
-    dst: NodeId,
-    out: &mut Vec<LinkId>,
-) -> Result<(), SimError> {
-    if cost.is_uniform() {
-        topo.route_into(src, dst, out);
-    } else {
-        out.clear();
-        out.extend_from_slice(resolve_route(topo, cost, src, dst)?.links());
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------------
 // Discrete-event backend
 // ---------------------------------------------------------------------------
@@ -337,9 +310,11 @@ impl SimBackend for DesBackend {
 ///
 /// * Every message is priced like the event engine prices its circuit:
 ///   `busy = transfer_ns(bytes, hops)`; a fused S1 exchange costs
-///   `exchange_sync_ns + max(both directions)` and claims both circuits.
-///   Each circuit is routed once per estimate: the route's length is the
-///   hop count it is priced at, and the same links are what it claims.
+///   `exchange_sync_ns + max(both directions)`
+///   ([`LinkCostModel::exchange_ns`]) and claims both circuits. Each
+///   circuit is routed once per estimate
+///   ([`LinkCostModel::route_into`]): the route's length is the hop count
+///   it is priced at, and the same links are what it claims.
 /// * **Async (AC) and phased-S2** schedules issue all sends up front, so
 ///   the whole run is one resource pool: the makespan is the slowest
 ///   critical transfer or the most-occupied engine/port/link, whichever
@@ -408,7 +383,7 @@ impl AnalyticBackend {
                     return Err(self_directed(src));
                 }
                 let bytes = com.get(src.index(), dst.index());
-                circuit_into(topo, cost, src, dst, &mut claims)?;
+                cost.route_into(topo, src, dst, &mut claims)?;
                 let j = if ramped { sends_before[src.index()] } else { 0 };
                 sends_before[src.index()] += 1;
                 let spec = TransferSpec {
@@ -502,37 +477,45 @@ impl AnalyticBackend {
                 }
                 // One routing pass per direction covers the price, the
                 // max-plus step, the busy totals and the phase pool.
-                let (busy_ns, lead_ns, fused) = if pm.is_exchange_pair(src) {
+                let spec = if pm.is_exchange_pair(src) {
                     // Each reciprocal pair fuses into one rendezvous
                     // transfer; account it once, from its lower endpoint.
                     if src.0 > dst.0 {
                         continue;
                     }
-                    circuit_into(topo, cost, src, dst, &mut claims)?;
-                    circuit_into(topo, cost, dst, src, &mut rev)?;
-                    let fwd_ns =
-                        cost.transfer_ns(params, com.get(src.index(), dst.index()), &claims);
-                    let rev_ns = cost.transfer_ns(params, com.get(dst.index(), src.index()), &rev);
-                    claims.extend_from_slice(&rev);
+                    cost.route_into(topo, src, dst, &mut claims)?;
+                    cost.route_into(topo, dst, src, &mut rev)?;
                     // One fused transfer covers both port models: the
                     // engine fuses the pair into a single rendezvous
                     // transfer under unified ports, and runs the
                     // directions as two concurrent sync-paying transfers
                     // under split ports — either way the pair occupies
-                    // both circuits and completes at `sync + max(fwd,
-                    // rev)` after the rendezvous.
-                    (params.exchange_sync_ns + fwd_ns.max(rev_ns), 0, true)
+                    // both circuits and completes at the exchange price
+                    // after the rendezvous.
+                    let busy_ns = cost.exchange_ns(
+                        params,
+                        (com.get(src.index(), dst.index()), &claims),
+                        (com.get(dst.index(), src.index()), &rev),
+                    );
+                    claims.extend_from_slice(&rev);
+                    TransferSpec {
+                        src,
+                        dst,
+                        busy_ns,
+                        lead_ns: 0,
+                        fused: true,
+                    }
                 } else {
                     // One-way message under loose synchrony: the receiver
                     // posts and signals ready, the sender transmits on the
                     // signal. The handshake of phase k+1 is prepared
                     // during phase k (double buffering), so only the
                     // first active phase pays it in full.
-                    circuit_into(topo, cost, src, dst, &mut claims)?;
+                    cost.route_into(topo, src, dst, &mut claims)?;
                     let lead_ns = if Some(k) == first_active {
                         // The zero-byte ready signal travels the reverse
                         // circuit (at its costed price).
-                        circuit_into(topo, cost, dst, src, &mut rev)?;
+                        cost.route_into(topo, dst, src, &mut rev)?;
                         params.recv_post_ns
                             + 2 * params.send_overhead_ns
                             + cost.transfer_ns(params, 0, &rev)
@@ -540,8 +523,15 @@ impl AnalyticBackend {
                         params.send_overhead_ns
                     };
                     let bytes = com.get(src.index(), dst.index());
-                    (cost.transfer_ns(params, bytes, &claims), lead_ns, false)
+                    TransferSpec {
+                        src,
+                        dst,
+                        busy_ns: cost.transfer_ns(params, bytes, &claims),
+                        lead_ns,
+                        fused: false,
+                    }
                 };
+                let (busy_ns, lead_ns) = (spec.busy_ns, spec.lead_ns);
 
                 // The max-plus step: read every claimed resource...
                 let (s, d) = (src.index(), dst.index());
@@ -553,18 +543,14 @@ impl AnalyticBackend {
                 chain_ns = chain_ns.max(end);
                 path_ns = path_ns.max(lead_ns + busy_ns);
                 // ...and write it: free again at `end`, busier by `busy`,
-                // and in the phase pool, which claims an endpoint's engine
-                // or port by `LoadModel`'s rules for the port model.
-                let (pool_ends, count) = match (split, fused) {
-                    (false, _) => ([s, d, 0, 0], 2),
-                    (true, false) => ([s, n + d, 0, 0], 2),
-                    (true, true) => ([s, n + d, d, n + s], 4),
-                };
+                // and in the phase pool, which claims the node resources
+                // `LoadModel` would.
                 for i in [s, d] {
                     max_engine_busy_ns = max_engine_busy_ns.max(table[i].occupy(end, busy_ns));
                 }
+                let (ends, count) = spec.node_claims(params.ports, n);
                 let fresh_before = in_phase.len();
-                for &i in &pool_ends[..count] {
+                for &i in &ends[..count] {
                     table[i].join_pool(i, busy_ns, lead_ns, &mut in_phase);
                 }
                 for l in &claims {
@@ -707,13 +693,13 @@ static DES: DesBackend = DesBackend {
 };
 static ANALYTIC: AnalyticBackend = AnalyticBackend;
 
-/// Which backend prices a measurement. `Copy`-cheap so runners, grid
-/// columns, and records can carry it by value.
+/// Which backend prices a measurement. `Copy`-cheap so runners, requests
+/// and records can carry it by value.
 ///
 /// Runner-level selection is *intentionally closed* over this enum:
 /// cells stay comparable, hashable, and stably labeled (`des` /
-/// `analytic` in grid column labels and reports), and the experiment
-/// hot path keeps its zero-cost dispatch. A third-party [`SimBackend`]
+/// `analytic` in reports), and the experiment hot path keeps its
+/// zero-cost dispatch. A third-party [`SimBackend`]
 /// implementation is still first-class for estimation — call its
 /// [`SimBackend::estimate`] directly (the conformance harness drives
 /// both built-ins exactly that way); it just cannot masquerade as a
@@ -986,8 +972,8 @@ mod tests {
                     if src.0 > dst.0 {
                         continue;
                     }
-                    circuit_into(topo, cost, src, dst, &mut claims)?;
-                    circuit_into(topo, cost, dst, src, &mut rev)?;
+                    cost.route_into(topo, src, dst, &mut claims)?;
+                    cost.route_into(topo, dst, src, &mut rev)?;
                     let fwd_ns =
                         cost.transfer_ns(params, com.get(src.index(), dst.index()), &claims);
                     let rev_ns = cost.transfer_ns(params, com.get(dst.index(), src.index()), &rev);
@@ -1013,11 +999,11 @@ mod tests {
                     // signal. The handshake of phase k+1 is prepared
                     // during phase k (double buffering), so only the
                     // first active phase pays it in full.
-                    circuit_into(topo, cost, src, dst, &mut claims)?;
+                    cost.route_into(topo, src, dst, &mut claims)?;
                     let lead_ns = if Some(k) == first_active {
                         // The zero-byte ready signal travels the reverse
                         // circuit (at its costed price).
-                        circuit_into(topo, cost, dst, src, &mut rev)?;
+                        cost.route_into(topo, dst, src, &mut rev)?;
                         params.recv_post_ns
                             + 2 * params.send_overhead_ns
                             + cost.transfer_ns(params, 0, &rev)

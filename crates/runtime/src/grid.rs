@@ -42,10 +42,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use commsched::{CommMatrix, Scheduler};
 use hypercube::Topology;
-use simnet::{LinkCostModel, SimError};
+use simnet::SimError;
 use workloads::{Generator, SampleSet};
 
-use crate::backend::BackendKind;
 use crate::experiment::SampleOutcome;
 use crate::{CellRecord, CellResult, ExperimentRunner, Scheme};
 
@@ -104,53 +103,27 @@ impl fmt::Debug for SchedulerHandle {
 }
 
 /// One column of the grid: a scheduler plus the communication scheme its
-/// cells compile under (defaults to the entry's paper scheme) and,
-/// optionally, a per-column simulation-backend override — the *backend
-/// column axis* that lets one grid compare the event engine against the
-/// analytic model side by side.
+/// cells compile under (defaults to the entry's paper scheme). Every
+/// column prices under the grid's one runner.
 #[derive(Clone, Debug)]
 pub struct GridColumn {
     scheduler: SchedulerHandle,
     scheme: Scheme,
-    backend: Option<BackendKind>,
-    cost_model: Option<LinkCostModel>,
 }
 
 impl GridColumn {
     /// A column under the scheduler's paper-default scheme
-    /// ([`Scheme::for_scheduler`]) and the grid runner's backend.
+    /// ([`Scheme::for_scheduler`]).
     pub fn new(scheduler: impl Into<SchedulerHandle>) -> Self {
         let scheduler = scheduler.into();
         let scheme = Scheme::for_scheduler(scheduler.entry());
-        GridColumn {
-            scheduler,
-            scheme,
-            backend: None,
-            cost_model: None,
-        }
+        GridColumn { scheduler, scheme }
     }
 
     /// Override the scheme (e.g. the S1-vs-S2 ablation runs the same
     /// scheduler as two columns).
     pub fn with_scheme(mut self, scheme: Scheme) -> Self {
         self.scheme = scheme;
-        self
-    }
-
-    /// Pin this column to a simulation backend, overriding the grid
-    /// runner's default. Two columns of one scheduler under different
-    /// backends make a differential grid (the `simcheck` harness's shape).
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
-    /// Pin this column to a per-link cost model
-    /// ([`simnet::LinkCostModel`]), overriding the grid runner's. One
-    /// scheduler under `uniform` and under `faulty:p=0.05,seed=7` as two
-    /// columns is a degradation grid — the fault-sweep figure's shape.
-    pub fn with_cost_model(mut self, cost_model: LinkCostModel) -> Self {
-        self.cost_model = Some(cost_model);
         self
     }
 
@@ -165,29 +138,14 @@ impl GridColumn {
     }
 
     /// Column label: the scheduler name, qualified with the scheme when
-    /// it differs from the scheduler's paper default, with the backend
-    /// when the column pins one (`RS_NL[S2]@analytic`), and with the
-    /// cost-model preset when the column pins a non-uniform one
-    /// (`RS_NL+faulty:p=0.05,seed=7`). Uniform-cost labels are unchanged
-    /// from every release before cost models existed.
+    /// it differs from the scheduler's paper default (`RS_NL[S2]`).
     pub fn label(&self) -> String {
         let name = self.scheduler.entry().name();
-        let mut label = if self.scheme == Scheme::for_scheduler(self.scheduler.entry()) {
+        if self.scheme == Scheme::for_scheduler(self.scheduler.entry()) {
             name.to_string()
         } else {
             format!("{name}[{}]", self.scheme.label())
-        };
-        if let Some(backend) = self.backend {
-            label.push('@');
-            label.push_str(backend.label());
         }
-        if let Some(cm) = &self.cost_model {
-            if !cm.is_uniform() {
-                label.push('+');
-                label.push_str(&cm.to_string());
-            }
-        }
-        label
     }
 }
 
@@ -471,8 +429,7 @@ impl ExperimentGrid {
 
     /// Replace the runner: machine params, cost models, backend, schedule
     /// cache and thread count. Every cell prices under the runner's
-    /// backend and link costs unless its column pins its own
-    /// ([`GridColumn::with_backend`], [`GridColumn::with_cost_model`]).
+    /// backend and link costs.
     pub fn with_runner(mut self, runner: ExperimentRunner) -> Self {
         self.runner = runner;
         self
@@ -615,18 +572,6 @@ impl ExperimentGrid {
         let cache = MatrixCache::default();
         let reuse = !opts.no_matrix_reuse;
         let threads = opts.threads.unwrap_or(self.runner.threads);
-        // The runner each column prices under: the grid's, with the
-        // column's backend and link-cost pins.
-        let runners: Vec<ExperimentRunner> = self
-            .columns
-            .iter()
-            .map(|column| {
-                let mut runner = self.runner.clone();
-                runner.backend = column.backend.unwrap_or(runner.backend);
-                runner.link_costs = column.cost_model.unwrap_or(runner.link_costs);
-                runner
-            })
-            .collect();
         let outcomes: Vec<Result<SampleOutcome, SimError>> =
             executor::run_work_stealing(threads, &order, |t| {
                 let spec = &specs[t / self.samples];
@@ -648,7 +593,7 @@ impl ExperimentGrid {
                 // With a cache attached, duplicate (matrix, topology,
                 // scheduler, seed) requests — scheme-ablation columns,
                 // persistent-store re-runs — reuse the compiled schedule.
-                runners[spec.id.col].sample(
+                self.runner.sample(
                     spec.topology.as_ref(),
                     &com,
                     seed,
@@ -1179,36 +1124,6 @@ mod tests {
             .execute()
             .unwrap();
         assert!(huge.at(0, 0).unwrap().result.comm_ms > 0.0);
-    }
-
-    #[test]
-    fn a_column_pin_wins_over_the_runner_backend() {
-        // Column 0 prices under the runner's backend, column 1 pins DES.
-        use crate::BackendKind;
-        let entry = registry::find("RS_N").unwrap();
-        let execute = |runner: ExperimentRunner| {
-            ExperimentGrid::new()
-                .with_runner(runner)
-                .topology("hypercube(4)", Hypercube::new(4))
-                .scheduler(entry)
-                .column(
-                    GridColumn::new(SchedulerHandle::from(entry)).with_backend(BackendKind::Des),
-                )
-                .point(WorkloadPoint::shared(
-                    Generator::dregular(16, 3, 1024),
-                    3,
-                    1024,
-                    7,
-                ))
-                .execute()
-                .unwrap()
-        };
-        let des = execute(ExperimentRunner::ipsc860());
-        let analytic = execute(ExperimentRunner::ipsc860().with_backend(BackendKind::Analytic));
-        let comm_ms = |r: &GridResult, col| r.at(col, 0).unwrap().result.comm_ms;
-        assert_eq!(comm_ms(&des, 0), comm_ms(&des, 1));
-        assert_ne!(comm_ms(&analytic, 0), comm_ms(&des, 0));
-        assert_eq!(comm_ms(&analytic, 1), comm_ms(&des, 1));
     }
 
     #[test]

@@ -34,10 +34,13 @@
 //! * [`backend`] makes the simulation substrate pluggable: a
 //!   [`SimBackend`] trait with the exact event engine ([`DesBackend`])
 //!   and a fast contention-aware occupancy model ([`AnalyticBackend`]),
-//!   selectable per runner ([`ExperimentRunner::with_backend`]) and per
-//!   grid column ([`grid::GridColumn::with_backend`]); the repro binaries
-//!   set the runner's from `IPSC_BACKEND`. The two are validated against
-//!   each other by a differential conformance suite.
+//!   selected on the runner only ([`ExperimentRunner::with_backend`]),
+//!   which every cell of a grid prices under; the repro binaries set it
+//!   from `IPSC_BACKEND`. Both route, price and claim through `simnet`'s
+//!   one vocabulary ([`simnet::LinkCostModel::route_into`],
+//!   [`simnet::LinkCostModel::exchange_ns`],
+//!   [`simnet::TransferSpec::node_claims`]), and the two are validated
+//!   against each other by a differential conformance suite.
 //!
 //! ```
 //! use commrt::{compile, Scheme};

@@ -142,31 +142,25 @@ impl Shared {
         }
     }
 
-    /// Write one response frame under the connection's writer lock.
-    fn write_response(&self, writer: &Arc<Mutex<Stream>>, resp: &Response) -> io::Result<()> {
-        let body = resp.encode();
-        let mut stream = writer.lock().expect("writer lock");
-        write_frame(&mut *stream, &body)?;
-        stream.flush()
-    }
-
-    /// Write the answer to a submit and count it: `completed` for a
-    /// schedule that reached the socket, `write_failures` for any frame
-    /// that did not.
+    /// Write one response frame under the connection's writer lock and
+    /// count it: `completed` for a schedule that reached the socket,
+    /// `write_failures` for any frame that did not. A dead client is not
+    /// the daemon's problem beyond that count.
     fn answer(&self, writer: &Arc<Mutex<Stream>>, resp: &Response) {
-        match (resp, self.write_response(writer, resp).is_ok()) {
-            (Response::Schedule(_), true) => {
-                self.counters.completed.fetch_add(1, Ordering::Relaxed);
-            }
-            (_, false) => {
-                self.counters.write_failures.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {}
-        }
+        let body = resp.encode();
+        let written = {
+            let mut stream = writer.lock().expect("writer lock");
+            write_frame(&mut *stream, &body).and_then(|()| stream.flush())
+        };
+        let counter = match (resp, written.is_ok()) {
+            (Response::Schedule(_), true) => &self.counters.completed,
+            (_, false) => &self.counters.write_failures,
+            _ => return,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Best-effort error frame; a dead client is not the daemon's
-    /// problem here.
+    /// [`answer`](Self::answer) with an error frame.
     fn write_error(
         &self,
         writer: &Arc<Mutex<Stream>>,
@@ -179,9 +173,7 @@ impl Shared {
             code,
             detail,
         });
-        if self.write_response(writer, &resp).is_err() {
-            self.counters.write_failures.fetch_add(1, Ordering::Relaxed);
-        }
+        self.answer(writer, &resp);
     }
 }
 
@@ -429,25 +421,11 @@ fn handle_request(
 ) {
     match req {
         Request::Stats { request_id } => {
-            let resp = Response::Stats {
-                request_id,
-                stats: shared.stats(),
-            };
-            if shared.write_response(writer, &resp).is_err() {
-                shared
-                    .counters
-                    .write_failures
-                    .fetch_add(1, Ordering::Relaxed);
-            }
+            let stats = shared.stats();
+            shared.answer(writer, &Response::Stats { request_id, stats });
         }
         Request::Shutdown { request_id } => {
-            let resp = Response::ShutdownAck { request_id };
-            if shared.write_response(writer, &resp).is_err() {
-                shared
-                    .counters
-                    .write_failures
-                    .fetch_add(1, Ordering::Relaxed);
-            }
+            shared.answer(writer, &Response::ShutdownAck { request_id });
             shared.request_drain();
         }
         Request::Submit(req) => handle_submit(req, writer, conn, shared),

@@ -354,7 +354,17 @@ impl ServiceState {
             return Ok(Lookup::Pending(pending));
         };
         self.estimates.hits.fetch_add(1, Ordering::Relaxed);
-        self.register(req, &pending, &schedule);
+        // With the incremental layer on, every served request becomes a
+        // future patch base, so drifting patterns chain from iteration to
+        // iteration.
+        self.cache.register(
+            pending.entry,
+            pending.key,
+            &req.matrix,
+            pending.topo.as_ref(),
+            req.seed,
+            &schedule,
+        );
         Ok(Lookup::Resident(reply(
             req, pending.fp, false, &estimate, schedule,
         )))
@@ -387,17 +397,16 @@ impl ServiceState {
         // register); the step's flag tells a produced schedule from a
         // cache hit inside the led flight. A validated patch counts as
         // freshly compiled (this request produced the schedule rather
-        // than being served one). Followers register the leader's
-        // schedule themselves.
+        // than being served one). Each flight registers its schedule
+        // once, in the leader's step: followers share the same key,
+        // matrix and seed, so a second registration would only refresh
+        // recency.
         let (served, led) = self.flight.run(fp.0, || {
             Ok(self
                 .cache
                 .get_or_schedule_keyed(entry, key, &req.matrix, topo, req.seed))
         });
         let (schedule, produced) = served?;
-        if !led {
-            self.register(req, &pending, &schedule);
-        }
         let freshly_compiled = led && produced;
 
         let estimate = match self.estimates.get(estimate_key) {
@@ -421,20 +430,6 @@ impl ServiceState {
             }
         };
         Ok(reply(req, fp, freshly_compiled, &estimate, schedule))
-    }
-
-    /// With the incremental layer on, every served request becomes a
-    /// future patch base, so drifting patterns chain from iteration to
-    /// iteration.
-    fn register(&self, req: &SubmitRequest, pending: &Pending, schedule: &Arc<Schedule>) {
-        self.cache.register(
-            pending.entry,
-            pending.key,
-            &req.matrix,
-            pending.topo.as_ref(),
-            req.seed,
-            schedule,
-        );
     }
 }
 

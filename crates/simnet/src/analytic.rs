@@ -47,10 +47,11 @@ use std::ops::Range;
 
 use hypercube::{LinkId, NodeId, Topology};
 
-use crate::sparse::{MapMode, SparseMap, DENSE_CROSSOVER};
+use crate::sparse::SparseMap;
 use crate::PortModel;
 
-/// Resource-pool representation of a [`LoadModel`].
+/// Resource-table representation: of a [`LoadModel`]'s pools, and of the
+/// event engine's resource table.
 ///
 /// Dense keeps one slot per machine resource (fastest below
 /// ~64K resources); Sparse keys occupancy by resource id in an
@@ -92,6 +93,25 @@ pub struct TransferSpec {
     /// circuits of *both* directions for `busy_ns` (the event engine's
     /// `TKind::Fused`).
     pub fused: bool,
+}
+
+impl TransferSpec {
+    /// The node resources this transfer claims under `ports` on a machine
+    /// of `nodes` nodes, in claim order, and how many of the four slots
+    /// are used. Node `i`'s engine (its send port under
+    /// [`PortModel::Split`]) is resource `i`, its receive port `nodes + i`.
+    /// A plain message and a fused exchange both occupy the two unified
+    /// engines (Observation 1: one engine per node); under split ports a
+    /// message takes the sender's send port and the receiver's receive
+    /// port, an exchange both ports of both ends.
+    pub fn node_claims(&self, ports: PortModel, nodes: usize) -> ([usize; 4], usize) {
+        let (src, dst) = (self.src.index(), self.dst.index());
+        match (ports, self.fused) {
+            (PortModel::Unified, _) => ([src, dst, 0, 0], 2),
+            (PortModel::Split, false) => ([src, nodes + dst, 0, 0], 2),
+            (PortModel::Split, true) => ([src, nodes + dst, dst, nodes + src], 4),
+        }
+    }
 }
 
 /// Occupancy of one resource: summed busy time and the earliest lead
@@ -182,7 +202,7 @@ impl ResourceClass {
             (Table::Flat(base..base + len), len + 1)
         } else {
             (
-                Table::Hashed(SparseMap::new(len, FREE, MapMode::Sparse)),
+                Table::Hashed(SparseMap::new(len, FREE, PoolMode::Sparse)),
                 16,
             )
         };
@@ -318,19 +338,14 @@ impl LoadModel {
     /// bit-identity; callers pricing million-node fabrics below the
     /// crossover threshold can force sparse.
     pub fn with_mode<T: Topology + ?Sized>(topo: &T, ports: PortModel, mode: PoolMode) -> Self {
-        let dense = |len: usize| match mode {
-            PoolMode::Auto => len <= DENSE_CROSSOVER,
-            PoolMode::Dense => true,
-            PoolMode::Sparse => false,
-        };
         let (nodes, links) = (topo.num_nodes(), topo.link_count());
         let sides = if ports == PortModel::Split { 2 } else { 1 };
         let mut flat = Vec::new();
         LoadModel {
             ports,
             nodes,
-            node: ResourceClass::new(sides * nodes, dense(nodes), &mut flat),
-            link: ResourceClass::new(links, dense(links), &mut flat),
+            node: ResourceClass::new(sides * nodes, mode.is_dense_at(nodes), &mut flat),
+            link: ResourceClass::new(links, mode.is_dense_at(links), &mut flat),
             flat,
             path_max_ns: 0,
             transfers: 0,
@@ -371,20 +386,11 @@ impl LoadModel {
     pub fn add_with_route(&mut self, spec: TransferSpec, links: &[LinkId]) -> bool {
         self.transfers += 1;
         self.path_max_ns = self.path_max_ns.max(spec.lead_ns + spec.busy_ns);
-        let (src, dst, recv) = (spec.src.index(), spec.dst.index(), self.nodes);
-        let (flat, node) = (&mut self.flat[..], &mut self.node);
-        // Each arm's claim set has a length the compiler can see, so the
-        // two or four node claims run unrolled.
-        let at_nodes = match (self.ports, spec.fused) {
-            // A fused exchange occupies both unified engines symmetrically;
-            // so does a plain message (Observation 1: one engine per node).
-            (PortModel::Unified, _) => node.claim_all(flat, [src, dst].into_iter(), &spec),
-            (PortModel::Split, false) => node.claim_all(flat, [src, recv + dst].into_iter(), &spec),
-            (PortModel::Split, true) => {
-                let ends = [src, recv + dst, dst, recv + src];
-                node.claim_all(flat, ends.into_iter(), &spec)
-            }
-        };
+        let (ends, count) = spec.node_claims(self.ports, self.nodes);
+        let flat = &mut self.flat[..];
+        let at_nodes = self
+            .node
+            .claim_all(flat, ends[..count].iter().copied(), &spec);
         let links = links.iter().map(|l| l.index());
         at_nodes | self.link.claim_all(flat, links, &spec)
     }
@@ -434,7 +440,7 @@ impl LoadModel {
 /// circuit, plus the reverse circuit for fused exchanges. `scratch` is a
 /// caller-owned buffer that keeps the reverse routing allocation-free on
 /// hot paths.
-pub fn route_claims<T: Topology + ?Sized>(
+fn route_claims<T: Topology + ?Sized>(
     topo: &T,
     spec: &TransferSpec,
     out: &mut Vec<LinkId>,

@@ -26,11 +26,15 @@
 //! parts-per-million integers ([`PPM`]), never floats, so models are
 //! `Eq + Hash`, canonical under [`fmt::Display`], and fingerprintable.
 //!
-//! **Pricing.** The uniform model is *exactly* the legacy code path:
-//! every pricing entry point short-circuits on [`LinkCostModel::Uniform`]
-//! to the untouched [`MachineParams`] arithmetic, so uniform runs are
-//! byte-identical to a build without this module (the conformance suite
-//! pins that). Non-uniform models add on top of the base price:
+//! **Pricing.** Both backends price and route through this one type:
+//! [`LinkCostModel::route_into`] routes a circuit,
+//! [`LinkCostModel::transfer_ns`] prices a message over it and
+//! [`LinkCostModel::exchange_ns`] prices a fused exchange over two. On
+//! [`LinkCostModel::Uniform`] each is exactly the untouched
+//! [`MachineParams`] arithmetic over the topology's own route, so uniform
+//! runs are byte-identical to a build without this module (the
+//! conformance suite pins that). Non-uniform models add on top of the
+//! base price:
 //!
 //! ```text
 //! transfer = params.transfer_ns(bytes, hops)            // the paper's price
@@ -40,14 +44,14 @@
 //! ```
 //!
 //! **Fault semantics.** A route that crosses a down link either detours
-//! — [`resolve_route`] asks the topology for a
+//! — [`LinkCostModel::route_into`] asks the topology for a
 //! [`Topology::route_avoiding`] path (tori reroute the long way around
 //! each ring) — or surfaces a typed [`SimError::LinkDown`]. Never a
 //! panic, and deterministically: the same seed downs the same links.
 
 use std::fmt;
 
-use hypercube::{LinkId, NodeId, Path, Topology};
+use hypercube::{LinkId, NodeId, Topology};
 
 use crate::{MachineParams, SimError};
 
@@ -331,8 +335,8 @@ impl LinkCostModel {
         }
     }
 
-    /// Whether this is the paper's uniform machine — the fast path every
-    /// pricing site short-circuits on.
+    /// Whether this is the paper's uniform machine, on which every price
+    /// is the machine's own.
     #[inline]
     pub fn is_uniform(&self) -> bool {
         matches!(self, LinkCostModel::Uniform)
@@ -393,12 +397,46 @@ impl LinkCostModel {
     }
 
     /// First down link along a route, if any.
-    pub fn first_down(&self, links: &[LinkId]) -> Option<LinkId> {
+    fn first_down(&self, links: &[LinkId]) -> Option<LinkId> {
         if matches!(self, LinkCostModel::Faulty { .. }) {
             links.iter().copied().find(|&l| !self.link_up(l))
         } else {
             None
         }
+    }
+
+    /// Write the route a `src -> dst` transfer travels under this model
+    /// into `out` (cleared first): the topology's deterministic route —
+    /// exactly [`Topology::route_into`] on the uniform machine — or,
+    /// when that route crosses a down link, a detour from
+    /// [`Topology::route_avoiding`] where the fabric permits one.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::LinkDown`] when the route crosses a down link and no
+    /// detour exists (or the topology routes deterministically with no
+    /// alternative paths).
+    pub fn route_into<T: Topology + ?Sized>(
+        &self,
+        topo: &T,
+        src: NodeId,
+        dst: NodeId,
+        out: &mut Vec<LinkId>,
+    ) -> Result<(), SimError> {
+        topo.route_into(src, dst, out);
+        if let Some(link) = self.first_down(out) {
+            let down = |l: LinkId| !self.link_up(l);
+            let detour = topo
+                .route_avoiding(src, dst, &down)
+                .ok_or(SimError::LinkDown {
+                    link: link.index(),
+                    src: src.index(),
+                    dst: dst.index(),
+                })?;
+            out.clear();
+            out.extend_from_slice(detour.links());
+        }
+        Ok(())
     }
 
     /// What this model adds on top of the machine's uniform price for a
@@ -428,6 +466,20 @@ impl LinkCostModel {
     /// links.len())` — the legacy price.
     pub fn transfer_ns(&self, params: &MachineParams, bytes: u32, links: &[LinkId]) -> u64 {
         params.transfer_ns(bytes, links.len()) + self.extra_ns(params, bytes, links)
+    }
+
+    /// Price of a fused pairwise exchange (Observation 1): one rendezvous,
+    /// then both directions at once over their routed circuits, so
+    /// `exchange_sync_ns` plus the slower direction's
+    /// [`LinkCostModel::transfer_ns`]. Each side is `(bytes, links)`.
+    pub fn exchange_ns(
+        &self,
+        params: &MachineParams,
+        (fwd_bytes, fwd_links): (u32, &[LinkId]),
+        (rev_bytes, rev_links): (u32, &[LinkId]),
+    ) -> u64 {
+        let fwd = self.transfer_ns(params, fwd_bytes, fwd_links);
+        params.exchange_sync_ns + fwd.max(self.transfer_ns(params, rev_bytes, rev_links))
     }
 }
 
@@ -476,40 +528,6 @@ fn splitmix64(mut z: u64) -> u64 {
 /// Deterministic per-link draw in `[0, PPM)`.
 fn link_draw(seed: u64, salt: u64, link: LinkId) -> u64 {
     splitmix64(splitmix64(seed ^ salt).wrapping_add(u64::from(link.0))) % PPM
-}
-
-/// Resolve the route a transfer will take under `cost`: the topology's
-/// deterministic route when it is clear, a detour from
-/// [`Topology::route_avoiding`] when the route crosses a down link and
-/// the fabric permits one, and a typed error otherwise.
-///
-/// # Errors
-///
-/// [`SimError::LinkDown`] when the route crosses a down link and no
-/// detour exists (or the topology routes deterministically with no
-/// alternative paths).
-pub fn resolve_route<T: Topology + ?Sized>(
-    topo: &T,
-    cost: &LinkCostModel,
-    src: NodeId,
-    dst: NodeId,
-) -> Result<Path, SimError> {
-    let path = topo.route(src, dst);
-    if cost.is_uniform() {
-        return Ok(path);
-    }
-    match cost.first_down(path.links()) {
-        None => Ok(path),
-        Some(link) => {
-            let down = |l: LinkId| !cost.link_up(l);
-            topo.route_avoiding(src, dst, &down)
-                .ok_or(SimError::LinkDown {
-                    link: link.index(),
-                    src: src.index(),
-                    dst: dst.index(),
-                })
-        }
-    }
 }
 
 #[cfg(test)]
@@ -688,19 +706,24 @@ mod tests {
     }
 
     #[test]
-    fn resolve_route_uniform_is_the_plain_route() {
+    fn route_into_uniform_is_the_plain_route() {
         let cube = Hypercube::new(3);
-        let p = resolve_route(&cube, &LinkCostModel::Uniform, NodeId(0), NodeId(5)).unwrap();
-        assert_eq!(p.links(), cube.route(NodeId(0), NodeId(5)).links());
+        let mut links = Vec::new();
+        LinkCostModel::Uniform
+            .route_into(&cube, NodeId(0), NodeId(5), &mut links)
+            .unwrap();
+        assert_eq!(links, cube.route(NodeId(0), NodeId(5)).links());
     }
 
     #[test]
-    fn resolve_route_surfaces_link_down_on_detourless_fabrics() {
+    fn route_into_surfaces_link_down_on_detourless_fabrics() {
         // The hypercube routes deterministically (e-cube) and has no
         // route_avoiding override, so a down link on the route is fatal.
         let cube = Hypercube::new(3);
         let all_down = LinkCostModel::parse("faulty:p=1,seed=0").unwrap();
-        let err = resolve_route(&cube, &all_down, NodeId(0), NodeId(5)).unwrap_err();
+        let err = all_down
+            .route_into(&cube, NodeId(0), NodeId(5), &mut Vec::new())
+            .unwrap_err();
         assert!(
             matches!(err, SimError::LinkDown { src: 0, dst: 5, .. }),
             "{err}"

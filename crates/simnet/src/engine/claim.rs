@@ -18,20 +18,16 @@ use crate::{ClaimPolicy, PortModel};
 impl<T: Topology + ?Sized> Sim<'_, T> {
     // -- transfer creation --------------------------------------------------
 
-    /// Route `src -> dst` under the active cost model into the link arena:
-    /// the topology's deterministic route, written through the scratch
-    /// buffer with no `Path` built (uniform); or the costed resolution — a
-    /// detour around down links, or `None` with
-    /// [`crate::SimError::LinkDown`] staged in `self.err`, which the main
-    /// loop surfaces after the current event.
+    /// Route `src -> dst` under the active cost model into the link arena,
+    /// through the scratch buffer ([`crate::LinkCostModel::route_into`]):
+    /// `None` with [`crate::SimError::LinkDown`] staged in `self.err`,
+    /// which the main loop surfaces after the current event.
     fn route(&mut self, src: u32, dst: u32) -> Option<LinkRange> {
-        let (src, dst) = (NodeId(src), NodeId(dst));
-        if self.cost.is_uniform() {
-            self.topo.route_into(src, dst, &mut self.route);
-            return Some(self.transfers.push_links(&self.route));
-        }
-        match crate::cost::resolve_route(self.topo, self.cost, src, dst) {
-            Ok(path) => Some(self.transfers.push_links(path.links())),
+        let routed = self
+            .cost
+            .route_into(self.topo, NodeId(src), NodeId(dst), &mut self.route);
+        match routed {
+            Ok(()) => Some(self.transfers.push_links(&self.route)),
             Err(e) => {
                 self.err = Some(e);
                 None
@@ -138,12 +134,11 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
         let Some(rev) = self.route(b, a) else {
             return;
         };
-        let (fwd_links, rev_links) = (self.transfers.links_of(fwd), self.transfers.links_of(rev));
-        let duration = self.params.exchange_sync_ns
-            + self
-                .cost
-                .transfer_ns(self.params, ab_bytes, fwd_links)
-                .max(self.cost.transfer_ns(self.params, ba_bytes, rev_links));
+        let duration = self.cost.exchange_ns(
+            self.params,
+            (ab_bytes, self.transfers.links_of(fwd)),
+            (ba_bytes, self.transfers.links_of(rev)),
+        );
         let id = self.transfers.alloc(Transfer {
             kind: TKind::Fused,
             src: a,
@@ -292,37 +287,38 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
 
     pub(crate) fn activate(&mut self, id: TransferId, direct: bool) {
         let t = &self.transfers[id];
-        let (kind, src, dst, bytes, tag, duration) = (
-            t.kind,
-            t.src as usize,
-            t.dst as usize,
-            t.bytes,
-            t.tag,
-            t.duration,
-        );
+        let (kind, src, dst) = (t.kind, t.src as usize, t.dst);
         let links = self.transfers.links_of(t.links);
         self.router.claim_atomic(id, t, links);
         // Receive-side bookkeeping. The admitted message may have taken
         // the `(src, tag)` slot a delivery watcher was counting on.
         if matches!(kind, TKind::Data { .. }) {
             self.mark_delivery(id, direct);
-            self.router.pending.wake(Blocker::Delivery(dst as u32));
+            self.router.pending.wake(Blocker::Delivery(dst));
         }
-        let t = &mut self.transfers[id];
-        t.state = TState::Active;
-        if let Some(s) = t.issue_seq {
+        if let Some(s) = self.transfers[id].issue_seq {
             debug_assert_eq!(s, self.nodes[src].issue_cursor);
             self.nodes[src].issue_cursor = s + 1;
             self.router.pending.wake(Blocker::Issue(src as u32));
         }
+        self.start(id);
+    }
+
+    /// Start a transfer that holds everything it needs: it goes active,
+    /// the wait since its request counts as blocked time, its completion
+    /// is scheduled and the start is traced — under either claim policy.
+    fn start(&mut self, id: TransferId) {
+        let t = &mut self.transfers[id];
+        t.state = TState::Active;
         if self.now > t.request_ns {
             let delay = self.now - t.request_ns;
             self.stats_blocked += 1;
             self.stats_blocked_ns += delay;
             self.stats_blocked_max = self.stats_blocked_max.max(delay);
         }
-        self.queue.push(self.now + duration, EvKind::XferDone(id));
-        self.trace_push(TraceKind::Started, src as u32, dst as u32, tag, bytes);
+        let (src, dst, tag, bytes) = (t.src, t.dst, t.tag, t.bytes);
+        self.queue.push(self.now + t.duration, EvKind::XferDone(id));
+        self.trace_push(TraceKind::Started, src, dst, tag, bytes);
     }
 
     /// Record how an admitted data transfer will land at the receiver:
@@ -358,7 +354,7 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
                     }
                     self.transfers[id].claim_idx = 1;
                 }
-                self.hw_activate(id);
+                self.start(id);
                 return;
             }
             if idx == 0 {
@@ -396,7 +392,7 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
             match self.delivery_mode(id) {
                 Ok(direct) => {
                     self.mark_delivery(id, direct);
-                    self.hw_activate(id);
+                    self.start(id);
                 }
                 Err(()) => {
                     if self.err.is_none() {
@@ -407,21 +403,6 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
             }
             return;
         }
-    }
-
-    pub(crate) fn hw_activate(&mut self, id: TransferId) {
-        let t = &mut self.transfers[id];
-        t.state = TState::Active;
-        let duration = t.duration;
-        if self.now > t.request_ns {
-            let delay = self.now - t.request_ns;
-            self.stats_blocked += 1;
-            self.stats_blocked_ns += delay;
-            self.stats_blocked_max = self.stats_blocked_max.max(delay);
-        }
-        let (src, dst, tag, bytes) = (t.src, t.dst, t.tag, t.bytes);
-        self.queue.push(self.now + duration, EvKind::XferDone(id));
-        self.trace_push(TraceKind::Started, src, dst, tag, bytes);
     }
 
     /// A post or a drained buffer at `node` may admit what waits on
@@ -443,7 +424,7 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
                 Ok(direct) => {
                     self.transfers[id].state = TState::Claiming;
                     self.mark_delivery(id, direct);
-                    self.hw_activate(id);
+                    self.start(id);
                 }
                 Err(()) => {
                     if self.err.is_some() {

@@ -27,7 +27,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::engine::queue::TransferId;
-use crate::sparse::{MapMode, SparseMap};
+use crate::sparse::SparseMap;
+use crate::PoolMode;
 
 /// The condition a waiting transfer waits on. Each has one or more wake
 /// sites in the driver, named on the variants.
@@ -103,13 +104,13 @@ impl Default for PendingIndex {
     fn default() -> Self {
         PendingIndex {
             link_base: usize::MAX / 2,
-            ..PendingIndex::new(0, 0, MapMode::Sparse)
+            ..PendingIndex::new(0, 0, PoolMode::Sparse)
         }
     }
 }
 
 impl PendingIndex {
-    pub(crate) fn new(nodes: usize, links: usize, mode: MapMode) -> Self {
+    pub(crate) fn new(nodes: usize, links: usize, mode: PoolMode) -> Self {
         PendingIndex {
             records: SparseMap::new(4 * nodes + links, IDLE, mode),
             link_base: 4 * nodes,
@@ -325,8 +326,8 @@ mod tests {
         // One random script of pushes, parks, wakes, FIFO pops and drains
         // over a 16-node, 64-link machine on both layouts: the candidate
         // sequences, the popped waiters and the waiting sets agree.
-        let mut dense = PendingIndex::new(16, 64, MapMode::Dense);
-        let mut hashed = PendingIndex::new(16, 64, MapMode::Sparse);
+        let mut dense = PendingIndex::new(16, 64, PoolMode::Dense);
+        let mut hashed = PendingIndex::new(16, 64, PoolMode::Sparse);
         assert!(dense.records.is_dense() && !hashed.records.is_dense());
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut rand = move || {

@@ -19,8 +19,7 @@ use hypercube::LinkId;
 use crate::engine::pending::{Blocker, PendingIndex, NONE};
 use crate::engine::queue::TransferId;
 use crate::program::Tag;
-use crate::sparse::MapMode;
-use crate::PortModel;
+use crate::{PoolMode, PortModel};
 
 use crate::engine::arena::LinkRange;
 
@@ -85,7 +84,7 @@ impl Router {
     pub(crate) fn new(n: usize, link_count: usize, ports: PortModel) -> Self {
         Router {
             ports,
-            pending: PendingIndex::new(n, link_count, MapMode::Auto),
+            pending: PendingIndex::new(n, link_count, PoolMode::Auto),
             link_busy_total: 0,
             link_busy_max: 0,
         }

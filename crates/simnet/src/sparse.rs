@@ -17,6 +17,8 @@
 //! loops (write empty back over a dirty list) exactly as cheap as the
 //! dense path's.
 
+use crate::PoolMode;
+
 /// Universe size at and below which the dense layout wins: a dense
 /// `Vec` per resource class on a d=16 fabric (65_536 nodes, ~1M links)
 /// is still a few MB — cheaper to index and friendlier to scan than any
@@ -24,18 +26,18 @@
 /// traffic does not; sparse wins.
 pub(crate) const DENSE_CROSSOVER: usize = 1 << 16;
 
-/// Explicit representation choice for a [`SparseMap`] (and, via
-/// [`crate::PoolMode`], for the analytic model's resource pools).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) enum MapMode {
-    /// Dense below [`DENSE_CROSSOVER`] resources, sparse above.
-    #[default]
-    Auto,
-    /// Force the dense (one slot per resource) layout.
-    #[cfg(test)]
-    Dense,
-    /// Force the open-addressed sparse layout.
-    Sparse,
+impl PoolMode {
+    /// Whether a table over `universe` resources takes the dense layout
+    /// under this mode — the one representation switch behind a
+    /// [`SparseMap`], a [`crate::LoadModel`] class and the event engine's
+    /// resource table.
+    pub(crate) fn is_dense_at(self, universe: usize) -> bool {
+        match self {
+            PoolMode::Auto => universe <= DENSE_CROSSOVER,
+            PoolMode::Dense => true,
+            PoolMode::Sparse => false,
+        }
+    }
 }
 
 const EMPTY_KEY: usize = usize::MAX;
@@ -63,14 +65,8 @@ enum Repr<V> {
 }
 
 impl<V: Clone> SparseMap<V> {
-    pub(crate) fn new(universe: usize, empty: V, mode: MapMode) -> Self {
-        let dense = match mode {
-            MapMode::Auto => universe <= DENSE_CROSSOVER,
-            #[cfg(test)]
-            MapMode::Dense => true,
-            MapMode::Sparse => false,
-        };
-        let repr = if dense {
+    pub(crate) fn new(universe: usize, empty: V, mode: PoolMode) -> Self {
+        let repr = if mode.is_dense_at(universe) {
             Repr::Dense(vec![empty.clone(); universe])
         } else {
             Repr::Sparse {
@@ -203,8 +199,8 @@ mod tests {
     #[test]
     fn dense_and_sparse_agree_on_random_traffic() {
         let universe = 1 << 20;
-        let mut dense = SparseMap::new(universe, 0u64, MapMode::Dense);
-        let mut sparse = SparseMap::new(universe, 0u64, MapMode::Sparse);
+        let mut dense = SparseMap::new(universe, 0u64, PoolMode::Dense);
+        let mut sparse = SparseMap::new(universe, 0u64, PoolMode::Sparse);
         assert!(dense.is_dense());
         assert!(!sparse.is_dense());
         let mut state = 0x1234_5678_9abc_def0u64;
@@ -231,13 +227,13 @@ mod tests {
 
     #[test]
     fn auto_picks_dense_below_the_crossover_and_sparse_above() {
-        assert!(SparseMap::new(DENSE_CROSSOVER, 0u32, MapMode::Auto).is_dense());
-        assert!(!SparseMap::new(DENSE_CROSSOVER + 1, 0u32, MapMode::Auto).is_dense());
+        assert!(SparseMap::new(DENSE_CROSSOVER, 0u32, PoolMode::Auto).is_dense());
+        assert!(!SparseMap::new(DENSE_CROSSOVER + 1, 0u32, PoolMode::Auto).is_dense());
     }
 
     #[test]
     fn clearing_keeps_keys_resident_but_reads_empty() {
-        let mut m = SparseMap::new(1 << 20, 7u32, MapMode::Sparse);
+        let mut m = SparseMap::new(1 << 20, 7u32, PoolMode::Sparse);
         *m.slot(42) = 9;
         assert_eq!(m.get(42), 9);
         *m.slot(42) = 7; // write the empty value back: the "reset" idiom
@@ -247,7 +243,7 @@ mod tests {
 
     #[test]
     fn sparse_footprint_tracks_traffic_not_universe() {
-        let mut m = SparseMap::new(1 << 24, 0u64, MapMode::Sparse);
+        let mut m = SparseMap::new(1 << 24, 0u64, PoolMode::Sparse);
         for k in 0..100 {
             *m.slot(k * 131) = k as u64;
         }
@@ -261,7 +257,7 @@ mod tests {
 
     #[test]
     fn growth_preserves_entries_under_heavy_load() {
-        let mut m = SparseMap::new(usize::MAX - 1, 0usize, MapMode::Sparse);
+        let mut m = SparseMap::new(usize::MAX - 1, 0usize, PoolMode::Sparse);
         for k in 0..10_000 {
             *m.slot(k * k + 1) = k + 1;
         }

@@ -272,9 +272,10 @@ fn faulty_cost_model_runs_are_pinned() {
 
 #[test]
 fn hetero_and_loggp_cost_model_runs_are_pinned() {
-    // Costed fabrics keep `resolve_route` and price every duration through
-    // the model; hold-and-wait adds only the model's extras to its wire
-    // time, so it is pinned beside the atomic machine.
+    // Costed fabrics route through `LinkCostModel::route_into` and price
+    // every duration through the model; hold-and-wait adds only the
+    // model's extras to its wire time, so it is pinned beside the atomic
+    // machine.
     let mut actual = Vec::new();
     for cost in [
         "hetero:factor=4,frac=0.25,lat=1000,seed=7",

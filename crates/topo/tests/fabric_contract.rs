@@ -18,7 +18,6 @@
 //!   `LinkDown`, where the torus of the same shape detours.
 
 use hypercube::{Hypercube, LinkId, NodeId, Topology};
-use simnet::cost::resolve_route;
 use simnet::{LinkCostModel, SimError};
 use topo::{FatTree, Torus};
 
@@ -344,15 +343,16 @@ fn a_cut_xy_route_is_link_down_where_the_torus_detours() {
         .map(|seed| LinkCostModel::parse(&format!("faulty:p=0.2,seed={seed}")).unwrap())
         .find(|c| !c.link_up(LinkId(0)) && t.route_avoiding(s, d, &|l| !c.link_up(l)).is_some())
         .unwrap();
+    let mut detour = Vec::new();
     assert!(matches!(
-        resolve_route(&m, &cost, s, d),
+        cost.route_into(&m, s, d, &mut detour),
         Err(SimError::LinkDown {
             link: 0,
             src: 0,
             dst: 1
         })
     ));
-    let detour = resolve_route(&t, &cost, s, d).unwrap();
-    assert_eq!(detour.hops(), 4, "the long way around the 5-ring");
-    assert!(detour.links().iter().all(|&l| cost.link_up(l)));
+    cost.route_into(&t, s, d, &mut detour).unwrap();
+    assert_eq!(detour.len(), 4, "the long way around the 5-ring");
+    assert!(detour.iter().all(|&l| cost.link_up(l)));
 }

@@ -9,7 +9,7 @@
 //! divergence it observed. The `simcheck` binary runs the same harness
 //! from the command line.
 
-use commrt::grid::{GridColumn, SchedulerHandle, WorkloadPoint};
+use commrt::grid::WorkloadPoint;
 use commrt::{BackendKind, ExperimentGrid};
 use commsched::registry;
 use hypercube::Hypercube;
@@ -56,26 +56,28 @@ fn tolerances_hold_for_all_schedulers_across_dimensions() {
 
 #[test]
 fn backend_column_axis_compares_backends_in_one_grid() {
-    // The grid's backend column axis: one scheduler, two backends, shared
-    // sample matrices. Labels disambiguate the columns, and the two
-    // measurements agree within the scheduler's documented band.
+    // One scheduler priced by two grids whose runners set the backend,
+    // on the same sample matrices: the two measurements agree within
+    // the scheduler's documented band.
     let entry = registry::find("RS_NL").unwrap();
-    let grid = ExperimentGrid::new()
-        .topology("hypercube(4)", Hypercube::new(4))
-        .column(GridColumn::new(SchedulerHandle::from(entry)).with_backend(BackendKind::Des))
-        .column(GridColumn::new(SchedulerHandle::from(entry)).with_backend(BackendKind::Analytic))
-        .point(WorkloadPoint::shared(
-            Generator::dregular(16, 3, 4096),
-            3,
-            4096,
-            21,
-        ))
-        .samples(3);
-    let result = grid.execute().unwrap();
-    let des = result.at(0, 0).unwrap();
-    let ana = result.at(1, 0).unwrap();
-    assert_eq!(des.algorithm, "RS_NL@des");
-    assert_eq!(ana.algorithm, "RS_NL@analytic");
+    let execute = |kind: BackendKind| {
+        ExperimentGrid::new()
+            .with_runner(commrt::ExperimentRunner::ipsc860().with_backend(kind))
+            .topology("hypercube(4)", Hypercube::new(4))
+            .scheduler(entry)
+            .point(WorkloadPoint::shared(
+                Generator::dregular(16, 3, 4096),
+                3,
+                4096,
+                21,
+            ))
+            .samples(3)
+            .execute()
+            .unwrap()
+    };
+    let (des, ana) = (execute(BackendKind::Des), execute(BackendKind::Analytic));
+    let des = des.at(0, 0).unwrap();
+    let ana = ana.at(0, 0).unwrap();
     // Schedule-derived quantities are backend-independent...
     assert_eq!(des.result.phases, ana.result.phases);
     assert_eq!(des.result.comp_ms, ana.result.comp_ms);
