@@ -6,6 +6,11 @@
 //! least-recently-used entries once its slice of the byte budget is
 //! exceeded; budgets are enforced per shard (`total / shards`), so a
 //! pathological key distribution can evict a little early, never late.
+//!
+//! Beside each schedule a shard can keep its encoded artifact
+//! ([`crate::encode_artifact`]), the bytes a daemon's reply carries: it is
+//! encoded at most once per residency, metered with the schedule, and
+//! leaves with it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -27,13 +32,19 @@ pub fn schedule_weight_bytes(s: &Schedule) -> usize {
     64 + s.num_phases() * (32 + s.n() * 4)
 }
 
+/// One resident schedule, and its artifact once a reply has asked for it.
+struct Resident {
+    schedule: Arc<Schedule>,
+    artifact: Option<Arc<[u8]>>,
+}
+
 /// A fixed-shard, byte-budgeted, LRU-evicting map from [`Fingerprint`] to
 /// [`Arc<Schedule>`].
 ///
 /// All operations are `&self`; the cache is shared across threads as-is
 /// (the grid executor holds one per run).
 pub(crate) struct ShardedCache {
-    shards: Vec<Mutex<Recency<Arc<Schedule>>>>,
+    shards: Vec<Mutex<Recency<Resident>>>,
     hits: AtomicU64,
     evictions: AtomicU64,
     rejected: AtomicU64,
@@ -54,7 +65,7 @@ impl ShardedCache {
         }
     }
 
-    fn shard(&self, key: Fingerprint) -> std::sync::MutexGuard<'_, Recency<Arc<Schedule>>> {
+    fn shard(&self, key: Fingerprint) -> std::sync::MutexGuard<'_, Recency<Resident>> {
         // The key is a 128-bit hash; its low bits are already uniform.
         self.shards[(key.0 as usize) % self.shards.len()]
             .lock()
@@ -64,7 +75,21 @@ impl ShardedCache {
     /// Look `key` up, refreshing its recency. Counts a hit; a miss
     /// counts nothing (the caller counts what it does next).
     pub fn get(&self, key: Fingerprint) -> Option<Arc<Schedule>> {
-        let schedule = Arc::clone(self.shard(key).get(key.0)?);
+        self.get_if(key, |_| true)
+    }
+
+    /// [`get`](Self::get), when `accept` takes the resident schedule; a
+    /// schedule it refuses is a miss, and recency does not move.
+    pub fn get_if(
+        &self,
+        key: Fingerprint,
+        accept: impl FnOnce(&Arc<Schedule>) -> bool,
+    ) -> Option<Arc<Schedule>> {
+        let mut shard = self.shard(key);
+        if !accept(&shard.peek(key.0)?.schedule) {
+            return None;
+        }
+        let schedule = Arc::clone(&shard.get(key.0)?.schedule);
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(schedule)
     }
@@ -74,10 +99,47 @@ impl ShardedCache {
     /// whole shard budget is rejected (counted, not cached).
     pub fn insert(&self, key: Fingerprint, schedule: Arc<Schedule>) {
         let weight = schedule_weight_bytes(&schedule);
-        match self.shard(key).insert(key.0, schedule, weight) {
+        let resident = Resident {
+            schedule,
+            artifact: None,
+        };
+        match self.shard(key).insert(key.0, resident, weight) {
             Some(evicted) => self.evictions.fetch_add(evicted, Ordering::Relaxed),
             None => self.rejected.fetch_add(1, Ordering::Relaxed),
         };
+    }
+
+    /// The artifact `encode` makes of `schedule`, encoded at most once
+    /// while `schedule` is the one resident under `key`: the first call
+    /// keeps the bytes beside it, metered by the byte budget (which may
+    /// evict older entries), and later calls share them. A schedule not
+    /// resident under `key`, or whose artifact would not fit the shard's
+    /// budget, gets fresh bytes that are not kept.
+    pub fn artifact(
+        &self,
+        key: Fingerprint,
+        schedule: &Arc<Schedule>,
+        encode: impl FnOnce() -> Vec<u8>,
+    ) -> Arc<[u8]> {
+        let ours = |r: &Resident| Arc::ptr_eq(&r.schedule, schedule);
+        if let Some(kept) = self.shard(key).peek(key.0).filter(|r| ours(r)) {
+            if let Some(artifact) = &kept.artifact {
+                return Arc::clone(artifact);
+            }
+        }
+        // Encoded outside the lock: other lookups of the shard go on.
+        let artifact: Arc<[u8]> = encode().into();
+        let mut shard = self.shard(key);
+        if shard
+            .peek(key.0)
+            .is_some_and(|r| ours(r) && r.artifact.is_none())
+        {
+            let kept = Arc::clone(&artifact);
+            if let Some(evicted) = shard.grow(key.0, artifact.len(), |r| r.artifact = Some(kept)) {
+                self.evictions.fetch_add(evicted, Ordering::Relaxed);
+            }
+        }
+        artifact
     }
 
     /// Entries currently resident, over all shards.
@@ -88,7 +150,8 @@ impl ShardedCache {
             .sum()
     }
 
-    /// Metered schedule weight currently resident, over all shards.
+    /// Metered weight currently resident, over all shards: schedules and
+    /// the artifacts kept beside them.
     pub fn bytes_in_use(&self) -> usize {
         self.shards
             .iter()
@@ -209,6 +272,58 @@ mod tests {
         assert_eq!(cache.bytes_in_use(), before);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.insertions(), 1);
+    }
+
+    #[test]
+    fn an_artifact_is_encoded_once_per_residency_and_metered() {
+        let weight = schedule_weight_bytes(&schedule(8));
+        let cache = ShardedCache::new(1, 3 * weight);
+        let s = schedule(8);
+        cache.insert(key(1), Arc::clone(&s));
+        let encodes = std::cell::Cell::new(0);
+        let encode = || {
+            encodes.set(encodes.get() + 1);
+            vec![7u8; weight]
+        };
+        let first = cache.artifact(key(1), &s, encode);
+        let again = cache.artifact(key(1), &s, encode);
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!(encodes.get(), 1, "encoded once while resident");
+        assert_eq!(cache.bytes_in_use(), 2 * weight);
+        // Another schedule under the key is another residency; a schedule
+        // not resident under the key is encoded and not kept.
+        let other = schedule(8);
+        cache.insert(key(1), Arc::clone(&other));
+        assert_eq!(cache.bytes_in_use(), weight, "the artifact left with it");
+        assert_eq!(cache.artifact(key(1), &s, encode).len(), weight);
+        assert_eq!((encodes.get(), cache.bytes_in_use()), (2, weight));
+        cache.artifact(key(1), &other, encode);
+        cache.artifact(key(1), &other, encode);
+        assert_eq!((encodes.get(), cache.bytes_in_use()), (3, 2 * weight));
+        // Kept bytes count against the budget: a second schedule with its
+        // artifact no longer fits beside the first.
+        cache.insert(key(2), schedule(8));
+        cache.artifact(key(2), &cache.get(key(2)).unwrap(), encode);
+        assert_eq!(cache.evictions(), 1);
+        assert!(cache.get(key(1)).is_none() && cache.get(key(2)).is_some());
+        // An artifact that could not fit even alone is handed out unkept.
+        let big = ShardedCache::new(1, weight + 1);
+        big.insert(key(3), Arc::clone(&s));
+        assert_eq!(big.artifact(key(3), &s, encode).len(), weight);
+        assert_eq!((big.bytes_in_use(), big.evictions()), (weight, 0));
+    }
+
+    #[test]
+    fn a_refused_schedule_is_a_miss_that_moves_nothing() {
+        let weight = schedule_weight_bytes(&schedule(8));
+        let cache = ShardedCache::new(1, 2 * weight);
+        cache.insert(key(1), schedule(8));
+        cache.insert(key(2), schedule(8));
+        assert!(cache.get_if(key(1), |_| false).is_none());
+        assert_eq!(cache.hits(), 0);
+        // Key 1 is still the oldest: the next insert evicts it.
+        cache.insert(key(3), schedule(8));
+        assert!(cache.get(key(1)).is_none() && cache.get(key(2)).is_some());
     }
 
     #[test]

@@ -77,24 +77,77 @@ fn step128(lane: u128, word: u128) -> u128 {
 /// sharded LRU picks its shard from the lowest — is as spread as the
 /// whole.
 pub fn hash128(bytes: &[u8]) -> u128 {
-    let (blocks, tail) = bytes.split_at(bytes.len() & !63);
-    let mut padded = [0u8; 64];
-    padded[..tail.len()].copy_from_slice(tail);
-    let mut lanes = SEEDS128;
-    let last = (!tail.is_empty()).then_some(&padded[..]);
-    blocks.chunks_exact(64).chain(last).for_each(|block| {
+    let mut hash = Hash128::new();
+    hash.update(bytes);
+    hash.finish()
+}
+
+/// [`hash128`] of a concatenation, fed one piece at a time: a cache key
+/// hashed from a header and bytes that arrived elsewhere, without
+/// copying them into one buffer. Whole blocks are read in place; only a
+/// block that straddles two pieces is assembled.
+pub(crate) struct Hash128 {
+    lanes: [u128; 4],
+    /// The bytes of the block not yet complete.
+    pending: [u8; 64],
+    filled: usize,
+    len: usize,
+}
+
+impl Hash128 {
+    pub(crate) fn new() -> Self {
+        Hash128 {
+            lanes: SEEDS128,
+            pending: [0; 64],
+            filled: 0,
+            len: 0,
+        }
+    }
+
+    fn block(lanes: &mut [u128; 4], block: &[u8]) {
         for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(16)) {
             *lane = step128(
                 *lane,
                 u128::from_le_bytes(word.try_into().expect("16 bytes")),
             );
         }
-    });
-    let [a, b, c, d] = lanes;
-    let mut h = step128(step128(step128(a, b), c), d) ^ bytes.len() as u128;
-    h = (h ^ (h >> 65)).wrapping_mul(0xff51_afd7_ed55_8ccd_c4ce_b9fe_1a85_ec53);
-    h = (h ^ (h >> 65)).wrapping_mul(0x9fb2_1c65_1e98_df25_a076_1d64_78bd_642f);
-    h ^ (h >> 65)
+    }
+
+    /// Append `bytes` to the input.
+    pub(crate) fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len();
+        if self.filled > 0 {
+            let take = bytes.len().min(64 - self.filled);
+            self.pending[self.filled..self.filled + take].copy_from_slice(&bytes[..take]);
+            self.filled += take;
+            bytes = &bytes[take..];
+            if self.filled < 64 {
+                return;
+            }
+            Self::block(&mut self.lanes, &self.pending);
+            self.filled = 0;
+        }
+        let (blocks, tail) = bytes.split_at(bytes.len() & !63);
+        let lanes = &mut self.lanes;
+        blocks
+            .chunks_exact(64)
+            .for_each(|block| Self::block(lanes, block));
+        self.pending[..tail.len()].copy_from_slice(tail);
+        self.filled = tail.len();
+    }
+
+    /// The digest of everything appended.
+    pub(crate) fn finish(mut self) -> u128 {
+        if self.filled > 0 {
+            self.pending[self.filled..].fill(0);
+            Self::block(&mut self.lanes, &self.pending);
+        }
+        let [a, b, c, d] = self.lanes;
+        let mut h = step128(step128(step128(a, b), c), d) ^ self.len as u128;
+        h = (h ^ (h >> 65)).wrapping_mul(0xff51_afd7_ed55_8ccd_c4ce_b9fe_1a85_ec53);
+        h = (h ^ (h >> 65)).wrapping_mul(0x9fb2_1c65_1e98_df25_a076_1d64_78bd_642f);
+        h ^ (h >> 65)
+    }
 }
 
 #[cfg(test)]
@@ -229,6 +282,23 @@ mod tests {
     fn every_small_corruption_changes_the_sum_at_every_alignment() {
         // Three 32-byte blocks and a byte.
         assert_detects_small_corruption(checksum64, 97);
+    }
+
+    #[test]
+    fn a_hash_fed_in_pieces_is_the_hash_of_their_concatenation() {
+        // Every split of a 150-byte input into three pieces (empty ones
+        // included) straddles the 64-byte blocks every way there is.
+        let input = ramp(150);
+        let whole = hash128(&input);
+        for i in 0..=input.len() {
+            for j in (i..=input.len()).step_by(7).chain([input.len()]) {
+                let mut hash = super::Hash128::new();
+                for piece in [&input[..i], &input[i..j], &input[j..]] {
+                    hash.update(piece);
+                }
+                assert_eq!(hash.finish(), whole, "split at {i} and {j}");
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! block** is the paper's `CCOM`: `u64 n`, a `u64` message count, then one
 //! 12-byte `(u32 src, u32 dst, u32 bytes)` record per message, row-major.
 //! A `Submit` frame and the fingerprint write theirs with the same
-//! [`put_matrix`], so the two are the same bytes by construction.
+//! [`put_matrix`], so the two are the same bytes by construction; and a
+//! block read off the wire in that canonical form is a [`MatrixBlock`],
+//! which keys the instance from the bytes as they arrived
+//! ([`crate::InstanceKey::of_block`]) without building the matrix.
 //! [`Reader`] checks every length against the bytes present: hostile
 //! input is a typed [`CodecError`], which each format maps into its own.
 
@@ -108,12 +111,17 @@ impl<'a> Reader<'a> {
     /// the bytes are read) or bytes that are not UTF-8 are
     /// [`CodecError::BadString`] naming `field`.
     pub fn str(&mut self, field: &'static str, cap: usize) -> Result<String, CodecError> {
+        self.str_ref(field, cap).map(str::to_owned)
+    }
+
+    /// [`str`](Self::str), borrowed from the bytes.
+    pub fn str_ref(&mut self, field: &'static str, cap: usize) -> Result<&'a str, CodecError> {
         let len = self.u32()? as usize;
         if len > cap {
             return Err(CodecError::BadString(field));
         }
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::BadString(field))
+        std::str::from_utf8(bytes).map_err(|_| CodecError::BadString(field))
     }
 
     /// Bytes not yet read.
@@ -151,6 +159,35 @@ impl<'a> Reader<'a> {
         Ok(self.take(12 * count)?.chunks_exact(12).map(message))
     }
 
+    /// A [`put_messages`] run over `n` nodes, borrowed as a
+    /// [`MatrixBlock`] when it is already canonical: every endpoint below
+    /// `n`, no self-message, no zero size, and `(src, dst)` strictly
+    /// ascending, which also rules out a cell listed twice. Those are
+    /// exactly the runs [`CommMatrix::from_messages`] accepts and
+    /// [`put_matrix`] writes back unchanged. `None` for a run that is cut
+    /// short or not canonical; such a run may still decode (any order
+    /// does), so the caller decodes it the long way.
+    pub fn canonical_messages(&mut self, n: usize) -> Option<MatrixBlock<'a>> {
+        let count = self.count(12).ok()?;
+        let records = self.take(12 * count).ok()?;
+        // The smallest row-major key the next record may carry.
+        let mut next = 0u64;
+        for record in records.chunks_exact(12) {
+            let (src, dst, bytes) = message(record);
+            let (s, d) = (src.0 as usize, dst.0 as usize);
+            let key = u64::from(src.0) << 32 | u64::from(dst.0);
+            if s >= n || d >= n || s == d || bytes == 0 || key < next {
+                return None;
+            }
+            // No overflow: `src != dst`, so the key is below `u64::MAX`.
+            next = key + 1;
+        }
+        Some(MatrixBlock {
+            n: n as u64,
+            records,
+        })
+    }
+
     /// [`CodecError::TrailingBytes`] unless every byte was read.
     pub fn finish(self) -> Result<(), CodecError> {
         if self.remaining() == 0 {
@@ -158,6 +195,41 @@ impl<'a> Reader<'a> {
         } else {
             Err(CodecError::TrailingBytes)
         }
+    }
+}
+
+/// A matrix block borrowed from bytes that already hold it in canonical
+/// form ([`Reader::canonical_messages`]): its [`head`](Self::head)
+/// followed by its [`records`](Self::records) are what [`put_matrix`]
+/// writes for the matrix they decode to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MatrixBlock<'a> {
+    n: u64,
+    records: &'a [u8],
+}
+
+impl<'a> MatrixBlock<'a> {
+    /// Nodes the matrix spans.
+    pub fn n(&self) -> usize {
+        self.n as usize
+    }
+
+    /// Messages in the block.
+    pub fn message_count(&self) -> usize {
+        self.records.len() / 12
+    }
+
+    /// The block's first 16 bytes: the `u64` node and message counts.
+    pub fn head(&self) -> [u8; 16] {
+        let mut head = [0u8; 16];
+        head[..8].copy_from_slice(&self.n.to_le_bytes());
+        head[8..].copy_from_slice(&(self.message_count() as u64).to_le_bytes());
+        head
+    }
+
+    /// The rest: the 12-byte records, verbatim.
+    pub fn records(&self) -> &'a [u8] {
+        self.records
     }
 }
 
@@ -243,5 +315,65 @@ mod tests {
         }
         let mut rd = Reader::new(&out[8..]);
         assert_eq!(rd.list(1, Reader::u8), Err(CodecError::Truncated));
+    }
+
+    /// The record of `src -> dst` carrying `bytes`.
+    fn record(src: u32, dst: u32, bytes: u32) -> Vec<u8> {
+        [src, dst, bytes]
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect()
+    }
+
+    /// A message run: the `u64` count, then `records`.
+    fn run(records: &[Vec<u8>]) -> Vec<u8> {
+        let mut out = (records.len() as u64).to_le_bytes().to_vec();
+        records.iter().for_each(|r| out.extend_from_slice(r));
+        out
+    }
+
+    #[test]
+    fn a_canonical_run_is_what_put_matrix_writes() {
+        let mut com = CommMatrix::new(5);
+        com.set(0, 4, 7);
+        com.set(3, 1, u32::MAX);
+        com.set(3, 2, 1);
+        let mut out = Vec::new();
+        put_matrix(&mut out, &com);
+        let block = Reader::new(&out[8..])
+            .canonical_messages(5)
+            .expect("put_matrix writes canonical runs");
+        assert_eq!((block.n(), block.message_count()), (5, 3));
+        assert_eq!([&block.head()[..], block.records()].concat(), out);
+        let empty = run(&[]);
+        let block = Reader::new(&empty).canonical_messages(1).unwrap();
+        assert_eq!((block.message_count(), block.records()), (0, &[][..]));
+    }
+
+    #[test]
+    fn every_run_from_messages_rejects_or_reorders_is_not_canonical() {
+        let ok = |a: Vec<u8>, b: Vec<u8>| run(&[a, b]);
+        let cases = [
+            ("out of range src", ok(record(0, 1, 1), record(4, 1, 1))),
+            ("out of range dst", ok(record(0, 1, 1), record(1, 4, 1))),
+            ("self-message", ok(record(0, 1, 1), record(2, 2, 1))),
+            ("zero bytes", ok(record(0, 1, 1), record(1, 2, 0))),
+            ("duplicate", ok(record(1, 2, 1), record(1, 2, 9))),
+            ("descending dst", ok(record(1, 3, 1), record(1, 2, 1))),
+            ("descending src", ok(record(2, 0, 1), record(1, 3, 1))),
+            (
+                "huge endpoints",
+                ok(record(u32::MAX, 0, 1), record(0, u32::MAX, 1)),
+            ),
+        ];
+        for (what, bytes) in cases {
+            assert_eq!(Reader::new(&bytes).canonical_messages(4), None, "{what}");
+        }
+        // Cut short anywhere, or a count past the bytes: not canonical.
+        let whole = ok(record(0, 1, 1), record(1, 0, 1));
+        assert!(Reader::new(&whole).canonical_messages(4).is_some());
+        for cut in 0..whole.len() {
+            assert_eq!(Reader::new(&whole[..cut]).canonical_messages(4), None);
+        }
     }
 }

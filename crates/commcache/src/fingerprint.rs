@@ -8,17 +8,23 @@ use std::fmt;
 use commsched::CommMatrix;
 use hypercube::Topology;
 
-use crate::checksum::hash128;
-use crate::codec::{put_matrix, put_str};
+use crate::checksum::{hash128, Hash128};
+use crate::codec::{put_matrix, put_str, MatrixBlock};
+
+/// Append the instance section's header: everything before the matrix
+/// block.
+fn put_instance_header(out: &mut Vec<u8>, topo: &dyn Topology) {
+    out.extend_from_slice(b"CCFP");
+    out.push(LAYOUT_VERSION);
+    put_str(out, topo.name());
+    out.extend_from_slice(&(topo.num_nodes() as u64).to_le_bytes());
+    out.extend_from_slice(&(topo.link_count() as u64).to_le_bytes());
+}
 
 /// The instance section of the canonical layout, materialized.
 fn instance_section(com: &CommMatrix, topo: &dyn Topology) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + 12 * com.message_count());
-    out.extend_from_slice(b"CCFP");
-    out.push(LAYOUT_VERSION);
-    put_str(&mut out, topo.name());
-    out.extend_from_slice(&(topo.num_nodes() as u64).to_le_bytes());
-    out.extend_from_slice(&(topo.link_count() as u64).to_le_bytes());
+    put_instance_header(&mut out, topo);
     put_matrix(&mut out, com);
     out
 }
@@ -57,6 +63,13 @@ fn request_section(out: &mut Vec<u8>, scheduler_name: &str, seed: u64) {
 /// | scheduler name | `u32` length + bytes ([`commsched::Scheduler::name`]) |
 /// | seed | `u64` |
 /// | cost section | *only for non-uniform link costs*: the 4 bytes `b"COST"`, then `u32` length + canonical cost string |
+///
+/// The matrix nodes, message count and messages are the
+/// [`codec`](crate::codec)'s matrix block, the same bytes a `schedd`
+/// `Submit` frame carries for a row-major matrix. So a block that arrives
+/// in that canonical form ([`crate::codec::MatrixBlock`]) keys its
+/// instance straight from the bytes ([`InstanceKey::of_block`]), and the
+/// daemon recognises a repeat without building its matrix.
 ///
 /// Everything up to and including the messages is the **instance
 /// section**, the scheduler name and seed form the **request section**,
@@ -174,6 +187,20 @@ impl InstanceKey {
         InstanceKey(hash128(&instance_section(com, topo)))
     }
 
+    /// Hash the instance section whose matrix block is `block`, read from
+    /// the bytes it arrived in. A canonical block is byte for byte what
+    /// [`put_matrix`] writes for the matrix it decodes to, so this is
+    /// [`compute`](Self::compute) of that matrix, without building it.
+    pub fn of_block(block: MatrixBlock<'_>, topo: &dyn Topology) -> InstanceKey {
+        let mut header = Vec::with_capacity(64);
+        put_instance_header(&mut header, topo);
+        header.extend_from_slice(&block.head());
+        let mut hash = Hash128::new();
+        hash.update(&header);
+        hash.update(block.records());
+        InstanceKey(hash.finish())
+    }
+
     /// Hash this key's bytes followed by the request section, producing
     /// the full [`Fingerprint`] — [`Fingerprint::compute`] is this call.
     pub fn schedule_key(self, scheduler_name: &str, seed: u64) -> Fingerprint {
@@ -254,6 +281,28 @@ mod tests {
             Fingerprint::compute(&com, &cube, "RS_NL", 9).0,
             hash128(&chained)
         );
+    }
+
+    #[test]
+    fn a_canonical_block_keys_its_instance_from_the_bytes() {
+        for (com, topo) in [
+            (sample_com(), &Hypercube::new(4) as &dyn Topology),
+            (CommMatrix::new(16), &Torus::mesh(4, 4)),
+            (
+                workloads::random_dregular(64, 8, 1024, 3),
+                &Hypercube::new(6),
+            ),
+        ] {
+            let mut block = Vec::new();
+            put_matrix(&mut block, &com);
+            let view = crate::codec::Reader::new(&block[8..])
+                .canonical_messages(com.n())
+                .expect("canonical");
+            assert_eq!(
+                InstanceKey::of_block(view, topo),
+                InstanceKey::compute(&com, topo)
+            );
+        }
     }
 
     #[test]

@@ -311,9 +311,39 @@ impl IncrementalCache {
         });
         base.schedules
             .insert((entry_name.to_string(), seed), schedule);
-        // Re-inserting re-meters the base: a replaced schedule's weight
-        // leaves with it. A base heavier than the whole budget is never
-        // retained; one that grew past it counts as evicted.
+        self.retain(&mut bases, raw, base, was_resident);
+    }
+
+    /// [`register`](Self::register) without the matrix, for a base that is
+    /// already retained: while the base map is held, `serve` is asked for
+    /// the schedule, and the one it hands back is recorded on the base
+    /// under `(entry_name, seed)`. `None`, with `serve` never asked and
+    /// nothing changed, when no base is retained under `key`.
+    pub(crate) fn refresh_with(
+        &self,
+        key: InstanceKey,
+        entry_name: &str,
+        seed: u64,
+        serve: impl FnOnce() -> Option<Arc<Schedule>>,
+    ) -> Option<Arc<Schedule>> {
+        let raw = key.raw();
+        let mut bases = self.bases.lock().expect("no panics hold the base map");
+        if !bases.contains(raw) {
+            return None;
+        }
+        let schedule = serve()?;
+        let mut base = bases.remove(raw).expect("checked under the same lock");
+        base.schedules
+            .insert((entry_name.to_string(), seed), Arc::clone(&schedule));
+        self.retain(&mut bases, raw, base, true);
+        Some(schedule)
+    }
+
+    /// Put `base` back as the most recent base. Re-inserting re-meters
+    /// it: a replaced schedule's weight leaves with it. A base heavier
+    /// than the whole budget is never retained; one that grew past it
+    /// counts as evicted.
+    fn retain(&self, bases: &mut Recency<Base>, raw: u128, base: Base, was_resident: bool) {
         let weight = base.weight();
         let evicted = bases
             .insert(raw, base, weight)
@@ -388,6 +418,53 @@ mod tests {
         assert_eq!(stats.patches, 1);
         assert_eq!(stats.validation_rejections, 0);
         assert!((stats.patch_rate() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_refresh_registers_on_a_retained_base_and_touches_nothing_else() {
+        let cube = Hypercube::new(4);
+        let entry = registry::find("RS_N").unwrap();
+        let (a, b) = (sample_com(16), {
+            let mut b = sample_com(16);
+            b.set(0, 1, 7);
+            b
+        });
+        let (key_a, key_b) = (
+            InstanceKey::compute(&a, &cube),
+            InstanceKey::compute(&b, &cube),
+        );
+        let one = matrix_weight_bytes(&a) + schedule_weight_bytes(&entry.schedule(&a, &cube, 0));
+        // Two twins with room for two bases: one registers, one refreshes.
+        let twins = [(); 2].map(|()| {
+            IncrementalCache::new(IncrementalConfig::default().with_byte_budget(2 * one))
+        });
+        for inc in &twins {
+            for (key, com) in [(key_a, &a), (key_b, &b)] {
+                let schedule = Arc::new(entry.schedule(com, &cube, 0));
+                inc.register(key, com, &cube, entry.name(), 0, schedule);
+            }
+        }
+        let [registered, refreshed] = &twins;
+        // Not retained, or nothing served: nothing asked, nothing changed.
+        let before = refreshed.stats();
+        let stranger = InstanceKey::from_bytes([9; 16]);
+        assert!(refreshed
+            .refresh_with(stranger, "RS_N", 0, || unreachable!())
+            .is_none());
+        assert!(refreshed.refresh_with(key_a, "RS_N", 0, || None).is_none());
+        assert_eq!(refreshed.stats(), before);
+        // Retained: base a takes the schedule (here under a new seed, so
+        // it grows) and becomes the most recent base, exactly as a
+        // registration does; b is the older one and leaves.
+        let schedule = Arc::new(entry.schedule(&a, &cube, 1));
+        registered.register(key_a, &a, &cube, entry.name(), 1, Arc::clone(&schedule));
+        let served = refreshed
+            .refresh_with(key_a, entry.name(), 1, || Some(Arc::clone(&schedule)))
+            .expect("retained");
+        assert!(Arc::ptr_eq(&served, &schedule));
+        assert_eq!(refreshed.stats(), registered.stats());
+        assert_eq!(refreshed.stats().evictions, 1);
+        assert!(refreshed.base_matrix(key_b).is_none());
     }
 
     #[test]

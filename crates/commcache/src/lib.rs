@@ -153,7 +153,8 @@ pub struct CacheStats {
     pub rejected: u64,
     /// Entries currently resident in memory.
     pub entries: usize,
-    /// Metered schedule weight currently resident (bytes).
+    /// Metered weight currently resident (bytes): schedules, and the
+    /// artifacts kept beside them ([`SchedCache::artifact`]).
     pub bytes_in_use: usize,
     /// Artifacts written through to the store.
     pub store_writes: u64,
@@ -346,15 +347,53 @@ impl SchedCache {
         schedule
     }
 
-    /// Serve `key` from memory alone. A hit counts one request and one
-    /// memory hit, exactly what [`SchedCache::get_or_compute_on`] counts
-    /// for it; a miss counts nothing and never reads the store, so a
-    /// caller that goes on to `get_or_compute_on` has the request
+    /// Serve `key` from memory alone, when `accept` takes the resident
+    /// schedule. A hit counts one request and one memory hit, exactly
+    /// what [`SchedCache::get_or_compute_on`] counts for it. A miss (not
+    /// resident, or refused) counts nothing and never reads the store, so
+    /// a caller that goes on to `get_or_compute_on` has the request
     /// counted once.
-    pub fn get_resident(&self, key: Fingerprint) -> Option<Arc<Schedule>> {
-        let schedule = self.mem.get(key)?;
+    pub fn get_resident(
+        &self,
+        key: Fingerprint,
+        accept: impl FnOnce(&Arc<Schedule>) -> bool,
+    ) -> Option<Arc<Schedule>> {
+        let schedule = self.mem.get_if(key, accept)?;
         self.requests.fetch_add(1, Ordering::Relaxed);
         Some(schedule)
+    }
+
+    /// [`get_resident`](Self::get_resident) for a caller that holds the
+    /// instance key but not the matrix: with the incremental layer on, a
+    /// hit also [`register`](Self::register)s the schedule on the base
+    /// retained under `instance`, as the reuse step would. A base that is
+    /// not retained makes this a miss that counts and changes nothing,
+    /// since registering would have to build it from the matrix.
+    pub fn get_resident_registered(
+        &self,
+        key: Fingerprint,
+        accept: impl FnOnce(&Arc<Schedule>) -> bool,
+        entry: &dyn Scheduler,
+        instance: InstanceKey,
+        seed: u64,
+    ) -> Option<Arc<Schedule>> {
+        match &self.incremental {
+            None => self.get_resident(key, accept),
+            Some(inc) => inc.refresh_with(instance, entry.name(), seed, || {
+                self.get_resident(key, accept)
+            }),
+        }
+    }
+
+    /// The artifact of `schedule` under `key`
+    /// ([`encode_artifact`]`(key, schedule)`), encoded at most once while
+    /// `schedule` stays resident under `key`: the bytes are kept beside it,
+    /// metered by the byte budget, so a repeat is answered with bytes the
+    /// cache already holds. A schedule that is not resident gets fresh
+    /// bytes.
+    pub fn artifact(&self, key: Fingerprint, schedule: &Arc<Schedule>) -> Arc<[u8]> {
+        self.mem
+            .artifact(key, schedule, || encode_artifact(key, schedule))
     }
 
     /// The incremental layer, when delta-aware compilation is enabled.
@@ -482,14 +521,17 @@ mod tests {
 
         // Cold memory over a warm store: nothing resident, nothing counted.
         let cache = SchedCache::new(CacheConfig::persistent(&dir));
-        assert!(cache.get_resident(fp).is_none());
+        assert!(cache.get_resident(fp, |_| true).is_none());
         assert_eq!(cache.stats(), SchedCache::in_memory().stats());
         let loaded = cache.get_or_schedule(entry, &com, &cube, 3);
         let stats = cache.stats();
         assert_eq!((stats.requests, stats.store_hits), (1, 1));
 
         // Resident now: a hit counted as `get_or_schedule` counts one.
-        let resident = cache.get_resident(fp).expect("promoted into memory");
+        assert!(cache.get_resident(fp, |_| false).is_none(), "refused");
+        let resident = cache
+            .get_resident(fp, |_| true)
+            .expect("promoted into memory");
         assert!(Arc::ptr_eq(&resident, &loaded));
         let stats = cache.stats();
         assert_eq!((stats.requests, stats.mem_hits, stats.misses), (2, 1, 0));

@@ -49,6 +49,32 @@ impl<V> Recency<V> {
         Some(&slot.value)
     }
 
+    /// Look `key` up without touching recency.
+    pub fn peek(&self, key: u128) -> Option<&V> {
+        self.map.get(&key).map(|slot| &slot.value)
+    }
+
+    /// Whether `key` is resident, without touching recency.
+    pub fn contains(&self, key: u128) -> bool {
+        self.map.contains_key(&key)
+    }
+
+    /// Change the value under `key` in place with `update` and meter it
+    /// `extra` bytes heavier, then evict least-recently-used entries
+    /// until the budget holds (the grown entry too, if it is the oldest);
+    /// the number evicted. `None` when `key` is not resident or the grown
+    /// entry alone would exceed the whole budget: nothing changes.
+    pub fn grow(&mut self, key: u128, extra: usize, update: impl FnOnce(&mut V)) -> Option<u64> {
+        let slot = self.map.get_mut(&key)?;
+        if slot.weight + extra > self.budget {
+            return None;
+        }
+        update(&mut slot.value);
+        slot.weight += extra;
+        self.bytes += extra;
+        Some(self.evict_over_budget())
+    }
+
     /// Take `key` out of the list.
     pub fn remove(&mut self, key: u128) -> Option<V> {
         let slot = self.map.remove(&key)?;
@@ -79,6 +105,12 @@ impl<V> Recency<V> {
         }
         self.order.insert(self.clock, key);
         self.bytes += weight;
+        Some(self.evict_over_budget())
+    }
+
+    /// Evict least-recently-used entries until the budget holds; the
+    /// number evicted.
+    fn evict_over_budget(&mut self) -> u64 {
         let mut evicted = 0;
         while self.bytes > self.budget {
             let (_, oldest) = self
@@ -89,7 +121,7 @@ impl<V> Recency<V> {
             self.bytes -= slot.weight;
             evicted += 1;
         }
-        Some(evicted)
+        evicted
     }
 
     /// Every entry, most recent first, without touching recency.
@@ -232,5 +264,28 @@ mod tests {
         assert!(list.insert(1, 'e', 101).is_none());
         assert_eq!(list.get(1), Some(&'d'));
         assert_eq!(list.bytes(), 90);
+    }
+
+    #[test]
+    fn growing_an_entry_re_meters_it_in_place_and_evicts_the_oldest() {
+        let mut list = Recency::new(100);
+        list.insert(1, 'a', 30).unwrap();
+        list.insert(2, 'b', 30).unwrap();
+        list.insert(3, 'c', 30).unwrap();
+        // Key 2 grows past what fits: key 1, the oldest, goes; recency
+        // does not move.
+        assert_eq!(list.grow(2, 20, |v| *v = 'B'), Some(1));
+        assert_eq!(list.bytes(), 80);
+        assert_eq!(list.iter().collect::<Vec<_>>(), vec![(3, &'c'), (2, &'B')]);
+        assert_eq!(list.peek(2), Some(&'B'));
+        // Absent, or heavier than the whole budget: nothing changes.
+        assert_eq!(list.grow(9, 1, |_| unreachable!()), None);
+        assert_eq!(list.grow(3, 71, |_| unreachable!()), None);
+        assert_eq!((list.bytes(), list.peek(3)), (80, Some(&'c')));
+        assert!(list.contains(3) && !list.contains(1));
+        // The oldest entry may be the one that grew.
+        assert_eq!(list.grow(2, 30, |v| *v = 'x'), Some(1));
+        assert_eq!(list.iter().collect::<Vec<_>>(), vec![(3, &'c')]);
+        assert_eq!(list.bytes(), 30);
     }
 }

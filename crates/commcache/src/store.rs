@@ -193,31 +193,34 @@ pub fn encode_artifact_with(
     topology: Option<&TopologyMeta>,
 ) -> Vec<u8> {
     let table = schedule.table();
-    let mut payload = Vec::with_capacity(36 + table.len() * 4);
-    payload.push(kind_code(schedule.kind()));
-    payload.push(family_code(schedule.algorithm()));
-    payload.extend_from_slice(&(schedule.n() as u64).to_le_bytes());
-    payload.extend_from_slice(&schedule.ops().to_le_bytes());
-    payload.extend_from_slice(&schedule.compress_ops().to_le_bytes());
-    payload.extend_from_slice(&(schedule.num_phases() as u64).to_le_bytes());
-    payload.extend(table.iter().flat_map(|w| w.to_le_bytes()));
-    match topology {
-        None => payload.push(0),
-        Some(meta) => {
-            payload.push(1);
-            put_str(&mut payload, &meta.kind);
-            payload.extend_from_slice(&meta.nodes.to_le_bytes());
-            payload.extend_from_slice(&meta.links.to_le_bytes());
-        }
-    }
-    payload.push(0); // no link-cost section
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + 8);
+    // The header first, its length word patched once the payload is
+    // written after it in place.
+    let mut out = Vec::with_capacity(HEADER_LEN + 36 + table.len() * 4 + 64 + 8);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&fp.to_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&checksum64(&payload).to_le_bytes());
+    out.extend_from_slice(&[0; 8]);
+    out.push(kind_code(schedule.kind()));
+    out.push(family_code(schedule.algorithm()));
+    out.extend_from_slice(&(schedule.n() as u64).to_le_bytes());
+    out.extend_from_slice(&schedule.ops().to_le_bytes());
+    out.extend_from_slice(&schedule.compress_ops().to_le_bytes());
+    out.extend_from_slice(&(schedule.num_phases() as u64).to_le_bytes());
+    out.extend(table.iter().flat_map(|w| w.to_le_bytes()));
+    match topology {
+        None => out.push(0),
+        Some(meta) => {
+            out.push(1);
+            put_str(&mut out, &meta.kind);
+            out.extend_from_slice(&meta.nodes.to_le_bytes());
+            out.extend_from_slice(&meta.links.to_le_bytes());
+        }
+    }
+    out.push(0); // no link-cost section
+    let payload = &out[HEADER_LEN..];
+    let (len, sum) = (payload.len() as u64, checksum64(payload));
+    out[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&sum.to_le_bytes());
     out
 }
 

@@ -32,7 +32,7 @@
 
 use std::fmt;
 
-use commsched::{CommMatrix, Schedule, ScheduleKind};
+use commsched::{CommMatrix, Schedule, ScheduleKind, SILENT};
 use hypercube::{NodeId, Topology};
 use simnet::{
     ExecMode, LinkCostModel, LoadModel, MachineParams, PortModel, SimError, TraceKind, TransferSpec,
@@ -333,6 +333,36 @@ impl SimBackend for DesBackend {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AnalyticBackend;
 
+/// Each phase-table word's message size: `sizes[k·n + src]` is what
+/// `src` sends in phase `k` (0 for a silent node, or a pair the matrix
+/// lacks). One pass over each row of the matrix and that row's column of
+/// the table, scattering the row into one `n`-word scratch:
+/// O(messages + phases·n), with no row search and no `n × n` table.
+fn word_sizes(com: &CommMatrix, schedule: &Schedule) -> Vec<u32> {
+    let n = com.n();
+    let table = schedule.table();
+    let mut sizes = vec![0u32; table.len()];
+    let mut row = vec![0u32; n];
+    for src in 0..n {
+        let (dsts, bytes) = com.row(src);
+        if dsts.is_empty() {
+            continue;
+        }
+        for (&dst, &b) in dsts.iter().zip(bytes) {
+            row[dst as usize] = b;
+        }
+        for at in (src..table.len()).step_by(n) {
+            if table[at] != SILENT {
+                sizes[at] = row[table[at] as usize];
+            }
+        }
+        for &dst in dsts {
+            row[dst as usize] = 0;
+        }
+    }
+    sizes
+}
+
 /// A self-pair a hand-assembled schedule smuggled past the matrix.
 fn self_directed(node: NodeId) -> SimError {
     SimError::ProgramError {
@@ -353,7 +383,7 @@ impl AnalyticBackend {
     /// first-send lead instead, keeping the estimate invariant under
     /// topology automorphisms (the metamorphic suite pins that) at the
     /// cost of a small, degree-bounded undershoot.
-    fn estimate_pool<P: Iterator<Item = (NodeId, NodeId)>>(
+    fn estimate_pool<P: Iterator<Item = (NodeId, NodeId, u32)>>(
         &self,
         params: &MachineParams,
         cost: &LinkCostModel,
@@ -378,11 +408,10 @@ impl AnalyticBackend {
         let mut contended_phases = 0usize;
         for phase in phases {
             let mut phase_contended = false;
-            for (src, dst) in phase {
+            for (src, dst, bytes) in phase {
                 if src == dst {
                     return Err(self_directed(src));
                 }
-                let bytes = com.get(src.index(), dst.index());
                 cost.route_into(topo, src, dst, &mut claims)?;
                 let j = if ramped { sends_before[src.index()] } else { 0 };
                 sends_before[src.index()] += 1;
@@ -453,6 +482,7 @@ impl AnalyticBackend {
         schedule: &Schedule,
     ) -> Result<BackendReport, SimError> {
         let first_active = schedule.phases().iter().position(|pm| !pm.is_empty());
+        let sizes = word_sizes(com, schedule);
         // One table: the nodes, then (split ports only) their receive
         // ports — which only the phase pool claims — then the links.
         let n = com.n();
@@ -469,6 +499,7 @@ impl AnalyticBackend {
         let mut contended_transfers = 0u64;
         let mut contended_phases = 0usize;
         for (k, pm) in schedule.phases().iter().enumerate() {
+            let size = &sizes[k * n..(k + 1) * n];
             let mut path_ns = 0u64; // the phase pool's `max_t (lead_t + busy_t)`
             let mut phase_contended = false;
             for (src, dst) in pm.pairs() {
@@ -494,8 +525,8 @@ impl AnalyticBackend {
                     // after the rendezvous.
                     let busy_ns = cost.exchange_ns(
                         params,
-                        (com.get(src.index(), dst.index()), &claims),
-                        (com.get(dst.index(), src.index()), &rev),
+                        (size[src.index()], &claims),
+                        (size[dst.index()], &rev),
                     );
                     claims.extend_from_slice(&rev);
                     TransferSpec {
@@ -522,11 +553,10 @@ impl AnalyticBackend {
                     } else {
                         params.send_overhead_ns
                     };
-                    let bytes = com.get(src.index(), dst.index());
                     TransferSpec {
                         src,
                         dst,
-                        busy_ns: cost.transfer_ns(params, bytes, &claims),
+                        busy_ns: cost.transfer_ns(params, size[src.index()], &claims),
                         lead_ns,
                         fused: false,
                     }
@@ -670,12 +700,15 @@ impl SimBackend for AnalyticBackend {
             ScheduleKind::Async => {
                 // All messages form one pool (the AC program blasts them
                 // without ordering constraints).
-                let all = com.messages().map(|(s, d, _)| (s, d));
+                let all = com.messages();
                 self.estimate_pool(params, cost, topo, com, std::iter::once(all), false)
             }
             ScheduleKind::Phased => match scheme {
                 Scheme::S2 => {
-                    let phases = schedule.phases().iter().map(|pm| pm.pairs());
+                    let sizes = word_sizes(com, schedule);
+                    let phases = (schedule.phases().iter())
+                        .zip(sizes.chunks_exact(com.n()))
+                        .map(|(pm, size)| pm.pairs().map(|(s, d)| (s, d, size[s.index()])));
                     self.estimate_pool(params, cost, topo, com, phases, true)
                 }
                 Scheme::S1 => self.estimate_s1(params, cost, topo, com, schedule),
@@ -906,6 +939,25 @@ mod tests {
             assert!(prev <= r.makespan_ns, "{kind}");
             assert_eq!(r.phase_ns().iter().sum::<u64>(), prev, "{kind}");
             assert!(r.contention.max_engine_busy_ns > 0, "{kind}");
+        }
+    }
+
+    #[test]
+    fn every_word_is_sized_as_its_row_search_sizes_it() {
+        let cube = Hypercube::new(5);
+        let com = workloads::random_dregular(32, 6, 1024, 4);
+        for &entry in registry::all() {
+            let schedule = entry.schedule(&com, &cube, 2);
+            let sizes = word_sizes(&com, &schedule);
+            assert_eq!(sizes.len(), schedule.table().len());
+            for (at, &word) in schedule.table().iter().enumerate() {
+                let want = if word == SILENT {
+                    0
+                } else {
+                    com.get(at % 32, word as usize)
+                };
+                assert_eq!(sizes[at], want, "{} word {at}", entry.name());
+            }
         }
     }
 

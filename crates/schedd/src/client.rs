@@ -12,8 +12,8 @@ use std::io::{self, BufReader, Write};
 
 use crate::net::{Endpoint, Stream};
 use crate::protocol::{
-    read_frame, write_frame, DaemonStats, DecodeError, ErrorReply, FrameError, Request, Response,
-    SubmitDeltaRequest, SubmitReply, SubmitRequest,
+    begin_frame, read_frame, seal_frame, DaemonStats, DecodeError, ErrorReply, FrameError, Request,
+    Response, SubmitDeltaRequest, SubmitReply, SubmitRequest,
 };
 
 /// Why a client call failed.
@@ -72,6 +72,9 @@ pub struct Client {
     /// go to the socket underneath it.
     stream: BufReader<Stream>,
     next_id: u64,
+    /// The last request's frame: each request is encoded straight into
+    /// it, after the header, and the buffer is kept for the next.
+    frame: Vec<u8>,
 }
 
 impl Client {
@@ -84,6 +87,7 @@ impl Client {
         Ok(Client {
             stream: BufReader::new(endpoint.connect()?),
             next_id: 1,
+            frame: Vec::new(),
         })
     }
 
@@ -100,8 +104,11 @@ impl Client {
     ///
     /// Transport errors.
     pub fn send(&mut self, req: &Request) -> Result<(), ClientError> {
+        begin_frame(&mut self.frame);
+        req.encode_to(&mut self.frame);
+        seal_frame(&mut self.frame)?;
         let stream = self.stream.get_mut();
-        write_frame(stream, &req.encode())?;
+        stream.write_all(&self.frame)?;
         stream.flush()?;
         Ok(())
     }

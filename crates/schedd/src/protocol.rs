@@ -36,10 +36,10 @@
 
 use std::borrow::Cow;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::sync::Arc;
 
-use commcache::codec::{put_matrix, put_messages, put_str, CodecError, Reader};
+use commcache::codec::{put_matrix, put_messages, put_str, CodecError, MatrixBlock, Reader};
 use commcache::{checksum64, Fingerprint, InstanceKey};
 use commrt::{BackendKind, BackendReport, ContentionStats, Scheme};
 use commsched::{CommMatrix, MatrixDelta, Schedule, Scheduler};
@@ -106,7 +106,7 @@ impl ProtocolLimits {
 }
 
 // Frame kinds: requests low, responses high bit set.
-const K_SUBMIT: u8 = 0x01;
+pub(crate) const K_SUBMIT: u8 = 0x01;
 const K_STATS_REQ: u8 = 0x02;
 const K_SHUTDOWN_REQ: u8 = 0x03;
 const K_SUBMIT_DELTA: u8 = 0x04;
@@ -167,25 +167,70 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Write one complete frame (header + body + checksum).
+/// The frame header of a `len`-byte body; `InvalidInput` past
+/// [`MAX_BODY_LEN`].
+fn frame_header(len: usize) -> io::Result<[u8; 8]> {
+    if len > MAX_BODY_LEN as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("frame body of {len} bytes exceeds the cap"),
+        ));
+    }
+    let mut header = [0u8; 8];
+    header[..4].copy_from_slice(&FRAME_MAGIC);
+    header[4..].copy_from_slice(&(len as u32).to_le_bytes());
+    Ok(header)
+}
+
+/// Write one complete frame (header + body + checksum). The three parts
+/// go out in one vectored write where the writer supports it; the body
+/// is not copied.
 ///
 /// # Errors
 ///
 /// Propagates transport errors; `InvalidInput` if `body` exceeds
 /// [`MAX_BODY_LEN`] (nothing is written).
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    if body.len() > MAX_BODY_LEN as usize {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("frame body of {} bytes exceeds the cap", body.len()),
-        ));
+    let header = frame_header(body.len())?;
+    let sum = checksum64(body).to_le_bytes();
+    let mut parts = [
+        IoSlice::new(&header),
+        IoSlice::new(body),
+        IoSlice::new(&sum),
+    ];
+    let mut parts = &mut parts[..];
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
-    let mut frame = Vec::with_capacity(4 + 4 + body.len() + 8);
-    frame.extend_from_slice(&FRAME_MAGIC);
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(body);
-    frame.extend_from_slice(&checksum64(body).to_le_bytes());
-    w.write_all(&frame)
+    Ok(())
+}
+
+/// Start a frame in `frame`, emptied first: the header is reserved, and
+/// the body is encoded after it in place. [`seal_frame`] finishes it, so
+/// a frame is built in one buffer and written with one `write_all`.
+pub(crate) fn begin_frame(frame: &mut Vec<u8>) {
+    frame.clear();
+    frame.extend_from_slice(&[0; 8]);
+}
+
+/// Finish a frame [`begin_frame`] started: fill in the header and append
+/// the body's checksum.
+///
+/// # Errors
+///
+/// `InvalidInput` if the body exceeds [`MAX_BODY_LEN`] (the frame is left
+/// unsealed).
+pub(crate) fn seal_frame(frame: &mut Vec<u8>) -> io::Result<()> {
+    let body = &frame[8..];
+    let (header, sum) = (frame_header(body.len())?, checksum64(body));
+    frame[..8].copy_from_slice(&header);
+    frame.extend_from_slice(&sum.to_le_bytes());
+    Ok(())
 }
 
 /// Read exactly `buf.len()` bytes; distinguishes clean EOF before the
@@ -344,11 +389,10 @@ fn flag(rd: &mut Reader<'_>, field: &'static str) -> Result<bool, DecodeError> {
     coded(rd, field, |code| (code <= 1).then_some(code == 1))
 }
 
-/// A body that opens with a frame kind and a request id.
-fn id_body(kind: u8, request_id: u64) -> Vec<u8> {
-    let mut out = vec![kind];
+/// Append a frame kind and a request id, how every body opens.
+fn put_id(out: &mut Vec<u8>, kind: u8, request_id: u64) {
+    out.push(kind);
     out.extend_from_slice(&request_id.to_le_bytes());
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -497,8 +541,7 @@ struct Envelope<'a> {
 
 impl Envelope<'_> {
     fn encode(&self, frame_kind: u8, out: &mut Vec<u8>) {
-        out.push(frame_kind);
-        out.extend_from_slice(&self.request_id.to_le_bytes());
+        put_id(out, frame_kind, self.request_id);
         out.push(u8::from(self.want_schedule));
         encode_topology(&self.topology, out);
         put_str(out, &self.scheduler);
@@ -507,13 +550,16 @@ impl Envelope<'_> {
         out.extend_from_slice(&self.seed.to_le_bytes());
     }
 
-    fn decode(rd: &mut Reader<'_>, limits: &ProtocolLimits) -> Result<Self, DecodeError> {
+    fn decode<'a>(
+        rd: &mut Reader<'a>,
+        limits: &ProtocolLimits,
+    ) -> Result<Envelope<'a>, DecodeError> {
         // Field initialisers run top to bottom: this is the wire order.
         Ok(Envelope {
             request_id: rd.u64()?,
             want_schedule: flag(rd, "flags")?,
             topology: Cow::Owned(decode_topology(rd, limits)?),
-            scheduler: Cow::Owned(rd.str("scheduler", MAX_NAME_LEN)?),
+            scheduler: Cow::Borrowed(rd.str_ref("scheduler", MAX_NAME_LEN)?),
             scheme: coded(rd, "scheme", SchemeChoice::from_code)?,
             backend: coded(rd, "backend", backend_from_code)?,
             seed: rd.u64()?,
@@ -632,14 +678,25 @@ impl SubmitRequest {
 
     /// Encode into a frame body.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + 12 * self.matrix.message_count());
-        self.envelope().encode(K_SUBMIT, &mut out);
-        put_matrix(&mut out, &self.matrix);
-        put_cost_model(&mut out, &self.cost_model);
+        let mut out = Vec::new();
+        self.encode_to(&mut out);
         out
     }
 
-    fn decode(rd: &mut Reader<'_>, limits: &ProtocolLimits) -> Result<Self, DecodeError> {
+    /// Append the frame body to `out`.
+    fn encode_to(&self, out: &mut Vec<u8>) {
+        out.reserve(64 + 12 * self.matrix.message_count());
+        self.envelope().encode(K_SUBMIT, out);
+        put_matrix(out, &self.matrix);
+        put_cost_model(out, &self.cost_model);
+    }
+
+    /// Everything before the messages: the envelope and the matrix's
+    /// node count, checked against the fabric and the cell budget.
+    fn decode_head<'a>(
+        rd: &mut Reader<'a>,
+        limits: &ProtocolLimits,
+    ) -> Result<(Envelope<'a>, usize), DecodeError> {
         let head = Envelope::decode(rd, limits)?;
         let n = head.node_count(rd, limits, "matrix.n")?;
         let cells = (n as u64).saturating_mul(n as u64);
@@ -650,11 +707,61 @@ impl SubmitRequest {
                 limit: MAX_MATRIX_CELLS,
             });
         }
+        Ok((head, n))
+    }
+
+    fn decode(rd: &mut Reader<'_>, limits: &ProtocolLimits) -> Result<Self, DecodeError> {
+        let (head, n) = Self::decode_head(rd, limits)?;
         // Any message order decodes; the anomaly reported is the one at
         // the earliest wire position.
         let matrix = CommMatrix::from_messages(n, rd.messages()?)
             .map_err(|e| DecodeError::Invalid(e.to_string()))?;
         Ok(head.into_submit(matrix, decode_cost_model(rd)?))
+    }
+}
+
+/// A `Submit` body read only as far as recognising a repeat needs, its
+/// matrix block borrowed from the body: the daemon's reader keys the
+/// instance from these bytes ([`InstanceKey::of_block`]) and answers a
+/// resident repeat without building the matrix.
+///
+/// [`parse`](Self::parse) accepts a body only when the full
+/// [`Request::decode_with`] accepts it too, with the same fields, a
+/// uniform cost model, and a matrix whose block is byte for byte the
+/// body's: anything else (an error, any message order but row-major, a
+/// cost-model string) is `None`, and the caller decodes the long way,
+/// which words every error.
+pub(crate) struct SubmitView<'a> {
+    pub(crate) request_id: u64,
+    pub(crate) want_schedule: bool,
+    pub(crate) topology: TopologyKind,
+    pub(crate) scheduler: Cow<'a, str>,
+    pub(crate) scheme: SchemeChoice,
+    pub(crate) backend: BackendKind,
+    pub(crate) seed: u64,
+    pub(crate) block: MatrixBlock<'a>,
+}
+
+impl<'a> SubmitView<'a> {
+    pub(crate) fn parse(body: &'a [u8], limits: &ProtocolLimits) -> Option<SubmitView<'a>> {
+        let mut rd = Reader::new(body);
+        if rd.u8().ok()? != K_SUBMIT {
+            return None;
+        }
+        let (head, n) = SubmitRequest::decode_head(&mut rd, limits).ok()?;
+        let block = rd.canonical_messages(n)?;
+        // Nothing may follow: a uniform request carries no cost model.
+        rd.finish().ok()?;
+        Some(SubmitView {
+            request_id: head.request_id,
+            want_schedule: head.want_schedule,
+            topology: head.topology.into_owned(),
+            scheduler: head.scheduler,
+            scheme: head.scheme,
+            backend: head.backend,
+            seed: head.seed,
+            block,
+        })
     }
 }
 
@@ -736,20 +843,26 @@ impl SubmitDeltaRequest {
 
     /// Encode into a frame body.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(96 + self.delta.change_count() * 12);
-        self.envelope().encode(K_SUBMIT_DELTA, &mut out);
+        let mut out = Vec::new();
+        self.encode_to(&mut out);
+        out
+    }
+
+    /// Append the frame body to `out`.
+    fn encode_to(&self, out: &mut Vec<u8>) {
+        out.reserve(96 + self.delta.change_count() * 12);
+        self.envelope().encode(K_SUBMIT_DELTA, out);
         out.extend_from_slice(&self.base.to_bytes());
         out.extend_from_slice(&(self.delta.n() as u64).to_le_bytes());
         let (added, resized) = (self.delta.added(), self.delta.resized());
-        put_messages(&mut out, added.len(), added.iter().copied());
+        put_messages(out, added.len(), added.iter().copied());
         out.extend_from_slice(&(self.delta.removed().len() as u64).to_le_bytes());
         for &(src, dst) in self.delta.removed() {
             out.extend_from_slice(&src.0.to_le_bytes());
             out.extend_from_slice(&dst.0.to_le_bytes());
         }
-        put_messages(&mut out, resized.len(), resized.iter().copied());
-        put_cost_model(&mut out, &self.cost_model);
-        out
+        put_messages(out, resized.len(), resized.iter().copied());
+        put_cost_model(out, &self.cost_model);
     }
 
     fn decode(rd: &mut Reader<'_>, limits: &ProtocolLimits) -> Result<Self, DecodeError> {
@@ -791,11 +904,18 @@ pub enum Request {
 impl Request {
     /// Encode into a frame body.
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_to(&mut out);
+        out
+    }
+
+    /// Append the frame body to `out` (a frame [`begin_frame`] started).
+    pub(crate) fn encode_to(&self, out: &mut Vec<u8>) {
         match self {
-            Request::Submit(req) => req.encode(),
-            Request::SubmitDelta(req) => req.encode(),
-            Request::Stats { request_id } => id_body(K_STATS_REQ, *request_id),
-            Request::Shutdown { request_id } => id_body(K_SHUTDOWN_REQ, *request_id),
+            Request::Submit(req) => req.encode_to(out),
+            Request::SubmitDelta(req) => req.encode_to(out),
+            Request::Stats { request_id } => put_id(out, K_STATS_REQ, *request_id),
+            Request::Shutdown { request_id } => put_id(out, K_SHUTDOWN_REQ, *request_id),
         }
     }
 
@@ -945,30 +1065,57 @@ pub struct SubmitReply {
     pub schedule: Option<Arc<Schedule>>,
 }
 
+/// Append a whole `Schedule` reply body: the one layout of that frame,
+/// from its parts. [`SubmitReply`] encodes through it, and so does a
+/// resident repeat, straight from the estimate memo's report and the
+/// artifact bytes the schedule cache keeps
+/// ([`commcache::SchedCache::artifact`]); `artifact` is present iff the
+/// request asked for the schedule.
+pub(crate) fn put_schedule_reply(
+    out: &mut Vec<u8>,
+    request_id: u64,
+    fingerprint: Fingerprint,
+    freshly_compiled: bool,
+    estimate: &BackendReport,
+    artifact: Option<&[u8]>,
+) {
+    let phases = &estimate.phase_end_ns;
+    out.reserve(90 + 8 * phases.len() + artifact.map_or(0, <[u8]>::len));
+    put_id(out, K_SCHEDULE, request_id);
+    out.extend_from_slice(&fingerprint.to_bytes());
+    out.push(u8::from(freshly_compiled));
+    out.extend_from_slice(&estimate.makespan_ns.to_le_bytes());
+    out.extend_from_slice(&(phases.len() as u64).to_le_bytes());
+    for &end in phases {
+        out.extend_from_slice(&end.to_le_bytes());
+    }
+    let c = &estimate.contention;
+    out.extend_from_slice(&c.max_engine_busy_ns.to_le_bytes());
+    out.extend_from_slice(&c.max_link_busy_ns.to_le_bytes());
+    out.extend_from_slice(&c.contended_transfers.to_le_bytes());
+    out.extend_from_slice(&(c.contended_phases as u64).to_le_bytes());
+    match artifact {
+        None => out.push(0),
+        Some(artifact) => {
+            out.push(1);
+            out.extend_from_slice(&(artifact.len() as u64).to_le_bytes());
+            out.extend_from_slice(artifact);
+        }
+    }
+}
+
 impl SubmitReply {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.request_id.to_le_bytes());
-        out.extend_from_slice(&self.fingerprint.to_bytes());
-        out.push(u8::from(self.freshly_compiled));
-        out.extend_from_slice(&self.estimate.makespan_ns.to_le_bytes());
-        out.extend_from_slice(&(self.estimate.phase_end_ns.len() as u64).to_le_bytes());
-        for &end in &self.estimate.phase_end_ns {
-            out.extend_from_slice(&end.to_le_bytes());
-        }
-        let c = &self.estimate.contention;
-        out.extend_from_slice(&c.max_engine_busy_ns.to_le_bytes());
-        out.extend_from_slice(&c.max_link_busy_ns.to_le_bytes());
-        out.extend_from_slice(&c.contended_transfers.to_le_bytes());
-        out.extend_from_slice(&(c.contended_phases as u64).to_le_bytes());
-        match &self.schedule {
-            None => out.push(0),
-            Some(schedule) => {
-                out.push(1);
-                let artifact = commcache::encode_artifact(self.fingerprint, schedule);
-                out.extend_from_slice(&(artifact.len() as u64).to_le_bytes());
-                out.extend_from_slice(&artifact);
-            }
-        }
+    fn encode_to(&self, out: &mut Vec<u8>) {
+        let artifact = (self.schedule.as_ref())
+            .map(|schedule| commcache::encode_artifact(self.fingerprint, schedule));
+        put_schedule_reply(
+            out,
+            self.request_id,
+            self.fingerprint,
+            self.freshly_compiled,
+            &self.estimate,
+            artifact.as_deref(),
+        );
     }
 
     fn decode(rd: &mut Reader<'_>) -> Result<SubmitReply, DecodeError> {
@@ -1162,26 +1309,28 @@ impl Response {
 
     /// Encode into a frame body.
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_to(&mut out);
+        out
+    }
+
+    /// Append the frame body to `out` (a frame [`begin_frame`] started).
+    pub(crate) fn encode_to(&self, out: &mut Vec<u8>) {
         match self {
-            Response::Schedule(reply) => {
-                let mut out = vec![K_SCHEDULE];
-                reply.encode(&mut out);
-                out
-            }
+            Response::Schedule(reply) => reply.encode_to(out),
             Response::Stats { request_id, stats } => {
-                let (mut out, mut stats) = (id_body(K_STATS, *request_id), *stats);
+                put_id(out, K_STATS, *request_id);
+                let mut stats = *stats;
                 for field in stats.fields_mut() {
                     out.extend_from_slice(&field.to_le_bytes());
                 }
-                out
             }
             Response::Error(err) => {
-                let mut out = id_body(K_ERROR, err.request_id);
+                put_id(out, K_ERROR, err.request_id);
                 out.push(err.code as u8);
-                put_str(&mut out, &err.detail);
-                out
+                put_str(out, &err.detail);
             }
-            Response::ShutdownAck { request_id } => id_body(K_SHUTDOWN_ACK, *request_id),
+            Response::ShutdownAck { request_id } => put_id(out, K_SHUTDOWN_ACK, *request_id),
         }
     }
 

@@ -5,13 +5,25 @@
 //! * one **acceptor** blocks on the listener and spawns a reader per
 //!   connection;
 //! * one **reader per connection** reads frames through a buffer (one
-//!   `read` syscall per frame), decodes them and runs the admission
-//!   stage: drain check → the service's lookup (registry/topology
-//!   validation, keys, and the memory-resident schedule and estimate) →
-//!   per-client quota → bounded-queue push. A request whose schedule and
-//!   estimate are both resident is answered right there, by the reader:
-//!   it occupies no worker, so it skips the quota and the queue. Every
-//!   rejection is a typed error frame; the connection stays healthy;
+//!   `read` syscall per frame) and answers a resident repeat from its
+//!   bytes before decoding anything. A `Submit` body whose envelope
+//!   checks out, whose cost model is uniform and whose messages are
+//!   already canonical (row-major, in range, no self-message, no zero
+//!   size, no cell twice) is keyed straight from its message slice; when
+//!   the schedule and the memo's estimate of it are resident, the reader
+//!   lays the reply out from the memo's report and the artifact bytes
+//!   the schedule cache keeps, and writes it. Such a hit builds no
+//!   matrix, serialises no matrix and encodes no schedule.
+//! * every other frame the reader decodes in full and runs the
+//!   admission stage: drain check → the service's lookup
+//!   (registry/topology validation, keys, and the memory-resident
+//!   schedule and estimate) → per-client quota → bounded-queue push. The
+//!   lookup takes over the admission and the instance key the bytes
+//!   gave, when they got that far, instead of making them again. A
+//!   request whose schedule and estimate are both resident is answered
+//!   right there, by the reader: it occupies no worker, so it skips the
+//!   quota and the queue. Every rejection is a typed error frame; the
+//!   connection stays healthy;
 //! * a fixed pool of **workers** pops the jobs memory could not answer —
 //!   what must be read from the store, compiled, patched or priced — and
 //!   finishes the [`ServiceState`] pipeline on them. Readers and workers
@@ -41,11 +53,11 @@ use std::thread::JoinHandle;
 
 use crate::net::{Endpoint, Listener, Stream};
 use crate::protocol::{
-    read_frame, write_frame, DaemonStats, ErrorCode, ErrorReply, FrameError, Request, Response,
-    SubmitRequest,
+    begin_frame, read_frame, seal_frame, DaemonStats, ErrorCode, ErrorReply, FrameError, Request,
+    Response, SubmitRequest, SubmitView,
 };
 use crate::queue::{BoundedQueue, PushError};
-use crate::service::{Lookup, Pending, ServiceConfig, ServiceState};
+use crate::service::{Admitted, Lookup, Pending, ServiceConfig, ServiceState};
 
 /// One admitted request memory could not answer, on its way to the
 /// worker pool with everything its lookup computed.
@@ -79,6 +91,10 @@ struct Counters {
     errors_other: AtomicU64,
     write_failures: AtomicU64,
     inflight: AtomicU64,
+    /// `Submit` bodies decoded in full (each builds a matrix): a resident
+    /// repeat answered from its bytes adds nothing here.
+    #[cfg(test)]
+    submit_decodes: AtomicU64,
 }
 
 /// State shared by every daemon thread.
@@ -143,17 +159,25 @@ impl Shared {
     }
 
     /// Write one response frame under the connection's writer lock and
-    /// count it: `completed` for a schedule that reached the socket,
-    /// `write_failures` for any frame that did not. A dead client is not
-    /// the daemon's problem beyond that count.
+    /// count it (see [`send`](Self::send)).
     fn answer(&self, writer: &Arc<Mutex<Stream>>, resp: &Response) {
-        let body = resp.encode();
-        let written = {
+        let mut frame = Vec::new();
+        begin_frame(&mut frame);
+        resp.encode_to(&mut frame);
+        self.send(writer, &mut frame, matches!(resp, Response::Schedule(_)));
+    }
+
+    /// Seal `frame` (begun with [`begin_frame`]), write it under the
+    /// connection's writer lock and count it: `completed` for a schedule
+    /// that reached the socket, `write_failures` for any frame that did
+    /// not. A dead client is not the daemon's problem beyond that count.
+    fn send(&self, writer: &Arc<Mutex<Stream>>, frame: &mut Vec<u8>, schedule: bool) {
+        let written = seal_frame(frame).and_then(|()| {
             let mut stream = writer.lock().expect("writer lock");
-            write_frame(&mut *stream, &body).and_then(|()| stream.flush())
-        };
-        let counter = match (resp, written.is_ok()) {
-            (Response::Schedule(_), true) => &self.counters.completed,
+            stream.write_all(frame).and_then(|()| stream.flush())
+        });
+        let counter = match (schedule, written.is_ok()) {
+            (true, true) => &self.counters.completed,
             (_, false) => &self.counters.write_failures,
             _ => return,
         };
@@ -378,17 +402,16 @@ fn reader_loop(stream: Stream, conn_id: u64, shared: &Arc<Shared>) {
     loop {
         match read_frame(&mut reading) {
             Ok(None) => return, // clean close between frames
-            Ok(Some(body)) => match Request::decode_with(&body, &shared.config.limits) {
-                Ok(req) => handle_request(req, &writer, &conn, shared),
-                Err(e) => {
-                    shared
-                        .counters
-                        .errors_malformed
-                        .fetch_add(1, Ordering::Relaxed);
-                    // Framing is intact, so the stream stays usable.
-                    shared.write_error(&writer, 0, ErrorCode::Malformed, e.to_string());
-                }
-            },
+            Ok(Some(body)) => {
+                let admitted = match SubmitView::parse(&body, &shared.config.limits) {
+                    Some(view) => match answer_from_bytes(&view, &writer, shared) {
+                        Ok(()) => continue,
+                        Err(admitted) => admitted,
+                    },
+                    None => None,
+                };
+                decode_and_handle(&body, admitted, &writer, &conn, shared);
+            }
             Err(e) => {
                 match &e {
                     FrameError::Io(_) | FrameError::Truncated => {
@@ -413,8 +436,60 @@ fn reader_loop(stream: Stream, conn_id: u64, shared: &Arc<Shared>) {
     }
 }
 
+/// Answer a resident repeat from its body's bytes (see the module docs):
+/// `Err` when the service cannot, having counted nothing, with the
+/// admission the bytes made when they got that far. A draining daemon
+/// answers nothing this way, so the full path words the rejection.
+fn answer_from_bytes(
+    view: &SubmitView<'_>,
+    writer: &Arc<Mutex<Stream>>,
+    shared: &Arc<Shared>,
+) -> Result<(), Option<Admitted>> {
+    if shared.is_draining() {
+        return Err(None);
+    }
+    let hit = shared.state.lookup_bytes(view)?;
+    shared.counters.submits.fetch_add(1, Ordering::Relaxed);
+    let mut frame = Vec::new();
+    begin_frame(&mut frame);
+    hit.encode_to(view.request_id, &mut frame);
+    shared.send(writer, &mut frame, true);
+    Ok(())
+}
+
+/// The full path for one frame body: decode it and handle the request,
+/// or answer a typed `Malformed` error. `admitted` is the admission the
+/// body's bytes made, when they got that far.
+fn decode_and_handle(
+    body: &[u8],
+    admitted: Option<Admitted>,
+    writer: &Arc<Mutex<Stream>>,
+    conn: &Arc<ConnState>,
+    shared: &Arc<Shared>,
+) {
+    #[cfg(test)]
+    if body.first() == Some(&crate::protocol::K_SUBMIT) {
+        shared
+            .counters
+            .submit_decodes
+            .fetch_add(1, Ordering::Relaxed);
+    }
+    match Request::decode_with(body, &shared.config.limits) {
+        Ok(req) => handle_request(req, admitted, writer, conn, shared),
+        Err(e) => {
+            shared
+                .counters
+                .errors_malformed
+                .fetch_add(1, Ordering::Relaxed);
+            // Framing is intact, so the stream stays usable.
+            shared.write_error(writer, 0, ErrorCode::Malformed, e.to_string());
+        }
+    }
+}
+
 fn handle_request(
     req: Request,
+    admitted: Option<Admitted>,
     writer: &Arc<Mutex<Stream>>,
     conn: &Arc<ConnState>,
     shared: &Arc<Shared>,
@@ -428,7 +503,7 @@ fn handle_request(
             shared.answer(writer, &Response::ShutdownAck { request_id });
             shared.request_drain();
         }
-        Request::Submit(req) => handle_submit(req, writer, conn, shared),
+        Request::Submit(req) => handle_submit(req, admitted, writer, conn, shared),
         Request::SubmitDelta(req) => {
             // Resolve the delta against its retained base, then the
             // reconstructed full request rides the ordinary submit path —
@@ -438,7 +513,7 @@ fn handle_request(
                 .delta_submits
                 .fetch_add(1, Ordering::Relaxed);
             match shared.state.resolve_delta(&req) {
-                Ok(full) => handle_submit(full, writer, conn, shared),
+                Ok(full) => handle_submit(full, None, writer, conn, shared),
                 Err(e) => {
                     shared.counters.errors_other.fetch_add(1, Ordering::Relaxed);
                     shared.write_error(writer, req.request_id, e.code(), e.to_string());
@@ -451,9 +526,11 @@ fn handle_request(
 /// The admission stage: drain check → lookup (semantic validation, and
 /// the answer itself when memory holds it) → quota → queue. Rejections
 /// are typed error frames; the connection survives. A resident answer
-/// occupies no worker, so it skips the quota and the queue.
+/// occupies no worker, so it skips the quota and the queue. `admitted`
+/// is the request's admission, when its bytes already made it.
 fn handle_submit(
     req: SubmitRequest,
+    admitted: Option<Admitted>,
     writer: &Arc<Mutex<Stream>>,
     conn: &Arc<ConnState>,
     shared: &Arc<Shared>,
@@ -473,7 +550,7 @@ fn handle_submit(
         );
         return;
     }
-    let pending = match shared.state.lookup(&req) {
+    let pending = match shared.state.lookup(&req, admitted) {
         Ok(Lookup::Pending(pending)) => pending,
         Ok(Lookup::Resident(reply)) => {
             shared.answer(writer, &Response::Schedule(reply));
@@ -549,5 +626,69 @@ fn worker_loop(shared: &Arc<Shared>) {
         shared.answer(&job.writer, &resp);
         job.conn.inflight.fetch_sub(1, Ordering::AcqRel);
         shared.counters.inflight.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use crate::protocol::SchemeChoice;
+    use commcache::CacheConfig;
+    use commrt::BackendKind;
+    use simnet::LinkCostModel;
+    use topo::TopologyKind;
+
+    fn submit(matrix: &commsched::CommMatrix, want_schedule: bool) -> SubmitRequest {
+        SubmitRequest {
+            request_id: 0,
+            want_schedule,
+            topology: TopologyKind::Hypercube { dims: 6 },
+            scheduler: "RS_NL".into(),
+            scheme: SchemeChoice::Default,
+            backend: BackendKind::Analytic,
+            seed: 3,
+            matrix: matrix.clone(),
+            cost_model: LinkCostModel::Uniform,
+        }
+    }
+
+    #[test]
+    fn a_resident_repeat_builds_no_matrix() {
+        for cache in [
+            CacheConfig::in_memory(),
+            CacheConfig::in_memory().incremental_default(),
+        ] {
+            let endpoint = Endpoint::Unix(std::env::temp_dir().join(format!(
+                "schedd-unit-nomatrix-{}-{}.sock",
+                std::process::id(),
+                cache.incremental.is_some()
+            )));
+            let config = ServiceConfig {
+                cache,
+                ..ServiceConfig::default()
+            };
+            let handle = Server::start(config, &endpoint).expect("daemon starts");
+            let decodes = || (handle.shared.counters.submit_decodes).load(Ordering::Relaxed);
+            let mut client = Client::connect(&endpoint).expect("connect");
+            let matrix = workloads::random_dregular(64, 8, 1024, 9);
+            // The first request is a miss, decoded in full; every repeat
+            // after it is a hit, answered from its bytes, with the
+            // schedule or without.
+            let first = client.submit(submit(&matrix, true)).unwrap();
+            assert_eq!(decodes(), 1);
+            for want_schedule in [true, false, true] {
+                let again = client.submit(submit(&matrix, want_schedule)).unwrap();
+                assert!(!again.freshly_compiled);
+                assert_eq!(again.estimate, first.estimate);
+                assert_eq!(again.schedule.is_some(), want_schedule);
+            }
+            assert_eq!(decodes(), 1, "a hit decoded its body");
+            let stats = handle.stats();
+            assert_eq!((stats.submits, stats.completed), (4, 4));
+            assert_eq!((stats.cache_mem_hits, stats.estimate_hits), (3, 3));
+            drop(client);
+            handle.shutdown();
+        }
     }
 }

@@ -22,6 +22,17 @@
 //!   on it: single-flight, then store, compile or patch, then register,
 //!   then price.
 //!
+//! The reader tries one step before both: `lookup_bytes` answers a
+//! resident repeat from the `Submit` body's bytes. It admits the request
+//! as `lookup` does, keys the instance from the body's matrix block
+//! ([`InstanceKey::of_block`]) and hands back the memo's report and the
+//! artifact bytes the schedule cache keeps, so a hit builds no matrix,
+//! serialises no matrix and encodes no schedule. Whatever it cannot
+//! answer (see [`crate::protocol`]'s `SubmitView` and
+//! [`SchedCache::get_resident_registered`]) takes the path above, which
+//! takes over the admission and the instance key the bytes gave, when
+//! they gave them, instead of admitting and hashing again.
+//!
 //! A resident answer counts exactly what `finish` counts for a hit; a
 //! `Pending` has counted nothing. Three layers of reuse sit in front of
 //! the actual work:
@@ -33,21 +44,29 @@
 //!    the artifact store;
 //! 3. an estimate memo does the same for simulation results, keyed
 //!    (fingerprint, scheme, backend) — a duplicate-heavy load ends up
-//!    touching neither the scheduler nor the simulator.
+//!    touching neither the scheduler nor the simulator. With the
+//!    incremental layer on, a fingerprint's schedule evicted and
+//!    produced again may differ (a cold compile where a patch was), so
+//!    there an entry answers only for the schedule it priced, which it
+//!    holds by identity.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 use commcache::{CacheConfig, CacheStats, Fingerprint, InstanceKey, SchedCache};
-use commrt::{BackendReport, Scheme};
+use commrt::{BackendKind, BackendReport, Scheme};
 use commsched::{registry, Schedule, Scheduler};
 use hypercube::Topology;
-use simnet::MachineParams;
+use simnet::{LinkCostModel, MachineParams};
+use topo::TopologyKind;
 
 use crate::dedup::{FlightStats, SingleFlight};
-use crate::protocol::{ErrorCode, ProtocolLimits, SubmitDeltaRequest, SubmitReply, SubmitRequest};
+use crate::protocol::{
+    put_schedule_reply, ErrorCode, ProtocolLimits, SchemeChoice, SubmitDeltaRequest, SubmitReply,
+    SubmitRequest, SubmitView,
+};
 
 /// Tunables for a daemon instance.
 #[derive(Clone, Debug)]
@@ -136,7 +155,34 @@ impl fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
+/// One memo entry: a report, and the schedule it priced when its key
+/// alone does not name that schedule.
+#[derive(Clone)]
+struct Priced {
+    report: Arc<BackendReport>,
+    /// By identity: a `Weak` keeps the allocation's address from being
+    /// reused without keeping the schedule alive. `None` when any
+    /// schedule served under the key is the one priced.
+    schedule: Option<Weak<Schedule>>,
+}
+
+impl Priced {
+    /// Whether this is the report of `schedule`.
+    fn prices(&self, schedule: &Arc<Schedule>) -> bool {
+        (self.schedule.as_ref())
+            .is_none_or(|priced| std::ptr::eq(priced.as_ptr(), Arc::as_ptr(schedule)))
+    }
+}
+
 /// Cache of backend estimates keyed (fingerprint, scheme, backend).
+///
+/// Without the incremental layer a fingerprint names one schedule: a
+/// compile is a pure function of the fingerprinted inputs, and a store
+/// artifact round-trips it exactly. With the layer on it does not: a
+/// fingerprint whose schedule was evicted and produced again may name a
+/// different schedule (a cold compile where a patch was). So an
+/// incremental daemon's entries answer only for the schedule they priced
+/// ([`Priced`]), and an entry that priced another is a counted miss.
 ///
 /// Eviction is wholesale: when the table reaches its cap it is swapped
 /// for an empty one and freed outside the lock.
@@ -145,24 +191,28 @@ impl std::error::Error for ServiceError {}
 /// schedule cache still remembers — LRU bookkeeping on the daemon's
 /// hottest path would cost more than it saves.
 struct EstimateCache {
-    entries: Mutex<HashMap<(u128, u8, u8), Arc<BackendReport>>>,
+    entries: Mutex<HashMap<(u128, u8, u8), Priced>>,
     capacity: usize,
+    /// Whether entries record the schedule they priced (the incremental
+    /// layer is on).
+    by_identity: bool,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl EstimateCache {
-    fn new(capacity: usize) -> EstimateCache {
+    fn new(capacity: usize, by_identity: bool) -> EstimateCache {
         EstimateCache {
             entries: Mutex::new(HashMap::new()),
             capacity: capacity.max(1),
+            by_identity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
     /// Look `key` up without counting.
-    fn peek(&self, key: (u128, u8, u8)) -> Option<Arc<BackendReport>> {
+    fn peek(&self, key: (u128, u8, u8)) -> Option<Priced> {
         self.entries
             .lock()
             .expect("estimate lock")
@@ -170,8 +220,12 @@ impl EstimateCache {
             .cloned()
     }
 
-    fn get(&self, key: (u128, u8, u8)) -> Option<Arc<BackendReport>> {
-        let hit = self.peek(key);
+    /// The report of `schedule` under `key`, counted as a hit or a miss.
+    fn get(&self, key: (u128, u8, u8), schedule: &Arc<Schedule>) -> Option<Arc<BackendReport>> {
+        let hit = self
+            .peek(key)
+            .filter(|memo| memo.prices(schedule))
+            .map(|memo| memo.report);
         match &hit {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -179,12 +233,16 @@ impl EstimateCache {
         hit
     }
 
-    fn insert(&self, key: (u128, u8, u8), report: Arc<BackendReport>) {
+    fn insert(&self, key: (u128, u8, u8), report: Arc<BackendReport>, schedule: &Arc<Schedule>) {
+        let memo = Priced {
+            report,
+            schedule: self.by_identity.then(|| Arc::downgrade(schedule)),
+        };
         let mut entries = self.entries.lock().expect("estimate lock");
         // At capacity the whole table goes, but it is freed outside the
         // lock: other workers' `get`s should not wait for that.
         let evicted = (entries.len() >= self.capacity).then(|| std::mem::take(&mut *entries));
-        entries.insert(key, report);
+        entries.insert(key, memo);
         drop(entries);
         drop(evicted);
     }
@@ -205,7 +263,10 @@ impl ServiceState {
             params: config.params.clone(),
             cache: SchedCache::new(config.cache.clone()),
             flight: SingleFlight::new(),
-            estimates: EstimateCache::new(config.estimate_cache_capacity),
+            estimates: EstimateCache::new(
+                config.estimate_cache_capacity,
+                config.cache.incremental.is_some(),
+            ),
         }
     }
 
@@ -276,30 +337,29 @@ impl ServiceState {
     }
 
     /// The one copy of admission: find the registry entry, check the
-    /// matrix against the topology's size, build the topology (a
+    /// matrix's `n` against the topology's size, build the topology (a
     /// hand-built request can name one no builder accepts) and ask the
     /// entry whether it schedules on it.
     fn admitted(
-        req: &SubmitRequest,
+        scheduler: &str,
+        topology: &TopologyKind,
+        n: usize,
     ) -> Result<(&'static dyn Scheduler, Box<dyn Topology>), ServiceError> {
-        let entry = registry::find(&req.scheduler)
-            .ok_or_else(|| ServiceError::UnknownScheduler(req.scheduler.clone()))?;
-        if req.matrix.n() != req.topology.num_nodes() {
+        let entry = registry::find(scheduler)
+            .ok_or_else(|| ServiceError::UnknownScheduler(scheduler.to_string()))?;
+        if n != topology.num_nodes() {
             return Err(ServiceError::BadRequest(format!(
-                "matrix spans {} nodes but topology {} has {}",
-                req.matrix.n(),
-                req.topology,
-                req.topology.num_nodes()
+                "matrix spans {n} nodes but topology {topology} has {}",
+                topology.num_nodes()
             )));
         }
-        let topo = req
-            .topology
+        let topo = topology
             .try_build()
-            .map_err(|e| ServiceError::BadRequest(format!("topology {}: {e}", req.topology)))?;
+            .map_err(|e| ServiceError::BadRequest(format!("topology {topology}: {e}")))?;
         if !entry.supports_topology(topo.as_ref()) {
             return Err(ServiceError::UnsupportedTopology {
                 scheduler: entry.name().to_string(),
-                topology: req.topology.to_string(),
+                topology: topology.to_string(),
             });
         }
         Ok((entry, topo))
@@ -313,7 +373,7 @@ impl ServiceState {
     /// [`ServiceError::UnknownScheduler`], [`ServiceError::UnsupportedTopology`],
     /// or [`ServiceError::BadRequest`] on a size mismatch.
     pub fn admit(&self, req: &SubmitRequest) -> Result<(), ServiceError> {
-        Self::admitted(req).map(|_| ())
+        Self::admitted(&req.scheduler, &req.topology, req.matrix.n()).map(|_| ())
     }
 
     /// The full pipeline for one request: `lookup`, then `finish` when
@@ -324,7 +384,7 @@ impl ServiceState {
     /// Everything [`admit`](Self::admit) can raise (so unadmitted
     /// callers still get typed errors), plus [`ServiceError::Sim`].
     pub fn process(&self, req: &SubmitRequest) -> Result<SubmitReply, ServiceError> {
-        match self.lookup(req)? {
+        match self.lookup(req, None)? {
             Lookup::Resident(reply) => Ok(reply),
             Lookup::Pending(pending) => self.finish(req, pending),
         }
@@ -338,22 +398,29 @@ impl ServiceState {
     /// A resident answer counts one cache request, one memory hit and
     /// one estimate hit, and (with the incremental layer on) registers
     /// the schedule as a patch base — all exactly as `finish` would. A
-    /// [`Lookup::Pending`] has counted nothing.
+    /// [`Lookup::Pending`] has counted nothing. `admitted`, when given,
+    /// is `req`'s admission and instance key, already made from its
+    /// bytes by [`lookup_bytes`](Self::lookup_bytes).
     ///
     /// # Errors
     ///
     /// Everything [`admit`](Self::admit) can raise.
-    pub(crate) fn lookup(&self, req: &SubmitRequest) -> Result<Lookup, ServiceError> {
-        let pending = Pending::admit(req)?;
-        // The estimate is peeked first, uncounted: only once the schedule
-        // is resident too does either lookup count.
-        let Some(estimate) = self.estimates.peek(pending.estimate_key) else {
+    pub(crate) fn lookup(
+        &self,
+        req: &SubmitRequest,
+        admitted: Option<Admitted>,
+    ) -> Result<Lookup, ServiceError> {
+        let pending = Pending::admit(req, admitted)?;
+        // The estimate is peeked first, uncounted: only a resident
+        // schedule the memo priced makes either lookup count.
+        let Some(memo) = self.estimates.peek(pending.keys.estimate) else {
             return Ok(Lookup::Pending(pending));
         };
-        let Some(schedule) = self.cache.get_resident(pending.fp) else {
+        let Some(schedule) = self.cache.get_resident(pending.keys.fp, |s| memo.prices(s)) else {
             return Ok(Lookup::Pending(pending));
         };
         self.estimates.hits.fetch_add(1, Ordering::Relaxed);
+        let estimate = memo.report;
         // With the incremental layer on, every served request becomes a
         // future patch base, so drifting patterns chain from iteration to
         // iteration.
@@ -366,8 +433,63 @@ impl ServiceState {
             &schedule,
         );
         Ok(Lookup::Resident(reply(
-            req, pending.fp, false, &estimate, schedule,
+            req,
+            pending.keys.fp,
+            false,
+            &estimate,
+            schedule,
         )))
+    }
+
+    /// Answer a resident repeat from its `Submit` body's bytes: admit it
+    /// as [`lookup`](Self::lookup) does, key the instance from the body's
+    /// matrix block, and hand back what the reply is laid out from when
+    /// the schedule and the memo's estimate of it are both resident —
+    /// counted exactly as `lookup` counts a resident answer.
+    ///
+    /// Anything else is `Err`, having counted and changed nothing: a
+    /// request admission refuses, one not resident, or (incremental layer
+    /// on) one whose patch base is not retained, which registering would
+    /// have to build from the matrix. Past admission, the `Err` carries
+    /// the admission and the instance key for the full path to take over.
+    pub(crate) fn lookup_bytes(&self, view: &SubmitView<'_>) -> Result<Hit, Option<Admitted>> {
+        let block = view.block;
+        let (entry, topo) =
+            Self::admitted(&view.scheduler, &view.topology, block.n()).map_err(|_| None)?;
+        let instance = InstanceKey::of_block(block, topo.as_ref());
+        let keys = Keys::new(
+            entry,
+            instance,
+            view.seed,
+            view.scheme,
+            view.backend,
+            &LinkCostModel::Uniform,
+        );
+        let resident = self.estimates.peek(keys.estimate).and_then(|memo| {
+            let schedule = self.cache.get_resident_registered(
+                keys.fp,
+                |s| memo.prices(s),
+                entry,
+                instance,
+                view.seed,
+            )?;
+            Some((memo, schedule))
+        });
+        let Some((memo, schedule)) = resident else {
+            return Err(Some(Admitted {
+                entry,
+                topo,
+                instance,
+            }));
+        };
+        self.estimates.hits.fetch_add(1, Ordering::Relaxed);
+        Ok(Hit {
+            fingerprint: keys.fp,
+            artifact: view
+                .want_schedule
+                .then(|| self.cache.artifact(keys.fp, &schedule)),
+            estimate: memo.report,
+        })
     }
 
     /// The rest of the pipeline for a request [`lookup`](Self::lookup)
@@ -385,9 +507,12 @@ impl ServiceState {
         let Pending {
             entry,
             key,
-            fp,
-            scheme,
-            estimate_key,
+            keys:
+                Keys {
+                    fp,
+                    scheme,
+                    estimate: estimate_key,
+                },
             ..
         } = pending;
         let topo = pending.topo.as_ref();
@@ -409,7 +534,7 @@ impl ServiceState {
         let (schedule, produced) = served?;
         let freshly_compiled = led && produced;
 
-        let estimate = match self.estimates.get(estimate_key) {
+        let estimate = match self.estimates.get(estimate_key, &schedule) {
             Some(report) => report,
             None => {
                 let report = req
@@ -425,7 +550,8 @@ impl ServiceState {
                     )
                     .map_err(|e| ServiceError::Sim(e.to_string()))?;
                 let report = Arc::new(report);
-                self.estimates.insert(estimate_key, Arc::clone(&report));
+                self.estimates
+                    .insert(estimate_key, Arc::clone(&report), &schedule);
                 report
             }
         };
@@ -442,43 +568,117 @@ pub(crate) enum Lookup {
     Pending(Pending),
 }
 
-/// An admitted request [`ServiceState::lookup`] could not answer, with
-/// everything it computed on the way: the registry entry, the built
-/// topology, the instance key, the schedule fingerprint and the
-/// estimate-memo key.
-pub(crate) struct Pending {
-    entry: &'static dyn Scheduler,
-    topo: Box<dyn Topology>,
-    key: InstanceKey,
-    fp: Fingerprint,
-    scheme: Scheme,
-    estimate_key: (u128, u8, u8),
+/// A resident repeat [`ServiceState::lookup_bytes`] answered: what its
+/// `Schedule` reply is laid out from, besides the request id.
+pub(crate) struct Hit {
+    fingerprint: Fingerprint,
+    estimate: Arc<BackendReport>,
+    /// The schedule's artifact, as the cache keeps it; present iff the
+    /// request asked for the schedule.
+    artifact: Option<Arc<[u8]>>,
 }
 
-impl Pending {
-    /// Admit `req` and compute its keys. Counts nothing.
-    fn admit(req: &SubmitRequest) -> Result<Pending, ServiceError> {
-        let (entry, topo) = ServiceState::admitted(req)?;
-        let key = InstanceKey::compute(&req.matrix, topo.as_ref());
-        let fp = key.schedule_key(entry.name(), req.seed);
-        let scheme = req.scheme.resolve(entry);
+impl Hit {
+    /// Append the reply body answering `request_id` to `out`.
+    pub(crate) fn encode_to(&self, request_id: u64, out: &mut Vec<u8>) {
+        put_schedule_reply(
+            out,
+            request_id,
+            self.fingerprint,
+            false,
+            &self.estimate,
+            self.artifact.as_deref(),
+        );
+    }
+}
+
+/// The keys an admitted request is served under.
+struct Keys {
+    /// The schedule fingerprint: the cache and single-flight key.
+    fp: Fingerprint,
+    scheme: Scheme,
+    /// The estimate-memo key.
+    estimate: (u128, u8, u8),
+}
+
+impl Keys {
+    fn new(
+        entry: &dyn Scheduler,
+        instance: InstanceKey,
+        seed: u64,
+        scheme: SchemeChoice,
+        backend: BackendKind,
+        cost_model: &LinkCostModel,
+    ) -> Keys {
+        let fp = instance.schedule_key(entry.name(), seed);
+        let scheme = scheme.resolve(entry);
         // Schedules are cost-model agnostic (the scheduler never sees
         // link prices), so `fp` stays the cache/dedup key. The
         // *estimate* is not: fold the canonical cost string into the
         // memo key via the fingerprint extension — the identity for
         // uniform, whose string is therefore never formatted.
-        let est_fp = if req.cost_model.is_uniform() {
+        let est_fp = if cost_model.is_uniform() {
             fp
         } else {
-            fp.with_cost_model(&req.cost_model.to_string())
+            fp.with_cost_model(&cost_model.to_string())
         };
+        Keys {
+            fp,
+            scheme,
+            estimate: (est_fp.0, scheme as u8, backend as u8),
+        }
+    }
+}
+
+/// A request's admission, made from its bytes by
+/// [`ServiceState::lookup_bytes`], which the full path takes over: the
+/// registry entry, the built topology and the instance key.
+pub(crate) struct Admitted {
+    entry: &'static dyn Scheduler,
+    topo: Box<dyn Topology>,
+    instance: InstanceKey,
+}
+
+/// An admitted request [`ServiceState::lookup`] could not answer, with
+/// everything it computed on the way: the registry entry, the built
+/// topology, the instance key, and the keys it is served under.
+pub(crate) struct Pending {
+    entry: &'static dyn Scheduler,
+    topo: Box<dyn Topology>,
+    key: InstanceKey,
+    keys: Keys,
+}
+
+impl Pending {
+    /// Admit `req` and compute its keys, or take over `admitted` when the
+    /// caller made it from the request's bytes. Counts nothing.
+    fn admit(req: &SubmitRequest, admitted: Option<Admitted>) -> Result<Pending, ServiceError> {
+        let (entry, topo, key) = match admitted {
+            Some(Admitted {
+                entry,
+                topo,
+                instance,
+            }) => (entry, topo, instance),
+            None => {
+                let (entry, topo) =
+                    ServiceState::admitted(&req.scheduler, &req.topology, req.matrix.n())?;
+                let key = InstanceKey::compute(&req.matrix, topo.as_ref());
+                (entry, topo, key)
+            }
+        };
+        let keys = Keys::new(
+            entry,
+            key,
+            req.seed,
+            req.scheme,
+            req.backend,
+            &req.cost_model,
+        );
         Ok(Pending {
             entry,
             topo,
             key,
-            fp,
-            scheme,
-            estimate_key: (est_fp.0, scheme as u8, req.backend as u8),
+            keys,
         })
     }
 }
@@ -528,18 +728,19 @@ mod tests {
 
     #[test]
     fn an_insert_at_capacity_leaves_only_the_new_entry() {
-        let cache = EstimateCache::new(4);
+        let cache = EstimateCache::new(4, true);
         let report = |makespan_ns| {
             Arc::new(BackendReport {
                 makespan_ns,
                 ..BackendReport::default()
             })
         };
+        let s = Arc::new(commsched::ac(&CommMatrix::new(4)));
         for k in 0..4u128 {
-            cache.insert((k, 0, 0), report(k as u64));
+            cache.insert((k, 0, 0), report(k as u64), &s);
         }
-        assert_eq!(cache.get((2, 0, 0)).unwrap().makespan_ns, 2);
-        assert!(cache.get((9, 0, 0)).is_none());
+        assert_eq!(cache.get((2, 0, 0), &s).unwrap().makespan_ns, 2);
+        assert!(cache.get((9, 0, 0), &s).is_none());
         let counters = |c: &EstimateCache| {
             (
                 c.hits.load(Ordering::Relaxed),
@@ -548,20 +749,46 @@ mod tests {
         };
         assert_eq!(counters(&cache), (1, 1));
         // A report a caller still holds outlives the table it sat in.
-        let held = cache.get((3, 0, 0)).unwrap();
-        cache.insert((4, 0, 0), report(4));
+        let held = cache.get((3, 0, 0), &s).unwrap();
+        cache.insert((4, 0, 0), report(4), &s);
         assert_eq!(counters(&cache), (2, 1), "inserting moves neither counter");
         {
             let entries = cache.entries.lock().unwrap();
             assert_eq!(entries.len(), 1, "exactly the new entry is resident");
-            assert_eq!(entries[&(4, 0, 0)].makespan_ns, 4);
+            assert_eq!(entries[&(4, 0, 0)].report.makespan_ns, 4);
         }
         assert_eq!((Arc::strong_count(&held), held.makespan_ns), (1, 3));
         // Below capacity again, inserts accumulate as before.
-        cache.insert((5, 0, 0), report(5));
+        cache.insert((5, 0, 0), report(5), &s);
         assert_eq!(cache.entries.lock().unwrap().len(), 2);
-        assert!(cache.get((0, 0, 0)).is_none() && cache.get((5, 0, 0)).is_some());
+        assert!(cache.get((0, 0, 0), &s).is_none() && cache.get((5, 0, 0), &s).is_some());
         assert_eq!(counters(&cache), (3, 2));
+    }
+
+    #[test]
+    fn a_memo_entry_answers_only_for_the_schedule_it_priced() {
+        // Without the incremental layer a key names one schedule, so
+        // an entry answers for any schedule served under it.
+        let cache = EstimateCache::new(4, false);
+        let priced = Arc::new(commsched::ac(&CommMatrix::new(4)));
+        let twin = Arc::new((*priced).clone());
+        cache.insert((1, 0, 0), Arc::new(BackendReport::default()), &priced);
+        assert!(cache.get((1, 0, 0), &twin).is_some());
+        let cache = EstimateCache::new(4, true);
+        cache.insert((1, 0, 0), Arc::new(BackendReport::default()), &priced);
+        // An equal schedule is another schedule: a counted miss.
+        assert!(cache.get((1, 0, 0), &twin).is_none());
+        assert!(cache.get((1, 0, 0), &priced).is_some());
+        // Nor does the entry keep the schedule alive, and once it is
+        // gone nothing new can take its address while the entry stands.
+        drop(priced);
+        let again = Arc::new((*twin).clone());
+        assert!(cache.get((1, 0, 0), &again).is_none());
+        let counters = (
+            cache.hits.load(Ordering::Relaxed),
+            cache.misses.load(Ordering::Relaxed),
+        );
+        assert_eq!(counters, (1, 2));
     }
 
     #[test]
@@ -613,7 +840,7 @@ mod tests {
         ];
         for (step, req) in script.iter().enumerate() {
             let got = split.process(req);
-            let want = Pending::admit(req).and_then(|pending| reference.finish(req, pending));
+            let want = Pending::admit(req, None).and_then(|pending| reference.finish(req, pending));
             assert_eq!(got, want, "step {step}: reply");
             assert_eq!(
                 counters(&split),
@@ -624,6 +851,61 @@ mod tests {
         // Not vacuous: six repeats were answered without a flight.
         let leads = |s: &ServiceState| s.flight_stats().leads;
         assert_eq!((leads(&split), leads(&reference)), (5, 11));
+    }
+
+    #[test]
+    fn a_repeat_is_answered_from_bytes_only_with_its_own_schedules_estimate() {
+        use crate::protocol::{Request, Response};
+        let config = ServiceConfig {
+            cache: CacheConfig::in_memory().incremental_default(),
+            ..ServiceConfig::default()
+        };
+        let state = ServiceState::new(&config);
+        let req = request(5, BackendKind::Analytic);
+        let body = Request::Submit(req.clone()).encode();
+        let view = SubmitView::parse(&body, &ProtocolLimits::default()).expect("canonical");
+        let instance = InstanceKey::compute(&req.matrix, req.topology.build().as_ref());
+        let keyed = |s: &ServiceState| match s.lookup_bytes(&view) {
+            Err(Some(admitted)) => Some(admitted.instance),
+            _ => None,
+        };
+        assert_eq!(keyed(&state), Some(instance));
+        let first = state.process(&req).unwrap();
+        let counters = |s: &ServiceState| {
+            let cache = s.cache_stats();
+            (cache.requests, cache.mem_hits, s.estimate_stats())
+        };
+        let before = counters(&state);
+
+        // Resident: the reply laid out from the bytes is the reply the
+        // decoded path gives, and counts as it does. The kept artifact
+        // is metered beside the schedule.
+        let hit = state.lookup_bytes(&view).ok().expect("resident");
+        let mut from_bytes = Vec::new();
+        hit.encode_to(req.request_id, &mut from_bytes);
+        let reference = ServiceState::new(&config);
+        reference.process(&req).unwrap();
+        let decoded = reference.process(&req).unwrap();
+        assert_eq!(from_bytes, Response::Schedule(decoded).encode());
+        assert_eq!(counters(&state), counters(&reference));
+        assert_ne!(counters(&state), before);
+        let artifact =
+            commcache::encode_artifact(first.fingerprint, first.schedule.as_ref().unwrap());
+        let kept = state.cache_stats().bytes_in_use - reference.cache_stats().bytes_in_use;
+        assert_eq!(kept, artifact.len());
+
+        // On an incremental daemon a memo entry that priced another
+        // schedule, even an equal one, does not answer for the resident
+        // one: nothing is counted.
+        let keys = Pending::admit(&req, None).unwrap().keys;
+        let twin = Arc::new((**first.schedule.as_ref().unwrap()).clone());
+        state
+            .estimates
+            .insert(keys.estimate, Arc::new(BackendReport::default()), &twin);
+        let before = counters(&state);
+        assert_eq!(keyed(&state), Some(instance));
+        assert!(matches!(state.lookup(&req, None), Ok(Lookup::Pending(_))));
+        assert_eq!(counters(&state), before);
     }
 
     #[test]

@@ -454,3 +454,77 @@ fn explicit_scheme_choices_conform_too() {
     }
     handle.shutdown();
 }
+
+/// `com` with its first message moved to the first free destination of
+/// its row: one structural edit, well inside the patch threshold.
+fn moved(com: &commsched::CommMatrix) -> commsched::CommMatrix {
+    let mut next = com.clone();
+    let (src, dst, bytes) = com.messages().next().expect("non-empty matrix");
+    let (src, dst) = (src.index(), dst.index());
+    next.set(src, dst, 0);
+    let free = (0..com.n())
+        .find(|&d| d != src && d != dst && com.get(src, d) == 0)
+        .expect("a sparse row has a free cell");
+    next.set(src, free, bytes);
+    next
+}
+
+#[test]
+fn an_estimate_answers_only_for_the_schedule_it_priced() {
+    // An incremental daemon patches B from A and memoises the patched
+    // schedule's estimate. Then B's schedule and every base leave memory
+    // (the schedule cache holds nothing, the base cache five), and B
+    // comes back: it compiles cold, to another schedule, and its reply
+    // must carry that schedule's own estimate, not the memo's.
+    let params = MachineParams::ipsc860();
+    let mut recompiled_differently = 0;
+    for scheduler in ["RS_N", "RS_NL", "GREEDY"] {
+        let state = schedd::ServiceState::new(&ServiceConfig {
+            cache: CacheConfig::in_memory()
+                .with_byte_budget(1)
+                .with_incremental(commcache::IncrementalConfig::default().with_byte_budget(40_000)),
+            ..ServiceConfig::default()
+        });
+        for trial in 0..4u64 {
+            let request = |matrix: &commsched::CommMatrix| SubmitRequest {
+                request_id: 0,
+                want_schedule: true,
+                topology: TopologySpec::Hypercube { dims: 6 },
+                scheduler: scheduler.to_string(),
+                scheme: SchemeChoice::Default,
+                backend: BackendKind::Analytic,
+                seed: 5,
+                matrix: matrix.clone(),
+                cost_model: schedd::LinkCostModel::Uniform,
+            };
+            let a = Generator::dregular(64, 8, 1024).generate(100 + trial);
+            let b = moved(&a);
+            state.process(&request(&a)).expect("A compiles");
+            let patched = state.process(&request(&b)).expect("B patches from A");
+            for filler in 0..6 {
+                let other = Generator::dregular(64, 8, 1024).generate(1000 * trial + filler);
+                state.process(&request(&other)).expect("a filler compiles");
+            }
+            let again = state.process(&request(&b)).expect("B compiles again");
+            let schedule = again.schedule.as_ref().expect("asked for");
+            recompiled_differently += usize::from(patched.schedule.as_ref() != Some(schedule));
+            let topo = TopologySpec::Hypercube { dims: 6 }.build();
+            let entry = registry::find(scheduler).unwrap();
+            let direct = BackendKind::Analytic
+                .backend()
+                .estimate(
+                    &params,
+                    topo.as_ref(),
+                    &b,
+                    schedule,
+                    Scheme::for_scheduler(entry),
+                )
+                .expect("prices");
+            assert_eq!(again.estimate, direct, "{scheduler} trial {trial}");
+        }
+    }
+    assert!(
+        recompiled_differently > 0,
+        "no trial recompiled B differently"
+    );
+}
