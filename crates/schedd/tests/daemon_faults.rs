@@ -9,8 +9,9 @@ use std::path::PathBuf;
 
 use commrt::BackendKind;
 use schedd::{
-    Client, ClientError, Endpoint, ErrorCode, Request, Response, SchemeChoice, Server,
-    ServerHandle, ServiceConfig, SubmitRequest, TopologySpec,
+    read_frame, write_frame, Client, ClientError, Endpoint, ErrorCode, Request, Response,
+    SchemeChoice, Server, ServerHandle, ServiceConfig, Stream, SubmitDeltaRequest, SubmitRequest,
+    TopologySpec,
 };
 
 fn sock_path(tag: &str) -> PathBuf {
@@ -420,6 +421,106 @@ fn paused_workers_do_not_hold_back_a_resident_repeat() {
 
     handle.resume_workers();
     expect_schedule(&mut client, miss, true);
+    handle.shutdown();
+}
+
+/// One framed body out, the first frame back.
+fn call(stream: &mut Stream, body: &[u8]) -> Vec<u8> {
+    write_frame(stream, body).unwrap();
+    read_frame(stream).unwrap().expect("a reply frame")
+}
+
+/// `req`'s body (uniform cost model) with its message records in reverse
+/// order: the same request to the full decode, and never canonical.
+fn reversed(req: &SubmitRequest) -> Vec<u8> {
+    let body = Request::Submit(req.clone()).encode();
+    let start = body.len() - 12 * req.matrix.message_count();
+    let mut out = body[..start].to_vec();
+    out.extend(body[start..].rchunks_exact(12).flatten());
+    assert_eq!(Request::decode(&out).unwrap(), Request::Submit(req.clone()));
+    out
+}
+
+#[test]
+fn paused_workers_do_not_hold_back_a_decoded_repeat() {
+    // Repeats the reader decodes in full: a cost-model string, a body
+    // whose messages are not row-major, and a delta that resolves to a
+    // resident fingerprint.
+    let config = ServiceConfig {
+        cache: commcache::CacheConfig::in_memory().incremental_default(),
+        ..ServiceConfig::default()
+    };
+    let (handle, endpoint) = start("decoded-paused", config);
+    let mut stream = endpoint.connect().unwrap();
+    let base = request(51);
+    let mut costed = request(51);
+    costed.request_id = 1;
+    costed.cost_model = "loggp:o=5000,g=1000,G=2.0".parse().unwrap();
+    let shuffled = SubmitRequest {
+        request_id: 2,
+        ..request(52)
+    };
+    let mut drifted = base.matrix.clone();
+    let (src, dst, _) = drifted.messages().next().expect("non-empty matrix");
+    drifted.set(src.index(), dst.index(), 0);
+    let cube = base.topology.build();
+    let delta = SubmitDeltaRequest {
+        request_id: 3,
+        want_schedule: true,
+        topology: base.topology.clone(),
+        scheduler: base.scheduler.clone(),
+        scheme: base.scheme,
+        backend: base.backend,
+        seed: base.seed,
+        base: commcache::InstanceKey::compute(&base.matrix, cube.as_ref()),
+        delta: commsched::MatrixDelta::diff(&base.matrix, &drifted).unwrap(),
+        cost_model: schedd::LinkCostModel::Uniform,
+    };
+    let bodies = [
+        Request::Submit(costed).encode(),
+        reversed(&shuffled),
+        Request::SubmitDelta(delta).encode(),
+    ];
+
+    // Unpaused: the base (the delta's), then each body twice — a miss,
+    // then the answer a repeat gets.
+    call(&mut stream, &Request::Submit(base).encode());
+    let answers: Vec<Vec<u8>> = bodies
+        .iter()
+        .map(|body| {
+            call(&mut stream, body);
+            call(&mut stream, body)
+        })
+        .collect();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while handle.stats().inflight > 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "a worker never finished"
+        );
+        std::thread::yield_now();
+    }
+
+    handle.pause_workers();
+    for (body, answer) in bodies.iter().zip(&answers) {
+        // The reader takes frames in order: a repeat it answers arrives
+        // before the stats, a queued one after them.
+        write_frame(&mut stream, body).unwrap();
+        let stats = Request::Stats { request_id: 0 }.encode();
+        assert!(
+            call(&mut stream, &stats) == *answer,
+            "the paused reply differs"
+        );
+        let reply = read_frame(&mut stream).unwrap().expect("the stats frame");
+        match Response::decode(&reply).unwrap() {
+            Response::Stats { stats, .. } => {
+                assert_eq!((stats.queue_depth, stats.inflight), (0, 0));
+            }
+            other => panic!("expected stats, got {other:?}"),
+        }
+    }
+    handle.resume_workers();
+    drop(stream);
     handle.shutdown();
 }
 
