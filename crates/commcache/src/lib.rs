@@ -256,9 +256,10 @@ impl SchedCache {
 
     /// [`get_or_schedule`](Self::get_or_schedule) given `key`, the
     /// instance key of `(com, topo)`: memory, then the store, then patch
-    /// a retained base or compile, then [`register`](Self::register).
-    /// The flag is `true` when this call patched or compiled, i.e. when
-    /// it counted one of [`CacheStats::misses`].
+    /// a retained base or compile, then (incremental layer on) retain
+    /// `(key, com)` as a patch base holding the schedule. The flag is
+    /// `true` when this call patched or compiled, i.e. when it counted
+    /// one of [`CacheStats::misses`].
     pub fn get_or_schedule_keyed(
         &self,
         entry: &dyn Scheduler,
@@ -276,27 +277,12 @@ impl SchedCache {
                 .and_then(|inc| inc.get_patched(entry, key, com, topo, seed))
                 .unwrap_or_else(|| Arc::new(entry.schedule(com, topo, seed)))
         });
-        self.register(entry, key, com, topo, seed, &schedule);
-        (schedule, produced.get())
-    }
-
-    /// With the incremental layer on, retain `(key, com)` as a future
-    /// patch base holding `schedule` for `(entry, seed)`, so drifting
-    /// patterns chain; otherwise nothing. The reuse step ends here, and a
-    /// caller handed a schedule some other way (a resident lookup)
-    /// registers it with this.
-    pub fn register(
-        &self,
-        entry: &dyn Scheduler,
-        key: InstanceKey,
-        com: &CommMatrix,
-        topo: &dyn Topology,
-        seed: u64,
-        schedule: &Arc<Schedule>,
-    ) {
+        // With the incremental layer on, every served schedule becomes a
+        // patch base, so drifting patterns chain.
         if let Some(inc) = &self.incremental {
-            inc.register(key, com, topo, entry.name(), seed, Arc::clone(schedule));
+            inc.register(key, com, topo, entry.name(), seed, Arc::clone(&schedule));
         }
+        (schedule, produced.get())
     }
 
     /// Serve `key` from memory, then the store, then `compile` (caching
@@ -347,29 +333,17 @@ impl SchedCache {
         schedule
     }
 
-    /// Serve `key` from memory alone, when `accept` takes the resident
-    /// schedule. A hit counts one request and one memory hit, exactly
-    /// what [`SchedCache::get_or_compute_on`] counts for it. A miss (not
-    /// resident, or refused) counts nothing and never reads the store, so
-    /// a caller that goes on to `get_or_compute_on` has the request
-    /// counted once.
+    /// Serve `key`, the fingerprint of `instance` under `(entry, seed)`,
+    /// from memory alone, when `accept` takes the resident schedule. A hit
+    /// counts one request and one memory hit, exactly what
+    /// [`get_or_schedule_keyed`](Self::get_or_schedule_keyed) counts for
+    /// it, and with the incremental layer on records the schedule on the
+    /// base retained under `instance`, as that step would. A miss counts
+    /// and changes nothing and never reads the store, so a caller that
+    /// goes on to the full step has the request counted once. With the
+    /// layer on, a base that is no longer retained makes this a miss:
+    /// only the full step, which holds the matrix, can retain it again.
     pub fn get_resident(
-        &self,
-        key: Fingerprint,
-        accept: impl FnOnce(&Arc<Schedule>) -> bool,
-    ) -> Option<Arc<Schedule>> {
-        let schedule = self.mem.get_if(key, accept)?;
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        Some(schedule)
-    }
-
-    /// [`get_resident`](Self::get_resident) for a caller that holds the
-    /// instance key but not the matrix: with the incremental layer on, a
-    /// hit also [`register`](Self::register)s the schedule on the base
-    /// retained under `instance`, as the reuse step would. A base that is
-    /// not retained makes this a miss that counts and changes nothing,
-    /// since registering would have to build it from the matrix.
-    pub fn get_resident_registered(
         &self,
         key: Fingerprint,
         accept: impl FnOnce(&Arc<Schedule>) -> bool,
@@ -377,11 +351,14 @@ impl SchedCache {
         instance: InstanceKey,
         seed: u64,
     ) -> Option<Arc<Schedule>> {
+        let resident = || {
+            let schedule = self.mem.get_if(key, accept)?;
+            self.requests.fetch_add(1, Ordering::Relaxed);
+            Some(schedule)
+        };
         match &self.incremental {
-            None => self.get_resident(key, accept),
-            Some(inc) => inc.refresh_with(instance, entry.name(), seed, || {
-                self.get_resident(key, accept)
-            }),
+            None => resident(),
+            Some(inc) => inc.refresh_with(instance, entry.name(), seed, resident),
         }
     }
 
@@ -516,22 +493,22 @@ mod tests {
         let com = sample_com();
         let cube = Hypercube::new(4);
         let entry = registry::find("RS_NL").unwrap();
-        let fp = Fingerprint::compute(&com, &cube, entry.name(), 3);
+        let instance = InstanceKey::compute(&com, &cube);
+        let fp = instance.schedule_key(entry.name(), 3);
         SchedCache::new(CacheConfig::persistent(&dir)).get_or_schedule(entry, &com, &cube, 3);
 
         // Cold memory over a warm store: nothing resident, nothing counted.
         let cache = SchedCache::new(CacheConfig::persistent(&dir));
-        assert!(cache.get_resident(fp, |_| true).is_none());
+        let resident = |accept: bool| cache.get_resident(fp, |_| accept, entry, instance, 3);
+        assert!(resident(true).is_none());
         assert_eq!(cache.stats(), SchedCache::in_memory().stats());
         let loaded = cache.get_or_schedule(entry, &com, &cube, 3);
         let stats = cache.stats();
         assert_eq!((stats.requests, stats.store_hits), (1, 1));
 
         // Resident now: a hit counted as `get_or_schedule` counts one.
-        assert!(cache.get_resident(fp, |_| false).is_none(), "refused");
-        let resident = cache
-            .get_resident(fp, |_| true)
-            .expect("promoted into memory");
+        assert!(resident(false).is_none(), "refused");
+        let resident = resident(true).expect("promoted into memory");
         assert!(Arc::ptr_eq(&resident, &loaded));
         let stats = cache.stats();
         assert_eq!((stats.requests, stats.mem_hits, stats.misses), (2, 1, 0));

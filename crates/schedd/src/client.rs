@@ -136,13 +136,7 @@ impl Client {
         req.request_id = self.next_request_id();
         let want = req.request_id;
         self.send(&Request::Submit(req))?;
-        match self.recv()? {
-            Response::Schedule(reply) if reply.request_id == want => Ok(reply),
-            Response::Error(err) => Err(ClientError::Server(err)),
-            Response::Schedule(_) => Err(ClientError::Unexpected("schedule for another id")),
-            Response::Stats { .. } => Err(ClientError::Unexpected("stats")),
-            Response::ShutdownAck { .. } => Err(ClientError::Unexpected("shutdown ack")),
-        }
+        self.recv_schedule(want)
     }
 
     /// Submit a delta against a base the daemon retains and block for
@@ -161,6 +155,12 @@ impl Client {
         req.request_id = self.next_request_id();
         let want = req.request_id;
         self.send(&Request::SubmitDelta(req))?;
+        self.recv_schedule(want)
+    }
+
+    /// Block for the next response, which must be the schedule answering
+    /// request `want`.
+    fn recv_schedule(&mut self, want: u64) -> Result<SubmitReply, ClientError> {
         match self.recv()? {
             Response::Schedule(reply) if reply.request_id == want => Ok(reply),
             Response::Error(err) => Err(ClientError::Server(err)),

@@ -5,27 +5,26 @@
 //! * one **acceptor** blocks on the listener and spawns a reader per
 //!   connection;
 //! * one **reader per connection** reads frames through a buffer (one
-//!   `read` syscall per frame) and answers a resident repeat from its
-//!   bytes before decoding anything. A `Submit` body whose envelope
-//!   checks out, whose cost model is uniform and whose messages are
-//!   already canonical (row-major, in range, no self-message, no zero
-//!   size, no cell twice) is keyed straight from its message slice; when
-//!   the schedule and the memo's estimate of it are resident, the reader
-//!   lays the reply out from the memo's report and the artifact bytes
-//!   the schedule cache keeps, and writes it. Such a hit builds no
-//!   matrix, serialises no matrix and encodes no schedule.
-//! * every other frame the reader decodes in full and runs the
-//!   admission stage: drain check → the service's lookup
-//!   (registry/topology validation, keys, and the memory-resident
-//!   schedule and estimate) → per-client quota → bounded-queue push. The
-//!   lookup takes over the admission and the instance key the bytes
-//!   gave, when they got that far, instead of making them again. A
+//!   `read` syscall per frame) and runs the admission stage on every
+//!   `Submit`: drain check → admission (registry/topology validation and
+//!   keys, one [`ServiceState`] `Pending`) → the service's resident
+//!   answer → per-client quota → bounded-queue push. Admission has two
+//!   front ends. A `Submit` body whose envelope checks out, whose cost
+//!   model is uniform and whose messages are already canonical
+//!   (row-major, in range, no self-message, no zero size, no cell twice)
+//!   is keyed straight from its message slice and decoded only if memory
+//!   cannot answer it; every other frame is decoded in full first, and a
+//!   `SubmitDelta` is resolved against its retained base. Either way, a
 //!   request whose schedule and estimate are both resident is answered
-//!   right there, by the reader: it occupies no worker, so it skips the
-//!   quota and the queue. Every rejection is a typed error frame; the
-//!   connection stays healthy;
+//!   right there, by the reader, with a reply laid out from the memo's
+//!   report and the artifact bytes the schedule cache keeps: it occupies
+//!   no worker, so it skips the quota and the queue, and a canonical one
+//!   builds no matrix, serialises no matrix and encodes no schedule.
+//!   Every rejection is a typed error frame; the connection stays
+//!   healthy;
 //! * a fixed pool of **workers** pops the jobs memory could not answer —
-//!   what must be read from the store, compiled, patched or priced — and
+//!   what must be read from the store, compiled, patched or priced, or
+//!   (incremental daemon) whose patch base must be retained again — and
 //!   finishes the [`ServiceState`] pipeline on them. Readers and workers
 //!   write responses under the connection's writer lock, which is why
 //!   responses can overtake each other and every frame echoes its
@@ -57,10 +56,10 @@ use crate::protocol::{
     Response, SubmitRequest, SubmitView,
 };
 use crate::queue::{BoundedQueue, PushError};
-use crate::service::{Admitted, Lookup, Pending, ServiceConfig, ServiceState};
+use crate::service::{Pending, ServiceConfig, ServiceState};
 
 /// One admitted request memory could not answer, on its way to the
-/// worker pool with everything its lookup computed.
+/// worker pool with its admission and keys.
 struct Job {
     req: SubmitRequest,
     pending: Pending,
@@ -402,16 +401,14 @@ fn reader_loop(stream: Stream, conn_id: u64, shared: &Arc<Shared>) {
     loop {
         match read_frame(&mut reading) {
             Ok(None) => return, // clean close between frames
-            Ok(Some(body)) => {
-                let admitted = match SubmitView::parse(&body, &shared.config.limits) {
-                    Some(view) => match answer_from_bytes(&view, &writer, shared) {
-                        Ok(()) => continue,
-                        Err(admitted) => admitted,
-                    },
-                    None => None,
-                };
-                decode_and_handle(&body, admitted, &writer, &conn, shared);
-            }
+            Ok(Some(body)) => match SubmitView::parse(&body, &shared.config.limits) {
+                Some(view) => handle_submit(Submit::Body(&body, view), &writer, &conn, shared),
+                None => {
+                    if let Some(req) = decode(&body, &writer, shared) {
+                        handle_request(req, &writer, &conn, shared);
+                    }
+                }
+            },
             Err(e) => {
                 match &e {
                     FrameError::Io(_) | FrameError::Truncated => {
@@ -436,37 +433,10 @@ fn reader_loop(stream: Stream, conn_id: u64, shared: &Arc<Shared>) {
     }
 }
 
-/// Answer a resident repeat from its body's bytes (see the module docs):
-/// `Err` when the service cannot, having counted nothing, with the
-/// admission the bytes made when they got that far. A draining daemon
-/// answers nothing this way, so the full path words the rejection.
-fn answer_from_bytes(
-    view: &SubmitView<'_>,
-    writer: &Arc<Mutex<Stream>>,
-    shared: &Arc<Shared>,
-) -> Result<(), Option<Admitted>> {
-    if shared.is_draining() {
-        return Err(None);
-    }
-    let hit = shared.state.lookup_bytes(view)?;
-    shared.counters.submits.fetch_add(1, Ordering::Relaxed);
-    let mut frame = Vec::new();
-    begin_frame(&mut frame);
-    hit.encode_to(view.request_id, &mut frame);
-    shared.send(writer, &mut frame, true);
-    Ok(())
-}
-
-/// The full path for one frame body: decode it and handle the request,
-/// or answer a typed `Malformed` error. `admitted` is the admission the
-/// body's bytes made, when they got that far.
-fn decode_and_handle(
-    body: &[u8],
-    admitted: Option<Admitted>,
-    writer: &Arc<Mutex<Stream>>,
-    conn: &Arc<ConnState>,
-    shared: &Arc<Shared>,
-) {
+/// Decode a frame body in full; `None`, having answered a typed
+/// `Malformed` error, when it does not decode (framing is intact, so the
+/// stream stays usable).
+fn decode(body: &[u8], writer: &Arc<Mutex<Stream>>, shared: &Shared) -> Option<Request> {
     #[cfg(test)]
     if body.first() == Some(&crate::protocol::K_SUBMIT) {
         shared
@@ -475,21 +445,20 @@ fn decode_and_handle(
             .fetch_add(1, Ordering::Relaxed);
     }
     match Request::decode_with(body, &shared.config.limits) {
-        Ok(req) => handle_request(req, admitted, writer, conn, shared),
+        Ok(req) => Some(req),
         Err(e) => {
             shared
                 .counters
                 .errors_malformed
                 .fetch_add(1, Ordering::Relaxed);
-            // Framing is intact, so the stream stays usable.
             shared.write_error(writer, 0, ErrorCode::Malformed, e.to_string());
+            None
         }
     }
 }
 
 fn handle_request(
     req: Request,
-    admitted: Option<Admitted>,
     writer: &Arc<Mutex<Stream>>,
     conn: &Arc<ConnState>,
     shared: &Arc<Shared>,
@@ -503,7 +472,7 @@ fn handle_request(
             shared.answer(writer, &Response::ShutdownAck { request_id });
             shared.request_drain();
         }
-        Request::Submit(req) => handle_submit(req, admitted, writer, conn, shared),
+        Request::Submit(req) => handle_submit(Submit::Decoded(req), writer, conn, shared),
         Request::SubmitDelta(req) => {
             // Resolve the delta against its retained base, then the
             // reconstructed full request rides the ordinary submit path —
@@ -513,7 +482,7 @@ fn handle_request(
                 .delta_submits
                 .fetch_add(1, Ordering::Relaxed);
             match shared.state.resolve_delta(&req) {
-                Ok(full) => handle_submit(full, None, writer, conn, shared),
+                Ok(full) => handle_submit(Submit::Decoded(full), writer, conn, shared),
                 Err(e) => {
                     shared.counters.errors_other.fetch_add(1, Ordering::Relaxed);
                     shared.write_error(writer, req.request_id, e.code(), e.to_string());
@@ -523,20 +492,31 @@ fn handle_request(
     }
 }
 
-/// The admission stage: drain check → lookup (semantic validation, and
-/// the answer itself when memory holds it) → quota → queue. Rejections
-/// are typed error frames; the connection survives. A resident answer
-/// occupies no worker, so it skips the quota and the queue. `admitted`
-/// is the request's admission, when its bytes already made it.
+/// A `Submit` as the reader holds it.
+enum Submit<'a> {
+    /// A canonical body, keyed from its bytes and decoded only when
+    /// memory cannot answer it.
+    Body(&'a [u8], SubmitView<'a>),
+    /// A decoded request: any other body, or a resolved delta.
+    Decoded(SubmitRequest),
+}
+
+/// The admission stage: drain check → admission (semantic validation
+/// and keys) → the resident answer, when memory holds it → quota →
+/// queue. Rejections are typed error frames; the connection survives. A
+/// resident answer occupies no worker, so it skips the quota and the
+/// queue, and its reply is laid out from the bytes the cache keeps.
 fn handle_submit(
-    req: SubmitRequest,
-    admitted: Option<Admitted>,
+    submit: Submit<'_>,
     writer: &Arc<Mutex<Stream>>,
     conn: &Arc<ConnState>,
     shared: &Arc<Shared>,
 ) {
     shared.counters.submits.fetch_add(1, Ordering::Relaxed);
-    let request_id = req.request_id;
+    let (request_id, want_schedule) = match &submit {
+        Submit::Body(_, view) => (view.request_id, view.want_schedule),
+        Submit::Decoded(req) => (req.request_id, req.want_schedule),
+    };
     if shared.is_draining() {
         shared
             .counters
@@ -550,16 +530,36 @@ fn handle_submit(
         );
         return;
     }
-    let pending = match shared.state.lookup(&req, admitted) {
-        Ok(Lookup::Pending(pending)) => pending,
-        Ok(Lookup::Resident(reply)) => {
-            shared.answer(writer, &Response::Schedule(reply));
-            return;
-        }
+    let admitted = match &submit {
+        Submit::Body(_, view) => Pending::of_view(view),
+        Submit::Decoded(req) => Pending::of_request(req),
+    };
+    let pending = match admitted {
+        Ok(pending) => pending,
         Err(e) => {
             shared.counters.errors_other.fetch_add(1, Ordering::Relaxed);
             shared.write_error(writer, request_id, e.code(), e.to_string());
             return;
+        }
+    };
+    if let Some(resident) = shared.state.resident(&pending) {
+        let mut frame = Vec::new();
+        begin_frame(&mut frame);
+        shared
+            .state
+            .put_resident_reply(&mut frame, request_id, want_schedule, &resident);
+        shared.send(writer, &mut frame, true);
+        return;
+    }
+    let req = match submit {
+        Submit::Decoded(req) => req,
+        // A canonical body decodes (`SubmitView::parse`), and keeps the
+        // admission and keys its bytes gave.
+        Submit::Body(body, _) => {
+            let Some(Request::Submit(req)) = decode(body, writer, shared) else {
+                return;
+            };
+            req
         }
     };
     // Quota: optimistic increment, revert on rejection — never exceeds

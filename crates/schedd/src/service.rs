@@ -9,29 +9,24 @@
 //! calls — which is only possible because nothing in here knows about
 //! sockets.
 //!
-//! `process` is two halves, and the server runs them on different
+//! `process` is three steps, and the server runs them on different
 //! threads:
 //!
-//! * `lookup` admits the request, computes its instance key and
-//!   fingerprint, and answers it from memory when both the schedule and
-//!   the estimate are resident. It never compiles, patches, prices or
+//! * A `Pending` admits the request (registry entry, size check, built
+//!   topology) and computes its instance key and fingerprint. It has two
+//!   front ends: a canonical `Submit` body is keyed from its bytes
+//!   ([`InstanceKey::of_block`], see [`crate::protocol`]'s `SubmitView`),
+//!   so a repeat builds no matrix; a decoded request, resolved delta
+//!   included, is keyed from its matrix ([`InstanceKey::compute`]).
+//! * `resident` answers it from memory when the schedule and the memo's
+//!   estimate of it are both resident (see
+//!   [`SchedCache::get_resident`]). It never compiles, patches, prices or
 //!   reads the artifact store, so the connection's reader runs it and a
-//!   repeat never waits for a worker.
-//! * Otherwise `lookup` hands back a `Pending` carrying the admitted
-//!   entry, the built topology and the keys, and a worker runs `finish`
-//!   on it: single-flight, then store, compile or patch, then register,
-//!   then price.
-//!
-//! The reader tries one step before both: `lookup_bytes` answers a
-//! resident repeat from the `Submit` body's bytes. It admits the request
-//! as `lookup` does, keys the instance from the body's matrix block
-//! ([`InstanceKey::of_block`]) and hands back the memo's report and the
-//! artifact bytes the schedule cache keeps, so a hit builds no matrix,
-//! serialises no matrix and encodes no schedule. Whatever it cannot
-//! answer (see [`crate::protocol`]'s `SubmitView` and
-//! [`SchedCache::get_resident_registered`]) takes the path above, which
-//! takes over the admission and the instance key the bytes gave, when
-//! they gave them, instead of admitting and hashing again.
+//!   repeat never waits for a worker; the reader lays the reply out from
+//!   the artifact bytes the schedule cache keeps.
+//! * Otherwise a worker runs `finish` on the same `Pending`:
+//!   single-flight, then store, compile or patch, then register, then
+//!   price.
 //!
 //! A resident answer counts exactly what `finish` counts for a hit; a
 //! `Pending` has counted nothing. Three layers of reuse sit in front of
@@ -184,8 +179,8 @@ impl Priced {
 /// incremental daemon's entries answer only for the schedule they priced
 /// ([`Priced`]), and an entry that priced another is a counted miss.
 ///
-/// Eviction is wholesale: when the table reaches its cap it is swapped
-/// for an empty one and freed outside the lock.
+/// Eviction is wholesale: a new key inserted at the cap swaps the table
+/// for an empty one, freed outside the lock.
 /// Crude, but the table is small (a few hundred bytes per entry), the
 /// cap is large, and clearing costs one rebuild of a working set the
 /// schedule cache still remembers — LRU bookkeeping on the daemon's
@@ -239,9 +234,11 @@ impl EstimateCache {
             schedule: self.by_identity.then(|| Arc::downgrade(schedule)),
         };
         let mut entries = self.entries.lock().expect("estimate lock");
-        // At capacity the whole table goes, but it is freed outside the
-        // lock: other workers' `get`s should not wait for that.
-        let evicted = (entries.len() >= self.capacity).then(|| std::mem::take(&mut *entries));
+        // A new key at capacity takes the whole table with it, freed
+        // outside the lock: other workers' `get`s should not wait for
+        // that. Replacing a key's entry does not grow the table.
+        let full = entries.len() >= self.capacity && !entries.contains_key(&key);
+        let evicted = full.then(|| std::mem::take(&mut *entries));
         entries.insert(key, memo);
         drop(entries);
         drop(evicted);
@@ -376,125 +373,89 @@ impl ServiceState {
         Self::admitted(&req.scheduler, &req.topology, req.matrix.n()).map(|_| ())
     }
 
-    /// The full pipeline for one request: `lookup`, then `finish` when
-    /// memory cannot answer (see the module docs).
+    /// The full pipeline for one request: admit it into a `Pending`,
+    /// answer it from memory when `resident` can, and `finish` it
+    /// otherwise (see the module docs).
     ///
     /// # Errors
     ///
     /// Everything [`admit`](Self::admit) can raise (so unadmitted
     /// callers still get typed errors), plus [`ServiceError::Sim`].
     pub fn process(&self, req: &SubmitRequest) -> Result<SubmitReply, ServiceError> {
-        match self.lookup(req, None)? {
-            Lookup::Resident(reply) => Ok(reply),
-            Lookup::Pending(pending) => self.finish(req, pending),
+        let pending = Pending::of_request(req)?;
+        match self.resident(&pending) {
+            Some(resident) => Ok(reply(
+                req,
+                resident.fingerprint,
+                false,
+                &resident.estimate,
+                resident.schedule,
+            )),
+            None => self.finish(req, pending),
         }
     }
 
-    /// Admit `req`, compute its keys, and answer it from memory when
-    /// both its schedule and its estimate are resident. Never compiles,
-    /// patches, prices or reads the artifact store, so the thread that
-    /// decoded the request can run it.
+    /// Answer an admitted request from memory: its schedule and the
+    /// memo's estimate of that schedule, when both are resident. Never
+    /// compiles, patches, prices or reads the artifact store, so the
+    /// thread that read the request can run it.
     ///
-    /// A resident answer counts one cache request, one memory hit and
-    /// one estimate hit, and (with the incremental layer on) registers
-    /// the schedule as a patch base — all exactly as `finish` would. A
-    /// [`Lookup::Pending`] has counted nothing. `admitted`, when given,
-    /// is `req`'s admission and instance key, already made from its
-    /// bytes by [`lookup_bytes`](Self::lookup_bytes).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`admit`](Self::admit) can raise.
-    pub(crate) fn lookup(
-        &self,
-        req: &SubmitRequest,
-        admitted: Option<Admitted>,
-    ) -> Result<Lookup, ServiceError> {
-        let pending = Pending::admit(req, admitted)?;
+    /// An answer counts one cache request, one memory hit and one
+    /// estimate hit, and (incremental layer on) records the schedule on
+    /// its retained patch base — all exactly as `finish` would. `None`
+    /// has counted and changed nothing: the request is not resident, the
+    /// memo priced another schedule, or (incremental layer on) its patch
+    /// base is no longer retained, which only `finish`, holding the
+    /// matrix, can retain again.
+    pub(crate) fn resident(&self, pending: &Pending) -> Option<Resident> {
         // The estimate is peeked first, uncounted: only a resident
         // schedule the memo priced makes either lookup count.
-        let Some(memo) = self.estimates.peek(pending.keys.estimate) else {
-            return Ok(Lookup::Pending(pending));
-        };
-        let Some(schedule) = self.cache.get_resident(pending.keys.fp, |s| memo.prices(s)) else {
-            return Ok(Lookup::Pending(pending));
-        };
-        self.estimates.hits.fetch_add(1, Ordering::Relaxed);
-        let estimate = memo.report;
-        // With the incremental layer on, every served request becomes a
-        // future patch base, so drifting patterns chain from iteration to
-        // iteration.
-        self.cache.register(
+        let memo = self.estimates.peek(pending.estimate)?;
+        let schedule = self.cache.get_resident(
+            pending.fp,
+            |s| memo.prices(s),
             pending.entry,
             pending.key,
-            &req.matrix,
-            pending.topo.as_ref(),
-            req.seed,
-            &schedule,
-        );
-        Ok(Lookup::Resident(reply(
-            req,
-            pending.keys.fp,
-            false,
-            &estimate,
-            schedule,
-        )))
-    }
-
-    /// Answer a resident repeat from its `Submit` body's bytes: admit it
-    /// as [`lookup`](Self::lookup) does, key the instance from the body's
-    /// matrix block, and hand back what the reply is laid out from when
-    /// the schedule and the memo's estimate of it are both resident —
-    /// counted exactly as `lookup` counts a resident answer.
-    ///
-    /// Anything else is `Err`, having counted and changed nothing: a
-    /// request admission refuses, one not resident, or (incremental layer
-    /// on) one whose patch base is not retained, which registering would
-    /// have to build from the matrix. Past admission, the `Err` carries
-    /// the admission and the instance key for the full path to take over.
-    pub(crate) fn lookup_bytes(&self, view: &SubmitView<'_>) -> Result<Hit, Option<Admitted>> {
-        let block = view.block;
-        let (entry, topo) =
-            Self::admitted(&view.scheduler, &view.topology, block.n()).map_err(|_| None)?;
-        let instance = InstanceKey::of_block(block, topo.as_ref());
-        let keys = Keys::new(
-            entry,
-            instance,
-            view.seed,
-            view.scheme,
-            view.backend,
-            &LinkCostModel::Uniform,
-        );
-        let resident = self.estimates.peek(keys.estimate).and_then(|memo| {
-            let schedule = self.cache.get_resident_registered(
-                keys.fp,
-                |s| memo.prices(s),
-                entry,
-                instance,
-                view.seed,
-            )?;
-            Some((memo, schedule))
-        });
-        let Some((memo, schedule)) = resident else {
-            return Err(Some(Admitted {
-                entry,
-                topo,
-                instance,
-            }));
-        };
+            pending.seed,
+        )?;
         self.estimates.hits.fetch_add(1, Ordering::Relaxed);
-        Ok(Hit {
-            fingerprint: keys.fp,
-            artifact: view
-                .want_schedule
-                .then(|| self.cache.artifact(keys.fp, &schedule)),
+        Some(Resident {
+            fingerprint: pending.fp,
             estimate: memo.report,
+            schedule,
         })
     }
 
-    /// The rest of the pipeline for a request [`lookup`](Self::lookup)
-    /// left pending: single-flight, then the cache's store, compile or
-    /// patch, then register, then price (or the estimate memo).
+    /// Append the `Schedule` reply body answering `request_id` with
+    /// `resident`, laid out from the memo's report and, when the request
+    /// asked for the schedule, the artifact bytes the schedule cache
+    /// keeps ([`SchedCache::artifact`]).
+    pub(crate) fn put_resident_reply(
+        &self,
+        out: &mut Vec<u8>,
+        request_id: u64,
+        want_schedule: bool,
+        resident: &Resident,
+    ) {
+        let Resident {
+            fingerprint,
+            estimate,
+            schedule,
+        } = resident;
+        let artifact = want_schedule.then(|| self.cache.artifact(*fingerprint, schedule));
+        put_schedule_reply(
+            out,
+            request_id,
+            *fingerprint,
+            false,
+            estimate,
+            artifact.as_deref(),
+        );
+    }
+
+    /// The rest of the pipeline for a request [`resident`](Self::resident)
+    /// could not answer: single-flight, then the cache's store, compile
+    /// or patch, then register, then price (or the estimate memo).
     ///
     /// # Errors
     ///
@@ -507,12 +468,9 @@ impl ServiceState {
         let Pending {
             entry,
             key,
-            keys:
-                Keys {
-                    fp,
-                    scheme,
-                    estimate: estimate_key,
-                },
+            fp,
+            scheme,
+            estimate: estimate_key,
             ..
         } = pending;
         let topo = pending.topo.as_ref();
@@ -559,41 +517,23 @@ impl ServiceState {
     }
 }
 
-/// What [`ServiceState::lookup`] made of a request.
-pub(crate) enum Lookup {
-    /// Schedule and estimate were both resident: the reply.
-    Resident(SubmitReply),
-    /// Something must be compiled, patched, priced or read from the
-    /// store: hand this to [`ServiceState::finish`].
-    Pending(Pending),
-}
-
-/// A resident repeat [`ServiceState::lookup_bytes`] answered: what its
-/// `Schedule` reply is laid out from, besides the request id.
-pub(crate) struct Hit {
+/// A request [`ServiceState::resident`] answered: what its reply is made
+/// of, besides the request's id and whether it asked for the schedule.
+pub(crate) struct Resident {
     fingerprint: Fingerprint,
     estimate: Arc<BackendReport>,
-    /// The schedule's artifact, as the cache keeps it; present iff the
-    /// request asked for the schedule.
-    artifact: Option<Arc<[u8]>>,
+    schedule: Arc<Schedule>,
 }
 
-impl Hit {
-    /// Append the reply body answering `request_id` to `out`.
-    pub(crate) fn encode_to(&self, request_id: u64, out: &mut Vec<u8>) {
-        put_schedule_reply(
-            out,
-            request_id,
-            self.fingerprint,
-            false,
-            &self.estimate,
-            self.artifact.as_deref(),
-        );
-    }
-}
-
-/// The keys an admitted request is served under.
-struct Keys {
+/// An admitted request: the registry entry, the built topology, the
+/// instance key and the keys it is served under. Made once per request,
+/// from a canonical body's bytes or from the decoded request, and handed
+/// from [`ServiceState::resident`] to [`ServiceState::finish`] on a miss.
+pub(crate) struct Pending {
+    entry: &'static dyn Scheduler,
+    topo: Box<dyn Topology>,
+    key: InstanceKey,
+    seed: u64,
     /// The schedule fingerprint: the cache and single-flight key.
     fp: Fingerprint,
     scheme: Scheme,
@@ -601,17 +541,50 @@ struct Keys {
     estimate: (u128, u8, u8),
 }
 
-impl Keys {
+impl Pending {
+    /// Admit a canonical `Submit` body, keying the instance from its
+    /// message block ([`InstanceKey::of_block`]). Counts nothing.
+    pub(crate) fn of_view(view: &SubmitView<'_>) -> Result<Pending, ServiceError> {
+        let (entry, topo) =
+            ServiceState::admitted(&view.scheduler, &view.topology, view.block.n())?;
+        let key = InstanceKey::of_block(view.block, topo.as_ref());
+        Ok(Pending::new(
+            entry,
+            topo,
+            key,
+            view.seed,
+            view.scheme,
+            view.backend,
+            &LinkCostModel::Uniform,
+        ))
+    }
+
+    /// Admit a decoded request, keying the instance from its matrix
+    /// ([`InstanceKey::compute`]). Counts nothing.
+    pub(crate) fn of_request(req: &SubmitRequest) -> Result<Pending, ServiceError> {
+        let (entry, topo) = ServiceState::admitted(&req.scheduler, &req.topology, req.matrix.n())?;
+        let key = InstanceKey::compute(&req.matrix, topo.as_ref());
+        Ok(Pending::new(
+            entry,
+            topo,
+            key,
+            req.seed,
+            req.scheme,
+            req.backend,
+            &req.cost_model,
+        ))
+    }
+
     fn new(
-        entry: &dyn Scheduler,
-        instance: InstanceKey,
+        entry: &'static dyn Scheduler,
+        topo: Box<dyn Topology>,
+        key: InstanceKey,
         seed: u64,
         scheme: SchemeChoice,
         backend: BackendKind,
         cost_model: &LinkCostModel,
-    ) -> Keys {
-        let fp = instance.schedule_key(entry.name(), seed);
-        let scheme = scheme.resolve(entry);
+    ) -> Pending {
+        let fp = key.schedule_key(entry.name(), seed);
         // Schedules are cost-model agnostic (the scheduler never sees
         // link prices), so `fp` stays the cache/dedup key. The
         // *estimate* is not: fold the canonical cost string into the
@@ -622,64 +595,16 @@ impl Keys {
         } else {
             fp.with_cost_model(&cost_model.to_string())
         };
-        Keys {
+        let scheme = scheme.resolve(entry);
+        Pending {
+            entry,
+            topo,
+            key,
+            seed,
             fp,
             scheme,
             estimate: (est_fp.0, scheme as u8, backend as u8),
         }
-    }
-}
-
-/// A request's admission, made from its bytes by
-/// [`ServiceState::lookup_bytes`], which the full path takes over: the
-/// registry entry, the built topology and the instance key.
-pub(crate) struct Admitted {
-    entry: &'static dyn Scheduler,
-    topo: Box<dyn Topology>,
-    instance: InstanceKey,
-}
-
-/// An admitted request [`ServiceState::lookup`] could not answer, with
-/// everything it computed on the way: the registry entry, the built
-/// topology, the instance key, and the keys it is served under.
-pub(crate) struct Pending {
-    entry: &'static dyn Scheduler,
-    topo: Box<dyn Topology>,
-    key: InstanceKey,
-    keys: Keys,
-}
-
-impl Pending {
-    /// Admit `req` and compute its keys, or take over `admitted` when the
-    /// caller made it from the request's bytes. Counts nothing.
-    fn admit(req: &SubmitRequest, admitted: Option<Admitted>) -> Result<Pending, ServiceError> {
-        let (entry, topo, key) = match admitted {
-            Some(Admitted {
-                entry,
-                topo,
-                instance,
-            }) => (entry, topo, instance),
-            None => {
-                let (entry, topo) =
-                    ServiceState::admitted(&req.scheduler, &req.topology, req.matrix.n())?;
-                let key = InstanceKey::compute(&req.matrix, topo.as_ref());
-                (entry, topo, key)
-            }
-        };
-        let keys = Keys::new(
-            entry,
-            key,
-            req.seed,
-            req.scheme,
-            req.backend,
-            &req.cost_model,
-        );
-        Ok(Pending {
-            entry,
-            topo,
-            key,
-            keys,
-        })
     }
 }
 
@@ -704,6 +629,7 @@ mod tests {
     use super::*;
     use crate::protocol::SchemeChoice;
     use crate::TopologySpec;
+    use commcache::IncrementalConfig;
     use commrt::{BackendKind, Scheme};
     use commsched::CommMatrix;
     use simnet::LinkCostModel;
@@ -748,6 +674,13 @@ mod tests {
             )
         };
         assert_eq!(counters(&cache), (1, 1));
+        // Replacing a key at capacity does not grow the table: nothing goes.
+        cache.insert((1, 0, 0), report(10), &s);
+        {
+            let entries = cache.entries.lock().unwrap();
+            assert_eq!(entries.len(), 4, "a replace clears nothing");
+            assert_eq!(entries[&(1, 0, 0)].report.makespan_ns, 10);
+        }
         // A report a caller still holds outlives the table it sat in.
         let held = cache.get((3, 0, 0), &s).unwrap();
         cache.insert((4, 0, 0), report(4), &s);
@@ -793,17 +726,11 @@ mod tests {
 
     #[test]
     fn a_resident_answer_replies_and_counts_as_the_worker_path_does() {
-        // `process` is `lookup`, then `finish` when memory cannot answer.
-        // The reference sends every request down the worker path alone
-        // (admit, then `finish`), as the daemon did before resident
+        // `process` is `resident`, then `finish` when memory cannot
+        // answer. The reference sends every request down the worker path
+        // alone (admit, then `finish`), as the daemon did before resident
         // answers: replies and every daemon-visible counter must agree
         // after every step.
-        let config = ServiceConfig {
-            cache: CacheConfig::in_memory().incremental_default(),
-            ..ServiceConfig::default()
-        };
-        let split = ServiceState::new(&config);
-        let reference = ServiceState::new(&config);
         let counters = |s: &ServiceState| {
             (
                 s.cache_stats(),
@@ -824,7 +751,10 @@ mod tests {
         let mut unbuildable = base.clone();
         unbuildable.topology = TopologySpec::FatTree { k: 3 };
         unbuildable.matrix = CommMatrix::new(6);
-        let script = [
+        let mut other = base.clone();
+        other.matrix = CommMatrix::new(8);
+        other.matrix.set(4, 7, 64);
+        let mut script = vec![
             base.clone(),
             base.clone(),
             request(5, BackendKind::Des),
@@ -833,14 +763,34 @@ mod tests {
             priced,
             request(6, BackendKind::Analytic),
             drifted.clone(),
-            drifted,
+            drifted.clone(),
             quiet,
             unbuildable,
             base,
         ];
+        // The bases' budget holds the two the script so far retains (one
+        // per matrix), so `other`'s evicts the least recent, `drifted`'s:
+        // its repeat then has a resident schedule and estimate but no
+        // base, and takes the worker path.
+        let probe = ServiceState::new(&ServiceConfig {
+            cache: CacheConfig::in_memory().incremental_default(),
+            ..ServiceConfig::default()
+        });
+        for req in &script {
+            let _ = probe.process(req);
+        }
+        let bases = IncrementalConfig::default()
+            .with_byte_budget(probe.incremental_stats().unwrap().bytes_in_use);
+        let config = ServiceConfig {
+            cache: CacheConfig::in_memory().with_incremental(bases),
+            ..ServiceConfig::default()
+        };
+        let split = ServiceState::new(&config);
+        let reference = ServiceState::new(&config);
+        script.extend([other, drifted]);
         for (step, req) in script.iter().enumerate() {
             let got = split.process(req);
-            let want = Pending::admit(req, None).and_then(|pending| reference.finish(req, pending));
+            let want = Pending::of_request(req).and_then(|pending| reference.finish(req, pending));
             assert_eq!(got, want, "step {step}: reply");
             assert_eq!(
                 counters(&split),
@@ -848,9 +798,11 @@ mod tests {
                 "step {step}: counters"
             );
         }
-        // Not vacuous: six repeats were answered without a flight.
+        // Not vacuous: six repeats were answered without a flight, and
+        // the last step's base was evicted.
         let leads = |s: &ServiceState| s.flight_stats().leads;
-        assert_eq!((leads(&split), leads(&reference)), (5, 11));
+        assert_eq!((leads(&split), leads(&reference)), (7, 13));
+        assert!(split.incremental_stats().unwrap().evictions > 0);
     }
 
     #[test]
@@ -865,11 +817,8 @@ mod tests {
         let body = Request::Submit(req.clone()).encode();
         let view = SubmitView::parse(&body, &ProtocolLimits::default()).expect("canonical");
         let instance = InstanceKey::compute(&req.matrix, req.topology.build().as_ref());
-        let keyed = |s: &ServiceState| match s.lookup_bytes(&view) {
-            Err(Some(admitted)) => Some(admitted.instance),
-            _ => None,
-        };
-        assert_eq!(keyed(&state), Some(instance));
+        let admitted = || Pending::of_view(&view).unwrap();
+        assert_eq!(admitted().key, instance);
         let first = state.process(&req).unwrap();
         let counters = |s: &ServiceState| {
             let cache = s.cache_stats();
@@ -880,9 +829,9 @@ mod tests {
         // Resident: the reply laid out from the bytes is the reply the
         // decoded path gives, and counts as it does. The kept artifact
         // is metered beside the schedule.
-        let hit = state.lookup_bytes(&view).ok().expect("resident");
+        let hit = state.resident(&admitted()).expect("resident");
         let mut from_bytes = Vec::new();
-        hit.encode_to(req.request_id, &mut from_bytes);
+        state.put_resident_reply(&mut from_bytes, req.request_id, req.want_schedule, &hit);
         let reference = ServiceState::new(&config);
         reference.process(&req).unwrap();
         let decoded = reference.process(&req).unwrap();
@@ -897,14 +846,14 @@ mod tests {
         // On an incremental daemon a memo entry that priced another
         // schedule, even an equal one, does not answer for the resident
         // one: nothing is counted.
-        let keys = Pending::admit(&req, None).unwrap().keys;
+        let decoded = Pending::of_request(&req).unwrap();
         let twin = Arc::new((**first.schedule.as_ref().unwrap()).clone());
         state
             .estimates
-            .insert(keys.estimate, Arc::new(BackendReport::default()), &twin);
+            .insert(decoded.estimate, Arc::new(BackendReport::default()), &twin);
         let before = counters(&state);
-        assert_eq!(keyed(&state), Some(instance));
-        assert!(matches!(state.lookup(&req, None), Ok(Lookup::Pending(_))));
+        assert!(state.resident(&admitted()).is_none());
+        assert!(state.resident(&decoded).is_none());
         assert_eq!(counters(&state), before);
     }
 
