@@ -691,4 +691,45 @@ mod tests {
             handle.shutdown();
         }
     }
+
+    #[test]
+    fn a_worker_answer_keeps_the_artifact_its_reply_carried() {
+        for cache in [
+            CacheConfig::in_memory(),
+            CacheConfig::in_memory().incremental_default(),
+        ] {
+            let endpoint = Endpoint::Unix(std::env::temp_dir().join(format!(
+                "schedd-unit-keep-{}-{}.sock",
+                std::process::id(),
+                cache.incremental.is_some()
+            )));
+            let config = ServiceConfig {
+                cache,
+                ..ServiceConfig::default()
+            };
+            let handle = Server::start(config, &endpoint).expect("daemon starts");
+            let cache = || handle.shared.state.cache_stats();
+            let mut client = Client::connect(&endpoint).expect("connect");
+            let matrix = workloads::random_dregular(64, 8, 1024, 9);
+            // A miss, answered by a worker: its reply's artifact is kept
+            // beside the schedule, metered by the byte budget, by the time
+            // the reply arrives.
+            let first = client.submit(submit(&matrix, true)).unwrap();
+            assert!(first.freshly_compiled);
+            let schedule = first.schedule.as_ref().unwrap();
+            let artifact = commcache::encode_artifact(first.fingerprint, schedule);
+            let kept = commcache::schedule_weight_bytes(schedule) + artifact.len();
+            assert_eq!(cache().bytes_in_use, kept, "the worker's artifact is kept");
+            // The resident repeat is answered with those bytes: nothing
+            // is kept a second time.
+            let again = client.submit(submit(&matrix, true)).unwrap();
+            assert!(!again.freshly_compiled);
+            assert_eq!(again.schedule, first.schedule);
+            let stats = cache();
+            assert_eq!(stats.bytes_in_use, kept, "the repeat kept nothing more");
+            assert_eq!((stats.mem_hits, stats.insertions), (1, 1));
+            drop(client);
+            handle.shutdown();
+        }
+    }
 }
