@@ -70,16 +70,6 @@ impl PathsTable {
         }
         true
     }
-
-    /// Check and, if free, atomically mark. Returns whether the circuit was
-    /// reserved.
-    pub fn try_claim(&mut self, links: &[LinkId], ops: &mut u64) -> bool {
-        let free = self.check(links, ops);
-        if free {
-            self.mark(links);
-        }
-        free
-    }
 }
 
 #[cfg(test)]
@@ -102,6 +92,8 @@ mod tests {
         assert!(!t.check(&route(&cube, 1, 7), &mut ops));
         // 4->6 uses (4,d1): free.
         assert!(t.check(&route(&cube, 4, 6), &mut ops));
+        // Reverse circuits never collide with forward ones (directed links).
+        assert!(t.check(&route(&cube, 3, 0), &mut ops));
         assert!(ops > 0);
     }
 
@@ -114,17 +106,6 @@ mod tests {
         assert!(!t.check(&route(&cube, 0, 7), &mut ops));
         t.clear();
         assert!(t.check(&route(&cube, 0, 7), &mut ops));
-    }
-
-    #[test]
-    fn try_claim_is_atomic() {
-        let cube = Hypercube::new(3);
-        let mut t = PathsTable::new(&cube);
-        let mut ops = 0;
-        assert!(t.try_claim(&route(&cube, 0, 3), &mut ops));
-        assert!(!t.try_claim(&route(&cube, 1, 7), &mut ops));
-        // Reverse circuits never collide with forward ones (directed links).
-        assert!(t.try_claim(&route(&cube, 3, 0), &mut ops));
     }
 
     #[test]

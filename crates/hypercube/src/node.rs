@@ -15,15 +15,6 @@ impl NodeId {
         self.0 as usize
     }
 
-    /// The neighbour of this node across hypercube dimension `dim`.
-    ///
-    /// Only meaningful on a hypercube topology; on other topologies use
-    /// [`crate::Topology::route`].
-    #[inline]
-    pub fn cube_neighbor(self, dim: u32) -> NodeId {
-        NodeId(self.0 ^ (1 << dim))
-    }
-
     /// Hamming distance to `other` — the hypercube hop distance.
     #[inline]
     pub fn hamming(self, other: NodeId) -> u32 {
@@ -60,23 +51,6 @@ impl From<u32> for NodeId {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cube_neighbor_flips_one_bit() {
-        let n = NodeId(0b1010);
-        assert_eq!(n.cube_neighbor(0), NodeId(0b1011));
-        assert_eq!(n.cube_neighbor(1), NodeId(0b1000));
-        assert_eq!(n.cube_neighbor(3), NodeId(0b0010));
-    }
-
-    #[test]
-    fn neighbor_is_involution() {
-        for v in 0..64u32 {
-            for d in 0..6 {
-                assert_eq!(NodeId(v).cube_neighbor(d).cube_neighbor(d), NodeId(v));
-            }
-        }
-    }
 
     #[test]
     fn hamming_distance() {
