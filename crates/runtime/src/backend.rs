@@ -38,7 +38,7 @@ use simnet::{
     ExecMode, LinkCostModel, LoadModel, MachineParams, PortModel, SimError, TraceKind, TransferSpec,
 };
 
-use crate::compile::compile;
+use crate::compile::{compile, tag_phase};
 use crate::Scheme;
 
 /// Contention pressure of one estimated (or simulated) run.
@@ -251,15 +251,15 @@ impl SimBackend for DesBackend {
         let mut contended_phase = vec![false; phases];
         for ev in &trace {
             let key = (ev.src.0, ev.dst.0, ev.tag.0);
-            // Data traffic carries even tags (`data_tag`); ready signals
-            // are odd and do not mark phase completion.
-            let phase = (ev.tag.0 as usize / 2).min(phases - 1);
+            // Ready signals do not mark phase completion.
+            let (phase, data) = tag_phase(ev.tag);
+            let phase = phase.min(phases - 1);
             match ev.kind {
                 TraceKind::Requested => {
                     requested.entry(key).or_insert(ev.time_ns);
                 }
                 TraceKind::Started => {
-                    if ev.tag.0 % 2 == 0 {
+                    if data {
                         if let Some(&req) = requested.get(&key) {
                             if ev.time_ns > req + params.send_overhead_ns {
                                 contended_phase[phase] = true;
@@ -268,7 +268,7 @@ impl SimBackend for DesBackend {
                     }
                 }
                 TraceKind::Finished | TraceKind::Copied => {
-                    if ev.tag.0 % 2 == 0 {
+                    if data {
                         phase_end_ns[phase] = phase_end_ns[phase].max(ev.time_ns);
                     }
                 }

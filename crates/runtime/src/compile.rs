@@ -14,6 +14,13 @@ fn ready_tag(phase: usize) -> Tag {
     Tag(phase as u32 * 2 + 1)
 }
 
+/// The inverse of [`data_tag`] and [`ready_tag`]: the phase a tag was set
+/// for, and whether it tags the data message rather than a ready signal.
+#[inline]
+pub(crate) fn tag_phase(tag: Tag) -> (usize, bool) {
+    (tag.0 as usize / 2, tag.0.is_multiple_of(2))
+}
+
 /// Compile `(matrix, schedule, scheme)` into one executable program per
 /// node.
 ///
@@ -197,6 +204,14 @@ mod tests {
 
     fn com_and_cube() -> (CommMatrix, Hypercube) {
         (workloads::random_dense(16, 4, 2048, 3), Hypercube::new(4))
+    }
+
+    #[test]
+    fn tag_phase_inverts_both_tags() {
+        for k in [0, 1, 7, 1000] {
+            assert_eq!(tag_phase(data_tag(k)), (k, true));
+            assert_eq!(tag_phase(ready_tag(k)), (k, false));
+        }
     }
 
     #[test]
