@@ -12,9 +12,13 @@
 //! The daemon is a pipeline of separately-testable stages:
 //!
 //! ```text
-//! decode ─ admission ─ dedup/batch ─ compile ─ simulate ─ encode
-//! (protocol) (server)   (dedup)    (commcache) (commrt)  (protocol)
+//! decode ─ admission ─┬─ resident answer (reader) ─────────────────────────┬─ reply
+//!                     └─ queue ─ dedup/batch ─ compile ─ simulate (worker) ┘
+//! (protocol) (server)    (queue) (dedup)       (commcache) (commrt)           (service)
 //! ```
+//!
+//! The reader answers a resident repeat before the queue and dedup;
+//! either way one writer lays the reply out.
 //!
 //! * [`protocol`] — the framed wire format: length-prefixed,
 //!   checksummed, hardened against truncation/corruption/hostile

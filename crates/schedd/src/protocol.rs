@@ -528,15 +528,17 @@ fn backend_from_code(code: u8) -> Option<BackendKind> {
 
 /// What `Submit` and `SubmitDelta` share, in wire order: the frame kind
 /// byte, these seven fields, the frame's own payload, then the trailing
-/// optional cost model ([`put_cost_model`] / [`decode_cost_model`]).
-struct Envelope<'a> {
-    request_id: u64,
-    want_schedule: bool,
-    topology: Cow<'a, TopologyKind>,
-    scheduler: Cow<'a, str>,
-    scheme: SchemeChoice,
-    backend: BackendKind,
-    seed: u64,
+/// optional cost model ([`put_cost_model`] / [`decode_cost_model`]). The
+/// daemon admits a request from its envelope
+/// ([`crate::service`]'s `Pending`) and echoes its id and flag.
+pub(crate) struct Envelope<'a> {
+    pub(crate) request_id: u64,
+    pub(crate) want_schedule: bool,
+    pub(crate) topology: Cow<'a, TopologyKind>,
+    pub(crate) scheduler: Cow<'a, str>,
+    pub(crate) scheme: SchemeChoice,
+    pub(crate) backend: BackendKind,
+    pub(crate) seed: u64,
 }
 
 impl Envelope<'_> {
@@ -664,7 +666,8 @@ pub struct SubmitRequest {
 }
 
 impl SubmitRequest {
-    fn envelope(&self) -> Envelope<'_> {
+    /// The envelope heading this request, borrowing its fields.
+    pub(crate) fn envelope(&self) -> Envelope<'_> {
         Envelope {
             request_id: self.request_id,
             want_schedule: self.want_schedule,
@@ -720,10 +723,11 @@ impl SubmitRequest {
     }
 }
 
-/// A `Submit` body read only as far as recognising a repeat needs, its
-/// matrix block borrowed from the body: the daemon's reader keys the
-/// instance from these bytes ([`InstanceKey::of_block`]) and answers a
-/// resident repeat without building the matrix.
+/// A `Submit` body read only as far as recognising a repeat needs: its
+/// envelope, and its matrix block borrowed from the body. The daemon's
+/// reader admits the request from the envelope, keys the instance from
+/// the block's bytes ([`InstanceKey::of_block`]) and answers a resident
+/// repeat without building the matrix.
 ///
 /// [`parse`](Self::parse) accepts a body only when the full
 /// [`Request::decode_with`] accepts it too, with the same fields, a
@@ -732,13 +736,7 @@ impl SubmitRequest {
 /// cost-model string) is `None`, and the caller decodes the long way,
 /// which words every error.
 pub(crate) struct SubmitView<'a> {
-    pub(crate) request_id: u64,
-    pub(crate) want_schedule: bool,
-    pub(crate) topology: TopologyKind,
-    pub(crate) scheduler: Cow<'a, str>,
-    pub(crate) scheme: SchemeChoice,
-    pub(crate) backend: BackendKind,
-    pub(crate) seed: u64,
+    pub(crate) head: Envelope<'a>,
     pub(crate) block: MatrixBlock<'a>,
 }
 
@@ -752,16 +750,7 @@ impl<'a> SubmitView<'a> {
         let block = rd.canonical_messages(n)?;
         // Nothing may follow: a uniform request carries no cost model.
         rd.finish().ok()?;
-        Some(SubmitView {
-            request_id: head.request_id,
-            want_schedule: head.want_schedule,
-            topology: head.topology.into_owned(),
-            scheduler: head.scheduler,
-            scheme: head.scheme,
-            backend: head.backend,
-            seed: head.seed,
-            block,
-        })
+        Some(SubmitView { head, block })
     }
 }
 
@@ -1066,8 +1055,8 @@ pub struct SubmitReply {
 }
 
 /// Append a whole `Schedule` reply body: the one layout of that frame,
-/// from its parts. [`SubmitReply`] encodes through it, and so does a
-/// resident repeat, straight from the estimate memo's report and the
+/// from its parts. [`SubmitReply`] encodes through it, and so does every
+/// answer the daemon writes, straight from the estimate's report and the
 /// artifact bytes the schedule cache keeps
 /// ([`commcache::SchedCache::artifact`]); `artifact` is present iff the
 /// request asked for the schedule.

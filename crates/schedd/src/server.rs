@@ -7,7 +7,8 @@
 //! * one **reader per connection** reads frames through a buffer (one
 //!   `read` syscall per frame) and runs the admission stage on every
 //!   `Submit`: drain check → admission (registry/topology validation and
-//!   keys, one [`ServiceState`] `Pending`) → the service's resident
+//!   keys from the request's envelope, one [`ServiceState`] `Pending`) →
+//!   the service's resident
 //!   answer → per-client quota → bounded-queue push. Admission has two
 //!   front ends. A `Submit` body whose envelope checks out, whose cost
 //!   model is uniform and whose messages are already canonical
@@ -16,19 +17,22 @@
 //!   cannot answer it; every other frame is decoded in full first, and a
 //!   `SubmitDelta` is resolved against its retained base. Either way, a
 //!   request whose schedule and estimate are both resident is answered
-//!   right there, by the reader, with a reply laid out from the memo's
-//!   report and the artifact bytes the schedule cache keeps: it occupies
-//!   no worker, so it skips the quota and the queue, and a canonical one
-//!   builds no matrix, serialises no matrix and encodes no schedule.
-//!   Every rejection is a typed error frame; the connection stays
-//!   healthy;
+//!   right there, by the reader: it occupies no worker, so it skips the
+//!   quota and the queue, and a canonical one builds no matrix,
+//!   serialises no matrix and encodes no schedule. Every rejection is a
+//!   typed error frame; the connection stays healthy;
 //! * a fixed pool of **workers** pops the jobs memory could not answer —
 //!   what must be read from the store, compiled, patched or priced, or
 //!   (incremental daemon) whose patch base must be retained again — and
-//!   finishes the [`ServiceState`] pipeline on them. Readers and workers
-//!   write responses under the connection's writer lock, which is why
-//!   responses can overtake each other and every frame echoes its
-//!   `request_id`.
+//!   finishes the [`ServiceState`] pipeline on them.
+//!
+//! A reader and a worker answer alike: the service hands back one answer,
+//! and one writer ([`ServiceState`]'s `put_reply`) lays the `Schedule`
+//! frame out from the estimate's report and the artifact bytes the
+//! schedule cache keeps beside the schedule, so the reply to a miss keeps
+//! the artifact its repeats are answered with. Readers and workers write
+//! responses under the connection's writer lock, which is why responses
+//! can overtake each other and every frame echoes its `request_id`.
 //!
 //! A pipelining client must keep reading its replies. A reader whose
 //! answer does not fit the socket's buffers blocks in the write, and
@@ -56,7 +60,7 @@ use crate::protocol::{
     Response, SubmitRequest, SubmitView,
 };
 use crate::queue::{BoundedQueue, PushError};
-use crate::service::{Pending, ServiceConfig, ServiceState};
+use crate::service::{Answer, Pending, ServiceConfig, ServiceState};
 
 /// One admitted request memory could not answer, on its way to the
 /// worker pool with its admission and keys.
@@ -157,23 +161,38 @@ impl Shared {
         }
     }
 
-    /// Write one response frame under the connection's writer lock and
-    /// count it (see [`send`](Self::send)).
-    fn answer(&self, writer: &Arc<Mutex<Stream>>, resp: &Response) {
-        let mut frame = Vec::new();
-        begin_frame(&mut frame);
-        resp.encode_to(&mut frame);
-        self.send(writer, &mut frame, matches!(resp, Response::Schedule(_)));
+    /// Write the `Schedule` reply answering `request_id` with `answer`,
+    /// laid out by [`ServiceState::put_reply`] (see [`write`](Self::write)).
+    fn write_answer(
+        &self,
+        writer: &Arc<Mutex<Stream>>,
+        request_id: u64,
+        want_schedule: bool,
+        answer: &Answer,
+    ) {
+        self.write(writer, true, |frame| {
+            self.state
+                .put_reply(frame, request_id, want_schedule, answer);
+        });
     }
 
-    /// Seal `frame` (begun with [`begin_frame`]), write it under the
-    /// connection's writer lock and count it: `completed` for a schedule
-    /// that reached the socket, `write_failures` for any frame that did
-    /// not. A dead client is not the daemon's problem beyond that count.
-    fn send(&self, writer: &Arc<Mutex<Stream>>, frame: &mut Vec<u8>, schedule: bool) {
-        let written = seal_frame(frame).and_then(|()| {
+    /// Write any other response (see [`write`](Self::write)).
+    fn write_response(&self, writer: &Arc<Mutex<Stream>>, resp: &Response) {
+        self.write(writer, false, |frame| resp.encode_to(frame));
+    }
+
+    /// Lay one frame's body out with `put`, seal the frame, write it under
+    /// the connection's writer lock and count it: `completed` for a
+    /// `schedule` that reached the socket, `write_failures` for any frame
+    /// that did not. A dead client is not the daemon's problem beyond that
+    /// count.
+    fn write(&self, writer: &Arc<Mutex<Stream>>, schedule: bool, put: impl FnOnce(&mut Vec<u8>)) {
+        let mut frame = Vec::new();
+        begin_frame(&mut frame);
+        put(&mut frame);
+        let written = seal_frame(&mut frame).and_then(|()| {
             let mut stream = writer.lock().expect("writer lock");
-            stream.write_all(frame).and_then(|()| stream.flush())
+            stream.write_all(&frame).and_then(|()| stream.flush())
         });
         let counter = match (schedule, written.is_ok()) {
             (true, true) => &self.counters.completed,
@@ -183,7 +202,7 @@ impl Shared {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// [`answer`](Self::answer) with an error frame.
+    /// [`write_response`](Self::write_response) with an error frame.
     fn write_error(
         &self,
         writer: &Arc<Mutex<Stream>>,
@@ -196,7 +215,7 @@ impl Shared {
             code,
             detail,
         });
-        self.answer(writer, &resp);
+        self.write_response(writer, &resp);
     }
 }
 
@@ -466,10 +485,10 @@ fn handle_request(
     match req {
         Request::Stats { request_id } => {
             let stats = shared.stats();
-            shared.answer(writer, &Response::Stats { request_id, stats });
+            shared.write_response(writer, &Response::Stats { request_id, stats });
         }
         Request::Shutdown { request_id } => {
-            shared.answer(writer, &Response::ShutdownAck { request_id });
+            shared.write_response(writer, &Response::ShutdownAck { request_id });
             shared.request_drain();
         }
         Request::Submit(req) => handle_submit(Submit::Decoded(req), writer, conn, shared),
@@ -514,7 +533,7 @@ fn handle_submit(
 ) {
     shared.counters.submits.fetch_add(1, Ordering::Relaxed);
     let (request_id, want_schedule) = match &submit {
-        Submit::Body(_, view) => (view.request_id, view.want_schedule),
+        Submit::Body(_, view) => (view.head.request_id, view.head.want_schedule),
         Submit::Decoded(req) => (req.request_id, req.want_schedule),
     };
     if shared.is_draining() {
@@ -542,13 +561,8 @@ fn handle_submit(
             return;
         }
     };
-    if let Some(resident) = shared.state.resident(&pending) {
-        let mut frame = Vec::new();
-        begin_frame(&mut frame);
-        shared
-            .state
-            .put_resident_reply(&mut frame, request_id, want_schedule, &resident);
-        shared.send(writer, &mut frame, true);
+    if let Some(answer) = shared.state.resident(&pending) {
+        shared.write_answer(writer, request_id, want_schedule, &answer);
         return;
     }
     let req = match submit {
@@ -612,18 +626,14 @@ fn handle_submit(
 /// Worker: pop, finish the pipeline, write the answer.
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.queue.pop() {
-        let resp = match shared.state.finish(&job.req, job.pending) {
-            Ok(reply) => Response::Schedule(reply),
+        let (request_id, writer) = (job.req.request_id, &job.writer);
+        match shared.state.finish(&job.req, job.pending) {
+            Ok(answer) => shared.write_answer(writer, request_id, job.req.want_schedule, &answer),
             Err(e) => {
                 shared.counters.errors_other.fetch_add(1, Ordering::Relaxed);
-                Response::Error(ErrorReply {
-                    request_id: job.req.request_id,
-                    code: e.code(),
-                    detail: e.to_string(),
-                })
+                shared.write_error(writer, request_id, e.code(), e.to_string());
             }
-        };
-        shared.answer(&job.writer, &resp);
+        }
         job.conn.inflight.fetch_sub(1, Ordering::AcqRel);
         shared.counters.inflight.fetch_sub(1, Ordering::Relaxed);
     }

@@ -12,21 +12,29 @@
 //! `process` is three steps, and the server runs them on different
 //! threads:
 //!
-//! * A `Pending` admits the request (registry entry, size check, built
-//!   topology) and computes its instance key and fingerprint. It has two
-//!   front ends: a canonical `Submit` body is keyed from its bytes
+//! * A `Pending` admits the request from its envelope (registry entry,
+//!   size check, built topology) and computes its instance key and
+//!   fingerprint. Its two front ends differ only in how the instance is
+//!   keyed: a canonical `Submit` body from its bytes
 //!   ([`InstanceKey::of_block`], see [`crate::protocol`]'s `SubmitView`),
 //!   so a repeat builds no matrix; a decoded request, resolved delta
-//!   included, is keyed from its matrix ([`InstanceKey::compute`]).
+//!   included, from its matrix ([`InstanceKey::compute`]).
 //! * `resident` answers it from memory when the schedule and the memo's
 //!   estimate of it are both resident (see
 //!   [`SchedCache::get_resident`]). It never compiles, patches, prices or
 //!   reads the artifact store, so the connection's reader runs it and a
-//!   repeat never waits for a worker; the reader lays the reply out from
-//!   the artifact bytes the schedule cache keeps.
+//!   repeat never waits for a worker.
 //! * Otherwise a worker runs `finish` on the same `Pending`:
 //!   single-flight, then store, compile or patch, then register, then
 //!   price.
+//!
+//! Either step hands back one `Answer`: the fingerprint, whether this
+//! request's flight produced the schedule, the estimate and the schedule.
+//! `put_reply` lays every `Schedule` frame the daemon writes out of an
+//! `Answer`, a reader's or a worker's, with the artifact bytes the
+//! schedule cache keeps beside the schedule ([`SchedCache::artifact`]),
+//! so a schedule's artifact is encoded once while it stays resident;
+//! `process` turns its `Answer` into a [`SubmitReply`].
 //!
 //! A resident answer counts exactly what `finish` counts for a hit; a
 //! `Pending` has counted nothing. Three layers of reuse sit in front of
@@ -51,7 +59,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 
 use commcache::{CacheConfig, CacheStats, Fingerprint, InstanceKey, SchedCache};
-use commrt::{BackendKind, BackendReport, Scheme};
+use commrt::{BackendReport, Scheme};
 use commsched::{registry, Schedule, Scheduler};
 use hypercube::Topology;
 use simnet::{LinkCostModel, MachineParams};
@@ -59,7 +67,7 @@ use topo::TopologyKind;
 
 use crate::dedup::{FlightStats, SingleFlight};
 use crate::protocol::{
-    put_schedule_reply, ErrorCode, ProtocolLimits, SchemeChoice, SubmitDeltaRequest, SubmitReply,
+    put_schedule_reply, Envelope, ErrorCode, ProtocolLimits, SubmitDeltaRequest, SubmitReply,
     SubmitRequest, SubmitView,
 };
 
@@ -383,16 +391,17 @@ impl ServiceState {
     /// callers still get typed errors), plus [`ServiceError::Sim`].
     pub fn process(&self, req: &SubmitRequest) -> Result<SubmitReply, ServiceError> {
         let pending = Pending::of_request(req)?;
-        match self.resident(&pending) {
-            Some(resident) => Ok(reply(
-                req,
-                resident.fingerprint,
-                false,
-                &resident.estimate,
-                resident.schedule,
-            )),
-            None => self.finish(req, pending),
-        }
+        let answer = match self.resident(&pending) {
+            Some(answer) => answer,
+            None => self.finish(req, pending)?,
+        };
+        Ok(SubmitReply {
+            request_id: req.request_id,
+            fingerprint: answer.fingerprint,
+            freshly_compiled: answer.freshly_compiled,
+            estimate: (*answer.estimate).clone(),
+            schedule: req.want_schedule.then_some(answer.schedule),
+        })
     }
 
     /// Answer an admitted request from memory: its schedule and the
@@ -407,7 +416,7 @@ impl ServiceState {
     /// memo priced another schedule, or (incremental layer on) its patch
     /// base is no longer retained, which only `finish`, holding the
     /// matrix, can retain again.
-    pub(crate) fn resident(&self, pending: &Pending) -> Option<Resident> {
+    pub(crate) fn resident(&self, pending: &Pending) -> Option<Answer> {
         // The estimate is peeked first, uncounted: only a resident
         // schedule the memo priced makes either lookup count.
         let memo = self.estimates.peek(pending.estimate)?;
@@ -419,36 +428,34 @@ impl ServiceState {
             pending.seed,
         )?;
         self.estimates.hits.fetch_add(1, Ordering::Relaxed);
-        Some(Resident {
+        Some(Answer {
             fingerprint: pending.fp,
+            freshly_compiled: false,
             estimate: memo.report,
             schedule,
         })
     }
 
     /// Append the `Schedule` reply body answering `request_id` with
-    /// `resident`, laid out from the memo's report and, when the request
-    /// asked for the schedule, the artifact bytes the schedule cache
-    /// keeps ([`SchedCache::artifact`]).
-    pub(crate) fn put_resident_reply(
+    /// `answer`: every such frame the daemon writes, a reader's or a
+    /// worker's. When the request asked for the schedule, its artifact is
+    /// the bytes the schedule cache keeps beside it
+    /// ([`SchedCache::artifact`]), encoded once while it stays resident.
+    pub(crate) fn put_reply(
         &self,
         out: &mut Vec<u8>,
         request_id: u64,
         want_schedule: bool,
-        resident: &Resident,
+        answer: &Answer,
     ) {
-        let Resident {
-            fingerprint,
-            estimate,
-            schedule,
-        } = resident;
-        let artifact = want_schedule.then(|| self.cache.artifact(*fingerprint, schedule));
+        let artifact =
+            want_schedule.then(|| self.cache.artifact(answer.fingerprint, &answer.schedule));
         put_schedule_reply(
             out,
             request_id,
-            *fingerprint,
-            false,
-            estimate,
+            answer.fingerprint,
+            answer.freshly_compiled,
+            &answer.estimate,
             artifact.as_deref(),
         );
     }
@@ -464,7 +471,7 @@ impl ServiceState {
         &self,
         req: &SubmitRequest,
         pending: Pending,
-    ) -> Result<SubmitReply, ServiceError> {
+    ) -> Result<Answer, ServiceError> {
         let Pending {
             entry,
             key,
@@ -513,14 +520,22 @@ impl ServiceState {
                 report
             }
         };
-        Ok(reply(req, fp, freshly_compiled, &estimate, schedule))
+        Ok(Answer {
+            fingerprint: fp,
+            freshly_compiled,
+            estimate,
+            schedule,
+        })
     }
 }
 
-/// A request [`ServiceState::resident`] answered: what its reply is made
-/// of, besides the request's id and whether it asked for the schedule.
-pub(crate) struct Resident {
+/// A served request, from [`ServiceState::resident`] or
+/// [`ServiceState::finish`]: what its reply is made of, besides the
+/// request's id and whether it asked for the schedule.
+pub(crate) struct Answer {
     fingerprint: Fingerprint,
+    /// Whether this request's flight produced the schedule.
+    freshly_compiled: bool,
     estimate: Arc<BackendReport>,
     schedule: Arc<Schedule>,
 }
@@ -545,46 +560,32 @@ impl Pending {
     /// Admit a canonical `Submit` body, keying the instance from its
     /// message block ([`InstanceKey::of_block`]). Counts nothing.
     pub(crate) fn of_view(view: &SubmitView<'_>) -> Result<Pending, ServiceError> {
-        let (entry, topo) =
-            ServiceState::admitted(&view.scheduler, &view.topology, view.block.n())?;
-        let key = InstanceKey::of_block(view.block, topo.as_ref());
-        Ok(Pending::new(
-            entry,
-            topo,
-            key,
-            view.seed,
-            view.scheme,
-            view.backend,
-            &LinkCostModel::Uniform,
-        ))
+        let uniform = &LinkCostModel::Uniform;
+        Pending::new(&view.head, view.block.n(), uniform, |topo| {
+            InstanceKey::of_block(view.block, topo)
+        })
     }
 
     /// Admit a decoded request, keying the instance from its matrix
     /// ([`InstanceKey::compute`]). Counts nothing.
     pub(crate) fn of_request(req: &SubmitRequest) -> Result<Pending, ServiceError> {
-        let (entry, topo) = ServiceState::admitted(&req.scheduler, &req.topology, req.matrix.n())?;
-        let key = InstanceKey::compute(&req.matrix, topo.as_ref());
-        Ok(Pending::new(
-            entry,
-            topo,
-            key,
-            req.seed,
-            req.scheme,
-            req.backend,
-            &req.cost_model,
-        ))
+        Pending::new(&req.envelope(), req.matrix.n(), &req.cost_model, |topo| {
+            InstanceKey::compute(&req.matrix, topo)
+        })
     }
 
+    /// Admit the request `head` opens, whose matrix spans `n` nodes and
+    /// whose estimate is priced under `cost_model`; `key` keys its
+    /// instance on the built topology.
     fn new(
-        entry: &'static dyn Scheduler,
-        topo: Box<dyn Topology>,
-        key: InstanceKey,
-        seed: u64,
-        scheme: SchemeChoice,
-        backend: BackendKind,
+        head: &Envelope<'_>,
+        n: usize,
         cost_model: &LinkCostModel,
-    ) -> Pending {
-        let fp = key.schedule_key(entry.name(), seed);
+        key: impl FnOnce(&dyn Topology) -> InstanceKey,
+    ) -> Result<Pending, ServiceError> {
+        let (entry, topo) = ServiceState::admitted(&head.scheduler, &head.topology, n)?;
+        let key = key(topo.as_ref());
+        let fp = key.schedule_key(entry.name(), head.seed);
         // Schedules are cost-model agnostic (the scheduler never sees
         // link prices), so `fp` stays the cache/dedup key. The
         // *estimate* is not: fold the canonical cost string into the
@@ -595,32 +596,16 @@ impl Pending {
         } else {
             fp.with_cost_model(&cost_model.to_string())
         };
-        let scheme = scheme.resolve(entry);
-        Pending {
+        let scheme = head.scheme.resolve(entry);
+        Ok(Pending {
             entry,
             topo,
             key,
-            seed,
+            seed: head.seed,
             fp,
             scheme,
-            estimate: (est_fp.0, scheme as u8, backend as u8),
-        }
-    }
-}
-
-fn reply(
-    req: &SubmitRequest,
-    fingerprint: Fingerprint,
-    freshly_compiled: bool,
-    estimate: &BackendReport,
-    schedule: Arc<Schedule>,
-) -> SubmitReply {
-    SubmitReply {
-        request_id: req.request_id,
-        fingerprint,
-        freshly_compiled,
-        estimate: estimate.clone(),
-        schedule: req.want_schedule.then_some(schedule),
+            estimate: (est_fp.0, scheme as u8, head.backend as u8),
+        })
     }
 }
 
@@ -726,11 +711,12 @@ mod tests {
 
     #[test]
     fn a_resident_answer_replies_and_counts_as_the_worker_path_does() {
-        // `process` is `resident`, then `finish` when memory cannot
-        // answer. The reference sends every request down the worker path
-        // alone (admit, then `finish`), as the daemon did before resident
-        // answers: replies and every daemon-visible counter must agree
-        // after every step.
+        // The daemon answers with `resident`, then `finish` when memory
+        // cannot, and lays either answer out with `put_reply`. The
+        // reference sends every request down the worker path alone (admit,
+        // then `finish`), as the daemon did before resident answers: reply
+        // frames and every daemon-visible counter must agree after every
+        // step.
         let counters = |s: &ServiceState| {
             (
                 s.cache_stats(),
@@ -789,9 +775,23 @@ mod tests {
         let reference = ServiceState::new(&config);
         script.extend([other, drifted]);
         for (step, req) in script.iter().enumerate() {
-            let got = split.process(req);
+            let frame = |state: &ServiceState, answer: Result<Answer, ServiceError>| {
+                answer.map(|answer| {
+                    let mut out = Vec::new();
+                    state.put_reply(&mut out, req.request_id, req.want_schedule, &answer);
+                    out
+                })
+            };
+            let got = Pending::of_request(req).and_then(|pending| match split.resident(&pending) {
+                Some(answer) => Ok(answer),
+                None => split.finish(req, pending),
+            });
             let want = Pending::of_request(req).and_then(|pending| reference.finish(req, pending));
-            assert_eq!(got, want, "step {step}: reply");
+            assert_eq!(
+                frame(&split, got),
+                frame(&reference, want),
+                "step {step}: reply"
+            );
             assert_eq!(
                 counters(&split),
                 counters(&reference),
@@ -831,7 +831,7 @@ mod tests {
         // is metered beside the schedule.
         let hit = state.resident(&admitted()).expect("resident");
         let mut from_bytes = Vec::new();
-        state.put_resident_reply(&mut from_bytes, req.request_id, req.want_schedule, &hit);
+        state.put_reply(&mut from_bytes, req.request_id, req.want_schedule, &hit);
         let reference = ServiceState::new(&config);
         reference.process(&req).unwrap();
         let decoded = reference.process(&req).unwrap();
@@ -855,6 +855,46 @@ mod tests {
         assert!(state.resident(&admitted()).is_none());
         assert!(state.resident(&decoded).is_none());
         assert_eq!(counters(&state), before);
+    }
+
+    #[test]
+    fn a_worker_answer_and_its_repeats_share_one_kept_artifact() {
+        for cache in [
+            CacheConfig::in_memory(),
+            CacheConfig::in_memory().incremental_default(),
+        ] {
+            let state = ServiceState::new(&ServiceConfig {
+                cache,
+                ..ServiceConfig::default()
+            });
+            let req = request(5, BackendKind::Analytic);
+            let pending = Pending::of_request(&req).unwrap();
+            assert!(state.resident(&pending).is_none());
+            let answer = state.finish(&req, pending).unwrap();
+            let reply = |answer: &Answer| {
+                let mut out = Vec::new();
+                state.put_reply(&mut out, req.request_id, true, answer);
+                out
+            };
+            let first = reply(&answer);
+            // The worker's reply kept its artifact beside the schedule.
+            let weight = commcache::schedule_weight_bytes(&answer.schedule);
+            let kept = state.cache.artifact(answer.fingerprint, &answer.schedule);
+            assert_eq!(state.cache_stats().bytes_in_use, weight + kept.len());
+            // A resident repeat is laid out from those very bytes.
+            let again = state.resident(&Pending::of_request(&req).unwrap()).unwrap();
+            let repeat = reply(&again);
+            let still = state.cache.artifact(again.fingerprint, &again.schedule);
+            assert!(Arc::ptr_eq(&kept, &still), "the artifact was encoded again");
+            assert_eq!(state.cache_stats().bytes_in_use, weight + kept.len());
+            // Only the freshly-compiled flag tells the two replies apart.
+            let flag = 1 + 8 + 16;
+            assert_eq!((first[flag], repeat[flag]), (1, 0));
+            assert_eq!(
+                (&first[..flag], &first[flag + 1..]),
+                (&repeat[..flag], &repeat[flag + 1..])
+            );
+        }
     }
 
     #[test]
