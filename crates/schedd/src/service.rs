@@ -560,10 +560,12 @@ impl Pending {
     /// Admit a canonical `Submit` body, keying the instance from its
     /// message block ([`InstanceKey::of_block`]). Counts nothing.
     pub(crate) fn of_view(view: &SubmitView<'_>) -> Result<Pending, ServiceError> {
-        let uniform = &LinkCostModel::Uniform;
-        Pending::new(&view.head, view.block.n(), uniform, |topo| {
-            InstanceKey::of_block(view.block, topo)
-        })
+        Pending::new(
+            &view.head,
+            view.block.n(),
+            &LinkCostModel::Uniform,
+            |topo| InstanceKey::of_block(view.block, topo),
+        )
     }
 
     /// Admit a decoded request, keying the instance from its matrix
@@ -878,15 +880,17 @@ mod tests {
             };
             let first = reply(&answer);
             // The worker's reply kept its artifact beside the schedule.
-            let weight = commcache::schedule_weight_bytes(&answer.schedule);
+            let in_use = state.cache_stats().bytes_in_use;
             let kept = state.cache.artifact(answer.fingerprint, &answer.schedule);
-            assert_eq!(state.cache_stats().bytes_in_use, weight + kept.len());
-            // A resident repeat is laid out from those very bytes.
+            let weight = commcache::schedule_weight_bytes(&answer.schedule);
+            assert_eq!(in_use, weight + kept.len());
+            // A resident repeat is laid out from those very bytes: nothing
+            // is encoded or kept again.
             let again = state.resident(&Pending::of_request(&req).unwrap()).unwrap();
             let repeat = reply(&again);
+            assert_eq!(state.cache_stats().bytes_in_use, in_use);
             let still = state.cache.artifact(again.fingerprint, &again.schedule);
             assert!(Arc::ptr_eq(&kept, &still), "the artifact was encoded again");
-            assert_eq!(state.cache_stats().bytes_in_use, weight + kept.len());
             // Only the freshly-compiled flag tells the two replies apart.
             let flag = 1 + 8 + 16;
             assert_eq!((first[flag], repeat[flag]), (1, 0));
