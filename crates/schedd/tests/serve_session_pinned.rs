@@ -9,8 +9,11 @@
 //! registry entry and another backend; a non-uniform cost model (same
 //! schedule, its own estimate); a delta chain on a daemon with the
 //! incremental layer, one delta naming an unknown base; a malformed body;
-//! and admission errors. How the daemon routes a request between its
-//! threads may change, but none of the bytes or counts below may.
+//! admission errors; and served schedules on the walked fabrics (an 8x8
+//! torus and an 8x8 mesh) under RS_NL and GREEDY on both backends. How
+//! the daemon routes a request between its threads, and how it keeps
+//! the fabrics it routes on, may change, but none of the bytes or counts
+//! below may.
 
 use commcache::{checksum64, CacheConfig, InstanceKey};
 use commrt::BackendKind;
@@ -267,6 +270,64 @@ fn an_incremental_daemon_session_is_pinned() {
     assert_eq!(
         settled_counters(&mut stream),
         [7, 7, 3, 7, 4, 3, 4, 3, 2, 2, 0, 0, 0, 1, 4]
+    );
+    drop(stream);
+    handle.shutdown();
+}
+
+#[test]
+fn a_walked_fabric_session_is_pinned() {
+    // RS_NL reserves every message's circuit and both backends price
+    // them, so these replies pin the torus' and the mesh's routes as the
+    // daemon reads them, not only as the fabrics compute them.
+    let (handle, mut stream) = start("walked", ServiceConfig::default());
+    let m = Generator::dregular(64, 4, 2048).generate(99);
+    let torus = TopologySpec::Torus {
+        extents: vec![8, 8],
+    };
+    let mesh = TopologySpec::Mesh2d { rows: 8, cols: 8 };
+    let (analytic, des) = (BackendKind::Analytic, BackendKind::Des);
+    let script: Vec<Step> = [
+        ("torus RS_NL", &torus, "RS_NL", analytic),
+        ("torus RS_NL DES", &torus, "RS_NL", des),
+        ("torus RS_NL repeat", &torus, "RS_NL", analytic),
+        ("torus GREEDY DES", &torus, "GREEDY", des),
+        ("torus GREEDY", &torus, "GREEDY", analytic),
+        ("mesh RS_NL", &mesh, "RS_NL", analytic),
+        ("mesh RS_NL DES", &mesh, "RS_NL", des),
+        ("mesh RS_NL repeat", &mesh, "RS_NL", analytic),
+        ("mesh GREEDY DES", &mesh, "GREEDY", des),
+        ("mesh GREEDY", &mesh, "GREEDY", analytic),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, (label, topology, scheduler, backend))| {
+        let mut req = submit(i as u64 + 1, &m);
+        req.topology = topology.clone();
+        req.scheduler = scheduler.into();
+        req.backend = backend;
+        (label, Request::Submit(req).encode())
+    })
+    .collect();
+    let got = run(&mut stream, script);
+    assert_pinned(
+        &got,
+        &[
+            ("torus RS_NL", "compiled", 0x0cbc3b2d603b27d4),
+            ("torus RS_NL DES", "served", 0x2f6c9428fe326db9),
+            ("torus RS_NL repeat", "served", 0x9f618359099cbe68),
+            ("torus GREEDY DES", "compiled", 0x80173a3218d05078),
+            ("torus GREEDY", "served", 0x29281d9da09d4470),
+            ("mesh RS_NL", "compiled", 0xe3911b89e6c10e37),
+            ("mesh RS_NL DES", "served", 0x42803cae296b2131),
+            ("mesh RS_NL repeat", "served", 0x5bc978778a6e25b0),
+            ("mesh GREEDY DES", "compiled", 0xd3309590567dbfcf),
+            ("mesh GREEDY", "served", 0x400cb0bac9c3853c),
+        ],
+    );
+    assert_eq!(
+        settled_counters(&mut stream),
+        [10, 10, 4, 10, 6, 4, 2, 8, 0, 0, 0, 0, 0, 0, 0]
     );
     drop(stream);
     handle.shutdown();
