@@ -6,8 +6,9 @@
 //!   connection;
 //! * one **reader per connection** reads frames through a buffer (one
 //!   `read` syscall per frame) and runs the admission stage on every
-//!   `Submit`: drain check → admission (registry/topology validation and
-//!   keys from the request's envelope, one [`ServiceState`] `Pending`) →
+//!   `Submit`: drain check → admission (registry lookup, the daemon's
+//!   fabric of the named kind, and keys from the request's envelope, one
+//!   [`ServiceState`] `Pending`) →
 //!   the service's resident
 //!   answer → per-client quota → bounded-queue push. Admission has two
 //!   front ends. A `Submit` body whose envelope checks out, whose cost
@@ -550,8 +551,8 @@ fn handle_submit(
         return;
     }
     let admitted = match &submit {
-        Submit::Body(_, view) => Pending::of_view(view),
-        Submit::Decoded(req) => Pending::of_request(req),
+        Submit::Body(_, view) => Pending::of_view(&shared.state, view),
+        Submit::Decoded(req) => Pending::of_request(&shared.state, req),
     };
     let pending = match admitted {
         Ok(pending) => pending,
@@ -694,7 +695,17 @@ mod tests {
                 assert_eq!(again.schedule.is_some(), want_schedule);
             }
             assert_eq!(decodes(), 1, "a hit decoded its body");
-            let stats = handle.stats();
+            // A thread counts a reply `completed` after writing it, and the
+            // client can read the reply before that thread runs again: read
+            // the counters once every submit has had its reply counted.
+            let mut stats = handle.stats();
+            for _ in 0..1000 {
+                if stats.completed >= stats.submits {
+                    break;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                stats = handle.stats();
+            }
             assert_eq!((stats.submits, stats.completed), (4, 4));
             assert_eq!((stats.cache_mem_hits, stats.estimate_hits), (3, 3));
             drop(client);
@@ -741,5 +752,75 @@ mod tests {
             drop(client);
             handle.shutdown();
         }
+    }
+
+    #[test]
+    fn a_daemon_builds_each_fabric_once_and_keeps_at_most_sixteen() {
+        use crate::protocol::{read_frame, write_frame};
+        let endpoint = Endpoint::Unix(
+            std::env::temp_dir().join(format!("schedd-unit-fabrics-{}.sock", std::process::id())),
+        );
+        let config = ServiceConfig::default();
+        let handle = Server::start(config.clone(), &endpoint).expect("daemon starts");
+        let fabrics = || handle.shared.state.fabric_counts();
+        let mut stream = endpoint.connect().expect("connect");
+        // Every request below is a miss, so its reply must be the bytes a
+        // fresh pipeline, which has built nothing yet, answers it with.
+        let mut miss = |request_id: u64, topology: &str, seed: u64| {
+            let topology = TopologyKind::parse(topology).unwrap();
+            let n = topology.num_nodes();
+            let mut req = submit(&workloads::random_dregular(n, 1, 512, seed), true);
+            (req.request_id, req.topology, req.seed) = (request_id, topology, seed);
+            if request_id.is_multiple_of(2) {
+                req.backend = BackendKind::Des;
+            }
+            write_frame(&mut stream, &Request::Submit(req.clone()).encode()).unwrap();
+            let reply = read_frame(&mut stream).unwrap().expect("a reply");
+            let fresh = ServiceState::new(&config).process(&req).unwrap();
+            assert!(fresh.freshly_compiled, "{}", req.topology);
+            assert_eq!(
+                reply,
+                Response::Schedule(fresh).encode(),
+                "{}",
+                req.topology
+            );
+        };
+        // Repeated misses on one walked fabric route it once.
+        for seed in 1..=4 {
+            miss(seed, "torus:8x8", seed);
+        }
+        assert_eq!(fabrics(), (1, 1));
+        // Sixteen more kinds: the seventeenth clears the table.
+        for (i, kind) in [
+            "cube:d=1",
+            "cube:d=3",
+            "cube:d=6",
+            "mesh:2x3",
+            "mesh:1x7",
+            "mesh:4x4",
+            "mesh:8x8",
+            "mesh:16x16",
+            "torus:3x3",
+            "torus:4x4",
+            "torus:2x2x2",
+            "torus:5x3x2",
+            "torus:4x4x4x4",
+            "fattree:k=2",
+            "fattree:k=4",
+            "fattree:k=8",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            miss(10 + i as u64, kind, 7);
+            assert!(fabrics().1 <= 16, "{kind}: {:?}", fabrics());
+        }
+        assert_eq!(fabrics(), (17, 1));
+        // The cleared kind is built again, once.
+        miss(30, "torus:8x8", 5);
+        miss(31, "torus:8x8", 6);
+        assert_eq!(fabrics(), (18, 2));
+        drop(stream);
+        handle.shutdown();
     }
 }

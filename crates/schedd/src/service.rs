@@ -13,12 +13,17 @@
 //! threads:
 //!
 //! * A `Pending` admits the request from its envelope (registry entry,
-//!   size check, built topology) and computes its instance key and
-//!   fingerprint. Its two front ends differ only in how the instance is
-//!   keyed: a canonical `Submit` body from its bytes
-//!   ([`InstanceKey::of_block`], see [`crate::protocol`]'s `SubmitView`),
-//!   so a repeat builds no matrix; a decoded request, resolved delta
-//!   included, from its matrix ([`InstanceKey::compute`]).
+//!   size check, and the daemon's fabric of the named kind, read from a
+//!   table that keeps one [`TopologyKind::build_arc`] fabric per kind)
+//!   and computes its instance key and fingerprint. A kind is built the
+//!   first time a request names it, so the compile, the estimate and the
+//!   DES of every later request on a walked fabric read its circuits
+//!   from the fabric's all-pairs table instead of walking them. Its two
+//!   front ends differ only in how the instance is keyed: a canonical
+//!   `Submit` body from its bytes ([`InstanceKey::of_block`], see
+//!   [`crate::protocol`]'s `SubmitView`), so a repeat builds no matrix;
+//!   a decoded request, resolved delta included, from its matrix
+//!   ([`InstanceKey::compute`]).
 //! * `resident` answers it from memory when the schedule and the memo's
 //!   estimate of it are both resident (see
 //!   [`SchedCache::get_resident`]). It never compiles, patches, prices or
@@ -63,7 +68,7 @@ use commrt::{BackendReport, Scheme};
 use commsched::{registry, Schedule, Scheduler};
 use hypercube::Topology;
 use simnet::{LinkCostModel, MachineParams};
-use topo::TopologyKind;
+use topo::{KindError, TopologyKind};
 
 use crate::dedup::{FlightStats, SingleFlight};
 use crate::protocol::{
@@ -253,12 +258,22 @@ impl EstimateCache {
     }
 }
 
+/// Fabric kinds the daemon keeps built at once; a new kind beyond them
+/// clears the table, as a new key at capacity clears the estimate memo.
+const FABRIC_KINDS: usize = 16;
+
 /// Everything the pipeline shares across requests and threads.
 pub struct ServiceState {
     params: MachineParams,
     cache: SchedCache,
     flight: SingleFlight<u128, (Arc<Schedule>, bool), ServiceError>,
     estimates: EstimateCache,
+    /// One built fabric per kind ([`TopologyKind::build_arc`]): a walked
+    /// fabric's circuits are routed once per daemon, not once per request.
+    fabrics: Mutex<HashMap<TopologyKind, Arc<dyn Topology>>>,
+    /// Fabrics built, for tests that count them.
+    #[cfg(test)]
+    fabric_builds: AtomicU64,
 }
 
 impl ServiceState {
@@ -272,6 +287,9 @@ impl ServiceState {
                 config.estimate_cache_capacity,
                 config.cache.incremental.is_some(),
             ),
+            fabrics: Mutex::new(HashMap::new()),
+            #[cfg(test)]
+            fabric_builds: AtomicU64::new(0),
         }
     }
 
@@ -341,15 +359,45 @@ impl ServiceState {
         Ok(req.to_submit(matrix))
     }
 
+    /// The daemon's fabric of `kind`, built the first time a request
+    /// names it and kept while at most [`FABRIC_KINDS`] kinds are. The
+    /// kind is validated before it is built: a hand-built request can
+    /// name one no builder accepts.
+    fn fabric(&self, kind: &TopologyKind) -> Result<Arc<dyn Topology>, KindError> {
+        if let Some(fabric) = self.fabrics.lock().expect("fabric lock").get(kind) {
+            return Ok(Arc::clone(fabric));
+        }
+        // Built outside the lock, so no lookup waits for a table to fill;
+        // of two racing builds of one kind, the first inserted is kept.
+        kind.validate()?;
+        let built = kind.build_arc();
+        #[cfg(test)]
+        self.fabric_builds.fetch_add(1, Ordering::Relaxed);
+        let mut fabrics = self.fabrics.lock().expect("fabric lock");
+        let full = fabrics.len() >= FABRIC_KINDS && !fabrics.contains_key(kind);
+        let evicted = full.then(|| std::mem::take(&mut *fabrics));
+        let fabric = Arc::clone(fabrics.entry(kind.clone()).or_insert(built));
+        drop(fabrics);
+        drop(evicted);
+        Ok(fabric)
+    }
+
+    /// Fabrics built so far, and the kinds the table holds now.
+    #[cfg(test)]
+    pub(crate) fn fabric_counts(&self) -> (u64, usize) {
+        let kinds = self.fabrics.lock().expect("fabric lock").len();
+        (self.fabric_builds.load(Ordering::Relaxed), kinds)
+    }
+
     /// The one copy of admission: find the registry entry, check the
-    /// matrix's `n` against the topology's size, build the topology (a
-    /// hand-built request can name one no builder accepts) and ask the
-    /// entry whether it schedules on it.
+    /// matrix's `n` against the topology's size, read the daemon's fabric
+    /// of that kind and ask the entry whether it schedules on it.
     fn admitted(
+        &self,
         scheduler: &str,
         topology: &TopologyKind,
         n: usize,
-    ) -> Result<(&'static dyn Scheduler, Box<dyn Topology>), ServiceError> {
+    ) -> Result<(&'static dyn Scheduler, Arc<dyn Topology>), ServiceError> {
         let entry = registry::find(scheduler)
             .ok_or_else(|| ServiceError::UnknownScheduler(scheduler.to_string()))?;
         if n != topology.num_nodes() {
@@ -358,8 +406,8 @@ impl ServiceState {
                 topology.num_nodes()
             )));
         }
-        let topo = topology
-            .try_build()
+        let topo = self
+            .fabric(topology)
             .map_err(|e| ServiceError::BadRequest(format!("topology {topology}: {e}")))?;
         if !entry.supports_topology(topo.as_ref()) {
             return Err(ServiceError::UnsupportedTopology {
@@ -378,7 +426,8 @@ impl ServiceState {
     /// [`ServiceError::UnknownScheduler`], [`ServiceError::UnsupportedTopology`],
     /// or [`ServiceError::BadRequest`] on a size mismatch.
     pub fn admit(&self, req: &SubmitRequest) -> Result<(), ServiceError> {
-        Self::admitted(&req.scheduler, &req.topology, req.matrix.n()).map(|_| ())
+        self.admitted(&req.scheduler, &req.topology, req.matrix.n())
+            .map(|_| ())
     }
 
     /// The full pipeline for one request: admit it into a `Pending`,
@@ -390,7 +439,7 @@ impl ServiceState {
     /// Everything [`admit`](Self::admit) can raise (so unadmitted
     /// callers still get typed errors), plus [`ServiceError::Sim`].
     pub fn process(&self, req: &SubmitRequest) -> Result<SubmitReply, ServiceError> {
-        let pending = Pending::of_request(req)?;
+        let pending = Pending::of_request(self, req)?;
         let answer = match self.resident(&pending) {
             Some(answer) => answer,
             None => self.finish(req, pending)?,
@@ -540,13 +589,13 @@ pub(crate) struct Answer {
     schedule: Arc<Schedule>,
 }
 
-/// An admitted request: the registry entry, the built topology, the
+/// An admitted request: the registry entry, the daemon's fabric, the
 /// instance key and the keys it is served under. Made once per request,
 /// from a canonical body's bytes or from the decoded request, and handed
 /// from [`ServiceState::resident`] to [`ServiceState::finish`] on a miss.
 pub(crate) struct Pending {
     entry: &'static dyn Scheduler,
-    topo: Box<dyn Topology>,
+    topo: Arc<dyn Topology>,
     key: InstanceKey,
     seed: u64,
     /// The schedule fingerprint: the cache and single-flight key.
@@ -559,8 +608,12 @@ pub(crate) struct Pending {
 impl Pending {
     /// Admit a canonical `Submit` body, keying the instance from its
     /// message block ([`InstanceKey::of_block`]). Counts nothing.
-    pub(crate) fn of_view(view: &SubmitView<'_>) -> Result<Pending, ServiceError> {
+    pub(crate) fn of_view(
+        state: &ServiceState,
+        view: &SubmitView<'_>,
+    ) -> Result<Pending, ServiceError> {
         Pending::new(
+            state,
             &view.head,
             view.block.n(),
             &LinkCostModel::Uniform,
@@ -570,22 +623,30 @@ impl Pending {
 
     /// Admit a decoded request, keying the instance from its matrix
     /// ([`InstanceKey::compute`]). Counts nothing.
-    pub(crate) fn of_request(req: &SubmitRequest) -> Result<Pending, ServiceError> {
-        Pending::new(&req.envelope(), req.matrix.n(), &req.cost_model, |topo| {
-            InstanceKey::compute(&req.matrix, topo)
-        })
+    pub(crate) fn of_request(
+        state: &ServiceState,
+        req: &SubmitRequest,
+    ) -> Result<Pending, ServiceError> {
+        Pending::new(
+            state,
+            &req.envelope(),
+            req.matrix.n(),
+            &req.cost_model,
+            |topo| InstanceKey::compute(&req.matrix, topo),
+        )
     }
 
     /// Admit the request `head` opens, whose matrix spans `n` nodes and
-    /// whose estimate is priced under `cost_model`; `key` keys its
-    /// instance on the built topology.
+    /// whose estimate is priced under `cost_model`, into `state`; `key`
+    /// keys its instance on the daemon's fabric.
     fn new(
+        state: &ServiceState,
         head: &Envelope<'_>,
         n: usize,
         cost_model: &LinkCostModel,
         key: impl FnOnce(&dyn Topology) -> InstanceKey,
     ) -> Result<Pending, ServiceError> {
-        let (entry, topo) = ServiceState::admitted(&head.scheduler, &head.topology, n)?;
+        let (entry, topo) = state.admitted(&head.scheduler, &head.topology, n)?;
         let key = key(topo.as_ref());
         let fp = key.schedule_key(entry.name(), head.seed);
         // Schedules are cost-model agnostic (the scheduler never sees
@@ -784,11 +845,14 @@ mod tests {
                     out
                 })
             };
-            let got = Pending::of_request(req).and_then(|pending| match split.resident(&pending) {
-                Some(answer) => Ok(answer),
-                None => split.finish(req, pending),
+            let got = Pending::of_request(&split, req).and_then(|pending| {
+                match split.resident(&pending) {
+                    Some(answer) => Ok(answer),
+                    None => split.finish(req, pending),
+                }
             });
-            let want = Pending::of_request(req).and_then(|pending| reference.finish(req, pending));
+            let want = Pending::of_request(&reference, req)
+                .and_then(|pending| reference.finish(req, pending));
             assert_eq!(
                 frame(&split, got),
                 frame(&reference, want),
@@ -819,7 +883,7 @@ mod tests {
         let body = Request::Submit(req.clone()).encode();
         let view = SubmitView::parse(&body, &ProtocolLimits::default()).expect("canonical");
         let instance = InstanceKey::compute(&req.matrix, req.topology.build().as_ref());
-        let admitted = || Pending::of_view(&view).unwrap();
+        let admitted = || Pending::of_view(&state, &view).unwrap();
         assert_eq!(admitted().key, instance);
         let first = state.process(&req).unwrap();
         let counters = |s: &ServiceState| {
@@ -848,7 +912,7 @@ mod tests {
         // On an incremental daemon a memo entry that priced another
         // schedule, even an equal one, does not answer for the resident
         // one: nothing is counted.
-        let decoded = Pending::of_request(&req).unwrap();
+        let decoded = Pending::of_request(&state, &req).unwrap();
         let twin = Arc::new((**first.schedule.as_ref().unwrap()).clone());
         state
             .estimates
@@ -870,7 +934,7 @@ mod tests {
                 ..ServiceConfig::default()
             });
             let req = request(5, BackendKind::Analytic);
-            let pending = Pending::of_request(&req).unwrap();
+            let pending = Pending::of_request(&state, &req).unwrap();
             assert!(state.resident(&pending).is_none());
             let answer = state.finish(&req, pending).unwrap();
             let reply = |answer: &Answer| {
@@ -886,7 +950,9 @@ mod tests {
             assert_eq!(in_use, weight + kept.len());
             // A resident repeat is laid out from those very bytes: nothing
             // is encoded or kept again.
-            let again = state.resident(&Pending::of_request(&req).unwrap()).unwrap();
+            let again = state
+                .resident(&Pending::of_request(&state, &req).unwrap())
+                .unwrap();
             let repeat = reply(&again);
             assert_eq!(state.cache_stats().bytes_in_use, in_use);
             let still = state.cache.artifact(again.fingerprint, &again.schedule);

@@ -3,6 +3,7 @@ use std::sync::Arc;
 
 use hypercube::{Hypercube, Topology};
 
+use crate::table::{CircuitTable, TABLE_MAX_NODES};
 use crate::{FatTree, Torus};
 
 /// A topology as *data*: a parsed, validated description that can be
@@ -231,9 +232,29 @@ impl TopologyKind {
         })
     }
 
-    /// [`TopologyKind::build`], shared — the shape grid axes want.
+    /// [`TopologyKind::build`], shared, for a fabric that routes many
+    /// requests: grid axes, and the daemon's one fabric per kind.
+    ///
+    /// A walked fabric (mesh, torus, fat-tree) of at most 256 nodes comes
+    /// back with every circuit routed once, up front, into an all-pairs
+    /// table, so `route_into` is a slice copy instead of a walk. The
+    /// table holds `4 · (n² + 1)` bytes of offsets and 4 bytes per hop of
+    /// every ordered pair: 16 KiB and 64 KiB on an 8x8 torus, about
+    /// 0.26 and 2 MiB on a 16x16 one. Every other answer, fault detours
+    /// included, is the walked fabric's. The e-cube hypercube keeps its
+    /// closed-form router, which is as quick as the copy; fabrics over
+    /// 256 nodes are built as [`TopologyKind::build`] builds them.
+    ///
+    /// # Panics
+    ///
+    /// On a kind [`TopologyKind::validate`] rejects, as `build` does.
     pub fn build_arc(&self) -> Arc<dyn Topology> {
-        Arc::from(self.build())
+        let fabric = self.build();
+        if fabric.is_ecube_hypercube() || fabric.num_nodes() > TABLE_MAX_NODES {
+            Arc::from(fabric)
+        } else {
+            Arc::new(CircuitTable::new(fabric))
+        }
     }
 }
 

@@ -24,6 +24,16 @@
 //! cap) is stated as a typed error once, in [`TopologyKind::validate`];
 //! the constructors assert the same bounds.
 //!
+//! A kind builds two ways. [`TopologyKind::build`] hands back the fabric
+//! itself, which walks each route when asked. [`TopologyKind::build_arc`]
+//! is the long-lived form that grid axes and the daemon's one fabric per
+//! kind use: a mesh, torus or fat-tree of at most 256 nodes comes back
+//! with every circuit routed once into an all-pairs table (4 bytes of
+//! offset per ordered pair and 4 per hop; 80 KiB for an 8x8 torus), so a
+//! route is a slice copy. The e-cube hypercube's closed-form router is
+//! already as quick, and larger fabrics would pay megabytes, so both
+//! come back as `build` builds them.
+//!
 //! Schedulers do not name these types; they ask one question,
 //! [`Topology::is_ecube_hypercube`](hypercube::Topology::is_ecube_hypercube),
 //! and decide honestly — RS families run on any fabric (every
@@ -51,6 +61,7 @@
 mod fattree;
 mod kind;
 mod mesh;
+mod table;
 mod torus;
 
 pub use fattree::FatTree;

@@ -16,10 +16,17 @@
 //!   meshes.
 //! * A mesh never wraps: a down link on its XY route is a typed
 //!   `LinkDown`, where the torus of the same shape detours.
+//!
+//! Every check runs on a kind's fabric both ways the stack builds one:
+//! [`TopologyKind::build`], which walks each route when asked, and
+//! [`TopologyKind::build_arc`], the long-lived form that answers a walked
+//! fabric's circuits from an all-pairs table up to 256 nodes.
+
+use std::sync::Arc;
 
 use hypercube::{Hypercube, LinkId, NodeId, Topology};
 use simnet::{LinkCostModel, SimError};
-use topo::{FatTree, Torus};
+use topo::{FatTree, TopologyKind, Torus};
 
 /// xorshift64: seeded, dependency-free, the same on every host.
 struct Rng(u64);
@@ -50,6 +57,18 @@ fn pairs(n: usize) -> Vec<(NodeId, NodeId)> {
                 )
             })
             .collect()
+    }
+}
+
+/// `kind`'s fabric as [`TopologyKind::build`] and as
+/// [`TopologyKind::build_arc`] build it.
+fn both_forms(kind: &TopologyKind) -> [Arc<dyn Topology>; 2] {
+    [Arc::from(kind.build()), kind.build_arc()]
+}
+
+fn torus_kind(extents: &[usize]) -> TopologyKind {
+    TopologyKind::Torus {
+        extents: extents.iter().map(|&k| k as u32).collect(),
     }
 }
 
@@ -88,6 +107,51 @@ fn hops_equals_route_length_on_every_family() {
     }
     for k in [2, 4, 8, 16] {
         assert_contract(&FatTree::new(k));
+    }
+}
+
+#[test]
+fn both_forms_of_every_kind_keep_the_contract_and_route_alike() {
+    // Every family up to the table bound and past it (`torus:7x9x5` is
+    // 315 nodes, `fattree:k=16` 1,024 hosts).
+    let mut buf = Vec::new();
+    for kind in [
+        "cube:d=1",
+        "cube:d=6",
+        "cube:d=10",
+        "mesh:1x2",
+        "mesh:3x5",
+        "mesh:8x8",
+        "mesh:16x16",
+        "mesh:24x32",
+        "torus:2",
+        "torus:3x5",
+        "torus:8x8",
+        "torus:4x4x4",
+        "torus:4x4x2",
+        "torus:2x2x2x2",
+        "torus:16x16",
+        "torus:7x9x5",
+        "fattree:k=2",
+        "fattree:k=4",
+        "fattree:k=8",
+        "fattree:k=16",
+    ] {
+        let [built, long_lived] = both_forms(&TopologyKind::parse(kind).unwrap());
+        assert_contract(long_lived.as_ref());
+        assert_eq!(long_lived.name(), built.name(), "{kind}");
+        assert_eq!(long_lived.num_nodes(), built.num_nodes(), "{kind}");
+        assert_eq!(long_lived.link_count(), built.link_count(), "{kind}");
+        assert_eq!(long_lived.diameter(), built.diameter(), "{kind}");
+        assert_eq!(
+            long_lived.is_ecube_hypercube(),
+            built.is_ecube_hypercube(),
+            "{kind}"
+        );
+        for (s, d) in pairs(built.num_nodes()) {
+            long_lived.route_into(s, d, &mut buf);
+            assert_eq!(buf, built.route(s, d).links(), "{kind} {s:?} -> {d:?}");
+        }
     }
 }
 
@@ -147,10 +211,13 @@ fn torus_stepper_equals_the_neighbor_walk_link_for_link() {
     let mut buf = Vec::new();
     for extents in SHAPES {
         let t = Torus::new(extents);
+        let long_lived = torus_kind(extents).build_arc();
         for (s, d) in pairs(t.num_nodes()) {
             let want = neighbor_walk(&t, s, d, &up).unwrap();
             t.route_into(s, d, &mut buf);
             assert_eq!(buf, want, "{} {s:?} -> {d:?}", t.name());
+            long_lived.route_into(s, d, &mut buf);
+            assert_eq!(buf, want, "build_arc {} {s:?} -> {d:?}", t.name());
             // The channel layout the reference assumes is the real one.
             for &l in &want {
                 let (from, dim, dir) = t.link_endpoints(l);
@@ -170,6 +237,7 @@ fn torus_detours_equal_the_neighbor_walk_under_random_faults() {
     let mut rng = Rng(0xfa17_5eed);
     for extents in SHAPES {
         let t = Torus::new(extents);
+        let long_lived = torus_kind(extents).build_arc();
         let (mut detoured, mut stranded) = (0, 0);
         for _ in 0..200 {
             // Between 1 % and 30 % of the links down.
@@ -183,6 +251,12 @@ fn torus_detours_equal_the_neighbor_walk_under_random_faults() {
                     got.as_ref().map(|p| p.links()),
                     want.as_deref(),
                     "{} {s:?} -> {d:?}",
+                    t.name()
+                );
+                assert_eq!(
+                    long_lived.route_avoiding(s, d, &down),
+                    got,
+                    "build_arc {} {s:?} -> {d:?}",
                     t.name()
                 );
                 match got {
@@ -253,24 +327,27 @@ fn every_router_equals_its_reference_link_for_link() {
     let mut buf = Vec::new();
     for dims in [1, 6, 20] {
         let cube = Hypercube::new(dims);
+        let long_lived = TopologyKind::Hypercube { dims }.build_arc();
         for (s, d) in pairs(cube.num_nodes()) {
+            let want = ecube_reference(dims, s, d);
             cube.route_into(s, d, &mut buf);
-            assert_eq!(
-                buf,
-                ecube_reference(dims, s, d),
-                "{} {s:?} -> {d:?}",
-                cube.name()
-            );
+            assert_eq!(buf, want, "{} {s:?} -> {d:?}", cube.name());
             let mut hops = Vec::new();
             cube.for_each_hop(s, d, |_, _, l| hops.push(l));
             assert_eq!(hops, buf, "{} {s:?} -> {d:?}", cube.name());
+            long_lived.route_into(s, d, &mut buf);
+            assert_eq!(buf, want, "build_arc {} {s:?} -> {d:?}", cube.name());
         }
     }
     for extents in [&[8, 8][..], &[5, 3, 2], &[32, 32, 32]] {
         let t = Torus::new(extents);
+        let long_lived = torus_kind(extents).build_arc();
         for (s, d) in pairs(t.num_nodes()) {
+            let want = peel_reference(&t, s, d);
             t.route_into(s, d, &mut buf);
-            assert_eq!(buf, peel_reference(&t, s, d), "{} {s:?} -> {d:?}", t.name());
+            assert_eq!(buf, want, "{} {s:?} -> {d:?}", t.name());
+            long_lived.route_into(s, d, &mut buf);
+            assert_eq!(buf, want, "build_arc {} {s:?} -> {d:?}", t.name());
         }
     }
 }
@@ -315,16 +392,21 @@ fn mesh_router_equals_the_xy_reference_link_for_link() {
         (8, 8),
         (24, 32),
     ] {
-        let m = mesh(rows, cols);
-        assert_eq!(m.name(), format!("mesh2d({rows}x{cols})"));
-        assert_eq!(m.num_nodes(), rows * cols);
-        assert_eq!(m.link_count(), 4 * rows * cols);
-        assert_eq!(m.diameter(), rows + cols - 2);
-        for (s, d) in pairs(m.num_nodes()) {
-            let want = xy_reference(rows as u32, cols as u32, s, d);
-            m.route_into(s, d, &mut buf);
-            assert_eq!(buf, want, "{} {s:?} -> {d:?}", m.name());
-            assert_eq!(m.hops(s, d), want.len(), "{} {s:?} -> {d:?}", m.name());
+        let kind = TopologyKind::Mesh2d {
+            rows: rows as u32,
+            cols: cols as u32,
+        };
+        for m in [Arc::new(mesh(rows, cols)), kind.build_arc()] {
+            assert_eq!(m.name(), format!("mesh2d({rows}x{cols})"));
+            assert_eq!(m.num_nodes(), rows * cols);
+            assert_eq!(m.link_count(), 4 * rows * cols);
+            assert_eq!(m.diameter(), rows + cols - 2);
+            for (s, d) in pairs(m.num_nodes()) {
+                let want = xy_reference(rows as u32, cols as u32, s, d);
+                m.route_into(s, d, &mut buf);
+                assert_eq!(buf, want, "{} {s:?} -> {d:?}", m.name());
+                assert_eq!(m.hops(s, d), want.len(), "{} {s:?} -> {d:?}", m.name());
+            }
         }
     }
 }
@@ -333,26 +415,32 @@ fn mesh_router_equals_the_xy_reference_link_for_link() {
 fn a_cut_xy_route_is_link_down_where_the_torus_detours() {
     // 3 rows x 5 columns both ways: node 0 -> node 1 is one hop east
     // (channel 0) on either fabric.
-    let (m, t) = (mesh(3, 5), Torus::new(&[5, 3]));
-    let (s, d) = (NodeId(0), NodeId(1));
-    assert_eq!(m.route(s, d).links(), &[LinkId(0)]);
-    assert_eq!(t.route(s, d).links(), &[LinkId(0)]);
-    // The first fault seed that downs that hop and leaves the torus a
-    // way round.
-    let cost = (0..)
-        .map(|seed| LinkCostModel::parse(&format!("faulty:p=0.2,seed={seed}")).unwrap())
-        .find(|c| !c.link_up(LinkId(0)) && t.route_avoiding(s, d, &|l| !c.link_up(l)).is_some())
-        .unwrap();
-    let mut detour = Vec::new();
-    assert!(matches!(
-        cost.route_into(&m, s, d, &mut detour),
-        Err(SimError::LinkDown {
-            link: 0,
-            src: 0,
-            dst: 1
-        })
-    ));
-    cost.route_into(&t, s, d, &mut detour).unwrap();
-    assert_eq!(detour.len(), 4, "the long way around the 5-ring");
-    assert!(detour.iter().all(|&l| cost.link_up(l)));
+    let built: [Arc<dyn Topology>; 2] = [Arc::new(mesh(3, 5)), Arc::new(Torus::new(&[5, 3]))];
+    let long_lived = [
+        TopologyKind::Mesh2d { rows: 3, cols: 5 }.build_arc(),
+        torus_kind(&[5, 3]).build_arc(),
+    ];
+    for [m, t] in [built, long_lived] {
+        let (s, d) = (NodeId(0), NodeId(1));
+        assert_eq!(m.route(s, d).links(), &[LinkId(0)]);
+        assert_eq!(t.route(s, d).links(), &[LinkId(0)]);
+        // The first fault seed that downs that hop and leaves the torus a
+        // way round.
+        let cost = (0..)
+            .map(|seed| LinkCostModel::parse(&format!("faulty:p=0.2,seed={seed}")).unwrap())
+            .find(|c| !c.link_up(LinkId(0)) && t.route_avoiding(s, d, &|l| !c.link_up(l)).is_some())
+            .unwrap();
+        let mut detour = Vec::new();
+        assert!(matches!(
+            cost.route_into(m.as_ref(), s, d, &mut detour),
+            Err(SimError::LinkDown {
+                link: 0,
+                src: 0,
+                dst: 1
+            })
+        ));
+        cost.route_into(t.as_ref(), s, d, &mut detour).unwrap();
+        assert_eq!(detour.len(), 4, "the long way around the 5-ring");
+        assert!(detour.iter().all(|&l| cost.link_up(l)));
+    }
 }
