@@ -47,12 +47,6 @@ impl CircuitTable {
     }
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Tables this thread has built.
-    pub(crate) static TABLES_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
 impl Topology for CircuitTable {
     fn num_nodes(&self) -> usize {
         self.nodes as usize
@@ -98,6 +92,12 @@ impl Topology for CircuitTable {
     fn name(&self) -> &str {
         self.fabric.name()
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Tables this thread has built.
+    pub(crate) static TABLES_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
