@@ -242,8 +242,8 @@ impl TopologyKind {
     /// every ordered pair: 16 KiB and 64 KiB on an 8x8 torus, about
     /// 0.26 and 2 MiB on a 16x16 one. Every other answer, fault detours
     /// included, is the walked fabric's. The e-cube hypercube keeps its
-    /// closed-form router, which is as quick as the copy; fabrics over
-    /// 256 nodes are built as [`TopologyKind::build`] builds them.
+    /// closed-form router, which a table did not beat end to end; fabrics
+    /// over 256 nodes are built as [`TopologyKind::build`] builds them.
     ///
     /// # Panics
     ///

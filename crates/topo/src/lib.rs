@@ -30,8 +30,8 @@
 //! kind use: a mesh, torus or fat-tree of at most 256 nodes comes back
 //! with every circuit routed once into an all-pairs table (4 bytes of
 //! offset per ordered pair and 4 per hop; 80 KiB for an 8x8 torus), so a
-//! route is a slice copy. The e-cube hypercube's closed-form router is
-//! already as quick, and larger fabrics would pay megabytes, so both
+//! route is a slice copy. A table did not beat the e-cube hypercube's
+//! closed-form router, and larger fabrics would pay megabytes, so both
 //! come back as `build` builds them.
 //!
 //! Schedulers do not name these types; they ask one question,
