@@ -17,8 +17,9 @@
 //!   table that keeps one [`TopologyKind::build_arc`] fabric per kind)
 //!   and computes its instance key and fingerprint. A kind is built the
 //!   first time a request names it, so the compile, the estimate and the
-//!   DES of every later request on a walked fabric read its circuits
-//!   from the fabric's all-pairs table instead of walking them. Its two
+//!   DES of every later request on a walked fabric that `build_arc`
+//!   tables read its circuits from that table instead of walking them.
+//!   Its two
 //!   front ends differ only in how the instance is keyed: a canonical
 //!   `Submit` body from its bytes ([`InstanceKey::of_block`], see
 //!   [`crate::protocol`]'s `SubmitView`), so a repeat builds no matrix;
@@ -61,7 +62,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, RwLock, Weak};
 
 use commcache::{CacheConfig, CacheStats, Fingerprint, InstanceKey, SchedCache};
 use commrt::{BackendReport, Scheme};
@@ -270,7 +271,9 @@ pub struct ServiceState {
     estimates: EstimateCache,
     /// One built fabric per kind ([`TopologyKind::build_arc`]): a walked
     /// fabric's circuits are routed once per daemon, not once per request.
-    fabrics: Mutex<HashMap<TopologyKind, Arc<dyn Topology>>>,
+    /// Every request reads it and only a new kind writes it, so lookups
+    /// share the lock.
+    fabrics: RwLock<HashMap<TopologyKind, Arc<dyn Topology>>>,
     /// Fabrics built, for tests that count them.
     #[cfg(test)]
     fabric_builds: AtomicU64,
@@ -287,7 +290,7 @@ impl ServiceState {
                 config.estimate_cache_capacity,
                 config.cache.incremental.is_some(),
             ),
-            fabrics: Mutex::new(HashMap::new()),
+            fabrics: RwLock::new(HashMap::new()),
             #[cfg(test)]
             fabric_builds: AtomicU64::new(0),
         }
@@ -364,7 +367,7 @@ impl ServiceState {
     /// kind is validated before it is built: a hand-built request can
     /// name one no builder accepts.
     fn fabric(&self, kind: &TopologyKind) -> Result<Arc<dyn Topology>, KindError> {
-        if let Some(fabric) = self.fabrics.lock().expect("fabric lock").get(kind) {
+        if let Some(fabric) = self.fabrics.read().expect("fabric lock").get(kind) {
             return Ok(Arc::clone(fabric));
         }
         // Built outside the lock, so no lookup waits for a table to fill;
@@ -373,7 +376,7 @@ impl ServiceState {
         let built = kind.build_arc();
         #[cfg(test)]
         self.fabric_builds.fetch_add(1, Ordering::Relaxed);
-        let mut fabrics = self.fabrics.lock().expect("fabric lock");
+        let mut fabrics = self.fabrics.write().expect("fabric lock");
         let full = fabrics.len() >= FABRIC_KINDS && !fabrics.contains_key(kind);
         let evicted = full.then(|| std::mem::take(&mut *fabrics));
         let fabric = Arc::clone(fabrics.entry(kind.clone()).or_insert(built));
@@ -385,7 +388,7 @@ impl ServiceState {
     /// Fabrics built so far, and the kinds the table holds now.
     #[cfg(test)]
     pub(crate) fn fabric_counts(&self) -> (u64, usize) {
-        let kinds = self.fabrics.lock().expect("fabric lock").len();
+        let kinds = self.fabrics.read().expect("fabric lock").len();
         (self.fabric_builds.load(Ordering::Relaxed), kinds)
     }
 

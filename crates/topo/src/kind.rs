@@ -3,7 +3,7 @@ use std::sync::Arc;
 
 use hypercube::{Hypercube, Topology};
 
-use crate::table::{CircuitTable, TABLE_MAX_NODES};
+use crate::table::CircuitTable;
 use crate::{FatTree, Torus};
 
 /// A topology as *data*: a parsed, validated description that can be
@@ -235,22 +235,25 @@ impl TopologyKind {
     /// [`TopologyKind::build`], shared, for a fabric that routes many
     /// requests: grid axes, and the daemon's one fabric per kind.
     ///
-    /// A walked fabric (mesh, torus, fat-tree) of at most 256 nodes comes
-    /// back with every circuit routed once, up front, into an all-pairs
-    /// table, so `route_into` is a slice copy instead of a walk. The
-    /// table holds `4 · (n² + 1)` bytes of offsets and 4 bytes per hop of
-    /// every ordered pair: 16 KiB and 64 KiB on an 8x8 torus, about
-    /// 0.26 and 2 MiB on a 16x16 one. Every other answer, fault detours
-    /// included, is the walked fabric's. The e-cube hypercube keeps its
-    /// closed-form router, which a table did not beat end to end; fabrics
-    /// over 256 nodes are built as [`TopologyKind::build`] builds them.
+    /// A walked fabric (mesh, torus, fat-tree) whose table fits in the
+    /// 8x8 torus's 80 KiB comes back with every circuit routed once, up
+    /// front, into an all-pairs table, so `route_into` is a slice copy
+    /// instead of a walk. The table holds `4 · (n² + 1)` bytes of offsets
+    /// and 4 bytes per hop of every ordered pair, worked out from the hop
+    /// counts before it is built: 16 KiB and 64 KiB on an 8x8 torus, the
+    /// one walked fabric whose table was timed end to end. Every other
+    /// answer, fault detours included, is the walked fabric's. The e-cube
+    /// hypercube keeps its closed-form router, which a table did not beat
+    /// end to end; a larger table (an 8x8 mesh's is 100 KiB, a line of
+    /// 256 nodes' about 22 MiB) is not built, and the fabric comes back as
+    /// [`TopologyKind::build`] builds it.
     ///
     /// # Panics
     ///
     /// On a kind [`TopologyKind::validate`] rejects, as `build` does.
     pub fn build_arc(&self) -> Arc<dyn Topology> {
         let fabric = self.build();
-        if fabric.is_ecube_hypercube() || fabric.num_nodes() > TABLE_MAX_NODES {
+        if fabric.is_ecube_hypercube() || !CircuitTable::fits(fabric.as_ref()) {
             Arc::from(fabric)
         } else {
             Arc::new(CircuitTable::new(fabric))

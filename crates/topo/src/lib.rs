@@ -27,12 +27,13 @@
 //! A kind builds two ways. [`TopologyKind::build`] hands back the fabric
 //! itself, which walks each route when asked. [`TopologyKind::build_arc`]
 //! is the long-lived form that grid axes and the daemon's one fabric per
-//! kind use: a mesh, torus or fat-tree of at most 256 nodes comes back
-//! with every circuit routed once into an all-pairs table (4 bytes of
-//! offset per ordered pair and 4 per hop; 80 KiB for an 8x8 torus), so a
-//! route is a slice copy. A table did not beat the e-cube hypercube's
-//! closed-form router, and larger fabrics would pay megabytes, so both
-//! come back as `build` builds them.
+//! kind use: a mesh, torus or fat-tree whose all-pairs circuit table
+//! would be no larger than the 8x8 torus's comes back with every circuit
+//! routed once into that table (4 bytes of offset per ordered pair and 4
+//! per hop; 80 KiB for the 8x8 torus), so a route is a slice copy. A
+//! table did not beat the e-cube hypercube's closed-form router, and no
+//! larger table has been measured to pay for itself, so both come back
+//! as `build` builds them.
 //!
 //! Schedulers do not name these types; they ask one question,
 //! [`Topology::is_ecube_hypercube`](hypercube::Topology::is_ecube_hypercube),

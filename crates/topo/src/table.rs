@@ -1,9 +1,12 @@
 use hypercube::{LinkId, NodeId, Path, Topology};
 
-/// Fabrics up to this many nodes come back from
-/// [`TopologyKind::build_arc`](crate::TopologyKind::build_arc) with their
-/// circuits tabled: `n² + 1` offsets, 256 KiB at the bound.
-pub(crate) const TABLE_MAX_NODES: usize = 256;
+/// The largest circuit table [`TopologyKind::build_arc`] builds, in
+/// bytes: the 8x8 torus's, the one walked fabric whose table was timed
+/// end to end. It holds `64² + 1` offsets and `64² · 4` links (a ring
+/// of 8 averages 2 hops), 4 bytes each: 80 KiB.
+///
+/// [`TopologyKind::build_arc`]: crate::TopologyKind::build_arc
+pub(crate) const TABLE_MAX_BYTES: usize = 4 * (64 * 64 + 1) + 4 * (64 * 64 * 4);
 
 /// Every circuit of a wrapped fabric, routed once: a CSR over the `n²`
 /// ordered pairs, where pair `(s, d)` is row `s · n + d` and its links
@@ -22,6 +25,22 @@ pub(crate) struct CircuitTable {
 }
 
 impl CircuitTable {
+    /// Whether `fabric`'s table stays within [`TABLE_MAX_BYTES`], worked
+    /// out from its hop counts before anything is allocated.
+    pub(crate) fn fits(fabric: &dyn Topology) -> bool {
+        let n = fabric.num_nodes();
+        let mut bytes = n.saturating_mul(n).saturating_add(1).saturating_mul(4);
+        for s in 0..n as u32 {
+            if bytes > TABLE_MAX_BYTES {
+                return false;
+            }
+            for d in 0..n as u32 {
+                bytes += 4 * fabric.hops(NodeId(s), NodeId(d));
+            }
+        }
+        bytes <= TABLE_MAX_BYTES
+    }
+
     /// Route every ordered pair of `fabric` once.
     pub(crate) fn new(fabric: Box<dyn Topology>) -> CircuitTable {
         let n = fabric.num_nodes();
@@ -114,24 +133,31 @@ mod tests {
 
     #[test]
     fn the_cube_and_fabrics_over_the_bound_come_back_untabled() {
-        for kind in [
-            "mesh:8x8",
-            "torus:8x8",
-            "torus:4x4x4x4",
-            "mesh:16x16",
-            "fattree:k=8",
-        ] {
+        for kind in ["torus:8x8", "torus:4x4x4", "mesh:3x5", "fattree:k=4"] {
             assert_eq!(tables_built(kind), 1, "{kind} is tabled");
         }
         for kind in [
             "cube:d=4",
             "cube:d=8",
-            "mesh:16x17",
+            "mesh:8x8",
+            "mesh:1x256",
+            "torus:256",
+            "torus:16x16",
+            "torus:4x4x4x4",
+            "fattree:k=8",
             "torus:32x32",
-            "fattree:k=12",
         ] {
             assert_eq!(tables_built(kind), 0, "{kind} is not tabled");
         }
+    }
+
+    #[test]
+    fn the_bound_is_the_8x8_torus_table() {
+        let torus = TopologyKind::parse("torus:8x8").unwrap().build();
+        assert!(CircuitTable::fits(torus.as_ref()));
+        let table = CircuitTable::new(torus);
+        let bytes = 4 * (table.offsets.len() + table.links.len());
+        assert_eq!(bytes, TABLE_MAX_BYTES);
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //! Every check runs on a kind's fabric both ways the stack builds one:
 //! [`TopologyKind::build`], which walks each route when asked, and
 //! [`TopologyKind::build_arc`], the long-lived form that answers a walked
-//! fabric's circuits from an all-pairs table up to 256 nodes.
+//! fabric's circuits from an all-pairs table when that table is no larger
+//! than the 8x8 torus's.
 
 use std::sync::Arc;
 
@@ -112,8 +113,9 @@ fn hops_equals_route_length_on_every_family() {
 
 #[test]
 fn both_forms_of_every_kind_keep_the_contract_and_route_alike() {
-    // Every family up to the table bound and past it (`torus:7x9x5` is
-    // 315 nodes, `fattree:k=16` 1,024 hosts).
+    // Every family within the table bound and past it (`torus:8x8` is at
+    // the bound, `mesh:8x8` just over it, `torus:7x9x5` 315 nodes and
+    // `fattree:k=16` 1,024 hosts).
     let mut buf = Vec::new();
     for kind in [
         "cube:d=1",
