@@ -272,8 +272,9 @@ pub struct ServiceState {
     /// One built fabric per kind ([`TopologyKind::build_arc`]): a walked
     /// fabric's circuits are routed once per daemon, not once per request.
     /// Every request reads it and only a new kind writes it, so lookups
-    /// share the lock.
-    fabrics: RwLock<HashMap<TopologyKind, Arc<dyn Topology>>>,
+    /// share the lock; at most [`FABRIC_KINDS`] kinds, so a scan finds one
+    /// sooner than a hash would.
+    fabrics: RwLock<Vec<(TopologyKind, Arc<dyn Topology>)>>,
     /// Fabrics built, for tests that count them.
     #[cfg(test)]
     fabric_builds: AtomicU64,
@@ -290,7 +291,7 @@ impl ServiceState {
                 config.estimate_cache_capacity,
                 config.cache.incremental.is_some(),
             ),
-            fabrics: RwLock::new(HashMap::new()),
+            fabrics: RwLock::new(Vec::new()),
             #[cfg(test)]
             fabric_builds: AtomicU64::new(0),
         }
@@ -367,8 +368,12 @@ impl ServiceState {
     /// kind is validated before it is built: a hand-built request can
     /// name one no builder accepts.
     fn fabric(&self, kind: &TopologyKind) -> Result<Arc<dyn Topology>, KindError> {
-        if let Some(fabric) = self.fabrics.read().expect("fabric lock").get(kind) {
-            return Ok(Arc::clone(fabric));
+        let held = |fabrics: &[(TopologyKind, Arc<dyn Topology>)]| {
+            let (_, fabric) = fabrics.iter().find(|(held, _)| held == kind)?;
+            Some(Arc::clone(fabric))
+        };
+        if let Some(fabric) = held(&self.fabrics.read().expect("fabric lock")) {
+            return Ok(fabric);
         }
         // Built outside the lock, so no lookup waits for a table to fill;
         // of two racing builds of one kind, the first inserted is kept.
@@ -377,12 +382,14 @@ impl ServiceState {
         #[cfg(test)]
         self.fabric_builds.fetch_add(1, Ordering::Relaxed);
         let mut fabrics = self.fabrics.write().expect("fabric lock");
-        let full = fabrics.len() >= FABRIC_KINDS && !fabrics.contains_key(kind);
-        let evicted = full.then(|| std::mem::take(&mut *fabrics));
-        let fabric = Arc::clone(fabrics.entry(kind.clone()).or_insert(built));
+        if let Some(fabric) = held(&fabrics) {
+            return Ok(fabric);
+        }
+        let evicted = (fabrics.len() >= FABRIC_KINDS).then(|| std::mem::take(&mut *fabrics));
+        fabrics.push((kind.clone(), Arc::clone(&built)));
         drop(fabrics);
         drop(evicted);
-        Ok(fabric)
+        Ok(built)
     }
 
     /// Fabrics built so far, and the kinds the table holds now.
