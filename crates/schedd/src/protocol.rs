@@ -1813,7 +1813,7 @@ mod tests {
             TopologyKind::FatTree { k: u32::MAX },
         ];
         for spec in cases {
-            assert!(spec.validate().is_err(), "{spec} should not build");
+            assert!(spec.try_build().is_err(), "{spec} should not build");
         }
     }
 
