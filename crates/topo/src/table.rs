@@ -30,15 +30,14 @@ impl CircuitTable {
     pub(crate) fn fits(fabric: &dyn Topology) -> bool {
         let n = fabric.num_nodes();
         let mut bytes = n.saturating_mul(n).saturating_add(1).saturating_mul(4);
-        for s in 0..n as u32 {
-            if bytes > TABLE_MAX_BYTES {
-                return false;
-            }
-            for d in 0..n as u32 {
-                bytes += 4 * fabric.hops(NodeId(s), NodeId(d));
-            }
+        let mut rows = 0..n as u32;
+        while bytes <= TABLE_MAX_BYTES {
+            let Some(s) = rows.next() else { return true };
+            bytes += (0..n as u32)
+                .map(|d| 4 * fabric.hops(NodeId(s), NodeId(d)))
+                .sum::<usize>();
         }
-        bytes <= TABLE_MAX_BYTES
+        false
     }
 
     /// Route every ordered pair of `fabric` once.
