@@ -652,3 +652,113 @@ fn a_stale_socket_file_is_reclaimed() {
     assert_serving(&endpoint, 2);
     handle.shutdown();
 }
+
+/// The bodies of a mixed pipelined batch, by request id: three resident
+/// repeats of `hot` (with the schedule, without it, with it again), one
+/// miss, one body that does not decode (answered with id 0), a delta
+/// against a base the daemon never saw, and `Stats` last.
+fn mixed_batch(hot: &SubmitRequest) -> Vec<(u64, Vec<u8>)> {
+    let repeat = |request_id, want_schedule| {
+        let req = SubmitRequest {
+            request_id,
+            want_schedule,
+            ..hot.clone()
+        };
+        Request::Submit(req).encode()
+    };
+    let miss = SubmitRequest {
+        request_id: 3,
+        ..request(62)
+    };
+    let never = request(63);
+    let unknown = SubmitDeltaRequest {
+        request_id: 5,
+        want_schedule: true,
+        topology: never.topology.clone(),
+        scheduler: never.scheduler.clone(),
+        scheme: never.scheme,
+        backend: never.backend,
+        seed: never.seed,
+        base: commcache::InstanceKey::compute(&never.matrix, never.topology.build().as_ref()),
+        delta: commsched::MatrixDelta::diff(&never.matrix, &never.matrix).unwrap(),
+        cost_model: schedd::LinkCostModel::Uniform,
+    };
+    vec![
+        (1, repeat(1, true)),
+        (2, repeat(2, false)),
+        (3, Request::Submit(miss).encode()),
+        (0, vec![0x55, 1, 2, 3]),
+        (5, Request::SubmitDelta(unknown).encode()),
+        (6, repeat(6, true)),
+        (7, Request::Stats { request_id: 7 }.encode()),
+    ]
+}
+
+/// The request id a reply frame answers.
+fn reply_id(frame: &[u8]) -> u64 {
+    match Response::decode(frame).unwrap() {
+        Response::Schedule(reply) => reply.request_id,
+        Response::Error(err) => err.request_id,
+        Response::Stats { request_id, .. } | Response::ShutdownAck { request_id } => request_id,
+    }
+}
+
+#[test]
+fn a_pipelined_mixed_batch_is_answered_as_if_sent_alone() {
+    let config = ServiceConfig {
+        cache: commcache::CacheConfig::in_memory().incremental_default(),
+        ..ServiceConfig::default()
+    };
+    // The reference: each request alone, its reply read before the next
+    // is sent, on a daemon warmed the same way.
+    let (handle, endpoint) = start("batch-alone", config.clone());
+    let hot = warmed(&handle, &mut Client::connect(&endpoint).unwrap(), 61);
+    let mut stream = endpoint.connect().unwrap();
+    let alone: std::collections::HashMap<u64, Vec<u8>> = mixed_batch(&hot)
+        .into_iter()
+        .map(|(id, body)| (id, call(&mut stream, &body)))
+        .collect();
+    drop(stream);
+    handle.shutdown();
+
+    // The batch: every frame in one write, with the workers paused, so
+    // the miss waits in the queue and every other reply is the reader's.
+    let (handle, endpoint) = start("batch-pipelined", config);
+    let hot = warmed(&handle, &mut Client::connect(&endpoint).unwrap(), 61);
+    let mut stream = endpoint.connect().unwrap();
+    let mut wire = Vec::new();
+    for (_, body) in mixed_batch(&hot) {
+        write_frame(&mut wire, &body).unwrap();
+    }
+    handle.pause_workers();
+    stream.write_all(&wire).unwrap();
+    let mut replies: Vec<Vec<u8>> = (0..6)
+        .map(|_| read_frame(&mut stream).unwrap().expect("a reader reply"))
+        .collect();
+    handle.resume_workers();
+    replies.push(read_frame(&mut stream).unwrap().expect("the miss's reply"));
+    let ids: Vec<u64> = replies.iter().map(|frame| reply_id(frame)).collect();
+    assert_eq!(
+        ids,
+        [1, 2, 0, 5, 6, 7, 3],
+        "reader replies in request order"
+    );
+
+    // Every reply but the stats is the one the request gets alone.
+    for (id, frame) in ids.iter().zip(&replies) {
+        if *id != 7 {
+            assert!(*frame == alone[id], "the reply to {id} differs");
+        }
+    }
+    // The stats count the warm-up and the three repeats answered ahead of it.
+    match Response::decode(&replies[5]).unwrap() {
+        Response::Stats { stats, .. } => {
+            assert_eq!((stats.submits, stats.delta_submits), (5, 1));
+            assert_eq!(stats.completed, 4);
+            assert_eq!((stats.errors_malformed, stats.errors_other), (1, 1));
+        }
+        other => panic!("expected stats, got {other:?}"),
+    }
+    drop(stream);
+    handle.shutdown();
+}
