@@ -15,6 +15,7 @@ use crate::protocol::{
     begin_frame, read_frame, seal_frame, DaemonStats, DecodeError, ErrorReply, FrameError, Request,
     Response, SubmitDeltaRequest, SubmitReply, SubmitRequest,
 };
+use crate::server::READ_WINDOW;
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -68,8 +69,9 @@ impl From<DecodeError> for ClientError {
 
 /// A connected `schedd` client.
 pub struct Client {
-    /// Reads go through the buffer, one `read` syscall per frame; writes
-    /// go to the socket underneath it.
+    /// Reads go through a buffer of [`READ_WINDOW`] bytes, so one `read`
+    /// syscall can fetch several pipelined replies; writes go to the
+    /// socket underneath it, one `write_all` per request.
     stream: BufReader<Stream>,
     next_id: u64,
     /// The last request's frame: each request is encoded straight into
@@ -85,7 +87,7 @@ impl Client {
     /// The underlying connect error.
     pub fn connect(endpoint: &Endpoint) -> io::Result<Client> {
         Ok(Client {
-            stream: BufReader::new(endpoint.connect()?),
+            stream: BufReader::with_capacity(READ_WINDOW, endpoint.connect()?),
             next_id: 1,
             frame: Vec::new(),
         })
@@ -104,9 +106,10 @@ impl Client {
     ///
     /// Transport errors.
     pub fn send(&mut self, req: &Request) -> Result<(), ClientError> {
+        self.frame.clear();
         begin_frame(&mut self.frame);
         req.encode_to(&mut self.frame);
-        seal_frame(&mut self.frame)?;
+        seal_frame(&mut self.frame, 0)?;
         let stream = self.stream.get_mut();
         stream.write_all(&self.frame)?;
         stream.flush()?;

@@ -210,25 +210,27 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-/// Start a frame in `frame`, emptied first: the header is reserved, and
-/// the body is encoded after it in place. [`seal_frame`] finishes it, so
-/// a frame is built in one buffer and written with one `write_all`.
-pub(crate) fn begin_frame(frame: &mut Vec<u8>) {
-    frame.clear();
+/// Start a frame at the end of `frame` and return where it starts: the
+/// header is reserved, and the body is encoded after it in place.
+/// [`seal_frame`] finishes it, so frames are built one after another in
+/// one buffer and written with one `write_all`.
+pub(crate) fn begin_frame(frame: &mut Vec<u8>) -> usize {
+    let start = frame.len();
     frame.extend_from_slice(&[0; 8]);
+    start
 }
 
-/// Finish a frame [`begin_frame`] started: fill in the header and append
-/// the body's checksum.
+/// Finish the frame [`begin_frame`] started at `start`: fill in the
+/// header and append the body's checksum.
 ///
 /// # Errors
 ///
 /// `InvalidInput` if the body exceeds [`MAX_BODY_LEN`] (the frame is left
 /// unsealed).
-pub(crate) fn seal_frame(frame: &mut Vec<u8>) -> io::Result<()> {
-    let body = &frame[8..];
+pub(crate) fn seal_frame(frame: &mut Vec<u8>, start: usize) -> io::Result<()> {
+    let body = &frame[start + 8..];
     let (header, sum) = (frame_header(body.len())?, checksum64(body));
-    frame[..8].copy_from_slice(&header);
+    frame[start..start + 8].copy_from_slice(&header);
     frame.extend_from_slice(&sum.to_le_bytes());
     Ok(())
 }

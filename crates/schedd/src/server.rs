@@ -63,6 +63,15 @@ use crate::protocol::{
 use crate::queue::{BoundedQueue, PushError};
 use crate::service::{Answer, Pending, ServiceConfig, ServiceState};
 
+/// Bytes one `read` syscall may fetch off a connection: a window of
+/// about five pipelined `cube:d=6` requests on the daemon's side, and of
+/// replies on the [`Client`](crate::Client)'s.
+pub(crate) const READ_WINDOW: usize = 32 << 10;
+
+/// Held bytes past which a reader writes its replies without waiting
+/// for the end of the frames it has read.
+const HELD_CAP: usize = 64 << 10;
+
 /// One admitted request memory could not answer, on its way to the
 /// worker pool with its admission and keys.
 struct Job {
@@ -70,6 +79,28 @@ struct Job {
     pending: Pending,
     writer: Arc<Mutex<Stream>>,
     conn: Arc<ConnState>,
+}
+
+/// Frames laid out for one connection and not yet written: a reader's
+/// replies while it has whole requests left to read, or the one reply a
+/// worker is about to write.
+struct Outbox {
+    writer: Arc<Mutex<Stream>>,
+    bytes: Vec<u8>,
+    frames: u64,
+    /// The `Schedule` frames among them, already counted `completed`.
+    schedules: u64,
+}
+
+impl Outbox {
+    fn to(writer: Arc<Mutex<Stream>>) -> Outbox {
+        Outbox {
+            writer,
+            bytes: Vec::new(),
+            frames: 0,
+            schedules: 0,
+        }
+    }
 }
 
 /// Per-connection shared state (reader + workers).
@@ -99,6 +130,9 @@ struct Counters {
     /// repeat answered from its bytes adds nothing here.
     #[cfg(test)]
     submit_decodes: AtomicU64,
+    /// `write_all` calls on connections, by readers and workers alike.
+    #[cfg(test)]
+    socket_writes: AtomicU64,
 }
 
 /// State shared by every daemon thread.
@@ -162,61 +196,71 @@ impl Shared {
         }
     }
 
-    /// Write the `Schedule` reply answering `request_id` with `answer`,
-    /// laid out by [`ServiceState::put_reply`] (see [`write`](Self::write)).
-    fn write_answer(
-        &self,
-        writer: &Arc<Mutex<Stream>>,
-        request_id: u64,
-        want_schedule: bool,
-        answer: &Answer,
-    ) {
-        self.write(writer, true, |frame| {
+    /// Put the `Schedule` reply answering `request_id` with `answer`,
+    /// laid out by [`ServiceState::put_reply`] (see [`put`](Self::put)).
+    fn put_answer(&self, out: &mut Outbox, request_id: u64, want_schedule: bool, answer: &Answer) {
+        self.put(out, true, |frame| {
             self.state
                 .put_reply(frame, request_id, want_schedule, answer);
         });
     }
 
-    /// Write any other response (see [`write`](Self::write)).
-    fn write_response(&self, writer: &Arc<Mutex<Stream>>, resp: &Response) {
-        self.write(writer, false, |frame| resp.encode_to(frame));
+    /// Put any other response (see [`put`](Self::put)).
+    fn put_response(&self, out: &mut Outbox, resp: &Response) {
+        self.put(out, false, |frame| resp.encode_to(frame));
     }
 
-    /// Lay one frame's body out with `put`, seal the frame, write it under
-    /// the connection's writer lock and count it: `completed` for a
-    /// `schedule` that reached the socket, `write_failures` for any frame
-    /// that did not. A dead client is not the daemon's problem beyond that
-    /// count.
-    fn write(&self, writer: &Arc<Mutex<Stream>>, schedule: bool, put: impl FnOnce(&mut Vec<u8>)) {
-        let mut frame = Vec::new();
-        begin_frame(&mut frame);
-        put(&mut frame);
-        let written = seal_frame(&mut frame).and_then(|()| {
-            let mut stream = writer.lock().expect("writer lock");
-            stream.write_all(&frame).and_then(|()| stream.flush())
-        });
-        let counter = match (schedule, written.is_ok()) {
-            (true, true) => &self.counters.completed,
-            (_, false) => &self.counters.write_failures,
-            _ => return,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// [`write_response`](Self::write_response) with an error frame.
-    fn write_error(
-        &self,
-        writer: &Arc<Mutex<Stream>>,
-        request_id: u64,
-        code: ErrorCode,
-        detail: String,
-    ) {
+    /// [`put_response`](Self::put_response) with an error frame.
+    fn put_error(&self, out: &mut Outbox, request_id: u64, code: ErrorCode, detail: String) {
         let resp = Response::Error(ErrorReply {
             request_id,
             code,
             detail,
         });
-        self.write_response(writer, &resp);
+        self.put_response(out, &resp);
+    }
+
+    /// Lay one frame's body out with `put` after the frames `out` holds,
+    /// seal the frame and commit it to the connection: a `schedule` is
+    /// counted `completed` now, before any of its bytes can reach the
+    /// client, so a `Stats` frame held behind it counts it. A frame that
+    /// cannot be sealed is dropped and counted in `write_failures`.
+    fn put(&self, out: &mut Outbox, schedule: bool, put: impl FnOnce(&mut Vec<u8>)) {
+        let start = begin_frame(&mut out.bytes);
+        put(&mut out.bytes);
+        if seal_frame(&mut out.bytes, start).is_err() {
+            out.bytes.truncate(start);
+            self.counters.write_failures.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        out.frames += 1;
+        if schedule {
+            out.schedules += 1;
+            self.counters.completed.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Write every frame `out` holds in one `write_all` under the
+    /// connection's writer lock. If the write fails, the frames move from
+    /// `completed` to `write_failures`: a dead client is not the daemon's
+    /// problem beyond that count.
+    fn flush(&self, out: &mut Outbox) {
+        if out.bytes.is_empty() {
+            return;
+        }
+        #[cfg(test)]
+        self.counters.socket_writes.fetch_add(1, Ordering::Relaxed);
+        let written = {
+            let mut stream = out.writer.lock().expect("writer lock");
+            stream.write_all(&out.bytes).and_then(|()| stream.flush())
+        };
+        if written.is_err() {
+            let c = &self.counters;
+            c.completed.fetch_sub(out.schedules, Ordering::Relaxed);
+            c.write_failures.fetch_add(out.frames, Ordering::Relaxed);
+        }
+        out.bytes.clear();
+        (out.frames, out.schedules) = (0, 0);
     }
 }
 
@@ -407,25 +451,27 @@ fn acceptor_loop(
 }
 
 fn reader_loop(stream: Stream, conn_id: u64, shared: &Arc<Shared>) {
-    let writer = Arc::new(Mutex::new(match stream.try_clone() {
+    let mut out = Outbox::to(Arc::new(Mutex::new(match stream.try_clone() {
         Ok(clone) => clone,
         Err(_) => return,
-    }));
+    })));
     let conn = Arc::new(ConnState {
         id: conn_id,
         inflight: AtomicU64::new(0),
     });
-    // One `read` syscall fetches a whole frame (or several pipelined
-    // ones) instead of one per header field.
-    let mut reading = BufReader::new(stream);
+    // One `read` syscall fetches a window of pipelined frames. The replies
+    // the reader lays out itself are held while the next whole frame is
+    // already buffered, and written together before the reader can block
+    // in `read` again, before it exits, or once they pass `HELD_CAP`.
+    let mut reading = BufReader::with_capacity(READ_WINDOW, stream);
     loop {
         match read_frame(&mut reading) {
-            Ok(None) => return, // clean close between frames
+            Ok(None) => break, // clean close between frames
             Ok(Some(body)) => match SubmitView::parse(&body, &shared.config.limits) {
-                Some(view) => handle_submit(Submit::Body(&body, view), &writer, &conn, shared),
+                Some(view) => handle_submit(Submit::Body(&body, view), &mut out, &conn, shared),
                 None => {
-                    if let Some(req) = decode(&body, &writer, shared) {
-                        handle_request(req, &writer, &conn, shared);
+                    if let Some(req) = decode(&body, &mut out, shared) {
+                        handle_request(req, &mut out, &conn, shared);
                     }
                 }
             },
@@ -444,19 +490,33 @@ fn reader_loop(stream: Stream, conn_id: u64, shared: &Arc<Shared>) {
                             .fetch_add(1, Ordering::Relaxed);
                         // Byte-stream sync is lost; tell the peer why,
                         // then hang up.
-                        shared.write_error(&writer, 0, ErrorCode::Malformed, e.to_string());
+                        shared.put_error(&mut out, 0, ErrorCode::Malformed, e.to_string());
                     }
                 }
-                return;
+                break;
             }
         }
+        if out.bytes.len() >= HELD_CAP || !holds_whole_frame(reading.buffer()) {
+            shared.flush(&mut out);
+        }
     }
+    shared.flush(&mut out);
+}
+
+/// Whether `buffered` starts with a whole frame (header, body, checksum),
+/// which reading costs no syscall.
+fn holds_whole_frame(buffered: &[u8]) -> bool {
+    let Some(&[a, b, c, d]) = buffered.get(4..8) else {
+        return false;
+    };
+    let body = u64::from(u32::from_le_bytes([a, b, c, d]));
+    buffered.len() as u64 >= 8 + body + 8
 }
 
 /// Decode a frame body in full; `None`, having answered a typed
 /// `Malformed` error, when it does not decode (framing is intact, so the
 /// stream stays usable).
-fn decode(body: &[u8], writer: &Arc<Mutex<Stream>>, shared: &Shared) -> Option<Request> {
+fn decode(body: &[u8], out: &mut Outbox, shared: &Shared) -> Option<Request> {
     #[cfg(test)]
     if body.first() == Some(&crate::protocol::K_SUBMIT) {
         shared
@@ -471,28 +531,26 @@ fn decode(body: &[u8], writer: &Arc<Mutex<Stream>>, shared: &Shared) -> Option<R
                 .counters
                 .errors_malformed
                 .fetch_add(1, Ordering::Relaxed);
-            shared.write_error(writer, 0, ErrorCode::Malformed, e.to_string());
+            shared.put_error(out, 0, ErrorCode::Malformed, e.to_string());
             None
         }
     }
 }
 
-fn handle_request(
-    req: Request,
-    writer: &Arc<Mutex<Stream>>,
-    conn: &Arc<ConnState>,
-    shared: &Arc<Shared>,
-) {
+fn handle_request(req: Request, out: &mut Outbox, conn: &Arc<ConnState>, shared: &Arc<Shared>) {
     match req {
         Request::Stats { request_id } => {
             let stats = shared.stats();
-            shared.write_response(writer, &Response::Stats { request_id, stats });
+            shared.put_response(out, &Response::Stats { request_id, stats });
         }
         Request::Shutdown { request_id } => {
-            shared.write_response(writer, &Response::ShutdownAck { request_id });
+            // The acknowledgement goes out before the drain starts, which
+            // ends in shutting this socket down.
+            shared.put_response(out, &Response::ShutdownAck { request_id });
+            shared.flush(out);
             shared.request_drain();
         }
-        Request::Submit(req) => handle_submit(Submit::Decoded(req), writer, conn, shared),
+        Request::Submit(req) => handle_submit(Submit::Decoded(req), out, conn, shared),
         Request::SubmitDelta(req) => {
             // Resolve the delta against its retained base, then the
             // reconstructed full request rides the ordinary submit path —
@@ -502,10 +560,10 @@ fn handle_request(
                 .delta_submits
                 .fetch_add(1, Ordering::Relaxed);
             match shared.state.resolve_delta(&req) {
-                Ok(full) => handle_submit(Submit::Decoded(full), writer, conn, shared),
+                Ok(full) => handle_submit(Submit::Decoded(full), out, conn, shared),
                 Err(e) => {
                     shared.counters.errors_other.fetch_add(1, Ordering::Relaxed);
-                    shared.write_error(writer, req.request_id, e.code(), e.to_string());
+                    shared.put_error(out, req.request_id, e.code(), e.to_string());
                 }
             }
         }
@@ -528,7 +586,7 @@ enum Submit<'a> {
 /// queue, and its reply is laid out from the bytes the cache keeps.
 fn handle_submit(
     submit: Submit<'_>,
-    writer: &Arc<Mutex<Stream>>,
+    out: &mut Outbox,
     conn: &Arc<ConnState>,
     shared: &Arc<Shared>,
 ) {
@@ -542,8 +600,8 @@ fn handle_submit(
             .counters
             .rejected_shutdown
             .fetch_add(1, Ordering::Relaxed);
-        shared.write_error(
-            writer,
+        shared.put_error(
+            out,
             request_id,
             ErrorCode::ShuttingDown,
             "daemon is draining".into(),
@@ -558,12 +616,12 @@ fn handle_submit(
         Ok(pending) => pending,
         Err(e) => {
             shared.counters.errors_other.fetch_add(1, Ordering::Relaxed);
-            shared.write_error(writer, request_id, e.code(), e.to_string());
+            shared.put_error(out, request_id, e.code(), e.to_string());
             return;
         }
     };
     if let Some(answer) = shared.state.resident(&pending) {
-        shared.write_answer(writer, request_id, want_schedule, &answer);
+        shared.put_answer(out, request_id, want_schedule, &answer);
         return;
     }
     let req = match submit {
@@ -571,7 +629,7 @@ fn handle_submit(
         // A canonical body decodes (`SubmitView::parse`), and keeps the
         // admission and keys its bytes gave.
         Submit::Body(body, _) => {
-            let Some(Request::Submit(req)) = decode(body, writer, shared) else {
+            let Some(Request::Submit(req)) = decode(body, out, shared) else {
                 return;
             };
             req
@@ -586,8 +644,8 @@ fn handle_submit(
             .counters
             .rejected_quota
             .fetch_add(1, Ordering::Relaxed);
-        shared.write_error(
-            writer,
+        shared.put_error(
+            out,
             request_id,
             ErrorCode::QuotaExceeded,
             format!(
@@ -601,7 +659,7 @@ fn handle_submit(
     let job = Job {
         req,
         pending,
-        writer: Arc::clone(writer),
+        writer: Arc::clone(&out.writer),
         conn: Arc::clone(conn),
     };
     if let Err((job, push_err)) = shared.queue.try_push(job) {
@@ -620,21 +678,23 @@ fn handle_submit(
             ),
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        shared.write_error(writer, request_id, code, detail);
+        shared.put_error(out, request_id, code, detail);
     }
 }
 
-/// Worker: pop, finish the pipeline, write the answer.
+/// Worker: pop, finish the pipeline, write the answer at once.
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.queue.pop() {
-        let (request_id, writer) = (job.req.request_id, &job.writer);
+        let request_id = job.req.request_id;
+        let mut out = Outbox::to(job.writer);
         match shared.state.finish(&job.req, job.pending) {
-            Ok(answer) => shared.write_answer(writer, request_id, job.req.want_schedule, &answer),
+            Ok(answer) => shared.put_answer(&mut out, request_id, job.req.want_schedule, &answer),
             Err(e) => {
                 shared.counters.errors_other.fetch_add(1, Ordering::Relaxed);
-                shared.write_error(writer, request_id, e.code(), e.to_string());
+                shared.put_error(&mut out, request_id, e.code(), e.to_string());
             }
         }
+        shared.flush(&mut out);
         job.conn.inflight.fetch_sub(1, Ordering::AcqRel);
         shared.counters.inflight.fetch_sub(1, Ordering::Relaxed);
     }
@@ -695,22 +755,100 @@ mod tests {
                 assert_eq!(again.schedule.is_some(), want_schedule);
             }
             assert_eq!(decodes(), 1, "a hit decoded its body");
-            // A thread counts a reply `completed` after writing it, and the
-            // client can read the reply before that thread runs again: read
-            // the counters once every submit has had its reply counted.
-            let mut stats = handle.stats();
-            for _ in 0..1000 {
-                if stats.completed >= stats.submits {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                stats = handle.stats();
-            }
+            // A reply is counted before it is written, so every reply the
+            // client has read is counted.
+            let stats = handle.stats();
             assert_eq!((stats.submits, stats.completed), (4, 4));
             assert_eq!((stats.cache_mem_hits, stats.estimate_hits), (3, 3));
             drop(client);
             handle.shutdown();
         }
+    }
+
+    /// A 64-message `Submit` on an 8-node cube: sixteen of its frames
+    /// fit one read window many times over.
+    fn small(request_id: u64) -> Vec<u8> {
+        let mut req = submit(&workloads::random_dregular(8, 1, 512, 9), false);
+        (req.request_id, req.topology) = (request_id, TopologyKind::Hypercube { dims: 3 });
+        Request::Submit(req).encode()
+    }
+
+    /// A daemon and a connection to it whose reads give up after 10 s,
+    /// so a reply the daemon holds fails the test instead of hanging it.
+    /// The connection's first request, a miss, has been answered.
+    fn warmed(tag: &str) -> (ServerHandle, std::os::unix::net::UnixStream) {
+        use crate::protocol::{read_frame, write_frame};
+        let path =
+            std::env::temp_dir().join(format!("schedd-unit-{tag}-{}.sock", std::process::id()));
+        let handle =
+            Server::start(ServiceConfig::default(), &Endpoint::Unix(path.clone())).unwrap();
+        let mut stream = std::os::unix::net::UnixStream::connect(&path).expect("connect");
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        write_frame(&mut stream, &small(1)).unwrap();
+        read_frame(&mut stream).unwrap().expect("the miss's reply");
+        (handle, stream)
+    }
+
+    /// The next reply, which must be the resident schedule answering
+    /// `request_id`.
+    fn expect_hit(stream: &mut impl io::Read, request_id: u64) {
+        let frame = crate::protocol::read_frame(stream).expect("a reply in time");
+        match Response::decode(&frame.expect("a frame")).unwrap() {
+            Response::Schedule(reply) => {
+                assert_eq!(
+                    (reply.request_id, reply.freshly_compiled),
+                    (request_id, false)
+                );
+            }
+            other => panic!("expected the schedule for {request_id}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn pipelined_resident_repeats_are_answered_in_one_write() {
+        let (handle, mut stream) = warmed("batch");
+        let writes = || (handle.shared.counters.socket_writes).load(Ordering::Relaxed);
+        // The miss's reply was counted before it was written.
+        assert_eq!(writes(), 1);
+        let mut wire = Vec::new();
+        for request_id in 2..18 {
+            crate::protocol::write_frame(&mut wire, &small(request_id)).unwrap();
+        }
+        stream.write_all(&wire).unwrap();
+        for request_id in 2..18 {
+            expect_hit(&mut stream, request_id);
+        }
+        // Sixteen frames in one window: one write, or two if the read
+        // split them.
+        let batch = writes() - 1;
+        assert!((1..=2).contains(&batch), "{batch} writes for 16 repeats");
+        let stats = handle.stats();
+        assert_eq!((stats.completed, stats.cache_mem_hits), (17, 16));
+        drop(stream);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn a_hit_ahead_of_half_a_frame_is_answered_at_once() {
+        let (handle, mut stream) = warmed("half");
+        // The hit, then half of the next frame: the reader must not hold
+        // the hit's reply while it waits for the rest.
+        let mut wire = Vec::new();
+        crate::protocol::write_frame(&mut wire, &small(2)).unwrap();
+        let hit = wire.len();
+        crate::protocol::write_frame(&mut wire, &small(3)).unwrap();
+        let half = hit + (wire.len() - hit) / 2;
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(1)))
+            .unwrap();
+        stream.write_all(&wire[..half]).unwrap();
+        expect_hit(&mut stream, 2);
+        stream.write_all(&wire[half..]).unwrap();
+        expect_hit(&mut stream, 3);
+        drop(stream);
+        handle.shutdown();
     }
 
     #[test]
