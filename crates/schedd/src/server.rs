@@ -4,8 +4,9 @@
 //!
 //! * one **acceptor** blocks on the listener and spawns a reader per
 //!   connection;
-//! * one **reader per connection** reads frames through a buffer (one
-//!   `read` syscall per frame) and runs the admission stage on every
+//! * one **reader per connection** reads frames through a buffer of
+//!   `READ_WINDOW` (32 KiB; one `read` syscall per window of pipelined
+//!   frames) and runs the admission stage on every
 //!   `Submit`: drain check → admission (registry lookup, the daemon's
 //!   fabric of the named kind, and keys from the request's envelope, one
 //!   [`ServiceState`] `Pending`) →
@@ -35,12 +36,26 @@
 //! responses under the connection's writer lock, which is why responses
 //! can overtake each other and every frame echoes its `request_id`.
 //!
+//! A worker writes its reply as soon as it has it. A reader holds the
+//! frames it lays out itself (resident answers, `Stats`, `ShutdownAck`,
+//! error frames) while the next whole request is already in its read
+//! buffer, and writes them in one `write_all` before it can block in
+//! `read` again, before it exits, or once they pass `HELD_CAP` (64 KiB); a
+//! `ShutdownAck` is written before the drain starts. A pipelined burst of
+//! resident repeats so costs one `read` and one `write` per window, not
+//! per request, and the reader's own replies leave in request order. A
+//! frame is counted when it is laid out, a `Schedule` as `completed`, so
+//! a client never reads a reply the counters miss and a `Stats` frame
+//! held behind answers counts them; a write that fails moves its frames
+//! to `write_failures`.
+//!
 //! A pipelining client must keep reading its replies. A reader whose
-//! answer does not fit the socket's buffers blocks in the write, and
+//! held replies do not fit the socket's buffers blocks in the write, and
 //! reads no more of that connection's requests until the client reads
-//! its replies. A client that writes more request bytes than the
-//! buffers hold before it reads any reply can therefore stall its own
-//! connection.
+//! its replies. A client that writes more request bytes than the socket
+//! buffers and the reader's window hold before it reads any reply can
+//! therefore stall its own connection; how many requests that takes
+//! moves with `READ_WINDOW` and `HELD_CAP`.
 //!
 //! Graceful shutdown (from [`ServerHandle::shutdown`] or a client's
 //! `Shutdown` frame) is an ordering, not a flag: mark draining (new
@@ -220,14 +235,14 @@ impl Shared {
         self.put_response(out, &resp);
     }
 
-    /// Lay one frame's body out with `put` after the frames `out` holds,
+    /// Lay one frame's body out with `body` after the frames `out` holds,
     /// seal the frame and commit it to the connection: a `schedule` is
     /// counted `completed` now, before any of its bytes can reach the
     /// client, so a `Stats` frame held behind it counts it. A frame that
     /// cannot be sealed is dropped and counted in `write_failures`.
-    fn put(&self, out: &mut Outbox, schedule: bool, put: impl FnOnce(&mut Vec<u8>)) {
+    fn put(&self, out: &mut Outbox, schedule: bool, body: impl FnOnce(&mut Vec<u8>)) {
         let start = begin_frame(&mut out.bytes);
-        put(&mut out.bytes);
+        body(&mut out.bytes);
         if seal_frame(&mut out.bytes, start).is_err() {
             out.bytes.truncate(start);
             self.counters.write_failures.fetch_add(1, Ordering::Relaxed);

@@ -106,7 +106,7 @@ fn settled_counters(stream: &mut Stream) -> [u64; 15] {
             Response::Stats { stats, .. } => stats,
             other => panic!("expected stats, got {other:?}"),
         };
-        // A worker counts `completed` after writing its reply.
+        // A worker lets go of its job (`inflight`) after writing its reply.
         if stats.inflight == 0 {
             return [
                 stats.submits,
