@@ -780,7 +780,7 @@ mod tests {
         }
     }
 
-    /// A 64-message `Submit` on an 8-node cube: sixteen of its frames
+    /// An 8-message `Submit` on an 8-node cube: sixteen of its frames
     /// fit one read window many times over.
     fn small(request_id: u64) -> Vec<u8> {
         let mut req = submit(&workloads::random_dregular(8, 1, 512, 9), false);
