@@ -10,12 +10,12 @@
 use std::fmt;
 use std::io::{self, BufReader, Write};
 
+use crate::conn::READ_WINDOW;
 use crate::net::{Endpoint, Stream};
 use crate::protocol::{
     begin_frame, read_frame, seal_frame, DaemonStats, DecodeError, ErrorReply, FrameError, Request,
     Response, SubmitDeltaRequest, SubmitReply, SubmitRequest,
 };
-use crate::server::READ_WINDOW;
 
 /// Why a client call failed.
 #[derive(Debug)]

@@ -43,6 +43,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod client;
+mod conn;
 pub mod dedup;
 pub mod net;
 pub mod protocol;

@@ -256,6 +256,33 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<bool, FrameErr
     Ok(true)
 }
 
+/// The one parser of a frame header: the whole frame's length once the
+/// header is in, checking the magic as soon as its bytes are and the
+/// claimed body length against [`MAX_BODY_LEN`].
+fn frame_len(window: &[u8]) -> Result<Option<usize>, FrameError> {
+    let Some(&[a, b, c, d]) = window.get(..4) else {
+        return Ok(None);
+    };
+    if [a, b, c, d] != FRAME_MAGIC {
+        return Err(FrameError::BadMagic([a, b, c, d]));
+    }
+    let Some(&[a, b, c, d]) = window.get(4..8) else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes([a, b, c, d]);
+    if len > MAX_BODY_LEN {
+        return Err(FrameError::Oversized(len));
+    }
+    Ok(Some(8 + len as usize + 8))
+}
+
+fn check_sum(body: &[u8], sum: [u8; 8]) -> Result<(), FrameError> {
+    if u64::from_le_bytes(sum) != checksum64(body) {
+        return Err(FrameError::Checksum);
+    }
+    Ok(())
+}
+
 /// Read one frame body off the stream. `Ok(None)` is a clean EOF at a
 /// frame boundary (the peer hung up between messages).
 ///
@@ -265,33 +292,42 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<bool, FrameErr
 /// panics on hostile bytes and never allocates more than the header's
 /// (bounds-checked) claim.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
-    let mut magic = [0u8; 4];
-    if !read_exact_or_eof(r, &mut magic)? {
+    let mut header = [0u8; 8];
+    if !read_exact_or_eof(r, &mut header[..4])? {
         return Ok(None);
     }
-    if magic != FRAME_MAGIC {
-        return Err(FrameError::BadMagic(magic));
-    }
-    let mut len_bytes = [0u8; 4];
-    if !read_exact_or_eof(r, &mut len_bytes)? {
+    frame_len(&header[..4])?; // the magic, before another byte is read
+    if !read_exact_or_eof(r, &mut header[4..])? {
         return Err(FrameError::Truncated);
     }
-    let len = u32::from_le_bytes(len_bytes);
-    if len > MAX_BODY_LEN {
-        return Err(FrameError::Oversized(len));
-    }
-    let mut body = vec![0u8; len as usize];
-    if !read_exact_or_eof(r, &mut body)? {
-        return Err(FrameError::Truncated);
-    }
+    let len = frame_len(&header)?.expect("a whole header");
+    let mut body = vec![0u8; len - 16];
     let mut sum = [0u8; 8];
-    if !read_exact_or_eof(r, &mut sum)? {
+    if !read_exact_or_eof(r, &mut body)? || !read_exact_or_eof(r, &mut sum)? {
         return Err(FrameError::Truncated);
     }
-    if u64::from_le_bytes(sum) != checksum64(&body) {
-        return Err(FrameError::Checksum);
-    }
+    check_sum(&body, sum)?;
     Ok(Some(body))
+}
+
+/// Split off the frame `window` starts with, in place and checked as
+/// [`read_frame`] checks it: `Ok(Some((body, len)))` once all `len` bytes
+/// of it are in, `Ok(None)` before (the caller knows if the stream ended).
+///
+/// # Errors
+///
+/// [`FrameError::BadMagic`], [`FrameError::Oversized`] or
+/// [`FrameError::Checksum`].
+pub fn split_frame(window: &[u8]) -> Result<Option<(&[u8], usize)>, FrameError> {
+    let Some(len) = frame_len(window)? else {
+        return Ok(None);
+    };
+    let Some(frame) = window.get(8..len) else {
+        return Ok(None);
+    };
+    let (body, sum) = frame.split_at(len - 16);
+    check_sum(body, sum.try_into().expect("eight checksum bytes"))?;
+    Ok(Some((body, len)))
 }
 
 // ---------------------------------------------------------------------------
@@ -1450,15 +1486,29 @@ mod tests {
         assert_eq!(Response::decode(&ack.encode()).unwrap(), ack);
     }
 
+    /// The frame a stream that ends after `wire` starts with, as the
+    /// daemon's connection core splits it off its read window: a prefix of
+    /// a frame is torn once the stream has ended.
+    fn split_at_end(wire: &[u8]) -> Result<Option<Vec<u8>>, FrameError> {
+        match split_frame(wire)? {
+            Some((body, _)) => Ok(Some(body.to_vec())),
+            None if wire.is_empty() => Ok(None),
+            None => Err(FrameError::Truncated),
+        }
+    }
+
     #[test]
     fn clean_eof_is_none_and_torn_frames_are_typed() {
         assert!(read_frame(&mut [].as_slice()).unwrap().is_none());
+        assert!(split_at_end(&[]).unwrap().is_none());
         let mut wire = Vec::new();
         write_frame(&mut wire, &Request::Stats { request_id: 1 }.encode()).unwrap();
         for cut in 1..wire.len() {
-            match read_frame(&mut &wire[..cut]) {
-                Err(FrameError::Truncated) => {}
-                other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
+            for read in [read_frame(&mut &wire[..cut]), split_at_end(&wire[..cut])] {
+                match read {
+                    Err(FrameError::Truncated) => {}
+                    other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
+                }
             }
         }
     }
@@ -1466,17 +1516,18 @@ mod tests {
     #[test]
     fn hostile_headers_are_typed_errors() {
         let garbage = *b"GET / HTTP/1.1\r\n";
-        assert!(matches!(
-            read_frame(&mut garbage.as_slice()),
-            Err(FrameError::BadMagic(_))
-        ));
+        for read in [read_frame(&mut garbage.as_slice()), split_at_end(&garbage)] {
+            assert!(matches!(read, Err(FrameError::BadMagic(_))));
+        }
         let mut oversized = Vec::new();
         oversized.extend_from_slice(&FRAME_MAGIC);
         oversized.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
+        for read in [
             read_frame(&mut oversized.as_slice()),
-            Err(FrameError::Oversized(_))
-        ));
+            split_at_end(&oversized),
+        ] {
+            assert!(matches!(read, Err(FrameError::Oversized(_))));
+        }
         assert!(write_frame(&mut Vec::new(), &vec![0; MAX_BODY_LEN as usize + 1]).is_err());
     }
 

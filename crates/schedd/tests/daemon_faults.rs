@@ -366,8 +366,9 @@ fn graceful_shutdown_drains_admitted_work_and_rejects_new() {
 }
 
 /// Submit `seed` and wait for it, so its schedule and estimate are
-/// resident and its worker has let go of it (a worker counts a job done
-/// only after writing the reply); returns the request for repeating.
+/// resident and its worker has let go of it (a job leaves the in-flight
+/// count when its reply is laid out, before it is written); returns the
+/// request for repeating.
 fn warmed(handle: &ServerHandle, client: &mut Client, seed: u64) -> SubmitRequest {
     let req = request(seed);
     let reply = client.submit(req.clone()).expect("warm-up submit");

@@ -11,6 +11,7 @@ use commcache::{Fingerprint, InstanceKey};
 use commrt::{BackendKind, BackendReport, ContentionStats};
 use commsched::{registry, CommMatrix, MatrixDelta};
 use proptest::prelude::*;
+use schedd::protocol::split_frame;
 use schedd::{
     read_frame, write_frame, DaemonStats, DecodeError, ErrorCode, ErrorReply, FrameError,
     LinkCostModel, ProtocolLimits, Request, Response, SchemeChoice, ServiceConfig, ServiceError,
@@ -50,6 +51,17 @@ fn frame(body: &[u8]) -> Vec<u8> {
     let mut wire = Vec::new();
     write_frame(&mut wire, body).expect("frame within bounds");
     wire
+}
+
+/// The frame a stream that ends after `wire` starts with, as the daemon's
+/// connection core splits it off its read window (`split_frame`): a
+/// prefix of a frame is torn once the stream has ended.
+fn split_at_end(wire: &[u8]) -> Result<Option<Vec<u8>>, FrameError> {
+    match split_frame(wire)? {
+        Some((body, _)) => Ok(Some(body.to_vec())),
+        None if wire.is_empty() => Ok(None),
+        None => Err(FrameError::Truncated),
+    }
 }
 
 proptest! {
@@ -283,11 +295,14 @@ proptest! {
         let wire = frame(&req.encode());
         let cut = (wire.len() - 1) * cut_pct / 100;
         // Cutting the wire mid-frame: read_frame must type the failure
-        // (or report clean EOF for cut == 0), never panic.
-        match read_frame(&mut &wire[..cut]) {
-            Ok(None) => prop_assert!(cut == 0, "EOF only legal at a frame boundary"),
-            Err(FrameError::Truncated) => {}
-            other => prop_assert!(false, "cut at {}: expected Truncated, got {:?}", cut, other),
+        // (or report clean EOF for cut == 0), never panic; so must the
+        // daemon's split once the stream has ended.
+        for read in [read_frame(&mut &wire[..cut]), split_at_end(&wire[..cut])] {
+            match read {
+                Ok(None) => prop_assert!(cut == 0, "EOF only legal at a frame boundary"),
+                Err(FrameError::Truncated) => {}
+                other => prop_assert!(false, "cut at {}: expected Truncated, got {:?}", cut, other),
+            }
         }
         // Cutting the already-verified body mid-field: Request::decode
         // must type the failure too (in-process callers hit this path).
@@ -444,9 +459,11 @@ proptest! {
         // magic/length/checksum flip fails framing, and a body flip
         // fails the body checksum. A silently different request must
         // never come back.
-        match read_frame(&mut wire.as_slice()) {
-            Err(_) => {}
-            Ok(body) => prop_assert!(false, "byte {} flipped undetected: {:?}", at, body),
+        for read in [read_frame(&mut wire.as_slice()), split_at_end(&wire)] {
+            match read {
+                Err(_) => {}
+                Ok(body) => prop_assert!(false, "byte {} flipped undetected: {:?}", at, body),
+            }
         }
     }
 }
@@ -548,10 +565,13 @@ fn buffered_back_to_back_frames_decode_then_eof() {
 fn a_buffered_frame_cut_at_any_offset_is_truncated() {
     let wire = frame(&cube_submit_body(6));
     for cut in 0..wire.len() {
-        match read_frame(&mut std::io::BufReader::new(&wire[..cut])) {
-            Ok(None) => assert_eq!(cut, 0, "EOF only legal at a frame boundary"),
-            Err(FrameError::Truncated) => {}
-            other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
+        let buffered = read_frame(&mut std::io::BufReader::new(&wire[..cut]));
+        for read in [buffered, split_at_end(&wire[..cut])] {
+            match read {
+                Ok(None) => assert_eq!(cut, 0, "EOF only legal at a frame boundary"),
+                Err(FrameError::Truncated) => {}
+                other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
+            }
         }
     }
 }
@@ -559,19 +579,18 @@ fn a_buffered_frame_cut_at_any_offset_is_truncated() {
 #[test]
 fn hostile_and_oversized_headers_are_typed_errors() {
     // Not our protocol at all.
-    assert!(matches!(
-        read_frame(&mut &b"GET / HTTP/1.1\r\nHost: x\r\n\r\n"[..]),
-        Err(FrameError::BadMagic(_))
-    ));
+    let http = b"GET / HTTP/1.1\r\nHost: x\r\n\r\n";
+    for read in [read_frame(&mut &http[..]), split_at_end(http)] {
+        assert!(matches!(read, Err(FrameError::BadMagic(_))));
+    }
     // Correct magic, absurd length claim: rejected before allocation.
     let mut wire = Vec::new();
     wire.extend_from_slice(&FRAME_MAGIC);
     wire.extend_from_slice(&u32::MAX.to_le_bytes());
     wire.extend_from_slice(&[0u8; 64]);
-    assert!(matches!(
-        read_frame(&mut wire.as_slice()),
-        Err(FrameError::Oversized(_))
-    ));
+    for read in [read_frame(&mut wire.as_slice()), split_at_end(&wire)] {
+        assert!(matches!(read, Err(FrameError::Oversized(_))));
+    }
     // Correct framing, hostile body: a Submit claiming 2^20 nodes must
     // be rejected by the node cap, not by allocating a 4 TiB matrix.
     let mut body = vec![0x01u8]; // Submit

@@ -38,8 +38,8 @@ fn call(stream: &mut Stream, body: &[u8]) -> Vec<u8> {
     read_frame(stream).expect("read").expect("a reply frame")
 }
 
-/// Every counter, once the daemon is idle (a worker lets go of its job,
-/// `inflight`, only after it writes its reply).
+/// Every counter, once the daemon is idle (a job leaves `inflight` when
+/// its reply is laid out, before it is written).
 fn settled(stream: &mut Stream) -> DaemonStats {
     for _ in 0..10_000 {
         let body = call(stream, &Request::Stats { request_id: 0 }.encode());

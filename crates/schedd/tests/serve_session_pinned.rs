@@ -106,7 +106,7 @@ fn settled_counters(stream: &mut Stream) -> [u64; 15] {
             Response::Stats { stats, .. } => stats,
             other => panic!("expected stats, got {other:?}"),
         };
-        // A worker lets go of its job (`inflight`) after writing its reply.
+        // A job leaves `inflight` when its reply is laid out.
         if stats.inflight == 0 {
             return [
                 stats.submits,
