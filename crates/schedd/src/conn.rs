@@ -1,5 +1,5 @@
 //! The connection core: one [`Conn`] per connection decides everything
-//! about it, makes no syscall and never blocks. The shell
+//! about it, does no I/O and never waits on a peer. The shell
 //! ([`server`](crate::server)) hands it what a `read` fetched
 //! ([`Conn::received`]), a worker's answer ([`Conn::answered`]) and what
 //! a `write` took ([`Conn::wrote`]), and writes [`Conn::unwritten`].

@@ -37,9 +37,9 @@ use crate::net::{Endpoint, Listener, Stream};
 use crate::protocol::DaemonStats;
 use crate::service::ServiceConfig;
 
-/// A connection as the shell keeps it, and a queued job finds it (as a
-/// [`Handle`]): its [`Conn`] and the socket handle its replies are written
-/// to. The lock around it is the write turn.
+/// A connection as the shell keeps it, behind the [`Handle`] each of its
+/// queued jobs holds: its [`Conn`] and the socket its replies are written
+/// to. The lock around it is the connection's write turn.
 struct Link {
     conn: Conn,
     stream: Stream,
