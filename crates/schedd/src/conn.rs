@@ -103,7 +103,6 @@ impl<L> Core<L> {
         self.drain_requested.notify_all();
     }
 
-    /// Block until the drain is marked.
     pub(crate) fn wait_drain(&self) {
         let mut counts = self.counts.lock().expect("count lock");
         while counts.draining == 0 {

@@ -31,7 +31,8 @@
 //!   also callable in-process (that is how the conformance suite pins
 //!   daemon responses byte-identical to library calls).
 //! * [`net`] / [`server`] / [`client`] — sockets, the threaded daemon
-//!   shell, and the blocking (pipelining-capable) client.
+//!   shell over one `conn` core per connection, and the blocking
+//!   (pipelining-capable) client.
 //!
 //! Binaries: `schedd` (the daemon); `schedctl` (in `repro_bench`) is
 //! its command-line client (`submit`/`bench`/`stats`/`shutdown`). Load
