@@ -9,6 +9,7 @@
 //!
 //! Run: `cargo run -p repro-bench --release --bin fig5`
 
+use commrt::grid::{GridCell, GridResult};
 use commrt::write_csv;
 use commsched::registry;
 use repro_bench::{paper_grid, EnvConfig, DENSITIES, PAPER_SAMPLES};
@@ -25,28 +26,7 @@ fn main() {
         .execute()
         .unwrap_or_else(|e| panic!("{e}"));
 
-    print!("{:>4} |", "d");
-    for bytes in &sizes {
-        print!(" {:>6}", format!("2^{}", bytes.trailing_zeros()));
-    }
-    println!();
-    println!("-----+{}", "-".repeat(sizes.len() * 7));
-
-    for d in DENSITIES {
-        print!("{d:>4} |");
-        for &bytes in &sizes {
-            let point = result.point_index(d, bytes).expect("declared point");
-            let best = result
-                .row(point)
-                .fold(None::<(&str, f64)>, |best, cell| match best {
-                    Some((_, ms)) if cell.result.comm_ms >= ms => best,
-                    _ => Some((cell.algorithm.as_str(), cell.result.comm_ms)),
-                })
-                .expect("cells present");
-            print!(" {:>6}", best.0);
-        }
-        println!();
-    }
+    print_winners(&result, &sizes, |cell| cell.result.comm_ms);
 
     println!("\npaper's regions: AC at small d/M; LP at large d and M >~1 KB; RS_N(L) elsewhere");
 
@@ -55,27 +35,9 @@ fn main() {
     // algorithm is charged comm + comp. Zero-overhead AC expands; RS_NL
     // shrinks toward large messages.
     println!("\nwinner when the schedule is used once (comm + scheduling cost):");
-    print!("{:>4} |", "d");
-    for bytes in &sizes {
-        print!(" {:>6}", format!("2^{}", bytes.trailing_zeros()));
-    }
-    println!();
-    println!("-----+{}", "-".repeat(sizes.len() * 7));
-    for d in DENSITIES {
-        print!("{d:>4} |");
-        for &bytes in &sizes {
-            let point = result.point_index(d, bytes).expect("declared point");
-            let best = result
-                .row(point)
-                .min_by(|a, b| {
-                    (a.result.comm_ms + a.result.comp_ms)
-                        .total_cmp(&(b.result.comm_ms + b.result.comp_ms))
-                })
-                .expect("cells present");
-            print!(" {:>6}", best.algorithm);
-        }
-        println!();
-    }
+    print_winners(&result, &sizes, |cell| {
+        cell.result.comm_ms + cell.result.comp_ms
+    });
 
     write_csv(
         std::path::Path::new("results/fig5.csv"),
@@ -83,4 +45,26 @@ fn main() {
     )
     .expect("write csv");
     println!("wrote results/fig5.csv");
+}
+
+/// One row per density, one column per message size: the algorithm of
+/// least `cost` there, the first of them on a tie.
+fn print_winners(result: &GridResult, sizes: &[u32], cost: impl Fn(&GridCell) -> f64) {
+    print!("{:>4} |", "d");
+    for bytes in sizes {
+        print!(" {:>6}", format!("2^{}", bytes.trailing_zeros()));
+    }
+    println!();
+    println!("-----+{}", "-".repeat(sizes.len() * 7));
+    for d in DENSITIES {
+        print!("{d:>4} |");
+        for &bytes in sizes {
+            let point = result.point_index(d, bytes).expect("declared point");
+            let best = (result.row(point))
+                .min_by(|a, b| cost(a).total_cmp(&cost(b)))
+                .expect("cells present");
+            print!(" {:>6}", best.algorithm);
+        }
+        println!();
+    }
 }

@@ -9,7 +9,9 @@
 //! (`schedctl shutdown --addr ...`), then drains admitted work and
 //! exits 0.
 
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use commcache::CacheConfig;
 use schedd::{Endpoint, ProtocolLimits, Server, ServiceConfig};
@@ -44,44 +46,23 @@ fn parse_args() -> Result<(ServiceConfig, Endpoint), String> {
     let mut incremental = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
+        let args = &mut args;
         match arg.as_str() {
-            "--unix" => endpoint = Some(Endpoint::Unix(value("--unix")?.into())),
-            "--tcp" => endpoint = Some(Endpoint::Tcp(value("--tcp")?)),
-            "--addr" => endpoint = Some(Endpoint::parse(&value("--addr")?)?),
-            "--workers" => {
-                config.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
-            }
-            "--queue" => {
-                config.queue_capacity = value("--queue")?
-                    .parse()
-                    .map_err(|e| format!("--queue: {e}"))?
-            }
-            "--quota" => {
-                config.max_inflight_per_client = value("--quota")?
-                    .parse()
-                    .map_err(|e| format!("--quota: {e}"))?
-            }
+            "--unix" => endpoint = Some(Endpoint::Unix(value(args, "--unix")?)),
+            "--tcp" => endpoint = Some(Endpoint::Tcp(value(args, "--tcp")?)),
+            "--addr" => endpoint = Some(Endpoint::parse(&value::<String>(args, "--addr")?)?),
+            "--workers" => config.workers = value(args, "--workers")?,
+            "--queue" => config.queue_capacity = value(args, "--queue")?,
+            "--quota" => config.max_inflight_per_client = value(args, "--quota")?,
             "--max-nodes" => {
-                let nodes: u64 = value("--max-nodes")?
-                    .parse()
-                    .map_err(|e| format!("--max-nodes: {e}"))?;
+                let nodes: u64 = value(args, "--max-nodes")?;
                 if nodes < 2 {
                     return Err("--max-nodes: need at least 2 nodes".into());
                 }
                 config.limits = ProtocolLimits::with_max_nodes(nodes);
             }
-            "--store" => config.cache = CacheConfig::persistent(value("--store")?),
-            "--estimate-cache" => {
-                config.estimate_cache_capacity = value("--estimate-cache")?
-                    .parse()
-                    .map_err(|e| format!("--estimate-cache: {e}"))?
-            }
+            "--store" => config.cache = CacheConfig::persistent(value::<String>(args, "--store")?),
+            "--estimate-cache" => config.estimate_cache_capacity = value(args, "--estimate-cache")?,
             "--incremental" => incremental = true,
             "-h" | "--help" => {
                 print!("{USAGE}");
@@ -97,6 +78,17 @@ fn parse_args() -> Result<(ServiceConfig, Endpoint), String> {
         config.cache = config.cache.incremental_default();
     }
     Ok((config, endpoint))
+}
+
+/// The argument after `flag`, parsed.
+fn value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let value = args
+        .next()
+        .ok_or_else(|| format!("flag {flag} needs a value"))?;
+    value.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 fn main() -> ExitCode {

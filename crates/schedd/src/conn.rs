@@ -8,9 +8,10 @@
 //! place ([`split_frame`]) and keeps a frame's prefix for the next read.
 //! A `Submit` runs the admission stage (`Conn::submit`): a resident one
 //! is answered right there, taking no worker, quota or queue slot, and a
-//! miss is queued as a [`Job`]. A rejection is a typed error frame and
-//! the connection stays healthy; a broken frame is answered `Malformed`
-//! and closes the connection ([`Action::Close`]): sync is lost.
+//! miss is queued as a [`Job`] ([`Action::Queued`]). A rejection is a
+//! typed error frame and the connection stays healthy; a broken frame is
+//! answered `Malformed` and closes the connection ([`Action::Close`]):
+//! sync is lost.
 //!
 //! **Held replies.** The frames `received` lays out itself (resident
 //! answers, `Stats`, `ShutdownAck`, errors) are held while a whole frame
@@ -142,6 +143,8 @@ pub(crate) enum Action {
     /// Write [`Conn::unwritten`], whose last frame is the `Malformed`
     /// error saying why, then hang up.
     Close,
+    /// A job was queued: let go of the connection, wake a worker, go on.
+    Queued,
 }
 
 /// A `Submit` as the reader holds it.
@@ -182,9 +185,9 @@ impl Conn {
     }
 
     /// Take `bytes` read off the socket (none, to go on after an
-    /// [`Action::Write`]): answer or queue every whole frame in the
-    /// window, a miss as a [`Job`] naming `me`, and keep a frame's prefix.
-    /// `None` asks for more bytes, with nothing left to write.
+    /// [`Action`]): answer or queue every whole frame in the window, a
+    /// miss as a [`Job`] naming `me`, and keep a frame's prefix. `None`
+    /// asks for more bytes, with nothing left to write.
     pub(crate) fn received<L: Clone>(
         &mut self,
         core: &Core<L>,
@@ -201,9 +204,13 @@ impl Conn {
             match split_frame(&window[start..]) {
                 Ok(Some((body, len))) => {
                     start += len;
+                    let inflight = self.inflight;
                     match SubmitView::parse(body, &core.config.limits) {
                         Some(view) => self.submit(core, me, Submit::Body(body, view)),
                         None => self.request(core, me, body),
+                    }
+                    if self.inflight > inflight {
+                        break Some(Action::Queued); // only a push raises it here
                     }
                 }
                 Ok(None) => break (!self.unwritten().is_empty()).then_some(Action::Write),
@@ -408,7 +415,7 @@ impl Conn {
             pending,
             conn: me.clone(),
         };
-        let Err((_, push_err)) = core.queue.try_push(job) else {
+        let Err((_, push_err)) = core.queue.try_push_unwoken(job) else {
             return;
         };
         self.inflight -= 1;
@@ -487,9 +494,10 @@ mod tests {
         let mut conn = Conn::new(1);
         assert_eq!(
             conn.received(&core, &(), &small(1)),
-            None,
+            Some(Action::Queued),
             "a miss is queued"
         );
+        assert_eq!(conn.received(&core, &(), &[]), None);
         let job = core.queue.pop().expect("the miss is queued");
         let answer = core.state.finish(&job.req, job.pending);
         conn.answered(&core, &job.req, answer);
@@ -583,9 +591,11 @@ mod tests {
         ids: Vec<u64>,
         wire: Vec<u8>,
         sent: usize,
-        /// `received` asked for a write: as in the shell, it gets no new
-        /// bytes until everything is written and it asks for nothing.
-        writing: bool,
+        /// What `received` last asked for. As in the shell, a connection
+        /// that asks for anything gets no new bytes: it goes on after a
+        /// queued job at any step, and after a write once everything is
+        /// written.
+        asked: Option<Action>,
         /// Bytes written to the client and not yet a whole frame.
         inbox: Vec<u8>,
         /// Replies per request id, and the `Schedule`s among them.
@@ -607,7 +617,7 @@ mod tests {
                 ids,
                 wire: frames.concat(),
                 sent: 0,
-                writing: false,
+                asked: None,
                 inbox: Vec::new(),
                 answers: HashMap::new(),
                 schedules: 0,
@@ -672,6 +682,8 @@ mod tests {
         Send(usize),
         /// A write hands part of what a connection laid out to its client.
         Write(usize),
+        /// A connection goes on with the frames left in its window.
+        Resume(usize),
         /// A worker pops the oldest job and answers it.
         Work,
         /// The daemon marks the drain, as `ServerHandle::shutdown` does.
@@ -697,10 +709,14 @@ mod tests {
         loop {
             let mut steps = Vec::new();
             for (i, client) in clients.iter().enumerate() {
-                if !client.writing && client.sent < client.wire.len() {
-                    steps.push(Step::Send(i));
+                let written = client.conn.unwritten().is_empty();
+                match client.asked {
+                    None if client.sent < client.wire.len() => steps.push(Step::Send(i)),
+                    Some(Action::Queued) => steps.push(Step::Resume(i)),
+                    Some(_) if written => steps.push(Step::Resume(i)),
+                    _ => {}
                 }
-                if !client.conn.unwritten().is_empty() {
+                if !written {
                     steps.push(Step::Write(i));
                 }
             }
@@ -719,7 +735,7 @@ mod tests {
                     let left = client.wire.len() - client.sent;
                     let n = rng.random_range(1..=left.min(600));
                     let chunk = &client.wire[client.sent..client.sent + n];
-                    client.writing = client.conn.received(&core, &i, chunk).is_some();
+                    client.asked = client.conn.received(&core, &i, chunk);
                     client.sent += n;
                 }
                 Step::Write(i) => {
@@ -729,10 +745,11 @@ mod tests {
                         .inbox
                         .extend_from_slice(&client.conn.unwritten()[..n]);
                     client.conn.wrote(&core, n);
-                    if client.writing && client.conn.unwritten().is_empty() {
-                        client.writing = client.conn.received(&core, &i, &[]).is_some();
-                    }
                     client.read_replies(&mut fresh);
+                }
+                Step::Resume(i) => {
+                    let client = &mut clients[i];
+                    client.asked = client.conn.received(&core, &i, &[]);
                 }
                 Step::Work => {
                     let job = core.queue.pop().expect("a queued job");

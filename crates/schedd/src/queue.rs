@@ -1,8 +1,8 @@
 //! A bounded MPMC job queue with typed backpressure.
 //!
-//! The daemon's admission stage pushes with [`BoundedQueue::try_push`],
-//! which **never blocks**: a full queue is an immediate
-//! [`PushError::Full`] that the connection layer turns into an
+//! The daemon's admission stage pushes, waking a worker once it has let
+//! go of its connection, and **never blocks**: a full queue is an
+//! immediate [`PushError::Full`] that the connection layer turns into an
 //! `Overloaded` error frame. Blocking the reader thread on a full queue
 //! would convert overload into unbounded client-side latency and make
 //! the daemon's capacity invisible; a typed rejection keeps the contract
@@ -79,6 +79,14 @@ impl<T> BoundedQueue<T> {
     /// [`close`](Self::close); the item comes back inside the error's
     /// carrier — nothing is lost.
     pub fn try_push(&self, item: T) -> Result<(), (T, PushError)> {
+        self.try_push_unwoken(item)?;
+        self.wake_one();
+        Ok(())
+    }
+
+    /// [`try_push`](Self::try_push) without the wake-up, for a caller holding
+    /// a lock the consumer takes; it calls [`wake_one`](Self::wake_one) after.
+    pub(crate) fn try_push_unwoken(&self, item: T) -> Result<(), (T, PushError)> {
         let mut inner = self.inner.lock().expect("queue lock");
         if inner.closed {
             return Err((item, PushError::Closed));
@@ -87,9 +95,11 @@ impl<T> BoundedQueue<T> {
             return Err((item, PushError::Full));
         }
         inner.items.push_back(item);
-        drop(inner);
-        self.takeable.notify_one();
         Ok(())
+    }
+
+    pub(crate) fn wake_one(&self) {
+        self.takeable.notify_one();
     }
 
     /// Dequeue, blocking while the queue is empty (or paused) and open.

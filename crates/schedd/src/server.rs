@@ -17,7 +17,8 @@
 //!
 //! A connection's lock is its write turn, taken by its reader and by the
 //! workers answering it, so replies can overtake each other and every
-//! frame echoes its `request_id`.
+//! frame echoes its `request_id`. The reader wakes a worker only once it
+//! has let go of it: woken sooner, the worker would wait on the lock.
 //!
 //! Graceful shutdown (from [`ServerHandle::shutdown`] or a client's
 //! `Shutdown` frame, once its acknowledgement is written) is an ordering,
@@ -232,6 +233,12 @@ fn reader_loop(mut stream: Stream, link: &Handle, core: &Core<Handle>) {
         };
         let mut bytes = &buf[..n];
         while let Some(action) = held.conn.received(core, link, std::mem::take(&mut bytes)) {
+            if action == Action::Queued {
+                drop(held);
+                core.queue.wake_one();
+                held = link.lock().expect("connection lock");
+                continue;
+            }
             held.flush(core);
             if action == Action::Close {
                 return;
