@@ -547,6 +547,22 @@ mod tests {
         expect_hits(&write_all(&core, &mut conn), [3]);
     }
 
+    #[test]
+    fn a_failed_write_counts_the_frames_laid_out_since_the_last_whole_write() {
+        let core: Core<()> = Core::new(ServiceConfig::default());
+        let mut conn = Conn::new(1);
+        let stats = |request_id| framed(&Request::Stats { request_id }.encode());
+        let wire = [stats(1), stats(2)].concat();
+        assert_eq!(conn.received(&core, &(), &wire), Some(Action::Write));
+        // The first reply is written whole, then the write of the second
+        // fails: both count, the one the client has too.
+        let (_, first) = split_frame(conn.unwritten()).unwrap().expect("two replies");
+        conn.wrote(&core, first);
+        conn.wrote(&core, 0);
+        assert!(conn.unwritten().is_empty());
+        assert_eq!(core.stats().write_failures, 2);
+    }
+
     /// The frame of one scripted request, drawn from `rng`: mostly submits
     /// of four matrices (so misses and resident repeats), and `Stats`, a
     /// body that does not decode (answered with id 0), an unknown
