@@ -26,7 +26,8 @@
 //! `Schedule` as `completed`, a job's answer out of the in-flight counts),
 //! before any byte of it can reach the client: a client never reads a
 //! reply the counters miss, and a `Stats` frame held behind answers
-//! counts them. A failed write moves its frames to `write_failures`.
+//! counts them. A failed write moves the frames it leaves short to
+//! `write_failures`.
 //!
 //! **The self-stall.** A pipelining client must keep reading its
 //! replies. A reader whose held replies do not fit the socket's buffers
@@ -39,8 +40,8 @@
 use std::sync::{Condvar, Mutex};
 
 use crate::protocol::{
-    begin_frame, seal_frame, split_frame, DaemonStats, ErrorCode, ErrorReply, Request, Response,
-    SubmitRequest, SubmitView,
+    begin_frame, frame_len, seal_frame, split_frame, DaemonStats, ErrorCode, ErrorReply, Request,
+    Response, SubmitRequest, SubmitView, K_SCHEDULE,
 };
 use crate::queue::{BoundedQueue, PushError};
 use crate::service::{Answer, Pending, ServiceConfig, ServiceError, ServiceState};
@@ -167,9 +168,6 @@ pub(crate) struct Conn {
     /// are written.
     out: Vec<u8>,
     sent: usize,
-    /// The frames in `out`, and the `Schedule`s among them.
-    frames: u64,
-    schedules: u64,
     /// Jobs queued and not yet answered.
     inflight: u64,
     /// `out` holds a `ShutdownAck`: the drain is marked once it is written.
@@ -256,22 +254,33 @@ impl Conn {
     }
 
     /// A write took the first `n` bytes of [`unwritten`](Self::unwritten);
-    /// `n == 0` is a failed write, after which every frame laid out since
-    /// all were last written moves from `completed` to `write_failures`
-    /// and is dropped: a dead client is not the daemon's problem beyond
-    /// that count.
+    /// `n == 0` is a failed write, after which every frame not yet written
+    /// whole moves from `completed` to `write_failures` and is dropped: a
+    /// dead client is not the daemon's problem beyond that count.
     pub(crate) fn wrote<L>(&mut self, core: &Core<L>, n: usize) {
         if n == 0 {
+            let (mut at, mut frames, mut schedules) = (0, 0, 0);
+            while at < self.out.len() {
+                let len = frame_len(&self.out[at..])
+                    .ok()
+                    .flatten()
+                    .expect("a sealed frame");
+                if at + len > self.sent {
+                    frames += 1;
+                    schedules += u64::from(self.out[at + 8] == K_SCHEDULE);
+                }
+                at += len;
+            }
             core.count(|c| {
-                c.completed -= self.schedules;
-                c.write_failures += self.frames;
+                c.completed -= schedules;
+                c.write_failures += frames;
             });
             self.sent = self.out.len();
         }
         self.sent += n;
         if self.sent == self.out.len() {
             self.out.clear();
-            (self.sent, self.frames, self.schedules) = (0, 0, 0);
+            self.sent = 0;
             if std::mem::take(&mut self.acked) {
                 core.request_drain();
             }
@@ -288,9 +297,7 @@ impl Conn {
             self.out.truncate(start);
             return core.count(|n| n.write_failures += 1);
         }
-        self.frames += 1;
         if schedule {
-            self.schedules += 1;
             core.count(|n| n.completed += 1);
         }
     }
@@ -548,19 +555,29 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_write_counts_the_frames_laid_out_since_the_last_whole_write() {
+    fn a_failed_write_counts_only_the_frames_it_leaves_short() {
         let core: Core<()> = Core::new(ServiceConfig::default());
         let mut conn = Conn::new(1);
         let stats = |request_id| framed(&Request::Stats { request_id }.encode());
         let wire = [stats(1), stats(2)].concat();
         assert_eq!(conn.received(&core, &(), &wire), Some(Action::Write));
         // The first reply is written whole, then the write of the second
-        // fails: both count, the one the client has too.
+        // fails: only the second counts.
         let (_, first) = split_frame(conn.unwritten()).unwrap().expect("two replies");
         conn.wrote(&core, first);
         conn.wrote(&core, 0);
         assert!(conn.unwritten().is_empty());
-        assert_eq!(core.stats().write_failures, 2);
+        assert_eq!(core.stats().write_failures, 1);
+        // A resident schedule written whole stays `completed`; the one cut
+        // short leaves it.
+        let (core, mut conn) = warmed();
+        let wire = [small(2), small(3)].concat();
+        assert_eq!(conn.received(&core, &(), &wire), Some(Action::Write));
+        let (_, first) = split_frame(conn.unwritten()).unwrap().expect("two replies");
+        conn.wrote(&core, first + 1);
+        conn.wrote(&core, 0);
+        let stats = core.stats();
+        assert_eq!((stats.completed, stats.write_failures), (2, 1));
     }
 
     /// The frame of one scripted request, drawn from `rng`: mostly submits

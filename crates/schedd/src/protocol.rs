@@ -110,7 +110,7 @@ pub(crate) const K_SUBMIT: u8 = 0x01;
 const K_STATS_REQ: u8 = 0x02;
 const K_SHUTDOWN_REQ: u8 = 0x03;
 const K_SUBMIT_DELTA: u8 = 0x04;
-const K_SCHEDULE: u8 = 0x81;
+pub(crate) const K_SCHEDULE: u8 = 0x81;
 const K_STATS: u8 = 0x82;
 const K_ERROR: u8 = 0x83;
 const K_SHUTDOWN_ACK: u8 = 0x84;
@@ -259,7 +259,7 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<bool, FrameErr
 /// The one parser of a frame header: the whole frame's length once the
 /// header is in, checking the magic as soon as its bytes are and the
 /// claimed body length against [`MAX_BODY_LEN`].
-fn frame_len(window: &[u8]) -> Result<Option<usize>, FrameError> {
+pub(crate) fn frame_len(window: &[u8]) -> Result<Option<usize>, FrameError> {
     let Some(&[a, b, c, d]) = window.get(..4) else {
         return Ok(None);
     };
