@@ -35,7 +35,7 @@ pub fn schedule_weight_bytes(s: &Schedule) -> usize {
 /// One resident schedule, and its artifact once a reply has asked for it.
 struct Resident {
     schedule: Arc<Schedule>,
-    artifact: Option<Arc<[u8]>>,
+    artifact: Option<Arc<Vec<u8>>>,
 }
 
 /// A fixed-shard, byte-budgeted, LRU-evicting map from [`Fingerprint`] to
@@ -114,13 +114,14 @@ impl ShardedCache {
     /// keeps the bytes beside it, metered by the byte budget (which may
     /// evict older entries), and later calls share them. A schedule not
     /// resident under `key`, or whose artifact would not fit the shard's
-    /// budget, gets fresh bytes that are not kept.
+    /// budget, gets fresh bytes that are not kept. The bytes are kept in
+    /// the allocation `encode` made.
     pub fn artifact(
         &self,
         key: Fingerprint,
         schedule: &Arc<Schedule>,
         encode: impl FnOnce() -> Vec<u8>,
-    ) -> Arc<[u8]> {
+    ) -> Arc<Vec<u8>> {
         let ours = |r: &Resident| Arc::ptr_eq(&r.schedule, schedule);
         if let Some(kept) = self.shard(key).peek(key.0).filter(|r| ours(r)) {
             if let Some(artifact) = &kept.artifact {
@@ -128,7 +129,7 @@ impl ShardedCache {
             }
         }
         // Encoded outside the lock: other lookups of the shard go on.
-        let artifact: Arc<[u8]> = encode().into();
+        let artifact = Arc::new(encode());
         let mut shard = self.shard(key);
         if shard
             .peek(key.0)
@@ -281,11 +282,19 @@ mod tests {
         let s = schedule(8);
         cache.insert(key(1), Arc::clone(&s));
         let encodes = std::cell::Cell::new(0);
+        let encoded = std::cell::Cell::new(std::ptr::null());
         let encode = || {
             encodes.set(encodes.get() + 1);
-            vec![7u8; weight]
+            let bytes = vec![7u8; weight];
+            encoded.set(bytes.as_ptr());
+            bytes
         };
         let first = cache.artifact(key(1), &s, encode);
+        assert_eq!(
+            first.as_ptr(),
+            encoded.get(),
+            "the encoded bytes were copied"
+        );
         let again = cache.artifact(key(1), &s, encode);
         assert!(Arc::ptr_eq(&first, &again));
         assert_eq!(encodes.get(), 1, "encoded once while resident");

@@ -368,7 +368,7 @@ impl SchedCache {
     /// metered by the byte budget, so a repeat is answered with bytes the
     /// cache already holds. A schedule that is not resident gets fresh
     /// bytes.
-    pub fn artifact(&self, key: Fingerprint, schedule: &Arc<Schedule>) -> Arc<[u8]> {
+    pub fn artifact(&self, key: Fingerprint, schedule: &Arc<Schedule>) -> Arc<Vec<u8>> {
         self.mem
             .artifact(key, schedule, || encode_artifact(key, schedule))
     }

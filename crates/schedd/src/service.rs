@@ -515,7 +515,7 @@ impl ServiceState {
             answer.fingerprint,
             answer.freshly_compiled,
             &answer.estimate,
-            artifact.as_deref(),
+            artifact.as_deref().map(Vec::as_slice),
         );
     }
 
