@@ -6,15 +6,33 @@
 //! connection — the daemon's workers answer in completion order, so
 //! callers match responses to requests by `request_id`, not arrival
 //! order.
+//!
+//! **Held requests.** A sent request may be held, laid out behind the
+//! requests not yet written, until the client must wait for the daemon.
+//! The held requests go out together, in one `write_all`:
+//!
+//! * when [`recv`](Client::recv) is about to wait for bytes it does not
+//!   hold;
+//! * when `recv` hands out the last whole reply its window holds, so the
+//!   daemon works on them while the caller handles that reply;
+//! * once a window's worth of them (32 KiB) is held, so at most one
+//!   window plus one frame is ever held;
+//! * on [`flush`](Client::flush), and when the client is dropped.
+//!
+//! A caller that sends and then waits on something other than `recv`
+//! calls `flush` first. Replies are read into one window, as the daemon
+//! reads requests, and split off it in place: one `read` fetches every
+//! reply the socket holds, up to a window, and each reply's checksum is
+//! checked once.
 
 use std::fmt;
-use std::io::{self, BufReader, Write};
+use std::io::{self, Read, Write};
 
-use crate::conn::READ_WINDOW;
+use crate::conn::{Window, READ_WINDOW};
 use crate::net::{Endpoint, Stream};
 use crate::protocol::{
-    begin_frame, read_frame, seal_frame, DaemonStats, DecodeError, ErrorReply, FrameError, Request,
-    Response, SubmitDeltaRequest, SubmitReply, SubmitRequest,
+    begin_frame, seal_frame, DaemonStats, DecodeError, ErrorReply, FrameError, Request, Response,
+    SubmitDeltaRequest, SubmitReply, SubmitRequest,
 };
 
 /// Why a client call failed.
@@ -69,14 +87,23 @@ impl From<DecodeError> for ClientError {
 
 /// A connected `schedd` client.
 pub struct Client {
-    /// Reads go through a buffer of [`READ_WINDOW`] bytes, so one `read`
-    /// syscall can fetch several pipelined replies; writes go to the
-    /// socket underneath it, one `write_all` per request.
-    stream: BufReader<Stream>,
+    stream: Stream,
     next_id: u64,
-    /// The last request's frame: each request is encoded straight into
-    /// it, after the header, and the buffer is kept for the next.
-    frame: Vec<u8>,
+    /// The held requests: each is encoded straight into it, behind the
+    /// frames not yet written, and the buffer is kept for the next.
+    out: Vec<u8>,
+    /// Replies read and not yet handed out.
+    window: Window,
+}
+
+/// Write the held requests `out` and let go of them.
+fn write_held(stream: &mut Stream, out: &mut Vec<u8>) -> io::Result<()> {
+    if out.is_empty() {
+        return Ok(());
+    }
+    let written = stream.write_all(out);
+    out.clear();
+    written
 }
 
 impl Client {
@@ -87,9 +114,10 @@ impl Client {
     /// The underlying connect error.
     pub fn connect(endpoint: &Endpoint) -> io::Result<Client> {
         Ok(Client {
-            stream: BufReader::with_capacity(READ_WINDOW, endpoint.connect()?),
+            stream: endpoint.connect()?,
             next_id: 1,
-            frame: Vec::new(),
+            out: Vec::new(),
+            window: Window::new(),
         })
     }
 
@@ -100,31 +128,63 @@ impl Client {
         id
     }
 
-    /// Fire one request without waiting (pipelining).
+    /// Fire one request without waiting (pipelining). It may be held
+    /// until [`recv`](Self::recv) or [`flush`](Self::flush) (see the
+    /// module docs).
     ///
     /// # Errors
     ///
-    /// Transport errors.
+    /// Transport errors; `InvalidInput` for a body past the frame cap,
+    /// which is not sent.
     pub fn send(&mut self, req: &Request) -> Result<(), ClientError> {
-        self.frame.clear();
-        begin_frame(&mut self.frame);
-        req.encode_to(&mut self.frame);
-        seal_frame(&mut self.frame, 0)?;
-        let stream = self.stream.get_mut();
-        stream.write_all(&self.frame)?;
-        stream.flush()?;
+        let start = begin_frame(&mut self.out);
+        req.encode_to(&mut self.out);
+        if let Err(e) = seal_frame(&mut self.out, start) {
+            self.out.truncate(start);
+            return Err(e.into());
+        }
+        if self.out.len() >= READ_WINDOW {
+            self.flush()?;
+        }
         Ok(())
     }
 
+    /// Write every request [`send`](Self::send) holds.
+    ///
+    /// # Errors
+    ///
+    /// Transport errors; the held requests are dropped.
+    pub fn flush(&mut self) -> Result<(), ClientError> {
+        Ok(write_held(&mut self.stream, &mut self.out)?)
+    }
+
     /// Block for the next response frame, whatever request it answers.
+    /// Held requests are written first if it must wait, and as it hands
+    /// out the last whole reply read.
     ///
     /// # Errors
     ///
     /// Transport, framing, or decode errors; [`ClientError::ConnectionClosed`]
     /// on EOF.
     pub fn recv(&mut self) -> Result<Response, ClientError> {
-        let body = read_frame(&mut self.stream)?.ok_or(ClientError::ConnectionClosed)?;
-        Ok(Response::decode(&body)?)
+        while !self.window.split()? {
+            write_held(&mut self.stream, &mut self.out)?;
+            let n = loop {
+                match self.stream.read(self.window.room()) {
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    read => break read?,
+                }
+            };
+            match n {
+                0 if self.window.is_empty() => return Err(ClientError::ConnectionClosed),
+                0 => return Err(FrameError::Truncated.into()),
+                n => self.window.filled(n),
+            }
+        }
+        if !self.window.holds_frame() {
+            write_held(&mut self.stream, &mut self.out)?;
+        }
+        Ok(Response::decode(self.window.body())?)
     }
 
     /// Submit one request and block for **its** response (responses for
@@ -201,5 +261,125 @@ impl Client {
             Response::Error(err) => Err(ClientError::Server(err)),
             _ => Err(ClientError::Unexpected("non-ack response")),
         }
+    }
+}
+
+impl Drop for Client {
+    /// Write the held requests; a transport error is dropped with them.
+    fn drop(&mut self) {
+        let _ = self.flush();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::write_frame;
+    use std::os::unix::net::{UnixListener, UnixStream};
+
+    /// A client connected to a listener the test owns, and the test's end
+    /// of the connection.
+    fn pair(name: &str) -> (Client, UnixStream) {
+        let path =
+            std::env::temp_dir().join(format!("schedd-client-{name}-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = UnixListener::bind(&path).expect("bind");
+        let client = Client::connect(&Endpoint::Unix(path.clone())).expect("connect");
+        let (peer, _) = listener.accept().expect("accept");
+        let _ = std::fs::remove_file(&path);
+        (client, peer)
+    }
+
+    fn stats(request_id: u64) -> Request {
+        Request::Stats { request_id }
+    }
+
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, body).unwrap();
+        wire
+    }
+
+    /// What the peer can read now without waiting.
+    fn readable(peer: &mut UnixStream) -> Vec<u8> {
+        peer.set_nonblocking(true).unwrap();
+        let mut buf = vec![0; 4 * READ_WINDOW];
+        let n = match peer.read(&mut buf) {
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => 0,
+            read => read.unwrap(),
+        };
+        peer.set_nonblocking(false).unwrap();
+        buf.truncate(n);
+        buf
+    }
+
+    /// One blocking read's worth of what the peer is sent.
+    fn one_read(peer: &mut UnixStream) -> Vec<u8> {
+        let mut buf = vec![0; 4 * READ_WINDOW];
+        let n = peer.read(&mut buf).unwrap();
+        buf.truncate(n);
+        buf
+    }
+
+    #[test]
+    fn sent_requests_are_held_until_recv_and_leave_in_one_write() {
+        let (mut client, mut peer) = pair("held");
+        let sent: Vec<u8> = (1..=5).flat_map(|id| framed(&stats(id).encode())).collect();
+        for id in 1..=5 {
+            client.send(&stats(id)).unwrap();
+        }
+        assert!(readable(&mut peer).is_empty(), "a request left before recv");
+        // A recv that must wait writes all five first, in one write.
+        let waiting = std::thread::spawn(move || {
+            let reply = client.recv().unwrap();
+            (client, reply)
+        });
+        assert_eq!(one_read(&mut peer), sent);
+        // Five replies in one write, drained while more requests are sent:
+        // those leave together once the last reply held is handed out.
+        let replies: Vec<u8> = (1..=5)
+            .flat_map(|request_id| {
+                let stats = DaemonStats::default();
+                framed(&Response::Stats { request_id, stats }.encode())
+            })
+            .collect();
+        peer.write_all(&replies).unwrap();
+        let (mut client, first) = waiting.join().unwrap();
+        assert_eq!(first.request_id(), 1);
+        for id in 2..=5 {
+            client.send(&stats(10 + id)).unwrap();
+            if id < 5 {
+                assert_eq!(client.recv().unwrap().request_id(), id);
+                assert!(readable(&mut peer).is_empty(), "sent with replies held");
+            }
+        }
+        assert_eq!(client.recv().unwrap().request_id(), 5);
+        let after: Vec<u8> = (12..=15)
+            .flat_map(|id| framed(&stats(id).encode()))
+            .collect();
+        assert_eq!(readable(&mut peer), after);
+    }
+
+    #[test]
+    fn a_window_of_held_requests_flush_and_drop_write_them() {
+        let (mut client, mut peer) = pair("flush");
+        // Held requests leave once a window of them is held.
+        let frame = framed(&stats(1).encode()).len();
+        let per_window = READ_WINDOW.div_ceil(frame);
+        for id in 1..per_window as u64 {
+            client.send(&stats(id)).unwrap();
+        }
+        assert!(readable(&mut peer).is_empty());
+        client.send(&stats(per_window as u64)).unwrap();
+        assert_eq!(readable(&mut peer).len(), per_window * frame);
+        // `flush` writes what is held, and so does drop.
+        client.send(&stats(1)).unwrap();
+        client.flush().unwrap();
+        assert_eq!(readable(&mut peer).len(), frame);
+        client.send(&stats(2)).unwrap();
+        drop(client);
+        let mut rest = Vec::new();
+        peer.read_to_end(&mut rest).unwrap();
+        assert_eq!(rest, framed(&stats(2).encode()));
     }
 }

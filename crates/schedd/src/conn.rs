@@ -1,11 +1,16 @@
 //! The connection core: one [`Conn`] per connection decides everything
 //! about it, does no I/O and never waits on a peer. The shell
-//! ([`server`](crate::server)) hands it what a `read` fetched
-//! ([`Conn::received`]), a worker's answer ([`Conn::answered`]) and what
-//! a `write` took ([`Conn::wrote`]), and writes [`Conn::unwritten`].
+//! ([`server`](crate::server)) lends it the [`Window`] a `read` filled
+//! ([`Conn::received`]), hands it a worker's answer ([`Conn::answered`])
+//! and what a `write` took ([`Conn::wrote`]), and writes
+//! [`Conn::unwritten`].
 //!
-//! **The window.** `received` splits every whole frame in the window in
-//! place ([`split_frame`]) and keeps a frame's prefix for the next read.
+//! **The window.** A connection's reader reads straight into its
+//! [`Window`], which it keeps on its own side: it holds no lock while it
+//! waits in `read`, and workers write their replies under the lock.
+//! `received` splits every whole frame off the window in place
+//! ([`split_frame`]); a frame's prefix stays for the next read. The
+//! [`Client`](crate::Client) reads its replies through a `Window` too.
 //! A `Submit` runs the admission stage (`Conn::submit`): a resident one
 //! is answered right there, taking no worker, quota or queue slot, and a
 //! miss is queued as a [`Job`] ([`Action::Queued`]). A rejection is a
@@ -35,25 +40,123 @@
 //! until the client reads. A client that writes more request bytes than
 //! the socket buffers and the window hold before it reads any reply can
 //! so stall its own connection; how many requests that takes moves with
-//! `READ_WINDOW` and `HELD_CAP`.
+//! `READ_WINDOW` and `HELD_CAP`. The [`Client`](crate::Client) holds its
+//! requests until it reads, or until a window of them is held, so it
+//! writes at most one window plus one frame before it reads again.
 
 use std::sync::{Condvar, Mutex};
 
 use crate::protocol::{
-    begin_frame, frame_len, seal_frame, split_frame, DaemonStats, ErrorCode, ErrorReply, Request,
-    Response, SubmitRequest, SubmitView, K_SCHEDULE,
+    begin_frame, frame_len, seal_frame, split_frame, DaemonStats, ErrorCode, ErrorReply,
+    FrameError, Request, Response, SubmitRequest, SubmitView, K_SCHEDULE,
 };
 use crate::queue::{BoundedQueue, PushError};
 use crate::service::{Answer, Pending, ServiceConfig, ServiceError, ServiceState};
 
-/// Bytes one `read` syscall may fetch off a connection: a window of
-/// about five pipelined `cube:d=6` requests on the daemon's side, and of
-/// replies on the [`Client`](crate::Client)'s.
+/// The size of a [`Window`], the most one `read` syscall fetches off a
+/// connection unless a longer frame has grown it: about five pipelined
+/// `cube:d=6` requests on the daemon's side, and nine replies on the
+/// [`Client`](crate::Client)'s. The client also writes its held requests
+/// once this many bytes of them are held.
 pub(crate) const READ_WINDOW: usize = 32 << 10;
 
 /// Held bytes past which a reader's replies are written without waiting
 /// for the end of the frames in its window.
 const HELD_CAP: usize = 64 << 10;
+
+/// Bytes read off a connection and not yet split off as whole frames. A
+/// `read` fills its [`room`](Self::room) in place, and whole frames are
+/// split off it in place ([`split`](Self::split)): nothing is copied but a
+/// frame's prefix, moved to the front before the next read.
+pub(crate) struct Window {
+    buf: Vec<u8>,
+    /// `buf[start..end]` is read and not yet split off; the frame split
+    /// off last is `buf[frame]`.
+    start: usize,
+    end: usize,
+    frame: std::ops::Range<usize>,
+}
+
+impl Window {
+    pub(crate) fn new() -> Window {
+        Window {
+            buf: vec![0; READ_WINDOW],
+            start: 0,
+            end: 0,
+            frame: 0..0,
+        }
+    }
+
+    /// Whether no byte is held.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.start == self.end
+    }
+
+    /// Where the next `read` goes; report its count to
+    /// [`filled`](Self::filled). A frame longer than the window grows it,
+    /// at most twofold per read, so its size follows the bytes received
+    /// and not a header's claim; an emptied window shrinks back.
+    pub(crate) fn room(&mut self) -> &mut [u8] {
+        if self.is_empty() {
+            (self.start, self.end) = (0, 0);
+            if self.buf.len() > READ_WINDOW {
+                self.buf.truncate(READ_WINDOW);
+                self.buf.shrink_to_fit();
+            }
+        } else if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+        }
+        if self.end == self.buf.len() {
+            // Full, and no whole frame in it: the header claims more.
+            let (len, claim) = (self.buf.len(), frame_len(&self.buf));
+            let claim = claim.ok().flatten().unwrap_or(len);
+            self.buf.resize(claim.clamp(len, 2 * len), 0);
+        }
+        &mut self.buf[self.end..]
+    }
+
+    /// A `read` put `n` bytes into [`room`](Self::room).
+    pub(crate) fn filled(&mut self, n: usize) {
+        self.end += n;
+    }
+
+    /// Split off the frame the held bytes start with, once all of it is
+    /// held (`Ok(true)`), checking its checksum once; its body is then
+    /// [`body`](Self::body).
+    ///
+    /// # Errors
+    ///
+    /// What [`split_frame`] raises. Sync is lost: every held byte is
+    /// dropped.
+    pub(crate) fn split(&mut self) -> Result<bool, FrameError> {
+        match split_frame(&self.buf[self.start..self.end]) {
+            Ok(Some((body, len))) => {
+                let at = self.start + 8;
+                self.frame = at..at + body.len();
+                self.start += len;
+                Ok(true)
+            }
+            Ok(None) => Ok(false),
+            Err(e) => {
+                self.start = self.end;
+                Err(e)
+            }
+        }
+    }
+
+    /// The body of the frame [`split`](Self::split) split off last.
+    pub(crate) fn body(&self) -> &[u8] {
+        &self.buf[self.frame.clone()]
+    }
+
+    /// Whether the held bytes start with a whole frame, read from its
+    /// header alone: [`split`](Self::split) checks its checksum.
+    pub(crate) fn holds_frame(&self) -> bool {
+        let held = &self.buf[self.start..self.end];
+        matches!(frame_len(held), Ok(Some(len)) if len <= held.len())
+    }
+}
 
 /// One admitted request memory could not answer, on its way to the
 /// worker pool with its admission, its keys and its connection.
@@ -138,8 +241,8 @@ impl<L> Core<L> {
 /// What [`Conn::received`] asks of the shell.
 #[derive(Debug, PartialEq)]
 pub(crate) enum Action {
-    /// Write [`Conn::unwritten`], then call `received` with no new bytes:
-    /// whole frames may be left in the window.
+    /// Write [`Conn::unwritten`], then call `received` again before the
+    /// next read: whole frames may be left in the window.
     Write,
     /// Write [`Conn::unwritten`], whose last frame is the `Malformed`
     /// error saying why, then hang up.
@@ -157,13 +260,11 @@ enum Submit<'a> {
     Decoded(SubmitRequest),
 }
 
-/// One connection: its read window, the frames laid out for it and not
-/// yet written, and its jobs in flight.
+/// One connection: the frames laid out for it and not yet written, and
+/// its jobs in flight.
 #[derive(Default)]
 pub(crate) struct Conn {
     id: u64,
-    /// Bytes read and not yet split off as whole frames.
-    window: Vec<u8>,
     /// Frames laid out and not yet all written; the first `sent` bytes
     /// are written.
     out: Vec<u8>,
@@ -182,52 +283,43 @@ impl Conn {
         }
     }
 
-    /// Take `bytes` read off the socket (none, to go on after an
-    /// [`Action`]): answer or queue every whole frame in the window, a
-    /// miss as a [`Job`] naming `me`, and keep a frame's prefix. `None`
-    /// asks for more bytes, with nothing left to write.
+    /// Answer or queue every whole frame `window` holds, a miss as a
+    /// [`Job`] naming `me`; a frame's prefix stays in it. `None` asks for
+    /// the next read, with nothing left to write.
     pub(crate) fn received<L: Clone>(
         &mut self,
         core: &Core<L>,
         me: &L,
-        bytes: &[u8],
+        window: &mut Window,
     ) -> Option<Action> {
-        let mut window = std::mem::take(&mut self.window);
-        window.extend_from_slice(bytes);
-        let mut start = 0;
-        let action = loop {
+        loop {
             if self.acked || self.unwritten().len() >= HELD_CAP {
-                break Some(Action::Write);
+                return Some(Action::Write);
             }
-            match split_frame(&window[start..]) {
-                Ok(Some((body, len))) => {
-                    start += len;
-                    let inflight = self.inflight;
+            match window.split() {
+                Ok(true) => {
+                    let (body, inflight) = (window.body(), self.inflight);
                     match SubmitView::parse(body, &core.config.limits) {
                         Some(view) => self.submit(core, me, Submit::Body(body, view)),
                         None => self.request(core, me, body),
                     }
                     if self.inflight > inflight {
-                        break Some(Action::Queued); // only a push raises it here
+                        return Some(Action::Queued); // only a push raises it here
                     }
                 }
-                Ok(None) => break (!self.unwritten().is_empty()).then_some(Action::Write),
+                Ok(false) => return (!self.unwritten().is_empty()).then_some(Action::Write),
                 Err(e) => {
                     self.put_error(core, 0, ErrorCode::Malformed, e.to_string());
-                    start = window.len();
-                    break Some(Action::Close);
+                    return Some(Action::Close);
                 }
             }
-        };
-        window.drain(..start);
-        self.window = window;
-        action
+        }
     }
 
     /// The peer hung up, or (`failed`) the read failed: a frame cut short
-    /// counts a midstream disconnect.
-    pub(crate) fn ended<L>(&self, core: &Core<L>, failed: bool) {
-        if failed || !self.window.is_empty() {
+    /// in `window` counts a midstream disconnect.
+    pub(crate) fn ended<L>(core: &Core<L>, window: &Window, failed: bool) {
+        if failed || !window.is_empty() {
             core.count(|n| n.disconnects_midstream += 1);
         }
     }
@@ -476,6 +568,14 @@ mod tests {
         framed(&Request::Submit(submit(request_id, 9, false)).encode())
     }
 
+    /// `window` once a read has put `bytes` into it.
+    fn read<'w>(window: &'w mut Window, bytes: &[u8]) -> &'w mut Window {
+        let room = window.room();
+        room[..bytes.len()].copy_from_slice(bytes);
+        window.filled(bytes.len());
+        window
+    }
+
     /// Hand everything `conn` has laid out to its client in one write.
     fn write_all<L>(core: &Core<L>, conn: &mut Conn) -> Vec<u8> {
         let bytes = conn.unwritten().to_vec();
@@ -494,22 +594,22 @@ mod tests {
         out
     }
 
-    /// A core and its one connection, whose first request, a miss, a
-    /// worker has answered.
-    fn warmed() -> (Core<()>, Conn) {
+    /// A core, its one connection and the connection's window, whose
+    /// first request, a miss, a worker has answered.
+    fn warmed() -> (Core<()>, Conn, Window) {
         let core = Core::new(ServiceConfig::default());
-        let mut conn = Conn::new(1);
+        let (mut conn, mut window) = (Conn::new(1), Window::new());
         assert_eq!(
-            conn.received(&core, &(), &small(1)),
+            conn.received(&core, &(), read(&mut window, &small(1))),
             Some(Action::Queued),
             "a miss is queued"
         );
-        assert_eq!(conn.received(&core, &(), &[]), None);
+        assert_eq!(conn.received(&core, &(), &mut window), None);
         let job = core.queue.pop().expect("the miss is queued");
         let answer = core.state.finish(&job.req, job.pending);
         conn.answered(&core, &job.req, answer);
         assert_eq!(replies(&write_all(&core, &mut conn)).len(), 1);
-        (core, conn)
+        (core, conn, window)
     }
 
     /// `wire` holds the resident schedules answering `ids`, in order.
@@ -525,12 +625,19 @@ mod tests {
 
     #[test]
     fn pipelined_resident_repeats_are_answered_in_one_write() {
-        let (core, mut conn) = warmed();
+        let (core, mut conn, mut window) = warmed();
         // Sixteen repeats received as one chunk: one write.
         let wire: Vec<u8> = (2..18).flat_map(small).collect();
-        assert_eq!(conn.received(&core, &(), &wire), Some(Action::Write));
+        assert_eq!(
+            conn.received(&core, &(), read(&mut window, &wire)),
+            Some(Action::Write)
+        );
         let batch = write_all(&core, &mut conn);
-        assert_eq!(conn.received(&core, &(), &[]), None, "a second write");
+        assert_eq!(
+            conn.received(&core, &(), &mut window),
+            None,
+            "a second write"
+        );
         expect_hits(&batch, 2..18);
         let stats = core.stats();
         assert_eq!((stats.completed, stats.cache_mem_hits), (17, 16));
@@ -538,29 +645,65 @@ mod tests {
 
     #[test]
     fn a_hit_ahead_of_half_a_frame_is_answered_at_once() {
-        let (core, mut conn) = warmed();
+        let (core, mut conn, mut window) = warmed();
         // The hit, then half of the next frame: the hit's reply is not
         // held while the rest of that frame is awaited.
         let (hit, next) = (small(2), small(3));
         let half = next.len() / 2;
         let chunk = [&hit[..], &next[..half]].concat();
-        assert_eq!(conn.received(&core, &(), &chunk), Some(Action::Write));
-        expect_hits(&write_all(&core, &mut conn), [2]);
-        assert_eq!(conn.received(&core, &(), &[]), None);
         assert_eq!(
-            conn.received(&core, &(), &next[half..]),
+            conn.received(&core, &(), read(&mut window, &chunk)),
+            Some(Action::Write)
+        );
+        expect_hits(&write_all(&core, &mut conn), [2]);
+        assert_eq!(conn.received(&core, &(), &mut window), None);
+        assert_eq!(
+            conn.received(&core, &(), read(&mut window, &next[half..])),
             Some(Action::Write)
         );
         expect_hits(&write_all(&core, &mut conn), [3]);
     }
 
     #[test]
+    fn a_frame_longer_than_the_window_grows_it_and_an_emptied_window_shrinks() {
+        let wire = framed(&vec![0x55; 5 * READ_WINDOW]);
+        let mut window = Window::new();
+        let mut rooms = Vec::new();
+        let mut at = 0;
+        while at < wire.len() {
+            assert!(!window.split().unwrap(), "split before the frame is in");
+            let room = window.room();
+            let n = room.len().min(wire.len() - at);
+            room[..n].copy_from_slice(&wire[at..at + n]);
+            rooms.push(n);
+            window.filled(n);
+            at += n;
+        }
+        // The window doubles while the frame's bytes come in, never past
+        // the frame.
+        let left = wire.len() - 4 * READ_WINDOW;
+        assert_eq!(rooms, [READ_WINDOW, READ_WINDOW, 2 * READ_WINDOW, left]);
+        assert!(window.holds_frame());
+        assert!(window.split().unwrap());
+        assert_eq!(window.body(), &wire[8..wire.len() - 8]);
+        assert!(window.is_empty() && !window.holds_frame());
+        assert_eq!(
+            window.room().len(),
+            READ_WINDOW,
+            "the emptied window shrinks"
+        );
+    }
+
+    #[test]
     fn a_failed_write_counts_only_the_frames_it_leaves_short() {
         let core: Core<()> = Core::new(ServiceConfig::default());
-        let mut conn = Conn::new(1);
+        let (mut conn, mut window) = (Conn::new(1), Window::new());
         let stats = |request_id| framed(&Request::Stats { request_id }.encode());
         let wire = [stats(1), stats(2)].concat();
-        assert_eq!(conn.received(&core, &(), &wire), Some(Action::Write));
+        assert_eq!(
+            conn.received(&core, &(), read(&mut window, &wire)),
+            Some(Action::Write)
+        );
         // The first reply is written whole, then the write of the second
         // fails: only the second counts.
         let (_, first) = split_frame(conn.unwritten()).unwrap().expect("two replies");
@@ -570,9 +713,12 @@ mod tests {
         assert_eq!(core.stats().write_failures, 1);
         // A resident schedule written whole stays `completed`; the one cut
         // short leaves it.
-        let (core, mut conn) = warmed();
+        let (core, mut conn, mut window) = warmed();
         let wire = [small(2), small(3)].concat();
-        assert_eq!(conn.received(&core, &(), &wire), Some(Action::Write));
+        assert_eq!(
+            conn.received(&core, &(), read(&mut window, &wire)),
+            Some(Action::Write)
+        );
         let (_, first) = split_frame(conn.unwritten()).unwrap().expect("two replies");
         conn.wrote(&core, first + 1);
         conn.wrote(&core, 0);
@@ -619,6 +765,7 @@ mod tests {
     /// the frames it sends, and what it has been sent back.
     struct Client {
         conn: Conn,
+        window: Window,
         /// The request id of each frame, in order (0 for a body that does
         /// not decode).
         ids: Vec<u64>,
@@ -647,6 +794,7 @@ mod tests {
                 .unzip();
             Client {
                 conn: Conn::new(id),
+                window: Window::new(),
                 ids,
                 wire: frames.concat(),
                 sent: 0,
@@ -766,9 +914,11 @@ mod tests {
                 Step::Send(i) => {
                     let client = &mut clients[i];
                     let left = client.wire.len() - client.sent;
-                    let n = rng.random_range(1..=left.min(600));
-                    let chunk = &client.wire[client.sent..client.sent + n];
-                    client.asked = client.conn.received(&core, &i, chunk);
+                    let room = client.window.room();
+                    let n = rng.random_range(1..=left.min(600)).min(room.len());
+                    room[..n].copy_from_slice(&client.wire[client.sent..client.sent + n]);
+                    client.window.filled(n);
+                    client.asked = client.conn.received(&core, &i, &mut client.window);
                     client.sent += n;
                 }
                 Step::Write(i) => {
@@ -782,7 +932,7 @@ mod tests {
                 }
                 Step::Resume(i) => {
                     let client = &mut clients[i];
-                    client.asked = client.conn.received(&core, &i, &[]);
+                    client.asked = client.conn.received(&core, &i, &mut client.window);
                 }
                 Step::Work => {
                     let job = core.queue.pop().expect("a queued job");

@@ -9,8 +9,9 @@
 //!   handles (its writer, and one to shut it down with), then counts it
 //!   and spawns its reader; a connection short of a handle is dropped
 //!   uncounted;
-//! * one **reader per connection** reads up to `READ_WINDOW` bytes per
-//!   syscall into its `Conn` and writes what the `Conn` asks it to;
+//! * one **reader per connection** reads straight into the connection's
+//!   window, which it keeps, lends the window to its `Conn` and writes
+//!   what the `Conn` asks it to;
 //! * a fixed pool of **workers** pops the jobs memory could not answer,
 //!   finishes them ([`ServiceState`](crate::ServiceState)), hands the
 //!   answer to the job's `Conn` and writes the reply at once.
@@ -33,7 +34,7 @@ use std::io::{self, Read, Write};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use crate::conn::{Action, Conn, Core, READ_WINDOW};
+use crate::conn::{Action, Conn, Core, Window};
 use crate::net::{Endpoint, Listener, Stream};
 use crate::protocol::DaemonStats;
 use crate::service::ServiceConfig;
@@ -218,21 +219,22 @@ fn acceptor_loop(listener: &Listener, shared: &Arc<Shared>) {
     }
 }
 
-/// Read, hand the bytes to the connection's `Conn` and write what it asks
-/// for, until the peer hangs up or the framing breaks.
+/// Read into the connection's window, lend it to the connection's `Conn`
+/// and write what it asks for, until the peer hangs up or the framing
+/// breaks. The window is the reader's: no lock is held across `read`.
 fn reader_loop(mut stream: Stream, link: &Handle, core: &Core<Handle>) {
-    let mut buf = vec![0; READ_WINDOW];
+    let mut window = Window::new();
     loop {
-        let read = match stream.read(&mut buf) {
+        let read = match stream.read(window.room()) {
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             read => read,
         };
-        let mut held = link.lock().expect("connection lock");
         let Ok(n @ 1..) = read else {
-            return held.conn.ended(core, read.is_err());
+            return Conn::ended(core, &window, read.is_err());
         };
-        let mut bytes = &buf[..n];
-        while let Some(action) = held.conn.received(core, link, std::mem::take(&mut bytes)) {
+        window.filled(n);
+        let mut held = link.lock().expect("connection lock");
+        while let Some(action) = held.conn.received(core, link, &mut window) {
             if action == Action::Queued {
                 drop(held);
                 core.queue.wake_one();

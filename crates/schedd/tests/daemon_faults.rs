@@ -288,6 +288,8 @@ fn full_queue_overload_is_typed_and_recoverable() {
         req.request_id = id;
         client.send(&Request::Submit(req)).unwrap();
     }
+    // Nothing waits on a reply here, so the held requests go out now.
+    client.flush().unwrap();
     // Queue depth 2 reached; the next submit overflows.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
     while handle.stats().queue_depth < 2 {
