@@ -96,16 +96,6 @@ pub struct Client {
     window: Window,
 }
 
-/// Write the held requests `out` and let go of them.
-fn write_held(stream: &mut Stream, out: &mut Vec<u8>) -> io::Result<()> {
-    if out.is_empty() {
-        return Ok(());
-    }
-    let written = stream.write_all(out);
-    out.clear();
-    written
-}
-
 impl Client {
     /// Connect to a daemon.
     ///
@@ -155,7 +145,12 @@ impl Client {
     ///
     /// Transport errors; the held requests are dropped.
     pub fn flush(&mut self) -> Result<(), ClientError> {
-        Ok(write_held(&mut self.stream, &mut self.out)?)
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        let written = self.stream.write_all(&self.out);
+        self.out.clear();
+        Ok(written?)
     }
 
     /// Block for the next response frame, whatever request it answers.
@@ -168,7 +163,7 @@ impl Client {
     /// on EOF.
     pub fn recv(&mut self) -> Result<Response, ClientError> {
         while !self.window.split()? {
-            write_held(&mut self.stream, &mut self.out)?;
+            self.flush()?;
             let n = loop {
                 match self.stream.read(self.window.room()) {
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -182,7 +177,7 @@ impl Client {
             }
         }
         if !self.window.holds_frame() {
-            write_held(&mut self.stream, &mut self.out)?;
+            self.flush()?;
         }
         Ok(Response::decode(self.window.body())?)
     }
