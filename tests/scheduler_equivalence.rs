@@ -18,6 +18,7 @@
 //! `DefaultHasher` (not one).
 
 use commcache::checksum64;
+use commsched::nonuniform::rs_n_largest_first;
 use commsched::{registry, CommMatrix, CompressedMatrix, Schedule};
 use topo::TopologyKind;
 use workloads::irregular::{hotspot, powerlaw};
@@ -150,6 +151,33 @@ fn n256_is_pinned() {
         ("torus:16x16", 0x2e65_d450_2c01_b856),
         ("mesh:16x16", 0x5aa2_018c_687f_d86d),
     ]);
+}
+
+/// The largest-first scheduler is no registry entry, so the digests
+/// above miss it: its phases and op counts over the battery under every
+/// seed, per size.
+#[test]
+fn largest_first_is_pinned() {
+    let pins: [(usize, u64); 3] = [
+        (8, 0x55f2_9358_f738_3e10),
+        (64, 0x9477_0eaa_8fb0_6989),
+        (65, 0x6c5d_280e_bf6b_279a),
+    ];
+    let moved: Vec<String> = pins
+        .iter()
+        .map(|&(n, pinned)| {
+            let mut buf = Vec::new();
+            for seed in SEEDS {
+                for com in battery(n, seed) {
+                    put_schedule(&mut buf, &rs_n_largest_first(&com, seed));
+                }
+            }
+            (n, checksum64(&buf), pinned)
+        })
+        .filter(|(_, got, pinned)| got != pinned)
+        .map(|(n, got, p)| format!("({n}, {got:#018x}), // pinned {p:#018x}"))
+        .collect();
+    assert!(moved.is_empty(), "schedules moved:\n{}", moved.join("\n"));
 }
 
 /// `density()` is one `messages()` walk; this is the definition it
