@@ -29,19 +29,49 @@ pub fn rs_n(com: &CommMatrix, seed: u64) -> Schedule {
 pub fn rs_n_with(com: &CommMatrix, seed: u64, opts: RsOptions) -> Schedule {
     let mut rng = StdRng::seed_from_u64(seed);
     let ccom = CompressedMatrix::compress_with(com, opts.randomize_rows, &mut rng);
-    sweep(ccom, rng, opts.random_start, |row, _, free| {
-        let chosen = row.iter().position(|&y| free[y as usize]);
+    sweep(ccom, rng, opts.random_start, SchedulerKind::RsN, |v| {
+        let row = v.ccom.live_row(v.x);
+        let chosen = row.iter().position(|&y| v.free[y as usize]);
         // One op per CCOM slot scanned, the chosen one included.
-        (chosen, chosen.map_or(row.len(), |z| z + 1))
+        let spent = chosen.map_or(row.len(), |z| z + 1);
+        (chosen.map_or(Pick::Silent, Pick::Slot), spent as u64)
     })
 }
 
-/// RS_N's phase loop over `ccom`; `pick` chooses each row's slot and charges its ops.
+/// What a row rule sees: row `x` of `ccom` in phase `phase` (counted from
+/// 0), with the phase's `Tsend` so far and its `Trecv` as a free-receiver
+/// table.
+pub(crate) struct RowView<'a> {
+    pub(crate) phase: usize,
+    pub(crate) x: usize,
+    pub(crate) ccom: &'a CompressedMatrix,
+    /// `tsend[i]` is the node `i` sends to this phase, or [`SILENT`].
+    pub(crate) tsend: &'a [u32],
+    /// `free[y]`: nobody sends to `y` yet this phase.
+    pub(crate) free: &'a [bool],
+}
+
+/// A row rule's answer: the live slot of row `x` to place this phase, if
+/// any; a pair also names the slot of the reciprocal message `y -> x` in
+/// row `y`, and both are placed.
+pub(crate) enum Pick {
+    Silent,
+    Slot(usize),
+    Pair(usize, usize),
+}
+
+/// The phase loop of every randomized scheduler (Figures 3 and 4): while
+/// `ccom` holds a live message, open a phase (`Tsend`, `Trecv`), pick a
+/// start row, and visit every row once, cyclically. A row already sending
+/// (the far side of a pair) is passed over; any other asks `rule`, which
+/// returns its pick and the ops it spent, and the pick is placed and
+/// swap-deleted from `ccom`.
 pub(crate) fn sweep(
     mut ccom: CompressedMatrix,
     mut rng: StdRng,
     random_start: bool,
-    mut pick: impl FnMut(&[i32], &[u32], &[bool]) -> (Option<usize>, usize),
+    kind: SchedulerKind,
+    mut rule: impl FnMut(RowView<'_>) -> (Pick, u64),
 ) -> Schedule {
     let n = ccom.n();
     let mut ops: u64 = 0;
@@ -52,7 +82,9 @@ pub(crate) fn sweep(
     while ccom.total_remaining() > 0 {
         free.fill(true);
         let at = table.len();
+        let phase = at / n;
         table.resize(at + n, SILENT);
+        let tsend = &mut table[at..];
         ops += n as u64; // per-phase Tsend/Trecv initialization
         let start = if random_start {
             rng.random_range(0..n)
@@ -61,13 +93,31 @@ pub(crate) fn sweep(
         };
         for x in (start..n).chain(0..start) {
             ops += 1; // visiting row x
-            let (chosen, spent) = pick(ccom.live_row(x), ccom.live_messages(x), &free);
-            ops += spent as u64;
-            if let Some(z) = chosen {
-                let y = ccom.live_row(x)[z] as usize;
-                table[at + x] = y as u32;
-                free[y] = false;
-                ccom.remove(x, z);
+            if tsend[x] != SILENT {
+                continue;
+            }
+            let view = RowView {
+                phase,
+                x,
+                ccom: &ccom,
+                tsend,
+                free: &free,
+            };
+            let (pick, spent) = rule(view);
+            ops += spent;
+            let (z, back) = match pick {
+                Pick::Silent => continue,
+                Pick::Slot(z) => (z, None),
+                Pick::Pair(z, back) => (z, Some(back)),
+            };
+            let y = ccom.live_row(x)[z] as usize;
+            tsend[x] = y as u32;
+            free[y] = false;
+            ccom.remove(x, z);
+            if let Some(back) = back {
+                tsend[y] = x as u32;
+                free[x] = false;
+                ccom.remove(y, back);
             }
         }
     }
@@ -77,14 +127,7 @@ pub(crate) fn sweep(
     // compacts its own row (n slots) and receives the concatenated n*d
     // table. The sequential count lives on `CompressedMatrix::ops`.
     let compress_ops = (n + ccom.width() * n) as u64;
-    Schedule::from_parts(
-        ScheduleKind::Phased,
-        SchedulerKind::RsN,
-        n,
-        table,
-        ops,
-        compress_ops,
-    )
+    Schedule::from_parts(ScheduleKind::Phased, kind, n, table, ops, compress_ops)
 }
 
 #[cfg(test)]

@@ -1,27 +1,33 @@
 use hypercube::{LinkId, Topology};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 
+use crate::algorithms::rs_n::{sweep, Pick};
 use crate::algorithms::RsOptions;
-use crate::{
-    CommMatrix, CompressedMatrix, PathsTable, Schedule, ScheduleKind, SchedulerKind, SILENT,
-};
+use crate::{CommMatrix, CompressedMatrix, PathsTable, Schedule, SchedulerKind, SILENT};
 
 /// Randomized scheduling avoiding node **and link** contention — `RS_NL`
 /// (Section 5, Figure 4).
 ///
-/// Extends [`crate::rs_n`] with the `PATHS` reservation table: a candidate
-/// destination is admitted to a phase only if the deterministic circuit to
-/// it (`Check_Path`) is disjoint from every circuit already reserved this
-/// phase, after which the circuit is claimed (`Mark_Path`). The resulting
-/// phases are link-contention-free by construction on any deterministic
-/// topology — hypercube or mesh.
+/// Figure 4 is RS_N's row sweep (Figure 3) with two additions, and so is
+/// this: Figure 4's phase set-up (`Tsend`, `Trecv`, `PATHS`), random
+/// start row and cyclic row visit are the phase loop RS_N runs on, and
+/// RS_NL supplies only the body of one visit to row `x`, in two passes.
 ///
-/// Additionally, per the paper, candidates that complete a **reciprocal
-/// pair** get priority (step 3(c)i): if row `x` holds a live message to `y`
-/// while `y` holds one to `x`, and both circuits are free, both are placed
-/// in the same phase so the runtime can fuse them into one concurrent
-/// pairwise exchange — the iPSC/860's cheap bidirectional mode.
+/// - Pass 1, the preference for a **reciprocal pair** (step 3(c)i): if row
+///   `x` holds a live message to `y` while `y`, not yet sending or
+///   receiving this phase, holds one to `x`, and both circuits are free,
+///   both are placed in the same phase so the runtime can fuse them into
+///   one concurrent pairwise exchange — the iPSC/860's cheap bidirectional
+///   mode.
+/// - Pass 2, RS_N's scan for the first free receiver, with the `PATHS`
+///   reservation table: a candidate is admitted only if the deterministic
+///   circuit to it (`Check_Path`) is disjoint from every circuit already
+///   reserved this phase, after which the circuit is claimed
+///   (`Mark_Path`).
+///
+/// The resulting phases are link-contention-free by construction on any
+/// deterministic topology — hypercube or mesh.
 ///
 /// Costs roughly 3x the scheduling operations of RS_N on the paper's cube
 /// (every path check is charged the candidate circuit's length, at most
@@ -49,7 +55,7 @@ pub fn rs_nl_with<T: Topology + ?Sized>(
         topo.num_nodes()
     );
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut ccom = CompressedMatrix::compress_with(com, opts.randomize_rows, &mut rng);
+    let ccom = CompressedMatrix::compress_with(com, opts.randomize_rows, &mut rng);
     let mut paths = PathsTable::new(topo);
     // Every message's circuit, routed here and nowhere else: row k of the
     // CSR table (`offsets[k]..offsets[k + 1]` into `links`) is the circuit
@@ -75,109 +81,57 @@ pub fn rs_nl_with<T: Topology + ?Sized>(
     let circuit = |k: u32| -> &[LinkId] {
         &links[offsets[k as usize] as usize..offsets[k as usize + 1] as usize]
     };
-    let mut ops: u64 = 0;
-    let mut table = Vec::new();
-    let mut trecv: Vec<i32> = vec![-1; n];
+    // The phase `paths` holds reservations for.
+    let mut reserved_in = usize::MAX;
 
-    while ccom.total_remaining() > 0 {
-        // `Tsend` is the phase's row.
-        let row = table.len();
-        table.resize(row + n, SILENT);
-        let dests = &mut table[row..];
-        trecv.fill(-1);
-        paths.clear();
-        ops += n as u64;
-        let start = if opts.random_start {
-            rng.random_range(0..n)
-        } else {
-            0
-        };
-        let mut x = start;
-        for _ in 0..n {
-            ops += 1;
-            // A row may already have been scheduled this phase as the far
-            // side of a reciprocal pair.
-            if dests[x] != SILENT {
-                x = (x + 1) % n;
-                continue;
-            }
-            let mut placed = false;
-            // Pass 1 (pairwise preference): find y with a live reverse
-            // message y -> x, both endpoints free, both circuits free.
-            if opts.pairwise_preference && trecv[x] == -1 {
-                let mut candidate = None;
-                let live = ccom.live_row(x).iter().zip(ccom.live_messages(x));
-                for (z, (&y, &k)) in live.enumerate() {
-                    ops += 1;
-                    let yu = y as usize;
-                    if trecv[yu] != -1 || dests[yu] != SILENT {
-                        continue;
-                    }
-                    // Does y still owe a message to x?
-                    ops += 1;
-                    let Some(r) = reverse[k as usize].filter(|&r| pending[r as usize]) else {
-                        continue;
-                    };
-                    if paths.check(circuit(k), &mut ops) && paths.check(circuit(r), &mut ops) {
-                        candidate = Some((z, y, k, r));
-                        break;
-                    }
+    sweep(ccom, rng, opts.random_start, SchedulerKind::RsNl, |v| {
+        if v.phase != reserved_in {
+            paths.clear();
+            reserved_in = v.phase;
+        }
+        let x = v.x;
+        let live = v.ccom.live_row(x).iter().zip(v.ccom.live_messages(x));
+        let mut ops = 0;
+        // Pass 1 (pairwise preference): find y with a live reverse message
+        // y -> x, both endpoints free, both circuits free.
+        if opts.pairwise_preference && v.free[x] {
+            for (z, (&y, &k)) in live.clone().enumerate() {
+                ops += 1;
+                let yu = y as usize;
+                if !v.free[yu] || v.tsend[yu] != SILENT {
+                    continue;
                 }
-                if let Some((z, y, k, r)) = candidate {
-                    let yu = y as usize;
-                    dests[x] = y as u32;
-                    trecv[yu] = x as i32;
-                    dests[yu] = x as u32;
-                    trecv[x] = y;
+                // Does y still owe a message to x?
+                ops += 1;
+                let Some(r) = reverse[k as usize].filter(|&r| pending[r as usize]) else {
+                    continue;
+                };
+                if paths.check(circuit(k), &mut ops) && paths.check(circuit(r), &mut ops) {
                     paths.mark(circuit(k));
                     paths.mark(circuit(r));
-                    ccom.remove(x, z);
-                    let z2 = ccom
+                    pending[k as usize] = false;
+                    pending[r as usize] = false;
+                    let back = v
+                        .ccom
                         .live_messages(yu)
                         .iter()
                         .position(|&w| w == r)
                         .expect("reverse message verified live");
-                    ccom.remove(yu, z2);
-                    pending[k as usize] = false;
-                    pending[r as usize] = false;
-                    placed = true;
+                    return (Pick::Pair(z, back), ops);
                 }
             }
-            // Pass 2: the plain RS_N scan with the Check_Path condition.
-            if !placed {
-                let mut candidate = None;
-                let live = ccom.live_row(x).iter().zip(ccom.live_messages(x));
-                for (z, (&y, &k)) in live.enumerate() {
-                    ops += 1;
-                    if trecv[y as usize] != -1 {
-                        continue;
-                    }
-                    if paths.check(circuit(k), &mut ops) {
-                        candidate = Some((z, y, k));
-                        break;
-                    }
-                }
-                if let Some((z, y, k)) = candidate {
-                    dests[x] = y as u32;
-                    trecv[y as usize] = x as i32;
-                    paths.mark(circuit(k));
-                    ccom.remove(x, z);
-                    pending[k as usize] = false;
-                }
-            }
-            x = (x + 1) % n;
         }
-    }
-
-    let compress_ops = (n + ccom.width() * n) as u64;
-    Schedule::from_parts(
-        ScheduleKind::Phased,
-        SchedulerKind::RsNl,
-        n,
-        table,
-        ops,
-        compress_ops,
-    )
+        // Pass 2: the plain RS_N scan with the Check_Path condition.
+        for (z, (&y, &k)) in live.enumerate() {
+            ops += 1;
+            if v.free[y as usize] && paths.check(circuit(k), &mut ops) {
+                paths.mark(circuit(k));
+                pending[k as usize] = false;
+                return (Pick::Slot(z), ops);
+            }
+        }
+        (Pick::Silent, ops)
+    })
 }
 
 #[cfg(test)]

@@ -14,8 +14,8 @@ use std::cmp::Reverse;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::algorithms::rs_n::sweep;
-use crate::{CommMatrix, CompressedMatrix, Schedule};
+use crate::algorithms::rs_n::{sweep, Pick};
+use crate::{CommMatrix, CompressedMatrix, Schedule, SchedulerKind};
 
 /// RS_N with a largest-first row scan for non-uniform message sizes.
 ///
@@ -28,17 +28,14 @@ pub fn rs_n_largest_first(com: &CommMatrix, seed: u64) -> Schedule {
     // CCOM unshuffled; a slot's size is its message's.
     let (_, _, sizes) = com.columns();
     let ccom = CompressedMatrix::in_row_order(com);
-    sweep(
-        ccom,
-        StdRng::seed_from_u64(seed),
-        true,
-        |row, msgs, free| {
-            let feasible = (0..row.len()).filter(|&z| free[row[z] as usize]);
-            // The first of the largest; one op per live slot.
-            let best = feasible.max_by_key(|&z| (sizes[msgs[z] as usize], Reverse(z)));
-            (best, row.len())
-        },
-    )
+    let rng = StdRng::seed_from_u64(seed);
+    sweep(ccom, rng, true, SchedulerKind::RsN, |v| {
+        let (row, msgs) = (v.ccom.live_row(v.x), v.ccom.live_messages(v.x));
+        let feasible = (0..row.len()).filter(|&z| v.free[row[z] as usize]);
+        // The first of the largest; one op per live slot.
+        let best = feasible.max_by_key(|&z| (sizes[msgs[z] as usize], Reverse(z)));
+        (best.map_or(Pick::Silent, Pick::Slot), row.len() as u64)
+    })
 }
 
 /// The largest message of each phase — the size that dictates the phase's

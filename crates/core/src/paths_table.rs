@@ -29,9 +29,9 @@ impl PathsTable {
 
     /// Release every reservation (start of a new phase).
     pub fn clear(&mut self) {
-        self.gen += 1;
+        self.gen = self.gen.wrapping_add(1);
         if self.gen == 0 {
-            // Stamp wrap-around (practically unreachable): hard reset.
+            // Stamp wrap-around: hard reset, so no stale stamp reads held.
             self.stamps.fill(0);
             self.gen = 1;
         }
@@ -106,6 +106,21 @@ mod tests {
         assert!(!t.check(&route(&cube, 0, 7), &mut ops));
         t.clear();
         assert!(t.check(&route(&cube, 0, 7), &mut ops));
+    }
+
+    #[test]
+    fn clear_at_the_stamp_wrap_releases_everything() {
+        let cube = Hypercube::new(3);
+        let mut t = PathsTable::new(&cube);
+        let mut ops = 0;
+        t.gen = u32::MAX;
+        t.mark(&route(&cube, 0, 7));
+        assert!(!t.check(&route(&cube, 0, 7), &mut ops));
+        t.clear();
+        assert!(t.check(&route(&cube, 0, 7), &mut ops));
+        // The reset's generation holds a fresh mark until the next clear.
+        t.mark(&route(&cube, 0, 7));
+        assert!(!t.check(&route(&cube, 0, 7), &mut ops));
     }
 
     #[test]

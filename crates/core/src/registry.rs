@@ -180,9 +180,9 @@ impl Scheduler for Lp {
 /// ablation variants toggle one design choice each.
 struct Rs {
     name: &'static str,
-    /// [`SchedulerKind::RsN`] (node contention only) or
-    /// [`SchedulerKind::RsNl`] (node + link contention).
-    family: SchedulerKind,
+    /// RS_NL (node + link contention) rather than RS_N (node contention
+    /// only).
+    link_free: bool,
     opts: RsOptions,
     variant: bool,
     ordinal: u64,
@@ -193,10 +193,14 @@ impl Scheduler for Rs {
         self.name
     }
     fn family(&self) -> SchedulerKind {
-        self.family
+        if self.link_free {
+            SchedulerKind::RsNl
+        } else {
+            SchedulerKind::RsN
+        }
     }
     fn link_contention_free(&self) -> bool {
-        self.family == SchedulerKind::RsNl
+        self.link_free
     }
     fn node_contention_free(&self) -> bool {
         true
@@ -208,12 +212,10 @@ impl Scheduler for Rs {
         self.ordinal
     }
     fn schedule(&self, com: &CommMatrix, topo: &dyn Topology, seed: u64) -> Schedule {
-        match self.family {
-            SchedulerKind::RsN => rs_n_with(com, seed, self.opts),
-            SchedulerKind::RsNl => rs_nl_with(com, topo, seed, self.opts),
-            SchedulerKind::Ac | SchedulerKind::Lp => {
-                unreachable!("Rs entries are registered only for the RS families")
-            }
+        if self.link_free {
+            rs_nl_with(com, topo, seed, self.opts)
+        } else {
+            rs_n_with(com, seed, self.opts)
         }
     }
     fn patch_schedule(
@@ -263,7 +265,7 @@ static AC_ENTRY: Ac = Ac;
 static LP_ENTRY: Lp = Lp;
 static RS_N_ENTRY: Rs = Rs {
     name: "RS_N",
-    family: SchedulerKind::RsN,
+    link_free: false,
     opts: RsOptions {
         randomize_rows: true,
         random_start: true,
@@ -274,7 +276,7 @@ static RS_N_ENTRY: Rs = Rs {
 };
 static RS_NL_ENTRY: Rs = Rs {
     name: "RS_NL",
-    family: SchedulerKind::RsNl,
+    link_free: true,
     opts: RsOptions {
         randomize_rows: true,
         random_start: true,
@@ -286,7 +288,7 @@ static RS_NL_ENTRY: Rs = Rs {
 static GREEDY_ENTRY: Greedy = Greedy;
 static RS_N_DET: Rs = Rs {
     name: "RS_N_DET",
-    family: SchedulerKind::RsN,
+    link_free: false,
     opts: RsOptions {
         randomize_rows: false,
         random_start: false,
@@ -297,7 +299,7 @@ static RS_N_DET: Rs = Rs {
 };
 static RS_NL_NOPAIR: Rs = Rs {
     name: "RS_NL_NOPAIR",
-    family: SchedulerKind::RsNl,
+    link_free: true,
     opts: RsOptions {
         randomize_rows: true,
         random_start: true,
@@ -308,7 +310,7 @@ static RS_NL_NOPAIR: Rs = Rs {
 };
 static RS_NL_DET: Rs = Rs {
     name: "RS_NL_DET",
-    family: SchedulerKind::RsNl,
+    link_free: true,
     opts: RsOptions {
         randomize_rows: false,
         random_start: false,
