@@ -120,6 +120,8 @@ pub(crate) fn sweep(
                 ccom.remove(y, back);
             }
         }
+        // An empty phase would repeat forever, the table growing each time.
+        assert!(tsend.iter().any(|&t| t != SILENT), "{kind:?}: empty phase");
     }
 
     // The compression cost reported to the cost model is the paper's
